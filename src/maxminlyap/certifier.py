@@ -38,16 +38,16 @@ import numpy as np
 
 from .errors import InvalidInputError, PartitionError
 from .maxmin import (
-    MAXMIN,
     MaxMinSpec,
     QuadraticBasis,
+    _as_maxmin,
     active_indices,
     all_permutations,
-    dualize,
     phi,
-    strict_ordering,
+    realized_base,
+    selected_base,
 )
-from .numkernel import eig_sym, negdef_margin, project_psd, solve_lyapunov
+from .numkernel import eig_sym, negdef_margin, project_psd, quad_forms, row_norms, solve_lyapunov
 from .policy import DEFAULT_POLICY
 from .setderiv import lambda_set
 
@@ -101,7 +101,7 @@ def build_groups(sys, spec, matching=None):
     of their implied ordering constraints stays nonempty; merged groups
     use that intersection, singleton groups use the adjacent chain.
     """
-    mm = spec if spec.polarity == MAXMIN else dualize(spec)
+    mm = _as_maxmin(spec)
     perms = all_permutations(mm.K)
     phis = {rho: phi(mm, rho) for rho in perms}
     groups = []
@@ -195,37 +195,20 @@ def derive_matching(sys, matrices, spec, policy=DEFAULT_POLICY, n_samples=2000):
     saw several active bases, so matched pairing is not sound for this
     candidate and all permutations must be paired with every mode.
     """
-    mm = spec if spec.polarity == MAXMIN else dualize(spec)
-    basis = QuadraticBasis(matrices)
     rng = np.random.default_rng(policy.seed)
     dirs = rng.standard_normal((n_samples, sys.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    seen = {m.index: set() for m in sys.modes}
-    counted = 0
-    for x in dirs:
-        strict = [
-            m.index
-            for m in sys.modes
-            if m.region_kind == "all" or m.region_value(x) > policy.abs_tol
-        ]
-        if len(strict) != 1:
-            continue
-        rho = strict_ordering(basis.values(x))
-        if rho is None:
-            continue
-        seen[strict[0]].add(phi(mm, rho))
-        counted += 1
-    evidence = {
-        "samples": counted,
-        "seed": policy.seed,
-        "observed": {i: tuple(sorted(s)) for i, s in seen.items()},
+    owner = sys.owners(dirs, policy.abs_tol)
+    base = realized_base(spec, QuadraticBasis(matrices).values(dirs))
+    counted = (owner > 0) & (base > 0)
+    observed = {
+        m.index: tuple(np.unique(base[counted & (owner == m.index)]).tolist())
+        for m in sys.modes
     }
-    matching = {}
-    for i, s in seen.items():
-        if len(s) != 1:
-            return None, evidence
-        matching[i] = next(iter(s))
-    return matching, evidence
+    evidence = {"samples": int(counted.sum()), "seed": policy.seed, "observed": observed}
+    if any(len(s) != 1 for s in observed.values()):
+        return None, evidence
+    return {i: s[0] for i, s in observed.items()}, evidence
 
 
 @dataclass
@@ -422,13 +405,15 @@ def _margin_subgradient(sys, cand, group):
 
 
 def _normalize(cand):
-    """Rescale so the average basis trace is the dimension (margins are
-    homogeneous under joint scaling, so this is verdict-neutral)."""
+    """Rescale in place so the average basis trace is the dimension
+    (margins are homogeneous under joint scaling, so this is
+    verdict-neutral); returns ``cand``."""
     n = cand.matrices[0].shape[0]
     total = sum(float(np.trace(P)) for P in cand.matrices)
-    if total <= 0:
-        return cand
-    return cand.scaled(len(cand.matrices) * n / total)
+    if total > 0:
+        scaled = cand.scaled(len(cand.matrices) * n / total)
+        cand.matrices, cand.taus, cand.betas = scaled.matrices, scaled.taus, scaled.betas
+    return cand
 
 
 class _MatchPenalty:
@@ -443,68 +428,44 @@ class _MatchPenalty:
     """
 
     def __init__(self, sys, spec, matching, n_per_mode, seed):
-        self.mm = spec if spec.polarity == MAXMIN else dualize(spec)
-        self.matching = matching
-        self.points = []  # (target base index, unit point)
+        self.mm = _as_maxmin(spec)
+        # target base per mode index; owner 0 ("no single owner") maps to 0
+        self.target_of = np.array([matching.get(i, 0) for i in range(max(matching) + 1)])
         if sys.dim == 2:
             n_grid = max(720, 8 * n_per_mode)
-            for k in range(n_grid):
-                t = (k + 0.5) * np.pi / n_grid
-                x = np.array([np.cos(t), np.sin(t)])
-                owner = [
-                    m.index
-                    for m in sys.modes
-                    if m.region_kind == "all" or m.region_value(x) > 0.0
-                ]
-                if len(owner) == 1:
-                    self.points.append((matching[owner[0]], x))
+            t = (np.arange(n_grid) + 0.5) * np.pi / n_grid
+            X = np.stack([np.cos(t), np.sin(t)], axis=1)
+            owner = sys.owners(X, 0.0)
         else:
+            # sphere points in draw order, each kept while its owner's quota lasts
             rng = np.random.default_rng(seed)
-            per_mode = {m.index: 0 for m in sys.modes}
-            tries = 0
             want = n_per_mode * sys.M
-            while sum(per_mode.values()) < want and tries < 400 * want:
-                tries += 1
-                x = rng.standard_normal(sys.dim)
-                x /= np.linalg.norm(x)
-                owner = [
-                    m.index
-                    for m in sys.modes
-                    if m.region_kind == "all" or m.region_value(x) > 1e-6
-                ]
-                if len(owner) == 1 and per_mode[owner[0]] < n_per_mode:
-                    per_mode[owner[0]] += 1
-                    self.points.append((matching[owner[0]], x))
-        self._rebuild()
-
-    def _rebuild(self):
-        self.X = np.array([x for _, x in self.points])
-        self.targets = np.array([t for t, _ in self.points], dtype=int)
+            left = {m.index: n_per_mode for m in sys.modes}
+            X, owner = np.empty((0, sys.dim)), np.empty(0, dtype=int)
+            while sum(left.values()) > 0 and len(X) < 400 * want:
+                chunk = rng.standard_normal((min(4 * want, 400 * want - len(X)), sys.dim))
+                chunk /= row_norms(chunk)[:, None]
+                got = sys.owners(chunk, 1e-6)
+                for i in left:
+                    rows = np.flatnonzero(got == i)
+                    got[rows[left[i]:]] = 0
+                    left[i] -= min(left[i], len(rows))
+                X, owner = np.concatenate([X, chunk]), np.concatenate([owner, got])
+        self.X = X[owner > 0]
+        self.targets = self.target_of[owner[owner > 0]]
 
     def add_counterexamples(self, pts):
-        for target, x in pts:
-            self.points.append((target, np.asarray(x, dtype=float)))
-        self._rebuild()
+        self.X = np.concatenate([self.X, [x for _, x in pts]])
+        self.targets = np.concatenate([self.targets, [t for t, _ in pts]])
 
     def value_and_grads(self, matrices):
         K = len(matrices)
         n = matrices[0].shape[0]
         X = self.X
         vals = np.stack([np.einsum("si,ij,sj->s", X, P, X) for P in matrices], axis=1)
-        # realized active base per sample under the max-of-mins combination
-        fam_min_val = []
-        fam_min_idx = []
-        for fam in self.mm.families:
-            cols = np.array(fam) - 1
-            sub = vals[:, cols]
-            pos = np.argmin(sub, axis=1)
-            fam_min_val.append(sub[np.arange(len(X)), pos])
-            fam_min_idx.append(cols[pos] + 1)
-        fam_min_val = np.stack(fam_min_val, axis=1)
-        fam_min_idx = np.stack(fam_min_idx, axis=1)
-        jstar = np.argmax(fam_min_val, axis=1)
-        realized = fam_min_idx[np.arange(len(X)), jstar]
-        v = fam_min_val[np.arange(len(X)), jstar]
+        # the subgradient needs a selection on ties too, so no realized_base
+        realized = selected_base(self.mm, vals)
+        v = vals[np.arange(len(X)), realized - 1]
         d = vals[np.arange(len(X)), self.targets - 1] - v
         pen = float(np.abs(d).sum()) / len(X)
         grads = [np.zeros((n, n)) for _ in range(K)]
@@ -598,7 +559,7 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None, matching="au
             new_pen, _ = penalty.value_and_grads(trial)
             if new_pen < pen:
                 cand.matrices = trial
-                _normalize_inplace(cand)
+                _normalize(cand)
                 pen, grads = penalty.value_and_grads(cand.matrices)
                 step = min(0.2, step * 1.5)
             else:
@@ -640,7 +601,7 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None, matching="au
                         project_psd(P - eta * G, floor=1e-6)
                         for P, G in zip(saved, grads)
                     ]
-                    _normalize_inplace(cand)
+                    _normalize(cand)
                     if repair_matching(cand, max_steps=20):
                         accepted = True
                         break
@@ -654,28 +615,14 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None, matching="au
         declared matching, for counterexample-guided repair."""
         if matching is None:
             return []
-        mm = spec if spec.polarity == MAXMIN else dualize(spec)
-        basis = QuadraticBasis(cand.matrices)
         rng = np.random.default_rng(opts.seed + 7919 * salt)
-        found = []
-        for _ in range(2000):
-            x = rng.standard_normal(sys.dim)
-            x /= np.linalg.norm(x)
-            strict = [
-                m.index
-                for m in sys.modes
-                if m.region_kind == "all" or m.region_value(x) > policy.abs_tol
-            ]
-            if len(strict) != 1:
-                continue
-            rho = strict_ordering(basis.values(x))
-            if rho is None:
-                continue
-            if phi(mm, rho) != matching[strict[0]]:
-                found.append((matching[strict[0]], x))
-                if len(found) >= 64:
-                    break
-        return found
+        X = rng.standard_normal((2000, sys.dim))
+        X /= row_norms(X)[:, None]
+        owner = sys.owners(X, policy.abs_tol)
+        base = realized_base(spec, QuadraticBasis(cand.matrices).values(X))
+        target = penalty.target_of[owner]
+        wrong = np.flatnonzero((owner > 0) & (base > 0) & (base != target))[:64]
+        return [(int(target[s]), X[s]) for s in wrong]
 
     for init_no, mats in enumerate(_initial_candidates(sys, spec, opts)):
         cand = _normalize(Candidate(matrices=mats))
@@ -718,14 +665,6 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None, matching="au
         message="budget exhausted without a verified candidate "
         "(bilinear feasibility; not a proof of infeasibility)",
     )
-
-
-def _normalize_inplace(cand):
-    scaled = _normalize(cand)
-    cand.matrices = scaled.matrices
-    cand.taus = scaled.taus
-    cand.betas = scaled.betas
-    return cand
 
 
 # ---------------------------------------------------------------------------
@@ -1025,27 +964,17 @@ def sliding_exclusion(sys, policy=DEFAULT_POLICY, n_samples=10_000):
     pos = [k for k, w in enumerate(s.eigenvalues) if w > 0]
     if not neg or not pos:
         raise InvalidInputError("switching matrix Q must be sign indefinite")
+    # per sample: unit positive-side then negative-side coordinates, onto x'Qx = 0
     rng = np.random.default_rng(policy.seed)
-    A1, A2 = sys.modes[0].A, sys.modes[1].A
-    QA1 = Q @ A1
-    QA2 = Q @ A2
-    n = sys.dim
-    min_product = np.inf
-    for _ in range(n_samples):
-        z = np.zeros(n)
-        u = rng.standard_normal(len(pos))
-        u /= np.linalg.norm(u)
-        w = rng.standard_normal(len(neg))
-        w /= np.linalg.norm(w)
-        for j, k in enumerate(pos):
-            z[k] = u[j] / np.sqrt(2.0 * s.eigenvalues[k])
-        for j, k in enumerate(neg):
-            z[k] = w[j] / np.sqrt(-2.0 * s.eigenvalues[k])
-        x = s.eigenvectors @ z
-        x /= np.linalg.norm(x)
-        product = float(x @ QA1 @ x) * float(x @ QA2 @ x)
-        if product < min_product:
-            min_product = product
+    UW = rng.standard_normal((n_samples, len(pos) + len(neg)))
+    U, W = UW[:, : len(pos)], UW[:, len(pos) :]
+    Z = np.zeros((n_samples, sys.dim))
+    Z[:, pos] = U / row_norms(U)[:, None] / np.sqrt(2.0 * s.eigenvalues[pos])
+    Z[:, neg] = W / row_norms(W)[:, None] / np.sqrt(-2.0 * s.eigenvalues[neg])
+    X = (s.eigenvectors @ Z[:, :, None])[:, :, 0]
+    X /= row_norms(X)[:, None]
+    QA = np.stack([Q @ sys.modes[0].A, Q @ sys.modes[1].A])
+    min_product = quad_forms(X, QA).prod(axis=1).min(initial=np.inf)
     return ExclusionReport(
         min_product=float(min_product),
         n_samples=n_samples,
@@ -1094,6 +1023,23 @@ class Certificate:
     notes: list = field(default_factory=list)
 
 
+def without_candidate(spec, policy, note, cand=None):
+    """Not-certified verdict for a run that has no candidate to check."""
+    empty = ConditionIReport(
+        groups=[], margins=[], matching=None, evidence={}, required_margin=policy.margin
+    )
+    return Certificate(
+        candidate=cand or Candidate(matrices=[]),
+        spec=spec,
+        cond_i=empty,
+        cond_ii_kind="unchecked",
+        cond_ii=None,
+        verdict=VERDICT_NOT_CERTIFIED,
+        policy=policy,
+        notes=[note],
+    )
+
+
 def certify(
     sys,
     spec,
@@ -1116,23 +1062,12 @@ def certify(
     if search:
         result = search_condition_i(sys, spec, policy, search_opts)
         if not result.found:
-            empty = ConditionIReport(
-                groups=[], margins=[], matching=None, evidence={}, required_margin=policy.margin
-            )
-            return Certificate(
-                candidate=cand or Candidate(matrices=[]),
-                spec=spec,
-                cond_i=empty,
-                cond_ii_kind="unchecked",
-                cond_ii=None,
-                verdict=VERDICT_NOT_CERTIFIED,
-                policy=policy,
-                notes=[result.message or "condition (i) search failed"],
+            return without_candidate(
+                spec, policy, result.message or "condition (i) search failed", cand
             )
         cand = result.candidate
-        notes.append(
-            f"condition (i) candidate found by search in {result.elapsed:.1f}s"
-        )
+        rounds = f"{result.rounds} round" + ("" if result.rounds == 1 else "s")
+        notes.append(f"condition (i) candidate found by search in {rounds}")
     elif complete:
         cand = complete_multipliers(sys, spec, cand, policy)
 

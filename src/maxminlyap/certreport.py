@@ -14,11 +14,11 @@ import re
 import numpy as np
 
 from . import __version__
-from .certifier import Candidate, Certificate, certify
+from .certifier import Candidate, Certificate, certify, without_candidate
 from .errors import ConfigError
 from .inclusion import SwitchedSystem
 from .policy import NumericPolicy
-from .sysdsl.config import parse_config
+from .sysdsl.config import parse_config, parse_structure
 
 
 def _fmt_matrix(M):
@@ -143,16 +143,21 @@ def _split_sections(text):
 
 
 def parse_certificate(text):
-    """Extract (system, basis config, policy, multipliers, stored verdict)."""
+    """Extract (system, basis config, policy, multipliers, stored verdict).
+
+    A report without basis matrices (a search that found nothing) parses
+    to a config whose ``basis`` is None.
+    """
     sections = _split_sections(text)
     for needed in ("meta", "system", "basis", "structure", "condition_i"):
         if needed not in sections:
             raise ConfigError(f"certificate is missing the [{needed}] section")
-    config_text = (
-        "[system]\n" + sections["system"] + "\n"
-        "[basis]\n" + sections["basis"] + "\n"
-        "[structure]\n" + sections["structure"] + "\n"
-    )
+    config_text = "[system]\n" + sections["system"] + "\n"
+    if sections["basis"].strip():
+        config_text += (
+            "[basis]\n" + sections["basis"] + "\n"
+            "[structure]\n" + sections["structure"] + "\n"
+        )
     parsed = parse_config(config_text)
     meta = {}
     for line in sections["meta"].splitlines():
@@ -188,6 +193,10 @@ def re_verify(text):
     """
     parsed, policy, taus, betas, stored_verdict = parse_certificate(text)
     sys = SwitchedSystem.from_config(parsed.require_system())
+    if parsed.basis is None:
+        spec = parse_structure("[structure]\n" + _split_sections(text)["structure"])
+        fresh = without_candidate(spec, policy, "the report carries no candidate")
+        return fresh, stored_verdict, fresh.verdict == stored_verdict
     basis_cfg = parsed.require_basis()
     spec = basis_cfg.to_spec()
     cand = Candidate(matrices=basis_cfg.matrices, taus=taus, betas=betas)

@@ -36,14 +36,7 @@ from .errors import (
 )
 from .filippovsim import SimOptions, export_csv, simulate, sliding_lambda
 from .inclusion import SwitchedSystem
-from .maxmin import (
-    active_indices,
-    all_permutations,
-    clarke_gradient,
-    dualize,
-    evaluate,
-    phi,
-)
+from .maxmin import _as_maxmin, all_permutations, clarke_gradient, evaluate, phi
 from .policy import NumericPolicy
 from .setderiv import (
     clarke_derivative,
@@ -143,7 +136,7 @@ def cmd_phi(args):
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
     spec = basis_cfg.to_spec()
-    mm = spec if spec.polarity == "maxmin" else dualize(spec)
+    mm = _as_maxmin(spec)
     if spec.K > 6:
         raise InvalidInputError("phi table limited to K <= 6")
     print(f"K={mm.K} families={mm.families}")

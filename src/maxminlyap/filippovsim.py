@@ -156,16 +156,19 @@ def _project_to_surface(sys, i, x, tol, iters=5):
     return y
 
 
+def _surface_mode(sys, pair):
+    """Mode of the pair whose region function defines the shared surface."""
+    return pair[0] if sys.modes[pair[0] - 1].region_kind != "all" else pair[1]
+
+
 def project_to_surface(sys, pair, x, tol=1e-12):
     """Public helper: project x onto the surface shared by a mode pair."""
-    surf = pair[0] if sys.modes[pair[0] - 1].region_kind != "all" else pair[1]
-    return _project_to_surface(sys, surf, x, tol)
+    return _project_to_surface(sys, _surface_mode(sys, pair), x, tol)
 
 
 def _normal_components(sys, x, pair, policy):
     a_mode, b_mode = pair
-    surf = a_mode if sys.modes[a_mode - 1].region_kind != "all" else b_mode
-    grad = sys.modes[surf - 1].region_gradient(x)
+    grad = sys.modes[_surface_mode(sys, pair) - 1].region_gradient(x)
     fa = sys.field(a_mode, x)
     fb = sys.field(b_mode, x)
     na = float(grad @ fa)
@@ -360,7 +363,7 @@ class _Sim:
     def run_sliding(self, regime):
         pair = regime.pair
         a_mode, b_mode = pair
-        surf = a_mode if self.sys.modes[a_mode - 1].region_kind != "all" else b_mode
+        surf = _surface_mode(self.sys, pair)
         opts = self.opts
         state = {"lam": regime.lam if regime.lam is not None else 0.5}
 

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, PartitionError
-from .numkernel import as_square, as_symmetric
+from .numkernel import as_square, as_symmetric, quad_forms
 from .policy import DEFAULT_POLICY
 from .sysdsl import expr as ex
 
@@ -143,6 +143,26 @@ class SwitchedSystem:
             )
         return tuple(out)
 
+    def region_values(self, X):
+        """Region function of every mode at each row of X[S, n], shape (S, M);
+        whole-space modes read +inf, expression regions go point by point."""
+        X = np.asarray(X, dtype=float)
+        out = np.full((len(X), self.M), np.inf)
+        cones = [c for c, m in enumerate(self.modes) if m.region_kind == CONE]
+        if cones:
+            out[:, cones] = quad_forms(X, np.stack([self.modes[c].Q for c in cones]))
+        for c, mode in enumerate(self.modes):
+            if mode.region_kind == EXPR:
+                out[:, c] = [ex.eval_expr(mode.H, x) for x in X]
+        return out
+
+    def owners(self, X, threshold):
+        """Index of the one mode whose region value exceeds ``threshold``
+        at each row of X[S, n], or 0 where none or several do."""
+        strict = self.region_values(X) > threshold
+        index = np.array([m.index for m in self.modes])
+        return np.where(strict.sum(axis=1) == 1, index[strict.argmax(axis=1)], 0)
+
     def filippov_set(self, x, policy=DEFAULT_POLICY):
         idx = self.index_set(x, policy)
         return FilippovSet(
@@ -159,29 +179,18 @@ class SwitchedSystem:
         rng = np.random.default_rng(policy.seed)
         dirs = rng.standard_normal((n_samples, self.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        index = np.array([m.index for m in self.modes])
         violations = []
-        checked = 0
         for radius in radii:
-            for d in dirs:
-                x = radius * d
-                norm2 = radius * radius
-                strict = []
-                near_boundary = False
-                for mode in self.modes:
-                    if mode.region_kind == ALL:
-                        strict.append(mode.index)
-                        continue
-                    v = mode.region_value(x)
-                    band = (
-                        policy.abs_tol * norm2
-                        if mode.region_kind == CONE
-                        else policy.abs_tol * max(1.0, norm2)
-                    )
-                    if v > band:
-                        strict.append(mode.index)
-                    elif abs(v) <= band:
-                        near_boundary = True
-                checked += 1
-                if len(strict) > 1 or (not strict and not near_boundary):
-                    violations.append((x, tuple(strict)))
-        return violations, checked
+            X = radius * dirs
+            norm2 = radius * radius
+            band = policy.abs_tol * np.array(
+                [norm2 if m.region_kind == CONE else max(1.0, norm2) for m in self.modes]
+            )
+            vals = self.region_values(X)
+            strict = vals > band
+            n_strict = strict.sum(axis=1)
+            near = (np.abs(vals) <= band).any(axis=1)
+            bad = (n_strict > 1) | ((n_strict == 0) & ~near)
+            violations += [(X[s], tuple(index[strict[s]].tolist())) for s in np.flatnonzero(bad)]
+        return violations, len(radii) * n_samples

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
+from .numkernel import quad_forms
 from .policy import DEFAULT_POLICY
 from .sysdsl import expr as ex
 
@@ -68,14 +69,15 @@ class QuadraticBasis:
             if P.shape != (n, n):
                 raise InvalidInputError("basis matrices must share one dimension")
         self.dim = n
+        self._stack = np.stack(self.matrices)
 
     @property
     def K(self):
         return len(self.matrices)
 
     def values(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.array([float(x @ P @ x) for P in self.matrices])
+        """Base values at a point (shape K) or at each row of x[S, n] (S, K)."""
+        return quad_forms(x, self._stack)
 
     def gradient(self, k, x):
         x = np.asarray(x, dtype=float)
@@ -99,6 +101,9 @@ class ExprBasis:
         return len(self.exprs)
 
     def values(self, x):
+        """Base values at a point (shape K) or at each row of x[S, n] (S, K)."""
+        if np.ndim(x) == 2:
+            return np.array([self.values(row) for row in x]).reshape(len(x), self.K)
         return np.array([ex.eval_expr(e, x) for e in self.exprs])
 
     def gradient(self, k, x):
@@ -209,6 +214,34 @@ def strict_ordering(vals):
 
 def _as_maxmin(spec):
     return spec if spec.polarity == MAXMIN else dualize(spec)
+
+
+def selected_base(spec, vals):
+    """Base index (1-based) the nested max/min picks in each row of
+    vals[S, K]; ties go to the first family and the first member."""
+    inner, outer = (np.argmin, np.argmax) if spec.polarity == MAXMIN else (np.argmax, np.argmin)
+    rows = np.arange(len(vals))
+    fam_val, fam_idx = [], []
+    for fam in spec.families:
+        cols = np.array(fam) - 1
+        sub = vals[:, cols]
+        pos = inner(sub, axis=1)
+        fam_val.append(sub[rows, pos])
+        fam_idx.append(cols[pos] + 1)
+    best = outer(np.stack(fam_val, axis=1), axis=1)
+    return np.stack(fam_idx, axis=1)[rows, best]
+
+
+def realized_base(spec, vals):
+    """Active base per row of vals[S, K], or 0 where two values tie.
+
+    On a strict-ordering cone one base attains V, so this is
+    ``phi(_as_maxmin(spec), strict_ordering(row))`` for every row,
+    in either polarity, without sorting out permutations.
+    """
+    vals = np.asarray(vals, dtype=float)
+    tied = np.any(np.diff(np.sort(vals, axis=1), axis=1) <= 0.0, axis=1)
+    return np.where(tied, 0, selected_base(spec, vals))
 
 
 def active_indices(spec, basis, x, policy=DEFAULT_POLICY, n_directions=64):
@@ -347,13 +380,8 @@ def _sampled_active(mm, basis, x, policy, n_directions):
             for j in range(i + 1, basis.K):
                 if np.abs(basis.matrices[i] - basis.matrices[j]).max() == 0.0:
                     warning = f"bases {i + 1} and {j + 1} are identical"
-    found = set()
-    for mult in (1.0, 2.0, 4.0):
-        r = base_r * mult
-        for d in dirs:
-            rho = strict_ordering(basis.values(x + r * d))
-            if rho is not None:
-                found.add(phi(mm, rho))
+    pts = np.concatenate([x + (base_r * mult) * dirs for mult in (1.0, 2.0, 4.0)])
+    found = {int(k) for k in realized_base(mm, basis.values(pts)) if k}
     if not found:
         # every sample tied (degenerate basis); fall back to the realized
         # active index so the set is never empty

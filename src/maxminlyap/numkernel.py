@@ -11,7 +11,6 @@ that the rest of the package relies on.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError
 
@@ -58,31 +57,33 @@ def eig_sym(M):
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def expm(A, t=1.0):
-    """Matrix exponential e^{A t}."""
-    B = as_square(A)
-    if not np.isfinite(t):
-        raise InvalidInputError("expm: t must be finite")
-    return scipy.linalg.expm(B * float(t))
-
-
 def negdef_margin(M):
     """Largest eigenvalue of a symmetric matrix; M < 0 iff the result < 0."""
     return float(eig_sym(M).eigenvalues[-1])
 
 
-def is_positive_definite(M, floor=0.0):
-    return -negdef_margin(-as_symmetric(M)) > floor
-
-
 def solve_lyapunov(A, rhs=None):
     """P solving A^T P + P A = rhs (default rhs = -I), for Hurwitz A."""
+    import scipy.linalg
+
     B = as_square(A)
     n = B.shape[0]
     if rhs is None:
         rhs = -np.eye(n)
     P = scipy.linalg.solve_continuous_lyapunov(B.T, np.asarray(rhs, dtype=float))
     return 0.5 * (P + P.T)
+
+
+def quad_forms(X, Ps):
+    """x^T P_k x for Ps[K, n, n] at x[n] (shape K) or at each row of X[S, n]
+    (shape (S, K)); rounds exactly as ``x @ P @ x`` (``X @ P`` does not)."""
+    X = np.asarray(X, dtype=float)
+    return (X[..., None, None, :] @ Ps @ X[..., None, :, None])[..., 0, 0]
+
+
+def row_norms(X):
+    """Norm of each row of X, bit for bit ``np.linalg.norm`` of that row."""
+    return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
 
 
 def project_psd(M, floor=0.0):

@@ -83,8 +83,7 @@ def lambda_set(gradients, fields, policy=DEFAULT_POLICY):
     gradients: one n-vector per essentially-active base (p of them).
     fields:    one n-vector per adjacent mode (m of them).
     Solves the p-1 equations (g_{k+1} - g_k) . sum_j w_j f_j = 0 over the
-    probability simplex.  Exact vertex enumeration for m <= 4; linear
-    programming backs the query for larger m.
+    probability simplex by exact vertex enumeration.
     """
     grads = [np.asarray(g, dtype=float) for g in gradients]
     flds = [np.asarray(f, dtype=float) for f in fields]
@@ -100,12 +99,8 @@ def lambda_set(gradients, fields, policy=DEFAULT_POLICY):
     live = [k for k in range(p - 1) if np.abs(C[k]).max() > tol]
     if not live:
         return _full_simplex(m)
-    C = C[live]
 
-    if m <= 4:
-        verts = _vertices_by_support(C, m, tol)
-    else:
-        verts = _vertices_by_lp(C, m)
+    verts = _vertices_by_support(C[live], m, tol)
     if not verts:
         return SimplexSet(kind=EMPTY, m=m, vertices=())
     if len(verts) == 1:
@@ -118,7 +113,8 @@ def lambda_set(gradients, fields, policy=DEFAULT_POLICY):
 
 
 def _vertices_by_support(C, m, tol):
-    """Basic feasible solutions of {w >= 0, sum w = 1, C w = 0}."""
+    """Basic feasible solutions of {w >= 0, sum w = 1, C w = 0}: each has
+    at most rows + 1 nonzero weights, so every such support is tried."""
     rows = C.shape[0]
     verts = []
     for size in range(1, min(m, rows + 1) + 1):
@@ -138,27 +134,6 @@ def _vertices_by_support(C, m, tol):
             w /= w.sum()
             if not any(np.abs(w - v).max() <= 1e-9 for v in verts):
                 verts.append(w)
-    return verts
-
-
-def _vertices_by_lp(C, m):
-    """LP feasibility plus coordinate-extreme witnesses for m > 4."""
-    from scipy.optimize import linprog
-
-    A_eq = np.vstack([np.ones((1, m)), C])
-    b_eq = np.zeros(A_eq.shape[0])
-    b_eq[0] = 1.0
-    verts = []
-    for j in range(m):
-        for sign in (1.0, -1.0):
-            c = np.zeros(m)
-            c[j] = sign
-            res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=[(0, 1)] * m, method="highs")
-            if res.status == 0:
-                w = np.clip(res.x, 0.0, None)
-                w /= w.sum()
-                if not any(np.abs(w - v).max() <= 1e-9 for v in verts):
-                    verts.append(w)
     return verts
 
 

@@ -380,6 +380,26 @@ _NAMED_RE = re.compile(r"([A-Za-z]+?)(\d+)")
 
 def parse_config(text):
     """Parse and validate a configuration; raises ConfigError with position."""
+    e = _read_entries(text)
+    system = _assemble_system(e["dim"], e["modes"], e["signal_Q"], e["signal_H"])
+    basis = _assemble_basis(e["basis_P"], e["basis_V"], e["families"], e["polarity"], system)
+    return ParsedConfig(system=system, basis=basis)
+
+
+def parse_structure(text):
+    """Spec of a text whose only section is [structure], as in a report
+    that carries no basis; K is the largest base index named."""
+    from ..maxmin import MaxMinSpec
+
+    e = _read_entries(text)
+    if not e["families"]:
+        raise ConfigError("[structure] declares no families")
+    fams = _assemble_families(e["families"], None)
+    return MaxMinSpec(K=max(map(max, fams)), families=fams, polarity=e["polarity"])
+
+
+def _read_entries(text):
+    """Tokenize the sections into raw per-section entries, unassembled."""
     ts = _Stream(tokenize(text))
     dim = None
     modes = {}
@@ -485,9 +505,16 @@ def parse_config(text):
             else:
                 signal_H[i] = _parse_expr(ts)
 
-    system = _assemble_system(dim, modes, signal_Q, signal_H)
-    basis = _assemble_basis(basis_P, basis_V, families, polarity, system)
-    return ParsedConfig(system=system, basis=basis)
+    return dict(
+        dim=dim,
+        modes=modes,
+        signal_Q=signal_Q,
+        signal_H=signal_H,
+        basis_P=basis_P,
+        basis_V=basis_V,
+        families=families,
+        polarity=polarity,
+    )
 
 
 def _assemble_system(dim, modes, signal_Q, signal_H):
@@ -541,6 +568,21 @@ def _assemble_system(dim, modes, signal_Q, signal_H):
     return SystemConfig(dim=dim, modes=out)
 
 
+def _assemble_families(families, K):
+    """Families S1..SJ as sorted index tuples; with K None only the
+    lower index bound is checked."""
+    if sorted(families) != list(range(1, len(families) + 1)):
+        raise ConfigError("families must be numbered S1..SJ without gaps")
+    fams = []
+    for j in range(1, len(families) + 1):
+        fam = families[j]
+        for k in fam:
+            if k < 1 or (K is not None and k > K):
+                raise ConfigError(f"S{j} references base {k}, K is {K}")
+        fams.append(tuple(sorted(set(fam))))
+    return tuple(fams)
+
+
 def _assemble_basis(basis_P, basis_V, families, polarity, system):
     if not basis_P and not basis_V:
         if families:
@@ -554,15 +596,7 @@ def _assemble_basis(basis_P, basis_V, families, polarity, system):
     K = len(entries)
     if not families:
         raise ConfigError("[basis] present but [structure] is missing")
-    if sorted(families) != list(range(1, len(families) + 1)):
-        raise ConfigError("families must be numbered S1..SJ without gaps")
-    fams = []
-    for j in range(1, len(families) + 1):
-        fam = families[j]
-        for k in fam:
-            if not 1 <= k <= K:
-                raise ConfigError(f"S{j} references base {k}, K is {K}")
-        fams.append(tuple(sorted(set(fam))))
+    fams = _assemble_families(families, K)
 
     if basis_P:
         mats = []
@@ -582,7 +616,7 @@ def _assemble_basis(basis_P, basis_V, families, polarity, system):
                 )
             mats.append(P)
         return BasisConfig(
-            kind="quadratic", matrices=mats, families=tuple(fams), polarity=polarity
+            kind="quadratic", matrices=mats, families=fams, polarity=polarity
         )
     exprs = []
     for k in range(1, K + 1):
@@ -595,5 +629,5 @@ def _assemble_basis(basis_P, basis_V, families, polarity, system):
             )
         exprs.append(e)
     return BasisConfig(
-        kind="expr", exprs=exprs, families=tuple(fams), polarity=polarity
+        kind="expr", exprs=exprs, families=fams, polarity=polarity
     )

@@ -7,6 +7,7 @@ from maxminlyap.certifier import (
     SearchOptions,
     VERDICT_COND_I_ONLY,
     VERDICT_GAS,
+    VERDICT_NOT_CERTIFIED,
     build_groups,
     certify,
     check_condition_i,
@@ -20,7 +21,7 @@ from maxminlyap.certifier import (
     sliding_exclusion,
 )
 from maxminlyap.certreport import re_verify, serialize_certificate
-from maxminlyap.errors import InvalidInputError
+from maxminlyap.errors import ConfigError, InvalidInputError
 from maxminlyap.inclusion import SwitchedSystem
 from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, phi, strict_ordering
 from maxminlyap.numkernel import negdef_margin, solve_lyapunov
@@ -568,3 +569,37 @@ def test_reverify_rejects_tampered_multipliers():
     assert not matches
     assert fresh.verdict != VERDICT_GAS
     assert max(fresh.cond_i.margins) == pytest.approx(0.4, abs=1e-9)
+
+
+def test_not_certified_report_reverifies():
+    # a search that finds nothing writes an empty [basis]; re-verifying
+    # the report must reproduce its verdict instead of failing to parse
+    sysm = fixtures.example1_system()
+    cert = certify(
+        sysm,
+        fixtures.example1_spec(),
+        policy=POLICY,
+        search=True,
+        search_opts=SearchOptions(time_budget=0),
+    )
+    assert cert.verdict == VERDICT_NOT_CERTIFIED
+    text = serialize_certificate(cert, sysm)
+    fresh, stored, matches = re_verify(text)
+    assert stored == VERDICT_NOT_CERTIFIED
+    assert fresh.verdict == VERDICT_NOT_CERTIFIED
+    assert matches
+    assert fresh.spec == cert.spec
+    # the claim alone, with no candidate behind it, does not verify
+    _, stored, matches = re_verify(text.replace("verdict = not-certified", "verdict = GAS-certified"))
+    assert stored == VERDICT_GAS and not matches
+    # the structure goes through the config parser: comments are skipped,
+    # malformed entries are config errors
+    commented = text.replace("S2 = {3}", "S2 = {3}  # S3 = {9}")
+    assert re_verify(commented)[0].spec == cert.spec
+    for old, new in (
+        ("polarity = maxmin", "polarity = sideways"),
+        ("S2 = {3}", "S2 = {0}"),
+        ("S2 = {3}", "S3 = {3}"),
+    ):
+        with pytest.raises(ConfigError):
+            re_verify(text.replace(old, new))

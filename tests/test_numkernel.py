@@ -2,19 +2,32 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from maxminlyap.errors import InvalidInputError
 from maxminlyap.numkernel import (
     Spectrum,
+    as_square,
+    as_symmetric,
     eig_sym,
-    expm,
-    is_positive_definite,
     negdef_margin,
     project_psd,
     solve_lyapunov,
 )
 
 R2 = math.sqrt(2.0)
+
+
+def expm(A, t=1.0):
+    """Matrix exponential e^{A t}; the simulator tests use it as reference."""
+    B = as_square(A)
+    if not np.isfinite(t):
+        raise InvalidInputError("expm: t must be finite")
+    return scipy.linalg.expm(B * float(t))
+
+
+def is_positive_definite(M, floor=0.0):
+    return -negdef_margin(-as_symmetric(M)) > floor
 
 
 def test_eig_identity():

@@ -1,0 +1,305 @@
+"""The batched "which region, which base" kernel against per-point loops.
+
+The reference functions below are the point-by-point loops the batched
+code replaced.  Sampled verdicts feed a chaotic search, so every batched
+quantity must equal its per-point arithmetic exactly, not approximately.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxminlyap import fixtures
+from maxminlyap.certifier import _MatchPenalty, derive_matching, sliding_exclusion
+from maxminlyap.inclusion import Mode, SwitchedSystem
+from maxminlyap.maxmin import (
+    MAXMIN,
+    MINMAX,
+    MaxMinSpec,
+    QuadraticBasis,
+    _as_maxmin,
+    _sampled_active,
+    dualize,
+    phi,
+    realized_base,
+    strict_ordering,
+)
+from maxminlyap.policy import NumericPolicy
+from maxminlyap.sysdsl import expr as ex
+
+POLICY = NumericPolicy()
+
+
+# ---------------------------------------------------------------------------
+# per-point references
+
+
+def ref_realized(spec, row):
+    rho = strict_ordering(np.asarray(row, dtype=float))
+    return 0 if rho is None else phi(_as_maxmin(spec), rho)
+
+
+def ref_owner(sys, x, threshold):
+    strict = [
+        m.index
+        for m in sys.modes
+        if m.region_kind == "all" or m.region_value(x) > threshold
+    ]
+    return strict[0] if len(strict) == 1 else 0
+
+
+def ref_derive_matching(sys, matrices, spec, policy, n_samples):
+    basis = QuadraticBasis(matrices)
+    rng = np.random.default_rng(policy.seed)
+    dirs = rng.standard_normal((n_samples, sys.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    seen = {m.index: set() for m in sys.modes}
+    counted = 0
+    for x in dirs:
+        owner = ref_owner(sys, x, policy.abs_tol)
+        base = ref_realized(spec, [float(x @ P @ x) for P in basis.matrices])
+        if owner and base:
+            seen[owner].add(base)
+            counted += 1
+    observed = {i: tuple(sorted(s)) for i, s in seen.items()}
+    if any(len(s) != 1 for s in observed.values()):
+        return None, counted, observed
+    return {i: s[0] for i, s in observed.items()}, counted, observed
+
+
+def ref_min_product(sys, policy, n_samples):
+    Q = sys.modes[0].Q
+    w_all, vecs = np.linalg.eigh(0.5 * (Q + Q.T))
+    pos = [k for k, w in enumerate(w_all) if w > 0]
+    neg = [k for k, w in enumerate(w_all) if w < 0]
+    QA1, QA2 = Q @ sys.modes[0].A, Q @ sys.modes[1].A
+    rng = np.random.default_rng(policy.seed)
+    best = np.inf
+    for _ in range(n_samples):
+        z = np.zeros(sys.dim)
+        u = rng.standard_normal(len(pos))
+        u /= np.linalg.norm(u)
+        w = rng.standard_normal(len(neg))
+        w /= np.linalg.norm(w)
+        for j, k in enumerate(pos):
+            z[k] = u[j] / np.sqrt(2.0 * w_all[k])
+        for j, k in enumerate(neg):
+            z[k] = w[j] / np.sqrt(-2.0 * w_all[k])
+        x = vecs @ z
+        x /= np.linalg.norm(x)
+        best = min(best, float(x @ QA1 @ x) * float(x @ QA2 @ x))
+    return best
+
+
+def ref_validate_partition(sys, policy, n_samples, radii):
+    rng = np.random.default_rng(policy.seed)
+    dirs = rng.standard_normal((n_samples, sys.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    violations = []
+    for radius in radii:
+        for d in dirs:
+            x = radius * d
+            norm2 = radius * radius
+            strict, near = [], False
+            for mode in sys.modes:
+                if mode.region_kind == "all":
+                    strict.append(mode.index)
+                    continue
+                v = mode.region_value(x)
+                band = policy.abs_tol * (norm2 if mode.region_kind == "cone" else max(1.0, norm2))
+                if v > band:
+                    strict.append(mode.index)
+                elif abs(v) <= band:
+                    near = True
+            if len(strict) > 1 or (not strict and not near):
+                violations.append((x, tuple(strict)))
+    return violations
+
+
+def ref_penalty_points(sys, matching, n_per_mode, seed):
+    points = []
+    if sys.dim == 2:
+        n_grid = max(720, 8 * n_per_mode)
+        for k in range(n_grid):
+            t = (k + 0.5) * np.pi / n_grid
+            x = np.array([np.cos(t), np.sin(t)])
+            owner = ref_owner(sys, x, 0.0)
+            if owner:
+                points.append((matching[owner], x))
+    else:
+        rng = np.random.default_rng(seed)
+        per_mode = {m.index: 0 for m in sys.modes}
+        tries = 0
+        want = n_per_mode * sys.M
+        while sum(per_mode.values()) < want and tries < 400 * want:
+            tries += 1
+            x = rng.standard_normal(sys.dim)
+            x /= np.linalg.norm(x)
+            owner = ref_owner(sys, x, 1e-6)
+            if owner and per_mode[owner] < n_per_mode:
+                per_mode[owner] += 1
+                points.append((matching[owner], x))
+    return np.array([x for _, x in points]), np.array([t for t, _ in points])
+
+
+def ref_sampled_active(mm, basis, x, policy, n_directions=64):
+    rng = np.random.default_rng(policy.seed)
+    dirs = rng.standard_normal((n_directions, basis.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    base_r = policy.rel_tol * max(1.0, float(np.linalg.norm(x)))
+    found = set()
+    for mult in (1.0, 2.0, 4.0):
+        for d in dirs:
+            y = x + base_r * mult * d
+            k = ref_realized(mm, [float(y @ P @ y) for P in basis.matrices])
+            if k:
+                found.add(k)
+    return tuple(sorted(found))
+
+
+# ---------------------------------------------------------------------------
+# the kernel itself
+
+
+@st.composite
+def specs_and_values(draw):
+    K = draw(st.integers(1, 5))
+    fam = st.sets(st.integers(1, K), min_size=1).map(lambda s: tuple(sorted(s)))
+    families = tuple(draw(st.lists(fam, min_size=1, max_size=4)))
+    spec = MaxMinSpec(K=K, families=families, polarity=draw(st.sampled_from([MAXMIN, MINMAX])))
+    # few distinct values make ties (and identical columns) common
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False))
+    rows = draw(st.lists(st.lists(value, min_size=K, max_size=K), min_size=1, max_size=12))
+    return spec, np.array(rows, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs_and_values())
+def test_realized_base_matches_strict_ordering_and_phi(case):
+    spec, vals = case
+    got = realized_base(spec, vals)
+    assert got.tolist() == [ref_realized(spec, row) for row in vals]
+
+
+def test_realized_base_identical_bases_tie_everywhere():
+    P = np.diag([2.0, 1.0, 3.0])
+    basis = QuadraticBasis([P, P.copy(), np.eye(3)])
+    X = np.random.default_rng(0).standard_normal((50, 3))
+    spec = MaxMinSpec(K=3, families=((1, 3), (2,)))
+    assert not realized_base(spec, basis.values(X)).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_quadratic_values_batch_is_bitwise_per_point(n, K, seed):
+    rng = np.random.default_rng(seed)
+    mats = [B + B.T for B in rng.standard_normal((K, n, n))]
+    X = rng.standard_normal((40, n)) * rng.uniform(1e-3, 1e3, (40, 1))
+    want = np.array([[float(x @ P @ x) for P in mats] for x in X])
+    basis = QuadraticBasis(mats)
+    assert np.array_equal(basis.values(X), want)
+    assert np.array_equal(basis.values(X[0]), want[0])
+
+
+def _mixed_system():
+    """Cone, whole-space and expression regions (H = x1 - x2^2)."""
+    H = ex.sub(ex.Var(1), ex.mul(ex.Var(2), ex.Var(2)))
+    modes = [
+        Mode(index=1, A=-np.eye(2), Q=np.array([[1.0, 0.3], [0.3, -0.5]])),
+        Mode(index=2, A=-np.eye(2), Q=np.array([[-1.0, 0.0], [0.0, 0.2]])),
+        Mode(index=3, A=-np.eye(2)),
+        Mode(index=4, A=-np.eye(2), H=H),
+    ]
+    return SwitchedSystem(dim=2, modes=modes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-9, 1e-6]))
+def test_region_values_and_owners_match_per_point(seed, threshold):
+    X = np.random.default_rng(seed).standard_normal((30, 3))
+    for sys in (fixtures.example1_system(), _mixed_system(), fixtures.example3_system()):
+        pts = X[:, : sys.dim]
+        vals = sys.region_values(pts)
+        want = [[m.region_value(x) for m in sys.modes] for x in pts]
+        assert np.array_equal(vals, np.array(want))
+        assert sys.owners(pts, threshold).tolist() == [ref_owner(sys, x, threshold) for x in pts]
+
+
+# ---------------------------------------------------------------------------
+# the callers, each against the loop it replaced
+
+
+def _candidates():
+    rng = np.random.default_rng(7)
+    for case in range(24):
+        sys = fixtures.example1_system() if case % 2 == 0 else fixtures.example3_system()
+        spec = fixtures.example1_spec() if case % 2 == 0 else fixtures.example3_spec()
+        if case % 4 >= 2:
+            spec = dualize(spec)
+        mats = []
+        for k in range(spec.K):
+            B = rng.standard_normal((sys.dim, sys.dim))
+            mats.append(np.eye(sys.dim) + 0.4 * (case % 3) * B @ B.T)
+        if case % 5 == 0:
+            mats[1] = mats[0].copy()
+        yield case, sys, spec, mats
+
+
+def test_derive_matching_matches_point_loop():
+    for case, sys, spec, mats in _candidates():
+        policy = NumericPolicy(seed=case)
+        matching, evidence = derive_matching(sys, mats, spec, policy, n_samples=300 + case)
+        want, counted, observed = ref_derive_matching(sys, mats, spec, policy, 300 + case)
+        assert matching == want
+        assert evidence["samples"] == counted
+        assert evidence["observed"] == observed
+
+
+def test_sliding_exclusion_matches_point_loop():
+    sys3 = fixtures.example3_system()
+    for seed in range(12):
+        policy = NumericPolicy(seed=seed)
+        got = sliding_exclusion(sys3, policy, n_samples=1500).min_product
+        assert got == ref_min_product(sys3, policy, 1500)
+
+
+def test_validate_partition_matches_point_loop():
+    overlap = SwitchedSystem.linear(
+        [-np.eye(2), -np.eye(2)],
+        [np.array([[1.0, 0.0], [0.0, -0.5]]), np.array([[-1.0, 0.2], [0.2, 1.0]])],
+    )
+    systems = [fixtures.example1_system(), fixtures.example3_system(), overlap, _mixed_system()]
+    for sys in systems:
+        for radii in ((1.0,), (0.5, 3.0)):
+            policy = NumericPolicy(seed=3)
+            got, checked = sys.validate_partition(policy, n_samples=700, radii=radii)
+            want = ref_validate_partition(sys, policy, 700, radii)
+            assert checked == 700 * len(radii)
+            assert [s for _, s in got] == [s for _, s in want]
+            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(got, want))
+
+
+def test_match_penalty_points_match_point_loop():
+    cases = [
+        (fixtures.example1_system(), fixtures.example1_spec(), 160),
+        (fixtures.example1_system(), fixtures.example1_spec(), 97),
+        (fixtures.example3_system(), fixtures.example3_spec(), 160),
+        (fixtures.example3_system(), fixtures.example3_spec(), 11),
+    ]
+    for sys, spec, n_per_mode in cases:
+        matching = {m.index: m.index for m in sys.modes}
+        pen = _MatchPenalty(sys, spec, matching, n_per_mode, seed=5)
+        X, targets = ref_penalty_points(sys, matching, n_per_mode, 5)
+        assert np.array_equal(pen.X, X)
+        assert np.array_equal(pen.targets, targets)
+
+
+def test_sampled_active_matches_point_loop():
+    sys3_spec = fixtures.example3_spec()
+    basis = QuadraticBasis([np.diag([4.0, 4.0, 1.0]), np.diag([3.0, 3.0, 2.0])])
+    for spec in (sys3_spec, MaxMinSpec(K=2, families=((1, 2),), polarity=MINMAX)):
+        mm = _as_maxmin(spec)
+        for a in np.linspace(0.0, 2.0 * np.pi, 17):
+            x = np.array([np.cos(a), np.sin(a), 1.0])
+            got = _sampled_active(mm, basis, x, POLICY, 64)
+            assert got.indices == ref_sampled_active(mm, basis, x, POLICY)

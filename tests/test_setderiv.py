@@ -3,6 +3,8 @@ import pytest
 
 from maxminlyap import fixtures
 from maxminlyap.errors import InvalidInputError
+from maxminlyap.inclusion import Mode, SwitchedSystem
+from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import (
     EMPTY,
@@ -251,3 +253,51 @@ def test_lie_values_agree_across_active_gradients():
         )
         assert lie.hi == pytest.approx(want, rel=1e-9)
         assert lie.lo == pytest.approx(want, rel=1e-9)
+
+
+def _kink_with_many_modes(seed, n=3, m=6):
+    """Two bases tying at x with distinct gradients, m whole-space modes."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    b += (a @ x - b @ x) / (x @ x) * x  # a.x == b.x, so x'(aa' - bb')x = 0
+    P1 = 5.0 * np.eye(n)
+    P2 = P1 + 0.5 * (np.outer(a, a) - np.outer(b, b))
+    modes = [Mode(index=i, A=rng.standard_normal((n, n))) for i in range(1, m + 1)]
+    spec = MaxMinSpec(K=2, families=((1,), (2,)))
+    return spec, QuadraticBasis([P1, P2]), SwitchedSystem(dim=n, modes=modes), x
+
+
+def _brute_force_lie(basis, sysm, x):
+    """Extremes of g1 . F(w) over the equalization polytope by LP."""
+    from scipy.optimize import linprog
+
+    g1, g2 = (2.0 * P @ x for P in basis.matrices)
+    F = np.array([mode.A @ x for mode in sysm.modes]).T
+    m = F.shape[1]
+    A_eq = np.vstack([np.ones(m), (g2 - g1) @ F])
+    ends = []
+    for sign in (1.0, -1.0):
+        res = linprog(sign * (g1 @ F), A_eq=A_eq, b_eq=[1.0, 0.0], bounds=[(0, None)] * m)
+        if res.status == 2:
+            return None
+        ends.append(sign * res.fun)
+    return tuple(ends)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_lie_derivative_many_modes_matches_brute_force_lp(m):
+    # with more than four adjacent modes the extremes of the derivative
+    # sit at polytope vertices away from the simplex's coordinate extremes
+    nonempty = 0
+    for seed in range(60):
+        spec, basis, sysm, x = _kink_with_many_modes(seed, m=m)
+        lie = lie_derivative(spec, basis, sysm, x, POLICY)
+        want = _brute_force_lie(basis, sysm, x)
+        if want is None:
+            assert lie.empty
+            continue
+        nonempty += 1
+        assert lie.lo == pytest.approx(want[0], abs=1e-7)
+        assert lie.hi == pytest.approx(want[1], abs=1e-7)
+    assert nonempty >= 50
