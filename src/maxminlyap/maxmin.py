@@ -244,6 +244,12 @@ def realized_base(spec, vals):
     return np.where(tied, 0, selected_base(spec, vals))
 
 
+def _base_at(mm, basis, u):
+    """Active base at a single point u, or None on any value tie."""
+    rho = strict_ordering(basis.values(u))
+    return None if rho is None else phi(mm, rho)
+
+
 def active_indices(spec, basis, x, policy=DEFAULT_POLICY, n_directions=64):
     """Essentially-active index set.
 
@@ -325,11 +331,7 @@ def _planar_sweep(mm, basis, x, policy):
             roots.extend(got)
 
     def phi_at(theta):
-        u = np.array([math.cos(theta), math.sin(theta)])
-        rho = strict_ordering(basis.values(u))
-        if rho is None:
-            return None
-        return phi(mm, rho)
+        return _base_at(mm, basis, np.array([math.cos(theta), math.sin(theta)]))
 
     norm = float(np.linalg.norm(x))
     if norm <= policy.abs_tol:
@@ -380,8 +382,13 @@ def _sampled_active(mm, basis, x, policy, n_directions):
             for j in range(i + 1, basis.K):
                 if np.abs(basis.matrices[i] - basis.matrices[j]).max() == 0.0:
                     warning = f"bases {i + 1} and {j + 1} are identical"
-    pts = np.concatenate([x + (base_r * mult) * dirs for mult in (1.0, 2.0, 4.0)])
-    found = {int(k) for k in realized_base(mm, basis.values(pts)) if k}
+    found = set()
+    for mult in (1.0, 2.0, 4.0):
+        r = base_r * mult
+        for d in dirs:
+            k = _base_at(mm, basis, x + r * d)
+            if k is not None:
+                found.add(k)
     if not found:
         # every sample tied (degenerate basis); fall back to the realized
         # active index so the set is never empty
