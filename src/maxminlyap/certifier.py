@@ -31,7 +31,7 @@ by the pure margin computation.
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -271,14 +271,17 @@ def check_condition_i(sys, spec, cand, policy=DEFAULT_POLICY, matching="auto"):
     else:
         _, evidence = derive_matching(sys, cand.matrices, spec, policy)
     groups = build_groups(sys, spec, matching)
-    margins = [negdef_margin(group_matrix(sys, cand, g)) for g in groups]
     return ConditionIReport(
         groups=groups,
-        margins=margins,
+        margins=_margins(sys, cand, groups),
         matching=matching,
         evidence=evidence,
         required_margin=policy.margin,
     )
+
+
+def _margins(sys, cand, groups):
+    return [negdef_margin(group_matrix(sys, cand, g)) for g in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +352,11 @@ def _optimize_group_multipliers(sys, cand, group, sweeps=3):
 def complete_multipliers(sys, spec, cand, policy=DEFAULT_POLICY, matching="auto"):
     """Fill in multipliers for groups whose current margin is not strict."""
     report = check_condition_i(sys, spec, cand, policy, matching)
+    return _completed(sys, cand, report, policy)
+
+
+def _completed(sys, cand, report, policy):
+    """``complete_multipliers`` given the condition (i) report of ``cand``."""
     out = Candidate(
         matrices=[np.array(P) for P in cand.matrices],
         taus=dict(cand.taus),
@@ -1068,10 +1076,12 @@ def certify(
         cand = result.candidate
         rounds = f"{result.rounds} round" + ("" if result.rounds == 1 else "s")
         notes.append(f"condition (i) candidate found by search in {rounds}")
-    elif complete:
-        cand = complete_multipliers(sys, spec, cand, policy)
 
     cond_i = check_condition_i(sys, spec, cand, policy)
+    if complete and not search:
+        # groups and matching depend on the bases alone, not on the multipliers
+        cand = _completed(sys, cand, cond_i, policy)
+        cond_i = replace(cond_i, margins=_margins(sys, cand, cond_i.groups))
     if cond_i.matching is None:
         notes.append("pairing: all permutations against every mode")
     else:

@@ -1,14 +1,19 @@
 """Event-driven integration of Filippov solutions.
 
 Inside a region the active mode is integrated with an adaptive
-Dormand-Prince 5(4) scheme.  A sign change of the active region
-function triggers bisection down to the event tolerance; at the
-surface the two adjacent normal field components decide between a
-transversal switch and first-order sliding, in which case the tangent
-convex combination of the two fields is integrated with re-projection
-onto the surface after every accepted step.  Codimension-2
-intersections and step underflow terminate with a stall status rather
-than an error.
+Dormand-Prince 5(4) scheme whose accepted steps hand their last stage
+on as the first stage of the next (first same as last).  A sign change
+of the active region function is located on the step just taken:
+Illinois root-finding on the step's 4th-order continuous extension
+(Shampine 1986), then one real step of the located length, refined by
+a bracketed secant on real steps while the region function there
+exceeds the event tolerance.  At the surface the two adjacent normal
+field components decide between a transversal switch and first-order
+sliding, in which case the tangent convex combination of the two
+fields is integrated with re-projection onto the surface after every
+accepted step (seven fresh stages per step: the combination weight is
+updated as the stages run).  Codimension-2 intersections and step
+underflow terminate with a stall status rather than an error.
 """
 
 from dataclasses import dataclass, field, replace
@@ -112,15 +117,93 @@ _DP_B4 = (
 )
 
 
-def _dp_step(f, x, dt):
-    """One Dormand-Prince step; returns (5th-order state, error estimate)."""
-    k = [f(x)]
+# Continuous extension (Shampine 1986): the state at x + theta * dt is
+# x + dt * sum_j k_j * sum_m _DP_P[j][m] * theta**(m + 1).
+_DP_P = (
+    (
+        1,
+        -8048581381 / 2820520608,
+        8663915743 / 2820520608,
+        -12715105075 / 11282082432,
+    ),
+    (0, 0, 0, 0),
+    (
+        0,
+        131558114200 / 32700410799,
+        -68118460800 / 10900136933,
+        87487479700 / 32700410799,
+    ),
+    (
+        0,
+        -1754552775 / 470086768,
+        14199869525 / 1410260304,
+        -10690763975 / 1880347072,
+    ),
+    (
+        0,
+        127303824393 / 49829197408,
+        -318862633887 / 49829197408,
+        701980252875 / 199316789632,
+    ),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+def _dp_step(f, x, dt, k1=None):
+    """One Dormand-Prince step; returns (5th-order state, error estimate, stages).
+
+    ``k1`` is f(x) when the caller already has it.  The last stage is
+    evaluated at the returned state, so for a field that depends on the
+    state alone it is the ``k1`` of the next step.
+    """
+    k = [f(x) if k1 is None else k1]
     for stage in range(1, 7):
         y = x + dt * sum(a * k[j] for j, a in enumerate(_DP_A[stage]))
         k.append(f(y))
     x5 = x + dt * sum(b * k[j] for j, b in enumerate(_DP_B5))
     x4 = x + dt * sum(b * k[j] for j, b in enumerate(_DP_B4))
-    return x5, x5 - x4
+    return x5, x5 - x4, k
+
+
+def _dense_output(x, dt, k):
+    """State along a step as a function of its fraction theta in [0, 1]."""
+    Q = dt * (np.array(k).T @ np.array(_DP_P))
+
+    def at(theta):
+        return x + Q @ np.array([theta, theta**2, theta**3, theta**4])
+
+    return at
+
+
+def _illinois(g, ga, gb, tol):
+    """Root of g on [0, 1] by the Illinois variant of false position.
+
+    ``ga`` and ``gb`` are g(0) and g(1); returns the first point where
+    |g| <= tol, or the last iterate once the bracket stops shrinking.
+    """
+    a, b = 0.0, 1.0
+    c, side = 1.0, 0
+    for _ in range(60):
+        c = 0.5 * (a + b) if ga == gb else (a * gb - b * ga) / (gb - ga)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+            if not a < c < b:
+                break
+        gc = g(c)
+        if abs(gc) <= tol:
+            break
+        if (gc < 0.0) == (gb < 0.0):
+            b, gb = c, gc
+            if side == -1:
+                ga *= 0.5
+            side = -1
+        else:
+            a, ga = c, gc
+            if side == 1:
+                gb *= 0.5
+            side = 1
+    return c
 
 
 def _error_norm(err, x, x_new, rtol, atol):
@@ -302,12 +385,14 @@ class _Sim:
         has_boundary = mode.region_kind != "all"
         armed = has_boundary and _hn(self.sys, i, self.x) > opts.event_tol
         dt = opts.max_step
+        k1 = None  # f(self.x) once known
         while self.t < opts.horizon * (1.0 - 1e-15):
             if float(np.linalg.norm(self.x)) > opts.blowup:
                 self.status = LEFT_DOMAIN
                 return None
             dt = min(dt, opts.max_step, opts.horizon - self.t)
-            x_new, err = _dp_step(f, self.x, dt)
+            x_new, err, k = _dp_step(f, self.x, dt, k1)
+            k1 = k[0]
             enorm = _error_norm(err, self.x, x_new, opts.rtol, opts.atol)
             if enorm > 1.0:
                 dt *= max(0.2, 0.9 * enorm**-0.2)
@@ -318,7 +403,7 @@ class _Sim:
             if has_boundary:
                 h_new = _hn(self.sys, i, x_new)
                 if armed and h_new < -opts.event_tol:
-                    self._locate_event(f, dt, i)
+                    self._locate_event(f, dt, i, k, h_new)
                     self.note_switch()
                     nxt = self.regime_here(leaving=i)
                     if nxt is None:
@@ -336,26 +421,46 @@ class _Sim:
                     armed = True
             self.t += dt
             self.x = x_new
+            k1 = k[6]
             self.record(regime)
             dt *= min(5.0, 0.9 * enorm**-0.2) if enorm > 0.0 else 5.0
         return None
 
-    def _locate_event(self, f, dt, i):
-        """Bisection on the substep length down to the event tolerance."""
-        lo, hi = 0.0, dt
-        tau = dt
-        x_tau, _ = _dp_step(f, self.x, dt)
+    def _locate_event(self, f, dt, i, k, h_end):
+        """Move to the crossing of {H_i = 0} inside the step just taken.
+
+        ``k`` are the stages of that step (length dt from self.x) and
+        ``h_end`` the region function at its end.  Illinois on the step's
+        continuous extension gives the crossing fraction; one real step of
+        that length lands on it.  While the landed |H_i| exceeds the event
+        tolerance, a secant through the last two real steps refines the
+        length, with bisection whenever it leaves the bracket.
+        """
+        tol = self.opts.event_tol
+        x0 = self.x
+        h0 = _hn(self.sys, i, x0)
+        at = _dense_output(x0, dt, k)
+        theta = _illinois(lambda th: _hn(self.sys, i, at(th)), h0, h_end, 0.01 * tol)
+        lo, h_lo, hi, h_hi = 0.0, h0, dt, h_end
+        tau, prev = theta * dt, None
         for _ in range(60):
+            x_tau, _, _ = _dp_step(f, x0, tau, k[0])
+            landed = tau
             h = _hn(self.sys, i, x_tau)
-            if abs(h) <= self.opts.event_tol:
+            if abs(h) <= tol:
                 break
             if h < 0.0:
-                hi = tau
+                hi, h_hi = tau, h
+                other = prev or (lo, h_lo)
             else:
-                lo = tau
-            tau = 0.5 * (lo + hi)
-            x_tau, _ = _dp_step(f, self.x, tau)
-        self.t += tau
+                lo, h_lo = tau, h
+                other = prev or (hi, h_hi)
+            prev = (tau, h)
+            if h != other[1]:
+                tau = tau - h * (tau - other[0]) / (h - other[1])
+            if not lo < tau < hi:
+                tau = 0.5 * (lo + hi)
+        self.t += landed
         self.x = x_tau
 
     # -- sliding flow
@@ -382,7 +487,7 @@ class _Sim:
                 self.status = LEFT_DOMAIN
                 return None
             dt = min(dt, opts.max_step, opts.horizon - self.t)
-            x_new, err = _dp_step(g, self.x, dt)
+            x_new, err, _ = _dp_step(g, self.x, dt)
             enorm = _error_norm(err, self.x, x_new, opts.rtol, opts.atol)
             if enorm > 1.0:
                 dt *= max(0.2, 0.9 * enorm**-0.2)
@@ -448,14 +553,15 @@ def export_csv(traj, spec=None, basis=None):
     with_v = spec is not None and basis is not None
     if with_v:
         cols.append("V")
-    lines = [",".join(cols)]
-    from .maxmin import evaluate
+        from .maxmin import evaluate
 
-    for s in traj.samples:
+        V = evaluate(spec, basis, np.array([s.x for s in traj.samples]))
+    lines = [",".join(cols)]
+    for j, s in enumerate(traj.samples):
         row = [f"{s.t:.12g}"] + [f"{v:.12g}" for v in s.x]
         row.append(s.regime.label())
         row.append("" if s.regime.lam is None else f"{s.regime.lam:.12g}")
         if with_v:
-            row.append(f"{evaluate(spec, basis, s.x):.12g}")
+            row.append(f"{V[j]:.12g}")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

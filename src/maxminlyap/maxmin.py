@@ -159,12 +159,29 @@ def dualize(spec):
 
 
 def evaluate(spec, basis, x):
-    """V(x): nested max/min of the base values."""
+    """V(x): nested max/min of the base values; one V per row of x[S, n]."""
     vals = basis.values(x)
     return combine(spec, vals)
 
 
 def combine(spec, vals):
+    """V from the base values vals[K], or one V per row of vals[S, K].
+
+    Rows are reduced in the order of Python's min and max: a later value
+    replaces the running one only when strictly smaller (larger), so a
+    row gives the same float as the single-point form.
+    """
+    if vals.ndim == 2:
+        inner, outer = np.less, np.greater
+        if spec.polarity != MAXMIN:
+            inner, outer = outer, inner
+        out = None
+        for fam in spec.families:
+            fv = vals[:, fam[0] - 1]
+            for k in fam[1:]:
+                fv = np.where(inner(vals[:, k - 1], fv), vals[:, k - 1], fv)
+            out = fv if out is None else np.where(outer(fv, out), fv, out)
+        return out
     if spec.polarity == MAXMIN:
         return max(min(vals[k - 1] for k in fam) for fam in spec.families)
     return min(max(vals[k - 1] for k in fam) for fam in spec.families)

@@ -17,36 +17,32 @@ def _grid_values(F, xs, ys):
 
 
 def _marching_squares(vals, xs, ys, level):
-    """Line segments approximating {F = level} from precomputed grid values."""
+    """Line segments approximating {F = level} from precomputed grid values.
+
+    Returns an array of shape (S, 2, 2): segment, endpoint, coordinate.
+    Cells come row-major (x index outer).  Within a cell the level
+    crossings come edge by edge, counter-clockwise from corner (i, j),
+    and consecutive crossings pair up, so a saddle cell gives two
+    segments.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     nx, ny = len(xs), len(ys)
-    segs = []
-
-    def interp(p1, v1, p2, v2):
-        t = 0.5 if v2 == v1 else (level - v1) / (v2 - v1)
-        t = min(1.0, max(0.0, t))
-        return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
-
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            corners = [
-                ((xs[i], ys[j]), vals[i, j]),
-                ((xs[i + 1], ys[j]), vals[i + 1, j]),
-                ((xs[i + 1], ys[j + 1]), vals[i + 1, j + 1]),
-                ((xs[i], ys[j + 1]), vals[i, j + 1]),
-            ]
-            above = [v >= level for _, v in corners]
-            if all(above) or not any(above):
-                continue
-            pts = []
-            for k in range(4):
-                (p1, v1), (p2, v2) = corners[k], corners[(k + 1) % 4]
-                if (v1 >= level) != (v2 >= level):
-                    pts.append(interp(p1, v1, p2, v2))
-            if len(pts) >= 2:
-                segs.append((pts[0], pts[1]))
-            if len(pts) == 4:  # saddle cell: join remaining pair
-                segs.append((pts[2], pts[3]))
-    return segs
+    # corner k of cell (i, j) is the grid point (i + di[k], j + dj[k])
+    di, dj = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
+    above = vals >= level
+    corner = [above[a : nx - 1 + a, b : ny - 1 + b] for a, b in zip(di, dj)]
+    crosses = np.stack([corner[k] != corner[(k + 1) % 4] for k in range(4)], axis=-1)
+    i, j, k1 = np.nonzero(crosses)
+    k2 = (k1 + 1) % 4
+    i1, j1, i2, j2 = i + di[k1], j + dj[k1], i + di[k2], j + dj[k2]
+    v1, v2 = vals[i1, j1], vals[i2, j2]
+    t = (level - v1) / (v2 - v1)  # v1 != v2: one is below the level
+    t = np.where(t > 0.0, t, 0.0)  # min(1, max(0, t)), keeping Python's tie rule
+    t = np.where(t < 1.0, t, 1.0)
+    x = xs[i1] + t * (xs[i2] - xs[i1])
+    y = ys[j1] + t * (ys[j2] - ys[j1])
+    return np.stack([x, y], axis=1).reshape(-1, 2, 2)
 
 
 def phase_portrait_svg(

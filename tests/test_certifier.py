@@ -395,6 +395,27 @@ def test_certify_benchmark1_gas():
     assert cert.cond_ii_kind == "planar"
 
 
+def test_certify_derives_the_matching_once(monkeypatch):
+    # groups and matching depend on the bases alone, so completing the
+    # multipliers reuses them and recomputes only the margins
+    from maxminlyap import certifier
+
+    calls = []
+    derive = certifier.derive_matching
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return derive(*args, **kwargs)
+
+    sys1, spec1 = fixtures.example1_system(), fixtures.example1_spec()
+    monkeypatch.setattr(certifier, "derive_matching", counted)
+    cert = certify(sys1, spec1, fixtures.example1_candidate(), POLICY)
+    assert len(calls) == 1
+    fresh = check_condition_i(sys1, spec1, cert.candidate, POLICY)
+    assert cert.cond_i.margins == fresh.margins
+    assert (cert.cond_i.matching, cert.cond_i.evidence) == (fresh.matching, fresh.evidence)
+
+
 def test_certify_benchmark3_gas():
     cert = certify(
         fixtures.example3_system(),

@@ -98,6 +98,19 @@ def test_simulate_determinism(tmp_path, capsys):
         assert code == 0
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
+    # same arguments, same files: trajectory, crossings, CSV and portrait
+    csv_path, svg_path = tmp_path / "traj.csv", tmp_path / "traj.svg"
+    argv = [
+        "simulate", EX1, "--from=-1,1", "--horizon", "1.3", "--csv", str(csv_path),
+        "--svg", str(svg_path), "--grid", "80", "--level", "1,3,5",
+    ]
+    runs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        runs.append((out, csv_path.read_bytes(), svg_path.read_bytes()))
+    assert runs[0] == runs[1]
+    assert b"<line" in runs[0][2]
 
 
 def test_decrease_determinism(capsys):

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from maxminlyap import fixtures
+from maxminlyap import filippovsim, fixtures
 from maxminlyap.filippovsim import (
     COMPLETED,
     SimOptions,
     Trajectory,
+    TrajSample,
+    _hn,
     export_csv,
     project_to_surface,
     simulate,
     sliding_lambda,
 )
 from maxminlyap.inclusion import SwitchedSystem
+from maxminlyap.maxmin import MAXMIN, MINMAX, MaxMinSpec, QuadraticBasis, evaluate
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
 
@@ -209,7 +212,7 @@ def test_csv_three_dimensional_columns():
 
 
 def test_csv_single_sample_two_lines():
-    from maxminlyap.filippovsim import Regime, TrajSample
+    from maxminlyap.filippovsim import Regime
 
     traj = Trajectory(
         samples=[TrajSample(t=0.0, x=np.array([1.0, 2.0]), regime=Regime(kind="mode", mode=1))],
@@ -244,3 +247,133 @@ def test_runtime_budget_benchmark_half_turn():
     t0 = time.monotonic()
     simulate(sys1, fixtures.EXAMPLE1_Z0, SimOptions(horizon=1.3, max_step=0.01))
     assert time.monotonic() - t0 < 1.0
+
+
+# ---------------------------------------------------------------------------
+# event location against the former bisection
+
+
+def ref_locate_event(self, f, dt, i, k, h_end):
+    """Bisection on the substep length, re-integrating from the step start."""
+    lo, hi = 0.0, dt
+    tau = dt
+    x_tau, _, _ = filippovsim._dp_step(f, self.x, dt)
+    for _ in range(60):
+        h = _hn(self.sys, i, x_tau)
+        if abs(h) <= self.opts.event_tol:
+            break
+        if h < 0.0:
+            hi = tau
+        else:
+            lo = tau
+        tau = 0.5 * (lo + hi)
+        x_tau, _, _ = filippovsim._dp_step(f, self.x, tau)
+    self.t += tau
+    self.x = x_tau
+
+
+def reference_simulate(monkeypatch, sysm, x0, opts):
+    """The simulator with bisection event location and 7 fresh stages a step."""
+    dp_step = filippovsim._dp_step
+    with monkeypatch.context() as m:
+        m.setattr(filippovsim._Sim, "_locate_event", ref_locate_event)
+        m.setattr(filippovsim, "_dp_step", lambda f, x, dt, k1=None: dp_step(f, x, dt))
+        return simulate(sysm, x0, opts)
+
+
+def seeded_runs(name):
+    sysm = {"example1": fixtures.example1_system, "example2": fixtures.example2_system}[name]()
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        yield sysm, rng.standard_normal(2) * rng.uniform(0.5, 2.0)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_event_location_matches_bisection(monkeypatch, name):
+    opts = SimOptions(horizon=5.0)
+    events = 0
+    for sysm, x0 in seeded_runs(name):
+        got = simulate(sysm, x0, opts)
+        want = reference_simulate(monkeypatch, sysm, x0, opts)
+        assert got.status == want.status == COMPLETED
+        assert len(got.samples) == len(want.samples)
+        assert [s.regime.label() for s in got.samples] == [
+            s.regime.label() for s in want.samples
+        ]
+        assert len(got.crossings) == len(want.crossings)
+        for a in got.crossings:
+            assert abs(_hn(sysm, a.from_mode, a.x)) <= opts.event_tol
+        # event states: crossings, sliding entries and exits
+        for j in range(1, len(got.samples)):
+            if got.samples[j].regime.label() != got.samples[j - 1].regime.label():
+                a, b = got.samples[j], want.samples[j]
+                assert abs(a.t - b.t) <= 1e-8
+                np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-9)
+                events += 1
+    assert events > 6
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_mode_flow_before_first_event_is_unchanged(monkeypatch, name):
+    # reusing the last stage (FSAL) is bit-exact: stage 7 is evaluated at
+    # exactly the accepted state and a mode field is a pure function
+    opts = SimOptions(horizon=5.0)
+    for sysm, x0 in seeded_runs(name):
+        got = simulate(sysm, x0, opts).samples
+        want = reference_simulate(monkeypatch, sysm, x0, opts).samples
+        first = next(j for j in range(1, len(want)) if want[j].regime != want[0].regime)
+        assert first > 1
+        for a, b in zip(got[:first], want[:first]):
+            assert a.t == b.t
+            assert a.x.tobytes() == b.x.tobytes()
+
+
+def test_event_phase_steps(monkeypatch):
+    # the bisection took 1713 Dormand-Prince steps inside event location
+    # on this run; root-finding on the dense output needs a fifth of that
+    counts = {"all": 0, "event": 0}
+    inside = [False]
+    dp_step = filippovsim._dp_step
+    locate = filippovsim._Sim._locate_event
+
+    def counted_step(*args, **kwargs):
+        counts["all"] += 1
+        counts["event"] += inside[0]
+        return dp_step(*args, **kwargs)
+
+    def flagged_locate(self, *args):
+        inside[0] = True
+        try:
+            return locate(self, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(filippovsim, "_dp_step", counted_step)
+    monkeypatch.setattr(filippovsim._Sim, "_locate_event", flagged_locate)
+    traj = simulate(fixtures.example1_system(), fixtures.EXAMPLE1_Z0, SimOptions(horizon=20.0))
+    assert traj.status == COMPLETED
+    assert len(traj.crossings) == 55
+    assert counts["event"] <= 1713 // 5
+
+
+def ref_export_v(traj, spec, basis):
+    """The V column of export_csv, one point at a time."""
+    return [f"{evaluate(spec, basis, s.x):.12g}" for s in traj.samples]
+
+
+@pytest.mark.parametrize("polarity", [MAXMIN, MINMAX])
+def test_csv_v_column_matches_point_loop(polarity):
+    # bases 1 and 2 are equal, so they tie at every sample, and
+    # diag(5, 1) ties with diag(1, 5) on both diagonals
+    P, R = np.diag([5.0, 1.0]), np.diag([1.0, 5.0])
+    basis = QuadraticBasis([P, P, R])
+    spec = MaxMinSpec(K=3, families=((1, 3), (2,)), polarity=polarity)
+    traj = simulate(fixtures.example1_system(), fixtures.EXAMPLE1_Z0, SimOptions(horizon=3.0))
+    regime = traj.samples[0].regime
+    extra = [
+        TrajSample(t=9.0, x=np.array(x), regime=regime)
+        for x in ([1.0, 1.0], [-2.0, 2.0], [0.0, 0.0], [-0.0, -0.0])
+    ]
+    traj = Trajectory(samples=traj.samples + extra, status=COMPLETED)
+    rows = export_csv(traj, spec, basis).splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ref_export_v(traj, spec, basis)

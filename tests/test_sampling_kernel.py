@@ -19,6 +19,7 @@ from maxminlyap.maxmin import (
     QuadraticBasis,
     _as_maxmin,
     _sampled_active,
+    combine,
     dualize,
     phi,
     realized_base,
@@ -167,8 +168,13 @@ def specs_and_values(draw):
     fam = st.sets(st.integers(1, K), min_size=1).map(lambda s: tuple(sorted(s)))
     families = tuple(draw(st.lists(fam, min_size=1, max_size=4)))
     spec = MaxMinSpec(K=K, families=families, polarity=draw(st.sampled_from([MAXMIN, MINMAX])))
-    # few distinct values make ties (and identical columns) common
-    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False))
+    # few distinct values make ties (and identical columns) common; the
+    # signed zeros tie without being the same float
+    value = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-10, 10, allow_nan=False),
+    )
     rows = draw(st.lists(st.lists(value, min_size=K, max_size=K), min_size=1, max_size=12))
     return spec, np.array(rows, dtype=float)
 
@@ -179,6 +185,15 @@ def test_realized_base_matches_strict_ordering_and_phi(case):
     spec, vals = case
     got = realized_base(spec, vals)
     assert got.tolist() == [ref_realized(spec, row) for row in vals]
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs_and_values())
+def test_combine_rows_match_single_points(case):
+    # tobytes also tells 0.0 from -0.0
+    spec, vals = case
+    want = np.array([combine(spec, row) for row in vals])
+    assert combine(spec, vals).tobytes() == want.tobytes()
 
 
 def test_realized_base_identical_bases_tie_everywhere():

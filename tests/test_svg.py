@@ -1,0 +1,77 @@
+"""Level-set extraction against the cell-by-cell loop it replaced."""
+
+import numpy as np
+import pytest
+
+from maxminlyap import fixtures, svg
+from maxminlyap.maxmin import evaluate
+
+
+def ref_marching_squares(vals, xs, ys, level):
+    """Line segments approximating {F = level}, one grid cell at a time."""
+    nx, ny = len(xs), len(ys)
+    segs = []
+
+    def interp(p1, v1, p2, v2):
+        t = 0.5 if v2 == v1 else (level - v1) / (v2 - v1)
+        t = min(1.0, max(0.0, t))
+        return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            corners = [
+                ((xs[i], ys[j]), vals[i, j]),
+                ((xs[i + 1], ys[j]), vals[i + 1, j]),
+                ((xs[i + 1], ys[j + 1]), vals[i + 1, j + 1]),
+                ((xs[i], ys[j + 1]), vals[i, j + 1]),
+            ]
+            above = [v >= level for _, v in corners]
+            if all(above) or not any(above):
+                continue
+            pts = []
+            for k in range(4):
+                (p1, v1), (p2, v2) = corners[k], corners[(k + 1) % 4]
+                if (v1 >= level) != (v2 >= level):
+                    pts.append(interp(p1, v1, p2, v2))
+            if len(pts) >= 2:
+                segs.append((pts[0], pts[1]))
+            if len(pts) == 4:  # saddle cell: join remaining pair
+                segs.append((pts[2], pts[3]))
+    return segs
+
+
+def _grids():
+    rng = np.random.default_rng(3)
+    xs, ys = np.linspace(-1.3, 0.7, 23), np.linspace(-0.4, 2.1, 17)
+    # few distinct values: ties with the level and saddle cells are common
+    yield rng.integers(0, 3, (23, 17)).astype(float), xs, ys, 1.0
+    yield rng.standard_normal((23, 17)), xs, ys, 0.0
+    yield np.array([[1.0, 0.0], [0.0, 1.0]]), xs[:2], ys[:2], 0.5  # one saddle
+    spec, basis = fixtures.example1_spec(), fixtures.example1_basis()
+    xs, ys = np.linspace(-2.0, 2.0, 41), np.linspace(-1.5, 2.5, 37)
+    vals = np.array([[evaluate(spec, basis, np.array([x, y])) for y in ys] for x in xs])
+    for level in (0.5, 2.0, 6.0):
+        yield vals, xs, ys, level
+
+
+@pytest.mark.parametrize("vals, xs, ys, level", list(_grids()))
+def test_marching_squares_matches_cell_loop(vals, xs, ys, level):
+    got = svg._marching_squares(vals, xs, ys, level)
+    want = np.array(ref_marching_squares(vals, xs, ys, level), dtype=float).reshape(-1, 2, 2)
+    assert len(want) > 0
+    assert got.tobytes() == want.tobytes()
+
+
+def test_portrait_text_matches_cell_loop(monkeypatch):
+    spec, basis = fixtures.example1_spec(), fixtures.example1_basis()
+    traj = [np.array([np.cos(a), 1.3 * np.sin(a)]) for a in np.linspace(0.0, 6.0, 50)]
+
+    def portrait():
+        return svg.phase_portrait_svg(
+            [traj], value_fn=lambda p: evaluate(spec, basis, p), levels=(0.3, 1.0), grid=80
+        )
+
+    got = portrait()
+    monkeypatch.setattr(svg, "_marching_squares", ref_marching_squares)
+    assert got == portrait()
+    assert got.count("<line") > 100
