@@ -2,9 +2,9 @@
 
 The saturating two-mode benchmark has one attracting switching line
 (trajectories slide along it into the origin) and one line whose
-sliding motion diverges far from the origin.  The integrator detects
-surface hits by bisection, decides crossing versus sliding from the
-normal field components, and records the sliding weight.
+sliding motion diverges far from the origin.  The integrator locates
+surface hits on its dense output, decides crossing versus sliding from
+the normal field components, and records the sliding weight.
 """
 
 import numpy as np

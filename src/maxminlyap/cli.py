@@ -87,8 +87,17 @@ def _load(path):
         return parse_config(fh.read())
 
 
+def _numbers(text, what):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidInputError(
+            f"{what} {text!r} is not a comma-separated list of numbers"
+        ) from None
+
+
 def _point(text, dim=None):
-    vals = [float(v) for v in text.split(",")]
+    vals = _numbers(text, "point")
     if dim is not None and len(vals) != dim:
         raise InvalidInputError(f"point has {len(vals)} coordinates, expected {dim}")
     return np.array(vals)
@@ -247,9 +256,13 @@ def cmd_simulate(args):
         coords = [s.x for s in traj.samples]
         value_fn = None
         levels = ()
-        if spec is not None and args.level:
+        if args.level:
+            if spec is None:
+                raise InvalidInputError("--level needs a [basis] section in the config")
             value_fn = lambda p: evaluate(spec, basis, p)  # noqa: E731
-            levels = tuple(float(v) for v in args.level.split(","))
+            levels = tuple(_numbers(args.level, "--level"))
+            if not np.all(np.isfinite(levels)):
+                raise InvalidInputError(f"--level {args.level!r} has a non-finite value")
         svg = phase_portrait_svg(
             [coords],
             value_fn=value_fn,

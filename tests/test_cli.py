@@ -113,6 +113,46 @@ def test_simulate_determinism(tmp_path, capsys):
     assert b"<line" in runs[0][2]
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--grid", "-3", "--level", "1"], "at least 2 points"),
+        (["--grid", "0", "--level", "1"], "at least 2 points"),
+        (["--grid", "1", "--level", "1"], "at least 2 points"),
+        (["--level", "abc"], "comma-separated list of numbers"),
+        (["--level", "1,nan"], "non-finite"),
+    ],
+    ids=["grid-negative", "grid-0", "grid-1", "level-abc", "level-nan"],
+)
+def test_simulate_rejects_bad_svg_options(tmp_path, capsys, options, message):
+    svg_path = tmp_path / "traj.svg"
+    argv = ["simulate", EX1, "--from=-1,1", "--horizon", "0.2", "--svg", str(svg_path)]
+    code, _, err = run(capsys, argv + options)
+    assert code == 2
+    assert message in err
+    assert not svg_path.exists()
+
+
+def test_simulate_level_needs_a_basis(tmp_path, capsys):
+    cfg = tmp_path / "nobasis.cfg"
+    cfg.write_text(Path(EX2).read_text().split("[basis]")[0])
+    svg_path = tmp_path / "traj.svg"
+    argv = ["simulate", str(cfg), "--from", "0.5,0", "--horizon", "0.2", "--svg", str(svg_path)]
+    code, _, _ = run(capsys, argv)
+    assert code == 0 and svg_path.exists()
+    svg_path.unlink()
+    code, _, err = run(capsys, argv + ["--level", "1"])
+    assert code == 2
+    assert "[basis]" in err
+    assert not svg_path.exists()
+
+
+def test_simulate_rejects_a_malformed_point(capsys):
+    code, _, err = run(capsys, ["simulate", EX1, "--from", "abc", "--horizon", "0.2"])
+    assert code == 2
+    assert "comma-separated list of numbers" in err
+
+
 def test_decrease_determinism(capsys):
     outs = []
     for _ in range(2):

@@ -1,10 +1,21 @@
-"""Level-set extraction against the cell-by-cell loop it replaced."""
+"""Level-set portraits against the per-point and cell-by-cell loops they replaced."""
 
 import numpy as np
 import pytest
 
 from maxminlyap import fixtures, svg
-from maxminlyap.maxmin import evaluate
+from maxminlyap.errors import InvalidInputError
+from maxminlyap.maxmin import MINMAX, MaxMinSpec, QuadraticBasis, evaluate
+from maxminlyap.sysdsl import parse_config
+
+
+def ref_grid_values(F, xs, ys):
+    """F at every grid point, one point at a time."""
+    vals = np.empty((len(xs), len(ys)))
+    for i, xv in enumerate(xs):
+        for j, yv in enumerate(ys):
+            vals[i, j] = F(np.array([xv, yv]))
+    return vals
 
 
 def ref_marching_squares(vals, xs, ys, level):
@@ -73,5 +84,92 @@ def test_portrait_text_matches_cell_loop(monkeypatch):
 
     got = portrait()
     monkeypatch.setattr(svg, "_marching_squares", ref_marching_squares)
+    assert got == portrait()
+    assert got.count("<line") > 100
+
+
+def _expr_spec_basis():
+    basis = parse_config(
+        """
+        [basis]
+        V1 = x1*x1 + 0.5*x1*x2 + x2*x2
+        V2 = 2*x1*x1 + atan(x2)*atan(x2)
+        V3 = x1*x1*x1*x1 + x2*x2
+        [structure]
+        S1 = {1, 3}
+        S2 = {2}
+        """
+    ).require_basis()
+    return basis.to_spec(), basis.to_basis()
+
+
+def _tie_spec_basis():
+    # bases 1 and 2 are equal and tie everywhere; diag(5, 1) and diag(1, 5)
+    # tie on both diagonals, exactly on a grid of multiples of 1/8
+    P, R = np.diag([5.0, 1.0]), np.diag([1.0, 5.0])
+    return MaxMinSpec(K=3, families=((1, 3), (2,)), polarity=MINMAX), QuadraticBasis([P, P, R])
+
+
+GRID_CASES = {
+    "example1": lambda: (fixtures.example1_spec(), fixtures.example1_basis()),
+    "example2": lambda: (fixtures.example2_spec(), fixtures.example2_basis()),
+    "minmax": lambda: (
+        MaxMinSpec(K=3, families=((1, 2), (3,)), polarity=MINMAX),
+        fixtures.example1_basis(),
+    ),
+    "expr": _expr_spec_basis,
+    "ties": _tie_spec_basis,
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_CASES))
+def test_grid_values_match_point_loop(case):
+    spec, basis = GRID_CASES[case]()
+    if case == "ties":
+        xs = ys = np.linspace(-2.0, 2.0, 33)
+    else:
+        xs, ys = np.linspace(-2.0, 2.0, 41), np.linspace(-1.5, 2.5, 37)
+
+    def F(p):
+        return evaluate(spec, basis, p)
+
+    got = svg._grid_values(F, xs, ys)
+    assert got.tobytes() == ref_grid_values(F, xs, ys).tobytes()
+    if case == "ties":
+        vals = basis.values(np.column_stack([xs, ys]))
+        assert np.all(vals[:, 0] == vals[:, 1]) and np.all(vals[:, 0] == vals[:, 2])
+
+
+def _portrait(value_fn, grid, levels=(0.3, 1.0)):
+    traj = [np.array([np.cos(a), 1.3 * np.sin(a)]) for a in np.linspace(0.0, 6.0, 50)]
+    return svg.phase_portrait_svg([traj], value_fn=value_fn, levels=levels, grid=grid)
+
+
+def test_value_fn_is_called_once_per_grid_column():
+    spec, basis = fixtures.example1_spec(), fixtures.example1_basis()
+    shapes = []
+
+    def value_fn(p):
+        shapes.append(p.shape)
+        return evaluate(spec, basis, p)
+
+    _portrait(value_fn, grid=50)
+    assert shapes == [(50, 2)] * 50
+
+
+def test_point_only_value_fn_is_rejected():
+    with pytest.raises(InvalidInputError, match=r"\(S, 2\) array of points to S values"):
+        _portrait(lambda p: p[0] ** 2 + p[1] ** 2, grid=20)
+
+
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_portrait_text_matches_point_loop(monkeypatch, example):
+    spec, basis = GRID_CASES[example]()
+
+    def portrait():
+        return _portrait(lambda p: evaluate(spec, basis, p), grid=80)
+
+    got = portrait()
+    monkeypatch.setattr(svg, "_grid_values", ref_grid_values)
     assert got == portrait()
     assert got.count("<line") > 100
