@@ -23,10 +23,11 @@ base differences.
 
 The mode-to-permutation pairing assumes the candidate's active base
 agrees with the active mode region ("matched" pairing, required for
-partitions whose cones touch; the all-pairs alternative is available).
-The assumption is validated by sampling and recorded in the
-certificate, and any found candidate is always re-checked from scratch
-by the pure margin computation.
+partitions whose cones touch); when sampling sees several active bases
+on one mode, every permutation is paired with every mode.  The pairing
+is derived by sampling and recorded in the certificate, and any found
+candidate is always re-checked from scratch by the pure margin
+computation.
 """
 
 import itertools
@@ -169,9 +170,11 @@ class Candidate:
         return float(self.betas.get(group.key, 0.0))
 
     def scaled(self, c):
+        """Bases and cone multipliers times c > 0; the ordering multipliers
+        weigh base differences, so they stay and every margin scales by c."""
         return Candidate(
             matrices=[c * P for P in self.matrices],
-            taus={k: tuple(c * t for t in v) for k, v in self.taus.items()},
+            taus=dict(self.taus),
             betas={k: c * v for k, v in self.betas.items()},
         )
 
@@ -223,13 +226,6 @@ class ConditionIReport:
     def ok(self):
         return all(m < -self.required_margin for m in self.margins)
 
-    def margin_by_pair(self):
-        out = {}
-        for g, m in zip(self.groups, self.margins):
-            for rho in g.perms:
-                out[(g.mode, rho)] = m
-        return out
-
 
 def _require_linear_conic(sys):
     if not sys.is_linear:
@@ -256,20 +252,16 @@ def _validate_candidate(cand, K):
             raise InvalidInputError(f"negative cone multiplier in group {key}")
 
 
-def check_condition_i(sys, spec, cand, policy=DEFAULT_POLICY, matching="auto"):
-    """Pure margin computation for every inequality group (no optimization)."""
+def check_condition_i(sys, spec, cand, policy=DEFAULT_POLICY):
+    """Pure margin computation for every inequality group (no optimization),
+    paired by the sampled matching of ``cand``'s bases."""
     _require_linear_conic(sys)
     if spec.K > MAX_BASES:
         raise InvalidInputError(
             f"K={spec.K} bases means {spec.K}! permutations; refusing beyond {MAX_BASES}"
         )
     _validate_candidate(cand, spec.K)
-    if matching == "auto":
-        matching, evidence = derive_matching(sys, cand.matrices, spec, policy)
-    elif matching is None:
-        evidence = {"samples": 0, "seed": policy.seed, "observed": {}}
-    else:
-        _, evidence = derive_matching(sys, cand.matrices, spec, policy)
+    matching, evidence = derive_matching(sys, cand.matrices, spec, policy)
     groups = build_groups(sys, spec, matching)
     return ConditionIReport(
         groups=groups,
@@ -308,55 +300,41 @@ def _golden_min(f, lo, hi, iters=40):
 
 
 def _optimize_group_multipliers(sys, cand, group, sweeps=3):
-    """Coordinate descent on the group's multipliers; margin is convex in
-    each scalar, so golden-section per coordinate converges cleanly."""
-    taus = list(cand.tau_for(group))
+    """Coordinate descent on the group's multipliers, the tau slots then
+    beta; margin is convex in each scalar, so golden-section per
+    coordinate converges cleanly."""
+    n_tau = len(group.diffs)
     beta = cand.beta_for(group)
-    n_slots = len(taus) + (1 if group.use_cone else 0)
-    if n_slots == 0:
-        return tuple(taus), beta
+    slots = list(cand.tau_for(group)) + ([beta] if group.use_cone else [])
 
-    def margin_at(ts, b):
+    def split(xs):
+        return tuple(xs[:n_tau]), (xs[n_tau] if group.use_cone else beta)
+
+    def margin_at(xs):
+        taus, b = split(xs)
         trial = Candidate(
             matrices=cand.matrices,
-            taus={**cand.taus, group.key: tuple(ts)},
+            taus={**cand.taus, group.key: taus},
             betas={**cand.betas, group.key: b},
         )
         return negdef_margin(group_matrix(sys, trial, group))
 
     for _ in range(sweeps):
-        for slot in range(len(taus)):
+        for slot in range(len(slots)):
 
             def f(v, slot=slot):
-                ts = list(taus)
-                ts[slot] = v
-                return margin_at(ts, beta)
+                return margin_at(slots[:slot] + [v] + slots[slot + 1 :])
 
-            hi = max(10.0, 4.0 * abs(taus[slot]) + 1.0)
+            hi = max(10.0, 4.0 * abs(slots[slot]) + 1.0)
             while f(hi) < f(hi / 2.0) and hi < 1e6:
                 hi *= 4.0
-            v, _ = _golden_min(f, 0.0, hi)
-            taus[slot] = v
-        if group.use_cone:
-
-            def fb(v):
-                return margin_at(taus, v)
-
-            hi = max(10.0, 4.0 * abs(beta) + 1.0)
-            while fb(hi) < fb(hi / 2.0) and hi < 1e6:
-                hi *= 4.0
-            beta, _ = _golden_min(fb, 0.0, hi)
-    return tuple(taus), beta
+            slots[slot], _ = _golden_min(f, 0.0, hi)
+    return split(slots)
 
 
-def complete_multipliers(sys, spec, cand, policy=DEFAULT_POLICY, matching="auto"):
-    """Fill in multipliers for groups whose current margin is not strict."""
-    report = check_condition_i(sys, spec, cand, policy, matching)
-    return _completed(sys, cand, report, policy)
-
-
-def _completed(sys, cand, report, policy):
-    """``complete_multipliers`` given the condition (i) report of ``cand``."""
+def complete_multipliers(sys, cand, report, policy=DEFAULT_POLICY):
+    """Fill in multipliers for the groups of ``report`` (the condition (i)
+    report of ``cand``) whose margin is not strict."""
     out = Candidate(
         matrices=[np.array(P) for P in cand.matrices],
         taus=dict(cand.taus),
@@ -375,15 +353,17 @@ def _completed(sys, cand, report, policy):
 # feasibility search (alternating multiplier / basis blocks)
 
 
+SEARCH_STARTS = 16  # initial candidates: two Lyapunov-based, the rest jittered
+SEARCH_ROUNDS = 60  # multiplier/basis rounds per start and outer pass
+SEARCH_P_STEPS = 30  # basis subgradient steps per round
+SEARCH_FLOOR = 1e-6  # a round stops once every margin is at most -SEARCH_FLOOR
+MATCH_SAMPLES = 160  # per-mode directions enforcing the structure match
+
+
 @dataclass(frozen=True)
 class SearchOptions:
-    seeds: int = 16
-    max_rounds: int = 60
-    p_steps: int = 30
-    required_margin: float = 1e-6
     time_budget: float = 50.0
     seed: int = 0
-    match_samples: int = 160  # per-mode directions enforcing the structure match
 
 
 @dataclass
@@ -413,14 +393,18 @@ def _margin_subgradient(sys, cand, group):
 
 
 def _normalize(cand):
-    """Rescale in place so the average basis trace is the dimension
-    (margins are homogeneous under joint scaling, so this is
-    verdict-neutral); returns ``cand``."""
+    """Rescale in place so the average basis trace is the dimension;
+    returns ``cand``.  Every multiplier is scaled with the bases, the
+    ordering ones too, so unlike ``Candidate.scaled`` this can change
+    margins and is not verdict-neutral; the search iterates are defined
+    by it, and a found candidate is re-checked from scratch."""
     n = cand.matrices[0].shape[0]
     total = sum(float(np.trace(P)) for P in cand.matrices)
     if total > 0:
-        scaled = cand.scaled(len(cand.matrices) * n / total)
-        cand.matrices, cand.taus, cand.betas = scaled.matrices, scaled.taus, scaled.betas
+        c = len(cand.matrices) * n / total
+        cand.matrices = [c * P for P in cand.matrices]
+        cand.taus = {k: tuple(c * t for t in v) for k, v in cand.taus.items()}
+        cand.betas = {k: c * v for k, v in cand.betas.items()}
     return cand
 
 
@@ -490,9 +474,9 @@ class _MatchPenalty:
         return pen, grads
 
 
-def _initial_candidates(sys, spec, opts):
+def _initial_candidates(sys, spec, seed):
     """Deterministic seed list: per-mode Lyapunov solutions, then jitters."""
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     n = sys.dim
     K = spec.K
     inits = []
@@ -509,7 +493,7 @@ def _initial_candidates(sys, spec, opts):
             lyap.append(np.eye(n))
     inits.append([P.copy() for P in lyap])
     inits.append([np.eye(n) for _ in range(K)])
-    for _ in range(max(0, opts.seeds - 2)):
+    for _ in range(SEARCH_STARTS - 2):
         mats = []
         for k in range(K):
             B = rng.standard_normal((n, n))
@@ -519,7 +503,7 @@ def _initial_candidates(sys, spec, opts):
     return inits
 
 
-def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None, matching="auto"):
+def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
     """Alternating feasibility search for condition (i).
 
     Blocks: (a) multipliers by per-group golden-section coordinate
@@ -528,25 +512,21 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None, matching="au
     structure-matching penalty, with a positive-definite floor and
     trace normalization.  Multi-start, budget-bounded.  Failure is a
     report, not an error: the inequalities are bilinear and a miss
-    does not prove infeasibility.
+    does not prove infeasibility.  With as many bases as modes, mode i
+    is steered to base i; otherwise every permutation is paired with
+    every mode.
     """
     _require_linear_conic(sys)
     opts = opts or SearchOptions()
-    if matching == "auto":
-        matching = (
-            {m.index: m.index for m in sys.modes} if sys.M == spec.K else None
-        )
+    matching = {m.index: m.index for m in sys.modes} if sys.M == spec.K else None
     groups = build_groups(sys, spec, matching)
     penalty = (
-        _MatchPenalty(sys, spec, matching, opts.match_samples, opts.seed)
+        _MatchPenalty(sys, spec, matching, MATCH_SAMPLES, opts.seed)
         if matching is not None
         else None
     )
     t0 = time.monotonic()
     rounds_done = 0
-
-    def margins_of(cand):
-        return [negdef_margin(group_matrix(sys, cand, g)) for g in groups]
 
     def repair_matching(cand, max_steps=120):
         """Subgradient descent on the matching penalty until it hits zero."""
@@ -578,7 +558,7 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None, matching="au
 
     def optimize_rounds(cand):
         nonlocal rounds_done
-        for round_no in range(opts.max_rounds):
+        for round_no in range(SEARCH_ROUNDS):
             rounds_done += 1
             if time.monotonic() - t0 > opts.time_budget:
                 return
@@ -586,16 +566,16 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None, matching="au
                 taus, beta = _optimize_group_multipliers(sys, cand, g, sweeps=2)
                 cand.taus[g.key] = taus
                 cand.betas[g.key] = beta
-            if max(margins_of(cand)) <= -opts.required_margin:
+            if max(_margins(sys, cand, groups)) <= -SEARCH_FLOOR:
                 return
             # margin descent restricted to the matched set: a step that
             # breaks the matching is repaired or rolled back and shrunk
             step0 = 0.25 / (1.0 + round_no / 6.0)
-            for _ in range(opts.p_steps):
+            for _ in range(SEARCH_P_STEPS):
                 vals = [_margin_subgradient(sys, cand, g) for g in groups]
                 worst = max(range(len(groups)), key=lambda j: vals[j][0])
                 worst_margin = vals[worst][0]
-                if worst_margin <= -opts.required_margin:
+                if worst_margin <= -SEARCH_FLOOR:
                     break
                 grads = vals[worst][1]
                 gnorm = np.sqrt(sum(float(np.sum(G * G)) for G in grads))
@@ -632,7 +612,7 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None, matching="au
         wrong = np.flatnonzero((owner > 0) & (base > 0) & (base != target))[:64]
         return [(int(target[s]), X[s]) for s in wrong]
 
-    for init_no, mats in enumerate(_initial_candidates(sys, spec, opts)):
+    for init_no, mats in enumerate(_initial_candidates(sys, spec, opts.seed)):
         cand = _normalize(Candidate(matrices=mats))
         for g in groups:
             cand.taus[g.key] = (0.0,) * len(g.diffs)
@@ -643,21 +623,21 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None, matching="au
             if not repair_matching(cand):
                 break
             optimize_rounds(cand)
-            report = check_condition_i(sys, spec, cand, policy, matching="auto")
+            report = check_condition_i(sys, spec, cand, policy)
+            worst = max(report.margins)
+            if -10.0 * policy.margin < worst < 0:
+                # headroom: margins scale with the candidate, so take the
+                # worst to -10 x the required margin before the ok test
+                cand = cand.scaled(10.0 * policy.margin / -worst)
+                report = check_condition_i(sys, spec, cand, policy)
             if report.ok and (matching is None or report.matching is not None):
-                # headroom rescale so required margins survive reverification
-                worst = max(report.margins)
-                if worst > -opts.required_margin * 10 and worst < 0:
-                    cand = cand.scaled(10.0 * opts.required_margin / -worst)
-                    report = check_condition_i(sys, spec, cand, policy, matching="auto")
-                if report.ok:
-                    return SearchResult(
-                        candidate=cand,
-                        report=report,
-                        found=True,
-                        rounds=rounds_done,
-                        elapsed=time.monotonic() - t0,
-                    )
+                return SearchResult(
+                    candidate=cand,
+                    report=report,
+                    found=True,
+                    rounds=rounds_done,
+                    elapsed=time.monotonic() - t0,
+                )
             ces = counterexamples(cand, salt=16 * init_no + outer)
             if not ces or penalty is None:
                 break
@@ -880,61 +860,34 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
     _require_linear_conic(sys)
     factors = cone_chain(sys, policy)
     basis = QuadraticBasis(cand.matrices)
-    M = sys.M
     entries = []
-    for pos in range(M):
+    for pos in range(sys.M):
         v = factors.vs[pos]
-        prev_mode = factors.order[pos - 1]  # wraps: line pos borders pos-1, pos
-        here_mode = factors.order[pos]
+        # wraps: line pos borders chain positions pos-1 and pos
+        modes = (factors.order[pos - 1], factors.order[pos])
         act = active_indices(spec, basis, v, policy)
-        if len(act.indices) == 1:
-            entries.append(
-                PlanarEntry(
-                    position=pos + 1,
-                    v=v,
-                    modes=(prev_mode, here_mode),
-                    alpha=act.indices,
-                    lam_kind="smooth",
-                    lam_vertices=(),
-                    margin=None,
-                    ok=True,
-                )
-            )
-            continue
-        grads = [basis.gradient(k, v) for k in act.indices]
-        fields = [sys.field(prev_mode, v), sys.field(here_mode, v)]
-        lam = lambda_set(grads, fields, policy)
-        if lam.is_empty:
-            entries.append(
-                PlanarEntry(
-                    position=pos + 1,
-                    v=v,
-                    modes=(prev_mode, here_mode),
-                    alpha=act.indices,
-                    lam_kind="empty",
-                    lam_vertices=(),
-                    margin=None,
-                    ok=True,
-                )
-            )
-            continue
-        l1 = act.indices[0]
-        P = cand.matrices[l1 - 1]
-        forms = [
-            float(v @ (P @ sys.modes[m - 1].A + sys.modes[m - 1].A.T @ P) @ v)
-            for m in (prev_mode, here_mode)
-        ]
-        worst = max(float(np.dot(forms, w)) for w in lam.vertices)
+        kind, vertices, worst = "smooth", (), None
+        if len(act.indices) > 1:
+            grads = [basis.gradient(k, v) for k in act.indices]
+            lam = lambda_set(grads, [sys.field(m, v) for m in modes], policy)
+            kind, vertices = lam.kind, lam.vertices
+            if not lam.is_empty:
+                P = cand.matrices[act.indices[0] - 1]
+                forms = [
+                    float(v @ (P @ sys.modes[m - 1].A + sys.modes[m - 1].A.T @ P) @ v)
+                    for m in modes
+                ]
+                worst = max(float(np.dot(forms, w)) for w in vertices)
         entries.append(
             PlanarEntry(
                 position=pos + 1,
                 v=v,
-                modes=(prev_mode, here_mode),
+                modes=modes,
                 alpha=act.indices,
-                lam_kind=lam.kind,
-                lam_vertices=lam.vertices,
+                lam_kind=kind,
+                lam_vertices=vertices,
                 margin=worst,
-                ok=worst < -policy.margin,
+                ok=worst is None or worst < -policy.margin,
             )
         )
     return PlanarReport(factors=factors, entries=entries)
@@ -1080,7 +1033,7 @@ def certify(
     cond_i = check_condition_i(sys, spec, cand, policy)
     if complete and not search:
         # groups and matching depend on the bases alone, not on the multipliers
-        cand = _completed(sys, cand, cond_i, policy)
+        cand = complete_multipliers(sys, cand, cond_i, policy)
         cond_i = replace(cond_i, margins=_margins(sys, cand, cond_i.groups))
     if cond_i.matching is None:
         notes.append("pairing: all permutations against every mode")
@@ -1090,53 +1043,28 @@ def certify(
             + ", ".join(f"{i}->{f}" for i, f in sorted(cond_i.matching.items()))
             + f"; validated on {cond_i.evidence.get('samples', 0)} samples)"
         )
-    if not cond_i.ok:
-        return Certificate(
-            candidate=cand,
-            spec=spec,
-            cond_i=cond_i,
-            cond_ii_kind="unchecked",
-            cond_ii=None,
-            verdict=VERDICT_NOT_CERTIFIED,
-            policy=policy,
-            notes=notes,
-        )
 
-    if spec.K == 1 or sys.M == 1:
-        # a single base is C^1, a single mode has no switching surface;
-        # either way the nonsmooth-times-multivalued case is empty
-        cond_ii = None
-        kind = "vacuous"
-        ok = True
-        notes.append("condition (ii) vacuous (single base or single mode)")
-    elif sys.dim == 2 and sys.M >= 2 and all(
-        m.region_kind == "cone" for m in sys.modes
-    ):
-        cond_ii = planar_condition_ii(sys, spec, cand, policy)
-        kind = "planar"
-        ok = cond_ii.ok
-    elif sys.M == 2:
-        try:
-            cond_ii = check_condition_ii_2mode(sys, spec, cand, policy)
-            kind = "two-mode"
-            ok = cond_ii.ok
-        except InvalidInputError as err:
-            cond_ii = None
-            kind = "unchecked"
-            ok = False
-            notes.append(f"condition (ii) unchecked: {err}")
-    else:
-        cond_ii = None
-        kind = "unchecked"
-        ok = False
-        notes.append(
-            "condition (ii) unchecked: no procedure for this dimension/mode count"
-        )
-
-    if ok:
-        verdict = VERDICT_GAS
-    else:
+    kind, cond_ii, verdict = "unchecked", None, VERDICT_NOT_CERTIFIED
+    if cond_i.ok:
         verdict = VERDICT_COND_I_ONLY
+        if spec.K == 1 or sys.M == 1:
+            # a single base is C^1, a single mode has no switching surface;
+            # either way the nonsmooth-times-multivalued case is empty
+            kind, verdict = "vacuous", VERDICT_GAS
+            notes.append("condition (ii) vacuous (single base or single mode)")
+        elif sys.dim == 2 and all(m.region_kind == "cone" for m in sys.modes):
+            kind, cond_ii = "planar", planar_condition_ii(sys, spec, cand, policy)
+        elif sys.M == 2:
+            try:
+                kind, cond_ii = "two-mode", check_condition_ii_2mode(sys, spec, cand, policy)
+            except InvalidInputError as err:
+                notes.append(f"condition (ii) unchecked: {err}")
+        else:
+            notes.append(
+                "condition (ii) unchecked: no procedure for this dimension/mode count"
+            )
+        if cond_ii is not None and cond_ii.ok:
+            verdict = VERDICT_GAS
     return Certificate(
         candidate=cand,
         spec=spec,

@@ -226,6 +226,8 @@ def cmd_simulate(args):
     parsed = _load(args.config)
     sysm = SwitchedSystem.from_config(parsed.require_system())
     policy = _policy_from(args)
+    if args.level and not args.svg:
+        raise InvalidInputError("--level draws level sets on the --svg portrait; give --svg")
     x0 = _point(getattr(args, "from"), sysm.dim)
     opts = SimOptions(
         horizon=args.horizon,

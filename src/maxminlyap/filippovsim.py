@@ -28,24 +28,25 @@ COMPLETED = "completed"
 LEFT_DOMAIN = "left-domain"
 STALL = "stall"
 
+EVENT_TOL = 1e-11  # |normalized region function| accepted as on the surface
+RTOL = 1e-9  # Dormand-Prince local error tolerances
+ATOL = 1e-12
+MIN_STEP = 1e-13  # a step below this is an underflow stall
+BLOWUP = 1e9  # |x| beyond this leaves the domain
+MAX_SWITCHES_PER_WINDOW = 50  # more crossings within one max_step is chattering
+
 
 @dataclass(frozen=True)
 class SimOptions:
     horizon: float
     max_step: float = 0.02
-    event_tol: float = 1e-11
-    rtol: float = 1e-9
-    atol: float = 1e-12
-    min_step: float = 1e-13
-    blowup: float = 1e9
-    max_switches_per_window: int = 50
     policy: NumericPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise InvalidInputError("horizon must be positive")
-        if self.max_step <= 0 or self.event_tol <= 0:
-            raise InvalidInputError("steps and tolerances must be positive")
+        if self.max_step <= 0:
+            raise InvalidInputError("max_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,8 @@ def _illinois(g, ga, gb, tol):
     return c
 
 
-def _error_norm(err, x, x_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
+def _error_norm(err, x, x_new):
+    scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
@@ -242,11 +243,6 @@ def _project_to_surface(sys, i, x, tol, iters=5):
 def _surface_mode(sys, pair):
     """Mode of the pair whose region function defines the shared surface."""
     return pair[0] if sys.modes[pair[0] - 1].region_kind != "all" else pair[1]
-
-
-def project_to_surface(sys, pair, x, tol=1e-12):
-    """Public helper: project x onto the surface shared by a mode pair."""
-    return _project_to_surface(sys, _surface_mode(sys, pair), x, tol)
 
 
 def _normal_components(sys, x, pair, policy):
@@ -309,7 +305,7 @@ class _Sim:
         self.switches_in_window = 0
         # membership queries at event points tolerate the event band
         self.event_policy = replace(
-            opts.policy, abs_tol=max(opts.policy.abs_tol, 10.0 * opts.event_tol)
+            opts.policy, abs_tol=max(opts.policy.abs_tol, 10.0 * EVENT_TOL)
         )
 
     def surface_id(self, pair):
@@ -328,7 +324,7 @@ class _Sim:
         self.switches_in_window += 1
 
     def chattering(self):
-        return self.switches_in_window > self.opts.max_switches_per_window
+        return self.switches_in_window > MAX_SWITCHES_PER_WINDOW
 
     def entering_mode(self, candidates):
         """Candidate whose own field increases its own region function."""
@@ -383,26 +379,26 @@ class _Sim:
         f = mode.field
         opts = self.opts
         has_boundary = mode.region_kind != "all"
-        armed = has_boundary and _hn(self.sys, i, self.x) > opts.event_tol
+        armed = has_boundary and _hn(self.sys, i, self.x) > EVENT_TOL
         dt = opts.max_step
         k1 = None  # f(self.x) once known
         while self.t < opts.horizon * (1.0 - 1e-15):
-            if float(np.linalg.norm(self.x)) > opts.blowup:
+            if float(np.linalg.norm(self.x)) > BLOWUP:
                 self.status = LEFT_DOMAIN
                 return None
             dt = min(dt, opts.max_step, opts.horizon - self.t)
             x_new, err, k = _dp_step(f, self.x, dt, k1)
             k1 = k[0]
-            enorm = _error_norm(err, self.x, x_new, opts.rtol, opts.atol)
+            enorm = _error_norm(err, self.x, x_new)
             if enorm > 1.0:
                 dt *= max(0.2, 0.9 * enorm**-0.2)
-                if dt < opts.min_step:
+                if dt < MIN_STEP:
                     self.status = STALL
                     return None
                 continue
             if has_boundary:
                 h_new = _hn(self.sys, i, x_new)
-                if armed and h_new < -opts.event_tol:
+                if armed and h_new < -EVENT_TOL:
                     self._locate_event(f, dt, i, k, h_new)
                     self.note_switch()
                     nxt = self.regime_here(leaving=i)
@@ -417,7 +413,7 @@ class _Sim:
                         )
                     self.record(nxt)
                     return nxt
-                if h_new > opts.event_tol:
+                if h_new > EVENT_TOL:
                     armed = True
             self.t += dt
             self.x = x_new
@@ -436,18 +432,17 @@ class _Sim:
         tolerance, a secant through the last two real steps refines the
         length, with bisection whenever it leaves the bracket.
         """
-        tol = self.opts.event_tol
         x0 = self.x
         h0 = _hn(self.sys, i, x0)
         at = _dense_output(x0, dt, k)
-        theta = _illinois(lambda th: _hn(self.sys, i, at(th)), h0, h_end, 0.01 * tol)
+        theta = _illinois(lambda th: _hn(self.sys, i, at(th)), h0, h_end, 0.01 * EVENT_TOL)
         lo, h_lo, hi, h_hi = 0.0, h0, dt, h_end
         tau, prev = theta * dt, None
         for _ in range(60):
             x_tau, _, _ = _dp_step(f, x0, tau, k[0])
             landed = tau
             h = _hn(self.sys, i, x_tau)
-            if abs(h) <= tol:
+            if abs(h) <= EVENT_TOL:
                 break
             if h < 0.0:
                 hi, h_hi = tau, h
@@ -483,19 +478,19 @@ class _Sim:
 
         dt = opts.max_step
         while self.t < opts.horizon * (1.0 - 1e-15):
-            if float(np.linalg.norm(self.x)) > opts.blowup:
+            if float(np.linalg.norm(self.x)) > BLOWUP:
                 self.status = LEFT_DOMAIN
                 return None
             dt = min(dt, opts.max_step, opts.horizon - self.t)
             x_new, err, _ = _dp_step(g, self.x, dt)
-            enorm = _error_norm(err, self.x, x_new, opts.rtol, opts.atol)
+            enorm = _error_norm(err, self.x, x_new)
             if enorm > 1.0:
                 dt *= max(0.2, 0.9 * enorm**-0.2)
-                if dt < opts.min_step:
+                if dt < MIN_STEP:
                     self.status = STALL
                     return None
                 continue
-            x_new = _project_to_surface(self.sys, surf, x_new, opts.event_tol)
+            x_new = _project_to_surface(self.sys, surf, x_new, EVENT_TOL)
             self.t += dt
             self.x = x_new
             lam = sliding_lambda(self.sys, self.x, opts.policy, pair=pair)

@@ -102,11 +102,6 @@ def example2_system(b=10.0):
     )
 
 
-def example2_linear_system():
-    """The b = 0 linear part, useful for matrix-inequality level tests."""
-    return SwitchedSystem.linear(list(EXAMPLE2_A), [-EXAMPLE2_Q, EXAMPLE2_Q])
-
-
 def example2_spec():
     return MaxMinSpec(K=2, families=((1, 2),), polarity="maxmin")
 

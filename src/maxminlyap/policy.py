@@ -23,8 +23,5 @@ class NumericPolicy:
     margin: float = 1e-6
     seed: int = 0
 
-    def close(self, a, b, scale=1.0):
-        return abs(a - b) <= self.abs_tol + self.rel_tol * abs(scale)
-
 
 DEFAULT_POLICY = NumericPolicy()

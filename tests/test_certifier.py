@@ -8,6 +8,7 @@ from maxminlyap.certifier import (
     VERDICT_COND_I_ONLY,
     VERDICT_GAS,
     VERDICT_NOT_CERTIFIED,
+    _margins,
     build_groups,
     certify,
     check_condition_i,
@@ -26,9 +27,17 @@ from maxminlyap.inclusion import SwitchedSystem
 from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, phi, strict_ordering
 from maxminlyap.numkernel import negdef_margin, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
+from test_setderiv import planar_sign_criterion
 
 POLICY = NumericPolicy()
 IDENTITY_MATCHING = {1: 1, 2: 2, 3: 3}
+
+
+def example2_linear_system():
+    """The b = 0 linear part of example 2."""
+    return SwitchedSystem.linear(
+        list(fixtures.EXAMPLE2_A), [-fixtures.EXAMPLE2_Q, fixtures.EXAMPLE2_Q]
+    )
 
 
 def test_build_groups_reproduces_reduced_inequalities():
@@ -73,7 +82,9 @@ def test_condition_i_margin_by_pair_view():
     sys1 = fixtures.example1_system()
     spec1 = fixtures.example1_spec()
     report = check_condition_i(sys1, spec1, fixtures.example1_candidate(), POLICY)
-    by_pair = report.margin_by_pair()
+    by_pair = {
+        (g.mode, rho): m for g, m in zip(report.groups, report.margins) for rho in g.perms
+    }
     assert len(by_pair) == 6  # every matched (mode, permutation)
     assert by_pair[(3, (1, 2, 3))] == by_pair[(3, (2, 1, 3))]
 
@@ -84,10 +95,10 @@ def test_condition_i_unhelped_mode3_fails():
     sys1 = fixtures.example1_system()
     spec1 = fixtures.example1_spec()
     cand = Candidate(matrices=[np.eye(2), 2 * np.eye(2), np.eye(2)])
-    report = check_condition_i(sys1, spec1, cand, POLICY, matching=IDENTITY_MATCHING)
-    mode3 = [m for g, m in zip(report.groups, report.margins) if g.mode == 3]
+    groups = build_groups(sys1, spec1, IDENTITY_MATCHING)
+    margins = _margins(sys1, cand, groups)
+    mode3 = [m for g, m in zip(groups, margins) if g.mode == 3]
     assert max(mode3) == pytest.approx(3.8, abs=1e-12)
-    assert not report.ok
 
 
 def test_condition_i_soundness_sampled():
@@ -233,7 +244,7 @@ def test_cone_chain_benchmark_lines():
 
 
 def test_cone_chain_two_mode_double_cone():
-    sys2 = fixtures.example2_linear_system()
+    sys2 = example2_linear_system()
     factors = cone_chain(sys2, POLICY)
     assert len(factors.vs) == 2
     assert factors.wrap_sign == -1.0
@@ -254,8 +265,6 @@ def test_planar_condition_ii_benchmark_all_empty():
 def test_planar_entries_agree_with_sign_criterion():
     # emptiness at each switching-line vector matches the two-field
     # normal-component product test
-    from maxminlyap.setderiv import planar_sign_criterion
-
     sys1 = fixtures.example1_system()
     spec1 = fixtures.example1_spec()
     cand = fixtures.example1_candidate()
@@ -303,7 +312,7 @@ def test_planar_condition_ii_detects_increase():
 def test_planar_condition_ii_vacuous_when_smooth():
     # equal-value lines differ from the switching lines, so the
     # candidate is smooth at every switching line
-    sys2 = fixtures.example2_linear_system()
+    sys2 = example2_linear_system()
     spec = fixtures.example2_spec()
     # difference diag(2, -1): equal-value lines x2 = +/- sqrt(2) x1 miss
     # the switching lines x2 = +/- x1 entirely
@@ -460,6 +469,54 @@ def test_search_unstable_mode_not_found():
     assert "budget" in res.message
 
 
+def test_scaled_candidate_scales_every_margin():
+    # tau weighs base differences, so scaling the bases (and beta) by c
+    # while tau stays scales every inequality matrix, and its margin, by c
+    sys1, spec1 = fixtures.example1_system(), fixtures.example1_spec()
+    cand = fixtures.example1_candidate()
+    groups = build_groups(sys1, spec1, IDENTITY_MATCHING)
+    base = _margins(sys1, cand, groups)
+    for c in (0.5, 2.0, 7.0):
+        got = _margins(sys1, cand.scaled(c), groups)
+        np.testing.assert_allclose(got, [c * m for m in base], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, seed, margin, verdict",
+    [("example1", 0, 0.3, VERDICT_GAS), ("example3", 1, 0.05, VERDICT_COND_I_ONLY)],
+)
+def test_search_honours_the_policy_margin(name, seed, margin, verdict):
+    # the search rescales its candidate to the required margin; example3
+    # stops at condition (i) because its exclusion product 0.0075 < 0.05
+    sysm = getattr(fixtures, f"{name}_system")()
+    spec = getattr(fixtures, f"{name}_spec")()
+    policy = NumericPolicy(margin=margin, seed=seed)
+    cert = certify(
+        sysm, spec, None, policy, search=True,
+        search_opts=SearchOptions(time_budget=5.0, seed=seed),
+    )
+    assert cert.verdict == verdict
+    assert max(cert.cond_i.margins) < -margin
+    fresh, stored, matches = re_verify(serialize_certificate(cert, sysm))
+    assert stored == verdict and matches
+
+
+@pytest.mark.parametrize(
+    "name, seed, rounds",
+    [("example1", 0, 1), ("example1", 5, 6), ("example3", 1, 4), ("example3", 4, 6)],
+)
+def test_search_rounds_at_benchmark_seeds(name, seed, rounds):
+    # the search seeds the benchmark runs; a change to the search
+    # iterates shows here before it moves the benchmark's search time
+    res = search_condition_i(
+        getattr(fixtures, f"{name}_system")(),
+        getattr(fixtures, f"{name}_spec")(),
+        NumericPolicy(seed=seed),
+        SearchOptions(seed=seed),
+    )
+    assert (res.found, res.rounds) == (True, rounds)
+
+
 def test_search_benchmark1_self_consistent():
     res = search_condition_i(
         fixtures.example1_system(),
@@ -481,7 +538,8 @@ def test_complete_multipliers_from_bare_matrices():
     sys1 = fixtures.example1_system()
     spec1 = fixtures.example1_spec()
     bare = Candidate(matrices=[P.copy() for P in fixtures.EXAMPLE1_P])
-    filled = complete_multipliers(sys1, spec1, bare, POLICY)
+    report = check_condition_i(sys1, spec1, bare, POLICY)
+    filled = complete_multipliers(sys1, bare, report, POLICY)
     report = check_condition_i(sys1, spec1, filled, POLICY)
     assert report.ok
 

@@ -147,6 +147,14 @@ def test_simulate_level_needs_a_basis(tmp_path, capsys):
     assert not svg_path.exists()
 
 
+def test_simulate_level_needs_svg(capsys):
+    argv = ["simulate", EX1, "--from=-1,1", "--horizon", "0.2", "--level", "1,2"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "--svg" in err
+    assert out == ""
+
+
 def test_simulate_rejects_a_malformed_point(capsys):
     code, _, err = run(capsys, ["simulate", EX1, "--from", "abc", "--horizon", "0.2"])
     assert code == 2

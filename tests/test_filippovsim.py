@@ -7,12 +7,14 @@ from scipy.linalg import expm
 from maxminlyap import filippovsim, fixtures
 from maxminlyap.filippovsim import (
     COMPLETED,
+    EVENT_TOL,
     SimOptions,
     Trajectory,
     TrajSample,
     _hn,
+    _project_to_surface,
+    _surface_mode,
     export_csv,
-    project_to_surface,
     simulate,
     sliding_lambda,
 )
@@ -22,6 +24,11 @@ from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
 
 POLICY = NumericPolicy()
+
+
+def project_to_surface(sys, pair, x, tol=1e-12):
+    """Project x onto the surface shared by a mode pair."""
+    return _project_to_surface(sys, _surface_mode(sys, pair), x, tol)
 
 
 def test_single_mode_decay():
@@ -105,7 +112,7 @@ def test_sliding_samples_stay_on_surface():
     traj = simulate(sys2, np.array([0.5, 0.0]), opts)
     for s in traj.samples:
         if s.regime.kind == "sliding":
-            assert abs(s.x[0] ** 2 - s.x[1] ** 2) <= 10 * opts.event_tol * max(
+            assert abs(s.x[0] ** 2 - s.x[1] ** 2) <= 10 * EVENT_TOL * max(
                 1.0, float(s.x @ s.x)
             )
 
@@ -260,7 +267,7 @@ def ref_locate_event(self, f, dt, i, k, h_end):
     x_tau, _, _ = filippovsim._dp_step(f, self.x, dt)
     for _ in range(60):
         h = _hn(self.sys, i, x_tau)
-        if abs(h) <= self.opts.event_tol:
+        if abs(h) <= EVENT_TOL:
             break
         if h < 0.0:
             hi = tau
@@ -302,7 +309,7 @@ def test_event_location_matches_bisection(monkeypatch, name):
         ]
         assert len(got.crossings) == len(want.crossings)
         for a in got.crossings:
-            assert abs(_hn(sysm, a.from_mode, a.x)) <= opts.event_tol
+            assert abs(_hn(sysm, a.from_mode, a.x)) <= EVENT_TOL
         # event states: crossings, sliding entries and exits
         for j in range(1, len(got.samples)):
             if got.samples[j].regime.label() != got.samples[j - 1].regime.label():
