@@ -625,9 +625,10 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
             optimize_rounds(cand)
             report = check_condition_i(sys, spec, cand, policy)
             worst = max(report.margins)
-            if -10.0 * policy.margin < worst < 0:
-                # headroom: margins scale with the candidate, so take the
-                # worst to -10 x the required margin before the ok test
+            if -10.0 * policy.margin < worst < -SEARCH_FLOOR:
+                # headroom: margins scale with the candidate, so take a
+                # worst past the search floor to -10 x the required margin
+                # before the ok test; the floor bounds the factor
                 cand = cand.scaled(10.0 * policy.margin / -worst)
                 report = check_condition_i(sys, spec, cand, policy)
             if report.ok and (matching is None or report.matching is not None):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxminlyap import fixtures
+from maxminlyap import certifier, fixtures
 from maxminlyap.certifier import (
     Candidate,
     SearchOptions,
@@ -27,7 +27,6 @@ from maxminlyap.inclusion import SwitchedSystem
 from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, phi, strict_ordering
 from maxminlyap.numkernel import negdef_margin, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
-from test_setderiv import planar_sign_criterion
 
 POLICY = NumericPolicy()
 IDENTITY_MATCHING = {1: 1, 2: 2, 3: 3}
@@ -262,7 +261,7 @@ def test_planar_condition_ii_benchmark_all_empty():
     assert [e.alpha for e in report.entries] == [(1, 3), (1, 2), (2, 3)]
 
 
-def test_planar_entries_agree_with_sign_criterion():
+def test_planar_entries_agree_with_sign_criterion(planar_sign_criterion):
     # emptiness at each switching-line vector matches the two-field
     # normal-component product test
     sys1 = fixtures.example1_system()
@@ -407,8 +406,6 @@ def test_certify_benchmark1_gas():
 def test_certify_derives_the_matching_once(monkeypatch):
     # groups and matching depend on the bases alone, so completing the
     # multipliers reuses them and recomputes only the margins
-    from maxminlyap import certifier
-
     calls = []
     derive = certifier.derive_matching
 
@@ -499,6 +496,17 @@ def test_search_honours_the_policy_margin(name, seed, margin, verdict):
     assert max(cert.cond_i.margins) < -margin
     fresh, stored, matches = re_verify(serialize_certificate(cert, sysm))
     assert stored == verdict and matches
+
+
+def test_search_rescale_needs_the_search_floor(monkeypatch):
+    # a slowly decaying mode caps every trace-normalized margin near
+    # -4e-8, above the 1e-6 floor; rescaling such a candidate to
+    # -10 x margin would certify on rounding-level margins
+    monkeypatch.setattr(certifier, "SEARCH_ROUNDS", 2)
+    sysm = SwitchedSystem.linear([np.diag([-1e-8, -1.0])])
+    spec = MaxMinSpec(K=1, families=((1,),))
+    res = search_condition_i(sysm, spec, POLICY, SearchOptions(time_budget=5.0))
+    assert not res.found
 
 
 @pytest.mark.parametrize(

@@ -19,14 +19,6 @@ from maxminlyap.setderiv import (
 POLICY = NumericPolicy()
 
 
-def planar_sign_criterion(g1, g2, f1, f2):
-    """Two-gradient/two-field emptiness test: the equalizing weight
-    exists iff the normal components of the two fields do not point to
-    the same side, i.e. the product below is <= 0."""
-    d = np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float)
-    return float(d @ np.asarray(f1, dtype=float)) * float(d @ np.asarray(f2, dtype=float))
-
-
 def test_lambda_set_smooth_point_is_full_simplex():
     got = lambda_set([np.array([1.0, 0.0])], [np.array([0.0, 1.0]), np.array([1.0, 1.0])])
     assert got.kind == FULL
@@ -130,7 +122,7 @@ def test_containment_lie_subset_clarke():
             assert cl.lo - tol <= lie.lo <= lie.hi <= cl.hi + tol
 
 
-def test_sign_criterion_matches_lambda_set():
+def test_sign_criterion_matches_lambda_set(planar_sign_criterion):
     rng = np.random.default_rng(19)
     for _ in range(500):
         g1, g2 = rng.standard_normal(2), rng.standard_normal(2)
