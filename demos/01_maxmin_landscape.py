@@ -13,7 +13,7 @@ from maxminlyap.maxmin import (
     active_indices,
     all_permutations,
     clarke_gradient,
-    dualize,
+    dual_families,
     evaluate,
     phi,
 )
@@ -24,7 +24,7 @@ spec = fixtures.example1_spec()
 basis = fixtures.example1_basis()
 
 print("structure: max over families of min over bases,", spec.families)
-print("dual form:", dualize(spec).families, "(pointwise identical)\n")
+print("dual form:", dual_families(spec.families), "(pointwise identical)\n")
 
 print("selection table over strict orderings:")
 for rho in all_permutations(spec.K):

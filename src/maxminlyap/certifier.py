@@ -41,18 +41,20 @@ from .errors import InvalidInputError, PartitionError
 from .maxmin import (
     MaxMinSpec,
     QuadraticBasis,
-    _as_maxmin,
     active_indices,
     all_permutations,
     phi,
     realized_base,
     selected_base,
 )
-from .numkernel import eig_sym, negdef_margin, project_psd, quad_forms, row_norms, solve_lyapunov
+from .numkernel import (
+    eig_sym, negdef_margin, project_psd, quad_forms, row_norms, solve_lyapunov, sphere_points
+)
 from .policy import DEFAULT_POLICY
 from .setderiv import lambda_set
 
 MAX_BASES = 6
+MATCHING_SAMPLES = 2000  # unit directions behind a derived matching
 
 VERDICT_GAS = "GAS-certified"
 VERDICT_COND_I_ONLY = "condition-i-only"
@@ -102,9 +104,8 @@ def build_groups(sys, spec, matching=None):
     of their implied ordering constraints stays nonempty; merged groups
     use that intersection, singleton groups use the adjacent chain.
     """
-    mm = _as_maxmin(spec)
-    perms = all_permutations(mm.K)
-    phis = {rho: phi(mm, rho) for rho in perms}
+    perms = all_permutations(spec.K)
+    phis = {rho: phi(spec, rho) for rho in perms}
     groups = []
     for mode in sys.modes:
         i = mode.index
@@ -191,16 +192,14 @@ def group_matrix(sys, cand, group):
     return M
 
 
-def derive_matching(sys, matrices, spec, policy=DEFAULT_POLICY, n_samples=2000):
+def derive_matching(sys, matrices, spec, policy=DEFAULT_POLICY):
     """Sampled mode -> active-base map, with the observation counts.
 
     Returns (matching or None, evidence dict).  None means some mode
     saw several active bases, so matched pairing is not sound for this
     candidate and all permutations must be paired with every mode.
     """
-    rng = np.random.default_rng(policy.seed)
-    dirs = rng.standard_normal((n_samples, sys.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = sphere_points(sys.dim, MATCHING_SAMPLES, np.random.default_rng(policy.seed))
     owner = sys.owners(dirs, policy.abs_tol)
     base = realized_base(spec, QuadraticBasis(matrices).values(dirs))
     counted = (owner > 0) & (base > 0)
@@ -280,13 +279,14 @@ def _margins(sys, cand, groups):
 # multiplier completion (convex in the multipliers for fixed P)
 
 
-def _golden_min(f, lo, hi, iters=40):
+def _golden_min(f, lo, hi):
+    """Minimiser of a unimodal f on [lo, hi], after 40 golden-section steps."""
     phi_r = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi_r * (b - a)
     d = a + phi_r * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(40):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - phi_r * (b - a)
@@ -295,8 +295,7 @@ def _golden_min(f, lo, hi, iters=40):
             a, c, fc = c, d, fd
             d = a + phi_r * (b - a)
             fd = f(d)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
+    return 0.5 * (a + b)
 
 
 def _optimize_group_multipliers(sys, cand, group, sweeps=3):
@@ -328,7 +327,7 @@ def _optimize_group_multipliers(sys, cand, group, sweeps=3):
             hi = max(10.0, 4.0 * abs(slots[slot]) + 1.0)
             while f(hi) < f(hi / 2.0) and hi < 1e6:
                 hi *= 4.0
-            slots[slot], _ = _golden_min(f, 0.0, hi)
+            slots[slot] = _golden_min(f, 0.0, hi)
     return split(slots)
 
 
@@ -420,7 +419,7 @@ class _MatchPenalty:
     """
 
     def __init__(self, sys, spec, matching, n_per_mode, seed):
-        self.mm = _as_maxmin(spec)
+        self.spec = spec
         # target base per mode index; owner 0 ("no single owner") maps to 0
         self.target_of = np.array([matching.get(i, 0) for i in range(max(matching) + 1)])
         if sys.dim == 2:
@@ -456,7 +455,7 @@ class _MatchPenalty:
         X = self.X
         vals = np.stack([np.einsum("si,ij,sj->s", X, P, X) for P in matrices], axis=1)
         # the subgradient needs a selection on ties too, so no realized_base
-        realized = selected_base(self.mm, vals)
+        realized = selected_base(self.spec, vals)
         v = vals[np.arange(len(X)), realized - 1]
         d = vals[np.arange(len(X)), self.targets - 1] - v
         pen = float(np.abs(d).sum()) / len(X)
@@ -683,7 +682,7 @@ class ConeFactors:
     wrap_sign: float = -1.0
 
 
-def q_cone_decompose(Q, policy=DEFAULT_POLICY):
+def q_cone_decompose(Q):
     """Factor an indefinite 2x2 symmetric Q as t1 t2^T + t2 t1^T."""
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (2, 2):
@@ -705,16 +704,16 @@ def q_cone_decompose(Q, policy=DEFAULT_POLICY):
     return t1, t2
 
 
-def _line_rep(v, tol=1e-9):
+def _line_rep(v):
     """Canonical representative of a line through the origin (mod sign)."""
     u = np.asarray(v, dtype=float)
     u = u / np.linalg.norm(u)
-    if u[0] < -tol or (abs(u[0]) <= tol and u[1] < 0):
+    if u[0] < -1e-9 or (abs(u[0]) <= 1e-9 and u[1] < 0):
         u = -u
     return (round(float(u[0]), 9), round(float(u[1]), 9))
 
 
-def cone_chain(sys, policy=DEFAULT_POLICY):
+def cone_chain(sys):
     """Order the planar cones into the cyclic chain of switching lines.
 
     Walks the adjacency cycle (consecutive cones share a switching
@@ -733,7 +732,7 @@ def cone_chain(sys, policy=DEFAULT_POLICY):
     pairs = {}
     line_modes = {}
     for m in sys.modes:
-        t1, t2 = q_cone_decompose(m.Q, policy)
+        t1, t2 = q_cone_decompose(m.Q)
         pairs[m.index] = (t1, t2)
         for t in (t1, t2):
             line_modes.setdefault(_line_rep(t), []).append(m.index)
@@ -859,7 +858,7 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
     is required at every extreme weight.
     """
     _require_linear_conic(sys)
-    factors = cone_chain(sys, policy)
+    factors = cone_chain(sys)
     basis = QuadraticBasis(cand.matrices)
     entries = []
     for pos in range(sys.M):
@@ -957,10 +956,9 @@ class TwoModeReport:
         )
 
 
-def check_condition_ii_2mode(sys, spec, cand, policy=DEFAULT_POLICY, n_samples=10_000):
+def check_condition_ii_2mode(sys, spec, cand, policy=DEFAULT_POLICY):
     """Two-mode condition (ii): no sliding plus full-rank base differences."""
-    exclusion = sliding_exclusion(sys, policy, n_samples)
-    n = sys.dim
+    exclusion = sliding_exclusion(sys, policy)
     rank_margins = {}
     for j1, j2 in itertools.combinations(range(1, spec.K + 1), 2):
         D = cand.matrices[j1 - 1] - cand.matrices[j2 - 1]
@@ -985,13 +983,13 @@ class Certificate:
     notes: list = field(default_factory=list)
 
 
-def without_candidate(spec, policy, note, cand=None):
+def without_candidate(spec, policy, note):
     """Not-certified verdict for a run that has no candidate to check."""
     empty = ConditionIReport(
         groups=[], margins=[], matching=None, evidence={}, required_margin=policy.margin
     )
     return Certificate(
-        candidate=cand or Candidate(matrices=[]),
+        candidate=Candidate(matrices=[]),
         spec=spec,
         cond_i=empty,
         cond_ii_kind="unchecked",
@@ -1013,9 +1011,11 @@ def certify(
 ):
     """Run condition (i) (verify or search) and dispatch condition (ii).
 
-    ``complete=False`` checks the supplied multipliers verbatim, which
-    is what certificate re-verification needs; the default fills in
-    missing multipliers by the convex per-group optimization first.
+    With ``search=True`` the found candidate is certified and ``cand`` is
+    not used; a failed search certifies nothing.  ``complete=False``
+    checks the supplied multipliers verbatim, which is what certificate
+    re-verification needs; the default fills in missing multipliers by
+    the convex per-group optimization first.
     """
     _require_linear_conic(sys)
     notes = []
@@ -1025,17 +1025,17 @@ def certify(
         result = search_condition_i(sys, spec, policy, search_opts)
         if not result.found:
             return without_candidate(
-                spec, policy, result.message or "condition (i) search failed", cand
+                spec, policy, result.message or "condition (i) search failed"
             )
-        cand = result.candidate
+        cand, cond_i = result.candidate, result.report
         rounds = f"{result.rounds} round" + ("" if result.rounds == 1 else "s")
         notes.append(f"condition (i) candidate found by search in {rounds}")
-
-    cond_i = check_condition_i(sys, spec, cand, policy)
-    if complete and not search:
-        # groups and matching depend on the bases alone, not on the multipliers
-        cand = complete_multipliers(sys, cand, cond_i, policy)
-        cond_i = replace(cond_i, margins=_margins(sys, cand, cond_i.groups))
+    else:
+        cond_i = check_condition_i(sys, spec, cand, policy)
+        if complete:
+            # groups and matching depend on the bases alone, not on the multipliers
+            cand = complete_multipliers(sys, cand, cond_i, policy)
+            cond_i = replace(cond_i, margins=_margins(sys, cand, cond_i.groups))
     if cond_i.matching is None:
         notes.append("pairing: all permutations against every mode")
     else:

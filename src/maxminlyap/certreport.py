@@ -35,7 +35,7 @@ def _fmt_tuple(vals):
     return f"({inner})"
 
 
-def serialize_certificate(cert, sys, seed_note=None):
+def serialize_certificate(cert, sys):
     """Render a certificate as a re-verifiable text report."""
     lines = [f"# maxminlyap certificate v1 (tool {__version__})"]
     lines.append("[meta]")

@@ -36,15 +36,11 @@ from .errors import (
 )
 from .filippovsim import SimOptions, export_csv, simulate, sliding_lambda
 from .inclusion import SwitchedSystem
-from .maxmin import _as_maxmin, all_permutations, clarke_gradient, evaluate, phi
+from .maxmin import all_permutations, clarke_gradient, evaluate, phi
 from .policy import NumericPolicy
-from .setderiv import (
-    clarke_derivative,
-    decrease_check,
-    lie_derivative,
-    sphere_points,
-)
-from .svg import phase_portrait_svg
+from .numkernel import sphere_points
+from .setderiv import clarke_derivative, decrease_check, lie_derivative
+from .svg import PORTRAIT_GRID, phase_portrait_svg
 from .sysdsl.config import parse_config
 
 EXIT_OK = 0
@@ -103,9 +99,9 @@ def _point(text, dim=None):
     return np.array(vals)
 
 
-def _write(path, text, manifest, comment_prefix="#"):
+def _write(path, text, manifest):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{comment_prefix} {manifest.header()}\n")
+        fh.write(f"# {manifest.header()}\n")
         fh.write(text)
 
 
@@ -145,12 +141,11 @@ def cmd_phi(args):
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
     spec = basis_cfg.to_spec()
-    mm = _as_maxmin(spec)
     if spec.K > 6:
         raise InvalidInputError("phi table limited to K <= 6")
-    print(f"K={mm.K} families={mm.families}")
-    for rho in all_permutations(mm.K):
-        print(f"phi{rho} = {phi(mm, rho)}")
+    print(f"K={spec.K} families={spec.families}")
+    for rho in all_permutations(spec.K):
+        print(f"phi{rho} = {phi(spec, rho)}")
     return EXIT_OK
 
 
@@ -188,12 +183,12 @@ def cmd_lie(args):
     return EXIT_OK
 
 
-def _decrease_samples(args, sysm, basis_cfg, policy):
+def _decrease_samples(args, sysm, policy):
     rng = np.random.default_rng(policy.seed)
     pts = list(sphere_points(sysm.dim, args.samples, rng, radius=args.radius))
     if sysm.dim == 2 and all(m.region_kind == "cone" for m in sysm.modes):
         try:
-            factors = cone_chain(sysm, policy)
+            factors = cone_chain(sysm)
             pts.extend(v.copy() for v in factors.vs)
         except (PartitionError, InvalidInputError):
             pass
@@ -206,7 +201,7 @@ def cmd_decrease(args):
     spec, basis = basis_cfg.to_spec(), basis_cfg.to_basis()
     sysm = SwitchedSystem.from_config(parsed.require_system())
     policy = _policy_from(args)
-    pts = _decrease_samples(args, sysm, basis_cfg, policy)
+    pts = _decrease_samples(args, sysm, policy)
     report = decrease_check(
         spec, basis, sysm, pts, args.rate, policy, use_clarke=args.clarke
     )
@@ -228,6 +223,8 @@ def cmd_simulate(args):
     policy = _policy_from(args)
     if args.level and not args.svg:
         raise InvalidInputError("--level draws level sets on the --svg portrait; give --svg")
+    if args.grid is not None and not args.level:
+        raise InvalidInputError("--grid sets the level-set grid; give --level")
     x0 = _point(getattr(args, "from"), sysm.dim)
     opts = SimOptions(
         horizon=args.horizon,
@@ -269,7 +266,7 @@ def cmd_simulate(args):
             [coords],
             value_fn=value_fn,
             levels=levels,
-            grid=args.grid,
+            grid=PORTRAIT_GRID if args.grid is None else args.grid,
             header_comment=manifest.header(),
         )
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -307,7 +304,7 @@ def cmd_decompose(args):
     sysm = SwitchedSystem.from_config(parsed.require_system())
     policy = _policy_from(args)
     if sysm.dim == 2:
-        factors = cone_chain(sysm, policy)
+        factors = cone_chain(sysm)
         print(f"chain order: {list(factors.order)}")
         for i, (t, v, err) in enumerate(
             zip(factors.thetas, factors.vs, factors.errors), start=1
@@ -526,7 +523,7 @@ def build_parser():
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("--level", default=None, help="V level sets for the svg")
-    p.add_argument("--grid", type=int, default=400)
+    p.add_argument("--grid", type=int, default=None, help="level-set grid points per axis")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("certify", help="matrix-inequality certification")
@@ -543,10 +540,7 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="run a bundled benchmark end to end")
     p.add_argument("example", choices=["example1", "example2", "example3"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--abs-tol", type=float, default=1e-9, dest="abs_tol")
-    p.add_argument("--rel-tol", type=float, default=1e-9, dest="rel_tol")
-    p.add_argument("--margin", type=float, default=1e-6)
+    common(p, config=False)
     p.set_defaults(fn=cmd_reproduce)
 
     return parser

@@ -225,10 +225,10 @@ def _hn(sys, i, x):
     return v / (1.0 + float(np.linalg.norm(x)))
 
 
-def _project_to_surface(sys, i, x, tol, iters=5):
-    """Newton steps along the region gradient onto {H_i = 0}."""
+def _project_to_surface(sys, i, x, tol):
+    """At most 5 Newton steps along the region gradient onto {H_i = 0}."""
     y = np.array(x, dtype=float)
-    for _ in range(iters):
+    for _ in range(5):
         if abs(_hn(sys, i, y)) <= 0.1 * tol:
             break
         h = sys.modes[i - 1].region_value(y)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, PartitionError
-from .numkernel import as_square, as_symmetric, quad_forms
+from .numkernel import as_square, as_symmetric, quad_forms, sphere_points
 from .policy import DEFAULT_POLICY
 from .sysdsl import expr as ex
 
@@ -169,28 +169,20 @@ class SwitchedSystem:
             indices=idx, vertices=tuple(self.field(i, x) for i in idx)
         )
 
-    def validate_partition(self, policy=DEFAULT_POLICY, n_samples=10_000, radii=(1.0,)):
-        """Sampled check of the covering / non-overlap assumption.
+    def validate_partition(self, policy=DEFAULT_POLICY, n_samples=10_000):
+        """Sampled check of the covering / non-overlap assumption on the
+        unit sphere.
 
         Returns (violations, checked) where violations is a list of
         (point, strict_members) for samples inside more than one open
         region or inside none and away from every boundary.
         """
-        rng = np.random.default_rng(policy.seed)
-        dirs = rng.standard_normal((n_samples, self.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        X = sphere_points(self.dim, n_samples, np.random.default_rng(policy.seed))
         index = np.array([m.index for m in self.modes])
-        violations = []
-        for radius in radii:
-            X = radius * dirs
-            norm2 = radius * radius
-            band = policy.abs_tol * np.array(
-                [norm2 if m.region_kind == CONE else max(1.0, norm2) for m in self.modes]
-            )
-            vals = self.region_values(X)
-            strict = vals > band
-            n_strict = strict.sum(axis=1)
-            near = (np.abs(vals) <= band).any(axis=1)
-            bad = (n_strict > 1) | ((n_strict == 0) & ~near)
-            violations += [(X[s], tuple(index[strict[s]].tolist())) for s in np.flatnonzero(bad)]
-        return violations, len(radii) * n_samples
+        vals = self.region_values(X)
+        strict = vals > policy.abs_tol
+        n_strict = strict.sum(axis=1)
+        near = (np.abs(vals) <= policy.abs_tol).any(axis=1)
+        bad = (n_strict > 1) | ((n_strict == 0) & ~near)
+        violations = [(X[s], tuple(index[strict[s]].tolist())) for s in np.flatnonzero(bad)]
+        return violations, n_samples

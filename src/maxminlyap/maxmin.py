@@ -5,11 +5,11 @@ max-over-families of min-over-indices
 
     V(x) = max_j min_{k in S_j} V_k(x),
 
-or the dual min-of-max form.  This module evaluates such functions,
-converts between the two polarities, locates the single active base on
-each strict-ordering cone (the selection map over permutations), and
-computes essentially-active index sets together with the generalized
-gradient vertices they induce.
+or the dual min-of-max form, which ``MaxMinSpec`` stores as the
+max-of-min structure with the dual families.  This module evaluates such
+functions, locates the single active base on each strict-ordering cone
+(the selection map over permutations), and computes essentially-active
+index sets together with the generalized gradient vertices they induce.
 """
 
 import itertools
@@ -20,17 +20,22 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .numkernel import quad_forms
+from .numkernel import quad_forms, sphere_points
 from .policy import DEFAULT_POLICY
 from .sysdsl import expr as ex
 
 MAXMIN = "maxmin"
 MINMAX = "minmax"
+SAMPLED_DIRECTIONS = 64  # perturbation directions per sphere in active_indices
 
 
 @dataclass(frozen=True)
 class MaxMinSpec:
-    """Combinatorial structure (K, S_1..S_J) of a max-min function."""
+    """Combinatorial structure (K, S_1..S_J) of a max-min function.
+
+    A ``polarity=MINMAX`` structure is stored as the equivalent max-of-min
+    one (its dual families), so ``polarity`` always reads ``MAXMIN``.
+    """
 
     K: int
     families: tuple  # tuple of tuples of 1-based base indices
@@ -50,11 +55,10 @@ class MaxMinSpec:
             if any(not 1 <= k <= self.K for k in fam):
                 raise InvalidInputError(f"family {fam} out of range 1..{self.K}")
             norm.append(tuple(sorted(set(fam))))
+        if self.polarity == MINMAX:
+            norm = dual_families(norm)
+            object.__setattr__(self, "polarity", MAXMIN)
         object.__setattr__(self, "families", tuple(norm))
-
-    @property
-    def J(self):
-        return len(self.families)
 
 
 class QuadraticBasis:
@@ -122,8 +126,6 @@ def phi(spec, rho):
     contributes its rho-earliest member (the family minimum); the
     function value is the rho-latest of those contributions.
     """
-    if spec.polarity != MAXMIN:
-        raise InvalidInputError("phi expects max-of-min polarity; dualize first")
     if tuple(sorted(rho)) != tuple(range(1, spec.K + 1)):
         raise InvalidInputError(f"{rho} is not a permutation of 1..{spec.K}")
     s_min = set()
@@ -138,24 +140,20 @@ def phi(spec, rho):
     raise AssertionError("unreachable: families are nonempty")
 
 
-def dualize(spec):
-    """Equivalent structure of the opposite polarity.
+def dual_families(families):
+    """Families of the opposite polarity, sorted by (size, members).
 
-    Distributes min over max: one index is selected from every family,
-    each selection becomes a family of the dual form, and dominated
-    (superset) families are pruned.  Evaluation is pointwise identical.
+    Distributes one operation over the other: every selection of one
+    index per family is a family of the dual form, and dominated
+    (superset) selections are dropped.  Folding in one family at a time
+    and pruning after each fold keeps the work bounded by the size of
+    the result rather than the product of the family sizes.
     """
-    selections = set()
-    for choice in itertools.product(*spec.families):
-        selections.add(tuple(sorted(set(choice))))
-    pruned = [
-        s
-        for s in selections
-        if not any(t != s and set(t) <= set(s) for t in selections)
-    ]
-    pruned.sort(key=lambda s: (len(s), s))
-    flipped = MINMAX if spec.polarity == MAXMIN else MAXMIN
-    return MaxMinSpec(K=spec.K, families=tuple(pruned), polarity=flipped)
+    sels = {frozenset()}
+    for fam in families:
+        grown = {s | {k} for s in sels for k in fam}
+        sels = {s for s in grown if not any(t < s for t in grown)}
+    return tuple(sorted((tuple(sorted(s)) for s in sels), key=lambda s: (len(s), s)))
 
 
 def evaluate(spec, basis, x):
@@ -172,19 +170,14 @@ def combine(spec, vals):
     row gives the same float as the single-point form.
     """
     if vals.ndim == 2:
-        inner, outer = np.less, np.greater
-        if spec.polarity != MAXMIN:
-            inner, outer = outer, inner
         out = None
         for fam in spec.families:
             fv = vals[:, fam[0] - 1]
             for k in fam[1:]:
-                fv = np.where(inner(vals[:, k - 1], fv), vals[:, k - 1], fv)
-            out = fv if out is None else np.where(outer(fv, out), fv, out)
+                fv = np.where(vals[:, k - 1] < fv, vals[:, k - 1], fv)
+            out = fv if out is None else np.where(fv > out, fv, out)
         return out
-    if spec.polarity == MAXMIN:
-        return max(min(vals[k - 1] for k in fam) for fam in spec.families)
-    return min(max(vals[k - 1] for k in fam) for fam in spec.families)
+    return max(min(vals[k - 1] for k in fam) for fam in spec.families)
 
 
 def equal_value_indices(spec, basis, x, policy=DEFAULT_POLICY):
@@ -229,23 +222,18 @@ def strict_ordering(vals):
     return tuple(int(i) + 1 for i in order)
 
 
-def _as_maxmin(spec):
-    return spec if spec.polarity == MAXMIN else dualize(spec)
-
-
 def selected_base(spec, vals):
     """Base index (1-based) the nested max/min picks in each row of
     vals[S, K]; ties go to the first family and the first member."""
-    inner, outer = (np.argmin, np.argmax) if spec.polarity == MAXMIN else (np.argmax, np.argmin)
     rows = np.arange(len(vals))
     fam_val, fam_idx = [], []
     for fam in spec.families:
         cols = np.array(fam) - 1
         sub = vals[:, cols]
-        pos = inner(sub, axis=1)
+        pos = np.argmin(sub, axis=1)
         fam_val.append(sub[rows, pos])
         fam_idx.append(cols[pos] + 1)
-    best = outer(np.stack(fam_val, axis=1), axis=1)
+    best = np.argmax(np.stack(fam_val, axis=1), axis=1)
     return np.stack(fam_idx, axis=1)[rows, best]
 
 
@@ -253,21 +241,21 @@ def realized_base(spec, vals):
     """Active base per row of vals[S, K], or 0 where two values tie.
 
     On a strict-ordering cone one base attains V, so this is
-    ``phi(_as_maxmin(spec), strict_ordering(row))`` for every row,
-    in either polarity, without sorting out permutations.
+    ``phi(spec, strict_ordering(row))`` for every row, without sorting
+    out permutations.
     """
     vals = np.asarray(vals, dtype=float)
     tied = np.any(np.diff(np.sort(vals, axis=1), axis=1) <= 0.0, axis=1)
     return np.where(tied, 0, selected_base(spec, vals))
 
 
-def _base_at(mm, basis, u):
+def _base_at(spec, basis, u):
     """Active base at a single point u, or None on any value tie."""
     rho = strict_ordering(basis.values(u))
-    return None if rho is None else phi(mm, rho)
+    return None if rho is None else phi(spec, rho)
 
 
-def active_indices(spec, basis, x, policy=DEFAULT_POLICY, n_directions=64):
+def active_indices(spec, basis, x, policy=DEFAULT_POLICY):
     """Essentially-active index set.
 
     A unique value-tie is returned directly (the function is C^1 there).
@@ -280,12 +268,11 @@ def active_indices(spec, basis, x, policy=DEFAULT_POLICY, n_directions=64):
     ties, _ = equal_value_indices(spec, basis, x, policy)
     if len(ties) == 1:
         return ActiveSet(indices=ties, method=EXACT_SMOOTH)
-    mm = _as_maxmin(spec)
     if isinstance(basis, QuadraticBasis) and basis.dim == 2:
-        got = _planar_sweep(mm, basis, x, policy)
+        got = _planar_sweep(spec, basis, x, policy)
         if got is not None:
             return got
-    return _sampled_active(mm, basis, x, policy, n_directions)
+    return _sampled_active(spec, basis, x, policy)
 
 
 def clarke_gradient(spec, basis, x, policy=DEFAULT_POLICY):
@@ -330,7 +317,7 @@ def _circ_dist(a, b):
     return min(d, math.pi - d)
 
 
-def _planar_sweep(mm, basis, x, policy):
+def _planar_sweep(spec, basis, x, policy):
     """Exact alpha_V for 2-D quadratic bases via root isolation on the circle.
 
     Active sets are constant on rays, so only the angle matters; the
@@ -348,7 +335,7 @@ def _planar_sweep(mm, basis, x, policy):
             roots.extend(got)
 
     def phi_at(theta):
-        return _base_at(mm, basis, np.array([math.cos(theta), math.sin(theta)]))
+        return _base_at(spec, basis, np.array([math.cos(theta), math.sin(theta)]))
 
     norm = float(np.linalg.norm(x))
     if norm <= policy.abs_tol:
@@ -387,11 +374,8 @@ def _planar_sweep(mm, basis, x, policy):
 # perturbation sampling
 
 
-def _sampled_active(mm, basis, x, policy, n_directions):
-    rng = np.random.default_rng(policy.seed)
-    n = basis.dim
-    dirs = rng.standard_normal((n_directions, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+def _sampled_active(spec, basis, x, policy):
+    dirs = sphere_points(basis.dim, SAMPLED_DIRECTIONS, np.random.default_rng(policy.seed))
     base_r = policy.rel_tol * max(1.0, float(np.linalg.norm(x)))
     warning = None
     if isinstance(basis, QuadraticBasis):
@@ -403,13 +387,13 @@ def _sampled_active(mm, basis, x, policy, n_directions):
     for mult in (1.0, 2.0, 4.0):
         r = base_r * mult
         for d in dirs:
-            k = _base_at(mm, basis, x + r * d)
+            k = _base_at(spec, basis, x + r * d)
             if k is not None:
                 found.add(k)
     if not found:
         # every sample tied (degenerate basis); fall back to the realized
         # active index so the set is never empty
-        ties, _ = equal_value_indices(mm, basis, x, policy)
+        ties, _ = equal_value_indices(spec, basis, x, policy)
         found = {ties[0]}
         warning = warning or "perturbation sampling found no strict ordering"
     return ActiveSet(

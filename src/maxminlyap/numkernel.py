@@ -26,10 +26,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self):
-        v = self.eigenvectors
-        return v @ np.diag(self.eigenvalues) @ v.T
-
 
 def as_square(M, name="matrix"):
     """Validate and return a float square array; rejects non-finite input."""
@@ -41,11 +37,12 @@ def as_square(M, name="matrix"):
     return A
 
 
-def as_symmetric(M, name="matrix", tol=1e-8):
-    """Validate symmetry up to representation noise and symmetrize exactly."""
+def as_symmetric(M, name="matrix"):
+    """Validate symmetry up to representation noise (1e-8 relative) and
+    symmetrize exactly."""
     A = as_square(M, name)
     scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.T).max() > tol * scale:
+    if np.abs(A - A.T).max() > 1e-8 * scale:
         raise InvalidInputError(f"{name} is not symmetric")
     return 0.5 * (A + A.T)
 
@@ -62,15 +59,12 @@ def negdef_margin(M):
     return float(eig_sym(M).eigenvalues[-1])
 
 
-def solve_lyapunov(A, rhs=None):
-    """P solving A^T P + P A = rhs (default rhs = -I), for Hurwitz A."""
+def solve_lyapunov(A):
+    """P solving A^T P + P A = -I, for Hurwitz A."""
     import scipy.linalg
 
     B = as_square(A)
-    n = B.shape[0]
-    if rhs is None:
-        rhs = -np.eye(n)
-    P = scipy.linalg.solve_continuous_lyapunov(B.T, np.asarray(rhs, dtype=float))
+    P = scipy.linalg.solve_continuous_lyapunov(B.T, -np.eye(B.shape[0]))
     return 0.5 * (P + P.T)
 
 
@@ -79,6 +73,13 @@ def quad_forms(X, Ps):
     (shape (S, K)); rounds exactly as ``x @ P @ x`` (``X @ P`` does not)."""
     X = np.asarray(X, dtype=float)
     return (X[..., None, None, :] @ Ps @ X[..., None, :, None])[..., 0, 0]
+
+
+def sphere_points(dim, n, rng, radius=1.0):
+    """n points on the sphere of the given radius, drawn from ``rng``."""
+    pts = rng.standard_normal((n, dim))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return radius * pts
 
 
 def row_norms(X):

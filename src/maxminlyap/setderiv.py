@@ -236,10 +236,3 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
     return DecreaseReport(
         mode="clarke" if use_clarke else "lie", rate=rate, entries=entries
     )
-
-
-def sphere_points(dim, n, rng, radius=1.0):
-    """n points on the sphere of the given radius (seeded)."""
-    pts = rng.standard_normal((n, dim))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return radius * pts

@@ -57,13 +57,16 @@ def _marching_squares(vals, xs, ys, level):
     return np.stack([x, y], axis=1).reshape(-1, 2, 2)
 
 
+PORTRAIT_PX = 640  # width and height of the square picture
+PORTRAIT_MARGIN = 0.08  # blank border, as a fraction of the data span
+PORTRAIT_GRID = 400  # default level-set grid points per axis
+
+
 def phase_portrait_svg(
     trajectories,
     value_fn=None,
     levels=(),
-    grid=400,
-    size=640,
-    margin_frac=0.08,
+    grid=PORTRAIT_GRID,
     header_comment=None,
 ):
     """Render 2-D trajectories (lists of state vectors) and level sets.
@@ -76,9 +79,10 @@ def phase_portrait_svg(
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
-    lo = lo - margin_frac * span
-    hi = hi + margin_frac * span
+    lo = lo - PORTRAIT_MARGIN * span
+    hi = hi + PORTRAIT_MARGIN * span
     span = hi - lo
+    size = PORTRAIT_PX
 
     def to_px(p):
         u = (p[0] - lo[0]) / span[0] * size

@@ -112,10 +112,6 @@ class _Stream:
             )
         return tok
 
-    def fail(self, message):
-        tok = self.peek()
-        raise ConfigError(message, tok.line, tok.col)
-
 
 # ---------------------------------------------------------------------------
 # expression parsing (recursive descent, shared by config values)

@@ -190,7 +190,7 @@ def test_example3_condition_i_reference_multipliers():
 
 def test_q_cone_decompose_swap_matrix():
     Q = np.array([[0.0, 1.0], [1.0, 0.0]])
-    t1, t2 = q_cone_decompose(Q, POLICY)
+    t1, t2 = q_cone_decompose(Q)
     rec = np.outer(t1, t2) + np.outer(t2, t1)
     np.testing.assert_allclose(rec, Q, atol=1e-12)
 
@@ -198,7 +198,7 @@ def test_q_cone_decompose_swap_matrix():
 def test_q_cone_decompose_signature_matrix():
     # closed form: eta = sqrt(1/2), kappa = 1
     Q = np.diag([1.0, -1.0])
-    t1, t2 = q_cone_decompose(Q, POLICY)
+    t1, t2 = q_cone_decompose(Q)
     rec = np.outer(t1, t2) + np.outer(t2, t1)
     np.testing.assert_allclose(rec, Q, atol=1e-12)
     for t in (t1, t2):
@@ -206,7 +206,7 @@ def test_q_cone_decompose_signature_matrix():
 
 
 def test_q_cone_decompose_benchmark_q3():
-    t1, t2 = q_cone_decompose(fixtures.EXAMPLE1_Q[2], POLICY)
+    t1, t2 = q_cone_decompose(fixtures.EXAMPLE1_Q[2])
     rec = np.outer(t1, t2) + np.outer(t2, t1)
     assert np.abs(rec - fixtures.EXAMPLE1_Q[2]).max() <= 1e-10
 
@@ -220,7 +220,7 @@ def test_q_cone_decompose_random_reconstruction():
         w = np.linalg.eigvalsh(Q)
         if not (w[0] < -1e-6 and w[1] > 1e-6):
             continue
-        t1, t2 = q_cone_decompose(Q, POLICY)
+        t1, t2 = q_cone_decompose(Q)
         rec = np.outer(t1, t2) + np.outer(t2, t1)
         assert np.abs(rec - Q).max() <= 1e-8 * max(1.0, np.abs(Q).max())
         done += 1
@@ -228,12 +228,12 @@ def test_q_cone_decompose_random_reconstruction():
 
 def test_q_cone_decompose_rejects_definite():
     with pytest.raises(InvalidInputError):
-        q_cone_decompose(np.eye(2), POLICY)
+        q_cone_decompose(np.eye(2))
 
 
 def test_cone_chain_benchmark_lines():
     sys1 = fixtures.example1_system()
-    factors = cone_chain(sys1, POLICY)
+    factors = cone_chain(sys1)
     assert factors.order == (1, 2, 3)
     np.testing.assert_allclose(factors.vs[0], fixtures.EXAMPLE1_LINES["S13"], atol=1e-9)
     np.testing.assert_allclose(factors.vs[1], fixtures.EXAMPLE1_LINES["S21"], atol=1e-9)
@@ -244,7 +244,7 @@ def test_cone_chain_benchmark_lines():
 
 def test_cone_chain_two_mode_double_cone():
     sys2 = example2_linear_system()
-    factors = cone_chain(sys2, POLICY)
+    factors = cone_chain(sys2)
     assert len(factors.vs) == 2
     assert factors.wrap_sign == -1.0
     got = {tuple(np.round(v, 6)) for v in factors.vs}
@@ -422,6 +422,28 @@ def test_certify_derives_the_matching_once(monkeypatch):
     assert (cert.cond_i.matching, cert.cond_i.evidence) == (fresh.matching, fresh.evidence)
 
 
+def test_certify_search_reuses_the_search_report(monkeypatch):
+    # the found candidate's condition (i) report comes from the search;
+    # certify draws no further matching sample
+    calls = []
+    derive = certifier.derive_matching
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return derive(*args, **kwargs)
+
+    sys1, spec1 = fixtures.example1_system(), fixtures.example1_spec()
+    opts = SearchOptions(seed=0)
+    monkeypatch.setattr(certifier, "derive_matching", counted)
+    result = search_condition_i(sys1, spec1, POLICY, opts)
+    alone = len(calls)
+    calls.clear()
+    cert = certify(sys1, spec1, policy=POLICY, search=True, search_opts=opts)
+    assert result.found and cert.verdict == VERDICT_GAS
+    assert len(calls) == alone
+    assert cert.cond_i.margins == result.report.margins
+
+
 def test_certify_benchmark3_gas():
     cert = certify(
         fixtures.example3_system(),
@@ -575,14 +597,16 @@ def test_certify_accepts_dual_polarity_structures():
         fixtures.example3_system(), dual3, fixtures.example3_candidate(), POLICY
     )
     assert cert3.verdict == VERDICT_GAS
-    from maxminlyap.maxmin import dualize
-
-    dual1 = dualize(fixtures.example1_spec())
-    assert dual1.polarity == "minmax"
+    dual1 = MaxMinSpec(K=3, families=((1, 3), (2, 3)), polarity="minmax")
     cert1 = certify(
         fixtures.example1_system(), dual1, fixtures.example1_candidate(), POLICY
     )
     assert cert1.verdict == VERDICT_GAS
+    # the certificate states the stored max-of-min structure
+    sysm = fixtures.example1_system()
+    text = serialize_certificate(cert1, sysm)
+    assert "polarity = maxmin\nS1 = {3}\nS2 = {1, 2}\n" in text
+    assert re_verify(text)[2]
 
 
 def test_certify_rotated_copies_of_benchmark():
@@ -683,6 +707,18 @@ def test_not_certified_report_reverifies():
     # malformed entries are config errors
     commented = text.replace("S2 = {3}", "S2 = {3}  # S3 = {9}")
     assert re_verify(commented)[0].spec == cert.spec
+    # a candidate passed in beside a failed search is not reported
+    with_cand = certify(
+        sysm,
+        fixtures.example1_spec(),
+        fixtures.example1_candidate(),
+        POLICY,
+        search=True,
+        search_opts=SearchOptions(time_budget=0),
+    )
+    fresh, stored, matches = re_verify(serialize_certificate(with_cand, sysm))
+    assert stored == fresh.verdict == VERDICT_NOT_CERTIFIED and matches
+    assert with_cand.candidate.matrices == []
     for old, new in (
         ("polarity = maxmin", "polarity = sideways"),
         ("S2 = {3}", "S2 = {0}"),

@@ -155,6 +155,19 @@ def test_simulate_level_needs_svg(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("with_svg", [False, True], ids=["alone", "with-svg"])
+def test_simulate_grid_needs_level(tmp_path, capsys, with_svg):
+    svg_path = tmp_path / "traj.svg"
+    argv = ["simulate", EX1, "--from=-1,1", "--horizon", "0.2", "--grid", "5"]
+    if with_svg:
+        argv += ["--svg", str(svg_path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "--level" in err
+    assert out == ""
+    assert not svg_path.exists()
+
+
 def test_simulate_rejects_a_malformed_point(capsys):
     code, _, err = run(capsys, ["simulate", EX1, "--from", "abc", "--horizon", "0.2"])
     assert code == 2

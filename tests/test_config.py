@@ -161,7 +161,7 @@ def test_expression_basis_and_signal_section():
     basis = parsed.require_basis()
     assert basis.kind == "expr"
     spec = basis.to_spec()
-    assert spec.K == 2 and spec.J == 2
+    assert spec.K == 2 and len(spec.families) == 2
 
 
 def test_matrix_entries_are_constant_expressions():

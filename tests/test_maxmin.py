@@ -7,13 +7,15 @@ import pytest
 from maxminlyap import fixtures
 from maxminlyap.maxmin import (
     EXACT_SMOOTH,
+    MAXMIN,
+    MINMAX,
     MaxMinSpec,
     QuadraticBasis,
     active_indices,
     all_permutations,
     clarke_gradient,
     combine,
-    dualize,
+    dual_families,
     evaluate,
     phi,
     strict_ordering,
@@ -49,24 +51,45 @@ def test_phi_single_base():
     assert phi(spec, (1,)) == 1
 
 
+def min_of_max(families, vals):
+    return min(max(vals[k - 1] for k in fam) for fam in families)
+
+
 def test_dualize_distributes():
-    spec = MaxMinSpec(K=3, families=((1, 2), (3,)))
-    dual = dualize(spec)
-    assert dual.polarity == "minmax"
-    assert set(dual.families) == {(1, 3), (2, 3)}
+    assert dual_families(((1, 2), (3,))) == ((1, 3), (2, 3))
+    # supersets are pruned: {1, 3} and {2, 3} contain {3}
+    assert dual_families(((1, 3), (2, 3))) == ((3,), (1, 2))
 
 
 def test_dualize_single_family():
-    spec = MaxMinSpec(K=2, families=((1, 2),))
-    dual = dualize(spec)
-    assert dual.polarity == "minmax"
-    assert dual.families == ((1,), (2,))
+    assert dual_families(((1, 2),)) == ((1,), (2,))
 
 
 def test_dualize_max_of_singletons():
-    spec = MaxMinSpec(K=2, families=((1,), (2,)))
-    dual = dualize(spec)
-    assert dual.families == ((1, 2),)
+    assert dual_families(((1,), (2,))) == ((1, 2),)
+
+
+def test_dual_families_match_the_product_form():
+    # every selection of one index per family, minimal ones kept
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        K = int(rng.integers(1, 7))
+        families = [
+            tuple(sorted(rng.choice(range(1, K + 1), size=rng.integers(1, K + 1), replace=False)))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        sels = {frozenset(c) for c in itertools.product(*families)}
+        want = {tuple(sorted(s)) for s in sels if not any(t < s for t in sels)}
+        got = dual_families(families)
+        assert set(got) == want
+        assert list(got) == sorted(got, key=lambda s: (len(s), s))
+
+
+def test_minmax_spec_stores_its_maxmin_dual():
+    spec = MaxMinSpec(K=3, families=((1, 3), (2, 3)), polarity=MINMAX)
+    assert spec.polarity == MAXMIN
+    assert spec.families == ((3,), (1, 2))
+    assert spec == MaxMinSpec(K=3, families=((3,), (1, 2)))
 
 
 def test_dualize_pointwise_equality():
@@ -79,10 +102,12 @@ def test_dualize_pointwise_equality():
             for _ in range(J)
         )
         spec = MaxMinSpec(K=K, families=families)
-        dual = dualize(spec)
+        dual = dual_families(families)
+        minmax = MaxMinSpec(K=K, families=families, polarity=MINMAX)
         for _ in range(500):
             vals = rng.standard_normal(K)
-            assert combine(spec, vals) == combine(dual, vals)
+            assert combine(spec, vals) == min_of_max(dual, vals)
+            assert combine(minmax, vals) == min_of_max(families, vals)
 
 
 def test_eval_zero_at_origin():
@@ -219,16 +244,21 @@ def test_validation_rejects_bad_spec():
         MaxMinSpec(K=2, families=())
 
 
-def test_phi_rejects_wrong_polarity():
-    spec = MaxMinSpec(K=2, families=((1, 2),), polarity="minmax")
-    with pytest.raises(Exception):
-        phi(spec, (1, 2))
+def test_phi_of_minmax_spec_picks_the_min_of_max_base():
+    # values ranked by rho: phi names the base attaining the min of max
+    families = ((1, 2), (2, 3))
+    spec = MaxMinSpec(K=3, families=families, polarity=MINMAX)
+    for rho in all_permutations(3):
+        vals = np.empty(3)
+        vals[np.array(rho) - 1] = np.arange(3.0)
+        want = int(np.flatnonzero(vals == min_of_max(families, vals))[0]) + 1
+        assert phi(spec, rho) == want
 
 
 def test_minmax_evaluation_and_active():
     # dual representation evaluates identically and yields the same sets
     spec = fixtures.example1_spec()
-    dual = dualize(spec)
+    dual = MaxMinSpec(K=3, families=dual_families(spec.families), polarity=MINMAX)
     basis = fixtures.example1_basis()
     rng = np.random.default_rng(31)
     for _ in range(100):

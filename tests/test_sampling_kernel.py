@@ -17,10 +17,10 @@ from maxminlyap.maxmin import (
     MINMAX,
     MaxMinSpec,
     QuadraticBasis,
-    _as_maxmin,
     _sampled_active,
+    all_permutations,
     combine,
-    dualize,
+    dual_families,
     phi,
     realized_base,
     strict_ordering,
@@ -37,7 +37,19 @@ POLICY = NumericPolicy()
 
 def ref_realized(spec, row):
     rho = strict_ordering(np.asarray(row, dtype=float))
-    return 0 if rho is None else phi(_as_maxmin(spec), rho)
+    return 0 if rho is None else phi(spec, rho)
+
+
+def min_of_max(families, row):
+    return min(max(row[k - 1] for k in fam) for fam in families)
+
+
+def ref_realized_minmax(families, row):
+    """The base attaining the min-of-max value, or 0 on any value tie."""
+    row = np.asarray(row, dtype=float)
+    if strict_ordering(row) is None:
+        return 0
+    return int(np.flatnonzero(row == min_of_max(families, row))[0]) + 1
 
 
 def ref_owner(sys, x, threshold):
@@ -49,10 +61,10 @@ def ref_owner(sys, x, threshold):
     return strict[0] if len(strict) == 1 else 0
 
 
-def ref_derive_matching(sys, matrices, spec, policy, n_samples):
+def ref_derive_matching(sys, matrices, spec, policy):
     basis = QuadraticBasis(matrices)
     rng = np.random.default_rng(policy.seed)
-    dirs = rng.standard_normal((n_samples, sys.dim))
+    dirs = rng.standard_normal((2000, sys.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     seen = {m.index: set() for m in sys.modes}
     counted = 0
@@ -92,28 +104,24 @@ def ref_min_product(sys, policy, n_samples):
     return best
 
 
-def ref_validate_partition(sys, policy, n_samples, radii):
+def ref_validate_partition(sys, policy, n_samples):
     rng = np.random.default_rng(policy.seed)
     dirs = rng.standard_normal((n_samples, sys.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     violations = []
-    for radius in radii:
-        for d in dirs:
-            x = radius * d
-            norm2 = radius * radius
-            strict, near = [], False
-            for mode in sys.modes:
-                if mode.region_kind == "all":
-                    strict.append(mode.index)
-                    continue
-                v = mode.region_value(x)
-                band = policy.abs_tol * (norm2 if mode.region_kind == "cone" else max(1.0, norm2))
-                if v > band:
-                    strict.append(mode.index)
-                elif abs(v) <= band:
-                    near = True
-            if len(strict) > 1 or (not strict and not near):
-                violations.append((x, tuple(strict)))
+    for x in dirs:
+        strict, near = [], False
+        for mode in sys.modes:
+            if mode.region_kind == "all":
+                strict.append(mode.index)
+                continue
+            v = mode.region_value(x)
+            if v > policy.abs_tol:
+                strict.append(mode.index)
+            elif abs(v) <= policy.abs_tol:
+                near = True
+        if len(strict) > 1 or (not strict and not near):
+            violations.append((x, tuple(strict)))
     return violations
 
 
@@ -143,16 +151,16 @@ def ref_penalty_points(sys, matching, n_per_mode, seed):
     return np.array([x for _, x in points]), np.array([t for t, _ in points])
 
 
-def ref_sampled_active(mm, basis, x, policy, n_directions=64):
+def ref_sampled_active(spec, basis, x, policy):
     rng = np.random.default_rng(policy.seed)
-    dirs = rng.standard_normal((n_directions, basis.dim))
+    dirs = rng.standard_normal((64, basis.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     base_r = policy.rel_tol * max(1.0, float(np.linalg.norm(x)))
     found = set()
     for mult in (1.0, 2.0, 4.0):
         for d in dirs:
             y = x + base_r * mult * d
-            k = ref_realized(mm, [float(y @ P @ y) for P in basis.matrices])
+            k = ref_realized(spec, [float(y @ P @ y) for P in basis.matrices])
             if k:
                 found.add(k)
     return tuple(sorted(found))
@@ -194,6 +202,27 @@ def test_combine_rows_match_single_points(case):
     spec, vals = case
     want = np.array([combine(spec, row) for row in vals])
     assert combine(spec, vals).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs_and_values())
+def test_minmax_spec_matches_direct_min_of_max(case):
+    # the drawn families, read as a min-of-max structure
+    drawn, vals = case
+    families = drawn.families
+    spec = MaxMinSpec(K=drawn.K, families=families, polarity=MINMAX)
+    # as numbers: an exact +/-0 tie may come out with the other sign
+    want = [min_of_max(families, row) for row in vals]
+    assert combine(spec, vals).tolist() == want
+    assert [combine(spec, row) for row in vals] == want
+    assert realized_base(spec, vals).tolist() == [
+        ref_realized_minmax(families, row) for row in vals
+    ]
+    dual = MaxMinSpec(K=drawn.K, families=dual_families(families))
+    for rho in all_permutations(drawn.K):
+        ranks = np.empty(drawn.K)
+        ranks[np.array(rho) - 1] = np.arange(drawn.K)
+        assert phi(spec, rho) == phi(dual, rho) == ref_realized_minmax(families, ranks)
 
 
 def test_realized_base_identical_bases_tie_everywhere():
@@ -250,7 +279,7 @@ def _candidates():
         sys = fixtures.example1_system() if case % 2 == 0 else fixtures.example3_system()
         spec = fixtures.example1_spec() if case % 2 == 0 else fixtures.example3_spec()
         if case % 4 >= 2:
-            spec = dualize(spec)
+            spec = MaxMinSpec(K=spec.K, families=dual_families(spec.families), polarity=MINMAX)
         mats = []
         for k in range(spec.K):
             B = rng.standard_normal((sys.dim, sys.dim))
@@ -263,8 +292,8 @@ def _candidates():
 def test_derive_matching_matches_point_loop():
     for case, sys, spec, mats in _candidates():
         policy = NumericPolicy(seed=case)
-        matching, evidence = derive_matching(sys, mats, spec, policy, n_samples=300 + case)
-        want, counted, observed = ref_derive_matching(sys, mats, spec, policy, 300 + case)
+        matching, evidence = derive_matching(sys, mats, spec, policy)
+        want, counted, observed = ref_derive_matching(sys, mats, spec, policy)
         assert matching == want
         assert evidence["samples"] == counted
         assert evidence["observed"] == observed
@@ -285,13 +314,12 @@ def test_validate_partition_matches_point_loop():
     )
     systems = [fixtures.example1_system(), fixtures.example3_system(), overlap, _mixed_system()]
     for sys in systems:
-        for radii in ((1.0,), (0.5, 3.0)):
-            policy = NumericPolicy(seed=3)
-            got, checked = sys.validate_partition(policy, n_samples=700, radii=radii)
-            want = ref_validate_partition(sys, policy, 700, radii)
-            assert checked == 700 * len(radii)
-            assert [s for _, s in got] == [s for _, s in want]
-            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(got, want))
+        policy = NumericPolicy(seed=3)
+        got, checked = sys.validate_partition(policy, n_samples=700)
+        want = ref_validate_partition(sys, policy, 700)
+        assert checked == 700
+        assert [s for _, s in got] == [s for _, s in want]
+        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(got, want))
 
 
 def test_match_penalty_points_match_point_loop():
@@ -313,8 +341,7 @@ def test_sampled_active_matches_point_loop():
     sys3_spec = fixtures.example3_spec()
     basis = QuadraticBasis([np.diag([4.0, 4.0, 1.0]), np.diag([3.0, 3.0, 2.0])])
     for spec in (sys3_spec, MaxMinSpec(K=2, families=((1, 2),), polarity=MINMAX)):
-        mm = _as_maxmin(spec)
         for a in np.linspace(0.0, 2.0 * np.pi, 17):
             x = np.array([np.cos(a), np.sin(a), 1.0])
-            got = _sampled_active(mm, basis, x, POLICY, 64)
-            assert got.indices == ref_sampled_active(mm, basis, x, POLICY)
+            got = _sampled_active(spec, basis, x, POLICY)
+            assert got.indices == ref_sampled_active(spec, basis, x, POLICY)
