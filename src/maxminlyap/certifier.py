@@ -180,16 +180,30 @@ class Candidate:
         )
 
 
-def group_matrix(sys, cand, group):
-    P = cand.matrices
-    A = sys.modes[group.mode - 1].A
-    F = P[group.phi_index - 1]
-    M = A.T @ F + F @ A
-    for tau, (u, w) in zip(cand.tau_for(group), group.diffs):
-        M = M + tau * (P[u - 1] - P[w - 1])
-    if group.use_cone:
-        M = M + cand.beta_for(group) * sys.modes[group.mode - 1].Q
+def _pencil(sys, matrices, group):
+    """The parts of a group's matrix that do not depend on its multipliers:
+    M0 = A^T F + F A, the differences D_k = P_u - P_w of its ordering
+    terms, and the cone matrix Q (None without a cone term)."""
+    mode = sys.modes[group.mode - 1]
+    F = matrices[group.phi_index - 1]
+    diffs = [matrices[u - 1] - matrices[w - 1] for u, w in group.diffs]
+    return mode.A.T @ F + F @ mode.A, diffs, mode.Q if group.use_cone else None
+
+
+def _pencil_matrix(pencil, taus, beta):
+    """M0 + sum_k tau_k D_k + beta Q, summed left to right."""
+    M, diffs, Q = pencil
+    for tau, D in zip(taus, diffs):
+        M = M + tau * D
+    if Q is not None:
+        M = M + beta * Q
     return M
+
+
+def group_matrix(sys, cand, group):
+    return _pencil_matrix(
+        _pencil(sys, cand.matrices, group), cand.tau_for(group), cand.beta_for(group)
+    )
 
 
 def derive_matching(sys, matrices, spec, policy=DEFAULT_POLICY):
@@ -306,17 +320,13 @@ def _optimize_group_multipliers(sys, cand, group, sweeps=3):
     beta = cand.beta_for(group)
     slots = list(cand.tau_for(group)) + ([beta] if group.use_cone else [])
 
+    pencil = _pencil(sys, cand.matrices, group)
+
     def split(xs):
         return tuple(xs[:n_tau]), (xs[n_tau] if group.use_cone else beta)
 
     def margin_at(xs):
-        taus, b = split(xs)
-        trial = Candidate(
-            matrices=cand.matrices,
-            taus={**cand.taus, group.key: taus},
-            betas={**cand.betas, group.key: b},
-        )
-        return negdef_margin(group_matrix(sys, trial, group))
+        return negdef_margin(_pencil_matrix(pencil, *split(xs)))
 
     for _ in range(sweeps):
         for slot in range(len(slots)):
@@ -375,11 +385,14 @@ class SearchResult:
     message: str = ""
 
 
-def _margin_subgradient(sys, cand, group):
-    """Gradient matrices of the group's top eigenvalue w.r.t. each P."""
-    M = group_matrix(sys, cand, group)
-    spec = eig_sym(M)
-    v = spec.eigenvectors[:, -1]
+def _margin_subgradients(sys, cand, groups):
+    """Worst group margin (the first on a tie) and the gradient matrices
+    of that group's top eigenvalue w.r.t. each P; every group's top
+    eigenpair comes from one stacked solve."""
+    s = eig_sym(np.stack([group_matrix(sys, cand, g) for g in groups]))
+    j = int(np.argmax(s.eigenvalues[:, -1]))
+    group = groups[j]
+    v = s.eigenvectors[j, :, -1]
     A = sys.modes[group.mode - 1].A
     grads = [np.zeros_like(cand.matrices[0]) for _ in cand.matrices]
     av = A @ v
@@ -388,7 +401,7 @@ def _margin_subgradient(sys, cand, group):
     for tau, (u, w) in zip(cand.tau_for(group), group.diffs):
         grads[u - 1] += tau * vv
         grads[w - 1] -= tau * vv
-    return float(spec.eigenvalues[-1]), grads
+    return float(s.eigenvalues[j, -1]), grads
 
 
 def _normalize(cand):
@@ -416,6 +429,11 @@ class _MatchPenalty:
     toward negative margins.  Planar systems get a dense angular grid
     (regions are arcs); other dimensions use random sphere points.
     Counterexamples found by the validation sampler can be appended.
+
+    Base values come from the Gram features x_i x_j (i <= j, off-diagonal
+    ones doubled) of the points: one (S, n(n+1)/2) @ (n(n+1)/2, K)
+    product for all K bases.  The features are built on first use, so a
+    search that never steps pays nothing for them.
     """
 
     def __init__(self, sys, spec, matching, n_per_mode, seed):
@@ -444,21 +462,37 @@ class _MatchPenalty:
                 X, owner = np.concatenate([X, chunk]), np.concatenate([owner, got])
         self.X = X[owner > 0]
         self.targets = self.target_of[owner[owner > 0]]
+        n = sys.dim
+        self._upper = np.array([(i, j) for i in range(n) for j in range(i, n)]).T
+        self._gram = np.empty((0, self._upper.shape[1]))
 
     def add_counterexamples(self, pts):
         self.X = np.concatenate([self.X, [x for _, x in pts]])
         self.targets = np.concatenate([self.targets, [t for t, _ in pts]])
 
+    def _residuals(self, matrices):
+        """Penalty, selected base per point and V_target - V there."""
+        i, j = self._upper
+        if len(self._gram) < len(self.X):
+            new = self.X[len(self._gram):]
+            feats = new[:, i] * new[:, j] * np.where(i == j, 1.0, 2.0)
+            self._gram = np.concatenate([self._gram, feats])
+        Ps = np.stack(matrices)
+        vals = self._gram @ (0.5 * (Ps[:, i, j] + Ps[:, j, i])).T
+        # the subgradient needs a selection on ties too, so no realized_base
+        realized = selected_base(self.spec, vals)
+        rows = np.arange(len(vals))
+        d = vals[rows, self.targets - 1] - vals[rows, realized - 1]
+        return float(np.abs(d).sum()) / len(d), realized, d
+
+    def value(self, matrices):
+        return self._residuals(matrices)[0]
+
     def value_and_grads(self, matrices):
         K = len(matrices)
         n = matrices[0].shape[0]
         X = self.X
-        vals = np.stack([np.einsum("si,ij,sj->s", X, P, X) for P in matrices], axis=1)
-        # the subgradient needs a selection on ties too, so no realized_base
-        realized = selected_base(self.spec, vals)
-        v = vals[np.arange(len(X)), realized - 1]
-        d = vals[np.arange(len(X)), self.targets - 1] - v
-        pen = float(np.abs(d).sum()) / len(X)
+        pen, realized, d = self._residuals(matrices)
         grads = [np.zeros((n, n)) for _ in range(K)]
         sign = np.sign(d)
         active = sign != 0.0
@@ -539,12 +573,9 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
             gnorm = np.sqrt(sum(float(np.sum(G * G)) for G in grads))
             if gnorm == 0.0:
                 return False
-            trial = [
-                project_psd(P - (step / gnorm) * G, floor=1e-6)
-                for P, G in zip(cand.matrices, grads)
-            ]
-            new_pen, _ = penalty.value_and_grads(trial)
-            if new_pen < pen:
+            shifted = np.stack(cand.matrices) - (step / gnorm) * np.stack(grads)
+            trial = list(project_psd(shifted, floor=1e-6))
+            if penalty.value(trial) < pen:
                 cand.matrices = trial
                 _normalize(cand)
                 pen, grads = penalty.value_and_grads(cand.matrices)
@@ -571,30 +602,24 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
             # breaks the matching is repaired or rolled back and shrunk
             step0 = 0.25 / (1.0 + round_no / 6.0)
             for _ in range(SEARCH_P_STEPS):
-                vals = [_margin_subgradient(sys, cand, g) for g in groups]
-                worst = max(range(len(groups)), key=lambda j: vals[j][0])
-                worst_margin = vals[worst][0]
+                worst_margin, grads = _margin_subgradients(sys, cand, groups)
                 if worst_margin <= -SEARCH_FLOOR:
                     break
-                grads = vals[worst][1]
                 gnorm = np.sqrt(sum(float(np.sum(G * G)) for G in grads))
                 if gnorm == 0.0:
                     break
                 eta = step0 / gnorm
-                saved = [P.copy() for P in cand.matrices]
+                saved, G = np.stack(cand.matrices), np.stack(grads)
                 accepted = False
                 while eta * gnorm > 1e-9:
-                    cand.matrices = [
-                        project_psd(P - eta * G, floor=1e-6)
-                        for P, G in zip(saved, grads)
-                    ]
+                    cand.matrices = list(project_psd(saved - eta * G, floor=1e-6))
                     _normalize(cand)
                     if repair_matching(cand, max_steps=20):
                         accepted = True
                         break
                     eta *= 0.25
                 if not accepted:
-                    cand.matrices = saved
+                    cand.matrices = list(saved)
                     return
 
     def counterexamples(cand, salt):
@@ -1011,16 +1036,18 @@ def certify(
 ):
     """Run condition (i) (verify or search) and dispatch condition (ii).
 
-    With ``search=True`` the found candidate is certified and ``cand`` is
-    not used; a failed search certifies nothing.  ``complete=False``
-    checks the supplied multipliers verbatim, which is what certificate
-    re-verification needs; the default fills in missing multipliers by
-    the convex per-group optimization first.
+    With ``search=True`` the found candidate is certified, and passing a
+    ``cand`` as well is an error; a failed search certifies nothing.
+    ``complete=False`` checks the supplied multipliers verbatim, which is
+    what certificate re-verification needs; the default fills in missing
+    multipliers by the convex per-group optimization first.
     """
     _require_linear_conic(sys)
     notes = []
     if cand is None and not search:
         raise InvalidInputError("certify needs a candidate or search=True")
+    if cand is not None and search:
+        raise InvalidInputError("certify takes a candidate or search=True, not both")
     if search:
         result = search_condition_i(sys, spec, policy, search_opts)
         if not result.found:

@@ -128,10 +128,17 @@ def cmd_validate(args):
         if violations:
             code = EXIT_FAILED
     if parsed.basis is not None:
+        # the stored max-of-min form, which phi and certify use
+        given = parsed.basis
+        spec = given.to_spec()
         out.append(
-            f"basis: K={parsed.basis.K} kind={parsed.basis.kind} "
-            f"families={parsed.basis.families} polarity={parsed.basis.polarity}"
+            f"basis: K={spec.K} kind={given.kind} "
+            f"families={spec.families} polarity={spec.polarity}"
         )
+        if (given.families, given.polarity) != (spec.families, spec.polarity):
+            out.append(
+                f"  as given: families={given.families} polarity={given.polarity}"
+            )
     out.append("config OK" if code == EXIT_OK else "config has violations")
     print("\n".join(out))
     return code

@@ -23,6 +23,11 @@ EXPR = "expr"
 ALL = "all"
 
 
+def _cone_matrix(Q, name):
+    """One symmetric cone matrix; ``as_symmetric`` alone also takes a stack."""
+    return as_symmetric(as_square(Q, name), name)
+
+
 @dataclass
 class Mode:
     index: int
@@ -90,7 +95,7 @@ class SwitchedSystem:
     def from_config(cls, system_config):
         modes = []
         for mc in system_config.modes:
-            Q = None if mc.Q is None else as_symmetric(mc.Q, f"Q{mc.index}")
+            Q = None if mc.Q is None else _cone_matrix(mc.Q, f"Q{mc.index}")
             A = None if mc.A is None else as_square(mc.A, f"A{mc.index}")
             modes.append(Mode(index=mc.index, A=A, f=mc.f, Q=Q, H=mc.H))
         return cls(dim=system_config.dim, modes=modes)
@@ -103,7 +108,7 @@ class SwitchedSystem:
         for i, A in enumerate(A_list, start=1):
             Q = None
             if Q_list is not None and Q_list[i - 1] is not None:
-                Q = as_symmetric(Q_list[i - 1], f"Q{i}")
+                Q = _cone_matrix(Q_list[i - 1], f"Q{i}")
             modes.append(Mode(index=i, A=as_square(A, f"A{i}"), Q=Q))
         return cls(dim=n, modes=modes)
 

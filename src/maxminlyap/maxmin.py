@@ -14,7 +14,7 @@ index sets together with the generalized gradient vertices they induce.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,6 +40,9 @@ class MaxMinSpec:
     K: int
     families: tuple  # tuple of tuples of 1-based base indices
     polarity: str = MAXMIN
+    # 0-based base columns per family, padded with the family's last
+    # member to one width (see selected_base)
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.K < 1:
@@ -59,6 +62,9 @@ class MaxMinSpec:
             norm = dual_families(norm)
             object.__setattr__(self, "polarity", MAXMIN)
         object.__setattr__(self, "families", tuple(norm))
+        width = max(len(fam) for fam in norm)
+        cols = [list(fam) + [fam[-1]] * (width - len(fam)) for fam in norm]
+        object.__setattr__(self, "columns", np.array(cols) - 1)
 
 
 class QuadraticBasis:
@@ -225,16 +231,15 @@ def strict_ordering(vals):
 def selected_base(spec, vals):
     """Base index (1-based) the nested max/min picks in each row of
     vals[S, K]; ties go to the first family and the first member."""
-    rows = np.arange(len(vals))
-    fam_val, fam_idx = [], []
-    for fam in spec.families:
-        cols = np.array(fam) - 1
-        sub = vals[:, cols]
-        pos = np.argmin(sub, axis=1)
-        fam_val.append(sub[rows, pos])
-        fam_idx.append(cols[pos] + 1)
-    best = np.argmax(np.stack(fam_val, axis=1), axis=1)
-    return np.stack(fam_idx, axis=1)[rows, best]
+    J, K = len(spec.families), spec.K
+    # key j*K + column: among tied candidates the smallest key is the
+    # first family, then its first member (families are sorted)
+    keys = (K * np.arange(J)[:, None] + spec.columns)[..., None]
+    sub = vals.T[spec.columns]  # (J, width, S) member values
+    fam_val = sub.min(axis=1)
+    first = np.where(sub == fam_val[:, None], keys, J * K).min(axis=1)
+    best = np.where(fam_val == fam_val.max(axis=0), first, J * K).min(axis=0)
+    return best % K + 1
 
 
 def realized_base(spec, vals):

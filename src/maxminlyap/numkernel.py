@@ -5,7 +5,10 @@ quadratic-form bases, cone matrices, and the symmetrized products
 A^T P + P A whose definiteness decides certificates.  The heavy lifting
 is delegated to LAPACK through numpy/scipy; this module pins the
 contracts (sorted spectra, orthonormal eigenvectors, symmetry checks)
-that the rest of the package relies on.
+that the rest of the package relies on.  ``as_symmetric``, ``eig_sym``
+and ``project_psd`` take one matrix or a (k, n, n) stack; a stack gets
+one validation pass and one LAPACK call, and each of its matrices comes
+out bit for bit as it would alone.
 """
 
 from dataclasses import dataclass
@@ -17,10 +20,11 @@ from .errors import InvalidInputError
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix, or of each matrix in a stack.
 
-    ``eigenvalues`` is sorted ascending; column k of ``eigenvectors``
-    belongs to ``eigenvalues[k]`` and the columns are orthonormal.
+    ``eigenvalues`` is sorted ascending along its last axis; column k of
+    ``eigenvectors`` belongs to ``eigenvalues[..., k]`` and the columns
+    are orthonormal.
     """
 
     eigenvalues: np.ndarray
@@ -38,19 +42,26 @@ def as_square(M, name="matrix"):
 
 
 def as_symmetric(M, name="matrix"):
-    """Validate symmetry up to representation noise (1e-8 relative) and
-    symmetrize exactly."""
-    A = as_square(M, name)
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.T).max() > 1e-8 * scale:
+    """Validate finiteness and symmetry up to representation noise (1e-8
+    relative to each matrix's largest entry) of one matrix or of each
+    matrix in a (k, n, n) stack, and symmetrize exactly."""
+    A = np.asarray(M, dtype=float)
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise InvalidInputError(f"{name} must be square, got shape {A.shape}")
+    AT = A.swapaxes(-1, -2)
+    # a non-finite entry makes its matrix's largest |entry| inf or nan
+    scale = np.abs(A).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
+        raise InvalidInputError(f"{name} has non-finite entries")
+    if (np.abs(A - AT).max(axis=(-2, -1)) > 1e-8 * np.maximum(scale, 1.0)).any():
         raise InvalidInputError(f"{name} is not symmetric")
-    return 0.5 * (A + A.T)
+    return 0.5 * (A + AT)
 
 
 def eig_sym(M):
-    """Spectrum of a symmetric matrix (ascending eigenvalues)."""
-    A = as_symmetric(M)
-    w, v = np.linalg.eigh(A)
+    """Spectrum of a symmetric matrix, or of each matrix in a (k, n, n)
+    stack (ascending eigenvalues)."""
+    w, v = np.linalg.eigh(as_symmetric(M))
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
@@ -88,7 +99,8 @@ def row_norms(X):
 
 
 def project_psd(M, floor=0.0):
-    """Nearest (Frobenius) symmetric matrix with eigenvalues >= floor."""
+    """Nearest (Frobenius) symmetric matrix with eigenvalues >= floor, of
+    one matrix or of each matrix in a (k, n, n) stack."""
     s = eig_sym(M)
-    w = np.maximum(s.eigenvalues, floor)
-    return s.eigenvectors @ np.diag(w) @ s.eigenvectors.T
+    V = s.eigenvectors
+    return (V * np.maximum(s.eigenvalues, floor)[..., None, :]) @ V.swapaxes(-1, -2)

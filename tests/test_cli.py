@@ -24,6 +24,27 @@ def test_validate_reference_configs(capsys):
         assert "0 violations" in out
 
 
+def test_validate_prints_the_stored_structure(tmp_path, capsys):
+    # a min-of-max structure is stored as its max-of-min dual; validate
+    # prints that form, as phi does, and the given one beside it
+    cfg = tmp_path / "minmax.cfg"
+    text = (CONFIGS / "example1.cfg").read_text()
+    old = "polarity = maxmin\nS1 = {1, 2}\nS2 = {3}"
+    assert old in text
+    cfg.write_text(text.replace(old, "polarity = minmax\nS1 = {1, 3}\nS2 = {2, 3}"))
+    code, out, _ = run(capsys, ["validate", str(cfg), "--samples", "100"])
+    assert code == 0
+    assert "basis: K=3 kind=quadratic families=((3,), (1, 2)) polarity=maxmin\n" in out
+    assert "  as given: families=((1, 3), (2, 3)) polarity=minmax\n" in out
+    code, phi_out, _ = run(capsys, ["phi", str(cfg)])
+    assert code == 0
+    assert phi_out.startswith("K=3 families=((3,), (1, 2))\n")
+    # a max-of-min structure is printed once, as given
+    code, out, _ = run(capsys, ["validate", EX1, "--samples", "100"])
+    assert "families=((1, 2), (3,)) polarity=maxmin\n" in out
+    assert "as given" not in out
+
+
 def test_phi_table(capsys):
     code, out, _ = run(capsys, ["phi", EX1])
     assert code == 0

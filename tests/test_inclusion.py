@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maxminlyap import fixtures
-from maxminlyap.errors import PartitionError
+from maxminlyap.errors import InvalidInputError, PartitionError
 from maxminlyap.inclusion import Mode, SwitchedSystem
 from maxminlyap.policy import NumericPolicy
 
@@ -86,3 +86,10 @@ def test_validate_partition_reports_gaps():
     )
     violations, _ = sysm.validate_partition(POLICY, n_samples=500)
     assert violations
+
+
+def test_linear_system_rejects_a_stacked_cone_matrix():
+    # as_symmetric takes (k, n, n) stacks; a mode's Q must still be one matrix
+    Q = np.array([[1.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(InvalidInputError, match="Q1 must be square"):
+        SwitchedSystem.linear([-np.eye(2)], [np.stack([Q, Q])])

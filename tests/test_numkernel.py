@@ -141,3 +141,53 @@ def test_project_psd_floor():
 def test_spectrum_type():
     s = eig_sym(np.diag([1.0, 2.0]))
     assert isinstance(s, Spectrum)
+
+
+def ref_project_psd(M, floor):
+    """The per-matrix projection as first written: V diag(max(w, floor)) V^T."""
+    s = eig_sym(M)
+    return s.eigenvectors @ np.diag(np.maximum(s.eigenvalues, floor)) @ s.eigenvectors.T
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_stacked_kernels_are_bitwise_per_matrix(n, K):
+    # one LAPACK call for a stack must give each matrix's own bits: the
+    # search steers on these values, so a last-bit change moves iterates
+    rng = np.random.default_rng(100 * n + K)
+    for _ in range(200):
+        B = rng.standard_normal((K, n, n))
+        # symmetric within the 1e-8 tolerance, not exactly
+        M = B + B.swapaxes(1, 2) + 1e-12 * rng.standard_normal((K, n, n))
+        s = eig_sym(M)
+        P = project_psd(M, floor=1e-6)
+        assert s.eigenvalues.shape == (K, n) and s.eigenvectors.shape == (K, n, n)
+        for k in range(K):
+            one = eig_sym(M[k])
+            assert np.array_equal(s.eigenvalues[k], one.eigenvalues)
+            assert np.array_equal(s.eigenvectors[k], one.eigenvectors)
+            assert np.array_equal(P[k], project_psd(M[k], floor=1e-6))
+            assert np.array_equal(P[k], ref_project_psd(M[k], 1e-6))
+
+
+def test_stack_validation_names_any_bad_member():
+    good = np.stack([np.eye(2), np.diag([1.0, 2.0])])
+    np.testing.assert_array_equal(as_symmetric(good), good)
+    for bad_entry in (np.nan, np.inf):
+        bad = good.copy()
+        bad[1, 0, 1] = bad[1, 1, 0] = bad_entry
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            eig_sym(bad)
+    bad = good.copy()
+    bad[1, 0, 1] = 1e-3
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        project_psd(bad)
+    # the tolerance is relative to each matrix's own scale
+    scaled = np.stack([1e6 * np.eye(2), np.eye(2)])
+    scaled[1, 0, 1] = 1e-3
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        as_symmetric(scaled)
+    with pytest.raises(InvalidInputError, match="square"):
+        as_symmetric(np.zeros((2, 2, 3)))
+    with pytest.raises(InvalidInputError, match="square"):
+        as_symmetric(np.zeros((2, 2, 2, 2)))

@@ -23,6 +23,7 @@ from maxminlyap.maxmin import (
     dual_families,
     phi,
     realized_base,
+    selected_base,
     strict_ordering,
 )
 from maxminlyap.policy import NumericPolicy
@@ -151,6 +152,32 @@ def ref_penalty_points(sys, matching, n_per_mode, seed):
     return np.array([x for _, x in points]), np.array([t for t, _ in points])
 
 
+def ref_selected_base(spec, vals):
+    """The per-family gather loop: each family's argmin, then the argmax
+    over families."""
+    rows = np.arange(len(vals))
+    fam_val, fam_idx = [], []
+    for fam in spec.families:
+        cols = np.array(fam) - 1
+        sub = vals[:, cols]
+        pos = np.argmin(sub, axis=1)
+        fam_val.append(sub[rows, pos])
+        fam_idx.append(cols[pos] + 1)
+    best = np.argmax(np.stack(fam_val, axis=1), axis=1)
+    return np.stack(fam_idx, axis=1)[rows, best]
+
+
+def ref_penalty_gaps(pen, matrices):
+    """Base values, selected base and penalty of ``pen`` from three-operand
+    einsum base values, the form the Gram features replaced."""
+    X = pen.X
+    vals = np.stack([np.einsum("si,ij,sj->s", X, P, X) for P in matrices], axis=1)
+    realized = ref_selected_base(pen.spec, vals)
+    rows = np.arange(len(X))
+    d = vals[rows, pen.targets - 1] - vals[rows, realized - 1]
+    return vals, realized, float(np.abs(d).sum()) / len(X)
+
+
 def ref_sampled_active(spec, basis, x, policy):
     rng = np.random.default_rng(policy.seed)
     dirs = rng.standard_normal((64, basis.dim))
@@ -223,6 +250,14 @@ def test_minmax_spec_matches_direct_min_of_max(case):
         ranks = np.empty(drawn.K)
         ranks[np.array(rho) - 1] = np.arange(drawn.K)
         assert phi(spec, rho) == phi(dual, rho) == ref_realized_minmax(families, ranks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs_and_values())
+def test_selected_base_matches_family_loop(case):
+    # ties included: first family, then first member
+    spec, vals = case
+    assert selected_base(spec, vals).tolist() == ref_selected_base(spec, vals).tolist()
 
 
 def test_realized_base_identical_bases_tie_everywhere():
@@ -345,3 +380,28 @@ def test_sampled_active_matches_point_loop():
             x = np.array([np.cos(a), np.sin(a), 1.0])
             got = _sampled_active(spec, basis, x, POLICY)
             assert got.indices == ref_sampled_active(spec, basis, x, POLICY)
+
+
+def test_match_penalty_gram_form_matches_einsum():
+    # Gram-feature base values round differently from einsum in the last
+    # bits only: the selected base agrees except where two values tie
+    # within 1e-12 relative, and the penalty agrees to 1e-12 relative
+    compared = 0
+    for case, sys, spec, mats in _candidates():
+        if spec.K != sys.M:
+            continue
+        matching = {m.index: m.index for m in sys.modes}
+        pen = _MatchPenalty(sys, spec, matching, 40, seed=case)
+        rng = np.random.default_rng(case)
+        X = rng.standard_normal((16, sys.dim))
+        pen.add_counterexamples([(1 + s % spec.K, x) for s, x in enumerate(X)])
+        vals, want_base, want = ref_penalty_gaps(pen, mats)
+        srt = np.sort(vals, axis=1)
+        tied = np.any(np.diff(srt, axis=1) <= 1e-12 * np.abs(srt).max(axis=1)[:, None], axis=1)
+        _, got_base, _ = pen._residuals(mats)
+        assert np.array_equal(got_base[~tied], want_base[~tied])
+        got, _ = pen.value_and_grads(mats)
+        assert got == pen.value(mats)
+        assert abs(got - want) <= 1e-12 * np.abs(vals).max()
+        compared += int((~tied).sum())
+    assert compared > 4000
