@@ -547,19 +547,37 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
     report, not an error: the inequalities are bilinear and a miss
     does not prove infeasibility.  With as many bases as modes, mode i
     is steered to base i; otherwise every permutation is paired with
-    every mode.
+    every mode.  The budget is tested before any candidate is built, so
+    a zero budget returns not-found after 0 rounds at once.
     """
     _require_linear_conic(sys)
     opts = opts or SearchOptions()
     matching = {m.index: m.index for m in sys.modes} if sys.M == spec.K else None
     groups = build_groups(sys, spec, matching)
+    t0 = time.monotonic()
+    rounds_done = 0
+
+    def spent():
+        return time.monotonic() - t0 >= opts.time_budget
+
+    def not_found():
+        return SearchResult(
+            candidate=None,
+            report=None,
+            found=False,
+            rounds=rounds_done,
+            elapsed=time.monotonic() - t0,
+            message="budget exhausted without a verified candidate "
+            "(bilinear feasibility; not a proof of infeasibility)",
+        )
+
+    if spent():
+        return not_found()
     penalty = (
         _MatchPenalty(sys, spec, matching, MATCH_SAMPLES, opts.seed)
         if matching is not None
         else None
     )
-    t0 = time.monotonic()
-    rounds_done = 0
 
     def repair_matching(cand, max_steps=120):
         """Subgradient descent on the matching penalty until it hits zero."""
@@ -590,7 +608,7 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
         nonlocal rounds_done
         for round_no in range(SEARCH_ROUNDS):
             rounds_done += 1
-            if time.monotonic() - t0 > opts.time_budget:
+            if spent():
                 return
             for g in groups:
                 taus, beta = _optimize_group_multipliers(sys, cand, g, sweeps=2)
@@ -642,7 +660,7 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
             cand.taus[g.key] = (0.0,) * len(g.diffs)
             cand.betas[g.key] = 0.0
         for outer in range(4):
-            if time.monotonic() - t0 > opts.time_budget:
+            if spent():
                 break
             if not repair_matching(cand):
                 break
@@ -667,17 +685,9 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
             if not ces or penalty is None:
                 break
             penalty.add_counterexamples(ces)
-        if time.monotonic() - t0 > opts.time_budget:
+        if spent():
             break
-    return SearchResult(
-        candidate=None,
-        report=None,
-        found=False,
-        rounds=rounds_done,
-        elapsed=time.monotonic() - t0,
-        message="budget exhausted without a verified candidate "
-        "(bilinear feasibility; not a proof of infeasibility)",
-    )
+    return not_found()
 
 
 # ---------------------------------------------------------------------------
@@ -937,6 +947,10 @@ def sliding_exclusion(sys, policy=DEFAULT_POLICY, n_samples=10_000):
     _require_linear_conic(sys)
     if sys.M != 2:
         raise InvalidInputError("sliding_exclusion expects exactly two modes")
+    if n_samples < 1:
+        raise InvalidInputError(
+            f"sliding_exclusion needs at least one sample, got {n_samples}"
+        )
     Q1, Q2 = sys.modes[0].Q, sys.modes[1].Q
     if Q1 is None or Q2 is None:
         raise InvalidInputError("sliding_exclusion expects conic regions")

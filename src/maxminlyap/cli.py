@@ -10,6 +10,7 @@ a manifest hash and the seed.
 
 import argparse
 import hashlib
+import math
 import sys as _sys
 from dataclasses import dataclass
 
@@ -97,6 +98,24 @@ def _point(text, dim=None):
     if dim is not None and len(vals) != dim:
         raise InvalidInputError(f"point has {len(vals)} coordinates, expected {dim}")
     return np.array(vals)
+
+
+def _checked(convert, ok, rule):
+    """argparse type: ``convert`` the text, then require ``ok`` of the value."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+SAMPLE_COUNT = _checked(int, lambda n: n >= 1, "at least 1")
+RADIUS = _checked(float, lambda r: 0.0 < r < math.inf, "finite and positive")
+BUDGET = _checked(float, lambda b: 0.0 <= b < math.inf, "finite and not negative")
 
 
 def _write(path, text, manifest):
@@ -497,7 +516,7 @@ def build_parser():
 
     p = sub.add_parser("validate", help="parse a config and sample its partition")
     common(p)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=SAMPLE_COUNT, default=2000)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("phi", help="print the active-base table over orderings")
@@ -516,9 +535,9 @@ def build_parser():
 
     p = sub.add_parser("decrease", help="sampled decrease verification")
     common(p)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=SAMPLE_COUNT, default=100)
     p.add_argument("--rate", type=float, default=0.0)
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=RADIUS, default=1.0)
     p.add_argument("--clarke", action="store_true")
     p.set_defaults(fn=cmd_decrease)
 
@@ -536,13 +555,13 @@ def build_parser():
     p = sub.add_parser("certify", help="matrix-inequality certification")
     common(p)
     p.add_argument("--search", action="store_true")
-    p.add_argument("--budget", type=float, default=50.0)
+    p.add_argument("--budget", type=BUDGET, default=50.0)
     p.add_argument("--out", default=None, help="write the certificate here")
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("decompose", help="switching-surface factorization")
     common(p)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=SAMPLE_COUNT, default=10_000)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("reproduce", help="run a bundled benchmark end to end")

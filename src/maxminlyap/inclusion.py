@@ -46,8 +46,15 @@ class Mode:
         return ALL
 
     def field(self, x):
+        """Field at a point, or at each row of x[S, n] (S, n); a row rounds
+        as the point does (one matrix-vector product each)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            if self.A is not None:
+                return (self.A @ x[:, :, None])[:, :, 0]
+            return np.array([self.field(row) for row in x]).reshape(x.shape)
         if self.A is not None:
-            return self.A @ np.asarray(x, dtype=float)
+            return self.A @ x
         return np.array([ex.eval_expr(c, x) for c in self.f])
 
     def region_value(self, x):
@@ -86,6 +93,13 @@ class SwitchedSystem:
                 mode._grad_H = tuple(
                     ex.differentiate(mode.H, v) for v in range(1, dim + 1)
                 )
+        kinds = [m.region_kind for m in self.modes]
+        self._cones = [c for c, k in enumerate(kinds) if k == CONE]
+        self._exprs = [c for c, k in enumerate(kinds) if k == EXPR]
+        if self._cones:
+            self._cone_stack = np.stack([self.modes[c].Q for c in self._cones])
+        # closure band per mode: abs_tol * max(floor, |x|^2), see closure_mask
+        self._band_floor = np.array([0.0 if k == CONE else 1.0 for k in kinds])
 
     @property
     def M(self):
@@ -123,42 +137,38 @@ class SwitchedSystem:
     def field(self, i, x):
         return self.modes[i - 1].field(x)
 
+    def closure_mask(self, X, policy=DEFAULT_POLICY):
+        """Whether each mode's region closure contains each row of X[S, n],
+        shape (S, M), with a relative boundary band so exact-zero tests
+        are never required: a cone admits x'Qx >= -abs_tol |x|^2, an
+        expression region H(x) >= -abs_tol max(1, |x|^2)."""
+        X = np.asarray(X, dtype=float)
+        if not np.isfinite(X).all():
+            raise InvalidInputError("closure test: a point has non-finite entries")
+        norm2 = (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+        band = np.maximum(self._band_floor, norm2[:, None])
+        return self.region_values(X) >= -policy.abs_tol * band
+
     def index_set(self, x, policy=DEFAULT_POLICY):
-        """Modes whose region closure contains x, with a relative
-        boundary band so exact-zero tests are never required."""
+        """Modes whose region closure contains x: the one-row ``closure_mask``."""
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("index_set: point has non-finite entries")
-        norm2 = float(x @ x)
-        out = []
-        for mode in self.modes:
-            kind = mode.region_kind
-            if kind == ALL:
-                out.append(mode.index)
-            elif kind == CONE:
-                if mode.region_value(x) >= -policy.abs_tol * norm2:
-                    out.append(mode.index)
-            else:
-                band = policy.abs_tol * max(1.0, norm2)
-                if mode.region_value(x) >= -band:
-                    out.append(mode.index)
+        inside = self.closure_mask(x[None], policy)[0]
+        out = tuple(m.index for m, keep in zip(self.modes, inside.tolist()) if keep)
         if not out:
             raise PartitionError(
                 f"no region contains {x.tolist()}; the partition does not cover"
             )
-        return tuple(out)
+        return out
 
     def region_values(self, X):
         """Region function of every mode at each row of X[S, n], shape (S, M);
         whole-space modes read +inf, expression regions go point by point."""
         X = np.asarray(X, dtype=float)
         out = np.full((len(X), self.M), np.inf)
-        cones = [c for c, m in enumerate(self.modes) if m.region_kind == CONE]
-        if cones:
-            out[:, cones] = quad_forms(X, np.stack([self.modes[c].Q for c in cones]))
-        for c, mode in enumerate(self.modes):
-            if mode.region_kind == EXPR:
-                out[:, c] = [ex.eval_expr(mode.H, x) for x in X]
+        if self._cones:
+            out[:, self._cones] = quad_forms(X, self._cone_stack)
+        for c in self._exprs:
+            out[:, c] = [ex.eval_expr(self.modes[c].H, x) for x in X]
         return out
 
     def owners(self, X, threshold):

@@ -90,7 +90,11 @@ class QuadraticBasis:
         return quad_forms(x, self._stack)
 
     def gradient(self, k, x):
+        """Gradient of base k at a point, or at each row of x[S, n] (S, n);
+        a row rounds as the point does (one matrix-vector product each)."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return 2.0 * (self.matrices[k - 1] @ x[:, :, None])[:, :, 0]
         return 2.0 * (self.matrices[k - 1] @ x)
 
 
@@ -117,6 +121,9 @@ class ExprBasis:
         return np.array([ex.eval_expr(e, x) for e in self.exprs])
 
     def gradient(self, k, x):
+        """Gradient of base k at a point, or at each row of x[S, n] (S, n)."""
+        if np.ndim(x) == 2:
+            return np.array([self.gradient(k, row) for row in x]).reshape(np.shape(x))
         return np.array([ex.eval_expr(g, x) for g in self._grads[k - 1]])
 
 
@@ -186,12 +193,19 @@ def combine(spec, vals):
     return max(min(vals[k - 1] for k in fam) for fam in spec.families)
 
 
-def equal_value_indices(spec, basis, x, policy=DEFAULT_POLICY):
-    """Indices whose base value ties with V(x) (scale-aware tolerance)."""
-    vals = basis.values(x)
+def tie_mask(spec, basis, X, policy=DEFAULT_POLICY):
+    """Bases whose value ties with V (scale-aware tolerance) at each row of
+    X[S, n]: the mask (S, K), column k - 1 for base k, and V (S,)."""
+    vals = basis.values(X)
     v = combine(spec, vals)
-    tol = policy.abs_tol + policy.rel_tol * abs(v)
-    return tuple(k for k in range(1, spec.K + 1) if abs(vals[k - 1] - v) <= tol), v
+    tol = policy.abs_tol + policy.rel_tol * np.abs(v)
+    return np.abs(vals - v[:, None]) <= tol[:, None], v
+
+
+def equal_value_indices(spec, basis, x, policy=DEFAULT_POLICY):
+    """Indices whose base value ties with V(x): the one-row ``tie_mask``."""
+    mask, v = tie_mask(spec, basis, np.asarray(x, dtype=float)[None], policy)
+    return tuple(k for k, tied in enumerate(mask[0].tolist(), start=1) if tied), v[0]
 
 
 EXACT_SMOOTH = "exact-smooth"

@@ -361,6 +361,29 @@ def test_sliding_exclusion_requires_invertible_q():
         )
 
 
+def test_sliding_exclusion_requires_a_sample():
+    for n in (0, -5):
+        with pytest.raises(InvalidInputError):
+            sliding_exclusion(fixtures.example3_system(), POLICY, n_samples=n)
+
+
+def test_zero_budget_search_builds_no_candidate(monkeypatch):
+    # the budget is tested before the initial candidates (Lyapunov
+    # solves) and the match penalty are built
+    calls = []
+    monkeypatch.setattr(certifier, "solve_lyapunov", lambda A: calls.append(A))
+    monkeypatch.setattr(certifier, "_MatchPenalty", lambda *a: calls.append(a))
+    for sysm, spec in (
+        (fixtures.example1_system(), fixtures.example1_spec()),
+        (fixtures.example3_system(), fixtures.example3_spec()),
+    ):
+        res = search_condition_i(sysm, spec, POLICY, SearchOptions(time_budget=0))
+        assert not res.found
+        assert res.rounds == 0
+        assert res.candidate is None
+    assert calls == []
+
+
 def test_two_mode_report_benchmark():
     rep = check_condition_ii_2mode(
         fixtures.example3_system(),

@@ -303,6 +303,48 @@ def test_certify_search_output_is_deterministic(capsys):
     assert "# note: condition (i) candidate found by search in 1 round\n" in outs[0]
 
 
+@pytest.mark.parametrize("variant", ["rate0.3", "clarke"])
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_decrease_matches_golden_text(capsys, monkeypatch, name, variant):
+    # golden files hold the stdout of `decrease configs/<name>.cfg
+    # --samples 2000` at seed 0 from the per-point loop; batching the
+    # smooth samples must not move a single byte
+    monkeypatch.chdir(CONFIGS.parent)
+    flags = {"rate0.3": ["--rate", "0.3"], "clarke": ["--clarke"]}[variant]
+    argv = ["decrease", f"configs/{name}.cfg", "--samples", "2000", *flags]
+    code, out, _ = run(capsys, argv)
+    want = (GOLDEN / f"decrease_{name}_{variant}.txt").read_text()
+    assert out == want
+    assert code == (0 if " violations=0\n" in want else 1)
+
+
+COUNT = "argument --samples: must be at least 1, got "
+RADIUS = "argument --radius: must be finite and positive"
+BUDGET = "argument --budget: must be finite and not negative"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", EX1, "--samples", "0"], COUNT + "0"),
+        (["decrease", EX1, "--samples", "0"], COUNT + "0"),
+        (["decompose", EX3, "--samples", "0"], COUNT + "0"),
+        (["decompose", EX3, "--samples", "-5"], COUNT + "-5"),
+        (["decrease", EX1, "--radius", "nan"], RADIUS),
+        (["decrease", EX1, "--radius", "inf"], RADIUS),
+        (["decrease", EX1, "--radius", "0"], RADIUS),
+        (["decrease", EX1, "--radius", "-1"], RADIUS),
+        (["certify", EX1, "--budget", "nan"], BUDGET),
+        (["certify", EX1, "--budget", "-1"], BUDGET),
+    ],
+)
+def test_bad_sample_counts_radii_and_budgets_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("name", ["example1", "example3"])
 def test_certify_matches_golden_text(capsys, monkeypatch, name):
     # golden files hold the stdout of `certify configs/<name>.cfg` at seed 0;

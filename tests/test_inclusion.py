@@ -93,3 +93,76 @@ def test_linear_system_rejects_a_stacked_cone_matrix():
     Q = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(InvalidInputError, match="Q1 must be square"):
         SwitchedSystem.linear([-np.eye(2)], [np.stack([Q, Q])])
+
+
+def _index_set_by_mode(sysm, x, policy):
+    """The closure rule applied one mode at a time."""
+    norm2 = float(x @ x)
+    out = []
+    for mode in sysm.modes:
+        if mode.region_kind == "all":
+            out.append(mode.index)
+        elif mode.region_kind == "cone":
+            if mode.region_value(x) >= -policy.abs_tol * norm2:
+                out.append(mode.index)
+        elif mode.region_value(x) >= -policy.abs_tol * max(1.0, norm2):
+            out.append(mode.index)
+    return tuple(out)
+
+
+def _expr_region_system():
+    # example2's fields on the regions x2^2 > x1^2 and x1^2 > x2^2
+    # written as expressions, plus a whole-space mode
+    from maxminlyap.sysdsl.config import parse_expr_text
+
+    base = fixtures.example2_system(b=10.0)
+    H = ("x2*x2 - x1*x1", "x1*x1 - x2*x2")
+    modes = [
+        Mode(index=i + 1, f=m.f, H=parse_expr_text(h))
+        for i, (m, h) in enumerate(zip(base.modes, H))
+    ]
+    return SwitchedSystem(dim=2, modes=modes + [Mode(index=3, A=-np.eye(2))])
+
+
+def _boundary_and_band_points(D, rng, count=20):
+    """Unit points on x'Dx = 0 and points pushed off it to about c *
+    abs_tol |x|^2 on either side, c near the band edge 1."""
+    w, V = np.linalg.eigh(D)
+    pos, neg = w > 1e-12, w < -1e-12
+    out = []
+    for _ in range(count):
+        z = np.zeros(len(w))
+        for part, scale in ((pos, np.sqrt(w[pos])), (neg, np.sqrt(-w[neg]))):
+            u = rng.standard_normal(int(part.sum()))
+            z[part] = u / np.linalg.norm(u) / scale
+        x0 = V @ z
+        x0 /= np.linalg.norm(x0)
+        g = 2.0 * D @ x0
+        out.append(x0)
+        for c in (-2.0, -1.0 - 1e-7, -1.0, -1.0 + 1e-7, -0.5, 0.5, 1.0):
+            out.append(x0 + c * POLICY.abs_tol / float(g @ g) * g)
+    return out
+
+
+@pytest.mark.parametrize("name", ["example1", "example3", "expr-region"])
+def test_index_set_is_its_closure_mask_row(name):
+    sysm = {
+        "example1": fixtures.example1_system,
+        "example3": fixtures.example3_system,
+        "expr-region": _expr_region_system,
+    }[name]()
+    rng = np.random.default_rng(5)
+    X = [x / np.linalg.norm(x) for x in rng.standard_normal((200, sysm.dim))]
+    for mode in sysm.modes:
+        if mode.Q is not None:
+            X += _boundary_and_band_points(mode.Q, rng)
+    if name == "expr-region":
+        X += _boundary_and_band_points(np.diag([1.0, -1.0]), rng)
+    mask = sysm.closure_mask(np.array(X), POLICY)
+    on_edge = 0
+    for x, row in zip(X, mask):
+        want = _index_set_by_mode(sysm, x, POLICY)
+        assert sysm.index_set(x, POLICY) == want
+        assert tuple(m.index for m, keep in zip(sysm.modes, row) if keep) == want
+        on_edge += len(want) > 1 + (name == "expr-region")
+    assert on_edge > 0

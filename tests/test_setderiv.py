@@ -1,11 +1,15 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from maxminlyap import fixtures
+from maxminlyap import fixtures, setderiv
 from maxminlyap.errors import InvalidInputError
 from maxminlyap.inclusion import Mode, SwitchedSystem
-from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis
+from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, equal_value_indices
 from maxminlyap.policy import NumericPolicy
+from maxminlyap.sysdsl.config import parse_config
 from maxminlyap.setderiv import (
     EMPTY,
     FULL,
@@ -17,6 +21,7 @@ from maxminlyap.setderiv import (
 )
 
 POLICY = NumericPolicy()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_lambda_set_smooth_point_is_full_simplex():
@@ -300,3 +305,127 @@ def test_lie_derivative_many_modes_matches_brute_force_lp(m):
         assert lie.lo == pytest.approx(want[0], abs=1e-7)
         assert lie.hi == pytest.approx(want[1], abs=1e-7)
     assert nonempty >= 50
+
+
+def test_decrease_rejects_non_finite_and_misshapen_samples():
+    sys1 = fixtures.example1_system()
+    spec = fixtures.example1_spec()
+    basis = fixtures.example1_basis()
+    x = np.array([1.0, -1.2])
+    for bad in (
+        [x, np.array([np.nan, 1.0]), 2.0 * x],
+        [x, np.array([np.inf, 0.0])],
+        [np.ones(3)],
+        [x, np.ones(3)],
+    ):
+        with pytest.raises(InvalidInputError):
+            decrease_check(spec, basis, sys1, bad, rate=0.0, policy=POLICY)
+    # zero rows are left out, not rejected
+    report = decrease_check(spec, basis, sys1, [np.zeros(2), x], rate=0.0, policy=POLICY)
+    assert len(report.entries) == 1
+
+
+# example1's modes with non-quadratic bases
+EXPR_BASIS_CFG = (CONFIGS / "example1.cfg").read_text().split("[basis]")[0] + """
+[basis]
+V1 = 5*x1*x1 + x2*x2 + 0.1*atan(x1)*atan(x1)
+V2 = x1*x1 + 5*x2*x2
+V3 = 3*x1*x1 + 4*x1*x2 + 3*x2*x2 + 0.05*x1*x1*x1*x1
+
+[structure]
+S1 = {1, 2}
+S2 = {3}
+"""
+
+# example2 with its cones written as expression regions H(x) > 0
+EXPR_REGION_CFG = (
+    (CONFIGS / "example2.cfg")
+    .read_text()
+    .replace("Q = [[-1, 0], [0, 1]]", "H = x2*x2 - x1*x1")
+    .replace("Q = [[1, 0], [0, -1]]", "H = x1*x1 - x2*x2")
+)
+
+
+def _problem(name):
+    if name == "expr-basis":
+        text = EXPR_BASIS_CFG
+    elif name == "expr-region":
+        text = EXPR_REGION_CFG
+    else:
+        text = (CONFIGS / f"{name}.cfg").read_text()
+    parsed = parse_config(text)
+    basis = parsed.require_basis()
+    sysm = SwitchedSystem.from_config(parsed.require_system())
+    return basis.to_spec(), basis.to_basis(), sysm
+
+
+def _zero_set_points(D, count, rng):
+    """Points with x'Dx = 0 up to rounding, radii uniform in [0.5, 2]."""
+    w, V = np.linalg.eigh(D)
+    pos, neg = w > 1e-12, w < -1e-12
+    if not pos.any() or not neg.any():
+        return np.empty((0, len(w)))
+    Z = np.zeros((count, len(w)))
+    for part, scale in ((pos, np.sqrt(w[pos])), (neg, np.sqrt(-w[neg]))):
+        U = rng.standard_normal((count, int(part.sum())))
+        Z[:, part] = U / np.linalg.norm(U, axis=1, keepdims=True) / scale
+    X = Z @ V.T
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return rng.uniform(0.5, 2.0, (count, 1)) * X
+
+
+def _sphere_and_kink_points(basis, sysm, rng, sphere=200, per_surface=12):
+    """Shuffled unit-sphere points and points on every base-tie surface
+    (quadratic bases) and every cone boundary."""
+    X = rng.standard_normal((sphere, sysm.dim))
+    parts = [X / np.linalg.norm(X, axis=1, keepdims=True)]
+    mats = basis.matrices if isinstance(basis, QuadraticBasis) else []
+    surfaces = [P - R for i, P in enumerate(mats) for R in mats[i + 1 :]]
+    surfaces += [mode.Q for mode in sysm.modes if mode.Q is not None]
+    parts += [_zero_set_points(D, per_surface, rng) for D in surfaces]
+    pts = np.vstack(parts)
+    return pts[rng.permutation(len(pts))]
+
+
+def _bits(value):
+    return None if value is None else struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("use_clarke", [False, True], ids=["lie", "clarke"])
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "expr-basis", "expr-region"]
+)
+def test_decrease_entries_equal_per_point_derivatives_bitwise(name, rate, use_clarke):
+    spec, basis, sysm = _problem(name)
+    X = _sphere_and_kink_points(basis, sysm, np.random.default_rng(7))
+    report = decrease_check(spec, basis, sysm, X, rate, POLICY, use_clarke=use_clarke)
+    assert len(report.entries) == len(X)
+    for x, e in zip(X, report.entries):
+        bound = -rate * float(x @ x)
+        if use_clarke:
+            value = clarke_derivative(spec, basis, sysm, x, POLICY).hi
+        else:
+            lie = lie_derivative(spec, basis, sysm, x, POLICY)
+            value = None if lie.empty else lie.hi
+        assert np.array_equal(e.x, x)
+        assert _bits(e.value) == _bits(value)
+        assert _bits(e.bound) == _bits(bound)
+        assert e.ok is (value is None or value <= bound)
+
+
+def test_decrease_calls_lie_derivative_only_off_the_smooth_path(monkeypatch):
+    spec, basis, sysm = _problem("example1")
+    X = _sphere_and_kink_points(basis, sysm, np.random.default_rng(11))
+    off = [x for x in X if len(equal_value_indices(spec, basis, x, POLICY)[0]) != 1]
+    assert 0 < len(off) < len(X)
+    called = []
+    real = setderiv.lie_derivative
+
+    def wrapped(spec, basis, sys, x, policy):
+        called.append(np.array(x))
+        return real(spec, basis, sys, x, policy)
+
+    monkeypatch.setattr(setderiv, "lie_derivative", wrapped)
+    decrease_check(spec, basis, sysm, X, 0.0, POLICY)
+    np.testing.assert_array_equal(np.array(called), np.array(off))
