@@ -16,10 +16,12 @@ inequality families used in hand calculations.
 Condition (ii) covers the points where both the partition and the
 candidate are nonsmooth: in the plane, the switching lines are
 extracted by factoring each cone matrix into a rank-two symmetric
-outer product and checked one unit vector each; in R^n with two modes,
-sliding is ruled out by sampling the sign product of the two normal
-velocity components on the switching surface plus a full-rank test on
-base differences.
+outer product and checked one unit vector each, with the margin read
+off the same gradient-by-field product table (``setderiv.VertexTable``)
+as the Lie derivative, so it is what ``maxminlyap lie`` prints there;
+in R^n with two modes, sliding is ruled out by sampling the sign product
+of the two normal velocity components on the switching surface plus a
+full-rank test on base differences.
 
 The mode-to-permutation pairing assumes the candidate's active base
 agrees with the active mode region ("matched" pairing, required for
@@ -41,7 +43,6 @@ from .errors import InvalidInputError, PartitionError
 from .maxmin import (
     MaxMinSpec,
     QuadraticBasis,
-    active_indices,
     all_permutations,
     phi,
     realized_base,
@@ -51,7 +52,7 @@ from .numkernel import (
     eig_sym, negdef_margin, project_psd, quad_forms, row_norms, solve_lyapunov, sphere_points
 )
 from .policy import DEFAULT_POLICY
-from .setderiv import lambda_set
+from .setderiv import vertex_table
 
 MAX_BASES = 6
 MATCHING_SAMPLES = 2000  # unit directions behind a derived matching
@@ -888,9 +889,9 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
 
     Each switching line contributes one unit vector v.  Where the
     candidate is smooth at v the entry passes vacuously; otherwise the
-    equalizing weights for the two adjacent mode fields are computed,
-    and if any exist the decrease of the first essentially-active base
-    is required at every extreme weight.
+    equalizing weights for the two adjacent mode fields (in chain order)
+    are computed, and if any exist the margin, the upper end of the Lie
+    derivative at v, must be negative.
     """
     _require_linear_conic(sys)
     factors = cone_chain(sys)
@@ -900,25 +901,18 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
         v = factors.vs[pos]
         # wraps: line pos borders chain positions pos-1 and pos
         modes = (factors.order[pos - 1], factors.order[pos])
-        act = active_indices(spec, basis, v, policy)
+        table = vertex_table(spec, basis, sys, v, policy, modes)
         kind, vertices, worst = "smooth", (), None
-        if len(act.indices) > 1:
-            grads = [basis.gradient(k, v) for k in act.indices]
-            lam = lambda_set(grads, [sys.field(m, v) for m in modes], policy)
+        if len(table.hull.indices) > 1:
+            lam, lie = table.lie(policy)
             kind, vertices = lam.kind, lam.vertices
-            if not lam.is_empty:
-                P = cand.matrices[act.indices[0] - 1]
-                forms = [
-                    float(v @ (P @ sys.modes[m - 1].A + sys.modes[m - 1].A.T @ P) @ v)
-                    for m in modes
-                ]
-                worst = max(float(np.dot(forms, w)) for w in vertices)
+            worst = None if lie.empty else lie.hi
         entries.append(
             PlanarEntry(
                 position=pos + 1,
                 v=v,
                 modes=modes,
-                alpha=act.indices,
+                alpha=table.hull.indices,
                 lam_kind=kind,
                 lam_vertices=vertices,
                 margin=worst,

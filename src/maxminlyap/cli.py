@@ -86,11 +86,14 @@ def _load(path):
 
 def _numbers(text, what):
     try:
-        return [float(v) for v in text.split(",")]
+        vals = [float(v) for v in text.split(",")]
     except ValueError:
         raise InvalidInputError(
             f"{what} {text!r} is not a comma-separated list of numbers"
         ) from None
+    if not all(map(math.isfinite, vals)):
+        raise InvalidInputError(f"{what} {text!r} has a non-finite value")
+    return vals
 
 
 def _point(text, dim=None):
@@ -116,6 +119,7 @@ def _checked(convert, ok, rule):
 SAMPLE_COUNT = _checked(int, lambda n: n >= 1, "at least 1")
 RADIUS = _checked(float, lambda r: 0.0 < r < math.inf, "finite and positive")
 BUDGET = _checked(float, lambda b: 0.0 <= b < math.inf, "finite and not negative")
+RATE = _checked(float, math.isfinite, "finite")
 
 
 def _write(path, text, manifest):
@@ -286,8 +290,6 @@ def cmd_simulate(args):
                 raise InvalidInputError("--level needs a [basis] section in the config")
             value_fn = lambda p: evaluate(spec, basis, p)  # noqa: E731
             levels = tuple(_numbers(args.level, "--level"))
-            if not np.all(np.isfinite(levels)):
-                raise InvalidInputError(f"--level {args.level!r} has a non-finite value")
         svg = phase_portrait_svg(
             [coords],
             value_fn=value_fn,
@@ -536,7 +538,7 @@ def build_parser():
     p = sub.add_parser("decrease", help="sampled decrease verification")
     common(p)
     p.add_argument("--samples", type=SAMPLE_COUNT, default=100)
-    p.add_argument("--rate", type=float, default=0.0)
+    p.add_argument("--rate", type=RATE, default=0.0)
     p.add_argument("--radius", type=RADIUS, default=1.0)
     p.add_argument("--clarke", action="store_true")
     p.set_defaults(fn=cmd_decrease)

@@ -16,6 +16,7 @@ updated as the stages run).  Codimension-2 intersections and step
 underflow terminate with a stall status rather than an error.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -43,10 +44,11 @@ class SimOptions:
     policy: NumericPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise InvalidInputError("horizon must be positive")
-        if self.max_step <= 0:
-            raise InvalidInputError("max_step must be positive")
+        for name in ("horizon", "max_step"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidInputError(
+                    f"{name} must be finite and positive, got {getattr(self, name)}"
+                )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Switched-system model: regions, the closure index map, Filippov vertices.
+"""Switched-system model: regions, mode fields and the closure index map.
 
 A system is a finite list of modes, each with a vector field (a matrix
 for linear modes, expressions otherwise) and a region where it is
@@ -71,15 +71,6 @@ class Mode:
         if self.H is not None:
             return np.array([ex.eval_expr(g, x) for g in self._grad_H])
         return np.zeros(len(x))
-
-
-@dataclass(frozen=True)
-class FilippovSet:
-    """Modes adjacent to x and the corresponding field vertices; the
-    admissible velocity set is the convex hull of ``vertices``."""
-
-    indices: tuple
-    vertices: tuple
 
 
 class SwitchedSystem:
@@ -177,12 +168,6 @@ class SwitchedSystem:
         strict = self.region_values(X) > threshold
         index = np.array([m.index for m in self.modes])
         return np.where(strict.sum(axis=1) == 1, index[strict.argmax(axis=1)], 0)
-
-    def filippov_set(self, x, policy=DEFAULT_POLICY):
-        idx = self.index_set(x, policy)
-        return FilippovSet(
-            indices=idx, vertices=tuple(self.field(i, x) for i in idx)
-        )
 
     def validate_partition(self, policy=DEFAULT_POLICY, n_samples=10_000):
         """Sampled check of the covering / non-overlap assumption on the

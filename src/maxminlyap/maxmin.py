@@ -268,12 +268,6 @@ def realized_base(spec, vals):
     return np.where(tied, 0, selected_base(spec, vals))
 
 
-def _base_at(spec, basis, u):
-    """Active base at a single point u, or None on any value tie."""
-    rho = strict_ordering(basis.values(u))
-    return None if rho is None else phi(spec, rho)
-
-
 def active_indices(spec, basis, x, policy=DEFAULT_POLICY):
     """Essentially-active index set.
 
@@ -354,7 +348,9 @@ def _planar_sweep(spec, basis, x, policy):
             roots.extend(got)
 
     def phi_at(theta):
-        return _base_at(spec, basis, np.array([math.cos(theta), math.sin(theta)]))
+        """Active base at angle theta, or None on any value tie."""
+        rho = strict_ordering(basis.values(np.array([math.cos(theta), math.sin(theta)])))
+        return None if rho is None else phi(spec, rho)
 
     norm = float(np.linalg.norm(x))
     if norm <= policy.abs_tol:
@@ -402,13 +398,9 @@ def _sampled_active(spec, basis, x, policy):
             for j in range(i + 1, basis.K):
                 if np.abs(basis.matrices[i] - basis.matrices[j]).max() == 0.0:
                     warning = f"bases {i + 1} and {j + 1} are identical"
-    found = set()
-    for mult in (1.0, 2.0, 4.0):
-        r = base_r * mult
-        for d in dirs:
-            k = _base_at(spec, basis, x + r * d)
-            if k is not None:
-                found.add(k)
+    radii = base_r * np.array([1.0, 2.0, 4.0])
+    probes = (x + radii[:, None, None] * dirs).reshape(-1, basis.dim)
+    found = set(realized_base(spec, basis.values(probes)).tolist()) - {0}
     if not found:
         # every sample tied (degenerate basis); fall back to the realized
         # active index so the set is never empty

@@ -2,11 +2,12 @@
 
 At a point x the admissible velocities form the convex hull of the
 adjacent mode fields, parameterized by weights in the probability
-simplex.  The set-valued Lie derivative keeps only the weights for
-which every essentially-active base gradient sees the same directional
-value; those weights solve a small homogeneous linear system on the
-simplex.  The Clarke derivative drops that equalization and is the
-full (more conservative) interval of gradient/velocity products.
+simplex.  Both derivatives, and the certifier's planar margin, are read
+off one table of products grad V_k(x) . f_i(x) (``VertexTable``).  The
+set-valued Lie derivative keeps only the weights for which every
+essentially-active gradient sees the same directional value (a small
+homogeneous linear system on the simplex); the Clarke derivative is the
+full (more conservative) interval of the table entries.
 """
 
 import itertools
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalCheckError, InvalidInputError
-from .maxmin import active_indices, tie_mask
+from .maxmin import GradientHull, clarke_gradient, tie_mask
 from .policy import DEFAULT_POLICY
 
 EMPTY = "empty"
@@ -137,52 +138,64 @@ def _vertices_by_support(C, m, tol):
     return verts
 
 
+@dataclass(frozen=True)
+class VertexTable:
+    """The gradient vertices ``hull`` of V at x and the adjacent mode
+    ``fields`` there; both derivatives are read off their products."""
+
+    hull: GradientHull
+    fields: tuple
+
+    def products(self):
+        """grad V_k(x) . f_i(x): a row per active base, a column per mode."""
+        return np.array([[g @ f for f in self.fields] for g in self.hull.vertices])
+
+    def lie(self, policy=DEFAULT_POLICY):
+        """The equalizing weights, and the Lie set: the first table row at
+        each extreme weight (every other row must agree with it)."""
+        lam = lambda_set(self.hull.vertices, self.fields, policy)
+        if lam.is_empty:
+            return lam, LieSet.empty_set()
+        table = self.products()
+        tol = 100.0 * (policy.abs_tol + policy.rel_tol * max(1.0, float(np.abs(table).max())))
+        values = []
+        for w in lam.vertices:
+            per_grad = table @ w
+            spread = per_grad.max() - per_grad.min()
+            if spread > tol:
+                raise InternalCheckError(
+                    f"active gradients disagree on an equalized velocity (spread {spread:.3e}); "
+                    "the essentially-active set is over-approximated"
+                )
+            values.append(float(per_grad[0]))
+        lo, hi = int(np.argmin(values)), int(np.argmax(values))
+        verts = lam.vertices
+        return lam, LieSet(
+            empty=False, lo=values[lo], hi=values[hi], witness_lo=verts[lo], witness_hi=verts[hi]
+        )
+
+    def clarke(self):
+        """The interval spanned by the table entries."""
+        products = self.products().ravel().tolist()
+        return ClarkeSet(lo=min(products), hi=max(products))
+
+
+def vertex_table(spec, basis, sys, x, policy=DEFAULT_POLICY, modes=None):
+    """The ``VertexTable`` at x over ``modes`` (default: those adjacent to x)."""
+    x = np.asarray(x, dtype=float)
+    hull = clarke_gradient(spec, basis, x, policy)
+    modes = sys.index_set(x, policy) if modes is None else modes
+    return VertexTable(hull, tuple(sys.field(i, x) for i in modes))
+
+
 def lie_derivative(spec, basis, sys, x, policy=DEFAULT_POLICY):
     """Set-valued Lie derivative of the max-min function along the system."""
-    x = np.asarray(x, dtype=float)
-    act = active_indices(spec, basis, x, policy)
-    idx = sys.index_set(x, policy)
-    grads = [basis.gradient(k, x) for k in act.indices]
-    flds = [sys.field(i, x) for i in idx]
-    lam = lambda_set(grads, flds, policy)
-    if lam.is_empty:
-        return LieSet.empty_set()
-
-    objectives = np.array([[g @ f for f in flds] for g in grads])
-    scale = max(1.0, float(np.abs(objectives).max()))
-    tol = 100.0 * (policy.abs_tol + policy.rel_tol * scale)
-    values = []
-    for w in lam.vertices:
-        per_grad = objectives @ w
-        if per_grad.max() - per_grad.min() > tol:
-            raise InternalCheckError(
-                "active gradients disagree on an equalized velocity "
-                f"(spread {per_grad.max() - per_grad.min():.3e}); "
-                "the essentially-active set is over-approximated"
-            )
-        values.append(float(per_grad[0]))
-    values = np.array(values)
-    i_lo, i_hi = int(values.argmin()), int(values.argmax())
-    return LieSet(
-        empty=False,
-        lo=float(values[i_lo]),
-        hi=float(values[i_hi]),
-        witness_lo=lam.vertices[i_lo],
-        witness_hi=lam.vertices[i_hi],
-    )
+    return vertex_table(spec, basis, sys, x, policy).lie(policy)[1]
 
 
 def clarke_derivative(spec, basis, sys, x, policy=DEFAULT_POLICY):
     """Interval of products between gradient vertices and field vertices."""
-    x = np.asarray(x, dtype=float)
-    act = active_indices(spec, basis, x, policy)
-    idx = sys.index_set(x, policy)
-    products = [
-        float(basis.gradient(k, x) @ sys.field(i, x))
-        for k in act.indices
-        for i in idx
-    ]
-    return ClarkeSet(lo=min(products), hi=max(products))
+    return vertex_table(spec, basis, sys, x, policy).clarke()
 
 
 @dataclass

@@ -29,6 +29,7 @@ from maxminlyap.inclusion import SwitchedSystem
 from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, phi, strict_ordering
 from maxminlyap.numkernel import negdef_margin, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
+from maxminlyap.setderiv import lie_derivative
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 POLICY = NumericPolicy()
@@ -309,6 +310,28 @@ def test_planar_condition_ii_detects_increase():
         e.v @ (P @ Ahere + Ahere.T @ P) @ e.v
     )
     assert e.margin == pytest.approx(want, rel=1e-9)
+    # the margin is the Lie derivative's upper end at the line, and the
+    # weights follow the chain order of e.modes; scaling mode 1 makes the
+    # weights unequal, so a swapped order would show
+    basis = QuadraticBasis(cand.matrices)
+    sys_fast = SwitchedSystem.linear(
+        [-3.0 * A1, -A2], [-fixtures.EXAMPLE2_Q, fixtures.EXAMPLE2_Q]
+    )
+    for sysm in (sys_rev, sys_fast):
+        entries = planar_condition_ii(sysm, spec, cand, POLICY).entries
+        assert [e.lam_kind for e in entries] == ["point", "point"]
+        for e in entries:
+            lie = lie_derivative(spec, basis, sysm, e.v, POLICY)
+            if sysm is sys_rev:
+                assert e.margin == lie.hi
+            else:
+                assert e.margin == pytest.approx(lie.hi, rel=1e-12)
+            w = e.lam_vertices[0]
+            d = basis.gradient(e.alpha[0], e.v) - basis.gradient(e.alpha[1], e.v)
+            fields = [sysm.field(m, e.v) for m in e.modes]
+            assert abs(d @ (w[0] * fields[0] + w[1] * fields[1])) < 1e-12
+            if sysm is sys_fast:
+                assert abs(d @ (w[1] * fields[0] + w[0] * fields[1])) > 1.0
 
 
 def test_planar_condition_ii_vacuous_when_smooth():

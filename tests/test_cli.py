@@ -321,6 +321,10 @@ def test_decrease_matches_golden_text(capsys, monkeypatch, name, variant):
 COUNT = "argument --samples: must be at least 1, got "
 RADIUS = "argument --radius: must be finite and positive"
 BUDGET = "argument --budget: must be finite and not negative"
+SIM = ["simulate", EX1, "--from=-1,1"]
+POSITIVE = "must be finite and positive, got "
+TOLERANCE = "must be finite and not negative, got "
+NON_FINITE = "has a non-finite value"
 
 
 @pytest.mark.parametrize(
@@ -336,6 +340,19 @@ BUDGET = "argument --budget: must be finite and not negative"
         (["decrease", EX1, "--radius", "-1"], RADIUS),
         (["certify", EX1, "--budget", "nan"], BUDGET),
         (["certify", EX1, "--budget", "-1"], BUDGET),
+        (SIM + ["--horizon", "nan"], "horizon " + POSITIVE + "nan"),
+        (SIM + ["--horizon", "inf"], "horizon " + POSITIVE + "inf"),
+        (SIM + ["--horizon", "1", "--max-step", "nan"], "max_step " + POSITIVE + "nan"),
+        (SIM + ["--horizon", "1", "--max-step", "inf"], "max_step " + POSITIVE + "inf"),
+        (["certify", EX1, "--margin", "nan"], "margin " + TOLERANCE + "nan"),
+        (["certify", EX1, "--margin=-1e-6"], "margin " + TOLERANCE + "-1e-06"),
+        (["decrease", EX1, "--abs-tol", "inf"], "abs_tol " + TOLERANCE + "inf"),
+        (["lie", EX1, "--at", "1,-1", "--rel-tol", "nan"], "rel_tol " + TOLERANCE + "nan"),
+        (["grad", EX1, "--at", "nan,1"], NON_FINITE),
+        (["lie", EX1, "--at", "1,inf"], NON_FINITE),
+        (["simulate", EX1, "--from", "nan,1", "--horizon", "1"], NON_FINITE),
+        (["decrease", EX1, "--rate", "nan"], "argument --rate: must be finite, got nan"),
+        (["decrease", EX1, "--rate=-inf"], "argument --rate: must be finite, got -inf"),
     ],
 )
 def test_bad_sample_counts_radii_and_budgets_exit_2(capsys, argv, message):

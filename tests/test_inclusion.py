@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,20 @@ from maxminlyap.inclusion import Mode, SwitchedSystem
 from maxminlyap.policy import NumericPolicy
 
 POLICY = NumericPolicy()
+
+
+@dataclass(frozen=True)
+class FilippovSet:
+    """Modes adjacent to x and the corresponding field vertices; the
+    admissible velocity set is the convex hull of ``vertices``."""
+
+    indices: tuple
+    vertices: tuple
+
+
+def filippov_set(sysm, x, policy=POLICY):
+    idx = sysm.index_set(x, policy)
+    return FilippovSet(indices=idx, vertices=tuple(sysm.field(i, x) for i in idx))
 
 
 def test_index_set_strict_interior():
@@ -28,7 +44,7 @@ def test_index_set_on_switching_line():
 def test_filippov_interior_single_vertex():
     sys1 = fixtures.example1_system()
     x = np.array([1.0, -1.2])
-    fs = sys1.filippov_set(x, POLICY)
+    fs = filippov_set(sys1, x, POLICY)
     assert fs.indices == (1,)
     np.testing.assert_allclose(fs.vertices[0], fixtures.EXAMPLE1_A[0] @ x)
 
@@ -37,7 +53,7 @@ def test_filippov_vertices_on_sliding_line():
     # independent oracle: matrix-vector products of the two mode fields
     sys2 = fixtures.example2_system(b=0.0)
     x = np.array([1.0, 1.0])
-    fs = sys2.filippov_set(x, POLICY)
+    fs = filippov_set(sys2, x, POLICY)
     assert fs.indices == (1, 2)
     np.testing.assert_allclose(fs.vertices[0], [0.9, -5.1], atol=1e-12)
     np.testing.assert_allclose(fs.vertices[1], [-5.1, 0.9], atol=1e-12)
@@ -46,7 +62,7 @@ def test_filippov_vertices_on_sliding_line():
 def test_filippov_vertices_on_s13():
     sys1 = fixtures.example1_system()
     v1 = fixtures.EXAMPLE1_LINES["S13"]
-    fs = sys1.filippov_set(v1, POLICY)
+    fs = filippov_set(sys1, v1, POLICY)
     assert fs.indices == (1, 3)
     np.testing.assert_allclose(fs.vertices[0], fixtures.EXAMPLE1_A[0] @ v1)
     np.testing.assert_allclose(fs.vertices[1], fixtures.EXAMPLE1_A[2] @ v1)

@@ -17,10 +17,12 @@ from maxminlyap.maxmin import (
     MINMAX,
     MaxMinSpec,
     QuadraticBasis,
+    PERTURBATION_SAMPLED,
     _sampled_active,
     all_permutations,
     combine,
     dual_families,
+    equal_value_indices,
     phi,
     realized_base,
     selected_base,
@@ -179,10 +181,16 @@ def ref_penalty_gaps(pen, matrices):
 
 
 def ref_sampled_active(spec, basis, x, policy):
+    """Indices and warning of the per-point perturbation loop."""
     rng = np.random.default_rng(policy.seed)
     dirs = rng.standard_normal((64, basis.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     base_r = policy.rel_tol * max(1.0, float(np.linalg.norm(x)))
+    warning = None
+    for i, P in enumerate(basis.matrices):
+        for j, R in enumerate(basis.matrices[i + 1 :], start=i + 1):
+            if np.array_equal(P, R):
+                warning = f"bases {i + 1} and {j + 1} are identical"
     found = set()
     for mult in (1.0, 2.0, 4.0):
         for d in dirs:
@@ -190,7 +198,10 @@ def ref_sampled_active(spec, basis, x, policy):
             k = ref_realized(spec, [float(y @ P @ y) for P in basis.matrices])
             if k:
                 found.add(k)
-    return tuple(sorted(found))
+    if not found:
+        found = {equal_value_indices(spec, basis, x, policy)[0][0]}
+        warning = warning or "perturbation sampling found no strict ordering"
+    return tuple(sorted(found)), warning
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +383,38 @@ def test_match_penalty_points_match_point_loop():
         assert np.array_equal(pen.targets, targets)
 
 
+def _zero_set_points(D, count, rng):
+    """Points with x'Dx = 0 up to rounding, for an indefinite D."""
+    w, V = np.linalg.eigh(D)
+    Z = np.zeros((count, len(w)))
+    for part, scale in ((w > 0, np.sqrt(w[w > 0])), (w < 0, np.sqrt(-w[w < 0]))):
+        U = rng.standard_normal((count, int(part.sum())))
+        Z[:, part] = U / np.linalg.norm(U, axis=1, keepdims=True) / scale
+    return rng.uniform(0.5, 2.0, (count, 1)) * (Z @ V.T)
+
+
 def test_sampled_active_matches_point_loop():
     sys3_spec = fixtures.example3_spec()
+    ring = [np.array([np.cos(a), np.sin(a), 1.0]) for a in np.linspace(0.0, 2.0 * np.pi, 17)]
     basis = QuadraticBasis([np.diag([4.0, 4.0, 1.0]), np.diag([3.0, 3.0, 2.0])])
-    for spec in (sys3_spec, MaxMinSpec(K=2, families=((1, 2),), polarity=MINMAX)):
-        for a in np.linspace(0.0, 2.0 * np.pi, 17):
-            x = np.array([np.cos(a), np.sin(a), 1.0])
+    cases = [
+        (spec, basis, ring)
+        for spec in (sys3_spec, MaxMinSpec(K=2, families=((1, 2),), polarity=MINMAX))
+    ]
+    # example3 on both of its zero sets, x'(P1 - P2)x = 0 and x'Qx = 0
+    # (both read x1^2 + x2^2 = x3^2), just off them, where the probe radius
+    # decides, and a basis with two identical members (every probe ties)
+    basis3, rng = fixtures.example3_basis(), np.random.default_rng(23)
+    P1, P2 = basis3.matrices
+    for D in (P1 - P2, fixtures.example3_system().modes[0].Q):
+        on = _zero_set_points(D, 24, rng)
+        cases.append((sys3_spec, basis3, list(on) + list(on * [1.0 + 1e-7, 1.0 + 1e-7, 1.0])))
+    cases.append((sys3_spec, QuadraticBasis([P1, P1.copy()]), ring[:3]))
+    for spec, basis, points in cases:
+        for x in points:
             got = _sampled_active(spec, basis, x, POLICY)
-            assert got.indices == ref_sampled_active(spec, basis, x, POLICY)
+            assert (got.indices, got.warning) == ref_sampled_active(spec, basis, x, POLICY)
+            assert got.method == PERTURBATION_SAMPLED
 
 
 def test_match_penalty_gram_form_matches_einsum():

@@ -7,7 +7,7 @@ import pytest
 from maxminlyap import fixtures, setderiv
 from maxminlyap.errors import InvalidInputError
 from maxminlyap.inclusion import Mode, SwitchedSystem
-from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, equal_value_indices
+from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, active_indices, equal_value_indices
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.sysdsl.config import parse_config
 from maxminlyap.setderiv import (
@@ -22,6 +22,19 @@ from maxminlyap.setderiv import (
 
 POLICY = NumericPolicy()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _clarke_bits(spec, basis, sysm, x):
+    """Bytes of the Clarke interval, and of Python's min and max over every
+    gradient-vertex times field-vertex product, each evaluated on its own
+    (bases outer, modes inner)."""
+    cl = clarke_derivative(spec, basis, sysm, x, POLICY)
+    products = [
+        float(basis.gradient(k, x) @ sysm.field(i, x))
+        for k in active_indices(spec, basis, x, POLICY).indices
+        for i in sysm.index_set(x, POLICY)
+    ]
+    return (_bits(cl.lo), _bits(cl.hi)), (_bits(min(products)), _bits(max(products)))
 
 
 def test_lambda_set_smooth_point_is_full_simplex():
@@ -95,6 +108,9 @@ def test_clarke_absolute_value_interval():
     cl = clarke_derivative(spec, basis, sys_in, np.array([0.0]), POLICY)
     assert cl.lo == pytest.approx(-2.0)
     assert cl.hi == pytest.approx(2.0)
+    for sysm in (sys_in, fixtures.onedim_two_mode_system(1.0, 2.0)):
+        got, want = _clarke_bits(spec, basis, sysm, np.array([0.0]))
+        assert got == want
 
 
 def test_clarke_witness_on_s13():
@@ -107,6 +123,9 @@ def test_clarke_witness_on_s13():
     witness = float(v1 @ (P3 @ A1 + A1.T @ P3) @ v1)
     assert cl.hi >= witness - 1e-9
     assert witness == pytest.approx(8.65, abs=0.01)
+    for v in fixtures.EXAMPLE1_LINES.values():
+        got, want = _clarke_bits(spec, basis, sys1, v)
+        assert got == want
 
 
 def test_containment_lie_subset_clarke():
@@ -405,6 +424,8 @@ def test_decrease_entries_equal_per_point_derivatives_bitwise(name, rate, use_cl
         bound = -rate * float(x @ x)
         if use_clarke:
             value = clarke_derivative(spec, basis, sysm, x, POLICY).hi
+            got, want = _clarke_bits(spec, basis, sysm, x)
+            assert got == want
         else:
             lie = lie_derivative(spec, basis, sysm, x, POLICY)
             value = None if lie.empty else lie.hi
