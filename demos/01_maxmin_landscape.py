@@ -20,8 +20,7 @@ from maxminlyap.maxmin import (
 from maxminlyap.policy import NumericPolicy
 
 policy = NumericPolicy()
-spec = fixtures.example1_spec()
-basis = fixtures.example1_basis()
+_, spec, basis = fixtures.example("example1")
 
 print("structure: max over families of min over bases,", spec.families)
 print("dual form:", dual_families(spec.families), "(pointwise identical)\n")

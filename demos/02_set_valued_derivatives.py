@@ -10,15 +10,33 @@ notion certify systems the conservative one cannot.
 import numpy as np
 
 from maxminlyap import fixtures
+from maxminlyap.inclusion import SwitchedSystem
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import clarke_derivative, decrease_check, lie_derivative
+from maxminlyap.sysdsl.config import parse_config
 
 policy = NumericPolicy()
 
-# one-dimensional picture: V(x) = |x|, two constant fields meeting at 0
-spec1d, basis1d = fixtures.onedim_abs_spec_basis()
+# one-dimensional picture: V(x) = |x| = max{x, -x}, and two constant
+# fields meeting at 0, f1 on x < 0 and f2 on x > 0
+ONEDIM = """
+[system]
+dim = 1
+mode 1 {{ f = ({f1}); H = -x1 }}
+mode 2 {{ f = ({f2}); H = x1 }}
+
+[basis]
+V1 = x1
+V2 = -x1
+
+[structure]
+S1 = {{1}}
+S2 = {{2}}
+"""
 for f1, f2 in ((-1.0, 2.0), (1.0, 2.0)):
-    sysm = fixtures.onedim_two_mode_system(f1, f2)
+    parsed = parse_config(ONEDIM.format(f1=f1, f2=f2))
+    sysm = SwitchedSystem.from_config(parsed.system)
+    spec1d, basis1d = parsed.basis.to_spec(), parsed.basis.to_basis()
     lie = lie_derivative(spec1d, basis1d, sysm, np.array([0.0]), policy)
     cl = clarke_derivative(spec1d, basis1d, sysm, np.array([0.0]), policy)
     tight = "empty" if lie.empty else f"[{lie.lo:.3f}, {lie.hi:.3f}]"
@@ -30,9 +48,7 @@ for f1, f2 in ((-1.0, 2.0), (1.0, 2.0)):
 # planar benchmark: on the first switching line the tight set is empty
 # (no admissible velocity equalizes the two gradients), while the
 # conservative interval reaches up to +8.65
-sys1 = fixtures.example1_system()
-spec = fixtures.example1_spec()
-basis = fixtures.example1_basis()
+sys1, spec, basis = fixtures.example("example1")
 v1 = fixtures.EXAMPLE1_LINES["S13"]
 lie = lie_derivative(spec, basis, sys1, v1, policy)
 cl = clarke_derivative(spec, basis, sys1, v1, policy)

@@ -14,9 +14,7 @@ from maxminlyap.filippovsim import SimOptions, export_csv, simulate, sliding_lam
 from maxminlyap.svg import phase_portrait_svg
 from maxminlyap.maxmin import evaluate
 
-sysm = fixtures.example2_system(b=10.0)
-spec = fixtures.example2_spec()
-basis = fixtures.example2_basis()
+sysm, spec, basis = fixtures.example("example2")
 
 print("sliding weight along both switching lines (always one half):")
 for a in (0.2, 1.0, 4.0):

@@ -12,8 +12,7 @@ from maxminlyap.certreport import re_verify, serialize_certificate
 from maxminlyap.policy import NumericPolicy
 
 policy = NumericPolicy()
-sysm = fixtures.example1_system()
-spec = fixtures.example1_spec()
+sysm, spec, _ = fixtures.example("example1")
 
 print("== verification of the reference candidate ==")
 cert = certify(sysm, spec, fixtures.example1_candidate(), policy)

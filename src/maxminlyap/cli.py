@@ -370,8 +370,7 @@ def cmd_reproduce(args):
 
 def _reproduce_example1(args):
     policy = _policy_from(args)
-    sysm = fixtures.example1_system()
-    spec = fixtures.example1_spec()
+    sysm, spec, basis = fixtures.example("example1")
     cand = fixtures.example1_candidate()
 
     traj = simulate(
@@ -401,8 +400,8 @@ def _reproduce_example1(args):
     ok &= cond_i.ok
 
     v1 = fixtures.EXAMPLE1_LINES["S13"]
-    P3 = fixtures.EXAMPLE1_P[2]
-    A1 = fixtures.EXAMPLE1_A[0]
+    P3 = basis.matrices[2]
+    A1 = sysm.modes[0].A
     witness = float(v1 @ (P3 @ A1 + A1.T @ P3) @ v1)
     print(f"conservative-test witness at v1: {witness:.4f} (> 0)")
 
@@ -420,11 +419,9 @@ def _reproduce_example1(args):
 
 def _reproduce_example2(args):
     policy = _policy_from(args)
-    spec = fixtures.example2_spec()
-    basis = fixtures.example2_basis()
+    sysm, spec, basis = fixtures.example("example2")
     ok = True
 
-    sysm = fixtures.example2_system(b=10.0)
     lam_vals = []
     for a in (0.3, 1.0, 2.5):
         for line in (np.array([a, a]), np.array([a, -a])):
@@ -475,8 +472,7 @@ def _reproduce_example2(args):
 
 def _reproduce_example3(args):
     policy = _policy_from(args)
-    sysm = fixtures.example3_system()
-    spec = fixtures.example3_spec()
+    sysm, spec, _ = fixtures.example("example3")
     cand = fixtures.example3_candidate()
     cond_i = check_condition_i(sysm, spec, cand, policy)
     print("condition (i) margins:")

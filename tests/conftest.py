@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from maxminlyap import fixtures
+from maxminlyap.inclusion import Mode, SwitchedSystem
+from maxminlyap.sysdsl.config import parse_config, parse_expr_text
+
 
 def _planar_sign_criterion(g1, g2, f1, f2):
     """Two-gradient/two-field emptiness test: the equalizing weight
@@ -13,3 +17,35 @@ def _planar_sign_criterion(g1, g2, f1, f2):
 @pytest.fixture
 def planar_sign_criterion():
     return _planar_sign_criterion
+
+
+@pytest.fixture
+def example2_linear_system():
+    """The b = 0 linear part of example 2, on example 2's cones."""
+    Qs = [m.Q for m in fixtures.example("example2")[0].modes]
+    return SwitchedSystem.linear(
+        [np.array([[-0.1, 1.0], [-5.0, -0.1]]), np.array([[-0.1, -5.0], [1.0, -0.1]])], Qs
+    )
+
+
+@pytest.fixture
+def onedim_abs():
+    """(spec, basis) of V(x) = max{x, -x} = |x| over one state variable."""
+    basis = parse_config("[basis]\nV1 = x1\nV2 = -x1\n[structure]\nS1 = {1}\nS2 = {2}\n").basis
+    return basis.to_spec(), basis.to_basis()
+
+
+def _onedim_two_mode_system(f1, f2):
+    return SwitchedSystem(
+        dim=1,
+        modes=[
+            Mode(index=1, f=(parse_expr_text(repr(float(f1))),), H=parse_expr_text("-x1")),
+            Mode(index=2, f=(parse_expr_text(repr(float(f2))),), H=parse_expr_text("x1")),
+        ],
+    )
+
+
+@pytest.fixture
+def onedim_two_mode_system():
+    """Two constant-field modes meeting at the origin: f1 on x<0, f2 on x>0."""
+    return _onedim_two_mode_system

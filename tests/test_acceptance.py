@@ -39,8 +39,8 @@ def _report(num, description, ok):
 
 
 def test_criterion_01_half_turn_trajectory():
+    sys1 = fixtures.example("example1")[0]
     t0 = time.monotonic()
-    sys1 = fixtures.example1_system()
     traj = simulate(sys1, fixtures.EXAMPLE1_Z0, SimOptions(horizon=1.3, max_step=0.01))
     elapsed = time.monotonic() - t0
     ok = len(traj.crossings) >= 3
@@ -53,30 +53,22 @@ def test_criterion_01_half_turn_trajectory():
 
 
 def test_criterion_02_phi_table_exact():
-    spec = fixtures.example1_spec()
+    spec = fixtures.example("example1")[1]
     got = tuple(phi(spec, rho) for rho in all_permutations(3))
     _report(2, "selection table over all 6 orderings equals (3,3,3,3,1,2)",
             got == (3, 3, 3, 3, 1, 2))
 
 
 def test_criterion_03_condition_i_regression():
-    report = check_condition_i(
-        fixtures.example1_system(),
-        fixtures.example1_spec(),
-        fixtures.example1_candidate(),
-        POLICY,
-    )
+    sys1, spec1, _ = fixtures.example("example1")
+    report = check_condition_i(sys1, spec1, fixtures.example1_candidate(), POLICY)
     ok = len(report.margins) == 4 and all(m < -1e-6 for m in report.margins)
     _report(3, "four reduced inequalities strictly negative with reference multipliers", ok)
 
 
 def test_criterion_04_condition_ii_planar():
-    cert = certify(
-        fixtures.example1_system(),
-        fixtures.example1_spec(),
-        fixtures.example1_candidate(),
-        POLICY,
-    )
+    sys1, spec1, _ = fixtures.example("example1")
+    cert = certify(sys1, spec1, fixtures.example1_candidate(), POLICY)
     entries = cert.cond_ii.entries if cert.cond_ii_kind == "planar" else []
     ok = (
         cert.verdict == VERDICT_GAS
@@ -87,11 +79,9 @@ def test_criterion_04_condition_ii_planar():
 
 
 def test_criterion_05_conservative_test_witness():
-    sys1 = fixtures.example1_system()
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
+    sys1, spec, basis = fixtures.example("example1")
     v1 = fixtures.EXAMPLE1_LINES["S13"]
-    P3, A1 = fixtures.EXAMPLE1_P[2], fixtures.EXAMPLE1_A[0]
+    P3, A1 = basis.matrices[2], sys1.modes[0].A
     witness = float(v1 @ (P3 @ A1 + A1.T @ P3) @ v1)
     pts = [r * v1 for r in (0.5, 1.0, 2.0)]
     clarke_rep = decrease_check(spec, basis, sys1, pts, 0.0, POLICY, use_clarke=True)
@@ -101,9 +91,7 @@ def test_criterion_05_conservative_test_witness():
 
 
 def test_criterion_06_saturating_two_mode_example():
-    sys_b10 = fixtures.example2_system(b=10.0)
-    spec = fixtures.example2_spec()
-    basis = fixtures.example2_basis()
+    sys_b10, spec, basis = fixtures.example("example2")
     lam_ok = True
     for a in np.linspace(0.05, 3.0, 12):
         for x in (np.array([a, a]), np.array([a, -a])):
@@ -129,13 +117,12 @@ def test_criterion_06_saturating_two_mode_example():
 
 
 def test_criterion_07_three_dimensional_example():
+    sys3, spec3, basis3 = fixtures.example("example3")
     t0 = time.monotonic()
-    sys3 = fixtures.example3_system()
-    spec3 = fixtures.example3_spec()
     cand3 = fixtures.example3_candidate()
     rep = check_condition_i(sys3, spec3, cand3, POLICY)
     excl = sliding_exclusion(sys3, POLICY, n_samples=10_000)
-    rank = np.linalg.matrix_rank(fixtures.EXAMPLE3_P[0] - fixtures.EXAMPLE3_P[1])
+    rank = np.linalg.matrix_rank(basis3.matrices[0] - basis3.matrices[1])
     cert = certify(sys3, spec3, cand3, POLICY)
     elapsed = time.monotonic() - t0
     ok = (
@@ -148,12 +135,12 @@ def test_criterion_07_three_dimensional_example():
     _report(7, "3-D example: inequalities, exclusion, rank, GAS verdict, under 5s", ok)
 
 
-def test_criterion_08_absolute_value_sign_grid():
-    spec, basis = fixtures.onedim_abs_spec_basis()
+def test_criterion_08_absolute_value_sign_grid(onedim_abs, onedim_two_mode_system):
+    spec, basis = onedim_abs
     grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
     ok = True
     for f1, f2 in itertools.product(grid, grid):
-        sysm = fixtures.onedim_two_mode_system(f1, f2)
+        sysm = onedim_two_mode_system(f1, f2)
         x0 = np.array([0.0])
         cl = clarke_derivative(spec, basis, sysm, x0, POLICY)
         m = max(abs(f1), abs(f2))
@@ -167,11 +154,14 @@ def test_criterion_08_absolute_value_sign_grid():
 
 
 def test_criterion_09a_containment():
+    sys1, spec1, basis1 = fixtures.example("example1")
+    sys2, spec2, basis2 = fixtures.example("example2")
+    sys3, spec3, basis3 = fixtures.example("example3")
     rng = np.random.default_rng(101)
     cases = [
-        (fixtures.example1_spec(), fixtures.example1_basis(), fixtures.example1_system(), 2),
-        (fixtures.example2_spec(), fixtures.example2_basis(), fixtures.example2_system(10.0), 2),
-        (fixtures.example3_spec(), fixtures.example3_basis(), fixtures.example3_system(), 3),
+        (spec1, basis1, sys1, 2),
+        (spec2, basis2, sys2, 2),
+        (spec3, basis3, sys3, 3),
     ]
     ok = True
     for spec, basis, sysm, dim in cases:
@@ -191,8 +181,8 @@ def min_of_max(families, vals):
 
 
 def test_criterion_09b_dualize_pointwise():
+    spec = fixtures.example("example1")[1]
     rng = np.random.default_rng(102)
-    spec = fixtures.example1_spec()
     dual = dual_families(spec.families)
     ok = True
     for _ in range(10_000):
@@ -239,21 +229,15 @@ def test_criterion_09c_lambda_set_vs_grid():
 def test_criterion_09d_derivative_along_trajectories():
     from test_filippovsim import _dv_dt_in_lie_interval
 
-    sys1 = fixtures.example1_system()
+    sys1, spec1, basis1 = fixtures.example("example1")
+    sys2, spec2, basis2 = fixtures.example("example2")
+    sys3, spec3, basis3 = fixtures.example("example3")
     traj1 = simulate(sys1, fixtures.EXAMPLE1_Z0, SimOptions(horizon=1.3, max_step=0.005))
-    n1 = _dv_dt_in_lie_interval(
-        sys1, fixtures.example1_spec(), fixtures.example1_basis(), traj1, POLICY
-    )
-    sys2 = fixtures.example2_system(b=10.0)
+    n1 = _dv_dt_in_lie_interval(sys1, spec1, basis1, traj1, POLICY)
     traj2 = simulate(sys2, np.array([0.5, 0.0]), SimOptions(horizon=2.0, max_step=0.005))
-    n2 = _dv_dt_in_lie_interval(
-        sys2, fixtures.example2_spec(), fixtures.example2_basis(), traj2, POLICY
-    )
-    sys3 = fixtures.example3_system()
+    n2 = _dv_dt_in_lie_interval(sys2, spec2, basis2, traj2, POLICY)
     traj3 = simulate(sys3, np.array([1.0, 0.3, 0.4]), SimOptions(horizon=3.0, max_step=0.005))
-    n3 = _dv_dt_in_lie_interval(
-        sys3, fixtures.example3_spec(), fixtures.example3_basis(), traj3, POLICY
-    )
+    n3 = _dv_dt_in_lie_interval(sys3, spec3, basis3, traj3, POLICY)
     _report(9, "(d) dV/dt along example trajectories inside the tight interval",
             n1 > 100 and n2 > 100 and n3 > 100)
 
@@ -276,19 +260,13 @@ def test_criterion_09e_cone_factor_reconstruction():
 
 
 def test_criterion_10_search_self_consistency():
+    sys1, spec1, _ = fixtures.example("example1")
     t0 = time.monotonic()
-    res = search_condition_i(
-        fixtures.example1_system(),
-        fixtures.example1_spec(),
-        POLICY,
-        SearchOptions(time_budget=55.0),
-    )
+    res = search_condition_i(sys1, spec1, POLICY, SearchOptions(time_budget=55.0))
     elapsed = time.monotonic() - t0
     ok = res.found and elapsed < 60.0
     if ok:
-        fresh = check_condition_i(
-            fixtures.example1_system(), fixtures.example1_spec(), res.candidate, POLICY
-        )
+        fresh = check_condition_i(sys1, spec1, res.candidate, POLICY)
         ok = fresh.ok and fresh.matching is not None and all(
             m < -1e-6 for m in fresh.margins
         )

@@ -36,16 +36,8 @@ POLICY = NumericPolicy()
 IDENTITY_MATCHING = {1: 1, 2: 2, 3: 3}
 
 
-def example2_linear_system():
-    """The b = 0 linear part of example 2."""
-    return SwitchedSystem.linear(
-        list(fixtures.EXAMPLE2_A), [-fixtures.EXAMPLE2_Q, fixtures.EXAMPLE2_Q]
-    )
-
-
 def test_build_groups_reproduces_reduced_inequalities():
-    sys1 = fixtures.example1_system()
-    spec1 = fixtures.example1_spec()
+    sys1, spec1, _ = fixtures.example("example1")
     groups = build_groups(sys1, spec1, IDENTITY_MATCHING)
     keyed = {g.key: g for g in groups}
     assert len(groups) == 4
@@ -60,16 +52,15 @@ def test_build_groups_reproduces_reduced_inequalities():
 
 
 def test_condition_i_reference_margins():
-    sys1 = fixtures.example1_system()
-    spec1 = fixtures.example1_spec()
+    sys1, spec1, basis1 = fixtures.example("example1")
     cand = fixtures.example1_candidate()
     report = check_condition_i(sys1, spec1, cand, POLICY)
     assert report.matching == IDENTITY_MATCHING
     assert len(report.margins) == 4
     assert report.ok
     # independent recomputation of each reduced inequality
-    A1, A2, A3 = fixtures.EXAMPLE1_A
-    P1, P2, P3 = fixtures.EXAMPLE1_P
+    A1, A2, A3 = [m.A for m in sys1.modes]
+    P1, P2, P3 = basis1.matrices
     want = {
         (1, ((3, 1, 2),)): A1.T @ P1 + P1 @ A1 + 0.258 * (P1 - P3) + 0.102 * (P2 - P1),
         (2, ((3, 2, 1),)): A2.T @ P2 + P2 @ A2 + 0.258 * (P2 - P3) + 0.102 * (P1 - P2),
@@ -82,8 +73,7 @@ def test_condition_i_reference_margins():
 
 
 def test_condition_i_margin_by_pair_view():
-    sys1 = fixtures.example1_system()
-    spec1 = fixtures.example1_spec()
+    sys1, spec1, _ = fixtures.example("example1")
     report = check_condition_i(sys1, spec1, fixtures.example1_candidate(), POLICY)
     by_pair = {
         (g.mode, rho): m for g, m in zip(report.groups, report.margins) for rho in g.perms
@@ -95,8 +85,7 @@ def test_condition_i_margin_by_pair_view():
 def test_condition_i_unhelped_mode3_fails():
     # with P3 = I and no multipliers the third mode's inequality is the
     # symmetrized A3, whose margin reads off the diagonal as 3.8
-    sys1 = fixtures.example1_system()
-    spec1 = fixtures.example1_spec()
+    sys1, spec1, _ = fixtures.example("example1")
     cand = Candidate(matrices=[np.eye(2), 2 * np.eye(2), np.eye(2)])
     groups = build_groups(sys1, spec1, IDENTITY_MATCHING)
     margins = _margins(sys1, cand, groups)
@@ -107,8 +96,7 @@ def test_condition_i_unhelped_mode3_fails():
 def test_condition_i_soundness_sampled():
     # wherever a margin is negative, the plain quadratic decrease holds
     # on sampled points of the covered cones
-    sys1 = fixtures.example1_system()
-    spec1 = fixtures.example1_spec()
+    sys1, spec1, _ = fixtures.example("example1")
     cand = fixtures.example1_candidate()
     basis = QuadraticBasis(cand.matrices)
     report = check_condition_i(sys1, spec1, cand, POLICY)
@@ -134,8 +122,7 @@ def test_condition_i_soundness_sampled():
 
 
 def test_phi_consistency_inside_sampled_cones():
-    sys1 = fixtures.example1_system()
-    spec1 = fixtures.example1_spec()
+    sys1, spec1, _ = fixtures.example("example1")
     cand = fixtures.example1_candidate()
     basis = QuadraticBasis(cand.matrices)
     from maxminlyap.maxmin import active_indices
@@ -153,8 +140,7 @@ def test_phi_consistency_inside_sampled_cones():
 
 
 def test_checker_rejects_unsound_candidates():
-    sys1 = fixtures.example1_system()
-    spec1 = fixtures.example1_spec()
+    sys1, spec1, _ = fixtures.example("example1")
     indefinite = Candidate(
         matrices=[np.diag([1.0, -1.0]), np.eye(2), np.eye(2)]
     )
@@ -171,7 +157,7 @@ def test_checker_rejects_unsound_candidates():
 
 
 def test_complexity_refusal_beyond_six_bases():
-    sys1 = fixtures.example1_system()
+    sys1 = fixtures.example("example1")[0]
     spec = MaxMinSpec(K=7, families=tuple((k,) for k in range(1, 8)))
     cand = Candidate(matrices=[np.eye(2)] * 7)
     with pytest.raises(InvalidInputError, match="refusing"):
@@ -179,8 +165,7 @@ def test_complexity_refusal_beyond_six_bases():
 
 
 def test_example3_condition_i_reference_multipliers():
-    sys3 = fixtures.example3_system()
-    spec3 = fixtures.example3_spec()
+    sys3, spec3, _ = fixtures.example("example3")
     report = check_condition_i(sys3, spec3, fixtures.example3_candidate(), POLICY)
     assert report.ok
     margins = dict(zip((g.mode for g in report.groups), report.margins))
@@ -210,9 +195,10 @@ def test_q_cone_decompose_signature_matrix():
 
 
 def test_q_cone_decompose_benchmark_q3():
-    t1, t2 = q_cone_decompose(fixtures.EXAMPLE1_Q[2])
+    sys1 = fixtures.example("example1")[0]
+    t1, t2 = q_cone_decompose(sys1.modes[2].Q)
     rec = np.outer(t1, t2) + np.outer(t2, t1)
-    assert np.abs(rec - fixtures.EXAMPLE1_Q[2]).max() <= 1e-10
+    assert np.abs(rec - sys1.modes[2].Q).max() <= 1e-10
 
 
 def test_q_cone_decompose_random_reconstruction():
@@ -236,7 +222,7 @@ def test_q_cone_decompose_rejects_definite():
 
 
 def test_cone_chain_benchmark_lines():
-    sys1 = fixtures.example1_system()
+    sys1 = fixtures.example("example1")[0]
     factors = cone_chain(sys1)
     assert factors.order == (1, 2, 3)
     np.testing.assert_allclose(factors.vs[0], fixtures.EXAMPLE1_LINES["S13"], atol=1e-9)
@@ -246,9 +232,8 @@ def test_cone_chain_benchmark_lines():
     assert factors.thetas[0][0] >= 0
 
 
-def test_cone_chain_two_mode_double_cone():
-    sys2 = example2_linear_system()
-    factors = cone_chain(sys2)
+def test_cone_chain_two_mode_double_cone(example2_linear_system):
+    factors = cone_chain(example2_linear_system)
     assert len(factors.vs) == 2
     assert factors.wrap_sign == -1.0
     got = {tuple(np.round(v, 6)) for v in factors.vs}
@@ -257,8 +242,7 @@ def test_cone_chain_two_mode_double_cone():
 
 
 def test_planar_condition_ii_benchmark_all_empty():
-    sys1 = fixtures.example1_system()
-    spec1 = fixtures.example1_spec()
+    sys1, spec1, _ = fixtures.example("example1")
     report = planar_condition_ii(sys1, spec1, fixtures.example1_candidate(), POLICY)
     assert report.ok
     assert [e.lam_kind for e in report.entries] == ["empty", "empty", "empty"]
@@ -268,8 +252,7 @@ def test_planar_condition_ii_benchmark_all_empty():
 def test_planar_entries_agree_with_sign_criterion(planar_sign_criterion):
     # emptiness at each switching-line vector matches the two-field
     # normal-component product test
-    sys1 = fixtures.example1_system()
-    spec1 = fixtures.example1_spec()
+    sys1, spec1, _ = fixtures.example("example1")
     cand = fixtures.example1_candidate()
     basis = QuadraticBasis(cand.matrices)
     report = planar_condition_ii(sys1, spec1, cand, POLICY)
@@ -287,15 +270,14 @@ def test_planar_entries_agree_with_sign_criterion(planar_sign_criterion):
             assert product <= 1e-12
 
 
-def test_planar_condition_ii_detects_increase():
+def test_planar_condition_ii_detects_increase(example2_linear_system):
     # time-reversed double-cone system: sliding weights still exist but
     # the candidate grows along the tangent combination
-    A1, A2 = fixtures.EXAMPLE2_A
-    sys_rev = SwitchedSystem.linear(
-        [-A1, -A2], [-fixtures.EXAMPLE2_Q, fixtures.EXAMPLE2_Q]
-    )
-    spec = fixtures.example2_spec()
-    cand = Candidate(matrices=[P.copy() for P in fixtures.EXAMPLE2_P])
+    _, spec, basis2 = fixtures.example("example2")
+    A1, A2 = [m.A for m in example2_linear_system.modes]
+    Qs = [m.Q for m in example2_linear_system.modes]
+    sys_rev = SwitchedSystem.linear([-A1, -A2], Qs)
+    cand = Candidate(matrices=basis2.matrices)
     report = planar_condition_ii(sys_rev, spec, cand, POLICY)
     assert not report.ok
     bad = [e for e in report.entries if not e.ok]
@@ -303,7 +285,7 @@ def test_planar_condition_ii_detects_increase():
     # direct quadratic-form oracle at the failing line
     e = bad[0]
     lam = e.lam_vertices[0]
-    P = fixtures.EXAMPLE2_P[e.alpha[0] - 1]
+    P = basis2.matrices[e.alpha[0] - 1]
     Aprev = sys_rev.modes[e.modes[0] - 1].A
     Ahere = sys_rev.modes[e.modes[1] - 1].A
     want = lam[0] * float(e.v @ (P @ Aprev + Aprev.T @ P) @ e.v) + lam[1] * float(
@@ -314,9 +296,7 @@ def test_planar_condition_ii_detects_increase():
     # weights follow the chain order of e.modes; scaling mode 1 makes the
     # weights unequal, so a swapped order would show
     basis = QuadraticBasis(cand.matrices)
-    sys_fast = SwitchedSystem.linear(
-        [-3.0 * A1, -A2], [-fixtures.EXAMPLE2_Q, fixtures.EXAMPLE2_Q]
-    )
+    sys_fast = SwitchedSystem.linear([-3.0 * A1, -A2], Qs)
     for sysm in (sys_rev, sys_fast):
         entries = planar_condition_ii(sysm, spec, cand, POLICY).entries
         assert [e.lam_kind for e in entries] == ["point", "point"]
@@ -334,11 +314,11 @@ def test_planar_condition_ii_detects_increase():
                 assert abs(d @ (w[1] * fields[0] + w[0] * fields[1])) > 1.0
 
 
-def test_planar_condition_ii_vacuous_when_smooth():
+def test_planar_condition_ii_vacuous_when_smooth(example2_linear_system):
     # equal-value lines differ from the switching lines, so the
     # candidate is smooth at every switching line
-    sys2 = example2_linear_system()
-    spec = fixtures.example2_spec()
+    sys2 = example2_linear_system
+    spec = fixtures.example("example2")[1]
     # difference diag(2, -1): equal-value lines x2 = +/- sqrt(2) x1 miss
     # the switching lines x2 = +/- x1 entirely
     cand = Candidate(matrices=[np.diag([5.0, 1.0]), np.diag([3.0, 2.0])])
@@ -352,7 +332,8 @@ def test_planar_condition_ii_vacuous_when_smooth():
 
 
 def test_sliding_exclusion_benchmark_passes():
-    rep = sliding_exclusion(fixtures.example3_system(), POLICY, n_samples=10_000)
+    sys3 = fixtures.example("example3")[0]
+    rep = sliding_exclusion(sys3, POLICY, n_samples=10_000)
     assert rep.ok
     assert rep.min_product > 0
     # the product is constant 0.0075 on the whole surface for this system
@@ -368,9 +349,9 @@ def test_sliding_exclusion_degenerate_zero_product():
     assert not rep.ok
 
 
-def test_sliding_exclusion_fails_where_sliding_exists():
+def test_sliding_exclusion_fails_where_sliding_exists(example2_linear_system):
     Q = np.diag([1.0, -1.0])
-    sysm = SwitchedSystem.linear(list(fixtures.EXAMPLE2_A), [Q, -Q])
+    sysm = SwitchedSystem.linear([m.A for m in example2_linear_system.modes], [Q, -Q])
     rep = sliding_exclusion(sysm, POLICY, n_samples=4000)
     assert rep.min_product < 0
     assert not rep.ok
@@ -385,20 +366,23 @@ def test_sliding_exclusion_requires_invertible_q():
 
 
 def test_sliding_exclusion_requires_a_sample():
+    sys3 = fixtures.example("example3")[0]
     for n in (0, -5):
         with pytest.raises(InvalidInputError):
-            sliding_exclusion(fixtures.example3_system(), POLICY, n_samples=n)
+            sliding_exclusion(sys3, POLICY, n_samples=n)
 
 
 def test_zero_budget_search_builds_no_candidate(monkeypatch):
     # the budget is tested before the initial candidates (Lyapunov
     # solves) and the match penalty are built
+    sys1, spec1, _ = fixtures.example("example1")
+    sys3, spec3, _ = fixtures.example("example3")
     calls = []
     monkeypatch.setattr(certifier, "solve_lyapunov", lambda A: calls.append(A))
     monkeypatch.setattr(certifier, "_MatchPenalty", lambda *a: calls.append(a))
     for sysm, spec in (
-        (fixtures.example1_system(), fixtures.example1_spec()),
-        (fixtures.example3_system(), fixtures.example3_spec()),
+        (sys1, spec1),
+        (sys3, spec3),
     ):
         res = search_condition_i(sysm, spec, POLICY, SearchOptions(time_budget=0))
         assert not res.found
@@ -408,30 +392,26 @@ def test_zero_budget_search_builds_no_candidate(monkeypatch):
 
 
 def test_two_mode_report_benchmark():
-    rep = check_condition_ii_2mode(
-        fixtures.example3_system(),
-        fixtures.example3_spec(),
-        fixtures.example3_candidate(),
-        POLICY,
-    )
+    sys3, spec3, _ = fixtures.example("example3")
+    rep = check_condition_ii_2mode(sys3, spec3, fixtures.example3_candidate(), POLICY)
     assert rep.ok
     assert rep.rank_margins[(1, 2)] == pytest.approx(1.0)
 
 
 def test_two_mode_rank_failure():
+    sys3, spec3, _ = fixtures.example("example3")
     cand = Candidate(matrices=[np.diag([4.0, 4.0, 1.0]), np.diag([4.0, 4.0, 1.0])])
-    rep = check_condition_ii_2mode(
-        fixtures.example3_system(), fixtures.example3_spec(), cand, POLICY
-    )
+    rep = check_condition_ii_2mode(sys3, spec3, cand, POLICY)
     assert rep.rank_margins[(1, 2)] == 0.0
     assert not rep.ok
 
 
 def test_two_mode_exclusion_failure_reported():
-    A1 = fixtures.EXAMPLE3_A[0]
-    sysm = SwitchedSystem.linear([A1, -A1], [fixtures.EXAMPLE3_Q, -fixtures.EXAMPLE3_Q])
+    sys3, spec3, _ = fixtures.example("example3")
+    A1 = sys3.modes[0].A
+    sysm = SwitchedSystem.linear([A1, -A1], [m.Q for m in sys3.modes])
     rep = check_condition_ii_2mode(
-        sysm, fixtures.example3_spec(), fixtures.example3_candidate(), POLICY
+        sysm, spec3, fixtures.example3_candidate(), POLICY
     )
     assert not rep.exclusion.ok
     assert not rep.ok
@@ -442,12 +422,8 @@ def test_two_mode_exclusion_failure_reported():
 
 
 def test_certify_benchmark1_gas():
-    cert = certify(
-        fixtures.example1_system(),
-        fixtures.example1_spec(),
-        fixtures.example1_candidate(),
-        POLICY,
-    )
+    sys1, spec1, _ = fixtures.example("example1")
+    cert = certify(sys1, spec1, fixtures.example1_candidate(), POLICY)
     assert cert.verdict == VERDICT_GAS
     assert cert.cond_ii_kind == "planar"
 
@@ -455,6 +431,7 @@ def test_certify_benchmark1_gas():
 def test_certify_derives_the_matching_once(monkeypatch):
     # groups and matching depend on the bases alone, so completing the
     # multipliers reuses them and recomputes only the margins
+    sys1, spec1, _ = fixtures.example("example1")
     calls = []
     derive = certifier.derive_matching
 
@@ -462,7 +439,6 @@ def test_certify_derives_the_matching_once(monkeypatch):
         calls.append(args)
         return derive(*args, **kwargs)
 
-    sys1, spec1 = fixtures.example1_system(), fixtures.example1_spec()
     monkeypatch.setattr(certifier, "derive_matching", counted)
     cert = certify(sys1, spec1, fixtures.example1_candidate(), POLICY)
     assert len(calls) == 1
@@ -474,6 +450,7 @@ def test_certify_derives_the_matching_once(monkeypatch):
 def test_certify_search_reuses_the_search_report(monkeypatch):
     # the found candidate's condition (i) report comes from the search;
     # certify draws no further matching sample
+    sys1, spec1, _ = fixtures.example("example1")
     calls = []
     derive = certifier.derive_matching
 
@@ -481,7 +458,6 @@ def test_certify_search_reuses_the_search_report(monkeypatch):
         calls.append(args)
         return derive(*args, **kwargs)
 
-    sys1, spec1 = fixtures.example1_system(), fixtures.example1_spec()
     opts = SearchOptions(seed=0)
     monkeypatch.setattr(certifier, "derive_matching", counted)
     result = search_condition_i(sys1, spec1, POLICY, opts)
@@ -494,12 +470,8 @@ def test_certify_search_reuses_the_search_report(monkeypatch):
 
 
 def test_certify_benchmark3_gas():
-    cert = certify(
-        fixtures.example3_system(),
-        fixtures.example3_spec(),
-        fixtures.example3_candidate(),
-        POLICY,
-    )
+    sys3, spec3, _ = fixtures.example("example3")
+    cert = certify(sys3, spec3, fixtures.example3_candidate(), POLICY)
     assert cert.verdict == VERDICT_GAS
     assert cert.cond_ii_kind == "two-mode"
 
@@ -540,7 +512,7 @@ def test_search_unstable_mode_not_found():
 def test_scaled_candidate_scales_every_margin():
     # tau weighs base differences, so scaling the bases (and beta) by c
     # while tau stays scales every inequality matrix, and its margin, by c
-    sys1, spec1 = fixtures.example1_system(), fixtures.example1_spec()
+    sys1, spec1, _ = fixtures.example("example1")
     cand = fixtures.example1_candidate()
     groups = build_groups(sys1, spec1, IDENTITY_MATCHING)
     base = _margins(sys1, cand, groups)
@@ -556,8 +528,7 @@ def test_scaled_candidate_scales_every_margin():
 def test_search_honours_the_policy_margin(name, seed, margin, verdict):
     # the search rescales its candidate to the required margin; example3
     # stops at condition (i) because its exclusion product 0.0075 < 0.05
-    sysm = getattr(fixtures, f"{name}_system")()
-    spec = getattr(fixtures, f"{name}_spec")()
+    sysm, spec, _ = fixtures.example(name)
     policy = NumericPolicy(margin=margin, seed=seed)
     cert = certify(
         sysm, spec, None, policy, search=True,
@@ -589,10 +560,10 @@ def test_search_rounds_at_benchmark_seeds(name, seed, rounds):
     # iterates shows here before it moves the benchmark's search time.
     # The golden report pins the found candidate to the last digit, and
     # its note carries the round count.
-    sysm = getattr(fixtures, f"{name}_system")()
+    sysm, spec, _ = fixtures.example(name)
     cert = certify(
         sysm,
-        getattr(fixtures, f"{name}_spec")(),
+        spec,
         policy=NumericPolicy(seed=seed),
         search=True,
         search_opts=SearchOptions(seed=seed),
@@ -603,16 +574,10 @@ def test_search_rounds_at_benchmark_seeds(name, seed, rounds):
 
 
 def test_search_benchmark1_self_consistent():
-    res = search_condition_i(
-        fixtures.example1_system(),
-        fixtures.example1_spec(),
-        POLICY,
-        SearchOptions(time_budget=55.0),
-    )
+    sys1, spec1, _ = fixtures.example("example1")
+    res = search_condition_i(sys1, spec1, POLICY, SearchOptions(time_budget=55.0))
     assert res.found
-    fresh = check_condition_i(
-        fixtures.example1_system(), fixtures.example1_spec(), res.candidate, POLICY
-    )
+    fresh = check_condition_i(sys1, spec1, res.candidate, POLICY)
     assert fresh.ok
     assert fresh.matching is not None
     assert all(m < -1e-6 for m in fresh.margins)
@@ -620,9 +585,8 @@ def test_search_benchmark1_self_consistent():
 
 def test_complete_multipliers_from_bare_matrices():
     # the config path carries only the basis; multipliers are recovered
-    sys1 = fixtures.example1_system()
-    spec1 = fixtures.example1_spec()
-    bare = Candidate(matrices=[P.copy() for P in fixtures.EXAMPLE1_P])
+    sys1, spec1, basis1 = fixtures.example("example1")
+    bare = Candidate(matrices=basis1.matrices)
     report = check_condition_i(sys1, spec1, bare, POLICY)
     filled = complete_multipliers(sys1, bare, report, POLICY)
     report = check_condition_i(sys1, spec1, filled, POLICY)
@@ -630,16 +594,15 @@ def test_complete_multipliers_from_bare_matrices():
 
 
 def test_group_matrix_uses_candidate_multipliers():
-    sys1 = fixtures.example1_system()
-    spec1 = fixtures.example1_spec()
+    sys1, spec1, basis1 = fixtures.example("example1")
     cand = fixtures.example1_candidate()
     groups = build_groups(sys1, spec1, IDENTITY_MATCHING)
     g = [g for g in groups if g.key == (3, ((2, 3, 1),))][0]
     A3, P3, P2, P1 = (
-        fixtures.EXAMPLE1_A[2],
-        fixtures.EXAMPLE1_P[2],
-        fixtures.EXAMPLE1_P[1],
-        fixtures.EXAMPLE1_P[0],
+        sys1.modes[2].A,
+        basis1.matrices[2],
+        basis1.matrices[1],
+        basis1.matrices[0],
     )
     want = A3.T @ P3 + P3 @ A3 + 0.193 * (P3 - P2) + 0.090 * (P1 - P3)
     np.testing.assert_allclose(group_matrix(sys1, cand, g), want)
@@ -664,8 +627,7 @@ def test_pencil_margin_is_bitwise_the_group_margin():
     # once per group; it must give the bits of the term-by-term sum
     rng = np.random.default_rng(3)
     for name in ("example1", "example3"):
-        sysm = getattr(fixtures, f"{name}_system")()
-        spec = getattr(fixtures, f"{name}_spec")()
+        sysm, spec, _ = fixtures.example(name)
         groups = build_groups(sysm, spec)
         for _ in range(50):
             B = rng.standard_normal((spec.K, sysm.dim, sysm.dim))
@@ -690,35 +652,32 @@ def test_pencil_margin_is_bitwise_the_group_margin():
 
 def test_certify_accepts_dual_polarity_structures():
     # the min-of-max rendering of each benchmark certifies identically
+    sys1 = fixtures.example("example1")[0]
+    sys3 = fixtures.example("example3")[0]
     dual3 = MaxMinSpec(K=2, families=((1, 2),), polarity="minmax")
-    cert3 = certify(
-        fixtures.example3_system(), dual3, fixtures.example3_candidate(), POLICY
-    )
+    cert3 = certify(sys3, dual3, fixtures.example3_candidate(), POLICY)
     assert cert3.verdict == VERDICT_GAS
     dual1 = MaxMinSpec(K=3, families=((1, 3), (2, 3)), polarity="minmax")
-    cert1 = certify(
-        fixtures.example1_system(), dual1, fixtures.example1_candidate(), POLICY
-    )
+    cert1 = certify(sys1, dual1, fixtures.example1_candidate(), POLICY)
     assert cert1.verdict == VERDICT_GAS
     # the certificate states the stored max-of-min structure
-    sysm = fixtures.example1_system()
-    text = serialize_certificate(cert1, sysm)
+    text = serialize_certificate(cert1, sys1)
     assert "polarity = maxmin\nS1 = {3}\nS2 = {1, 2}\n" in text
     assert re_verify(text)[2]
 
 
 def test_certify_rotated_copies_of_benchmark():
     # congruence transforms change every margin value but no verdict
+    sys1, spec, basis1 = fixtures.example("example1")
     rng = np.random.default_rng(0)
-    spec = fixtures.example1_spec()
     for _ in range(4):
         t = rng.uniform(0, 2 * np.pi)
         R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
         sysr = SwitchedSystem.linear(
-            [R.T @ A @ R for A in fixtures.EXAMPLE1_A],
-            [R.T @ Q @ R for Q in fixtures.EXAMPLE1_Q],
+            [R.T @ m.A @ R for m in sys1.modes],
+            [R.T @ m.Q @ R for m in sys1.modes],
         )
-        cand = Candidate(matrices=[R.T @ P @ R for P in fixtures.EXAMPLE1_P])
+        cand = Candidate(matrices=[R.T @ P @ R for P in basis1.matrices])
         cert = certify(sysr, spec, cand, POLICY)
         assert cert.verdict == VERDICT_GAS
 
@@ -726,34 +685,36 @@ def test_certify_rotated_copies_of_benchmark():
 def test_certify_relabeled_modes_derives_matching():
     # cyclically shifted mode labels: the sampled matching is no longer
     # the identity, and the chain walk reorders the cones itself
+    sys1, spec1, basis1 = fixtures.example("example1")
     perm = [1, 2, 0]
     sysp = SwitchedSystem.linear(
-        [fixtures.EXAMPLE1_A[j] for j in perm],
-        [fixtures.EXAMPLE1_Q[j] for j in perm],
+        [sys1.modes[j].A for j in perm],
+        [sys1.modes[j].Q for j in perm],
     )
-    cand = Candidate(matrices=[P.copy() for P in fixtures.EXAMPLE1_P])
-    report = check_condition_i(sysp, fixtures.example1_spec(), cand, POLICY)
+    cand = Candidate(matrices=basis1.matrices)
+    report = check_condition_i(sysp, spec1, cand, POLICY)
     assert report.matching == {1: 2, 2: 3, 3: 1}
-    cert = certify(sysp, fixtures.example1_spec(), cand, POLICY)
+    cert = certify(sysp, spec1, cand, POLICY)
     assert cert.verdict == VERDICT_GAS
 
 
 def test_certify_rescaled_cone_matrices():
     # positive rescaling of each Q leaves the partition unchanged
-    Qs = [c * Q for c, Q in zip((0.3, 7.0, 2.5), fixtures.EXAMPLE1_Q)]
-    syss = SwitchedSystem.linear(list(fixtures.EXAMPLE1_A), Qs)
-    cand = Candidate(matrices=[P.copy() for P in fixtures.EXAMPLE1_P])
-    cert = certify(syss, fixtures.example1_spec(), cand, POLICY)
+    sys1, spec1, basis1 = fixtures.example("example1")
+    Qs = [c * Q for c, Q in zip((0.3, 7.0, 2.5), [m.Q for m in sys1.modes])]
+    syss = SwitchedSystem.linear([m.A for m in sys1.modes], Qs)
+    cand = Candidate(matrices=basis1.matrices)
+    cert = certify(syss, spec1, cand, POLICY)
     assert cert.verdict == VERDICT_GAS
 
 
 def test_certificate_roundtrip_reverification():
-    for make_sys, make_spec, make_cand in (
-        (fixtures.example1_system, fixtures.example1_spec, fixtures.example1_candidate),
-        (fixtures.example3_system, fixtures.example3_spec, fixtures.example3_candidate),
+    for name, make_cand in (
+        ("example1", fixtures.example1_candidate),
+        ("example3", fixtures.example3_candidate),
     ):
-        sysm = make_sys()
-        cert = certify(sysm, make_spec(), make_cand(), POLICY)
+        sysm, spec, _ = fixtures.example(name)
+        cert = certify(sysm, spec, make_cand(), POLICY)
         assert cert.verdict == VERDICT_GAS
         text = serialize_certificate(cert, sysm)
         fresh, stored, matches = re_verify(text)
@@ -768,8 +729,8 @@ def test_reverify_rejects_tampered_multipliers():
     # the first mode's inequality genuinely needs its cone multiplier
     # (the bare symmetrized product has a +0.4 eigenvalue), so zeroing
     # it in the report must flip the recomputed verdict
-    sysm = fixtures.example3_system()
-    cert = certify(sysm, fixtures.example3_spec(), fixtures.example3_candidate(), POLICY)
+    sysm, spec3, _ = fixtures.example("example3")
+    cert = certify(sysm, spec3, fixtures.example3_candidate(), POLICY)
     text = serialize_certificate(cert, sysm)
     tampered = text.replace("beta = 0.6", "beta = 0.0")
     assert tampered != text
@@ -783,10 +744,10 @@ def test_reverify_rejects_tampered_multipliers():
 def test_not_certified_report_reverifies():
     # a search that finds nothing writes an empty [basis]; re-verifying
     # the report must reproduce its verdict instead of failing to parse
-    sysm = fixtures.example1_system()
+    sysm, spec1, _ = fixtures.example("example1")
     cert = certify(
         sysm,
-        fixtures.example1_spec(),
+        spec1,
         policy=POLICY,
         search=True,
         search_opts=SearchOptions(time_budget=0),
@@ -810,7 +771,7 @@ def test_not_certified_report_reverifies():
     with pytest.raises(InvalidInputError, match="not both"):
         certify(
             sysm,
-            fixtures.example1_spec(),
+            spec1,
             fixtures.example1_candidate(),
             POLICY,
             search=True,

@@ -1,3 +1,4 @@
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -270,27 +271,34 @@ def test_decompose_two_mode(capsys):
     assert "no sliding" in out
 
 
-def test_reproduce_example1(capsys):
-    code, out, _ = run(capsys, ["reproduce", "example1"])
+def assert_reproduce_matches_golden(capsys, name):
+    # golden files hold the whole stdout of `reproduce <name>`
+    code, out, _ = run(capsys, ["reproduce", name])
     assert code == 0
-    assert "|z3| = 1.2672" in out
-    assert "contraction beta = 0.8960" in out
-    assert "verdict: GAS-certified" in out
-    assert "phi(3, 1, 2) = 1" in out
+    assert out == (GOLDEN / f"reproduce_{name}.txt").read_text()
+
+
+def test_reproduce_example1(capsys):
+    assert_reproduce_matches_golden(capsys, "example1")
 
 
 def test_reproduce_example2(capsys):
-    code, out, _ = run(capsys, ["reproduce", "example2"])
-    assert code == 0
-    assert "0.500000000000" in out
-    assert "local sliding convergence reproduced" in out
+    assert_reproduce_matches_golden(capsys, "example2")
 
 
 def test_reproduce_example3(capsys):
-    code, out, _ = run(capsys, ["reproduce", "example3"])
-    assert code == 0
-    assert "verdict: GAS-certified" in out
-    assert "min product" in out
+    assert_reproduce_matches_golden(capsys, "example3")
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_bundled_config_is_the_linked_file(name):
+    # configs/<name>.cfg links to the package copy that `reproduce`
+    # parses, so the two cannot drift apart
+    shipped = resources.files("maxminlyap") / "examples" / f"{name}.cfg"
+    linked = CONFIGS / f"{name}.cfg"
+    assert linked.is_symlink()
+    assert linked.resolve() == Path(str(shipped)).resolve()
+    assert linked.read_bytes() == shipped.read_bytes()
 
 
 def test_certify_search_output_is_deterministic(capsys):

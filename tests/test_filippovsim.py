@@ -52,7 +52,7 @@ def test_linear_modes_match_matrix_exponential():
 
 
 def test_benchmark_half_turn_numbers():
-    sys1 = fixtures.example1_system()
+    sys1 = fixtures.example("example1")[0]
     traj = simulate(sys1, fixtures.EXAMPLE1_Z0, SimOptions(horizon=1.3, max_step=0.01))
     assert len(traj.crossings) >= 3
     seq = [(c.from_mode, c.to_mode) for c in traj.crossings[:3]]
@@ -64,7 +64,7 @@ def test_benchmark_half_turn_numbers():
 
 
 def test_central_symmetry():
-    sys1 = fixtures.example1_system()
+    sys1 = fixtures.example("example1")[0]
     opts = SimOptions(horizon=1.0, max_step=0.01)
     plus = simulate(sys1, fixtures.EXAMPLE1_Z0, opts)
     minus = simulate(sys1, -fixtures.EXAMPLE1_Z0, opts)
@@ -75,14 +75,14 @@ def test_central_symmetry():
 
 
 def test_sliding_lambda_on_both_lines():
-    sys2 = fixtures.example2_system(b=10.0)
+    sys2 = fixtures.example("example2")[0]
     for a in (0.05, 0.4, 1.7, 5.0):
         assert sliding_lambda(sys2, np.array([a, a]), POLICY) == pytest.approx(0.5, abs=1e-9)
         assert sliding_lambda(sys2, np.array([a, -a]), POLICY) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_sliding_lambda_transversal_crossing_absent():
-    sys1 = fixtures.example1_system()
+    sys1 = fixtures.example("example1")[0]
     z0 = fixtures.EXAMPLE1_Z0  # both fields cross the line the same way
     assert sliding_lambda(sys1, z0, POLICY, pair=(1, 2)) is None
 
@@ -90,7 +90,7 @@ def test_sliding_lambda_transversal_crossing_absent():
 def test_diverging_sliding_far_out():
     # far out on the diverging line the tangent combination points away
     # from the origin, so the norm grows while sliding persists
-    sys2 = fixtures.example2_system(b=10.0)
+    sys2 = fixtures.example("example2")[0]
     x0 = project_to_surface(sys2, (1, 2), np.array([12.0, -12.0]))
     traj = simulate(sys2, x0, SimOptions(horizon=0.5, max_step=0.01))
     slid = [s for s in traj.samples if s.regime.kind == "sliding"]
@@ -99,7 +99,7 @@ def test_diverging_sliding_far_out():
 
 
 def test_converging_sliding_reaches_origin_neighborhood():
-    sys2 = fixtures.example2_system(b=10.0)
+    sys2 = fixtures.example("example2")[0]
     traj = simulate(sys2, np.array([0.5, 0.0]), SimOptions(horizon=3.0, max_step=0.01))
     assert traj.status == COMPLETED
     assert any(s.regime.kind == "sliding" for s in traj.samples)
@@ -107,7 +107,7 @@ def test_converging_sliding_reaches_origin_neighborhood():
 
 
 def test_sliding_samples_stay_on_surface():
-    sys2 = fixtures.example2_system(b=10.0)
+    sys2 = fixtures.example("example2")[0]
     opts = SimOptions(horizon=2.0, max_step=0.01)
     traj = simulate(sys2, np.array([0.5, 0.0]), opts)
     for s in traj.samples:
@@ -119,7 +119,7 @@ def test_sliding_samples_stay_on_surface():
 
 def test_sliding_tangency_residual():
     # the sliding velocity must be tangent to the surface
-    sys2 = fixtures.example2_system(b=10.0)
+    sys2 = fixtures.example("example2")[0]
     traj = simulate(sys2, np.array([0.5, 0.0]), SimOptions(horizon=2.0, max_step=0.01))
     for s in traj.samples:
         if s.regime.kind != "sliding" or s.regime.lam is None:
@@ -155,25 +155,21 @@ def _dv_dt_in_lie_interval(sysm, spec, basis, traj, policy):
 
 
 def test_dv_dt_lies_in_lie_interval_linear_benchmark():
-    sys1 = fixtures.example1_system()
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
+    sys1, spec, basis = fixtures.example("example1")
     traj = simulate(sys1, fixtures.EXAMPLE1_Z0, SimOptions(horizon=1.3, max_step=0.005))
     assert _dv_dt_in_lie_interval(sys1, spec, basis, traj, POLICY) > 100
 
 
 def test_dv_dt_lies_in_lie_interval_sliding_benchmark():
-    sys2 = fixtures.example2_system(b=10.0)
-    spec = fixtures.example2_spec()
-    basis = fixtures.example2_basis()
+    sys2, spec, basis = fixtures.example("example2")
     traj = simulate(sys2, np.array([0.5, 0.0]), SimOptions(horizon=2.0, max_step=0.005))
     assert _dv_dt_in_lie_interval(sys2, spec, basis, traj, POLICY) > 100
 
 
-def test_expression_region_sliding_in_one_dimension():
+def test_expression_region_sliding_in_one_dimension(onedim_two_mode_system):
     # constant fields pointing at each other across x = 0: the solution
     # reaches the surface and stays there (sliding weight one half)
-    sysm = fixtures.onedim_two_mode_system(1.0, -1.0)  # f=+1 on x<0, f=-1 on x>0
+    sysm = onedim_two_mode_system(1.0, -1.0)  # f=+1 on x<0, f=-1 on x>0
     traj = simulate(sysm, np.array([0.4]), SimOptions(horizon=1.0, max_step=0.01))
     assert traj.status == COMPLETED
     assert abs(traj.x_end[0]) <= 1e-8
@@ -182,7 +178,7 @@ def test_expression_region_sliding_in_one_dimension():
 
 
 def test_stall_at_codimension_two_start():
-    sys1 = fixtures.example1_system()
+    sys1 = fixtures.example("example1")[0]
     traj = simulate(sys1, np.zeros(2), SimOptions(horizon=1.0))
     assert traj.status == "stall"
 
@@ -195,9 +191,7 @@ def test_left_domain_status():
 
 
 def test_csv_schema_planar():
-    sys2 = fixtures.example2_system(b=10.0)
-    spec = fixtures.example2_spec()
-    basis = fixtures.example2_basis()
+    sys2, spec, basis = fixtures.example("example2")
     traj = simulate(sys2, np.array([0.5, 0.0]), SimOptions(horizon=1.0, max_step=0.05))
     text = export_csv(traj, spec, basis)
     lines = text.strip().split("\n")
@@ -210,9 +204,7 @@ def test_csv_schema_planar():
 
 
 def test_csv_three_dimensional_columns():
-    sys3 = fixtures.example3_system()
-    spec = fixtures.example3_spec()
-    basis = fixtures.example3_basis()
+    sys3, spec, basis = fixtures.example("example3")
     traj = simulate(sys3, np.array([1.0, 0.2, 0.3]), SimOptions(horizon=0.5, max_step=0.05))
     text = export_csv(traj, spec, basis)
     assert text.split("\n")[0] == "t,x1,x2,x3,regime,lambda,V"
@@ -234,9 +226,7 @@ def test_certified_candidate_decreases_along_trajectories():
     # along every simulated solution, sample to sample
     from maxminlyap.maxmin import evaluate
 
-    sys1 = fixtures.example1_system()
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
+    sys1, spec, basis = fixtures.example("example1")
     rng = np.random.default_rng(5)
     for _ in range(10):
         x0 = rng.standard_normal(2) * rng.uniform(0.5, 2.0)
@@ -250,7 +240,7 @@ def test_certified_candidate_decreases_along_trajectories():
 def test_runtime_budget_benchmark_half_turn():
     import time
 
-    sys1 = fixtures.example1_system()
+    sys1 = fixtures.example("example1")[0]
     t0 = time.monotonic()
     simulate(sys1, fixtures.EXAMPLE1_Z0, SimOptions(horizon=1.3, max_step=0.01))
     assert time.monotonic() - t0 < 1.0
@@ -289,7 +279,7 @@ def reference_simulate(monkeypatch, sysm, x0, opts):
 
 
 def seeded_runs(name):
-    sysm = {"example1": fixtures.example1_system, "example2": fixtures.example2_system}[name]()
+    sysm = fixtures.example(name)[0]
     rng = np.random.default_rng(11)
     for _ in range(6):
         yield sysm, rng.standard_normal(2) * rng.uniform(0.5, 2.0)
@@ -338,6 +328,7 @@ def test_mode_flow_before_first_event_is_unchanged(monkeypatch, name):
 def test_event_phase_steps(monkeypatch):
     # the bisection took 1713 Dormand-Prince steps inside event location
     # on this run; root-finding on the dense output needs a fifth of that
+    sys1 = fixtures.example("example1")[0]
     counts = {"all": 0, "event": 0}
     inside = [False]
     dp_step = filippovsim._dp_step
@@ -357,7 +348,7 @@ def test_event_phase_steps(monkeypatch):
 
     monkeypatch.setattr(filippovsim, "_dp_step", counted_step)
     monkeypatch.setattr(filippovsim._Sim, "_locate_event", flagged_locate)
-    traj = simulate(fixtures.example1_system(), fixtures.EXAMPLE1_Z0, SimOptions(horizon=20.0))
+    traj = simulate(sys1, fixtures.EXAMPLE1_Z0, SimOptions(horizon=20.0))
     assert traj.status == COMPLETED
     assert len(traj.crossings) == 55
     assert counts["event"] <= 1713 // 5
@@ -372,10 +363,11 @@ def ref_export_v(traj, spec, basis):
 def test_csv_v_column_matches_point_loop(polarity):
     # bases 1 and 2 are equal, so they tie at every sample, and
     # diag(5, 1) ties with diag(1, 5) on both diagonals
+    sys1 = fixtures.example("example1")[0]
     P, R = np.diag([5.0, 1.0]), np.diag([1.0, 5.0])
     basis = QuadraticBasis([P, P, R])
     spec = MaxMinSpec(K=3, families=((1, 3), (2,)), polarity=polarity)
-    traj = simulate(fixtures.example1_system(), fixtures.EXAMPLE1_Z0, SimOptions(horizon=3.0))
+    traj = simulate(sys1, fixtures.EXAMPLE1_Z0, SimOptions(horizon=3.0))
     regime = traj.samples[0].regime
     extra = [
         TrajSample(t=9.0, x=np.array(x), regime=regime)

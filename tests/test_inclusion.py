@@ -26,57 +26,58 @@ def filippov_set(sysm, x, policy=POLICY):
 
 
 def test_index_set_strict_interior():
-    sys3 = fixtures.example3_system()
+    sys3 = fixtures.example("example3")[0]
     assert sys3.index_set(np.array([1.0, 0.0, 0.0]), POLICY) == (1,)
 
 
 def test_index_set_on_signature_cone():
-    sys3 = fixtures.example3_system()
+    sys3 = fixtures.example("example3")[0]
     assert sys3.index_set(np.array([1.0, 0.0, 1.0]), POLICY) == (1, 2)
 
 
 def test_index_set_on_switching_line():
-    sys1 = fixtures.example1_system()
+    sys1 = fixtures.example("example1")[0]
     x = np.array([1.0, -1.0])  # x2 = -x1, shared by modes 1 and 2
     assert sys1.index_set(x, POLICY) == (1, 2)
 
 
 def test_filippov_interior_single_vertex():
-    sys1 = fixtures.example1_system()
+    sys1 = fixtures.example("example1")[0]
     x = np.array([1.0, -1.2])
     fs = filippov_set(sys1, x, POLICY)
     assert fs.indices == (1,)
-    np.testing.assert_allclose(fs.vertices[0], fixtures.EXAMPLE1_A[0] @ x)
+    np.testing.assert_allclose(fs.vertices[0], sys1.modes[0].A @ x)
 
 
-def test_filippov_vertices_on_sliding_line():
+def test_filippov_vertices_on_sliding_line(example2_linear_system):
     # independent oracle: matrix-vector products of the two mode fields
-    sys2 = fixtures.example2_system(b=0.0)
     x = np.array([1.0, 1.0])
-    fs = filippov_set(sys2, x, POLICY)
+    fs = filippov_set(example2_linear_system, x, POLICY)
     assert fs.indices == (1, 2)
     np.testing.assert_allclose(fs.vertices[0], [0.9, -5.1], atol=1e-12)
     np.testing.assert_allclose(fs.vertices[1], [-5.1, 0.9], atol=1e-12)
 
 
 def test_filippov_vertices_on_s13():
-    sys1 = fixtures.example1_system()
+    sys1 = fixtures.example("example1")[0]
     v1 = fixtures.EXAMPLE1_LINES["S13"]
     fs = filippov_set(sys1, v1, POLICY)
     assert fs.indices == (1, 3)
-    np.testing.assert_allclose(fs.vertices[0], fixtures.EXAMPLE1_A[0] @ v1)
-    np.testing.assert_allclose(fs.vertices[1], fixtures.EXAMPLE1_A[2] @ v1)
+    np.testing.assert_allclose(fs.vertices[0], sys1.modes[0].A @ v1)
+    np.testing.assert_allclose(fs.vertices[1], sys1.modes[2].A @ v1)
 
 
 def test_partition_sampling_benchmarks():
-    for sysm in (fixtures.example1_system(), fixtures.example3_system()):
+    sys1 = fixtures.example("example1")[0]
+    sys3 = fixtures.example("example3")[0]
+    for sysm in (sys1, sys3):
         violations, checked = sysm.validate_partition(POLICY, n_samples=10_000)
         assert checked == 10_000
         assert violations == []
 
 
 def test_cone_homogeneity_of_index_set():
-    sys1 = fixtures.example1_system()
+    sys1 = fixtures.example("example1")[0]
     rng = np.random.default_rng(2)
     for _ in range(200):
         x = rng.standard_normal(2)
@@ -131,7 +132,7 @@ def _expr_region_system():
     # written as expressions, plus a whole-space mode
     from maxminlyap.sysdsl.config import parse_expr_text
 
-    base = fixtures.example2_system(b=10.0)
+    base = fixtures.example("example2")[0]
     H = ("x2*x2 - x1*x1", "x1*x1 - x2*x2")
     modes = [
         Mode(index=i + 1, f=m.f, H=parse_expr_text(h))
@@ -162,11 +163,7 @@ def _boundary_and_band_points(D, rng, count=20):
 
 @pytest.mark.parametrize("name", ["example1", "example3", "expr-region"])
 def test_index_set_is_its_closure_mask_row(name):
-    sysm = {
-        "example1": fixtures.example1_system,
-        "example3": fixtures.example3_system,
-        "expr-region": _expr_region_system,
-    }[name]()
+    sysm = _expr_region_system() if name == "expr-region" else fixtures.example(name)[0]
     rng = np.random.default_rng(5)
     X = [x / np.linalg.norm(x) for x in rng.standard_normal((200, sysm.dim))]
     for mode in sysm.modes:

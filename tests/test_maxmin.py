@@ -26,7 +26,7 @@ POLICY = NumericPolicy()
 
 
 def test_phi_benchmark_table():
-    spec = fixtures.example1_spec()
+    spec = fixtures.example("example1")[1]
     want = {
         (1, 2, 3): 3,
         (1, 3, 2): 3,
@@ -111,33 +111,29 @@ def test_dualize_pointwise_equality():
 
 
 def test_eval_zero_at_origin():
-    basis = fixtures.example1_basis()
-    spec = fixtures.example1_spec()
+    _, spec, basis = fixtures.example("example1")
     assert evaluate(spec, basis, np.zeros(2)) == 0.0
 
 
 def test_eval_min_of_quadratics():
-    basis = fixtures.example2_basis()
-    spec = fixtures.example2_spec()
+    _, spec, basis = fixtures.example("example2")
     assert evaluate(spec, basis, np.array([1.0, 1.0])) == pytest.approx(6.0)
 
 
-def test_eval_absolute_value():
-    spec, basis = fixtures.onedim_abs_spec_basis()
+def test_eval_absolute_value(onedim_abs):
+    spec, basis = onedim_abs
     assert evaluate(spec, basis, np.array([-2.0])) == pytest.approx(2.0)
 
 
 def test_active_smooth_interior_point():
-    spec = fixtures.example2_spec()
-    basis = fixtures.example2_basis()
+    _, spec, basis = fixtures.example("example2")
     act = active_indices(spec, basis, np.array([1.0, 0.0]), POLICY)
     assert act.indices == (2,)
     assert act.method == EXACT_SMOOTH
 
 
 def test_active_on_equal_value_line():
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
+    _, spec, basis = fixtures.example("example1")
     v1 = fixtures.EXAMPLE1_LINES["S13"]
     act = active_indices(spec, basis, v1, POLICY)
     assert act.indices == (1, 3)
@@ -147,41 +143,38 @@ def test_active_on_equal_value_line():
     assert active_indices(spec, basis, v3, POLICY).indices == (2, 3)
 
 
-def test_active_absolute_value_kink():
-    spec, basis = fixtures.onedim_abs_spec_basis()
+def test_active_absolute_value_kink(onedim_abs):
+    spec, basis = onedim_abs
     act = active_indices(spec, basis, np.array([0.0]), POLICY)
     assert act.indices == (1, 2)
 
 
 def test_clarke_gradient_smooth():
-    spec = fixtures.example2_spec()
-    basis = fixtures.example2_basis()
+    _, spec, basis = fixtures.example("example2")
     hull = clarke_gradient(spec, basis, np.array([1.0, 0.0]), POLICY)
     assert hull.indices == (2,)
     np.testing.assert_allclose(hull.vertices[0], [2.0, 0.0])
 
 
 def test_clarke_gradient_benchmark_kink():
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
+    _, spec, basis = fixtures.example("example1")
     v1 = fixtures.EXAMPLE1_LINES["S13"]
     hull = clarke_gradient(spec, basis, v1, POLICY)
     assert hull.indices == (1, 3)
-    np.testing.assert_allclose(hull.vertices[0], 2.0 * fixtures.EXAMPLE1_P[0] @ v1)
-    np.testing.assert_allclose(hull.vertices[1], 2.0 * fixtures.EXAMPLE1_P[2] @ v1)
+    np.testing.assert_allclose(hull.vertices[0], 2.0 * basis.matrices[0] @ v1)
+    np.testing.assert_allclose(hull.vertices[1], 2.0 * basis.matrices[2] @ v1)
 
 
-def test_clarke_gradient_absolute_value():
-    spec, basis = fixtures.onedim_abs_spec_basis()
+def test_clarke_gradient_absolute_value(onedim_abs):
+    spec, basis = onedim_abs
     hull = clarke_gradient(spec, basis, np.array([0.0]), POLICY)
     got = sorted(float(v[0]) for v in hull.vertices)
     assert got == [-1.0, 1.0]
 
 
 def test_homogeneity_of_quadratic_maxmin():
+    _, spec, basis = fixtures.example("example1")
     rng = np.random.default_rng(21)
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
     for _ in range(50):
         x = rng.standard_normal(2)
         if np.linalg.norm(x) < 1e-3:
@@ -196,9 +189,8 @@ def test_homogeneity_of_quadratic_maxmin():
 
 
 def test_phi_consistency_at_strict_points():
+    _, spec, basis = fixtures.example("example1")
     rng = np.random.default_rng(22)
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
     for _ in range(300):
         x = rng.standard_normal(2)
         rho = strict_ordering(basis.values(x))
@@ -210,9 +202,8 @@ def test_phi_consistency_at_strict_points():
 
 def test_active_set_invariants_random():
     # nonempty, and contained in the equal-value tie set
+    _, spec, basis = fixtures.example("example1")
     rng = np.random.default_rng(23)
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
     from maxminlyap.maxmin import equal_value_indices
 
     for _ in range(200):
@@ -224,8 +215,7 @@ def test_active_set_invariants_random():
 
 
 def test_active_at_origin_covers_all_cones():
-    spec = fixtures.example2_spec()
-    basis = fixtures.example2_basis()
+    _, spec, basis = fixtures.example("example2")
     act = active_indices(spec, basis, np.zeros(2), POLICY)
     assert act.indices == (1, 2)
 
@@ -257,9 +247,8 @@ def test_phi_of_minmax_spec_picks_the_min_of_max_base():
 
 def test_minmax_evaluation_and_active():
     # dual representation evaluates identically and yields the same sets
-    spec = fixtures.example1_spec()
+    _, spec, basis = fixtures.example("example1")
     dual = MaxMinSpec(K=3, families=dual_families(spec.families), polarity=MINMAX)
-    basis = fixtures.example1_basis()
     rng = np.random.default_rng(31)
     for _ in range(100):
         x = rng.standard_normal(2)

@@ -306,8 +306,10 @@ def _mixed_system():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-9, 1e-6]))
 def test_region_values_and_owners_match_per_point(seed, threshold):
+    sys1 = fixtures.example("example1")[0]
+    sys3 = fixtures.example("example3")[0]
     X = np.random.default_rng(seed).standard_normal((30, 3))
-    for sys in (fixtures.example1_system(), _mixed_system(), fixtures.example3_system()):
+    for sys in (sys1, _mixed_system(), sys3):
         pts = X[:, : sys.dim]
         vals = sys.region_values(pts)
         want = [[m.region_value(x) for m in sys.modes] for x in pts]
@@ -320,10 +322,12 @@ def test_region_values_and_owners_match_per_point(seed, threshold):
 
 
 def _candidates():
+    sys1, spec1, _ = fixtures.example("example1")
+    sys3, spec3, _ = fixtures.example("example3")
     rng = np.random.default_rng(7)
     for case in range(24):
-        sys = fixtures.example1_system() if case % 2 == 0 else fixtures.example3_system()
-        spec = fixtures.example1_spec() if case % 2 == 0 else fixtures.example3_spec()
+        sys = sys1 if case % 2 == 0 else sys3
+        spec = spec1 if case % 2 == 0 else spec3
         if case % 4 >= 2:
             spec = MaxMinSpec(K=spec.K, families=dual_families(spec.families), polarity=MINMAX)
         mats = []
@@ -346,7 +350,7 @@ def test_derive_matching_matches_point_loop():
 
 
 def test_sliding_exclusion_matches_point_loop():
-    sys3 = fixtures.example3_system()
+    sys3 = fixtures.example("example3")[0]
     for seed in range(12):
         policy = NumericPolicy(seed=seed)
         got = sliding_exclusion(sys3, policy, n_samples=1500).min_product
@@ -354,11 +358,13 @@ def test_sliding_exclusion_matches_point_loop():
 
 
 def test_validate_partition_matches_point_loop():
+    sys1 = fixtures.example("example1")[0]
+    sys3 = fixtures.example("example3")[0]
     overlap = SwitchedSystem.linear(
         [-np.eye(2), -np.eye(2)],
         [np.array([[1.0, 0.0], [0.0, -0.5]]), np.array([[-1.0, 0.2], [0.2, 1.0]])],
     )
-    systems = [fixtures.example1_system(), fixtures.example3_system(), overlap, _mixed_system()]
+    systems = [sys1, sys3, overlap, _mixed_system()]
     for sys in systems:
         policy = NumericPolicy(seed=3)
         got, checked = sys.validate_partition(policy, n_samples=700)
@@ -369,11 +375,13 @@ def test_validate_partition_matches_point_loop():
 
 
 def test_match_penalty_points_match_point_loop():
+    sys1, spec1, _ = fixtures.example("example1")
+    sys3, spec3, _ = fixtures.example("example3")
     cases = [
-        (fixtures.example1_system(), fixtures.example1_spec(), 160),
-        (fixtures.example1_system(), fixtures.example1_spec(), 97),
-        (fixtures.example3_system(), fixtures.example3_spec(), 160),
-        (fixtures.example3_system(), fixtures.example3_spec(), 11),
+        (sys1, spec1, 160),
+        (sys1, spec1, 97),
+        (sys3, spec3, 160),
+        (sys3, spec3, 11),
     ]
     for sys, spec, n_per_mode in cases:
         matching = {m.index: m.index for m in sys.modes}
@@ -394,22 +402,21 @@ def _zero_set_points(D, count, rng):
 
 
 def test_sampled_active_matches_point_loop():
-    sys3_spec = fixtures.example3_spec()
+    sys3, spec3, basis3 = fixtures.example("example3")
     ring = [np.array([np.cos(a), np.sin(a), 1.0]) for a in np.linspace(0.0, 2.0 * np.pi, 17)]
-    basis = QuadraticBasis([np.diag([4.0, 4.0, 1.0]), np.diag([3.0, 3.0, 2.0])])
     cases = [
-        (spec, basis, ring)
-        for spec in (sys3_spec, MaxMinSpec(K=2, families=((1, 2),), polarity=MINMAX))
+        (spec, basis3, ring)
+        for spec in (spec3, MaxMinSpec(K=2, families=((1, 2),), polarity=MINMAX))
     ]
     # example3 on both of its zero sets, x'(P1 - P2)x = 0 and x'Qx = 0
     # (both read x1^2 + x2^2 = x3^2), just off them, where the probe radius
     # decides, and a basis with two identical members (every probe ties)
-    basis3, rng = fixtures.example3_basis(), np.random.default_rng(23)
+    rng = np.random.default_rng(23)
     P1, P2 = basis3.matrices
-    for D in (P1 - P2, fixtures.example3_system().modes[0].Q):
+    for D in (P1 - P2, sys3.modes[0].Q):
         on = _zero_set_points(D, 24, rng)
-        cases.append((sys3_spec, basis3, list(on) + list(on * [1.0 + 1e-7, 1.0 + 1e-7, 1.0])))
-    cases.append((sys3_spec, QuadraticBasis([P1, P1.copy()]), ring[:3]))
+        cases.append((spec3, basis3, list(on) + list(on * [1.0 + 1e-7, 1.0 + 1e-7, 1.0])))
+    cases.append((spec3, QuadraticBasis([P1, P1.copy()]), ring[:3]))
     for spec, basis, points in cases:
         for x in points:
             got = _sampled_active(spec, basis, x, POLICY)

@@ -43,10 +43,9 @@ def test_lambda_set_smooth_point_is_full_simplex():
     assert len(got.vertices) == 2
 
 
-def test_lambda_set_benchmark_half_half():
+def test_lambda_set_benchmark_half_half(example2_linear_system):
     # two active bases, two modes, equalization at weight one half
-    sys2 = fixtures.example2_system(b=0.0)
-    basis = fixtures.example2_basis()
+    sys2, basis = example2_linear_system, fixtures.example("example2")[2]
     x = np.array([1.0, 1.0])
     grads = [basis.gradient(1, x), basis.gradient(2, x)]
     fields = [sys2.field(1, x), sys2.field(2, x)]
@@ -56,8 +55,7 @@ def test_lambda_set_benchmark_half_half():
 
 
 def test_lambda_set_empty_on_every_switching_line():
-    sys1 = fixtures.example1_system()
-    basis = fixtures.example1_basis()
+    sys1, _, basis = fixtures.example("example1")
     adjacency = {"S13": (3, 1), "S21": (1, 2), "S32": (2, 3)}
     actives = {"S13": (1, 3), "S21": (1, 2), "S32": (2, 3)}
     for name, v in fixtures.EXAMPLE1_LINES.items():
@@ -75,12 +73,10 @@ def test_lambda_set_whole_simplex_when_rows_vanish():
 
 
 def test_lie_derivative_smooth_singleton():
-    sys1 = fixtures.example1_system()
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
+    sys1, spec, basis = fixtures.example("example1")
     x = np.array([1.0, -1.2])  # interior of mode 1, base 1 active
     lie = lie_derivative(spec, basis, sys1, x, POLICY)
-    want = float(basis.gradient(1, x) @ (fixtures.EXAMPLE1_A[0] @ x))
+    want = float(basis.gradient(1, x) @ (sys1.modes[0].A @ x))
     assert not lie.empty
     assert lie.lo == pytest.approx(want)
     assert lie.hi == pytest.approx(want)
@@ -91,35 +87,33 @@ def test_lie_derivative_smooth_singleton():
     assert cl.hi == pytest.approx(want)
 
 
-def test_lie_absolute_value_cases():
-    spec, basis = fixtures.onedim_abs_spec_basis()
-    sys_in = fixtures.onedim_two_mode_system(-1.0, 2.0)
+def test_lie_absolute_value_cases(onedim_abs, onedim_two_mode_system):
+    spec, basis = onedim_abs
+    sys_in = onedim_two_mode_system(-1.0, 2.0)
     lie = lie_derivative(spec, basis, sys_in, np.array([0.0]), POLICY)
     assert not lie.empty
     assert lie.lo == pytest.approx(0.0, abs=1e-12)
     assert lie.hi == pytest.approx(0.0, abs=1e-12)
-    sys_out = fixtures.onedim_two_mode_system(1.0, 2.0)
+    sys_out = onedim_two_mode_system(1.0, 2.0)
     assert lie_derivative(spec, basis, sys_out, np.array([0.0]), POLICY).empty
 
 
-def test_clarke_absolute_value_interval():
-    spec, basis = fixtures.onedim_abs_spec_basis()
-    sys_in = fixtures.onedim_two_mode_system(-1.0, 2.0)
+def test_clarke_absolute_value_interval(onedim_abs, onedim_two_mode_system):
+    spec, basis = onedim_abs
+    sys_in = onedim_two_mode_system(-1.0, 2.0)
     cl = clarke_derivative(spec, basis, sys_in, np.array([0.0]), POLICY)
     assert cl.lo == pytest.approx(-2.0)
     assert cl.hi == pytest.approx(2.0)
-    for sysm in (sys_in, fixtures.onedim_two_mode_system(1.0, 2.0)):
+    for sysm in (sys_in, onedim_two_mode_system(1.0, 2.0)):
         got, want = _clarke_bits(spec, basis, sysm, np.array([0.0]))
         assert got == want
 
 
 def test_clarke_witness_on_s13():
-    sys1 = fixtures.example1_system()
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
+    sys1, spec, basis = fixtures.example("example1")
     v1 = fixtures.EXAMPLE1_LINES["S13"]
     cl = clarke_derivative(spec, basis, sys1, v1, POLICY)
-    P3, A1 = fixtures.EXAMPLE1_P[2], fixtures.EXAMPLE1_A[0]
+    P3, A1 = basis.matrices[2], sys1.modes[0].A
     witness = float(v1 @ (P3 @ A1 + A1.T @ P3) @ v1)
     assert cl.hi >= witness - 1e-9
     assert witness == pytest.approx(8.65, abs=0.01)
@@ -129,11 +123,14 @@ def test_clarke_witness_on_s13():
 
 
 def test_containment_lie_subset_clarke():
+    sys1, spec1, basis1 = fixtures.example("example1")
+    sys2, spec2, basis2 = fixtures.example("example2")
+    sys3, spec3, basis3 = fixtures.example("example3")
     rng = np.random.default_rng(17)
     cases = [
-        (fixtures.example1_spec(), fixtures.example1_basis(), fixtures.example1_system(), 2),
-        (fixtures.example2_spec(), fixtures.example2_basis(), fixtures.example2_system(10.0), 2),
-        (fixtures.example3_spec(), fixtures.example3_basis(), fixtures.example3_system(), 3),
+        (spec1, basis1, sys1, 2),
+        (spec2, basis2, sys2, 2),
+        (spec3, basis3, sys3, 3),
     ]
     for spec, basis, sysm, dim in cases:
         for _ in range(1000):
@@ -230,9 +227,7 @@ def test_lambda_set_matches_brute_force_grid():
 
 
 def test_decrease_on_converging_line():
-    sys2 = fixtures.example2_system(b=10.0)
-    spec = fixtures.example2_spec()
-    basis = fixtures.example2_basis()
+    sys2, spec, basis = fixtures.example("example2")
     pts = [np.array([a, a]) for a in np.linspace(0.05, 2.0, 100)]
     report = decrease_check(spec, basis, sys2, pts, rate=12.5, policy=POLICY)
     assert report.ok
@@ -240,9 +235,7 @@ def test_decrease_on_converging_line():
 
 
 def test_decrease_clarke_flags_s13_but_lie_does_not():
-    sys1 = fixtures.example1_system()
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
+    sys1, spec, basis = fixtures.example("example1")
     pts = [r * fixtures.EXAMPLE1_LINES["S13"] for r in (0.5, 1.0, 2.0)]
     clarke_report = decrease_check(
         spec, basis, sys1, pts, rate=0.0, policy=POLICY, use_clarke=True
@@ -254,9 +247,7 @@ def test_decrease_clarke_flags_s13_but_lie_does_not():
 
 
 def test_decrease_rejects_empty_sample_set():
-    sys1 = fixtures.example1_system()
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
+    sys1, spec, basis = fixtures.example("example1")
     with pytest.raises(InvalidInputError):
         decrease_check(spec, basis, sys1, [np.zeros(2)], rate=1.0, policy=POLICY)
 
@@ -264,9 +255,7 @@ def test_decrease_rejects_empty_sample_set():
 def test_lie_values_agree_across_active_gradients():
     # the equalized velocity must give one value through every active
     # gradient; exercised on the sliding line where two bases tie
-    sys2 = fixtures.example2_system(b=10.0)
-    spec = fixtures.example2_spec()
-    basis = fixtures.example2_basis()
+    sys2, spec, basis = fixtures.example("example2")
     for a in (0.2, 1.0, 3.0):
         lie = lie_derivative(spec, basis, sys2, np.array([a, a]), POLICY)
         assert not lie.empty
@@ -327,9 +316,7 @@ def test_lie_derivative_many_modes_matches_brute_force_lp(m):
 
 
 def test_decrease_rejects_non_finite_and_misshapen_samples():
-    sys1 = fixtures.example1_system()
-    spec = fixtures.example1_spec()
-    basis = fixtures.example1_basis()
+    sys1, spec, basis = fixtures.example("example1")
     x = np.array([1.0, -1.2])
     for bad in (
         [x, np.array([np.nan, 1.0]), 2.0 * x],

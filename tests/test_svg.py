@@ -58,7 +58,7 @@ def _grids():
     yield rng.integers(0, 3, (23, 17)).astype(float), xs, ys, 1.0
     yield rng.standard_normal((23, 17)), xs, ys, 0.0
     yield np.array([[1.0, 0.0], [0.0, 1.0]]), xs[:2], ys[:2], 0.5  # one saddle
-    spec, basis = fixtures.example1_spec(), fixtures.example1_basis()
+    _, spec, basis = fixtures.example("example1")
     xs, ys = np.linspace(-2.0, 2.0, 41), np.linspace(-1.5, 2.5, 37)
     vals = np.array([[evaluate(spec, basis, np.array([x, y])) for y in ys] for x in xs])
     for level in (0.5, 2.0, 6.0):
@@ -74,7 +74,7 @@ def test_marching_squares_matches_cell_loop(vals, xs, ys, level):
 
 
 def test_portrait_text_matches_cell_loop(monkeypatch):
-    spec, basis = fixtures.example1_spec(), fixtures.example1_basis()
+    _, spec, basis = fixtures.example("example1")
     traj = [np.array([np.cos(a), 1.3 * np.sin(a)]) for a in np.linspace(0.0, 6.0, 50)]
 
     def portrait():
@@ -111,11 +111,11 @@ def _tie_spec_basis():
 
 
 GRID_CASES = {
-    "example1": lambda: (fixtures.example1_spec(), fixtures.example1_basis()),
-    "example2": lambda: (fixtures.example2_spec(), fixtures.example2_basis()),
+    "example1": lambda: fixtures.example("example1")[1:],
+    "example2": lambda: fixtures.example("example2")[1:],
     "minmax": lambda: (
         MaxMinSpec(K=3, families=((1, 2), (3,)), polarity=MINMAX),
-        fixtures.example1_basis(),
+        fixtures.example("example1")[2],
     ),
     "expr": _expr_spec_basis,
     "ties": _tie_spec_basis,
@@ -146,7 +146,7 @@ def _portrait(value_fn, grid, levels=(0.3, 1.0)):
 
 
 def test_value_fn_is_called_once_per_grid_column():
-    spec, basis = fixtures.example1_spec(), fixtures.example1_basis()
+    _, spec, basis = fixtures.example("example1")
     shapes = []
 
     def value_fn(p):
