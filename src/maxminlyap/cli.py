@@ -18,11 +18,11 @@ import numpy as np
 
 from . import __version__, fixtures
 from .certifier import (
+    MAX_BASES,
     Candidate,
     SearchOptions,
     VERDICT_GAS,
     certify,
-    check_condition_i,
     cone_chain,
     sliding_exclusion,
 )
@@ -171,8 +171,8 @@ def cmd_phi(args):
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
     spec = basis_cfg.to_spec()
-    if spec.K > 6:
-        raise InvalidInputError("phi table limited to K <= 6")
+    if spec.K > MAX_BASES:
+        raise InvalidInputError(f"phi table limited to K <= {MAX_BASES}")
     print(f"K={spec.K} families={spec.families}")
     for rho in all_permutations(spec.K):
         print(f"phi{rho} = {phi(spec, rho)}")
@@ -363,9 +363,7 @@ def cmd_reproduce(args):
         return _reproduce_example1(args)
     if name == "example2":
         return _reproduce_example2(args)
-    if name == "example3":
-        return _reproduce_example3(args)
-    raise InvalidInputError(f"unknown example {name!r}")
+    return _reproduce_example3(args)
 
 
 def _reproduce_example1(args):
@@ -393,11 +391,11 @@ def _reproduce_example1(args):
     for rho in all_permutations(3):
         print(f"  phi{rho} = {phi(mm, rho)}")
 
-    cond_i = check_condition_i(sysm, spec, cand, policy)
+    cert = certify(sysm, spec, cand, policy)
     print("condition (i) margins:")
-    for g, m in zip(cond_i.groups, cond_i.margins):
+    for g, m in zip(cert.cond_i.groups, cert.cond_i.margins):
         print(f"  mode {g.mode} perms {g.perms}: margin = {m:.6f}")
-    ok &= cond_i.ok
+    ok &= cert.cond_i.ok
 
     v1 = fixtures.EXAMPLE1_LINES["S13"]
     P3 = basis.matrices[2]
@@ -405,7 +403,6 @@ def _reproduce_example1(args):
     witness = float(v1 @ (P3 @ A1 + A1.T @ P3) @ v1)
     print(f"conservative-test witness at v1: {witness:.4f} (> 0)")
 
-    cert = certify(sysm, spec, cand, policy)
     if cert.cond_ii_kind == "planar":
         for e in cert.cond_ii.entries:
             print(
@@ -474,21 +471,20 @@ def _reproduce_example3(args):
     policy = _policy_from(args)
     sysm, spec, _ = fixtures.example("example3")
     cand = fixtures.example3_candidate()
-    cond_i = check_condition_i(sysm, spec, cand, policy)
-    print("condition (i) margins:")
-    for g, m in zip(cond_i.groups, cond_i.margins):
-        print(f"  mode {g.mode}: margin = {m:.6f}")
-    excl = sliding_exclusion(sysm, policy, n_samples=10_000)
-    print(
-        f"sliding exclusion: min product = {excl.min_product:.6f} "
-        f"over {excl.n_samples} samples"
-    )
     cert = certify(sysm, spec, cand, policy)
+    print("condition (i) margins:")
+    for g, m in zip(cert.cond_i.groups, cert.cond_i.margins):
+        print(f"  mode {g.mode}: margin = {m:.6f}")
     if cert.cond_ii_kind == "two-mode":
+        excl = cert.cond_ii.exclusion
+        print(
+            f"sliding exclusion: min product = {excl.min_product:.6f} "
+            f"over {excl.n_samples} samples"
+        )
         for pair, sv in sorted(cert.cond_ii.rank_margins.items()):
             print(f"rank margin P{pair[0]}-P{pair[1]}: {sv:.6f}")
     print(f"verdict: {cert.verdict}")
-    ok = cond_i.ok and excl.ok and cert.verdict == VERDICT_GAS
+    ok = cert.cond_i.ok and cert.verdict == VERDICT_GAS
     return EXIT_OK if ok else EXIT_FAILED
 
 

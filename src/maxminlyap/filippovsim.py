@@ -248,6 +248,8 @@ def _surface_mode(sys, pair):
 
 
 def _normal_components(sys, x, pair, policy):
+    """Normal components of the pair's fields, their tolerance, and the
+    two fields (f_a, f_b) they were read from."""
     a_mode, b_mode = pair
     grad = sys.modes[_surface_mode(sys, pair) - 1].region_gradient(x)
     fa = sys.field(a_mode, x)
@@ -257,7 +259,17 @@ def _normal_components(sys, x, pair, policy):
     scale = float(np.linalg.norm(grad)) * max(
         float(np.linalg.norm(fa)), float(np.linalg.norm(fb)), 1.0
     )
-    return na, nb, policy.abs_tol * max(scale, 1.0)
+    return na, nb, policy.abs_tol * max(scale, 1.0), fa, fb
+
+
+def _sliding_weight(sys, x, pair, policy):
+    """``sliding_lambda``'s weight (or None) at x, with the two fields
+    (f_a, f_b) it evaluated there."""
+    na, nb, tol, fa, fb = _normal_components(sys, x, pair, policy)
+    if (abs(na) <= tol and abs(nb) <= tol) or na == nb:
+        return None, fa, fb  # a tangency lets either mode proceed
+    lam = nb / (nb - na)
+    return (float(lam) if 0.0 <= lam <= 1.0 else None), fa, fb
 
 
 def sliding_lambda(sys, x, policy=DEFAULT_POLICY, pair=None):
@@ -276,15 +288,7 @@ def sliding_lambda(sys, x, policy=DEFAULT_POLICY, pair=None):
                 f"sliding_lambda needs exactly two adjacent modes, found {idx}"
             )
         pair = idx
-    na, nb, tol = _normal_components(sys, x, pair, policy)
-    if abs(na) <= tol and abs(nb) <= tol:
-        return None  # tangency; either mode may proceed
-    if na == nb:
-        return None
-    lam = nb / (nb - na)
-    if 0.0 <= lam <= 1.0:
-        return float(lam)
-    return None
+    return _sliding_weight(sys, x, pair, policy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +369,7 @@ class _Sim:
         return Regime(kind="mode", mode=enter)
 
     def _widened_lambda(self, pair):
-        na, nb, _ = _normal_components(self.sys, self.x, pair, self.opts.policy)
+        na, nb, *_ = _normal_components(self.sys, self.x, pair, self.opts.policy)
         if na == nb:
             return None
         lam = nb / (nb - na)
@@ -464,19 +468,16 @@ class _Sim:
 
     def run_sliding(self, regime):
         pair = regime.pair
-        a_mode, b_mode = pair
         surf = _surface_mode(self.sys, pair)
         opts = self.opts
         state = {"lam": regime.lam if regime.lam is not None else 0.5}
 
         def g(y):
-            lam = sliding_lambda(self.sys, y, opts.policy, pair=pair)
+            lam, fa, fb = _sliding_weight(self.sys, y, pair, opts.policy)
             if lam is not None:
                 state["lam"] = lam
             lam = state["lam"]
-            return lam * self.sys.field(a_mode, y) + (1.0 - lam) * self.sys.field(
-                b_mode, y
-            )
+            return lam * fa + (1.0 - lam) * fb
 
         dt = opts.max_step
         while self.t < opts.horizon * (1.0 - 1e-15):

@@ -105,18 +105,6 @@ class SwitchedSystem:
             modes.append(Mode(index=mc.index, A=A, f=mc.f, Q=Q, H=mc.H))
         return cls(dim=system_config.dim, modes=modes)
 
-    @classmethod
-    def linear(cls, A_list, Q_list=None):
-        """Linear modes with optional conic regions (None entries mean R^n)."""
-        n = np.asarray(A_list[0]).shape[0]
-        modes = []
-        for i, A in enumerate(A_list, start=1):
-            Q = None
-            if Q_list is not None and Q_list[i - 1] is not None:
-                Q = _cone_matrix(Q_list[i - 1], f"Q{i}")
-            modes.append(Mode(index=i, A=as_square(A, f"A{i}"), Q=Q))
-        return cls(dim=n, modes=modes)
-
     @property
     def is_linear(self):
         return all(m.A is not None for m in self.modes)

@@ -22,10 +22,12 @@ A config has up to four sections::
 Matrix entries are constant expressions (``-(1+sqrt(2))`` is fine) and
 are evaluated while parsing.  Newlines separate statements; they are
 ignored inside parentheses and matrix brackets, so literals may span
-lines.  ``;`` is an explicit separator inside mode blocks.
+lines.  ``;`` is an explicit separator inside mode blocks.  An entry
+given twice is an error.
 """
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -306,6 +308,7 @@ class ParsedConfig:
 
 def _parse_mode_block(ts, index):
     mode = ModeConfig(index=index)
+    seen = set()
     ts.expect("{", skip_newlines=True)
     while True:
         tok = ts.peek(skip_newlines=True)
@@ -318,6 +321,9 @@ def _parse_mode_block(ts, index):
                 f"expected a mode entry, found {tok.value!r}", tok.line, tok.col
             )
         key = tok.value
+        if key in seen:
+            raise ConfigError(f"duplicate {key} in mode {index}", tok.line, tok.col)
+        seen.add(key)
         ts.expect("=")
         if key == "A":
             mode.A = _parse_matrix(ts)
@@ -373,12 +379,22 @@ def _parse_index_set(ts):
 
 _NAMED_RE = re.compile(r"([A-Za-z]+?)(\d+)")
 
+# Entries named <letter><index>, per section: the hint that errors name,
+# and each letter's value parser.
+_NAMED = {
+    "basis": ("P<k> or V<k>", {"P": _parse_matrix, "V": _parse_expr}),
+    "structure": ("S<j>", {"S": _parse_index_set}),
+    "signal": ("Q<i> or H<i>", {"Q": _parse_matrix, "H": _parse_expr}),
+}
+
 
 def parse_config(text):
     """Parse and validate a configuration; raises ConfigError with position."""
-    e = _read_entries(text)
-    system = _assemble_system(e["dim"], e["modes"], e["signal_Q"], e["signal_H"])
-    basis = _assemble_basis(e["basis_P"], e["basis_V"], e["families"], e["polarity"], system)
+    dim, modes, polarity, named = _read_entries(text)
+    system = _assemble_system(dim, modes, named["signal", "Q"], named["signal", "H"])
+    basis = _assemble_basis(
+        named["basis", "P"], named["basis", "V"], named["structure", "S"], polarity, system
+    )
     return ParsedConfig(system=system, basis=basis)
 
 
@@ -387,24 +403,21 @@ def parse_structure(text):
     that carries no basis; K is the largest base index named."""
     from ..maxmin import MaxMinSpec
 
-    e = _read_entries(text)
-    if not e["families"]:
+    _, _, polarity, named = _read_entries(text)
+    if not named["structure", "S"]:
         raise ConfigError("[structure] declares no families")
-    fams = _assemble_families(e["families"], None)
-    return MaxMinSpec(K=max(map(max, fams)), families=fams, polarity=e["polarity"])
+    fams = _assemble_families(named["structure", "S"], None)
+    return MaxMinSpec(K=max(map(max, fams)), families=fams, polarity=polarity)
 
 
 def _read_entries(text):
-    """Tokenize the sections into raw per-section entries, unassembled."""
+    """Tokenize the sections into (dim, modes, polarity, named), unassembled;
+    ``named[section, letter]`` maps each index to its (value, name token)."""
     ts = _Stream(tokenize(text))
     dim = None
     modes = {}
-    signal_Q = {}
-    signal_H = {}
-    basis_P = {}
-    basis_V = {}
-    families = {}
-    polarity = "maxmin"
+    polarity = None
+    named = defaultdict(dict)
     section = None
 
     while True:
@@ -417,7 +430,7 @@ def _read_entries(text):
             if name.kind != "ident":
                 raise ConfigError("expected a section name", name.line, name.col)
             ts.expect("]")
-            if name.value not in ("system", "basis", "structure", "signal"):
+            if name.value not in ("system", *_NAMED):
                 raise ConfigError(
                     f"unknown section [{name.value}]", name.line, name.col
                 )
@@ -434,6 +447,8 @@ def _read_entries(text):
 
         if section == "system":
             if key == "dim":
+                if dim is not None:
+                    raise ConfigError("duplicate dim", tok.line, tok.col)
                 ts.expect("=")
                 num = ts.next()
                 if num.kind != "number":
@@ -453,64 +468,31 @@ def _read_entries(text):
                 raise ConfigError(
                     f"unknown [system] entry {key!r}", tok.line, tok.col
                 )
-        elif section == "basis":
-            m = _NAMED_RE.fullmatch(key)
-            if m is None or m.group(1) not in ("P", "V"):
-                raise ConfigError(
-                    f"basis entries are P<k> or V<k>, found {key!r}",
-                    tok.line,
-                    tok.col,
-                )
+        elif section == "structure" and key == "polarity":
+            if polarity is not None:
+                raise ConfigError("duplicate polarity", tok.line, tok.col)
             ts.expect("=")
-            k = int(m.group(2))
-            if m.group(1) == "P":
-                basis_P[k] = (_parse_matrix(ts), tok)
-            else:
-                basis_V[k] = (_parse_expr(ts), tok)
-        elif section == "structure":
-            if key == "polarity":
-                ts.expect("=")
-                val = ts.next()
-                if val.value not in ("maxmin", "minmax"):
-                    raise ConfigError(
-                        "polarity is maxmin or minmax", val.line, val.col
-                    )
-                polarity = val.value
-            else:
-                m = _NAMED_RE.fullmatch(key)
-                if m is None or m.group(1) != "S":
-                    raise ConfigError(
-                        f"structure entries are S<j>, found {key!r}",
-                        tok.line,
-                        tok.col,
-                    )
-                ts.expect("=")
-                families[int(m.group(2))] = _parse_index_set(ts)
-        elif section == "signal":
-            m = _NAMED_RE.fullmatch(key)
-            if m is None or m.group(1) not in ("Q", "H"):
+            val = ts.next()
+            if val.value not in ("maxmin", "minmax"):
                 raise ConfigError(
-                    f"signal entries are Q<i> or H<i>, found {key!r}",
-                    tok.line,
-                    tok.col,
+                    "polarity is maxmin or minmax", val.line, val.col
                 )
+            polarity = val.value
+        else:
+            hint, parsers = _NAMED[section]
+            m = _NAMED_RE.fullmatch(key)
+            if m is None or m.group(1) not in parsers:
+                raise ConfigError(
+                    f"{section} entries are {hint}, found {key!r}", tok.line, tok.col
+                )
+            letter, index = m.group(1), int(m.group(2))
+            entries = named[section, letter]
+            if index in entries:
+                raise ConfigError(f"duplicate entry {letter}{index}", tok.line, tok.col)
             ts.expect("=")
-            i = int(m.group(2))
-            if m.group(1) == "Q":
-                signal_Q[i] = _parse_matrix(ts)
-            else:
-                signal_H[i] = _parse_expr(ts)
+            entries[index] = (parsers[letter](ts), tok)
 
-    return dict(
-        dim=dim,
-        modes=modes,
-        signal_Q=signal_Q,
-        signal_H=signal_H,
-        basis_P=basis_P,
-        basis_V=basis_V,
-        families=families,
-        polarity=polarity,
-    )
+    return dim, modes, polarity or "maxmin", named
 
 
 def _assemble_system(dim, modes, signal_Q, signal_H):
@@ -544,9 +526,9 @@ def _assemble_system(dim, modes, signal_Q, signal_H):
         if inline + external > 1:
             raise ConfigError(f"mode {i}: region specified more than once")
         if i in signal_Q:
-            mode.Q = signal_Q[i]
+            mode.Q = signal_Q[i][0]
         if i in signal_H:
-            mode.H = signal_H[i]
+            mode.H = signal_H[i][0]
         if mode.Q is not None:
             if mode.Q.shape != (dim, dim):
                 raise ConfigError(f"mode {i}: Q must be {dim}x{dim}")
@@ -571,7 +553,7 @@ def _assemble_families(families, K):
         raise ConfigError("families must be numbered S1..SJ without gaps")
     fams = []
     for j in range(1, len(families) + 1):
-        fam = families[j]
+        fam, _ = families[j]
         for k in fam:
             if k < 1 or (K is not None and k > K):
                 raise ConfigError(f"S{j} references base {k}, K is {K}")

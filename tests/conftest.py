@@ -3,7 +3,7 @@ import pytest
 
 from maxminlyap import fixtures
 from maxminlyap.inclusion import Mode, SwitchedSystem
-from maxminlyap.sysdsl.config import parse_config, parse_expr_text
+from maxminlyap.sysdsl.config import ModeConfig, SystemConfig, parse_config, parse_expr_text
 
 
 def _planar_sign_criterion(g1, g2, f1, f2):
@@ -19,11 +19,28 @@ def planar_sign_criterion():
     return _planar_sign_criterion
 
 
+def _linear_system(A_list, Q_list=None):
+    """Linear modes with optional conic regions (None entries mean R^n),
+    checked as a config's modes are."""
+    Q_list = Q_list or [None] * len(A_list)
+    modes = [
+        ModeConfig(index=i, A=A, Q=Q) for i, (A, Q) in enumerate(zip(A_list, Q_list), start=1)
+    ]
+    return SwitchedSystem.from_config(
+        SystemConfig(dim=np.asarray(A_list[0]).shape[0], modes=modes)
+    )
+
+
+@pytest.fixture
+def linear_system():
+    return _linear_system
+
+
 @pytest.fixture
 def example2_linear_system():
     """The b = 0 linear part of example 2, on example 2's cones."""
     Qs = [m.Q for m in fixtures.example("example2")[0].modes]
-    return SwitchedSystem.linear(
+    return _linear_system(
         [np.array([[-0.1, 1.0], [-5.0, -0.1]]), np.array([[-0.1, -5.0], [1.0, -0.1]])], Qs
     )
 

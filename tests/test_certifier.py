@@ -25,7 +25,6 @@ from maxminlyap.certifier import (
 )
 from maxminlyap.certreport import re_verify, serialize_certificate
 from maxminlyap.errors import ConfigError, InvalidInputError
-from maxminlyap.inclusion import SwitchedSystem
 from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, phi, strict_ordering
 from maxminlyap.numkernel import negdef_margin, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
@@ -270,13 +269,15 @@ def test_planar_entries_agree_with_sign_criterion(planar_sign_criterion):
             assert product <= 1e-12
 
 
-def test_planar_condition_ii_detects_increase(example2_linear_system):
+def test_planar_condition_ii_detects_increase(
+    example2_linear_system, linear_system
+):
     # time-reversed double-cone system: sliding weights still exist but
     # the candidate grows along the tangent combination
     _, spec, basis2 = fixtures.example("example2")
     A1, A2 = [m.A for m in example2_linear_system.modes]
     Qs = [m.Q for m in example2_linear_system.modes]
-    sys_rev = SwitchedSystem.linear([-A1, -A2], Qs)
+    sys_rev = linear_system([-A1, -A2], Qs)
     cand = Candidate(matrices=basis2.matrices)
     report = planar_condition_ii(sys_rev, spec, cand, POLICY)
     assert not report.ok
@@ -296,7 +297,7 @@ def test_planar_condition_ii_detects_increase(example2_linear_system):
     # weights follow the chain order of e.modes; scaling mode 1 makes the
     # weights unequal, so a swapped order would show
     basis = QuadraticBasis(cand.matrices)
-    sys_fast = SwitchedSystem.linear([-3.0 * A1, -A2], Qs)
+    sys_fast = linear_system([-3.0 * A1, -A2], Qs)
     for sysm in (sys_rev, sys_fast):
         entries = planar_condition_ii(sysm, spec, cand, POLICY).entries
         assert [e.lam_kind for e in entries] == ["point", "point"]
@@ -340,28 +341,30 @@ def test_sliding_exclusion_benchmark_passes():
     assert rep.min_product == pytest.approx(0.0075, abs=1e-9)
 
 
-def test_sliding_exclusion_degenerate_zero_product():
+def test_sliding_exclusion_degenerate_zero_product(linear_system):
     Q = np.diag([1.0, -1.0])
-    sysm = SwitchedSystem.linear([-np.eye(2), -np.eye(2)], [Q, -Q])
+    sysm = linear_system([-np.eye(2), -np.eye(2)], [Q, -Q])
     rep = sliding_exclusion(sysm, POLICY, n_samples=2000)
     # z' Q (-I) z = -z' Q z = 0 on the cone: the product vanishes identically
     assert abs(rep.min_product) <= 1e-12
     assert not rep.ok
 
 
-def test_sliding_exclusion_fails_where_sliding_exists(example2_linear_system):
+def test_sliding_exclusion_fails_where_sliding_exists(
+    example2_linear_system, linear_system
+):
     Q = np.diag([1.0, -1.0])
-    sysm = SwitchedSystem.linear([m.A for m in example2_linear_system.modes], [Q, -Q])
+    sysm = linear_system([m.A for m in example2_linear_system.modes], [Q, -Q])
     rep = sliding_exclusion(sysm, POLICY, n_samples=4000)
     assert rep.min_product < 0
     assert not rep.ok
 
 
-def test_sliding_exclusion_requires_invertible_q():
+def test_sliding_exclusion_requires_invertible_q(linear_system):
     Q = np.diag([1.0, 0.0])
     with pytest.raises(InvalidInputError):
         sliding_exclusion(
-            SwitchedSystem.linear([-np.eye(2), -np.eye(2)], [Q, -Q]), POLICY, 100
+            linear_system([-np.eye(2), -np.eye(2)], [Q, -Q]), POLICY, 100
         )
 
 
@@ -406,10 +409,10 @@ def test_two_mode_rank_failure():
     assert not rep.ok
 
 
-def test_two_mode_exclusion_failure_reported():
+def test_two_mode_exclusion_failure_reported(linear_system):
     sys3, spec3, _ = fixtures.example("example3")
     A1 = sys3.modes[0].A
-    sysm = SwitchedSystem.linear([A1, -A1], [m.Q for m in sys3.modes])
+    sysm = linear_system([A1, -A1], [m.Q for m in sys3.modes])
     rep = check_condition_ii_2mode(
         sysm, spec3, fixtures.example3_candidate(), POLICY
     )
@@ -476,14 +479,14 @@ def test_certify_benchmark3_gas():
     assert cert.cond_ii_kind == "two-mode"
 
 
-def test_certify_dispatch_gap_three_modes_three_dims():
+def test_certify_dispatch_gap_three_modes_three_dims(linear_system):
     A = np.array([[-1.0, 0.2, 0.0], [0.0, -1.5, 0.1], [0.0, 0.0, -2.0]])
     Qs = [
         np.diag([1.0, -1.0, -1.0]),
         np.diag([-1.0, 1.0, -1.0]),
         np.diag([-1.0, -1.0, 1.0]),
     ]
-    sysm = SwitchedSystem.linear([A, A, A], Qs)
+    sysm = linear_system([A, A, A], Qs)
     P1 = solve_lyapunov(A)
     spec = MaxMinSpec(K=2, families=((1, 2),))
     cand = Candidate(matrices=[P1, 1.5 * P1])
@@ -492,8 +495,8 @@ def test_certify_dispatch_gap_three_modes_three_dims():
     assert cert.verdict == VERDICT_COND_I_ONLY
 
 
-def test_certify_single_stable_mode_classical():
-    sysm = SwitchedSystem.linear([np.array([[-1.0, 0.0], [0.4, -2.0]])])
+def test_certify_single_stable_mode_classical(linear_system):
+    sysm = linear_system([np.array([[-1.0, 0.0], [0.4, -2.0]])])
     spec = MaxMinSpec(K=1, families=((1,),))
     cert = certify(sysm, spec, None, POLICY, search=True,
                    search_opts=SearchOptions(time_budget=10.0))
@@ -501,8 +504,8 @@ def test_certify_single_stable_mode_classical():
     assert cert.cond_ii_kind == "vacuous"
 
 
-def test_search_unstable_mode_not_found():
-    sysm = SwitchedSystem.linear([np.eye(2)])
+def test_search_unstable_mode_not_found(linear_system):
+    sysm = linear_system([np.eye(2)])
     spec = MaxMinSpec(K=1, families=((1,),))
     res = search_condition_i(sysm, spec, POLICY, SearchOptions(time_budget=3.0))
     assert not res.found
@@ -540,12 +543,12 @@ def test_search_honours_the_policy_margin(name, seed, margin, verdict):
     assert stored == verdict and matches
 
 
-def test_search_rescale_needs_the_search_floor(monkeypatch):
+def test_search_rescale_needs_the_search_floor(monkeypatch, linear_system):
     # a slowly decaying mode caps every trace-normalized margin near
     # -4e-8, above the 1e-6 floor; rescaling such a candidate to
     # -10 x margin would certify on rounding-level margins
     monkeypatch.setattr(certifier, "SEARCH_ROUNDS", 2)
-    sysm = SwitchedSystem.linear([np.diag([-1e-8, -1.0])])
+    sysm = linear_system([np.diag([-1e-8, -1.0])])
     spec = MaxMinSpec(K=1, families=((1,),))
     res = search_condition_i(sysm, spec, POLICY, SearchOptions(time_budget=5.0))
     assert not res.found
@@ -666,14 +669,14 @@ def test_certify_accepts_dual_polarity_structures():
     assert re_verify(text)[2]
 
 
-def test_certify_rotated_copies_of_benchmark():
+def test_certify_rotated_copies_of_benchmark(linear_system):
     # congruence transforms change every margin value but no verdict
     sys1, spec, basis1 = fixtures.example("example1")
     rng = np.random.default_rng(0)
     for _ in range(4):
         t = rng.uniform(0, 2 * np.pi)
         R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-        sysr = SwitchedSystem.linear(
+        sysr = linear_system(
             [R.T @ m.A @ R for m in sys1.modes],
             [R.T @ m.Q @ R for m in sys1.modes],
         )
@@ -682,12 +685,12 @@ def test_certify_rotated_copies_of_benchmark():
         assert cert.verdict == VERDICT_GAS
 
 
-def test_certify_relabeled_modes_derives_matching():
+def test_certify_relabeled_modes_derives_matching(linear_system):
     # cyclically shifted mode labels: the sampled matching is no longer
     # the identity, and the chain walk reorders the cones itself
     sys1, spec1, basis1 = fixtures.example("example1")
     perm = [1, 2, 0]
-    sysp = SwitchedSystem.linear(
+    sysp = linear_system(
         [sys1.modes[j].A for j in perm],
         [sys1.modes[j].Q for j in perm],
     )
@@ -698,11 +701,11 @@ def test_certify_relabeled_modes_derives_matching():
     assert cert.verdict == VERDICT_GAS
 
 
-def test_certify_rescaled_cone_matrices():
+def test_certify_rescaled_cone_matrices(linear_system):
     # positive rescaling of each Q leaves the partition unchanged
     sys1, spec1, basis1 = fixtures.example("example1")
     Qs = [c * Q for c, Q in zip((0.3, 7.0, 2.5), [m.Q for m in sys1.modes])]
-    syss = SwitchedSystem.linear([m.A for m in sys1.modes], Qs)
+    syss = linear_system([m.A for m in sys1.modes], Qs)
     cand = Candidate(matrices=basis1.matrices)
     cert = certify(syss, spec1, cand, POLICY)
     assert cert.verdict == VERDICT_GAS

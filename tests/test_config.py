@@ -174,3 +174,74 @@ def test_matrix_entries_are_constant_expressions():
     )
     q = parsed.require_system().modes[0].Q
     assert q[0, 1] == pytest.approx(math.sqrt(2.0), abs=0)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("[basis]\nX1 = [[1]]\n", "basis entries are P<k> or V<k>, found 'X1'", 2, 1),
+        ("[basis]\nP = [[1]]\n", "basis entries are P<k> or V<k>, found 'P'", 2, 1),
+        ("[structure]\nT1 = {1}\n", "structure entries are S<j>, found 'T1'", 2, 1),
+        ("[signal]\nR1 = [[1]]\n", "signal entries are Q<i> or H<i>, found 'R1'", 2, 1),
+        ("[system]\nfoo = 1\n", "unknown [system] entry 'foo'", 2, 1),
+        ("[system]\ndim = x\n", "dim must be an integer", 2, 7),
+        ("[system]\nmode x { A = [[1]] }\n", "mode keyword takes an index", 2, 6),
+        (
+            "[system]\ndim = 1\nmode 1 { A = [[-1]] }\nmode 1 { A = [[-1]] }\n",
+            "duplicate mode 1",
+            4,
+            6,
+        ),
+        ("[structure]\npolarity = maximin\n", "polarity is maxmin or minmax", 2, 12),
+        ("dim = 2\n", "statements must appear inside a section", 1, 1),
+        ("[ 3 ]\n", "expected a section name", 1, 3),
+    ],
+)
+def test_reader_error_message_and_position(text, message, line, col):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert (info.value.line, info.value.column) == (line, col)
+    assert str(info.value) == f"line {line}, col {col}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        (
+            "[system]\ndim = 1\nmode 1 { A = [[-1]]; A = [[-2]] }\n",
+            "duplicate A in mode 1",
+            3,
+            22,
+        ),
+        (
+            "[system]\ndim = 2\nmode 2 { A = [[-1, 0], [0, -1]]\n"
+            "  Q = [[1, 0], [0, -1]]\n  Q = [[-1, 0], [0, 1]] }\n"
+            "mode 1 { A = [[-1, 0], [0, -1]] }\n",
+            "duplicate Q in mode 2",
+            5,
+            3,
+        ),
+        ("[system]\ndim = 1\ndim = 2\nmode 1 { A = [[-1]] }\n", "duplicate dim", 3, 1),
+        (
+            "[basis]\nP1 = [[1]]\n[structure]\npolarity = maxmin\n"
+            "S1 = {1}\npolarity = minmax\n",
+            "duplicate polarity",
+            6,
+            1,
+        ),
+        ("[basis]\nP1 = [[1]]\nP1 = [[2]]\n[structure]\nS1 = {1}\n", "duplicate entry P1", 3, 1),
+        ("[basis]\nV1 = x1\nV01 = x1\n[structure]\nS1 = {1}\n", "duplicate entry V1", 3, 1),
+        ("[basis]\nP1 = [[1]]\n[structure]\nS1 = {1}\nS1 = {1}\n", "duplicate entry S1", 5, 1),
+        (
+            "[system]\ndim = 2\nmode 1 { A = [[-1, 0], [0, -1]] }\n"
+            "[signal]\nH1 = x1\nH1 = x2\n",
+            "duplicate entry H1",
+            6,
+            1,
+        ),
+    ],
+)
+def test_repeated_entry_rejected_at_the_repeat(text, message, line, col):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == f"line {line}, col {col}: {message}"

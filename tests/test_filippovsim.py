@@ -18,7 +18,6 @@ from maxminlyap.filippovsim import (
     simulate,
     sliding_lambda,
 )
-from maxminlyap.inclusion import SwitchedSystem
 from maxminlyap.maxmin import MAXMIN, MINMAX, MaxMinSpec, QuadraticBasis, evaluate
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
@@ -31,19 +30,19 @@ def project_to_surface(sys, pair, x, tol=1e-12):
     return _project_to_surface(sys, _surface_mode(sys, pair), x, tol)
 
 
-def test_single_mode_decay():
-    sysm = SwitchedSystem.linear([-np.eye(2)])
+def test_single_mode_decay(linear_system):
+    sysm = linear_system([-np.eye(2)])
     traj = simulate(sysm, np.array([1.0, 0.0]), SimOptions(horizon=1.0))
     assert traj.status == COMPLETED
     np.testing.assert_allclose(traj.x_end, [math.exp(-1.0), 0.0], atol=1e-6)
 
 
-def test_linear_modes_match_matrix_exponential():
+def test_linear_modes_match_matrix_exponential(linear_system):
     rng = np.random.default_rng(4)
     for _ in range(5):
         A = rng.standard_normal((3, 3))
         A = A - (np.max(np.real(np.linalg.eigvals(A))) + 0.5) * np.eye(3)
-        sysm = SwitchedSystem.linear([A])
+        sysm = linear_system([A])
         x0 = rng.standard_normal(3)
         traj = simulate(sysm, x0, SimOptions(horizon=10.0, max_step=0.1))
         want = expm(10.0 * A) @ x0
@@ -177,14 +176,43 @@ def test_expression_region_sliding_in_one_dimension(onedim_two_mode_system):
     assert "sliding" in kinds
 
 
+# one-dimensional pair f1 on x < 0, f2 on x > 0: at x = 0 the weight on
+# f1 is f2 / (f2 - f1), so (-1, -51) gives 1.02 and (51, 1) gives -0.02
+@pytest.mark.parametrize(
+    "f1, f2, widened",
+    [(-1.0, -51.0, 1.0), (51.0, 1.0, 0.0), (-1.0, -6.0, None), (1.0, -1.0, 0.5)],
+)
+def test_widened_lambda_clips_weights_just_outside_the_unit_interval(
+    onedim_two_mode_system, f1, f2, widened
+):
+    sysm = onedim_two_mode_system(f1, f2)
+    sim = filippovsim._Sim(sysm, np.array([0.0]), SimOptions(horizon=1.0))
+    assert sim._widened_lambda((1, 2)) == widened
+    strict = sliding_lambda(sysm, np.array([0.0]), POLICY, pair=(1, 2))
+    assert strict == (widened if widened == 0.5 else None)
+
+
+def test_chattering_point_slides_on_the_widened_weight(onedim_two_mode_system):
+    sim = filippovsim._Sim(
+        onedim_two_mode_system(-1.0, -51.0), np.array([0.0]), SimOptions(horizon=1.0)
+    )
+    assert sim.regime_here() == filippovsim.Regime(kind="mode", mode=1)
+    for _ in range(filippovsim.MAX_SWITCHES_PER_WINDOW + 1):
+        sim.note_switch()
+    assert sim.chattering()
+    assert sim.regime_here() == filippovsim.Regime(
+        kind="sliding", surface=1, pair=(1, 2), lam=1.0
+    )
+
+
 def test_stall_at_codimension_two_start():
     sys1 = fixtures.example("example1")[0]
     traj = simulate(sys1, np.zeros(2), SimOptions(horizon=1.0))
     assert traj.status == "stall"
 
 
-def test_left_domain_status():
-    sysm = SwitchedSystem.linear([np.eye(2) * 3.0])
+def test_left_domain_status(linear_system):
+    sysm = linear_system([np.eye(2) * 3.0])
     traj = simulate(sysm, np.array([1.0, 1.0]), SimOptions(horizon=20.0, max_step=0.1))
     assert traj.status == "left-domain"
     assert np.linalg.norm(traj.x_end) > 1e9

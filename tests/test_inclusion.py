@@ -105,11 +105,11 @@ def test_validate_partition_reports_gaps():
     assert violations
 
 
-def test_linear_system_rejects_a_stacked_cone_matrix():
+def test_linear_system_rejects_a_stacked_cone_matrix(linear_system):
     # as_symmetric takes (k, n, n) stacks; a mode's Q must still be one matrix
     Q = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(InvalidInputError, match="Q1 must be square"):
-        SwitchedSystem.linear([-np.eye(2)], [np.stack([Q, Q])])
+        linear_system([-np.eye(2)], [np.stack([Q, Q])])
 
 
 def _index_set_by_mode(sysm, x, policy):

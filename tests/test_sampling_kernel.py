@@ -357,10 +357,10 @@ def test_sliding_exclusion_matches_point_loop():
         assert got == ref_min_product(sys3, policy, 1500)
 
 
-def test_validate_partition_matches_point_loop():
+def test_validate_partition_matches_point_loop(linear_system):
     sys1 = fixtures.example("example1")[0]
     sys3 = fixtures.example("example3")[0]
-    overlap = SwitchedSystem.linear(
+    overlap = linear_system(
         [-np.eye(2), -np.eye(2)],
         [np.array([[1.0, 0.0], [0.0, -0.5]]), np.array([[-1.0, 0.2], [0.2, 1.0]])],
     )
