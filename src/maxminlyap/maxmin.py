@@ -15,6 +15,7 @@ index sets together with the generalized gradient vertices they induce.
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -96,6 +97,19 @@ class QuadraticBasis:
         if x.ndim == 2:
             return 2.0 * (self.matrices[k - 1] @ x[:, :, None])[:, :, 0]
         return 2.0 * (self.matrices[k - 1] @ x)
+
+    @cached_property
+    def _circle_roots(self):
+        """Planar bases: the angles in [0, pi) where a pair of bases ties,
+        pair by pair, or None when a pair is identical; found once."""
+        scale = max(float(np.abs(P).max()) for P in self.matrices)
+        roots = []
+        for i, j in itertools.combinations(range(self.K), 2):
+            got = _pair_root_angles(self.matrices[i] - self.matrices[j], scale)
+            if got is None:
+                return None
+            roots.extend(got)
+        return tuple(roots)
 
 
 class ExprBasis:
@@ -335,17 +349,13 @@ def _planar_sweep(spec, basis, x, policy):
 
     Active sets are constant on rays, so only the angle matters; the
     strict-ordering arcs adjacent to the point's direction determine the
-    essentially-active set.  Returns None when a degenerate (identical)
-    base pair makes the sweep unreliable.
+    essentially-active set.  The root angles depend on the basis only and
+    are kept with it.  Returns None when a degenerate (identical) base
+    pair makes the sweep unreliable.
     """
-    scale = max(float(np.abs(P).max()) for P in basis.matrices)
-    roots = []
-    for i in range(basis.K):
-        for j in range(i + 1, basis.K):
-            got = _pair_root_angles(basis.matrices[i] - basis.matrices[j], scale)
-            if got is None:
-                return None
-            roots.extend(got)
+    roots = basis._circle_roots
+    if roots is None:
+        return None
 
     def phi_at(theta):
         """Active base at angle theta, or None on any value tie."""

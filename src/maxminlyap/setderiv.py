@@ -6,11 +6,13 @@ simplex.  Both derivatives, and the certifier's planar margin, are read
 off one table of products grad V_k(x) . f_i(x) (``VertexTable``).  The
 set-valued Lie derivative keeps only the weights for which every
 essentially-active gradient sees the same directional value (a small
-homogeneous linear system on the simplex); the Clarke derivative is the
-full (more conservative) interval of the table entries.
+homogeneous linear system on the simplex, solved in closed form for one
+equation and by vertex enumeration otherwise); the Clarke derivative is
+the full (more conservative) interval of the table entries.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,7 +86,8 @@ def lambda_set(gradients, fields, policy=DEFAULT_POLICY):
     gradients: one n-vector per essentially-active base (p of them).
     fields:    one n-vector per adjacent mode (m of them).
     Solves the p-1 equations (g_{k+1} - g_k) . sum_j w_j f_j = 0 over the
-    probability simplex by exact vertex enumeration.
+    probability simplex: in closed form when one equation is live (as
+    wherever two bases tie), by exact vertex enumeration otherwise.
     """
     grads = [np.asarray(g, dtype=float) for g in gradients]
     flds = [np.asarray(f, dtype=float) for f in fields]
@@ -101,7 +104,10 @@ def lambda_set(gradients, fields, policy=DEFAULT_POLICY):
     if not live:
         return _full_simplex(m)
 
-    verts = _vertices_by_support(C[live], m, tol)
+    if len(live) == 1:
+        verts = _vertices_one_equation(C[live[0]].tolist(), m, tol)
+    else:
+        verts = _vertices_by_support(C[live], m, tol)
     if not verts:
         return SimplexSet(kind=EMPTY, m=m, vertices=())
     if len(verts) == 1:
@@ -111,6 +117,31 @@ def lambda_set(gradients, fields, policy=DEFAULT_POLICY):
     else:
         kind = POLYTOPE
     return SimplexSet(kind=kind, m=m, vertices=tuple(verts))
+
+
+def _vertices_one_equation(c, m, tol):
+    """``_vertices_by_support`` for the one equation c . w = 0: the e_j with
+    |c_j| <= tol, then per pair i < j the solution w_i = c_j / (c_j - c_i),
+    w_j = -c_i / (c_j - c_i), under the same rank test, negative-weight
+    floor and de-duplication."""
+    eye = np.eye(m)
+    verts = [eye[j] for j in range(m) if abs(c[j]) <= tol]
+    for i, j in itertools.combinations(range(m), 2):
+        d = c[j] - c[i]
+        # smallest singular value of [[1, 1], [c_i, c_j]] is |d| / sigma_max
+        frob = 2.0 + c[i] * c[i] + c[j] * c[j]
+        sigma_max = math.sqrt(0.5 * (frob + math.sqrt(max(frob * frob - 4.0 * d * d, 0.0))))
+        if abs(d) <= 1e-12 * max(1.0, abs(c[i]), abs(c[j])) * sigma_max:
+            continue
+        wi, wj = c[j] / d, -c[i] / d
+        if min(wi, wj) < -max(tol, 1e-12):
+            continue
+        w = np.zeros(m)
+        w[i], w[j] = max(wi, 0.0), max(wj, 0.0)
+        w /= w.sum()
+        if not any(np.abs(w - v).max() <= 1e-9 for v in verts):
+            verts.append(w)
+    return verts
 
 
 def _vertices_by_support(C, m, tol):

@@ -26,6 +26,7 @@ lines.  ``;`` is an explicit separator inside mode blocks.  An entry
 given twice is an error.
 """
 
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -453,14 +454,14 @@ def _read_entries(text):
                 num = ts.next()
                 if num.kind != "number":
                     raise ConfigError("dim must be an integer", num.line, num.col)
-                dim = int(float(num.value))
+                dim = _positive_int(num, "dim must be an integer, at least 1")
             elif key == "mode":
                 num = ts.next()
                 if num.kind != "number":
                     raise ConfigError(
                         "mode keyword takes an index", num.line, num.col
                     )
-                idx = int(float(num.value))
+                idx = _positive_int(num, "mode index must be an integer, at least 1")
                 if idx in modes:
                     raise ConfigError(f"duplicate mode {idx}", num.line, num.col)
                 modes[idx] = _parse_mode_block(ts, idx)
@@ -495,15 +496,32 @@ def _read_entries(text):
     return dim, modes, polarity or "maxmin", named
 
 
+def _positive_int(num, message):
+    """The value of a number token if it is a whole number >= 1, else
+    ConfigError(message) at the token."""
+    value = float(num.value)
+    if not (math.isfinite(value) and value >= 1 and value.is_integer()):
+        raise ConfigError(message, num.line, num.col)
+    return int(value)
+
+
 def _assemble_system(dim, modes, signal_Q, signal_H):
-    if not modes:
-        if dim is not None:
-            raise ConfigError("[system] declares dim but no modes")
-        return None
-    if dim is None:
+    if not modes and dim is not None:
+        raise ConfigError("[system] declares dim but no modes")
+    if modes and dim is None:
         raise ConfigError("[system] must declare dim")
     if sorted(modes) != list(range(1, len(modes) + 1)):
         raise ConfigError("modes must be numbered 1..M without gaps")
+    for letter, entries in (("Q", signal_Q), ("H", signal_H)):
+        for i, (_, tok) in entries.items():
+            if not 1 <= i <= len(modes):
+                raise ConfigError(
+                    f"[signal] {letter}{i} names mode {i}, the system has {len(modes)}",
+                    tok.line,
+                    tok.col,
+                )
+    if not modes:
+        return None
     out = []
     for i in range(1, len(modes) + 1):
         mode = modes[i]

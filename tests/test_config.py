@@ -245,3 +245,46 @@ def test_repeated_entry_rejected_at_the_repeat(text, message, line, col):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert str(info.value) == f"line {line}, col {col}: {message}"
+
+
+DIM_ERROR = "dim must be an integer, at least 1"
+MODE_ERROR = "mode index must be an integer, at least 1"
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("[system]\ndim = 2.5\nmode 1 { A = [[-1, 0], [0, -1]] }\n", DIM_ERROR, 2, 7),
+        ("[system]\ndim = 1e400\nmode 1 { A = [[-1]] }\n", DIM_ERROR, 2, 7),
+        ("[system]\ndim = 0\nmode 1 { A = [[-1]] }\n", DIM_ERROR, 2, 7),
+        ("[system]\ndim = 1\nmode 1.5 { A = [[-1]] }\n", MODE_ERROR, 3, 6),
+        ("[system]\ndim = 1\nmode 1e400 { A = [[-1]] }\n", MODE_ERROR, 3, 6),
+        ("[system]\ndim = 1\nmode 0 { A = [[-1]] }\n", MODE_ERROR, 3, 6),
+    ],
+    ids=["dim-fraction", "dim-overflow", "dim-zero", "mode-fraction", "mode-overflow", "mode-zero"],
+)
+def test_bad_dim_or_mode_index_rejected_at_the_token(text, message, line, col):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == f"line {line}, col {col}: {message}"
+
+
+def test_whole_number_dim_and_mode_index_in_float_form_parse():
+    parsed = parse_config("[system]\ndim = 2.0\nmode 1e0 { A = [[-1, 0], [0, -1]] }\n")
+    assert parsed.require_system().dim == 2
+    assert len(parsed.require_system().modes) == 1
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("Q2 = [[1, 0], [0, -1]]", "[signal] Q2 names mode 2, the system has 1"),
+        ("H2 = x1", "[signal] H2 names mode 2, the system has 1"),
+    ],
+    ids=["Q", "H"],
+)
+def test_signal_entry_for_a_missing_mode_rejected(entry, message):
+    text = f"[system]\ndim = 2\nmode 1 {{ A = [[-1, 0], [0, -1]] }}\n[signal]\n{entry}\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == f"line 5, col 1: {message}"

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from maxminlyap import fixtures
+from maxminlyap import fixtures, maxmin
 from maxminlyap.maxmin import (
     EXACT_SMOOTH,
+    EXACT_SWEEP,
     MAXMIN,
     MINMAX,
+    PERTURBATION_SAMPLED,
     MaxMinSpec,
     QuadraticBasis,
     active_indices,
@@ -225,6 +227,97 @@ def test_degenerate_duplicate_basis_warns():
     basis = QuadraticBasis([np.eye(2), np.eye(2)])
     act = active_indices(spec, basis, np.array([1.0, 1.0]), POLICY)
     assert act.warning is not None
+
+
+def _zero_set_directions(D):
+    """Unit directions with x'Dx = 0 for a planar symmetric D (none unless
+    D is indefinite), from its eigenbasis."""
+    w, V = np.linalg.eigh(D)
+    if not w[0] < 0.0 < w[1]:
+        return []
+    scaled = V / np.sqrt(np.abs(w))
+    dirs = [scaled @ np.array([a, b]) for a in (1.0, -1.0) for b in (1.0, -1.0)]
+    return [d / np.linalg.norm(d) for d in dirs]
+
+
+def _kink_points(basis, Qs=()):
+    """The origin, and points at three radii on every base tie line and
+    region boundary."""
+    P = basis.matrices
+    surfaces = [P[i] - P[j] for i, j in itertools.combinations(range(len(P)), 2)] + list(Qs)
+    return [np.zeros(2)] + [
+        r * d for D in surfaces for d in _zero_set_directions(D) for r in (0.5, 1.0, 2.0)
+    ]
+
+
+def _random_planar_case(rng, K):
+    mats = []
+    for _ in range(K):
+        G = rng.standard_normal((2, 2))
+        mats.append(G @ G.T + 0.1 * np.eye(2))
+    fams = [tuple(sorted(rng.choice(K, size=rng.integers(1, K + 1), replace=False) + 1))]
+    fams += [tuple(sorted(rng.choice(K, size=2, replace=False) + 1)) for _ in range(K - 1)]
+    return MaxMinSpec(K=K, families=tuple(fams)), QuadraticBasis(mats)
+
+
+def _planar_cases():
+    for name in ("example1", "example2"):
+        sysm, spec, basis = fixtures.example(name)
+        yield spec, basis, _kink_points(basis, [m.Q for m in sysm.modes if m.Q is not None])
+    rng = np.random.default_rng(41)
+    for K in (2, 3, 4):
+        for _ in range(3):
+            spec, basis = _random_planar_case(rng, K)
+            yield spec, basis, _kink_points(basis) + list(rng.standard_normal((20, 2)))
+
+
+def test_planar_roots_kept_with_the_basis_match_a_fresh_computation():
+    """One basis answers every point with the root angles it found once;
+    a fresh basis per point finds them again for that point alone."""
+    swept = 0
+    for spec, basis, points in _planar_cases():
+        for x in points:
+            kept = active_indices(spec, basis, x, POLICY)
+            fresh = active_indices(spec, QuadraticBasis(basis.matrices), x, POLICY)
+            assert kept == fresh
+            swept += kept.method == EXACT_SWEEP
+    assert swept > 100
+
+
+def test_planar_roots_are_found_once_per_basis(monkeypatch):
+    calls = []
+    real = maxmin._pair_root_angles
+    monkeypatch.setattr(
+        maxmin, "_pair_root_angles", lambda D, scale: calls.append(1) or real(D, scale)
+    )
+    sysm, spec, basis = fixtures.example("example1")
+    points = _kink_points(basis, [m.Q for m in sysm.modes])
+    assert all(active_indices(spec, basis, x, POLICY) for x in points)
+    assert len(calls) == basis.K * (basis.K - 1) // 2
+
+
+def test_two_specs_on_one_basis_get_their_own_active_sets():
+    """The kept roots belong to the basis; the arcs' labels to each spec."""
+    _, spec, basis = fixtures.example("example1")
+    dual = MaxMinSpec(K=spec.K, families=spec.families, polarity=MINMAX)
+    differ = 0
+    for x in _kink_points(basis):
+        a = active_indices(spec, basis, x, POLICY)
+        b = active_indices(dual, basis, x, POLICY)
+        assert a == active_indices(spec, QuadraticBasis(basis.matrices), x, POLICY)
+        assert b == active_indices(dual, QuadraticBasis(basis.matrices), x, POLICY)
+        differ += a.indices != b.indices
+    assert differ > 0
+
+
+def test_identical_pair_falls_back_to_sampling_on_every_call():
+    spec = MaxMinSpec(K=3, families=((1, 2), (3,)))
+    basis = QuadraticBasis([np.eye(2), np.eye(2), np.diag([2.0, 0.5])])
+    # V3 < V1 = V2 near the x2 axis, and every base ties at the origin
+    for x in ([0.0, 1.0], [0.3, 1.0], [0.0, 0.0]):
+        act = active_indices(spec, basis, np.array(x), POLICY)
+        assert act.method == PERTURBATION_SAMPLED
+        assert act.warning == "bases 1 and 2 are identical"
 
 
 def test_validation_rejects_bad_spec():

@@ -1,8 +1,11 @@
+import itertools
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maxminlyap import fixtures, setderiv
 from maxminlyap.errors import InvalidInputError
@@ -14,6 +17,8 @@ from maxminlyap.setderiv import (
     EMPTY,
     FULL,
     POINT,
+    POLYTOPE,
+    SEGMENT,
     clarke_derivative,
     decrease_check,
     lambda_set,
@@ -224,6 +229,73 @@ def test_lambda_set_matches_brute_force_grid():
             continue
         assert _hausdorff(dense, grid) <= 1e-2
         compared += 1
+
+
+@st.composite
+def _one_equation_rows(draw):
+    """A row c of 1..4 entries whose largest magnitude is ``scale``, so
+    ``lambda_set`` uses tol = abs_tol + rel_tol * max(1, scale); the other
+    entries mix zeros, +-tol, +-10 tol, +-1e-4 tol (pairs of these fail
+    the rank test), +-scale and uniform values, with an optional pair
+    +-1e-4 tol, an optional repeated entry and an optional single sign."""
+    scale = draw(st.floats(1e-3, 1e6))
+    tol = POLICY.abs_tol + POLICY.rel_tol * max(1.0, scale)
+    tiny = 1e-4 * tol
+    special = st.sampled_from([0.0, tol, -tol, 10 * tol, -10 * tol, tiny, -tiny, scale, -scale])
+    row = [draw(st.sampled_from([scale, -scale]))]
+    row += draw(st.lists(st.one_of(special, st.floats(-scale, scale)), max_size=3))
+    if len(row) > 2 and draw(st.booleans()):
+        row[1:3] = [tiny, -tiny]
+    if len(row) > 1 and draw(st.booleans()):
+        row[draw(st.integers(1, len(row) - 1))] = row[draw(st.integers(0, len(row) - 1))]
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        row = [sign * abs(v) for v in row]
+    return draw(st.permutations(row)), tol
+
+
+def _ulp_decides(row, tol):
+    """Whether a pair weight of c . w = 0 sits within 1e-14 of the 1e-9
+    de-duplication distance or of the negative-weight floor: there the
+    last bits, in which the closed form and ``lstsq`` differ, decide."""
+    edges = (1e-9, max(tol, 1e-12))
+    for ci, cj in itertools.combinations(row, 2):
+        if ci != cj:
+            weights = (abs(cj / (cj - ci)), abs(ci / (cj - ci)))
+            if any(abs(w - e) <= 1e-14 for w in weights for e in edges):
+                return True
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(_one_equation_rows())
+def test_one_equation_closed_form_matches_the_enumeration(case):
+    """Two tied gradients (g2 - g1 = 1 in one dimension) and fields f_j =
+    c_j give the one live equation c . w = 0, which ``lambda_set`` solves
+    in closed form: same kind, same vertex order, vertices within 1e-12 of
+    the support enumeration on the same row, wherever a last-bit
+    difference cannot decide (see the knife-edge test below)."""
+    row, tol = case
+    assume(not _ulp_decides(row, tol))
+    got = lambda_set([np.zeros(1), np.ones(1)], [np.array([c]) for c in row], POLICY)
+    want = setderiv._vertices_by_support(np.array([row]), len(row), tol)
+    kind = {0: EMPTY, 1: POINT, 2: SEGMENT}.get(len(want), POLYTOPE)
+    assert got.kind == kind and len(got.vertices) == len(want)
+    for g, w in zip(got.vertices, want):
+        assert np.abs(g - w).max() <= 1e-12
+
+
+def test_one_equation_knife_edge_differs_by_at_most_the_dedup_distance():
+    """At c = (-1e-3, 1e-12) the pair vertex is 1e-9 from e_2, exactly the
+    de-duplication distance: ``lstsq`` lands a last bit above it (two
+    vertices), the closed form on it (one).  Both describe the same set
+    to within 1e-9."""
+    row, tol = [-1e-3, 1e-12], POLICY.abs_tol + POLICY.rel_tol
+    assert _ulp_decides(row, tol)
+    got = setderiv._vertices_one_equation(row, 2, tol)
+    want = setderiv._vertices_by_support(np.array([row]), 2, tol)
+    for a, b in ((got, want), (want, got)):
+        assert all(min(np.abs(u - v).max() for v in b) <= 1e-9 + 1e-15 for u in a)
 
 
 def test_decrease_on_converging_line():
