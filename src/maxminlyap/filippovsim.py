@@ -153,20 +153,36 @@ _DP_P = (
 )
 
 
+# Stage sums read rows of one stack whose row 0 is +0.0, the start value
+# of ``sum``: each column of weights below is (1.0, its coefficients), and
+# the running sum along axis 0 adds the weighted rows in order, so its
+# last row is sum(a * k[j] for ...) bit for bit.  (``np.add.reduce`` may
+# add a single column pairwise.)
+_DP_WEIGHTS = tuple(
+    np.array((1.0,) + row)[:, None] for row in _DP_A[1:] + (_DP_B5, _DP_B4)
+)
+
+
+def _stage_sum(w, K):
+    return np.add.accumulate(w * K[: len(w)], axis=0)[-1]
+
+
 def _dp_step(f, x, dt, k1=None):
     """One Dormand-Prince step; returns (5th-order state, error estimate, stages).
 
     ``k1`` is f(x) when the caller already has it.  The last stage is
     evaluated at the returned state, so for a field that depends on the
-    state alone it is the ``k1`` of the next step.
+    state alone it is the ``k1`` of the next step.  The stages are rows
+    1..7 of one (8, n) array whose row 0 is zero.
     """
-    k = [f(x) if k1 is None else k1]
+    K = np.empty((8, len(x)))
+    K[0] = 0.0
+    K[1] = f(x) if k1 is None else k1
     for stage in range(1, 7):
-        y = x + dt * sum(a * k[j] for j, a in enumerate(_DP_A[stage]))
-        k.append(f(y))
-    x5 = x + dt * sum(b * k[j] for j, b in enumerate(_DP_B5))
-    x4 = x + dt * sum(b * k[j] for j, b in enumerate(_DP_B4))
-    return x5, x5 - x4, k
+        K[stage + 1] = f(x + dt * _stage_sum(_DP_WEIGHTS[stage - 1], K))
+    x5 = x + dt * _stage_sum(_DP_WEIGHTS[6], K)
+    x4 = x + dt * _stage_sum(_DP_WEIGHTS[7], K)
+    return x5, x5 - x4, K[1:]
 
 
 def _dense_output(x, dt, k):
@@ -218,13 +234,18 @@ def _error_norm(err, x, x_new):
 # surface helpers
 
 
+def _norm(v):
+    """Euclidean norm of a real vector, as ``np.linalg.norm`` computes it."""
+    return math.sqrt(v.dot(v))
+
+
 def _hn(sys, i, x):
     """Region function of mode i, normalized to be scale-free."""
     mode = sys.modes[i - 1]
     v = mode.region_value(x)
     if mode.Q is not None:
         return v / max(float(x @ x), 1e-300)
-    return v / (1.0 + float(np.linalg.norm(x)))
+    return v / (1.0 + _norm(x))
 
 
 def _project_to_surface(sys, i, x, tol):
@@ -256,9 +277,7 @@ def _normal_components(sys, x, pair, policy):
     fb = sys.field(b_mode, x)
     na = float(grad @ fa)
     nb = float(grad @ fb)
-    scale = float(np.linalg.norm(grad)) * max(
-        float(np.linalg.norm(fa)), float(np.linalg.norm(fb)), 1.0
-    )
+    scale = _norm(grad) * max(_norm(fa), _norm(fb), 1.0)
     return na, nb, policy.abs_tol * max(scale, 1.0), fa, fb
 
 
@@ -389,7 +408,7 @@ class _Sim:
         dt = opts.max_step
         k1 = None  # f(self.x) once known
         while self.t < opts.horizon * (1.0 - 1e-15):
-            if float(np.linalg.norm(self.x)) > BLOWUP:
+            if _norm(self.x) > BLOWUP:
                 self.status = LEFT_DOMAIN
                 return None
             dt = min(dt, opts.max_step, opts.horizon - self.t)
@@ -481,7 +500,7 @@ class _Sim:
 
         dt = opts.max_step
         while self.t < opts.horizon * (1.0 - 1e-15):
-            if float(np.linalg.norm(self.x)) > BLOWUP:
+            if _norm(self.x) > BLOWUP:
                 self.status = LEFT_DOMAIN
                 return None
             dt = min(dt, opts.max_step, opts.horizon - self.t)

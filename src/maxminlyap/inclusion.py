@@ -9,6 +9,7 @@ region closure contains x.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,7 +36,6 @@ class Mode:
     f: Optional[tuple] = None
     Q: Optional[np.ndarray] = None
     H: Optional[ex.Expr] = None
-    _grad_H: Optional[tuple] = None
 
     @property
     def region_kind(self):
@@ -55,22 +55,44 @@ class Mode:
             return np.array([self.field(row) for row in x]).reshape(x.shape)
         if self.A is not None:
             return self.A @ x
-        return np.array([ex.eval_expr(c, x) for c in self.f])
+        return np.array(self._f_compiled(x))
 
     def region_value(self, x):
         if self.Q is not None:
             x = np.asarray(x, dtype=float)
             return float(x @ self.Q @ x)
         if self.H is not None:
-            return ex.eval_expr(self.H, x)
+            return self._H_compiled(x)[0]
         return np.inf
 
     def region_gradient(self, x):
         if self.Q is not None:
             return 2.0 * (self.Q @ np.asarray(x, dtype=float))
         if self.H is not None:
-            return np.array([ex.eval_expr(g, x) for g in self._grad_H])
+            return np.array(self._grad_H_compiled(len(x))(x))
         return np.zeros(len(x))
+
+    # expressions are compiled on first use (``sysdsl.compile_exprs``)
+
+    @cached_property
+    def _f_compiled(self):
+        return ex.compile_exprs(self.f)
+
+    @cached_property
+    def _H_compiled(self):
+        return ex.compile_exprs((self.H,))
+
+    @cached_property
+    def _grad_H_by_dim(self):
+        return {}
+
+    def _grad_H_compiled(self, n):
+        """The n partial derivatives of H, compiled once per dimension."""
+        if n not in self._grad_H_by_dim:
+            self._grad_H_by_dim[n] = ex.compile_exprs(
+                ex.differentiate(self.H, v) for v in range(1, n + 1)
+            )
+        return self._grad_H_by_dim[n]
 
 
 class SwitchedSystem:
@@ -79,11 +101,6 @@ class SwitchedSystem:
         self.modes = list(modes)
         if not self.modes:
             raise InvalidInputError("a system needs at least one mode")
-        for mode in self.modes:
-            if mode.H is not None and mode._grad_H is None:
-                mode._grad_H = tuple(
-                    ex.differentiate(mode.H, v) for v in range(1, dim + 1)
-                )
         kinds = [m.region_kind for m in self.modes]
         self._cones = [c for c, k in enumerate(kinds) if k == CONE]
         self._exprs = [c for c, k in enumerate(kinds) if k == EXPR]
@@ -147,7 +164,8 @@ class SwitchedSystem:
         if self._cones:
             out[:, self._cones] = quad_forms(X, self._cone_stack)
         for c in self._exprs:
-            out[:, c] = [ex.eval_expr(self.modes[c].H, x) for x in X]
+            region = self.modes[c]._H_compiled
+            out[:, c] = [region(x)[0] for x in X]
         return out
 
     def owners(self, X, threshold):

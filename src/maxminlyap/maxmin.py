@@ -120,9 +120,6 @@ class ExprBasis:
         if not self.exprs:
             raise InvalidInputError("empty basis")
         self.dim = dim
-        self._grads = [
-            [ex.differentiate(e, v) for v in range(1, dim + 1)] for e in self.exprs
-        ]
 
     @property
     def K(self):
@@ -131,14 +128,29 @@ class ExprBasis:
     def values(self, x):
         """Base values at a point (shape K) or at each row of x[S, n] (S, K)."""
         if np.ndim(x) == 2:
-            return np.array([self.values(row) for row in x]).reshape(len(x), self.K)
-        return np.array([ex.eval_expr(e, x) for e in self.exprs])
+            fn = self._values_compiled
+            return np.array([fn(row) for row in x]).reshape(len(x), self.K)
+        return np.array(self._values_compiled(x))
 
     def gradient(self, k, x):
         """Gradient of base k at a point, or at each row of x[S, n] (S, n)."""
+        fn = self._gradients_compiled[k - 1]
         if np.ndim(x) == 2:
-            return np.array([self.gradient(k, row) for row in x]).reshape(np.shape(x))
-        return np.array([ex.eval_expr(g, x) for g in self._grads[k - 1]])
+            return np.array([fn(row) for row in x]).reshape(np.shape(x))
+        return np.array(fn(x))
+
+    # expressions are compiled on first use (``sysdsl.compile_exprs``)
+
+    @cached_property
+    def _values_compiled(self):
+        return ex.compile_exprs(self.exprs)
+
+    @cached_property
+    def _gradients_compiled(self):
+        return [
+            ex.compile_exprs(ex.differentiate(e, v) for v in range(1, self.dim + 1))
+            for e in self.exprs
+        ]
 
 
 def all_permutations(K):

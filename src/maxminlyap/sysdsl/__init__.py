@@ -19,6 +19,7 @@ from .expr import (
     Pow,
     Call,
     QuadForm,
+    compile_exprs,
     differentiate,
     eval_expr,
     to_str,
@@ -45,6 +46,7 @@ __all__ = [
     "Pow",
     "Call",
     "QuadForm",
+    "compile_exprs",
     "differentiate",
     "eval_expr",
     "to_str",

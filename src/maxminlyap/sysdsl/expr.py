@@ -5,7 +5,9 @@ needed at machine precision; finite differences would pollute the
 set-valued derivative verdicts, so derivatives are taken symbolically.
 The node set is deliberately small: real literals, state variables
 x1..xn, arithmetic, integer powers, sin/cos/atan/sqrt, and quadform(P)
-as sugar for x^T P x.
+as sugar for x^T P x.  ``eval_expr`` walks a tree once; ``compile_exprs``
+turns a set of trees that is evaluated many times into one Python
+function with the same results, bit for bit.
 """
 
 import math
@@ -154,6 +156,17 @@ def powi(base, n):
 # ---------------------------------------------------------------------------
 # evaluation
 
+_DOMAIN_MESSAGES = {
+    Div: "division by zero",
+    Pow: "zero raised to a negative power",
+    Call: "sqrt of a negative value",
+}
+
+
+def _domain_error(node):
+    """Raise the domain error of ``node``; its text is formatted only here."""
+    raise DomainEvalError(_DOMAIN_MESSAGES[type(node)], to_str(node))
+
 
 def eval_expr(e, x):
     """Numeric value of ``e`` at state vector ``x`` (sequence, 0-indexed)."""
@@ -174,19 +187,19 @@ def eval_expr(e, x):
     if isinstance(e, Div):
         d = eval_expr(e.b, x)
         if d == 0.0:
-            raise DomainEvalError("division by zero", to_str(e))
+            _domain_error(e)
         return eval_expr(e.a, x) / d
     if isinstance(e, Neg):
         return -eval_expr(e.a, x)
     if isinstance(e, Pow):
         base = eval_expr(e.base, x)
         if base == 0.0 and e.exponent < 0:
-            raise DomainEvalError("zero raised to a negative power", to_str(e))
+            _domain_error(e)
         return base**e.exponent
     if isinstance(e, Call):
         v = eval_expr(e.arg, x)
         if e.fn == "sqrt" and v < 0.0:
-            raise DomainEvalError("sqrt of a negative value", to_str(e))
+            _domain_error(e)
         return FUNCTIONS[e.fn](v)
     if isinstance(e, QuadForm):
         n = e.dim
@@ -201,6 +214,102 @@ def eval_expr(e, x):
                 acc += float(x[i]) * row[j] * float(x[j])
         return acc
     raise TypeError(f"unknown expression node {type(e).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# compilation
+
+
+def _eval_all(x, exprs):
+    return tuple(eval_expr(e, x) for e in exprs)
+
+
+# Everything compiled code reads besides its state and locals: ``float``
+# and this table of the analytic functions and three helpers.
+_HELPERS = dict(FUNCTIONS, len=len, domain=_domain_error, reference=_eval_all)
+_GLOBALS = {"__builtins__": {}, "float": float, "_h": _HELPERS}
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*"}
+
+
+def compile_exprs(exprs):
+    """One straight-line function of the state x returning the tuple of
+    the values of ``exprs``, bit for bit those of ``eval_expr``: the same
+    operations in the same order, and the same domain error at the same
+    node.
+
+    Each node is one statement, so no depth that ``eval_expr`` handles
+    meets a nesting limit of the Python parser.  Numbers, exponents and
+    the nodes a domain error names are read from a constants tuple, and
+    function names from ``FUNCTIONS``, so no config text reaches
+    ``compile``.  A state shorter than the largest variable index goes to
+    ``eval_expr``, which raises its error.
+    """
+    exprs = tuple(exprs)
+    consts, lines, loaded = [0.0], [], {}  # c0 is the zero of sums and domain tests
+
+    def const(value):
+        consts.append(value)
+        return f"c{len(consts) - 1}"
+
+    def temp(rhs):
+        name = f"v{len(lines)}"
+        lines.append(f"{name} = {rhs}")
+        return name
+
+    def check(test, node):
+        lines.append(f"if {test}: _h['domain']({const(node)})")
+
+    def emit(e):
+        # mirrors eval_expr branch by branch; returns the name of e's value
+        if isinstance(e, Num):
+            return const(e.value)
+        if isinstance(e, Var):
+            if e.index not in loaded:
+                loaded[e.index] = temp(f"float(x[{int(e.index) - 1}])")
+            return loaded[e.index]
+        if isinstance(e, (Add, Sub, Mul)):
+            a, b = emit(e.a), emit(e.b)
+            return temp(f"{a} {_BINARY_OPS[type(e)]} {b}")
+        if isinstance(e, Div):
+            d = emit(e.b)
+            check(f"{d} == c0", e)
+            return temp(f"{emit(e.a)} / {d}")
+        if isinstance(e, Neg):
+            return temp(f"-{emit(e.a)}")
+        if isinstance(e, Pow):
+            base = emit(e.base)
+            if e.exponent < 0:
+                check(f"{base} == c0", e)
+            return temp(f"{base} ** {const(e.exponent)}")
+        if isinstance(e, Call):
+            if e.fn not in FUNCTIONS:
+                raise TypeError(f"unknown function {e.fn!r}")
+            v = emit(e.arg)
+            if e.fn == "sqrt":
+                check(f"{v} < c0", e)
+            return temp(f"_h[{e.fn!r}]({v})")
+        if isinstance(e, QuadForm):
+            acc = "c0"
+            for i, row in enumerate(e.matrix):
+                for j, p in enumerate(row):
+                    xi, xj = emit(Var(i + 1)), emit(Var(j + 1))
+                    acc = temp(f"{acc} + {xi} * {const(p)} * {xj}")
+            return acc
+        raise TypeError(f"unknown expression node {type(e).__name__}")
+
+    results = [emit(e) for e in exprs]
+    n = max((max_var(e) for e in exprs), default=0)
+    body = [f"if _h['len'](x) < {n}: return _h['reference'](x, _e)"] if n else []
+    source = "\n".join(
+        ["def _make(_c, _e):"]
+        + [f"    {', '.join(f'c{i}' for i in range(len(consts)))}, = _c"]
+        + ["    def compiled(x):"]
+        + [f"        {line}" for line in body + lines]
+        + [f"        return ({''.join(r + ', ' for r in results)})", "    return compiled"]
+    )
+    namespace = dict(_GLOBALS)
+    exec(compile(source, "<compiled expressions>", "exec"), namespace)
+    return namespace["_make"](tuple(consts), exprs)
 
 
 # ---------------------------------------------------------------------------

@@ -378,3 +378,24 @@ def test_certify_matches_golden_text(capsys, monkeypatch, name):
     code, out, _ = run(capsys, ["certify", f"configs/{name}.cfg"])
     assert code == 0
     assert out == (GOLDEN / f"certify_{name}.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        (
+            "example1_half_turn",
+            ["configs/example1.cfg", "--from=-1,1", "--horizon", "1.3", "--max-step", "0.01"],
+        ),
+        ("example2_sliding", ["configs/example2.cfg", "--from", "0.5,0", "--horizon", "1.0"]),
+    ],
+)
+def test_simulate_csv_matches_golden_bytes(capsys, monkeypatch, tmp_path, name, argv):
+    # golden files hold the --csv output of `simulate` (the manifest header
+    # hashes the config path as given, so the run uses the relative one);
+    # the integrator and the field evaluation must not move a single byte
+    monkeypatch.chdir(CONFIGS.parent)
+    out_csv = tmp_path / "traj.csv"
+    code, _, _ = run(capsys, ["simulate", *argv, "--csv", str(out_csv)])
+    assert code == 0
+    assert out_csv.read_bytes() == (GOLDEN / f"simulate_{name}.csv").read_bytes()

@@ -1,9 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxminlyap.errors import DomainEvalError
+from maxminlyap.sysdsl import expr as sysdsl_expr
 from maxminlyap.sysdsl import (
     Add,
     Call,
@@ -15,6 +19,7 @@ from maxminlyap.sysdsl import (
     QuadForm,
     Sub,
     Var,
+    compile_exprs,
     differentiate,
     eval_expr,
     max_var,
@@ -56,24 +61,32 @@ def test_diff_constant_is_zero():
 
 
 def _random_expr(rng, depth, dim):
-    roll = rng.integers(0, 8 if depth > 0 else 2)
+    roll = rng.integers(0, 11 if depth > 0 else 3)
     if roll == 0:
         return Num(float(rng.uniform(-2.0, 2.0)))
     if roll == 1:
         return Var(int(rng.integers(1, dim + 1)))
+    if roll == 2:
+        m = int(rng.integers(1, dim + 1))
+        P = rng.uniform(-2.0, 2.0, size=(m, m))
+        return QuadForm(tuple(tuple(float(v) for v in row) for row in P + P.T))
     a = _random_expr(rng, depth - 1, dim)
     b = _random_expr(rng, depth - 1, dim)
-    if roll == 2:
-        return Add(a, b)
     if roll == 3:
-        return Sub(a, b)
+        return Add(a, b)
     if roll == 4:
-        return Mul(a, b)
+        return Sub(a, b)
     if roll == 5:
-        return Neg(a)
+        return Mul(a, b)
     if roll == 6:
-        return Call(str(rng.choice(["sin", "cos", "atan"])), a)
-    return Pow(a, int(rng.integers(1, 4)))
+        return Div(a, b)
+    if roll == 7:
+        return Neg(a)
+    if roll == 8:
+        return Call(str(rng.choice(["sin", "cos", "atan", "sqrt"])), a)
+    if roll == 9:
+        return Pow(a, int(rng.integers(1, 4)))
+    return Pow(a, -int(rng.integers(1, 4)))
 
 
 def test_diff_matches_finite_differences():
@@ -158,3 +171,100 @@ def test_pow_and_div_derivatives():
     p = Pow(Var(1), 3)
     dp = differentiate(p, 1)
     assert eval_expr(dp, (2.0,)) == pytest.approx(12.0)
+
+
+# ---------------------------------------------------------------------------
+# compiled expression sets against eval_expr
+
+STATE_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-300, 1e300, math.inf, -math.inf, math.nan)
+
+
+def _outcome(fn, x):
+    """The bits of every value fn returns at x (signed zeros included),
+    or the type and message of the error it raises.
+
+    A NaN counts as NaN whatever its sign: CPython's float product and
+    sum of two NaNs of opposite sign return either one, depending on
+    whether the interpreter has specialised that instruction yet, so
+    even eval_expr alone gives both signs for one tree and state.
+    """
+    try:
+        values = fn(x)
+    except Exception as err:  # noqa: BLE001 - the comparison is the test
+        return type(err), str(err)
+    return tuple("nan" if math.isnan(v) else struct.pack("<d", v) for v in values)
+
+
+
+def _reference(exprs):
+    return lambda x: [eval_expr(e, x) for e in exprs]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    count=st.integers(1, 3),
+    state=st.lists(
+        st.one_of(st.sampled_from(STATE_VALUES), st.floats(-3.0, 3.0)), min_size=3, max_size=3
+    ),
+    length=st.integers(0, 3),
+)
+def test_compiled_exprs_match_eval_expr_bit_for_bit(seed, dim, count, state, length):
+    # same bits (signed zeros included, a NaN as NaN), or the same error
+    # with the same message: domain errors at the same node, and
+    # eval_expr's error for a state shorter than the largest variable index
+    rng = np.random.default_rng(seed)
+    exprs = [_random_expr(rng, 4, dim) for _ in range(count)]
+    x = np.array(state[:length])
+    assert _outcome(compile_exprs(exprs), x) == _outcome(_reference(exprs), x)
+
+
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        ("sqrt(x1 - 2.0)/x2", (0.0, 0.0)),  # the divisor is evaluated first
+        ("sqrt(x1 - 2.0)/x2", (0.0, 1.0)),
+        ("pow(x1, -2) + 1.0/x2", (-0.0, 1.0)),
+        ("x1*atan(x3)", (1.0, 2.0)),
+        ("quadform([[1.0, 0.0], [0.0, 1.0]]) + x1", (1.0,)),
+    ],
+)
+def test_compiled_exprs_raise_as_eval_expr(text, x):
+    e = parse_expr_text(text)
+    got = _outcome(compile_exprs([e]), x)
+    assert got == _outcome(_reference([e]), x)
+    assert issubclass(got[0], Exception)
+
+
+def test_compiled_exprs_handle_a_sum_nested_600_deep():
+    # one statement per node: no nesting limit of the Python parser
+    e = Var(1)
+    for i in range(600):
+        e = Add(e, Num(0.1 * i))
+    for x in ((0.3,), (-0.0,), (math.nan,)):
+        assert _outcome(compile_exprs([e]), x) == _outcome(_reference([e]), x)
+
+
+def test_compiled_code_reads_no_config_text():
+    # numbers reach the code through the constants tuple and function
+    # names through the fixed helper table; printed into the source, the
+    # literal 1e400 would come back as the name inf
+    texts = (
+        "1e400*x1 + sqrt(x2)/pow(x1, -2) - atan(quadform([[1.0, 0.5], [0.5, 2.0]]))",
+        "1e400*x1",
+    )
+    exprs = [parse_expr_text(t) for t in texts]
+    fn = compile_exprs(exprs)
+    code = fn.__code__
+    assert set(code.co_names) <= {"_h", "float"}
+    assert not [c for c in code.co_consts if isinstance(c, (float, complex))]
+    assert {c for c in code.co_consts if isinstance(c, str)} <= set(sysdsl_expr._HELPERS)
+    for x in ((2.0, 1.0), (-1.0, 4.0), (0.0, 1.0), (-0.0, 0.0), (math.nan, 1.0)):
+        assert _outcome(fn, x) == _outcome(_reference(exprs), x)
+
+
+@pytest.mark.parametrize("bad", [Call("__import__", Var(1)), Add(Var(1), "x2")])
+def test_compile_refuses_unknown_functions_and_nodes(bad):
+    with pytest.raises(TypeError):
+        compile_exprs([bad])

@@ -275,6 +275,63 @@ def test_runtime_budget_benchmark_half_turn():
 
 
 # ---------------------------------------------------------------------------
+# the Dormand-Prince step against its generator-sum form
+
+
+def ref_dp_step(f, x, dt, k1=None):
+    """One Dormand-Prince step with each stage summed by ``sum`` over a
+    generator, term by term from 0."""
+    k = [f(x) if k1 is None else k1]
+    for stage in range(1, 7):
+        y = x + dt * sum(a * k[j] for j, a in enumerate(filippovsim._DP_A[stage]))
+        k.append(f(y))
+    x5 = x + dt * sum(b * k[j] for j, b in enumerate(filippovsim._DP_B5))
+    x4 = x + dt * sum(b * k[j] for j, b in enumerate(filippovsim._DP_B4))
+    return x5, x5 - x4, k
+
+
+def step_bits(step):
+    x5, err, k = step
+    return x5.tobytes(), err.tobytes(), np.asarray(k).tobytes()
+
+
+def test_dp_step_is_the_generator_sum_bit_for_bit():
+    # the stacked stages must add their terms in the generator's order,
+    # in every dimension (one column included), with and without k1
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 4):
+        for _ in range(400):
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            dt = 10.0 ** rng.uniform(-6, 0)
+
+            def f(y, A=A):
+                return A @ y
+
+            k1 = f(x) if rng.random() < 0.5 else None
+            got = filippovsim._dp_step(f, x, dt, k1)
+            assert step_bits(got) == step_bits(ref_dp_step(f, x, dt, k1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dp_step_turns_negative_zero_stages_into_positive_zero(n):
+    # sum() starts at +0, so -0.0 terms sum to +0.0; zero rows and
+    # negative-zero states keep that, whatever the field
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    A[0] = 0.0
+    fields = [lambda y: 1.0 * y, lambda y: A @ y, lambda y: np.full(n, -0.0)]
+    for f in fields:
+        for x in (np.full(n, -0.0), np.zeros(n), rng.standard_normal(n)):
+            got = filippovsim._dp_step(f, x, 0.1)
+            assert step_bits(got) == step_bits(ref_dp_step(f, x, 0.1))
+    # y' = y from -0.0: a sum from the first term would make stage 2 run
+    # at -0.0 + 0.02 * -0.0 = -0.0
+    _, _, k = filippovsim._dp_step(fields[0], np.full(n, -0.0), 0.1)
+    assert np.signbit(k[0]).all() and not np.signbit(k[1:]).any()
+
+
+# ---------------------------------------------------------------------------
 # event location against the former bisection
 
 

@@ -179,3 +179,29 @@ def test_index_set_is_its_closure_mask_row(name):
         assert tuple(m.index for m, keep in zip(sysm.modes, row) if keep) == want
         on_edge += len(want) > 1 + (name == "expr-region")
     assert on_edge > 0
+
+
+def test_expression_modes_compile_on_first_use_to_the_tree_values():
+    # a mode built directly (no config) compiles its field, region and
+    # region gradient when first evaluated, and reads the bits that the
+    # tree evaluator reads; H does not use x3, whose partial is a signed zero
+    from maxminlyap.sysdsl import Neg, differentiate, eval_expr, parse_expr_text
+
+    texts = ("-x1 + sin(x2)", "x1/(2.0 + cos(x1)) - pow(x2, 3)", "-x3")
+    f = tuple(parse_expr_text(t) for t in texts)
+    H = parse_expr_text("x1*x2 + 0.1*pow(x1, 3)")
+    sysm = SwitchedSystem(dim=3, modes=[Mode(index=1, f=f, H=H), Mode(index=2, f=f, H=Neg(H))])
+    assert all(set(vars(m)) == {"index", "A", "f", "Q", "H"} for m in sysm.modes)
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(40, 3))
+    X[0] = [-0.0, 0.0, 1.0]
+    for mode in sysm.modes:
+        for x in X:
+            assert mode.field(x).tobytes() == np.array([eval_expr(c, x) for c in f]).tobytes()
+            assert np.float64(mode.region_value(x)).tobytes() == np.float64(
+                eval_expr(mode.H, x)
+            ).tobytes()
+            grad = [eval_expr(differentiate(mode.H, v), x) for v in (1, 2, 3)]
+            assert mode.region_gradient(x).tobytes() == np.array(grad).tobytes()
+        assert mode.field(X).tobytes() == np.array([mode.field(x) for x in X]).tobytes()
+    want = [[eval_expr(m.H, x) for m in sysm.modes] for x in X]
+    assert sysm.region_values(X).tobytes() == np.array(want).tobytes()

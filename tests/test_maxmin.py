@@ -11,6 +11,7 @@ from maxminlyap.maxmin import (
     MAXMIN,
     MINMAX,
     PERTURBATION_SAMPLED,
+    ExprBasis,
     MaxMinSpec,
     QuadraticBasis,
     active_indices,
@@ -360,3 +361,24 @@ def test_permutations_are_lexicographic():
 def test_large_K_permutation_count():
     assert len(all_permutations(4)) == math.factorial(4)
     assert len(list(itertools.permutations(range(1, 6)))) == 120
+
+
+def test_expr_basis_values_and_gradients_are_the_tree_values():
+    # compiled on first use; a batch reads the same bits as its rows and
+    # as the tree evaluator, point by point
+    from maxminlyap.sysdsl import differentiate, eval_expr, parse_expr_text
+
+    exprs = [
+        parse_expr_text("quadform([[2.0, 0.5], [0.5, 1.0]]) + 0.1*pow(x1, 4)"),
+        parse_expr_text("x1*x1 + 3.0*x2*x2 - 0.2*sin(x1*x2)"),
+    ]
+    basis = ExprBasis(exprs, dim=2)
+    assert set(vars(basis)) == {"exprs", "dim"}
+    X = np.random.default_rng(8).uniform(-2.0, 2.0, size=(50, 2))
+    want = np.array([[eval_expr(e, x) for e in exprs] for x in X])
+    assert basis.values(X).tobytes() == want.tobytes()
+    assert basis.values(X[7]).tobytes() == want[7].tobytes()
+    for k, e in enumerate(exprs, start=1):
+        grads = np.array([[eval_expr(differentiate(e, v), x) for v in (1, 2)] for x in X])
+        assert basis.gradient(k, X).tobytes() == grads.tobytes()
+        assert basis.gradient(k, X[3]).tobytes() == grads[3].tobytes()
