@@ -12,8 +12,11 @@ field components decide between a transversal switch and first-order
 sliding, in which case the tangent convex combination of the two
 fields is integrated with re-projection onto the surface after every
 accepted step (seven fresh stages per step: the combination weight is
-updated as the stages run).  Codimension-2 intersections and step
-underflow terminate with a stall status rather than an error.
+updated as the stages run).  Both flows share one adaptive step
+control, which rejects any step whose error norm is not at most one.
+Codimension-2 intersections, step underflow and non-finite field values
+terminate with a stall status (at the last finite state) rather than
+an error.
 """
 
 import math
@@ -85,7 +88,6 @@ class Trajectory:
     samples: list
     status: str
     crossings: list = field(default_factory=list)
-    surfaces: dict = field(default_factory=dict)  # mode pair -> surface id
 
     @property
     def t_end(self):
@@ -226,8 +228,11 @@ def _illinois(g, ga, gb, tol):
 
 
 def _error_norm(err, x, x_new):
+    """RMS of the scaled error, bit for bit ``np.sqrt(np.mean(q))``:
+    ``np.add.reduce`` adds in the order ``np.mean`` does."""
     scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    q = (err / scale) ** 2
+    return math.sqrt(float(np.add.reduce(q)) / len(q))
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +286,26 @@ def _normal_components(sys, x, pair, policy):
     return na, nb, policy.abs_tol * max(scale, 1.0), fa, fb
 
 
-def _sliding_weight(sys, x, pair, policy):
+def _sliding_weight(sys, x, pair, policy, widen=0.0):
     """``sliding_lambda``'s weight (or None) at x, with the two fields
-    (f_a, f_b) it evaluated there."""
+    (f_a, f_b) it evaluated there.  A positive ``widen`` also accepts a
+    weight that far outside [0, 1], or at a tangency, clipped into it."""
     na, nb, tol, fa, fb = _normal_components(sys, x, pair, policy)
-    if (abs(na) <= tol and abs(nb) <= tol) or na == nb:
-        return None, fa, fb  # a tangency lets either mode proceed
-    lam = nb / (nb - na)
-    return (float(lam) if 0.0 <= lam <= 1.0 else None), fa, fb
+    lam = None
+    if na != nb:
+        w = nb / (nb - na)
+        if 0.0 <= w <= 1.0 and not (abs(na) <= tol and abs(nb) <= tol):
+            lam = w  # a tangency lets either mode proceed
+        elif widen and -widen <= w <= 1.0 + widen:
+            lam = min(1.0, max(0.0, w))
+    return lam, fa, fb
+
+
+def _state(sys, x, what):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sys.dim,):
+        raise InvalidInputError(f"{what} must have dimension {sys.dim}, got shape {x.shape}")
+    return x
 
 
 def sliding_lambda(sys, x, policy=DEFAULT_POLICY, pair=None):
@@ -299,7 +316,7 @@ def sliding_lambda(sys, x, policy=DEFAULT_POLICY, pair=None):
     [0, 1] (sliding); None for a transversal crossing or a tangency
     (both normal components vanish).
     """
-    x = np.asarray(x, dtype=float)
+    x = _state(sys, x, "sliding_lambda state")
     if pair is None:
         idx = sys.index_set(x, policy)
         if len(idx) != 2:
@@ -318,7 +335,7 @@ class _Sim:
     def __init__(self, sys, x0, opts):
         self.sys = sys
         self.opts = opts
-        self.x = np.asarray(x0, dtype=float)
+        self.x = _state(sys, x0, "initial state")
         if not np.all(np.isfinite(self.x)):
             raise InvalidInputError("initial state has non-finite entries")
         self.t = 0.0
@@ -352,8 +369,9 @@ class _Sim:
         return self.switches_in_window > MAX_SWITCHES_PER_WINDOW
 
     def entering_mode(self, candidates):
-        """Candidate whose own field increases its own region function."""
-        best, best_rate = None, 0.0
+        """Candidate whose own field increases its own region function,
+        or the first candidate when no field enters."""
+        best, best_rate = candidates[0], 0.0
         for i in candidates:
             mode = self.sys.modes[i - 1]
             if mode.region_kind == "all":
@@ -374,27 +392,43 @@ class _Sim:
             pair = idx
         else:
             pair = (leaving, *[j for j in idx if j != leaving])
-        lam = sliding_lambda(self.sys, self.x, self.opts.policy, pair=pair)
-        if lam is None and self.chattering():
-            lam = self._widened_lambda(pair)
+        widen = 0.05 if self.chattering() else 0.0
+        lam = _sliding_weight(self.sys, self.x, pair, self.opts.policy, widen)[0]
         if lam is not None:
             return Regime(
                 kind="sliding", surface=self.surface_id(pair), pair=pair, lam=lam
             )
         others = [j for j in pair if j != leaving]
-        enter = self.entering_mode(others or list(pair))
-        if enter is None:
-            enter = others[0] if others else pair[0]
-        return Regime(kind="mode", mode=enter)
+        return Regime(kind="mode", mode=self.entering_mode(others or pair))
 
-    def _widened_lambda(self, pair):
-        na, nb, *_ = _normal_components(self.sys, self.x, pair, self.opts.policy)
-        if na == nb:
-            return None
-        lam = nb / (nb - na)
-        if -0.05 <= lam <= 1.05:
-            return float(min(1.0, max(0.0, lam)))
-        return None
+    # -- step control shared by both flows
+
+    def accepted_steps(self, f, fsal):
+        """Accepted adaptive steps of x' = f(x) from the current state, as
+        (x_new, dt, stages) for the caller to commit or abandon; ``fsal``
+        reuses a committed step's last stage.  An error norm that is not
+        <= 1 (NaN too) rejects; ends at the horizon, on blow-up
+        (LEFT_DOMAIN) or on a step below MIN_STEP (STALL)."""
+        opts = self.opts
+        dt = opts.max_step
+        k1 = None  # f(self.x) once known
+        while self.t < opts.horizon * (1.0 - 1e-15):
+            if _norm(self.x) > BLOWUP:
+                self.status = LEFT_DOMAIN
+                return
+            dt = min(dt, opts.max_step, opts.horizon - self.t)
+            x_new, err, k = _dp_step(f, self.x, dt, k1)
+            k1 = k[0] if fsal else None
+            enorm = _error_norm(err, self.x, x_new)
+            if not enorm <= 1.0:
+                dt *= max(0.2, 0.9 * enorm**-0.2)
+                if dt < MIN_STEP:
+                    self.status = STALL
+                    return
+                continue
+            yield x_new, dt, k
+            k1 = k[6] if fsal else None
+            dt *= min(5.0, 0.9 * enorm**-0.2) if enorm > 0.0 else 5.0
 
     # -- mode flow with event location
 
@@ -402,25 +436,9 @@ class _Sim:
         i = regime.mode
         mode = self.sys.modes[i - 1]
         f = mode.field
-        opts = self.opts
         has_boundary = mode.region_kind != "all"
         armed = has_boundary and _hn(self.sys, i, self.x) > EVENT_TOL
-        dt = opts.max_step
-        k1 = None  # f(self.x) once known
-        while self.t < opts.horizon * (1.0 - 1e-15):
-            if _norm(self.x) > BLOWUP:
-                self.status = LEFT_DOMAIN
-                return None
-            dt = min(dt, opts.max_step, opts.horizon - self.t)
-            x_new, err, k = _dp_step(f, self.x, dt, k1)
-            k1 = k[0]
-            enorm = _error_norm(err, self.x, x_new)
-            if enorm > 1.0:
-                dt *= max(0.2, 0.9 * enorm**-0.2)
-                if dt < MIN_STEP:
-                    self.status = STALL
-                    return None
-                continue
+        for x_new, dt, k in self.accepted_steps(f, fsal=True):
             if has_boundary:
                 h_new = _hn(self.sys, i, x_new)
                 if armed and h_new < -EVENT_TOL:
@@ -442,9 +460,7 @@ class _Sim:
                     armed = True
             self.t += dt
             self.x = x_new
-            k1 = k[6]
             self.record(regime)
-            dt *= min(5.0, 0.9 * enorm**-0.2) if enorm > 0.0 else 5.0
         return None
 
     def _locate_event(self, f, dt, i, k, h_end):
@@ -498,35 +514,17 @@ class _Sim:
             lam = state["lam"]
             return lam * fa + (1.0 - lam) * fb
 
-        dt = opts.max_step
-        while self.t < opts.horizon * (1.0 - 1e-15):
-            if _norm(self.x) > BLOWUP:
-                self.status = LEFT_DOMAIN
-                return None
-            dt = min(dt, opts.max_step, opts.horizon - self.t)
-            x_new, err, _ = _dp_step(g, self.x, dt)
-            enorm = _error_norm(err, self.x, x_new)
-            if enorm > 1.0:
-                dt *= max(0.2, 0.9 * enorm**-0.2)
-                if dt < MIN_STEP:
-                    self.status = STALL
-                    return None
-                continue
-            x_new = _project_to_surface(self.sys, surf, x_new, EVENT_TOL)
+        for x_new, dt, _ in self.accepted_steps(g, fsal=False):
             self.t += dt
-            self.x = x_new
+            self.x = _project_to_surface(self.sys, surf, x_new, EVENT_TOL)
             lam = sliding_lambda(self.sys, self.x, opts.policy, pair=pair)
             if lam is None:
                 self.note_switch()
-                enter = self.entering_mode(list(pair))
-                if enter is None:
-                    enter = pair[0]
-                nxt = Regime(kind="mode", mode=enter)
+                nxt = Regime(kind="mode", mode=self.entering_mode(pair))
                 self.record(nxt)
                 return nxt
             regime = Regime(kind="sliding", surface=regime.surface, pair=pair, lam=lam)
             self.record(regime)
-            dt *= min(5.0, 0.9 * enorm**-0.2) if enorm > 0.0 else 5.0
         return None
 
 
@@ -535,26 +533,17 @@ def simulate(sys, x0, opts):
     sim = _Sim(sys, x0, opts)
     regime = sim.regime_here()
     if regime is None:
+        sim.status = STALL
         idx = sim.sys.index_set(sim.x, sim.event_policy)
         sim.record(Regime(kind="mode", mode=idx[0]))
-        return Trajectory(
-            samples=sim.samples,
-            status=STALL,
-            crossings=sim.crossings,
-            surfaces=sim.surfaces,
-        )
-    sim.record(regime)
-    while regime is not None and sim.t < opts.horizon * (1.0 - 1e-15):
+    else:
+        sim.record(regime)
+    while regime is not None:
         if regime.kind == "mode":
             regime = sim.run_mode(regime)
         else:
             regime = sim.run_sliding(regime)
-    return Trajectory(
-        samples=sim.samples,
-        status=sim.status,
-        crossings=sim.crossings,
-        surfaces=sim.surfaces,
-    )
+    return Trajectory(samples=sim.samples, status=sim.status, crossings=sim.crossings)
 
 
 # ---------------------------------------------------------------------------

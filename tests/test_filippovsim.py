@@ -8,6 +8,8 @@ from maxminlyap import filippovsim, fixtures
 from maxminlyap.filippovsim import (
     COMPLETED,
     EVENT_TOL,
+    STALL,
+    Regime,
     SimOptions,
     Trajectory,
     TrajSample,
@@ -18,9 +20,12 @@ from maxminlyap.filippovsim import (
     simulate,
     sliding_lambda,
 )
+from maxminlyap.errors import InvalidInputError
+from maxminlyap.inclusion import SwitchedSystem
 from maxminlyap.maxmin import MAXMIN, MINMAX, MaxMinSpec, QuadraticBasis, evaluate
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
+from maxminlyap.sysdsl.config import parse_config
 
 POLICY = NumericPolicy()
 
@@ -186,8 +191,8 @@ def test_widened_lambda_clips_weights_just_outside_the_unit_interval(
     onedim_two_mode_system, f1, f2, widened
 ):
     sysm = onedim_two_mode_system(f1, f2)
-    sim = filippovsim._Sim(sysm, np.array([0.0]), SimOptions(horizon=1.0))
-    assert sim._widened_lambda((1, 2)) == widened
+    lam = filippovsim._sliding_weight(sysm, np.array([0.0]), (1, 2), POLICY, widen=0.05)[0]
+    assert lam == widened
     strict = sliding_lambda(sysm, np.array([0.0]), POLICY, pair=(1, 2))
     assert strict == (widened if widened == 0.5 else None)
 
@@ -216,6 +221,74 @@ def test_left_domain_status(linear_system):
     traj = simulate(sysm, np.array([1.0, 1.0]), SimOptions(horizon=20.0, max_step=0.1))
     assert traj.status == "left-domain"
     assert np.linalg.norm(traj.x_end) > 1e9
+
+
+def config_system(text):
+    return SwitchedSystem.from_config(parse_config(text).require_system())
+
+
+def test_step_underflow_stalls_at_the_start():
+    # every step the stiff decay allows is below MIN_STEP
+    sysm = config_system("[system]\ndim = 1\nmode 1 {\n  A = [[-1e20]]\n  region = all\n}\n")
+    traj = simulate(sysm, np.array([1.0]), SimOptions(horizon=1.0))
+    assert traj.status == STALL
+    assert traj.t_end == 0.0
+    assert [s.regime for s in traj.samples] == [Regime(kind="mode", mode=1)]
+
+
+def test_no_entering_field_falls_back_to_the_first_candidate():
+    # on x1 = 0 both normal components (-1) fall inside the tolerance the
+    # 1e20 tangential part sets, and neither field enters its own region
+    sysm = config_system(
+        "[system]\ndim = 2\n"
+        "mode 1 {\n  f = (1, -1e20*x2)\n  H = -x1\n}\n"
+        "mode 2 {\n  f = (-1, -1e20*x2)\n  H = x1\n}\n"
+    )
+    traj = simulate(sysm, np.array([0.0, 1.0]), SimOptions(horizon=1.0))
+    assert traj.samples[0].regime == Regime(kind="mode", mode=1)
+    assert traj.status == STALL
+    assert traj.t_end == 0.0
+
+
+def test_nan_field_in_mode_flow_stalls_at_the_start():
+    # 1e308 * 8 overflows, and inf - inf makes every stage NaN
+    sysm = config_system(
+        "[system]\ndim = 2\n"
+        "mode 1 {\n  f = (x2, 1e308*x1*x1*x1 - 1e308*x1*x1*x1)\n  region = all\n}\n"
+    )
+    traj = simulate(sysm, np.array([2.0, 0.0]), SimOptions(horizon=0.1))
+    assert traj.status == STALL
+    assert traj.t_end == 0.0
+    assert [s.x.tolist() for s in traj.samples] == [[2.0, 0.0]]
+
+
+def test_nan_field_in_sliding_flow_stalls_at_the_last_finite_state():
+    # both fields turn NaN once x2 ** 3 * 1e308 overflows, near x2 = 1.216,
+    # while the solution slides on x1 = 0
+    nan_term = "(1e308*x2*x2*x2 - 1e308*x2*x2*x2)"
+    sysm = config_system(
+        "[system]\ndim = 2\n"
+        f"mode 1 {{\n  f = (1, 1 + {nan_term})\n  H = -x1\n}}\n"
+        f"mode 2 {{\n  f = (-1, 1 + {nan_term})\n  H = x1\n}}\n"
+    )
+    traj = simulate(sysm, np.array([0.5, 0.0]), SimOptions(horizon=3.0))
+    assert traj.status == STALL
+    assert 1.2 < traj.t_end < 1.22
+    assert all(np.all(np.isfinite(s.x)) for s in traj.samples)
+    labels = [s.regime.label() for s in traj.samples]
+    first = labels.index("Sliding(1)")
+    assert set(labels[:first]) == {"Mode(2)"}
+    assert set(labels[first:]) == {"Sliding(1)"}
+    assert 1.2 < traj.x_end[1] < 1.22
+
+
+@pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((1, 2)), np.float64(1.0)])
+def test_wrong_shaped_state_is_refused(x):
+    sys1 = fixtures.example("example1")[0]
+    with pytest.raises(InvalidInputError, match="dimension 2"):
+        simulate(sys1, x, SimOptions(horizon=1.0))
+    with pytest.raises(InvalidInputError, match="dimension 2"):
+        sliding_lambda(sys1, x, POLICY, pair=(1, 2))
 
 
 def test_csv_schema_planar():
@@ -288,6 +361,31 @@ def ref_dp_step(f, x, dt, k1=None):
     x5 = x + dt * sum(b * k[j] for j, b in enumerate(filippovsim._DP_B5))
     x4 = x + dt * sum(b * k[j] for j, b in enumerate(filippovsim._DP_B4))
     return x5, x5 - x4, k
+
+
+def ref_error_norm(err, x, x_new):
+    scale = filippovsim.ATOL + filippovsim.RTOL * np.maximum(np.abs(x), np.abs(x_new))
+    return float(np.sqrt(np.mean((err / scale) ** 2)))
+
+
+def error_norm_cases():
+    rng = np.random.default_rng(3)
+    for n in range(1, 13):
+        for _ in range(200):
+            x, x_new = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-6, 7, (2, n))
+            yield rng.standard_normal(n) * 10.0 ** rng.integers(-14, 2, n), x, x_new
+    tiny = np.array([5e-324, -2.2e-308, 0.0, -0.0])
+    for err in (np.zeros(4), tiny, np.array([0.0, np.inf]), np.array([np.nan, 1e-12, 0.0])):
+        for x in (np.zeros(4)[: len(err)], tiny[: len(err)]):
+            yield err, x, -x
+    yield np.ones(3), np.array([np.inf, 0.0, 1.0]), np.ones(3)
+
+
+def test_error_norm_is_the_mean_form_bit_for_bit():
+    for err, x, x_new in error_norm_cases():
+        got, want = filippovsim._error_norm(err, x, x_new), ref_error_norm(err, x, x_new)
+        assert type(got) is float
+        assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex()
 
 
 def step_bits(step):
