@@ -14,11 +14,13 @@ constraints share a common subset, which reproduces the small reduced
 inequality families used in hand calculations.
 
 Condition (ii) covers the points where both the partition and the
-candidate are nonsmooth: in the plane, the switching lines are
-extracted by factoring each cone matrix into a rank-two symmetric
-outer product and checked one unit vector each, with the margin read
-off the same gradient-by-field product table (``setderiv.VertexTable``)
-as the Lie derivative, so it is what ``maxminlyap lie`` prints there;
+candidate are nonsmooth: in the plane, each cone matrix factors as
+t t'^T + t' t^T, the cone is the pair of opposite sectors between the
+lines t.x = 0 and t'.x = 0, and the sectors sorted by angle tile the
+half turn and give the switching lines in cyclic order; each line is
+checked at one unit vector, with the margin read off the same
+gradient-by-field product table (``setderiv.VertexTable``) as the Lie
+derivative, so it is what ``maxminlyap lie`` prints there;
 in R^n with two modes, sliding is ruled out by sampling the sign product
 of the two normal velocity components on the switching surface plus a
 full-rank test on base differences.
@@ -49,13 +51,15 @@ from .maxmin import (
     selected_base,
 )
 from .numkernel import (
-    eig_sym, negdef_margin, project_psd, quad_forms, row_norms, solve_lyapunov, sphere_points
+    as_points, eig_sym, negdef_margin, project_psd, quad_forms, row_norms, solve_lyapunov,
+    sphere_points,
 )
 from .policy import DEFAULT_POLICY
 from .setderiv import vertex_table
 
 MAX_BASES = 6
 MATCHING_SAMPLES = 2000  # unit directions behind a derived matching
+TILING_TOL = 1e-9  # radians between one cone sector's end and the next one's start
 
 VERDICT_GAS = "GAS-certified"
 VERDICT_COND_I_ONLY = "condition-i-only"
@@ -275,6 +279,8 @@ def check_condition_i(sys, spec, cand, policy=DEFAULT_POLICY):
             f"K={spec.K} bases means {spec.K}! permutations; refusing beyond {MAX_BASES}"
         )
     _validate_candidate(cand, spec.K)
+    for k, P in enumerate(cand.matrices, start=1):  # square by _validate_candidate
+        as_points(P, sys.dim, f"candidate base {k}", max_ndim=2)
     matching, evidence = derive_matching(sys, cand.matrices, spec, policy)
     groups = build_groups(sys, spec, matching)
     return ConditionIReport(
@@ -697,25 +703,22 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
 
 @dataclass(frozen=True)
 class ConeFactors:
-    """Chain factorization of a planar conic partition.
+    """Switching lines of a planar conic partition in chain order.
 
-    thetas[i] is the normal of switching line i; the region of chain
-    position i is
-        Q_i = thetas[i] thetas[i+1]^T + thetas[i+1] thetas[i]^T
-    and the cycle closes with theta_{M+1} = wrap_sign * theta_1.  The
-    closure sign is a parity invariant of the partition: -1 for an
-    even number of cones, +1 for an odd number (flipping any single
-    normal flips two pairings, so the product of pairing signs cannot
-    be chosen freely).  vs[i] is the unit vector spanning switching
-    line i (the orthogonal complement of thetas[i]); order[i] is the
-    mode index sitting at chain position i.
+    A cone {x'Qx > 0} with Q = t t'^T + t' t^T is the pair of opposite
+    sectors between the lines t.x = 0 and t'.x = 0.  Sorted by start
+    angle on [0, pi), the sectors of a partition tile the half turn,
+    each ending where the next begins; the chain is that cyclic order,
+    started at mode 1 and run across the line of its second factor.
+    order[i] is the mode at chain position i, which lies between
+    switching lines i and i+1 (line M is line 0); factors[i] is that
+    mode's factor pair with its line-i factor first; vs[i] is the unit
+    vector spanning line i.
     """
 
-    thetas: tuple
-    vs: tuple
     order: tuple
-    errors: tuple
-    wrap_sign: float = -1.0
+    vs: tuple
+    factors: tuple
 
 
 def q_cone_decompose(Q):
@@ -740,125 +743,52 @@ def q_cone_decompose(Q):
     return t1, t2
 
 
-def _line_rep(v):
-    """Canonical representative of a line through the origin (mod sign)."""
-    u = np.asarray(v, dtype=float)
-    u = u / np.linalg.norm(u)
-    if u[0] < -1e-9 or (abs(u[0]) <= 1e-9 and u[1] < 0):
-        u = -u
-    return (round(float(u[0]), 9), round(float(u[1]), 9))
+def _sector(t1, t2):
+    """(start angle in [0, pi), width, index of the factor on the start
+    line) of the sector of {(t1.x)(t2.x) > 0} that starts in [0, pi)."""
+    a1, a2 = (float(np.arctan2(t[0], -t[1])) % np.pi for t in (t1, t2))
+    width = (a2 - a1) % np.pi
+    mid = a1 + 0.5 * width
+    x = np.array([np.cos(mid), np.sin(mid)])
+    if (t1 @ x) * (t2 @ x) > 0.0:
+        return a1, width, 0
+    return a2, np.pi - width, 1
 
 
 def cone_chain(sys):
-    """Order the planar cones into the cyclic chain of switching lines.
-
-    Walks the adjacency cycle (consecutive cones share a switching
-    line), propagating exact factor scales; the cycle closes on the
-    negated first normal, with the one-parameter scale freedom fixed
-    for odd-length cycles.  Both walk orientations are attempted.
-    """
+    """Order the planar cones into the cyclic chain of switching lines by
+    sorting their sectors (see ``ConeFactors``)."""
     if sys.dim != 2:
         raise InvalidInputError("cone_chain is planar only")
-    for m in sys.modes:
-        if m.region_kind != "cone":
-            raise InvalidInputError("cone_chain needs conic regions for every mode")
-    M = sys.M
-    if M == 1:
+    if any(m.region_kind != "cone" for m in sys.modes):
+        raise InvalidInputError("cone_chain needs conic regions for every mode")
+    if sys.M == 1:
         raise PartitionError("a single cone cannot partition the plane")
-    pairs = {}
-    line_modes = {}
-    for m in sys.modes:
-        t1, t2 = q_cone_decompose(m.Q)
-        pairs[m.index] = (t1, t2)
-        for t in (t1, t2):
-            line_modes.setdefault(_line_rep(t), []).append(m.index)
-    for rep, owners in line_modes.items():
-        if len(owners) != 2:
-            raise PartitionError(
-                f"switching line {rep} belongs to {len(owners)} regions, expected 2"
-            )
-
-    def attempt(first, second):
-        """Chain starting with theta_1 = first, walking toward `second`."""
-        order = [1]
-        thetas = [np.array(first, dtype=float)]
-        carry = np.array(second, dtype=float)
-        forward = _line_rep(second)
-        entry = _line_rep(first)
-        while len(order) < M:
-            owners = line_modes[forward]
-            nxt = owners[0] if owners[1] == order[-1] else owners[1]
-            if nxt in order:
-                return None
-            order.append(nxt)
-            thetas.append(carry)
-            a, b = pairs[nxt]
-            if _line_rep(a) == forward:
-                shared, other = a, b
-            elif _line_rep(b) == forward:
-                shared, other = b, a
-            else:
-                return None
-            scale = float(shared @ carry) / float(carry @ carry)
-            carry = scale * other
-            forward = _line_rep(other)
-        if forward != entry:
-            return None
-        # closure: carry must land on the theta_1 line; the residual
-        # ratio fixes the wrap sign (and the free scale for odd cycles)
-        t1 = thetas[0]
-        t1_hat = t1 / np.linalg.norm(t1)
-        resid = carry - float(carry @ t1_hat) * t1_hat
-        if np.abs(resid).max() > 1e-9 * max(1.0, float(np.abs(carry).max())):
-            return None
-        r = -float(carry @ t1) / float(t1 @ t1)  # carry == -r * theta_1
-        if r == 0.0:
-            return None
-        if M % 2 == 1:
-            gamma = np.sqrt(abs(r))  # odd cycles carry a free alternating scale
-            thetas = [
-                t * (gamma if pos % 2 == 0 else 1.0 / gamma)
-                for pos, t in enumerate(thetas)
-            ]
-        elif abs(abs(r) - 1.0) > 1e-8:
-            return None
-        return order, thetas, (-1.0 if r > 0 else 1.0)
-
-    a1, b1 = pairs[1]
-    got = attempt(a1, b1) or attempt(b1, a1)
-    if got is None:
+    pairs = [q_cone_decompose(m.Q) for m in sys.modes]
+    sectors = [_sector(*pair) for pair in pairs]
+    ccw = sorted(range(sys.M), key=lambda c: sectors[c][0])
+    starts = np.array([sectors[c][0] for c in ccw])
+    ends = starts + [sectors[c][1] for c in ccw]
+    miss = float(np.abs(ends - np.append(starts[1:], starts[0] + np.pi)).max())
+    if miss > TILING_TOL:
         raise PartitionError(
-            "cone chain closure failed: the partition is not a consistent cycle"
+            f"the cone sectors do not tile the plane (mismatch {miss:.2e} rad)"
         )
-    order, thetas, wrap_sign = got  # carry == wrap_sign * theta_1
-    if thetas[0][0] < 0 or (thetas[0][0] == 0 and thetas[0][1] < 0):
-        thetas = [-t for t in thetas]  # global flip preserves every product
-
-    errors = []
-    for pos in range(M):
-        t_here = thetas[pos]
-        t_next = wrap_sign * thetas[0] if pos == M - 1 else thetas[pos + 1]
-        rec = np.outer(t_here, t_next) + np.outer(t_next, t_here)
-        Q = sys.modes[order[pos] - 1].Q
-        errors.append(float(np.abs(rec - Q).max()))
-    if max(errors) > 1e-8 * max(1.0, max(float(np.abs(m.Q).max()) for m in sys.modes)):
-        raise PartitionError(
-            f"chain reconstruction error {max(errors):.2e} exceeds tolerance"
-        )
-
+    first = ccw.index(0)
+    ccw = ccw[first:] + ccw[:first]
+    forward = sectors[0][2] == 0  # mode 1's second factor is on its end line
+    chain = ccw if forward else ccw[:1] + ccw[:0:-1]
+    factors = [pairs[c] if (sectors[c][2] == 0) == forward else pairs[c][::-1] for c in chain]
+    # line i from the factor of mode order[i-1] on it (line 0 from mode 1's): both
+    # modes' factors span it, and this one keeps the printed sign of a zero component
     vs = []
-    for t in thetas:
-        v = np.array([-t[1], t[0]])
-        v = v / np.linalg.norm(v)
-        if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-            v = -v
-        vs.append(v)
+    for t in [factors[0][0]] + [t2 for _, t2 in factors[:-1]]:
+        v = np.array([-t[1], t[0]]) / np.linalg.norm(t)
+        vs.append(-v if v[0] < 0 or (v[0] == 0 and v[1] < 0) else v)
     return ConeFactors(
-        thetas=tuple(thetas),
+        order=tuple(sys.modes[c].index for c in chain),
         vs=tuple(vs),
-        order=tuple(order),
-        errors=tuple(errors),
-        wrap_sign=wrap_sign,
+        factors=tuple(factors),
     )
 
 

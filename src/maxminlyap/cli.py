@@ -334,9 +334,11 @@ def cmd_decompose(args):
     if sysm.dim == 2:
         factors = cone_chain(sysm)
         print(f"chain order: {list(factors.order)}")
-        for i, (t, v, err) in enumerate(
-            zip(factors.thetas, factors.vs, factors.errors), start=1
+        for i, (mode, (t, t2), v) in enumerate(
+            zip(factors.order, factors.factors, factors.vs), start=1
         ):
+            Q = sysm.modes[mode - 1].Q
+            err = float(np.abs(np.outer(t, t2) + np.outer(t2, t) - Q).max())
             print(
                 f"theta_{i} = [{', '.join(_fmt(c) for c in t)}]  "
                 f"line_{i} = [{', '.join(_fmt(c) for c in v)}]  "

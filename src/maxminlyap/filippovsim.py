@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
+from .numkernel import as_points
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 COMPLETED = "completed"
@@ -301,13 +302,6 @@ def _sliding_weight(sys, x, pair, policy, widen=0.0):
     return lam, fa, fb
 
 
-def _state(sys, x, what):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.dim,):
-        raise InvalidInputError(f"{what} must have dimension {sys.dim}, got shape {x.shape}")
-    return x
-
-
 def sliding_lambda(sys, x, policy=DEFAULT_POLICY, pair=None):
     """Weight of the first adjacent field in the tangent combination.
 
@@ -316,7 +310,7 @@ def sliding_lambda(sys, x, policy=DEFAULT_POLICY, pair=None):
     [0, 1] (sliding); None for a transversal crossing or a tangency
     (both normal components vanish).
     """
-    x = _state(sys, x, "sliding_lambda state")
+    x = as_points(x, sys.dim, "sliding_lambda state")
     if pair is None:
         idx = sys.index_set(x, policy)
         if len(idx) != 2:
@@ -335,7 +329,7 @@ class _Sim:
     def __init__(self, sys, x0, opts):
         self.sys = sys
         self.opts = opts
-        self.x = _state(sys, x0, "initial state")
+        self.x = as_points(x0, sys.dim, "initial state")
         if not np.all(np.isfinite(self.x)):
             raise InvalidInputError("initial state has non-finite entries")
         self.t = 0.0

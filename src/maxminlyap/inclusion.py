@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, PartitionError
-from .numkernel import as_square, as_symmetric, quad_forms, sphere_points
+from .numkernel import as_points, as_square, as_symmetric, quad_forms, sphere_points
 from .policy import DEFAULT_POLICY
 from .sysdsl import expr as ex
 
@@ -147,7 +147,7 @@ class SwitchedSystem:
 
     def index_set(self, x, policy=DEFAULT_POLICY):
         """Modes whose region closure contains x: the one-row ``closure_mask``."""
-        x = np.asarray(x, dtype=float)
+        x = as_points(x, self.dim, "point")
         inside = self.closure_mask(x[None], policy)[0]
         out = tuple(m.index for m, keep in zip(self.modes, inside.tolist()) if keep)
         if not out:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .numkernel import quad_forms, sphere_points
+from .numkernel import as_points, quad_forms, sphere_points
 from .policy import DEFAULT_POLICY
 from .sysdsl import expr as ex
 
@@ -197,7 +197,7 @@ def dual_families(families):
 
 def evaluate(spec, basis, x):
     """V(x): nested max/min of the base values; one V per row of x[S, n]."""
-    vals = basis.values(x)
+    vals = basis.values(as_points(x, basis.dim, "point", max_ndim=2))
     return combine(spec, vals)
 
 
@@ -303,7 +303,7 @@ def active_indices(spec, basis, x, policy=DEFAULT_POLICY):
     planar quadratic bases; by perturbation sampling on three small
     spheres everywhere else.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_points(x, basis.dim, "point")
     ties, _ = equal_value_indices(spec, basis, x, policy)
     if len(ties) == 1:
         return ActiveSet(indices=ties, method=EXACT_SMOOTH)

@@ -41,6 +41,15 @@ def as_square(M, name="matrix"):
     return A
 
 
+def as_points(x, dim, what, max_ndim=1):
+    """x as a float array of dim-vectors along its last axis, with at most
+    max_ndim axes; otherwise InvalidInputError names the expected dimension."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,) or x.ndim > max_ndim:
+        raise InvalidInputError(f"{what} must have dimension {dim}, got shape {x.shape}")
+    return x
+
+
 def as_symmetric(M, name="matrix"):
     """Validate finiteness and symmetry up to representation noise (1e-8
     relative to each matrix's largest entry) of one matrix or of each

@@ -24,8 +24,10 @@ from maxminlyap.certifier import (
     sliding_exclusion,
 )
 from maxminlyap.certreport import re_verify, serialize_certificate
-from maxminlyap.errors import ConfigError, InvalidInputError
-from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, phi, strict_ordering
+from maxminlyap.errors import ConfigError, InvalidInputError, PartitionError
+from maxminlyap.maxmin import (
+    MaxMinSpec, QuadraticBasis, clarke_gradient, evaluate, phi, strict_ordering
+)
 from maxminlyap.numkernel import negdef_margin, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
@@ -220,6 +222,13 @@ def test_q_cone_decompose_rejects_definite():
         q_cone_decompose(np.eye(2))
 
 
+def assert_factors_reconstruct(sys, factors):
+    # factors[i] is the factor pair of mode order[i]: t t'^T + t' t^T = Q
+    for mode, (t, t2) in zip(factors.order, factors.factors):
+        rec = np.outer(t, t2) + np.outer(t2, t)
+        assert np.abs(rec - sys.modes[mode - 1].Q).max() <= 1e-10
+
+
 def test_cone_chain_benchmark_lines():
     sys1 = fixtures.example("example1")[0]
     factors = cone_chain(sys1)
@@ -227,17 +236,95 @@ def test_cone_chain_benchmark_lines():
     np.testing.assert_allclose(factors.vs[0], fixtures.EXAMPLE1_LINES["S13"], atol=1e-9)
     np.testing.assert_allclose(factors.vs[1], fixtures.EXAMPLE1_LINES["S21"], atol=1e-9)
     np.testing.assert_allclose(factors.vs[2], fixtures.EXAMPLE1_LINES["S32"], atol=1e-9)
-    assert max(factors.errors) <= 1e-10
-    assert factors.thetas[0][0] >= 0
+    assert_factors_reconstruct(sys1, factors)
 
 
 def test_cone_chain_two_mode_double_cone(example2_linear_system):
     factors = cone_chain(example2_linear_system)
     assert len(factors.vs) == 2
-    assert factors.wrap_sign == -1.0
+    assert_factors_reconstruct(example2_linear_system, factors)
     got = {tuple(np.round(v, 6)) for v in factors.vs}
     r = round(float(np.sqrt(0.5)), 6)
     assert got == {(r, r), (r, -r)}
+
+
+WRONG_DIMENSION_CALLS = {
+    "lie_derivative": lambda sys, spec, basis: lie_derivative(
+        spec, basis, sys, np.ones(3), POLICY
+    ),
+    "evaluate": lambda sys, spec, basis: evaluate(spec, basis, np.ones(3)),
+    "evaluate_batch": lambda sys, spec, basis: evaluate(spec, basis, np.ones((4, 3))),
+    "clarke_gradient": lambda sys, spec, basis: clarke_gradient(spec, basis, np.ones(3)),
+    "index_set": lambda sys, spec, basis: sys.index_set(np.ones(3)),
+    "certify": lambda sys, spec, basis: certify(
+        sys, spec, Candidate(matrices=[np.eye(3)] * 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_DIMENSION_CALLS))
+def test_wrong_dimension_input_is_a_typed_error(call):
+    # a 3-vector or 3x3 bases on the planar example1 name the dimension
+    # instead of failing inside numpy
+    sys1, spec1, _ = fixtures.example("example1")
+    basis = QuadraticBasis(fixtures.example1_candidate().matrices)
+    with pytest.raises(InvalidInputError, match="must have dimension 2, got shape"):
+        WRONG_DIMENSION_CALLS[call](sys1, spec1, basis)
+
+
+def sector_tiling(lines, scales, labels):
+    """Cone matrices of the sectors between consecutive line angles
+    (radians, ascending in [0, pi)): sector k, from lines[k] to the next
+    line, scaled by scales[k] and given to mode labels[k]."""
+    ang = np.append(lines, lines[0] + np.pi)
+    normals = np.stack([-np.sin(ang), np.cos(ang)], axis=1)
+    Qs = [None] * len(lines)
+    for k, (scale, label) in enumerate(zip(scales, labels)):
+        mid = 0.5 * (ang[k] + ang[k + 1])
+        x = np.array([np.cos(mid), np.sin(mid)])
+        n1, n2 = normals[k], normals[k + 1]
+        Qs[label - 1] = np.sign((n1 @ x) * (n2 @ x)) * scale * (
+            np.outer(n1, n2) + np.outer(n2, n1)
+        )
+    return Qs
+
+
+@pytest.mark.parametrize("M, seed", [(4, 3), (4, 11), (6, 5), (6, 19)])
+def test_cone_chain_follows_the_sectors_at_any_scale(linear_system, M, seed):
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.2, 1.0, M)  # sector widths of at least a few degrees
+    lines = rng.uniform(0.0, 0.1) + np.pi * np.append(0.0, np.cumsum(gaps[:-1])) / gaps.sum()
+    scales = np.exp(rng.uniform(-1.0, 1.0, M))
+    labels = [int(c) + 1 for c in rng.permutation(M)]
+    Qs = sector_tiling(lines, scales, labels)
+    sysm = linear_system([-np.eye(2)] * M, Qs)
+    factors = cone_chain(sysm)
+    # the chain is the sector order, read either way round from mode 1
+    start = labels.index(1)
+    ccw = labels[start:] + labels[:start]
+    assert factors.order in (tuple(ccw), tuple(ccw[:1] + ccw[:0:-1]))
+    assert_factors_reconstruct(sysm, factors)
+    for i, v in enumerate(factors.vs):
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        for mode in (factors.order[i - 1], factors.order[i]):
+            assert abs(v @ Qs[mode - 1] @ v) <= 1e-10
+
+
+def test_cone_chain_refuses_a_gap_and_an_overlap(linear_system):
+    lines = np.array([0.0, 1.0, 2.0])
+    Qs = sector_tiling(lines, [1.0, 2.0, 0.5], [1, 2, 3])
+    # sector 2 narrowed to end at 1.9 rad leaves a gap; widened to 2.1, an overlap
+    for end in (1.9, 2.1):
+        Q2 = sector_tiling(np.array([1.0, end]), [1.0, 1.0], [1, 2])[0]
+        sysm = linear_system([-np.eye(2)] * 3, [Qs[0], Q2, Qs[2]])
+        with pytest.raises(PartitionError, match="do not tile the plane"):
+            cone_chain(sysm)
+
+
+def test_cone_chain_refuses_a_definite_cone_matrix(linear_system):
+    sysm = linear_system([-np.eye(2)] * 2, [np.diag([1.0, -1.0]), np.eye(2)])
+    with pytest.raises(InvalidInputError, match="sign indefinite"):
+        cone_chain(sysm)
 
 
 def test_planar_condition_ii_benchmark_all_empty():

@@ -265,6 +265,16 @@ def test_decompose_planar(capsys):
     assert "theta_1" in out and "chain order: [1, 2, 3]" in out
 
 
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_decompose_planar_matches_golden_text(capsys, name):
+    # golden files hold `decompose configs/<name>.cfg`: the chain order, and
+    # per line the factor of mode order[i] on it, the line, and that
+    # mode's reconstruction error
+    code, out, _ = run(capsys, ["decompose", str(CONFIGS / f"{name}.cfg")])
+    assert code == 0
+    assert out == (GOLDEN / f"decompose_{name}.txt").read_text()
+
+
 def test_decompose_two_mode(capsys):
     code, out, _ = run(capsys, ["decompose", EX3, "--samples", "2000"])
     assert code == 0
@@ -399,3 +409,105 @@ def test_simulate_csv_matches_golden_bytes(capsys, monkeypatch, tmp_path, name, 
     code, _, _ = run(capsys, ["simulate", *argv, "--csv", str(out_csv)])
     assert code == 0
     assert out_csv.read_bytes() == (GOLDEN / f"simulate_{name}.csv").read_bytes()
+
+
+# planar cone partitions whose chain needs no rescaling: A = -I style modes,
+# two bases, and every switching line printed by `certify`
+TWO_MODE_CFG = """\
+[system]
+dim = 2
+mode 1 {
+  A = [[-1, 0], [0, -2]]
+  Q = [[-1, 0], [0, 1]]
+}
+mode 2 {
+  A = [[-2, 0], [0, -1]]
+  Q = [[1, 0], [0, -1]]
+}
+
+[basis]
+P1 = [[1, 0], [0, 2]]
+P2 = [[2, 0], [0, 1]]
+
+[structure]
+polarity = maxmin
+S1 = {1, 2}
+"""
+
+FOUR_CONE_CFG = """\
+[system]
+dim = 2
+mode 1 {
+  A = [[-1, 0], [0, -1]]
+  Q = [[0, 1], [1, -2]]
+}
+mode 2 {
+  A = [[-1, 0], [0, -1]]
+  Q = [[-2, 1], [1, 0]]
+}
+mode 3 {
+  A = [[-1, 0], [0, -1]]
+  Q = [[-2, -1], [-1, 0]]
+}
+mode 4 {
+  A = [[-1, 0], [0, -1]]
+  Q = [[0, -1], [-1, -2]]
+}
+
+[basis]
+P1 = [[1, 0], [0, 2]]
+P2 = [[2, 0], [0, 1]]
+
+[structure]
+polarity = maxmin
+S1 = {1, 2}
+"""
+
+# twice mode 2's cone matrix: the same region, factors of unequal scale
+TWO_MODE_SCALED_CFG = TWO_MODE_CFG.replace(
+    "Q = [[1, 0], [0, -1]]", "Q = [[2, 0], [0, -2]]"
+)
+
+
+def write_config(monkeypatch, tmp_path, name, text):
+    # the manifest header hashes the config path as given, so runs use the
+    # bare file name inside tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    return name
+
+
+@pytest.mark.parametrize(
+    "name, text", [("two_mode_matched", TWO_MODE_CFG), ("four_cone_matched", FOUR_CONE_CFG)]
+)
+def test_certify_planar_chain_matches_golden_text(capsys, monkeypatch, tmp_path, name, text):
+    # golden files hold `certify <name>.cfg` at seed 0 from the scaled
+    # adjacency walk; reading the chain off sorted sectors must not move a byte
+    cfg = write_config(monkeypatch, tmp_path, f"{name}.cfg", text)
+    code, out, _ = run(capsys, ["certify", cfg])
+    assert code == 0
+    assert out == (GOLDEN / f"certify_{name}.txt").read_text()
+
+
+def test_certify_planar_chain_at_unequal_cone_scales(capsys, monkeypatch, tmp_path):
+    # scaling a cone matrix leaves its region as it is; the chain, the
+    # certificate and the decrease samples on the switching lines follow
+    cfg = write_config(monkeypatch, tmp_path, "two_mode_scaled.cfg", TWO_MODE_SCALED_CFG)
+    code, out, _ = run(capsys, ["certify", cfg])
+    assert code == 0
+    assert "verdict = GAS-certified\n" in out
+    assert "kind = planar\n" in out
+    matched = (GOLDEN / "certify_two_mode_matched.txt").read_text()
+    assert out.split("[condition_ii]")[1] == matched.split("[condition_ii]")[1]
+    code, out, _ = run(capsys, ["decrease", cfg, "--samples", "100"])
+    assert code == 0
+    assert "points=102 violations=0" in out
+
+
+def test_decompose_single_cone_exits_2(capsys, monkeypatch, tmp_path):
+    text = TWO_MODE_CFG.split("mode 2 {")[0] + "\n[basis]" + TWO_MODE_CFG.split("[basis]")[1]
+    cfg = write_config(monkeypatch, tmp_path, "one_cone.cfg", text)
+    code, out, err = run(capsys, ["decompose", cfg])
+    assert code == 2
+    assert out == ""
+    assert "a single cone cannot partition the plane" in err
