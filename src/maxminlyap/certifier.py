@@ -43,8 +43,10 @@ import numpy as np
 
 from .errors import InvalidInputError, PartitionError
 from .maxmin import (
+    GradientHull,
     MaxMinSpec,
     QuadraticBasis,
+    active_sets,
     all_permutations,
     phi,
     realized_base,
@@ -55,7 +57,7 @@ from .numkernel import (
     sphere_points,
 )
 from .policy import DEFAULT_POLICY
-from .setderiv import vertex_table
+from .setderiv import VertexTable
 
 MAX_BASES = 6
 MATCHING_SAMPLES = 2000  # unit directions behind a derived matching
@@ -826,12 +828,14 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
     _require_linear_conic(sys)
     factors = cone_chain(sys)
     basis = QuadraticBasis(cand.matrices)
+    sets = active_sets(spec, basis, np.array(factors.vs), policy)
     entries = []
     for pos in range(sys.M):
         v = factors.vs[pos]
         # wraps: line pos borders chain positions pos-1 and pos
         modes = (factors.order[pos - 1], factors.order[pos])
-        table = vertex_table(spec, basis, sys, v, policy, modes)
+        fields = tuple(sys.field(i, v) for i in modes)
+        table = VertexTable(GradientHull.of(basis, v, sets[pos]), fields)
         kind, vertices, worst = "smooth", (), None
         if len(table.hull.indices) > 1:
             lam, lie = table.lie(policy)

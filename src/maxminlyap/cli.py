@@ -40,7 +40,7 @@ from .inclusion import SwitchedSystem
 from .maxmin import all_permutations, clarke_gradient, evaluate, phi
 from .policy import NumericPolicy
 from .numkernel import sphere_points
-from .setderiv import clarke_derivative, decrease_check, lie_derivative
+from .setderiv import decrease_check, vertex_table
 from .svg import PORTRAIT_GRID, phase_portrait_svg
 from .sysdsl.config import parse_config
 
@@ -203,14 +203,21 @@ def cmd_lie(args):
     sysm = SwitchedSystem.from_config(parsed.require_system())
     policy = _policy_from(args)
     x = _point(args.at, sysm.dim)
-    lie = lie_derivative(spec, basis, sysm, x, policy)
-    clarke = clarke_derivative(spec, basis, sysm, x, policy)
+    table = vertex_table(spec, basis, sysm, x, policy)
+    lie, clarke = table.lie(policy)[1], table.clarke()
+    _warn({table.hull.warning: 1} if table.hull.warning else {})
     if lie.empty:
         print("lie = empty (max = -inf)")
     else:
         print(f"lie = [{_fmt(lie.lo)}, {_fmt(lie.hi)}]")
     print(f"clarke = [{_fmt(clarke.lo)}, {_fmt(clarke.hi)}]")
     return EXIT_OK
+
+
+def _warn(counts):
+    """Each distinct active-set warning on stderr, with its point count."""
+    for text, n in counts.items():
+        print(f"warning: {text} ({n} point{'' if n == 1 else 's'})", file=_sys.stderr)
 
 
 def _decrease_samples(args, sysm, policy):
@@ -235,6 +242,7 @@ def cmd_decrease(args):
     report = decrease_check(
         spec, basis, sysm, pts, args.rate, policy, use_clarke=args.clarke
     )
+    _warn(report.warnings)
     print(
         f"decrease[{report.mode}] rate={_fmt(args.rate)} "
         f"points={len(report.entries)} violations={len(report.violations)}"

@@ -148,7 +148,11 @@ class SwitchedSystem:
     def index_set(self, x, policy=DEFAULT_POLICY):
         """Modes whose region closure contains x: the one-row ``closure_mask``."""
         x = as_points(x, self.dim, "point")
-        inside = self.closure_mask(x[None], policy)[0]
+        return self.adjacent(x, self.closure_mask(x[None], policy)[0])
+
+    def adjacent(self, x, inside):
+        """Indices of the modes that ``inside``, the ``closure_mask`` row of
+        x, marks; PartitionError when it marks none."""
         out = tuple(m.index for m, keep in zip(self.modes, inside.tolist()) if keep)
         if not out:
             raise PartitionError(

@@ -10,6 +10,10 @@ max-of-min structure with the dual families.  This module evaluates such
 functions, locates the single active base on each strict-ordering cone
 (the selection map over permutations), and computes essentially-active
 index sets together with the generalized gradient vertices they induce.
+Active sets are computed for a batch of points at once (``active_sets``),
+and the probes of every open point go through one ``realized_base``
+call per sweep round or probe chunk; ``active_indices`` is the one-point
+case.
 """
 
 import itertools
@@ -21,13 +25,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .numkernel import as_points, quad_forms, sphere_points
+from .numkernel import as_points, quad_forms, row_norms, sphere_points
 from .policy import DEFAULT_POLICY
 from .sysdsl import expr as ex
 
 MAXMIN = "maxmin"
 MINMAX = "minmax"
-SAMPLED_DIRECTIONS = 64  # perturbation directions per sphere in active_indices
+SAMPLED_DIRECTIONS = 64  # perturbation directions per sphere in active_sets
+PROBE_ROWS = 32  # rows whose perturbation probes share one realized_base call
 
 
 @dataclass(frozen=True)
@@ -258,6 +263,12 @@ class GradientHull:
     method: str
     warning: Optional[str] = None
 
+    @classmethod
+    def of(cls, basis, x, act):
+        """The gradient vertices at x of the ``ActiveSet`` act there."""
+        verts = tuple(basis.gradient(k, x) for k in act.indices)
+        return cls(indices=act.indices, vertices=verts, method=act.method, warning=act.warning)
+
 
 def strict_ordering(vals):
     """Permutation sorting the values ascending, or None on any tie."""
@@ -295,32 +306,44 @@ def realized_base(spec, vals):
 
 
 def active_indices(spec, basis, x, policy=DEFAULT_POLICY):
-    """Essentially-active index set.
+    """Essentially-active index set at one point: the one-row ``active_sets``."""
+    x = as_points(x, basis.dim, "point")
+    return active_sets(spec, basis, x[None], policy)[0]
+
+
+def active_sets(spec, basis, X, policy=DEFAULT_POLICY, ties=None):
+    """Essentially-active index set at each row of X[S, n], one ``ActiveSet``
+    per row; ``ties`` is the ``tie_mask`` of X when the caller holds it.
 
     A unique value-tie is returned directly (the function is C^1 there).
     Otherwise the set is recovered from the selection map on the
     strict-ordering cones meeting x: exactly, by an angular sweep, for
     planar quadratic bases; by perturbation sampling on three small
-    spheres everywhere else.
+    spheres everywhere else, and where the sweep finds nothing.
     """
-    x = as_points(x, basis.dim, "point")
-    ties, _ = equal_value_indices(spec, basis, x, policy)
-    if len(ties) == 1:
-        return ActiveSet(indices=ties, method=EXACT_SMOOTH)
-    if isinstance(basis, QuadraticBasis) and basis.dim == 2:
-        got = _planar_sweep(spec, basis, x, policy)
-        if got is not None:
-            return got
-    return _sampled_active(spec, basis, x, policy)
+    X = as_points(X, basis.dim, "points", max_ndim=2).reshape(-1, basis.dim)
+    if ties is None:
+        ties, _ = tie_mask(spec, basis, X, policy)
+    count = ties.sum(axis=1)
+    out = [
+        ActiveSet(indices=(k + 1,), method=EXACT_SMOOTH) if c == 1 else None
+        for c, k in zip(count.tolist(), ties.argmax(axis=1).tolist())
+    ]
+    rows = np.flatnonzero(count != 1)
+    if len(rows) and isinstance(basis, QuadraticBasis) and basis.dim == 2:
+        swept = _planar_sweep(spec, basis, X[rows], policy)
+        for r, got in zip(rows.tolist(), swept):
+            out[r] = got
+        rows = rows[[got is None for got in swept]]
+    if len(rows):
+        for r, got in zip(rows.tolist(), _sampled_active(spec, basis, X[rows], ties[rows], policy)):
+            out[r] = got
+    return out
 
 
 def clarke_gradient(spec, basis, x, policy=DEFAULT_POLICY):
     """Generalized-gradient vertices {grad V_l(x) : l essentially active}."""
-    act = active_indices(spec, basis, x, policy)
-    verts = tuple(basis.gradient(k, x) for k in act.indices)
-    return GradientHull(
-        indices=act.indices, vertices=verts, method=act.method, warning=act.warning
-    )
+    return GradientHull.of(basis, x, active_indices(spec, basis, x, policy))
 
 
 # ---------------------------------------------------------------------------
@@ -351,84 +374,94 @@ def _pair_root_angles(D, scale):
     return [t % math.pi for t in roots]
 
 
-def _circ_dist(a, b):
-    d = abs(a - b) % math.pi
-    return min(d, math.pi - d)
-
-
-def _planar_sweep(spec, basis, x, policy):
-    """Exact alpha_V for 2-D quadratic bases via root isolation on the circle.
+def _planar_sweep(spec, basis, X, policy):
+    """Exact alpha_V for 2-D quadratic bases via root isolation on the
+    circle, at each row of X[S, 2]; None for a row the sweep cannot decide.
 
     Active sets are constant on rays, so only the angle matters; the
     strict-ordering arcs adjacent to the point's direction determine the
     essentially-active set.  The root angles depend on the basis only and
-    are kept with it.  Returns None when a degenerate (identical) base
-    pair makes the sweep unreliable.
+    are kept with it.  Each open row probes at +-delta around its angle,
+    half its gap to the nearest other root, and halves delta while a probe
+    ties (at most 40 times); every round classifies the probes of all
+    open rows in one ``realized_base`` call.  Rows at the origin share
+    one whole-circle sweep.  Every row is None when a degenerate
+    (identical) base pair makes the sweep unreliable.
     """
+    out = [None] * len(X)
     roots = basis._circle_roots
     if roots is None:
-        return None
+        return out
 
     def phi_at(theta):
-        """Active base at angle theta, or None on any value tie."""
-        rho = strict_ordering(basis.values(np.array([math.cos(theta), math.sin(theta)])))
-        return None if rho is None else phi(spec, rho)
+        """Active base at each angle of theta, 0 on any value tie."""
+        return realized_base(spec, basis.values(np.stack([np.cos(theta), np.sin(theta)], axis=1)))
 
-    norm = float(np.linalg.norm(x))
-    if norm <= policy.abs_tol:
+    origin = row_norms(X) <= policy.abs_tol
+    if origin.any():
         # whole-circle sweep: one sample inside every arc between roots
         angles = sorted(set(t % math.pi for t in roots))
-        if not angles:
-            samples = [0.0]
-        else:
-            samples = []
+        samples = [0.0]
+        if angles:
             ext = angles + [angles[0] + math.pi]
-            for lo, hi in zip(ext[:-1], ext[1:]):
-                if hi - lo > 1e-12:
-                    samples.append(0.5 * (lo + hi))
-        found = sorted({p for p in (phi_at(t) for t in samples) if p is not None})
-        if not found:
-            return None
-        return ActiveSet(indices=tuple(found), method=EXACT_SWEEP)
+            samples = [0.5 * (lo + hi) for lo, hi in zip(ext[:-1], ext[1:]) if hi - lo > 1e-12]
+        found = sorted(set(phi_at(np.array(samples)).tolist()) - {0}) if samples else []
+        whole = ActiveSet(indices=tuple(found), method=EXACT_SWEEP) if found else None
+        for r in np.flatnonzero(origin).tolist():
+            out[r] = whole
 
-    theta0 = math.atan2(x[1], x[0])
-    gaps = [d for d in (_circ_dist(theta0, t) for t in roots) if d > 1e-12]
-    delta = min(min(gaps) / 2.0 if gaps else math.pi / 16.0, math.pi / 16.0)
-    found = set()
+    rows = np.flatnonzero(~origin)
+    theta0 = np.array([math.atan2(y, x) for x, y in X[rows].tolist()])
+    d = np.abs(theta0[:, None] - np.array(roots)[None, :]) % math.pi
+    d = np.minimum(d, math.pi - d)
+    gap = np.where(d > 1e-12, d, np.inf).min(axis=1, initial=np.inf)
+    delta = np.minimum(np.where(gap < np.inf, gap / 2.0, math.pi / 16.0), math.pi / 16.0)
     for _ in range(40):
-        left = phi_at(theta0 - delta)
-        right = phi_at(theta0 + delta)
-        if left is not None and right is not None:
-            found = {left, right}
+        if not len(rows):
             break
-        delta /= 2.0
-    if not found:
-        return None
-    return ActiveSet(indices=tuple(sorted(found)), method=EXACT_SWEEP)
+        sides = phi_at(np.concatenate([theta0 - delta, theta0 + delta])).reshape(2, -1)
+        done = (sides > 0).all(axis=0)
+        for r, left, right in zip(rows[done].tolist(), *sides[:, done].tolist()):
+            out[r] = ActiveSet(indices=tuple(sorted({left, right})), method=EXACT_SWEEP)
+        rows, theta0, delta = rows[~done], theta0[~done], delta[~done] / 2.0
+    return out
 
 
 # ---------------------------------------------------------------------------
 # perturbation sampling
 
 
-def _sampled_active(spec, basis, x, policy):
+def _sampled_active(spec, basis, X, ties, policy):
+    """Active sets of the rows of X[S, n] from the bases realized at 64
+    seeded directions on three small spheres around each row (radii 1, 2
+    and 4 x rel_tol max(1, |x|)); ``ties`` is the rows' ``tie_mask``.  The
+    probes of ``PROBE_ROWS`` rows at a time go through one
+    ``realized_base`` call, so memory does not grow with S."""
     dirs = sphere_points(basis.dim, SAMPLED_DIRECTIONS, np.random.default_rng(policy.seed))
-    base_r = policy.rel_tol * max(1.0, float(np.linalg.norm(x)))
     warning = None
     if isinstance(basis, QuadraticBasis):
         for i in range(basis.K):
             for j in range(i + 1, basis.K):
                 if np.abs(basis.matrices[i] - basis.matrices[j]).max() == 0.0:
                     warning = f"bases {i + 1} and {j + 1} are identical"
-    radii = base_r * np.array([1.0, 2.0, 4.0])
-    probes = (x + radii[:, None, None] * dirs).reshape(-1, basis.dim)
-    found = set(realized_base(spec, basis.values(probes)).tolist()) - {0}
-    if not found:
-        # every sample tied (degenerate basis); fall back to the realized
-        # active index so the set is never empty
-        ties, _ = equal_value_indices(spec, basis, x, policy)
-        found = {ties[0]}
-        warning = warning or "perturbation sampling found no strict ordering"
-    return ActiveSet(
-        indices=tuple(sorted(found)), method=PERTURBATION_SAMPLED, warning=warning
-    )
+    radii = (policy.rel_tol * np.maximum(1.0, row_norms(X)))[:, None] * np.array([1.0, 2.0, 4.0])
+    out = []
+    for lo in range(0, len(X), PROBE_ROWS):
+        chunk = slice(lo, lo + PROBE_ROWS)
+        probes = X[chunk, None, None, :] + radii[chunk, :, None, None] * dirs
+        base = realized_base(spec, basis.values(probes.reshape(-1, basis.dim)))
+        seen = np.zeros((len(probes), basis.K + 1), dtype=bool)
+        seen[np.arange(len(probes))[:, None], base.reshape(len(probes), -1)] = True
+        for hit, tied in zip(seen[:, 1:].tolist(), ties[chunk].tolist()):
+            found = tuple(k for k, h in enumerate(hit, start=1) if h)
+            if found:
+                out.append(ActiveSet(indices=found, method=PERTURBATION_SAMPLED, warning=warning))
+                continue
+            # every sample tied (degenerate basis); fall back to the realized
+            # active index so the set is never empty
+            out.append(ActiveSet(
+                indices=(tied.index(True) + 1,),
+                method=PERTURBATION_SAMPLED,
+                warning=warning or "perturbation sampling found no strict ordering",
+            ))
+    return out

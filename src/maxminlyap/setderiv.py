@@ -8,18 +8,20 @@ set-valued Lie derivative keeps only the weights for which every
 essentially-active gradient sees the same directional value (a small
 homogeneous linear system on the simplex, solved in closed form for one
 equation and by vertex enumeration otherwise); the Clarke derivative is
-the full (more conservative) interval of the table entries.
+the full (more conservative) interval of the table entries.  The sampled
+decrease check builds the tables of all its nonsmooth samples from one
+tie mask, one closure mask and one batch of active sets.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import InternalCheckError, InvalidInputError
-from .maxmin import GradientHull, clarke_gradient, tie_mask
+from .maxmin import GradientHull, active_sets, clarke_gradient, tie_mask
 from .policy import DEFAULT_POLICY
 
 EMPTY = "empty"
@@ -211,12 +213,11 @@ class VertexTable:
         return ClarkeSet(lo=min(products), hi=max(products))
 
 
-def vertex_table(spec, basis, sys, x, policy=DEFAULT_POLICY, modes=None):
-    """The ``VertexTable`` at x over ``modes`` (default: those adjacent to x)."""
+def vertex_table(spec, basis, sys, x, policy=DEFAULT_POLICY):
+    """The ``VertexTable`` at x over the modes adjacent to x."""
     x = np.asarray(x, dtype=float)
     hull = clarke_gradient(spec, basis, x, policy)
-    modes = sys.index_set(x, policy) if modes is None else modes
-    return VertexTable(hull, tuple(sys.field(i, x) for i in modes))
+    return VertexTable(hull, tuple(sys.field(i, x) for i in sys.index_set(x, policy)))
 
 
 def lie_derivative(spec, basis, sys, x, policy=DEFAULT_POLICY):
@@ -242,6 +243,8 @@ class DecreaseReport:
     mode: str  # "lie" | "clarke"
     rate: float
     entries: list
+    # each distinct active-set warning, with the number of samples it came from
+    warnings: dict = field(default_factory=dict)
 
     @property
     def violations(self):
@@ -259,12 +262,13 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
     violates; the Clarke variant reproduces the conservative test.
 
     Samples are finite n-vectors (InvalidInputError otherwise); zero
-    rows are left out.  Rows where exactly one base ties with V are
-    decided in one batched pass: V is C^1 near such a point, both
-    derivative sets are grad V_k(x) . co{f_i(x)}, and their maximum is
-    the largest product over the adjacent modes.  Those entries equal
-    the per-point ``lie_derivative`` / ``clarke_derivative`` ones bit for
-    bit; every other row goes to them.  Entries keep the order of the
+    rows are left out.  One tie mask and one closure mask over all rows
+    decide every row.  Where exactly one base ties with V, V is C^1 near
+    the point, both derivative sets are grad V_k(x) . co{f_i(x)}, and
+    their maximum is the largest product over the adjacent modes.  The
+    other rows get their ``active_sets`` in one batch and one
+    ``VertexTable`` each.  Entries equal the per-point ``lie_derivative``
+    / ``clarke_derivative`` ones bit for bit and keep the order of the
     samples.
     """
     X = _sample_rows(samples, sys.dim)
@@ -272,19 +276,28 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
     X, norm2 = X[norm2 > 0.0], norm2[norm2 > 0.0]
     if not len(X):
         raise InvalidInputError("decrease_check: empty sample set")
-    bounds = -rate * norm2
-    best = _smooth_maxima(spec, basis, sys, X, policy)
+    ties, _ = tie_mask(spec, basis, X, policy)
+    inside = sys.closure_mask(X, policy)
+    best, smooth = _smooth_maxima(basis, sys, X, ties, inside)
+    values, warnings = best.tolist(), {}
+    off = np.flatnonzero(~smooth)
+    if len(off):
+        tables = _vertex_tables(spec, basis, sys, X[off], ties[off], inside[off], policy)
+        for r, table in zip(off.tolist(), tables):
+            if use_clarke:
+                values[r] = table.clarke().hi
+            else:
+                lie = table.lie(policy)[1]
+                values[r] = None if lie.empty else lie.hi
+            warning = table.hull.warning
+            if warning:
+                warnings[warning] = warnings.get(warning, 0) + 1
     entries = []
-    for x, bound, value in zip(X, bounds.tolist(), best.tolist()):
-        if value is None and use_clarke:
-            value = clarke_derivative(spec, basis, sys, x, policy).hi
-        elif value is None:
-            lie = lie_derivative(spec, basis, sys, x, policy)
-            value = None if lie.empty else lie.hi
+    for x, bound, value in zip(X, (-rate * norm2).tolist(), values):
         ok = value is None or value <= bound
         entries.append(DecreaseEntry(x=x, value=value, bound=bound, ok=ok))
     return DecreaseReport(
-        mode="clarke" if use_clarke else "lie", rate=rate, entries=entries
+        mode="clarke" if use_clarke else "lie", rate=rate, entries=entries, warnings=warnings
     )
 
 
@@ -307,30 +320,47 @@ def _sample_rows(samples, dim):
     return X
 
 
-def _smooth_maxima(spec, basis, sys, X, policy):
-    """Per row of X[S, n], max_i grad V_k(x) . f_i(x) over the adjacent
-    modes i where exactly one base k ties with V, else None.
+def _by_column(fn, X, mask):
+    """out[S, C, n] holding fn(c, X[rows]) at the rows column c of mask[S, C]
+    marks, zero elsewhere: one row-form call per marked column."""
+    out = np.zeros(mask.shape + X.shape[1:])
+    for c in np.flatnonzero(mask.any(axis=0)).tolist():
+        out[mask[:, c], c] = fn(c, X[mask[:, c]])
+    return out
+
+
+def _smooth_maxima(basis, sys, X, ties, inside):
+    """Per row of X[S, n] with ``tie_mask`` ties and ``closure_mask``
+    inside: max_i grad V_k(x) . f_i(x) over the adjacent modes i, and
+    whether that decides the row: exactly one base k ties with V there
+    and the maximum is finite and not zero.
 
     The maximum is the first largest product in mode order, as in both
     per-point derivatives.  A zero maximum is left to them too: on the
     Lie side it is a sum over simplex weights, which may carry the other
     sign of zero.
     """
-    ties, _ = tie_mask(spec, basis, X, policy)
-    inside = sys.closure_mask(X, policy)
     smooth = ties.sum(axis=1) == 1
-    k = ties.argmax(axis=1) + 1
-    grads = np.zeros_like(X)
-    for base in np.unique(k[smooth]).tolist():
-        rows = smooth & (k == base)
-        grads[rows] = basis.gradient(base, X[rows])
-    fields = np.zeros((len(X), sys.M, sys.dim))
-    for c, mode in enumerate(sys.modes):
-        rows = smooth & inside[:, c]
-        if rows.any():
-            fields[rows, c] = mode.field(X[rows])
+    grads = _by_column(lambda c, rows: basis.gradient(c + 1, rows), X, ties & smooth[:, None])
+    grads = grads[np.arange(len(X)), ties.argmax(axis=1)]
+    fields = _by_column(lambda c, rows: sys.modes[c].field(rows), X, inside & smooth[:, None])
     products = (grads[:, None, None, :] @ fields[:, :, :, None])[:, :, 0, 0]
     products = np.where(inside, products, -np.inf)
     best = np.take_along_axis(products, products.argmax(axis=1)[:, None], axis=1)[:, 0]
-    smooth &= np.isfinite(best) & (best != 0.0)
-    return np.where(smooth, best, None)
+    return best, smooth & np.isfinite(best) & (best != 0.0)
+
+
+def _vertex_tables(spec, basis, sys, X, ties, inside, policy):
+    """One ``VertexTable`` per row of X[S, n], from the rows' ``tie_mask``
+    ties and ``closure_mask`` inside and their batched ``active_sets``."""
+    sets = active_sets(spec, basis, X, policy, ties=ties)
+    active = np.zeros(ties.shape, dtype=bool)
+    for r, act in enumerate(sets):
+        active[r, [k - 1 for k in act.indices]] = True
+    grads = _by_column(lambda c, rows: basis.gradient(c + 1, rows), X, active)
+    fields = _by_column(lambda c, rows: sys.modes[c].field(rows), X, inside)
+    for x, act, g, f, marked in zip(X, sets, grads, fields, inside):
+        hull = GradientHull(
+            act.indices, tuple(g[k - 1] for k in act.indices), act.method, act.warning
+        )
+        yield VertexTable(hull, tuple(f[i - 1] for i in sys.adjacent(x, marked)))

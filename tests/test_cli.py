@@ -336,6 +336,36 @@ def test_decrease_matches_golden_text(capsys, monkeypatch, name, variant):
     assert code == (0 if " violations=0\n" in want else 1)
 
 
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_decrease_lie_rate0_matches_golden_text(capsys, monkeypatch, name):
+    # golden files hold the stdout of `decrease configs/<name>.cfg
+    # --samples 2000` (Lie mode, rate 0) from the per-point active sets;
+    # the planar ones include the cone_chain kink points, so the batched
+    # active sets must not move a single byte
+    monkeypatch.chdir(CONFIGS.parent)
+    code, out, err = run(capsys, ["decrease", f"configs/{name}.cfg", "--samples", "2000"])
+    assert out == (GOLDEN / f"decrease_{name}.txt").read_text()
+    assert (code, err) == (0, "")
+
+
+def test_lie_and_decrease_warn_on_stderr_only(capsys, tmp_path):
+    # two identical bases: every tied point falls back to sampling with a
+    # warning; stdout stays the per-point output, stderr counts the
+    # warning once per distinct text
+    cfg = tmp_path / "twin.cfg"
+    text = (CONFIGS / "example1.cfg").read_text()
+    assert "P2 = [[1, 0], [0, 5]]" in text
+    cfg.write_text(text.replace("P2 = [[1, 0], [0, 5]]", "P2 = [[5, 0], [0, 1]]"))
+    code, out, err = run(capsys, ["lie", str(cfg), "--at=1,0"])
+    assert (code, out) == (0, "lie = [19, 19]\nclarke = [19, 19]\n")
+    assert err == "warning: bases 1 and 2 are identical (1 point)\n"
+    code, out, err = run(capsys, ["decrease", str(cfg), "--samples", "40"])
+    assert (code, out) == (1, (GOLDEN / "decrease_identical_bases.txt").read_text())
+    assert err == "warning: bases 1 and 2 are identical (21 points)\n"
+    code, out, err = run(capsys, ["lie", EX1, "--at=1,0"])
+    assert err == ""
+
+
 COUNT = "argument --samples: must be at least 1, got "
 RADIUS = "argument --radius: must be finite and positive"
 BUDGET = "argument --budget: must be finite and not negative"

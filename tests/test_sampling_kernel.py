@@ -5,6 +5,8 @@ code replaced.  Sampled verdicts feed a chaotic search, so every batched
 quantity must equal its per-point arithmetic exactly, not approximately.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +15,17 @@ from maxminlyap import fixtures
 from maxminlyap.certifier import _MatchPenalty, derive_matching, sliding_exclusion
 from maxminlyap.inclusion import Mode, SwitchedSystem
 from maxminlyap.maxmin import (
+    EXACT_SMOOTH,
+    EXACT_SWEEP,
     MAXMIN,
     MINMAX,
+    PROBE_ROWS,
+    ExprBasis,
     MaxMinSpec,
     QuadraticBasis,
     PERTURBATION_SAMPLED,
     _sampled_active,
+    active_sets,
     all_permutations,
     combine,
     dual_families,
@@ -27,9 +34,11 @@ from maxminlyap.maxmin import (
     realized_base,
     selected_base,
     strict_ordering,
+    tie_mask,
 )
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.sysdsl import expr as ex
+from maxminlyap.sysdsl import parse_expr_text
 
 POLICY = NumericPolicy()
 
@@ -187,21 +196,71 @@ def ref_sampled_active(spec, basis, x, policy):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     base_r = policy.rel_tol * max(1.0, float(np.linalg.norm(x)))
     warning = None
-    for i, P in enumerate(basis.matrices):
-        for j, R in enumerate(basis.matrices[i + 1 :], start=i + 1):
+    mats = getattr(basis, "matrices", [])
+    for i, P in enumerate(mats):
+        for j, R in enumerate(mats[i + 1 :], start=i + 1):
             if np.array_equal(P, R):
                 warning = f"bases {i + 1} and {j + 1} are identical"
     found = set()
     for mult in (1.0, 2.0, 4.0):
         for d in dirs:
             y = x + base_r * mult * d
-            k = ref_realized(spec, [float(y @ P @ y) for P in basis.matrices])
+            vals = [float(y @ P @ y) for P in mats] if mats else basis.values(y)
+            k = ref_realized(spec, vals)
             if k:
                 found.add(k)
     if not found:
         found = {equal_value_indices(spec, basis, x, policy)[0][0]}
         warning = warning or "perturbation sampling found no strict ordering"
     return tuple(sorted(found)), warning
+
+
+def ref_planar_sweep(spec, basis, x, policy):
+    """Indices of the per-point angular sweep around x on the circle, or
+    None where it cannot decide."""
+    roots = basis._circle_roots
+    if roots is None:
+        return None
+
+    def phi_at(theta):
+        return ref_realized(spec, basis.values(np.array([math.cos(theta), math.sin(theta)])))
+
+    if float(np.linalg.norm(x)) <= policy.abs_tol:
+        angles = sorted(set(t % math.pi for t in roots))
+        if not angles:
+            samples = [0.0]
+        else:
+            samples = []
+            ext = angles + [angles[0] + math.pi]
+            for lo, hi in zip(ext[:-1], ext[1:]):
+                if hi - lo > 1e-12:
+                    samples.append(0.5 * (lo + hi))
+        found = sorted({phi_at(t) for t in samples} - {0})
+        return tuple(found) or None
+
+    theta0 = math.atan2(x[1], x[0])
+    dists = [abs(theta0 - t) % math.pi for t in roots]
+    gaps = [d for d in (min(d, math.pi - d) for d in dists) if d > 1e-12]
+    delta = min(min(gaps) / 2.0 if gaps else math.pi / 16.0, math.pi / 16.0)
+    for _ in range(40):
+        left, right = phi_at(theta0 - delta), phi_at(theta0 + delta)
+        if left and right:
+            return tuple(sorted({left, right}))
+        delta /= 2.0
+    return None
+
+
+def ref_active(spec, basis, x, policy):
+    """(indices, method, warning) of the per-point active-set chain."""
+    ties, _ = equal_value_indices(spec, basis, x, policy)
+    if len(ties) == 1:
+        return ties, EXACT_SMOOTH, None
+    if isinstance(basis, QuadraticBasis) and basis.dim == 2:
+        swept = ref_planar_sweep(spec, basis, x, policy)
+        if swept is not None:
+            return swept, EXACT_SWEEP, None
+    indices, warning = ref_sampled_active(spec, basis, x, policy)
+    return indices, PERTURBATION_SAMPLED, warning
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +474,106 @@ def test_sampled_active_matches_point_loop():
     P1, P2 = basis3.matrices
     for D in (P1 - P2, sys3.modes[0].Q):
         on = _zero_set_points(D, 24, rng)
-        cases.append((spec3, basis3, list(on) + list(on * [1.0 + 1e-7, 1.0 + 1e-7, 1.0])))
+        near = [on * [1.0 + eps, 1.0 + eps, 1.0] for eps in (2e-9, 1e-7)]
+        cases.append((spec3, basis3, [*on, *near[0], *near[1]]))
     cases.append((spec3, QuadraticBasis([P1, P1.copy()]), ring[:3]))
     for spec, basis, points in cases:
-        for x in points:
-            got = _sampled_active(spec, basis, x, POLICY)
-            assert (got.indices, got.warning) == ref_sampled_active(spec, basis, x, POLICY)
-            assert got.method == PERTURBATION_SAMPLED
+        X = np.array(points)
+        got = _sampled_active(spec, basis, X, tie_mask(spec, basis, X, POLICY)[0], POLICY)
+        assert len(got) == len(X)
+        for x, act in zip(X, got):
+            assert (act.indices, act.warning) == ref_sampled_active(spec, basis, x, POLICY)
+            assert act.method == PERTURBATION_SAMPLED
+
+
+def _surface_points(matrices, Qs, per_surface, rng):
+    """Points on every pairwise base tie x'(P_i - P_j)x = 0 and every cone
+    boundary x'Qx = 0, as the benchmark draws its kink points."""
+    surfaces = [P - R for i, P in enumerate(matrices) for R in matrices[i + 1 :]]
+    return np.vstack([_zero_set_points(D, per_surface, rng) for D in [*surfaces, *Qs]])
+
+
+def _active_set_cases():
+    rng = np.random.default_rng(5)
+    origin = np.array([[0.0, 0.0], [3e-10, -4e-10]])
+    for name, per_surface in (("example1", 96), ("example2", 96), ("example3", 48)):
+        sysm, spec, basis = fixtures.example(name)
+        Qs = [m.Q for m in sysm.modes if m.Q is not None]
+        X = _surface_points(basis.matrices, Qs, per_surface, rng)
+        if sysm.dim == 2:
+            X = np.vstack([X, origin])
+        else:
+            # more sampled rows than one probe chunk, and the origin
+            assert len(X) > 2 * PROBE_ROWS
+            X = np.vstack([X, np.zeros((1, 3))])
+        yield name, spec, basis, X
+    sysm, spec, basis = fixtures.example("example1")
+    minmax = MaxMinSpec(K=3, families=((1, 3), (2, 3)), polarity=MINMAX)
+    yield "minmax", minmax, basis, _surface_points(basis.matrices, [], 48, rng)
+    for case in range(40):
+        mats = [G @ G.T + 0.1 * np.eye(2) for G in rng.standard_normal((3, 2, 2))]
+        fams = [tuple(sorted(rng.choice(3, size=rng.integers(1, 4), replace=False) + 1))]
+        fams += [tuple(sorted(rng.choice(3, size=2, replace=False) + 1)) for _ in range(2)]
+        X = np.vstack([_surface_points(mats, [], 8, rng), rng.standard_normal((8, 2)), origin])
+        yield f"random{case}", MaxMinSpec(K=3, families=tuple(fams)), QuadraticBasis(mats), X
+    # an identical pair: no sweep, every probe ties, and sampling falls
+    # back to the first tied base (1 on the P1 = P3 lines, else 2) with
+    # its warning, over more rows than one probe chunk
+    P1, _, P3 = basis.matrices
+    X = np.vstack([_surface_points([P1, P3], [], 24, rng), rng.standard_normal((40, 2))])
+    yield "identical", spec, QuadraticBasis([P3, P1, P1.copy()]), X[rng.permutation(len(X))]
+    exprs = [
+        parse_expr_text("5*x1*x1 + x2*x2"),
+        parse_expr_text("x1*x1 + 5*x2*x2"),
+        parse_expr_text("2*x1*x1 + 2*x2*x2 + 0.1*x1*x2"),
+    ]
+    t = rng.uniform(0.5, 2.0, 24)
+    X = np.vstack([np.stack([t, t], axis=1), np.stack([t, -t], axis=1), rng.standard_normal((8, 2))])
+    yield "expr", spec, ExprBasis(exprs, dim=2), X
+
+
+def test_planar_sweep_halves_delta_while_a_probe_ties(monkeypatch):
+    # no real input ties at a first-round probe angle, so the basis is
+    # made to tie at the first round's probe points: the sweep must probe
+    # again at half the distance and find the sets of the untouched basis
+    sysm, spec, basis = fixtures.example("example1")
+    X = _surface_points(basis.matrices, [], 8, np.random.default_rng(3))
+    X = X[[act.method == EXACT_SWEEP for act in active_sets(spec, basis, X, POLICY)]]
+    want = active_sets(spec, basis, X, POLICY)
+    assert len(X) > 8
+    real, tied, calls = QuadraticBasis.values, [], []
+
+    def values(self, Y):
+        vals = real(self, Y)
+        calls.append(len(Y))
+        if len(Y) == 2 * len(X) and not tied:
+            tied.append(Y.copy())
+        hit = (Y[:, None, :] == tied[0][None]).all(axis=2).any(axis=1) if tied else []
+        vals[hit] = vals[hit, :1]
+        return vals
+
+    monkeypatch.setattr(QuadraticBasis, "values", values)
+    assert active_sets(spec, basis, X, POLICY) == want
+    assert calls == [len(X), 2 * len(X), 2 * len(X)]
+
+
+def test_active_sets_match_the_per_point_chain():
+    # every row of one batch equals the per-point chain: tie test, then
+    # the angular sweep (planar quadratic bases), then perturbation sampling
+    methods = {EXACT_SMOOTH: 0, EXACT_SWEEP: 0, PERTURBATION_SAMPLED: 0}
+    warned = 0
+    for name, spec, basis, X in _active_set_cases():
+        got = active_sets(spec, basis, X, POLICY)
+        assert len(got) == len(X), name
+        for x, act in zip(X, got):
+            assert (act.indices, act.method, act.warning) == ref_active(spec, basis, x, POLICY), (
+                name,
+                x.tolist(),
+            )
+            methods[act.method] += 1
+            warned += act.warning is not None
+    assert min(methods.values()) > PROBE_ROWS
+    assert warned > 0
 
 
 def test_match_penalty_gram_form_matches_einsum():

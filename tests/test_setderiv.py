@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maxminlyap import fixtures, setderiv
+from maxminlyap import fixtures, maxmin, setderiv
 from maxminlyap.errors import InvalidInputError
 from maxminlyap.inclusion import Mode, SwitchedSystem
 from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, active_indices, equal_value_indices
@@ -494,18 +494,40 @@ def test_decrease_entries_equal_per_point_derivatives_bitwise(name, rate, use_cl
         assert e.ok is (value is None or value <= bound)
 
 
-def test_decrease_calls_lie_derivative_only_off_the_smooth_path(monkeypatch):
+def test_decrease_makes_no_per_point_calls(monkeypatch):
+    # rows off the smooth path are decided from the batch's tie and closure
+    # masks and its batched active sets, never by a per-point call
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-point call in decrease_check")
+
+    for name in ("example1", "example3"):
+        spec, basis, sysm = _problem(name)
+        X = _sphere_and_kink_points(basis, sysm, np.random.default_rng(11))
+        off = [x for x in X if len(equal_value_indices(spec, basis, x, POLICY)[0]) != 1]
+        assert 0 < len(off) < len(X)
+        with monkeypatch.context() as m:
+            for module, attr in (
+                (setderiv, "lie_derivative"),
+                (setderiv, "clarke_derivative"),
+                (setderiv, "clarke_gradient"),
+                (setderiv, "vertex_table"),
+                (maxmin, "active_indices"),
+                (maxmin, "equal_value_indices"),
+                (SwitchedSystem, "index_set"),
+            ):
+                m.setattr(module, attr, refuse)
+            for use_clarke in (False, True):
+                report = decrease_check(spec, basis, sysm, X, 0.0, POLICY, use_clarke=use_clarke)
+                assert len(report.entries) == len(X)
+
+
+def test_decrease_counts_active_set_warnings():
     spec, basis, sysm = _problem("example1")
-    X = _sphere_and_kink_points(basis, sysm, np.random.default_rng(11))
-    off = [x for x in X if len(equal_value_indices(spec, basis, x, POLICY)[0]) != 1]
-    assert 0 < len(off) < len(X)
-    called = []
-    real = setderiv.lie_derivative
-
-    def wrapped(spec, basis, sys, x, policy):
-        called.append(np.array(x))
-        return real(spec, basis, sys, x, policy)
-
-    monkeypatch.setattr(setderiv, "lie_derivative", wrapped)
-    decrease_check(spec, basis, sysm, X, 0.0, POLICY)
-    np.testing.assert_array_equal(np.array(called), np.array(off))
+    P1, _, P3 = basis.matrices
+    twin = QuadraticBasis([P1, P1.copy(), P3])
+    X = _sphere_and_kink_points(twin, sysm, np.random.default_rng(3))
+    warned = sum(active_indices(spec, twin, x, POLICY).warning is not None for x in X)
+    assert warned > 0
+    report = decrease_check(spec, twin, sysm, X, 0.0, POLICY)
+    assert report.warnings == {"bases 1 and 2 are identical": warned}
+    assert decrease_check(spec, basis, sysm, X, 0.0, POLICY).warnings == {}
