@@ -263,6 +263,13 @@ def cmd_simulate(args):
         raise InvalidInputError("--level draws level sets on the --svg portrait; give --svg")
     if args.grid is not None and not args.level:
         raise InvalidInputError("--grid sets the level-set grid; give --level")
+    if args.grid is not None and args.grid < 2:
+        raise InvalidInputError(f"--grid needs at least 2 points per axis, got {args.grid}")
+    if args.svg and sysm.dim != 2:
+        raise InvalidInputError("svg output is planar only")
+    if args.level and parsed.basis is None:
+        raise InvalidInputError("--level needs a [basis] section in the config")
+    levels = tuple(_numbers(args.level, "--level")) if args.level else ()
     x0 = _point(getattr(args, "from"), sysm.dim)
     opts = SimOptions(
         horizon=args.horizon,
@@ -288,16 +295,10 @@ def cmd_simulate(args):
         _write(args.csv, export_csv(traj, spec, basis), manifest)
         print(f"csv written to {args.csv}")
     if args.svg:
-        if sysm.dim != 2:
-            raise InvalidInputError("svg output is planar only")
         coords = [s.x for s in traj.samples]
         value_fn = None
-        levels = ()
-        if args.level:
-            if spec is None:
-                raise InvalidInputError("--level needs a [basis] section in the config")
+        if levels:
             value_fn = lambda p: evaluate(spec, basis, p)  # noqa: E731
-            levels = tuple(_numbers(args.level, "--level"))
         svg = phase_portrait_svg(
             [coords],
             value_fn=value_fn,

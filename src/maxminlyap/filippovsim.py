@@ -2,23 +2,27 @@
 
 Inside a region the active mode is integrated with an adaptive
 Dormand-Prince 5(4) scheme whose accepted steps hand their last stage
-on as the first stage of the next (first same as last).  A sign change
-of the active region function is located on the step just taken:
-Illinois root-finding on the step's 4th-order continuous extension
-(Shampine 1986), then one real step of the located length, refined by
-a bracketed secant on real steps while the region function there
-exceeds the event tolerance.  At the surface the two adjacent normal
-field components decide between a transversal switch and first-order
+on as the first stage of the next (first same as last).  Each step is
+one straight-line function, generated once per state dimension, that
+sums the stages term by term on Python floats.  A sign change of the
+active region function is located on the step just taken: Illinois
+root-finding on the step's 4th-order continuous extension (Shampine
+1986), then one real step of the located length, refined by a
+bracketed secant on real steps while the region function there exceeds
+the event tolerance.  At the surface the two adjacent normal field
+components decide between a transversal switch and first-order
 sliding, in which case the tangent convex combination of the two
 fields is integrated with re-projection onto the surface after every
-accepted step (seven fresh stages per step: the combination weight is
-updated as the stages run).  Both flows share one adaptive step
-control, which rejects any step whose error norm is not at most one.
-Codimension-2 intersections, step underflow and non-finite field values
-terminate with a stall status (at the last finite state) rather than
-an error.
+accepted step.  The combination weight is updated as the stages run;
+the weight checked at each projected state gives the next step's first
+stage, so only a sliding flow's first step and a retried step evaluate
+all seven.  Both flows share one adaptive step control, which rejects
+any step whose error norm is not at most one.  Codimension-2
+intersections, step underflow and non-finite field values terminate
+with a stall status (at the last finite state) rather than an error.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -156,18 +160,42 @@ _DP_P = (
 )
 
 
-# Stage sums read rows of one stack whose row 0 is +0.0, the start value
-# of ``sum``: each column of weights below is (1.0, its coefficients), and
-# the running sum along axis 0 adds the weighted rows in order, so its
-# last row is sum(a * k[j] for ...) bit for bit.  (``np.add.reduce`` may
-# add a single column pairwise.)
-_DP_WEIGHTS = tuple(
-    np.array((1.0,) + row)[:, None] for row in _DP_A[1:] + (_DP_B5, _DP_B4)
-)
+@functools.cache
+def _dp_kernel(n):
+    """One straight-line Dormand-Prince step for states of dimension n.
 
+    Component i of each stage state is x_i + dt * (0.0 + a_1 * k_1[i] +
+    a_2 * k_2[i] + ...) on Python floats, bit for bit ``sum`` over the
+    terms; zero coefficients are kept, so inf/NaN stages spread as in the
+    full sum.  The field is called on a float array, read back as floats.
+    """
 
-def _stage_sum(w, K):
-    return np.add.accumulate(w * K[: len(w)], axis=0)[-1]
+    def row(template):  # "t(0), t(1), ..., " over the n components
+        return "".join(template.format(i) + ", " for i in range(n))
+
+    def state(coeffs):  # a template of the stage state's component {0}
+        terms = "".join(f" + {a!r} * k{j}_{{0}}" for j, a in enumerate(coeffs, 1))
+        return f"x_{{0}} + dt * (0.0{terms})"
+
+    body = [
+        "dt = float(dt)",
+        f"{row('x_{0}')}= x.tolist()",
+        f"{row('k1_{0}')}= (f(x) if k1 is None else k1).tolist()",
+    ]
+    body += [
+        f"{row(f'k{j}_{{0}}')}= f(_array(({row(state(_DP_A[j - 1]))}))).tolist()"
+        for j in range(2, 8)
+    ]
+    body += [f"{row('x5_{0}')}= {row(state(_DP_B5))}", f"{row('x4_{0}')}= {row(state(_DP_B4))}"]
+    stages = "".join(row(f"k{j}_{{0}}") for j in range(1, 8))
+    body.append(
+        f"return _array(({row('x5_{0}')})), _array(({row('x5_{0} - x4_{0}')})), "
+        f"_array(({stages})).reshape(7, {n})"
+    )
+    source = "def step(f, x, dt, k1):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"__builtins__": {"float": float}, "_array": np.array}
+    exec(compile(source, f"<Dormand-Prince step, n={n}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _dp_step(f, x, dt, k1=None):
@@ -175,17 +203,10 @@ def _dp_step(f, x, dt, k1=None):
 
     ``k1`` is f(x) when the caller already has it.  The last stage is
     evaluated at the returned state, so for a field that depends on the
-    state alone it is the ``k1`` of the next step.  The stages are rows
-    1..7 of one (8, n) array whose row 0 is zero.
+    state alone it is the ``k1`` of the next step.  The stages are the
+    rows of one (7, n) array.
     """
-    K = np.empty((8, len(x)))
-    K[0] = 0.0
-    K[1] = f(x) if k1 is None else k1
-    for stage in range(1, 7):
-        K[stage + 1] = f(x + dt * _stage_sum(_DP_WEIGHTS[stage - 1], K))
-    x5 = x + dt * _stage_sum(_DP_WEIGHTS[6], K)
-    x4 = x + dt * _stage_sum(_DP_WEIGHTS[7], K)
-    return x5, x5 - x4, K[1:]
+    return _dp_kernel(len(x))(f, x, dt, k1)
 
 
 def _dense_output(x, dt, k):
@@ -397,11 +418,14 @@ class _Sim:
 
     # -- step control shared by both flows
 
-    def accepted_steps(self, f, fsal):
+    def accepted_steps(self, f, committed_k1=None):
         """Accepted adaptive steps of x' = f(x) from the current state, as
-        (x_new, dt, stages) for the caller to commit or abandon; ``fsal``
-        reuses a committed step's last stage.  An error norm that is not
-        <= 1 (NaN too) rejects; ends at the horizon, on blow-up
+        (x_new, dt, stages) for the caller to commit or abandon.  A field
+        of the state alone hands a committed step's last stage on as the
+        next first stage and retries a rejected step from its own.
+        Otherwise ``committed_k1()`` gives f at the state the caller
+        committed, and a retry evaluates f afresh.  An error norm that is
+        not <= 1 (NaN too) rejects; ends at the horizon, on blow-up
         (LEFT_DOMAIN) or on a step below MIN_STEP (STALL)."""
         opts = self.opts
         dt = opts.max_step
@@ -412,16 +436,16 @@ class _Sim:
                 return
             dt = min(dt, opts.max_step, opts.horizon - self.t)
             x_new, err, k = _dp_step(f, self.x, dt, k1)
-            k1 = k[0] if fsal else None
             enorm = _error_norm(err, self.x, x_new)
             if not enorm <= 1.0:
+                k1 = k[0] if committed_k1 is None else None
                 dt *= max(0.2, 0.9 * enorm**-0.2)
                 if dt < MIN_STEP:
                     self.status = STALL
                     return
                 continue
             yield x_new, dt, k
-            k1 = k[6] if fsal else None
+            k1 = k[6] if committed_k1 is None else committed_k1()
             dt *= min(5.0, 0.9 * enorm**-0.2) if enorm > 0.0 else 5.0
 
     # -- mode flow with event location
@@ -432,7 +456,7 @@ class _Sim:
         f = mode.field
         has_boundary = mode.region_kind != "all"
         armed = has_boundary and _hn(self.sys, i, self.x) > EVENT_TOL
-        for x_new, dt, k in self.accepted_steps(f, fsal=True):
+        for x_new, dt, k in self.accepted_steps(f):
             if has_boundary:
                 h_new = _hn(self.sys, i, x_new)
                 if armed and h_new < -EVENT_TOL:
@@ -501,17 +525,19 @@ class _Sim:
         opts = self.opts
         state = {"lam": regime.lam if regime.lam is not None else 0.5}
 
-        def g(y):
+        def weighted(y):
+            # the weight at y (or None) and the field of the weight carried
             lam, fa, fb = _sliding_weight(self.sys, y, pair, opts.policy)
             if lam is not None:
                 state["lam"] = lam
-            lam = state["lam"]
-            return lam * fa + (1.0 - lam) * fb
+            w = state["lam"]
+            return lam, w * fa + (1.0 - w) * fb
 
-        for x_new, dt, _ in self.accepted_steps(g, fsal=False):
+        steps = self.accepted_steps(lambda y: weighted(y)[1], lambda: state["k1"])
+        for x_new, dt, _ in steps:
             self.t += dt
             self.x = _project_to_surface(self.sys, surf, x_new, EVENT_TOL)
-            lam = sliding_lambda(self.sys, self.x, opts.policy, pair=pair)
+            lam, state["k1"] = weighted(self.x)
             if lam is None:
                 self.note_switch()
                 nxt = Regime(kind="mode", mode=self.entering_mode(pair))

@@ -233,12 +233,6 @@ def tie_mask(spec, basis, X, policy=DEFAULT_POLICY):
     return np.abs(vals - v[:, None]) <= tol[:, None], v
 
 
-def equal_value_indices(spec, basis, x, policy=DEFAULT_POLICY):
-    """Indices whose base value ties with V(x): the one-row ``tie_mask``."""
-    mask, v = tie_mask(spec, basis, np.asarray(x, dtype=float)[None], policy)
-    return tuple(k for k, tied in enumerate(mask[0].tolist(), start=1) if tied), v[0]
-
-
 EXACT_SMOOTH = "exact-smooth"
 EXACT_SWEEP = "exact-sweep"
 PERTURBATION_SAMPLED = "perturbation-sampled"
@@ -270,15 +264,6 @@ class GradientHull:
         return cls(indices=act.indices, vertices=verts, method=act.method, warning=act.warning)
 
 
-def strict_ordering(vals):
-    """Permutation sorting the values ascending, or None on any tie."""
-    order = np.argsort(vals, kind="stable")
-    sv = vals[order]
-    if np.any(np.diff(sv) <= 0.0):
-        return None
-    return tuple(int(i) + 1 for i in order)
-
-
 def selected_base(spec, vals):
     """Base index (1-based) the nested max/min picks in each row of
     vals[S, K]; ties go to the first family and the first member."""
@@ -296,9 +281,9 @@ def selected_base(spec, vals):
 def realized_base(spec, vals):
     """Active base per row of vals[S, K], or 0 where two values tie.
 
-    On a strict-ordering cone one base attains V, so this is
-    ``phi(spec, strict_ordering(row))`` for every row, without sorting
-    out permutations.
+    A row without ties lies on a strict-ordering cone, where one base
+    attains V: the one ``phi`` gives for the permutation that sorts the
+    row ascending.  Every row is decided without forming permutations.
     """
     vals = np.asarray(vals, dtype=float)
     tied = np.any(np.diff(np.sort(vals, axis=1), axis=1) <= 0.0, axis=1)

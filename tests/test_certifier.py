@@ -26,11 +26,12 @@ from maxminlyap.certifier import (
 from maxminlyap.certreport import re_verify, serialize_certificate
 from maxminlyap.errors import ConfigError, InvalidInputError, PartitionError
 from maxminlyap.maxmin import (
-    MaxMinSpec, QuadraticBasis, clarke_gradient, evaluate, phi, strict_ordering
+    MaxMinSpec, QuadraticBasis, clarke_gradient, evaluate, phi
 )
 from maxminlyap.numkernel import negdef_margin, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
+from maxmin_reference import strict_ordering
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 POLICY = NumericPolicy()

@@ -169,6 +169,33 @@ def test_simulate_level_needs_a_basis(tmp_path, capsys):
     assert not svg_path.exists()
 
 
+@pytest.mark.parametrize(
+    "config, point, options, message",
+    [
+        (EX3, "1,0.5,-0.3", [], "planar only"),
+        ("nobasis", "0.5,0", ["--level", "1"], "[basis]"),
+        (EX1, "-1,1", ["--level", "abc"], "comma-separated list of numbers"),
+        (EX1, "-1,1", ["--level", "1", "--grid", "1"], "at least 2 points"),
+    ],
+    ids=["svg-3d", "level-no-basis", "level-abc", "grid-1"],
+)
+def test_simulate_usage_errors_come_before_the_run(
+    tmp_path, capsys, config, point, options, message
+):
+    # a usage error exits 2 before simulating: no status line, no CSV
+    if config == "nobasis":
+        config = tmp_path / "nobasis.cfg"
+        config.write_text(Path(EX2).read_text().split("[basis]")[0])
+    csv_path, svg_path = tmp_path / "o.csv", tmp_path / "o.svg"
+    argv = ["simulate", str(config), f"--from={point}", "--horizon", "2"]
+    argv += ["--csv", str(csv_path), "--svg", str(svg_path), *options]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert not csv_path.exists() and not svg_path.exists()
+
+
 def test_simulate_level_needs_svg(capsys):
     argv = ["simulate", EX1, "--from=-1,1", "--horizon", "0.2", "--level", "1,2"]
     code, out, err = run(capsys, argv)
@@ -428,6 +455,7 @@ def test_certify_matches_golden_text(capsys, monkeypatch, name):
             ["configs/example1.cfg", "--from=-1,1", "--horizon", "1.3", "--max-step", "0.01"],
         ),
         ("example2_sliding", ["configs/example2.cfg", "--from", "0.5,0", "--horizon", "1.0"]),
+        ("example3", ["configs/example3.cfg", "--from=1,0.5,-0.3", "--horizon", "10"]),
     ],
 )
 def test_simulate_csv_matches_golden_bytes(capsys, monkeypatch, tmp_path, name, argv):

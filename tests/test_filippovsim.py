@@ -282,6 +282,42 @@ def test_nan_field_in_sliding_flow_stalls_at_the_last_finite_state():
     assert 1.2 < traj.x_end[1] < 1.22
 
 
+def test_sliding_steps_evaluate_the_weight_once_per_stage(monkeypatch):
+    # the weight the sliding flow checks at each projected state is the
+    # next step's first stage: seven _normal_components calls per step
+    # taken (six stages and that check), a rejected try included
+    count = {"normal": 0, "steps": 0}
+    normal_components, dp_step = filippovsim._normal_components, filippovsim._dp_step
+
+    def counted_normal(*args):
+        count["normal"] += 1
+        return normal_components(*args)
+
+    def counted_step(*args):
+        count["steps"] += 1
+        return dp_step(*args)
+
+    marks = []
+
+    def record(self, regime):
+        marks.append((regime.kind, count["normal"], count["steps"]))
+        self.samples.append(TrajSample(t=self.t, x=self.x.copy(), regime=regime))
+
+    monkeypatch.setattr(filippovsim, "_normal_components", counted_normal)
+    monkeypatch.setattr(filippovsim, "_dp_step", counted_step)
+    monkeypatch.setattr(filippovsim._Sim, "record", record)
+    sys2 = fixtures.example("example2")[0]
+    traj = simulate(sys2, np.array([0.5, 0.0]), SimOptions(horizon=1.0))
+    assert len(marks) == len(traj.samples)
+    pairs = [
+        (b[1] - a[1], b[2] - a[2])
+        for prev, a, b in zip(marks, marks[1:], marks[2:])
+        if prev[0] == a[0] == b[0] == "sliding"
+    ]
+    assert len(pairs) > 20
+    assert all(calls == 7 * steps for calls, steps in pairs)
+
+
 @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((1, 2)), np.float64(1.0)])
 def test_wrong_shaped_state_is_refused(x):
     sys1 = fixtures.example("example1")[0]
@@ -393,11 +429,39 @@ def step_bits(step):
     return x5.tobytes(), err.tobytes(), np.asarray(k).tobytes()
 
 
+def non_finite_fields(rng, n):
+    """Fields whose stages turn inf or NaN: constant, at once, after some
+    stages (overflow, a threshold), at one stage only and in one
+    component only."""
+    A = rng.standard_normal((n, n))
+    inf_entry = A.copy()
+    inf_entry[rng.integers(n), rng.integers(n)] = np.inf
+
+    def one_nan(y):
+        v = A @ y
+        v[-1] = np.nan
+        return v
+
+    return [
+        lambda y: np.full(n, np.inf),
+        lambda y: np.full(n, -np.inf),
+        lambda y: np.full(n, np.nan),
+        lambda y: inf_entry @ y,
+        lambda y: 1e307 * (A @ y),
+        lambda y: np.where(np.abs(y) > 1.05, np.inf, A @ y),
+        lambda y: np.where(y > 1.02, np.nan, -y),
+        # from x = 1: inf at the second stage alone, where 0 * k_2 is NaN
+        lambda y: np.where(y == 0.9, np.inf, -np.nan_to_num(y)),
+        one_nan,
+    ]
+
+
 def test_dp_step_is_the_generator_sum_bit_for_bit():
-    # the stacked stages must add their terms in the generator's order,
-    # in every dimension (one column included), with and without k1
+    # every stage state must add its terms in the generator's order, in
+    # every dimension up to the documented 6, with and without k1; zero
+    # coefficients are kept, so inf and NaN stages spread as in the sum
     rng = np.random.default_rng(20)
-    for n in (1, 2, 3, 4):
+    for n in range(1, 7):
         for _ in range(400):
             A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
             x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
@@ -409,6 +473,12 @@ def test_dp_step_is_the_generator_sum_bit_for_bit():
             k1 = f(x) if rng.random() < 0.5 else None
             got = filippovsim._dp_step(f, x, dt, k1)
             assert step_bits(got) == step_bits(ref_dp_step(f, x, dt, k1))
+        with np.errstate(all="ignore"):
+            for f in non_finite_fields(rng, n):
+                for x in (np.ones(n), rng.standard_normal(n)):
+                    for k1 in (None, f(x)):
+                        got = filippovsim._dp_step(f, x, 0.5, k1)
+                        assert step_bits(got) == step_bits(ref_dp_step(f, x, 0.5, k1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

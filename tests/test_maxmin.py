@@ -21,9 +21,9 @@ from maxminlyap.maxmin import (
     dual_families,
     evaluate,
     phi,
-    strict_ordering,
 )
 from maxminlyap.policy import NumericPolicy
+from maxmin_reference import equal_value_indices, strict_ordering
 
 POLICY = NumericPolicy()
 
@@ -207,8 +207,6 @@ def test_active_set_invariants_random():
     # nonempty, and contained in the equal-value tie set
     _, spec, basis = fixtures.example("example1")
     rng = np.random.default_rng(23)
-    from maxminlyap.maxmin import equal_value_indices
-
     for _ in range(200):
         x = rng.standard_normal(2) * rng.uniform(0.1, 3.0)
         act = active_indices(spec, basis, x, POLICY)

