@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .certifier import Candidate, Certificate, certify, without_candidate
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .inclusion import SwitchedSystem
 from .policy import NumericPolicy
 from .sysdsl.config import parse_config, parse_structure
@@ -120,7 +120,7 @@ def serialize_certificate(cert, sys):
 
 
 _GROUP_RE = re.compile(
-    r"group\s+\d+\s*\{\s*mode\s*=\s*(?P<mode>\d+).*?"
+    r"group\s+(?P<no>\d+)\s*\{\s*mode\s*=\s*(?P<mode>\d+).*?"
     r"perms\s*=\s*(?P<perms>.+?)\s*;\s*terms.*?"
     r"tau\s*=\s*(?P<tau>\([^)]*\))\s*;\s*beta\s*=\s*(?P<beta>[-+0-9.eE]+)",
     re.DOTALL,
@@ -146,9 +146,13 @@ def parse_certificate(text):
     """Extract (system, basis config, policy, multipliers, stored verdict).
 
     A report without basis matrices (a search that found nothing) parses
-    to a config whose ``basis`` is None.
+    to a config whose ``basis`` is None.  A missing or malformed entry is
+    a ConfigError.
     """
-    sections = _split_sections(text)
+    return _parse_sections(_split_sections(text))
+
+
+def _parse_sections(sections):
     for needed in ("meta", "system", "basis", "structure", "condition_i"):
         if needed not in sections:
             raise ConfigError(f"certificate is missing the [{needed}] section")
@@ -164,22 +168,30 @@ def parse_certificate(text):
         if "=" in line:
             key, val = line.split("=", 1)
             meta[key.strip()] = val.strip()
-    policy = NumericPolicy(
-        abs_tol=float(meta.get("abs", 1e-9)),
-        rel_tol=float(meta.get("rel", 1e-9)),
-        margin=float(meta.get("margin", 1e-6)),
-        seed=int(meta.get("seed", 0)),
-    )
+    missing = sorted({"abs", "rel", "margin", "seed"} - meta.keys())
+    if missing:
+        raise ConfigError(f"certificate [meta] is missing {', '.join(map(repr, missing))}")
     taus = {}
     betas = {}
-    for m in _GROUP_RE.finditer(sections["condition_i"]):
-        mode = int(m.group("mode"))
-        perms = ast.literal_eval(m.group("perms"))
-        if perms and isinstance(perms[0], int):
-            perms = (tuple(perms),)
-        key = (mode, tuple(tuple(p) for p in perms))
-        taus[key] = tuple(float(v) for v in ast.literal_eval(m.group("tau")))
-        betas[key] = float(m.group("beta"))
+    entry = "[meta]"
+    try:
+        policy = NumericPolicy(
+            abs_tol=float(meta["abs"]),
+            rel_tol=float(meta["rel"]),
+            margin=float(meta["margin"]),
+            seed=int(meta["seed"]),
+        )
+        for m in _GROUP_RE.finditer(sections["condition_i"]):
+            entry = f"group {m.group('no')}"
+            mode = int(m.group("mode"))
+            perms = ast.literal_eval(m.group("perms"))
+            if perms and isinstance(perms[0], int):
+                perms = (tuple(perms),)
+            key = (mode, tuple(tuple(p) for p in perms))
+            taus[key] = tuple(float(v) for v in ast.literal_eval(m.group("tau")))
+            betas[key] = float(m.group("beta"))
+    except (ValueError, TypeError, SyntaxError, InvalidInputError) as exc:
+        raise ConfigError(f"certificate {entry} is malformed: {exc}") from None
     return parsed, policy, taus, betas, meta.get("verdict", "")
 
 
@@ -191,10 +203,11 @@ def re_verify(text):
     recomputed verdict.  Returns (fresh Certificate, stored verdict,
     match flag).
     """
-    parsed, policy, taus, betas, stored_verdict = parse_certificate(text)
+    sections = _split_sections(text)
+    parsed, policy, taus, betas, stored_verdict = _parse_sections(sections)
     sys = SwitchedSystem.from_config(parsed.require_system())
     if parsed.basis is None:
-        spec = parse_structure("[structure]\n" + _split_sections(text)["structure"])
+        spec = parse_structure("[structure]\n" + sections["structure"])
         fresh = without_candidate(spec, policy, "the report carries no candidate")
         return fresh, stored_verdict, fresh.verdict == stored_verdict
     basis_cfg = parsed.require_basis()

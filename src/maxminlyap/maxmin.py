@@ -10,10 +10,10 @@ max-of-min structure with the dual families.  This module evaluates such
 functions, locates the single active base on each strict-ordering cone
 (the selection map over permutations), and computes essentially-active
 index sets together with the generalized gradient vertices they induce.
-Active sets are computed for a batch of points at once (``active_sets``),
-and the probes of every open point go through one ``realized_base``
-call per sweep round or probe chunk; ``active_indices`` is the one-point
-case.
+Active sets are computed for a batch of points at once (``active_sets``):
+planar quadratic bases read them off one arc table labelled by a single
+``realized_base`` call, other bases classify their perturbation probes
+one chunk per call; ``active_indices`` is the one-point case.
 """
 
 import itertools
@@ -105,16 +105,18 @@ class QuadraticBasis:
 
     @cached_property
     def _circle_roots(self):
-        """Planar bases: the angles in [0, pi) where a pair of bases ties,
-        pair by pair, or None when a pair is identical; found once."""
+        """Planar bases: the sorted, distinct angles in [0, pi) where a pair
+        of bases ties (the ends of the arcs on which the realized base is
+        constant), or None when a pair is identical; found once."""
         scale = max(float(np.abs(P).max()) for P in self.matrices)
-        roots = []
+        roots = set()
         for i, j in itertools.combinations(range(self.K), 2):
             got = _pair_root_angles(self.matrices[i] - self.matrices[j], scale)
             if got is None:
                 return None
-            roots.extend(got)
-        return tuple(roots)
+            # an angle that rounded up to pi is the same tie as 0
+            roots.update(t % math.pi for t in got)
+        return tuple(sorted(roots))
 
 
 class ExprBasis:
@@ -302,11 +304,14 @@ def active_sets(spec, basis, X, policy=DEFAULT_POLICY, ties=None):
 
     A unique value-tie is returned directly (the function is C^1 there).
     Otherwise the set is recovered from the selection map on the
-    strict-ordering cones meeting x: exactly, by an angular sweep, for
-    planar quadratic bases; by perturbation sampling on three small
-    spheres everywhere else, and where the sweep finds nothing.
+    strict-ordering cones meeting x: exactly, from the labelled arcs
+    between tie angles, for planar quadratic bases; by perturbation
+    sampling on three small spheres elsewhere and where an arc is
+    undecided.  A non-finite row raises InvalidInputError.
     """
     X = as_points(X, basis.dim, "points", max_ndim=2).reshape(-1, basis.dim)
+    if not np.isfinite(X).all():
+        raise InvalidInputError("active set: a point has non-finite entries")
     if ties is None:
         ties, _ = tie_mask(spec, basis, X, policy)
     count = ties.sum(axis=1)
@@ -360,56 +365,42 @@ def _pair_root_angles(D, scale):
 
 
 def _planar_sweep(spec, basis, X, policy):
-    """Exact alpha_V for 2-D quadratic bases via root isolation on the
-    circle, at each row of X[S, 2]; None for a row the sweep cannot decide.
+    """Exact alpha_V for 2-D quadratic bases at each row of X[S, 2], read
+    off the circle's arc table; None for a row the table cannot decide.
 
-    Active sets are constant on rays, so only the angle matters; the
-    strict-ordering arcs adjacent to the point's direction determine the
-    essentially-active set.  The root angles depend on the basis only and
-    are kept with it.  Each open row probes at +-delta around its angle,
-    half its gap to the nearest other root, and halves delta while a probe
-    ties (at most 40 times); every round classifies the probes of all
-    open rows in one ``realized_base`` call.  Rows at the origin share
-    one whole-circle sweep.  Every row is None when a degenerate
-    (identical) base pair makes the sweep unreliable.
+    Active sets are constant on rays, and the realized base is constant on
+    each arc between consecutive tie angles (``_circle_roots``), so one
+    ``realized_base`` call at the arc midpoints labels every arc.  A row at
+    the origin meets every arc wider than 1e-12; any other row meets the
+    arcs holding its probes at +-delta around its angle (delta half its gap
+    to the nearest other tie angle, at most pi/16).  A row meeting an arc
+    labelled 0 (a tie at the midpoint) is None, as is every row when an
+    identical base pair leaves no table.
     """
-    out = [None] * len(X)
-    roots = basis._circle_roots
-    if roots is None:
-        return out
+    if basis._circle_roots is None:
+        return [None] * len(X)
+    ends = np.array(basis._circle_roots)
+    # arc i runs from ends[i] to ends[i + 1], and the last one wraps to
+    # ends[0] + pi (a probe below ends[0] lies on it); with no tie angle
+    # the one arc is the whole circle, labelled at angle 0
+    ext = np.append(ends, ends[0] + math.pi) if len(ends) else np.array([-0.5, 0.5]) * math.pi
+    mids = 0.5 * (ext[:-1] + ext[1:])
+    label = realized_base(spec, basis.values(np.stack([np.cos(mids), np.sin(mids)], axis=1)))
+    whole = tuple(sorted(set(label[np.diff(ext) > 1e-12].tolist()) - {0}))
 
-    def phi_at(theta):
-        """Active base at each angle of theta, 0 on any value tie."""
-        return realized_base(spec, basis.values(np.stack([np.cos(theta), np.sin(theta)], axis=1)))
-
-    origin = row_norms(X) <= policy.abs_tol
-    if origin.any():
-        # whole-circle sweep: one sample inside every arc between roots
-        angles = sorted(set(t % math.pi for t in roots))
-        samples = [0.0]
-        if angles:
-            ext = angles + [angles[0] + math.pi]
-            samples = [0.5 * (lo + hi) for lo, hi in zip(ext[:-1], ext[1:]) if hi - lo > 1e-12]
-        found = sorted(set(phi_at(np.array(samples)).tolist()) - {0}) if samples else []
-        whole = ActiveSet(indices=tuple(found), method=EXACT_SWEEP) if found else None
-        for r in np.flatnonzero(origin).tolist():
-            out[r] = whole
-
-    rows = np.flatnonzero(~origin)
-    theta0 = np.array([math.atan2(y, x) for x, y in X[rows].tolist()])
-    d = np.abs(theta0[:, None] - np.array(roots)[None, :]) % math.pi
+    theta0 = np.arctan2(X[:, 1], X[:, 0])
+    d = np.abs(theta0[:, None] - ends) % math.pi
     d = np.minimum(d, math.pi - d)
     gap = np.where(d > 1e-12, d, np.inf).min(axis=1, initial=np.inf)
-    delta = np.minimum(np.where(gap < np.inf, gap / 2.0, math.pi / 16.0), math.pi / 16.0)
-    for _ in range(40):
-        if not len(rows):
-            break
-        sides = phi_at(np.concatenate([theta0 - delta, theta0 + delta])).reshape(2, -1)
-        done = (sides > 0).all(axis=0)
-        for r, left, right in zip(rows[done].tolist(), *sides[:, done].tolist()):
-            out[r] = ActiveSet(indices=tuple(sorted({left, right})), method=EXACT_SWEEP)
-        rows, theta0, delta = rows[~done], theta0[~done], delta[~done] / 2.0
-    return out
+    delta = np.minimum(gap / 2.0, math.pi / 16.0)
+    probes = np.concatenate([theta0 - delta, theta0 + delta]) % math.pi
+    sides = label[np.searchsorted(ends, probes, side="right") - 1].reshape(2, -1)
+    origin = (row_norms(X) <= policy.abs_tol).tolist()
+    found = [
+        whole if o else tuple(sorted({a, b})) if a and b else ()
+        for o, a, b in zip(origin, *sides.tolist())
+    ]
+    return [ActiveSet(indices=f, method=EXACT_SWEEP) if f else None for f in found]
 
 
 # ---------------------------------------------------------------------------

@@ -832,6 +832,36 @@ def test_reverify_rejects_tampered_multipliers():
     assert max(fresh.cond_i.margins) == pytest.approx(0.4, abs=1e-9)
 
 
+@pytest.mark.parametrize("entry", ["abs", "rel", "margin", "seed"])
+def test_reverify_requires_every_policy_entry(entry):
+    # a report certified under margin 0.5 and seed 3 reads not-certified;
+    # without its policy lines it must not be recomputed under defaults
+    sysm, spec3, _ = fixtures.example("example3")
+    policy = NumericPolicy(margin=0.5, seed=3)
+    text = serialize_certificate(certify(sysm, spec3, fixtures.example3_candidate(), policy), sysm)
+    assert re_verify(text)[1:] == (VERDICT_NOT_CERTIFIED, True)
+    cut = "".join(line for line in text.splitlines(True) if not line.startswith(f"{entry} = "))
+    assert cut != text
+    with pytest.raises(ConfigError, match=f"missing '{entry}'"):
+        re_verify(cut)
+
+
+@pytest.mark.parametrize(
+    "old, new, entry",
+    [
+        ("seed = 0", "seed = zero", r"\[meta\]"),
+        ("perms = ((3, 1, 2),)", "perms = ((3, 1, 2),,)", "group 1"),
+        ("tau = (0.258, 0.102)", "tau = (0.2.58, 0.102)", "group 1"),
+    ],
+)
+def test_reverify_names_a_malformed_entry(old, new, entry):
+    sysm, spec1, _ = fixtures.example("example1")
+    text = serialize_certificate(certify(sysm, spec1, fixtures.example1_candidate(), POLICY), sysm)
+    assert old in text
+    with pytest.raises(ConfigError, match=f"certificate {entry} is malformed"):
+        re_verify(text.replace(old, new))
+
+
 def test_not_certified_report_reverifies():
     # a search that finds nothing writes an empty [basis]; re-verifying
     # the report must reproduce its verdict instead of failing to parse

@@ -15,6 +15,7 @@ from maxminlyap.maxmin import (
     MaxMinSpec,
     QuadraticBasis,
     active_indices,
+    active_sets,
     all_permutations,
     clarke_gradient,
     combine,
@@ -22,6 +23,7 @@ from maxminlyap.maxmin import (
     evaluate,
     phi,
 )
+from maxminlyap.errors import InvalidInputError
 from maxminlyap.policy import NumericPolicy
 from maxmin_reference import equal_value_indices, strict_ordering
 
@@ -219,6 +221,28 @@ def test_active_at_origin_covers_all_cones():
     _, spec, basis = fixtures.example("example2")
     act = active_indices(spec, basis, np.zeros(2), POLICY)
     assert act.indices == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "name, x",
+    [
+        ("example1", [math.nan, 1.0]),
+        ("example1", [math.inf, 1.0]),
+        ("example1", [0.0, -math.inf]),
+        ("example3", [math.inf, 1.0, 0.0]),
+        ("example3", [0.0, math.nan, 0.0]),
+    ],
+)
+def test_active_sets_reject_non_finite_points(name, x):
+    # a set made up for a point that is not a number would be a silent
+    # wrong answer, on the planar arc path and the sampled path alike
+    _, spec, basis = fixtures.example(name)
+    batch = np.vstack([np.ones(basis.dim), x])
+    for call in (active_indices, clarke_gradient):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            call(spec, basis, np.array(x), POLICY)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        active_sets(spec, basis, batch, POLICY)
 
 
 def test_degenerate_duplicate_basis_warns():

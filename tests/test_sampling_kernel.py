@@ -529,31 +529,60 @@ def _active_set_cases():
     t = rng.uniform(0.5, 2.0, 24)
     X = np.vstack([np.stack([t, t], axis=1), np.stack([t, -t], axis=1), rng.standard_normal((8, 2))])
     yield "expr", spec, ExprBasis(exprs, dim=2), X
+    # P1 - P2 = [[0, 1], [1, 0]] ties exactly at the angles 0 and pi/2, so
+    # a probe below the first arc end wraps to the last arc; rows on the
+    # ties, at pi and 1e-13 either side, at three radii, and the origin
+    # with a point within abs_tol of it
+    P2 = 2.0 * np.eye(2)
+    mats = [P2 + np.array([[0.0, 1.0], [1.0, 0.0]]), P2, np.diag([3.0, 2.5])]
+    on = np.array([0.0, 0.5, 1.0]) * math.pi
+    t = np.concatenate([on, on - 1e-13, on + 1e-13])
+    units = np.stack([np.cos(t), np.sin(t)], axis=1)
+    units[:3] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]  # exactly on the angles
+    X = np.vstack([r * units for r in (0.7, 1.0, 2.0)] + [[[0.0, 0.0], [1e-12, 0.0]]])
+    yield "wrap", MaxMinSpec(K=3, families=((1, 3), (2, 3))), QuadraticBasis(mats), X
 
 
-def test_planar_sweep_halves_delta_while_a_probe_ties(monkeypatch):
-    # no real input ties at a first-round probe angle, so the basis is
-    # made to tie at the first round's probe points: the sweep must probe
-    # again at half the distance and find the sets of the untouched basis
+def test_planar_arcs_are_labelled_once_per_batch(monkeypatch):
+    # the basis is evaluated once for the tie mask and once at the arc
+    # midpoints, whatever the batch size; a tie made at one arc's midpoint
+    # sends the rows on that arc's two ends to sampling and no other row
     sysm, spec, basis = fixtures.example("example1")
     X = _surface_points(basis.matrices, [], 8, np.random.default_rng(3))
     X = X[[act.method == EXACT_SWEEP for act in active_sets(spec, basis, X, POLICY)]]
     want = active_sets(spec, basis, X, POLICY)
     assert len(X) > 8
-    real, tied, calls = QuadraticBasis.values, [], []
+    ends = np.array(basis._circle_roots)
+    ext = np.append(ends, ends[0] + math.pi)
+    mids = 0.5 * (ext[:-1] + ext[1:])
+    midpoints = np.stack([np.cos(mids), np.sin(mids)], axis=1)
+    real, calls, tied = QuadraticBasis.values, [], []
 
     def values(self, Y):
         vals = real(self, Y)
         calls.append(len(Y))
-        if len(Y) == 2 * len(X) and not tied:
-            tied.append(Y.copy())
-        hit = (Y[:, None, :] == tied[0][None]).all(axis=2).any(axis=1) if tied else []
+        hit = (Y == tied[0]).all(axis=1) if tied else []
         vals[hit] = vals[hit, :1]
         return vals
 
     monkeypatch.setattr(QuadraticBasis, "values", values)
-    assert active_sets(spec, basis, X, POLICY) == want
-    assert calls == [len(X), 2 * len(X), 2 * len(X)]
+    for rows in (1, 5, len(X)):
+        calls.clear()
+        assert active_sets(spec, basis, X[:rows], POLICY) == want[:rows]
+        assert calls == [rows, len(mids)]
+
+    arc = 1
+    tied.append(midpoints[arc])
+    d = np.abs(np.arctan2(X[:, 1], X[:, 0])[:, None] - ends[[arc, arc + 1]]) % math.pi
+    on_ends = (np.minimum(d, math.pi - d) < 1e-9).any(axis=1)
+    assert 0 < on_ends.sum() < len(X)
+    got = active_sets(spec, basis, X, POLICY)
+    assert [act.method for act in got] == [
+        PERTURBATION_SAMPLED if end else EXACT_SWEEP for end in on_ends.tolist()
+    ]
+    assert [a for a, end in zip(got, on_ends) if not end] == [
+        w for w, end in zip(want, on_ends) if not end
+    ]
 
 
 def test_active_sets_match_the_per_point_chain():
