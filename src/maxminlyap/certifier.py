@@ -48,7 +48,6 @@ from .maxmin import (
     QuadraticBasis,
     active_sets,
     all_permutations,
-    phi,
     realized_base,
     selected_base,
 )
@@ -80,7 +79,6 @@ class Group:
     phi_index: int
     perms: tuple  # permutations covered by this inequality
     diffs: tuple  # (u, w) pairs meaning a tau * (P_u - P_w) term
-    use_cone: bool
 
     @property
     def key(self):
@@ -112,11 +110,11 @@ def build_groups(sys, spec, matching=None):
     use that intersection, singleton groups use the adjacent chain.
     """
     perms = all_permutations(spec.K)
-    phis = {rho: phi(spec, rho) for rho in perms}
+    # the phi table: the base selected on the ranks of each ordering
+    phis = dict(zip(perms, selected_base(spec, np.argsort(perms, axis=1)).tolist()))
     groups = []
     for mode in sys.modes:
         i = mode.index
-        use_cone = mode.region_kind == "cone"
         mine = [
             rho
             for rho in perms
@@ -149,7 +147,6 @@ def build_groups(sys, spec, matching=None):
                         phi_index=f_idx,
                         perms=tuple(members),
                         diffs=diffs,
-                        use_cone=use_cone,
                     )
                 )
                 start = stop
@@ -194,7 +191,7 @@ def _pencil(sys, matrices, group):
     mode = sys.modes[group.mode - 1]
     F = matrices[group.phi_index - 1]
     diffs = [matrices[u - 1] - matrices[w - 1] for u, w in group.diffs]
-    return mode.A.T @ F + F @ mode.A, diffs, mode.Q if group.use_cone else None
+    return mode.A.T @ F + F @ mode.A, diffs, mode.Q
 
 
 def _pencil_matrix(pencil, taus, beta):
@@ -327,12 +324,12 @@ def _optimize_group_multipliers(sys, cand, group, sweeps=3):
     coordinate converges cleanly."""
     n_tau = len(group.diffs)
     beta = cand.beta_for(group)
-    slots = list(cand.tau_for(group)) + ([beta] if group.use_cone else [])
-
     pencil = _pencil(sys, cand.matrices, group)
+    cone = pencil[2] is not None  # only a cone term has a beta slot
+    slots = list(cand.tau_for(group)) + ([beta] if cone else [])
 
     def split(xs):
-        return tuple(xs[:n_tau]), (xs[n_tau] if group.use_cone else beta)
+        return tuple(xs[:n_tau]), (xs[n_tau] if cone else beta)
 
     def margin_at(xs):
         return negdef_margin(_pencil_matrix(pencil, *split(xs)))
@@ -430,13 +427,16 @@ def _normalize(cand):
 
 
 class _MatchPenalty:
-    """Sampled hinge penalty |V_target(x) - V(x)| over region interiors.
+    """Sampled hinge penalty |V_i(x) - V(x)| over the interior of each
+    mode i's region.
 
-    A candidate only certifies when the base selected by the max-min
-    combination on each region is the one paired with that region, so
-    the basis update must be steered toward that pattern as well as
-    toward negative margins.  Planar systems get a dense angular grid
-    (regions are arcs); other dimensions use random sphere points.
+    The search pairs mode i with base i, and a candidate only certifies
+    when the base selected by the max-min combination on each region is
+    the one paired with it, so the basis update must be steered toward
+    that pattern as well as toward negative margins: the target base of
+    a point is the index of the mode that owns it.  Planar systems get
+    a dense angular grid (regions are arcs); other dimensions use
+    random sphere points.
     Counterexamples found by the validation sampler can be appended.
 
     Base values come from the Gram features x_i x_j (i <= j, off-diagonal
@@ -445,10 +445,8 @@ class _MatchPenalty:
     search that never steps pays nothing for them.
     """
 
-    def __init__(self, sys, spec, matching, n_per_mode, seed):
+    def __init__(self, sys, spec, n_per_mode, seed):
         self.spec = spec
-        # target base per mode index; owner 0 ("no single owner") maps to 0
-        self.target_of = np.array([matching.get(i, 0) for i in range(max(matching) + 1)])
         if sys.dim == 2:
             n_grid = max(720, 8 * n_per_mode)
             t = (np.arange(n_grid) + 0.5) * np.pi / n_grid
@@ -470,7 +468,7 @@ class _MatchPenalty:
                     left[i] -= min(left[i], len(rows))
                 X, owner = np.concatenate([X, chunk]), np.concatenate([owner, got])
         self.X = X[owner > 0]
-        self.targets = self.target_of[owner[owner > 0]]
+        self.targets = owner[owner > 0]
         n = sys.dim
         self._upper = np.array([(i, j) for i in range(n) for j in range(i, n)]).T
         self._gram = np.empty((0, self._upper.shape[1]))
@@ -583,7 +581,7 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
     if spent():
         return not_found()
     penalty = (
-        _MatchPenalty(sys, spec, matching, MATCH_SAMPLES, opts.seed)
+        _MatchPenalty(sys, spec, MATCH_SAMPLES, opts.seed)
         if matching is not None
         else None
     )
@@ -650,8 +648,8 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
                     return
 
     def counterexamples(cand, salt):
-        """Strict-region points where the realized base differs from the
-        declared matching, for counterexample-guided repair."""
+        """Strict-region points where the realized base is not the owning
+        mode's index, for counterexample-guided repair."""
         if matching is None:
             return []
         rng = np.random.default_rng(opts.seed + 7919 * salt)
@@ -659,9 +657,8 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
         X /= row_norms(X)[:, None]
         owner = sys.owners(X, policy.abs_tol)
         base = realized_base(spec, QuadraticBasis(cand.matrices).values(X))
-        target = penalty.target_of[owner]
-        wrong = np.flatnonzero((owner > 0) & (base > 0) & (base != target))[:64]
-        return [(int(target[s]), X[s]) for s in wrong]
+        wrong = np.flatnonzero((owner > 0) & (base > 0) & (base != owner))[:64]
+        return [(int(owner[s]), X[s]) for s in wrong]
 
     for init_no, mats in enumerate(_initial_candidates(sys, spec, opts.seed)):
         cand = _normalize(Candidate(matrices=mats))

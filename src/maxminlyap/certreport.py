@@ -3,9 +3,11 @@
 A certificate is written in the same grammar family as configs: the
 [system], [basis] and [structure] sections are literally config
 syntax, so the embedded problem data can be re-parsed, and the
-[condition_i] section carries the multipliers per inequality group.
-That is sufficient for an independent party to recompute every margin
-from scratch, which is what ``re_verify`` does.
+[condition_i] section carries the multipliers per inequality group,
+one ``group N { key = value; ... }`` line each.  That is sufficient for
+an independent party to recompute every margin from scratch, which is
+what ``re_verify``, the one reader of reports, does; it reads every
+[meta] line and every [condition_i] line whole and refuses any other.
 """
 
 import ast
@@ -119,61 +121,84 @@ def serialize_certificate(cert, sys):
     return "\n".join(lines) + "\n"
 
 
-_GROUP_RE = re.compile(
-    r"group\s+(?P<no>\d+)\s*\{\s*mode\s*=\s*(?P<mode>\d+).*?"
-    r"perms\s*=\s*(?P<perms>.+?)\s*;\s*terms.*?"
-    r"tau\s*=\s*(?P<tau>\([^)]*\))\s*;\s*beta\s*=\s*(?P<beta>[-+0-9.eE]+)",
-    re.DOTALL,
-)
+_GROUP_KEYS = {"mode", "base", "perms", "terms", "tau", "beta", "margin"}
 
 
 def _split_sections(text):
-    sections = {}
-    current = None
+    """The lines of each [section], comments stripped and blank lines
+    dropped; lines before the first section header are skipped."""
+    sections, current = {}, None
     for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        m = re.fullmatch(r"\[(\w+)\]", stripped)
+        line = raw.split("#", 1)[0].strip()
+        m = re.fullmatch(r"\[(\w+)\]", line)
         if m:
-            current = m.group(1)
-            sections.setdefault(current, [])
-            continue
-        if current is not None and stripped:
-            sections[current].append(raw)
-    return {k: "\n".join(v) for k, v in sections.items()}
+            current = sections.setdefault(m.group(1), [])
+        elif current is not None and line:
+            current.append(line)
+    return sections
 
 
-def parse_certificate(text):
-    """Extract (system, basis config, policy, multipliers, stored verdict).
+def _entries(parts, where):
+    """The ``key = value`` strings in parts as a dict; a part without ``=``
+    or with a key given before is a ConfigError naming ``where``."""
+    out = {}
+    for part in parts:
+        key, eq, value = (s.strip() for s in part.partition("="))
+        if not eq or key in out:
+            why = "repeats a key" if eq else "is not key = value"
+            raise ConfigError(f"certificate {where} is malformed: {part.strip()!r} {why}")
+        out[key] = value
+    return out
 
-    A report without basis matrices (a search that found nothing) parses
-    to a config whose ``basis`` is None.  A missing or malformed entry is
-    a ConfigError.
+
+def _multipliers(lines):
+    """The multipliers (taus, betas) keyed by (mode, perms), from the
+    [condition_i] lines: each must be one whole ``group N { ... }`` entry
+    carrying each of ``_GROUP_KEYS`` once, for a (mode, perms) pair that
+    no earlier group gave; anything else is a ConfigError."""
+    taus, betas = {}, {}
+    for line in lines:
+        m = re.fullmatch(r"group\s+(\d+)\s*\{(.*)\}", line)
+        if m is None:
+            raise ConfigError(f"certificate [condition_i] is malformed: {line!r} is not a group")
+        where = f"group {m.group(1)}"
+        fields = _entries(m.group(2).split(";"), where)
+        try:
+            if fields.keys() != _GROUP_KEYS:
+                raise ValueError(f"its keys are {sorted(fields)}, not {sorted(_GROUP_KEYS)}")
+            key = (int(fields["mode"]), tuple(tuple(p) for p in ast.literal_eval(fields["perms"])))
+            if key in taus:
+                raise ValueError(f"mode {key[0]} perms {key[1]} were given by an earlier group")
+            taus[key] = tuple(float(v) for v in ast.literal_eval(fields["tau"]))
+            betas[key] = float(fields["beta"])
+        except (ValueError, TypeError, SyntaxError) as exc:
+            raise ConfigError(f"certificate {where} is malformed: {exc}") from None
+    return taus, betas
+
+
+def re_verify(text):
+    """Recompute a certificate from its own report, from scratch.
+
+    This is the one reader of reports: the [system], [basis] and
+    [structure] lines go through the config parser, and every [meta] and
+    [condition_i] line is read whole; a missing or malformed entry is a
+    ConfigError.  The stored basis matrices and multipliers are checked
+    verbatim (no repair), so tampering with any number in the report
+    flips the recomputed verdict.  Returns (fresh Certificate, stored
+    verdict, match flag).
     """
-    return _parse_sections(_split_sections(text))
-
-
-def _parse_sections(sections):
+    sections = _split_sections(text)
     for needed in ("meta", "system", "basis", "structure", "condition_i"):
         if needed not in sections:
             raise ConfigError(f"certificate is missing the [{needed}] section")
-    config_text = "[system]\n" + sections["system"] + "\n"
-    if sections["basis"].strip():
-        config_text += (
-            "[basis]\n" + sections["basis"] + "\n"
-            "[structure]\n" + sections["structure"] + "\n"
-        )
-    parsed = parse_config(config_text)
-    meta = {}
-    for line in sections["meta"].splitlines():
-        if "=" in line:
-            key, val = line.split("=", 1)
-            meta[key.strip()] = val.strip()
+    block = {name: "\n".join([f"[{name}]", *lines]) + "\n" for name, lines in sections.items()}
+    # a search that found nothing leaves [basis] empty
+    tail = block["basis"] + block["structure"] if sections["basis"] else ""
+    parsed = parse_config(block["system"] + tail)
+    meta = _entries(sections["meta"], "[meta]")
     missing = sorted({"abs", "rel", "margin", "seed"} - meta.keys())
     if missing:
         raise ConfigError(f"certificate [meta] is missing {', '.join(map(repr, missing))}")
-    taus = {}
-    betas = {}
-    entry = "[meta]"
     try:
         policy = NumericPolicy(
             abs_tol=float(meta["abs"]),
@@ -181,45 +206,22 @@ def _parse_sections(sections):
             margin=float(meta["margin"]),
             seed=int(meta["seed"]),
         )
-        for m in _GROUP_RE.finditer(sections["condition_i"]):
-            entry = f"group {m.group('no')}"
-            mode = int(m.group("mode"))
-            perms = ast.literal_eval(m.group("perms"))
-            if perms and isinstance(perms[0], int):
-                perms = (tuple(perms),)
-            key = (mode, tuple(tuple(p) for p in perms))
-            taus[key] = tuple(float(v) for v in ast.literal_eval(m.group("tau")))
-            betas[key] = float(m.group("beta"))
-    except (ValueError, TypeError, SyntaxError, InvalidInputError) as exc:
-        raise ConfigError(f"certificate {entry} is malformed: {exc}") from None
-    return parsed, policy, taus, betas, meta.get("verdict", "")
-
-
-def re_verify(text):
-    """Recompute a certificate from its own report, from scratch.
-
-    The stored basis matrices and multipliers are checked verbatim (no
-    repair), so tampering with any number in the report flips the
-    recomputed verdict.  Returns (fresh Certificate, stored verdict,
-    match flag).
-    """
-    sections = _split_sections(text)
-    parsed, policy, taus, betas, stored_verdict = _parse_sections(sections)
+    except (ValueError, InvalidInputError) as exc:
+        raise ConfigError(f"certificate [meta] is malformed: {exc}") from None
+    taus, betas = _multipliers(sections["condition_i"])
+    stored_verdict = meta.get("verdict", "")
     sys = SwitchedSystem.from_config(parsed.require_system())
     if parsed.basis is None:
-        spec = parse_structure("[structure]\n" + sections["structure"])
+        spec = parse_structure(block["structure"])
         fresh = without_candidate(spec, policy, "the report carries no candidate")
-        return fresh, stored_verdict, fresh.verdict == stored_verdict
-    basis_cfg = parsed.require_basis()
-    spec = basis_cfg.to_spec()
-    cand = Candidate(matrices=basis_cfg.matrices, taus=taus, betas=betas)
-    fresh = certify(sys, spec, cand, policy, complete=False)
+    else:
+        cand = Candidate(matrices=parsed.basis.matrices, taus=taus, betas=betas)
+        fresh = certify(sys, parsed.basis.to_spec(), cand, policy, complete=False)
     return fresh, stored_verdict, fresh.verdict == stored_verdict
 
 
 __all__ = [
     "serialize_certificate",
-    "parse_certificate",
     "re_verify",
     "Certificate",
 ]

@@ -323,7 +323,7 @@ def _sliding_weight(sys, x, pair, policy, widen=0.0):
     return lam, fa, fb
 
 
-def sliding_lambda(sys, x, policy=DEFAULT_POLICY, pair=None):
+def sliding_lambda(sys, x, policy=DEFAULT_POLICY):
     """Weight of the first adjacent field in the tangent combination.
 
     Solves grad H . (lam * f_a + (1 - lam) * f_b) = 0 on the surface
@@ -332,13 +332,11 @@ def sliding_lambda(sys, x, policy=DEFAULT_POLICY, pair=None):
     (both normal components vanish).
     """
     x = as_points(x, sys.dim, "sliding_lambda state")
-    if pair is None:
-        idx = sys.index_set(x, policy)
-        if len(idx) != 2:
-            raise InvalidInputError(
-                f"sliding_lambda needs exactly two adjacent modes, found {idx}"
-            )
-        pair = idx
+    pair = sys.index_set(x, policy)
+    if len(pair) != 2:
+        raise InvalidInputError(
+            f"sliding_lambda needs exactly two adjacent modes, found {pair}"
+        )
     return _sliding_weight(sys, x, pair, policy)[0]
 
 

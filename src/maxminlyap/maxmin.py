@@ -166,24 +166,16 @@ def all_permutations(K):
 
 
 def phi(spec, rho):
-    """Active base index on the cone where the base values follow ``rho``.
+    """Active base index on the cone where the base values follow ``rho``:
+    the one-row ``selected_base`` on the ranks of ``rho``.
 
-    ``rho`` orders the base indices ascending by value.  Each family
-    contributes its rho-earliest member (the family minimum); the
-    function value is the rho-latest of those contributions.
+    ``rho`` orders the base indices ascending by value, so base
+    ``rho[r]`` gets rank r, and the ranks are tie-free values that order
+    the bases as ``rho`` does.
     """
     if tuple(sorted(rho)) != tuple(range(1, spec.K + 1)):
         raise InvalidInputError(f"{rho} is not a permutation of 1..{spec.K}")
-    s_min = set()
-    for fam in spec.families:
-        for r in rho:
-            if r in fam:
-                s_min.add(r)
-                break
-    for r in reversed(rho):
-        if r in s_min:
-            return r
-    raise AssertionError("unreachable: families are nonempty")
+    return int(selected_base(spec, np.argsort([rho]))[0])
 
 
 def dual_families(families):

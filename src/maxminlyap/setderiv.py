@@ -10,7 +10,8 @@ homogeneous linear system on the simplex, solved in closed form for one
 equation and by vertex enumeration otherwise); the Clarke derivative is
 the full (more conservative) interval of the table entries.  The sampled
 decrease check builds the tables of all its nonsmooth samples from one
-tie mask, one closure mask and one batch of active sets.
+tie mask, one closure mask and one batch of active sets, and the table
+at a single point (``vertex_table``) is the one-row case of that pass.
 """
 
 import itertools
@@ -21,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalCheckError, InvalidInputError
-from .maxmin import GradientHull, active_sets, clarke_gradient, tie_mask
+from .maxmin import GradientHull, active_sets, tie_mask
+from .numkernel import as_points
 from .policy import DEFAULT_POLICY
 
 EMPTY = "empty"
@@ -52,16 +54,13 @@ class SimplexSet:
 class LieSet:
     """Closed interval of set-valued Lie derivative values, possibly empty.
 
-    ``witness_lo`` / ``witness_hi`` are simplex weights attaining the
-    endpoints.  The convention max(empty) = -inf is left to callers;
-    emptiness is an explicit status, never a sentinel float.
+    The convention max(empty) = -inf is left to callers; emptiness is an
+    explicit status, never a sentinel float.
     """
 
     empty: bool
     lo: float = 0.0
     hi: float = 0.0
-    witness_lo: Optional[np.ndarray] = None
-    witness_hi: Optional[np.ndarray] = None
 
     @classmethod
     def empty_set(cls):
@@ -202,10 +201,7 @@ class VertexTable:
                 )
             values.append(float(per_grad[0]))
         lo, hi = int(np.argmin(values)), int(np.argmax(values))
-        verts = lam.vertices
-        return lam, LieSet(
-            empty=False, lo=values[lo], hi=values[hi], witness_lo=verts[lo], witness_hi=verts[hi]
-        )
+        return lam, LieSet(empty=False, lo=values[lo], hi=values[hi])
 
     def clarke(self):
         """The interval spanned by the table entries."""
@@ -214,10 +210,11 @@ class VertexTable:
 
 
 def vertex_table(spec, basis, sys, x, policy=DEFAULT_POLICY):
-    """The ``VertexTable`` at x over the modes adjacent to x."""
-    x = np.asarray(x, dtype=float)
-    hull = clarke_gradient(spec, basis, x, policy)
-    return VertexTable(hull, tuple(sys.field(i, x) for i in sys.index_set(x, policy)))
+    """The ``VertexTable`` at x over the modes adjacent to x: the one-row
+    ``_vertex_tables``, from the tie mask and closure mask of x alone."""
+    X = as_points(x, basis.dim, "point")[None]
+    ties, _ = tie_mask(spec, basis, X, policy)
+    return next(_vertex_tables(spec, basis, sys, X, ties, sys.closure_mask(X, policy), policy))
 
 
 def lie_derivative(spec, basis, sys, x, policy=DEFAULT_POLICY):
@@ -267,9 +264,9 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
     the point, both derivative sets are grad V_k(x) . co{f_i(x)}, and
     their maximum is the largest product over the adjacent modes.  The
     other rows get their ``active_sets`` in one batch and one
-    ``VertexTable`` each.  Entries equal the per-point ``lie_derivative``
-    / ``clarke_derivative`` ones bit for bit and keep the order of the
-    samples.
+    ``VertexTable`` each, the one ``vertex_table`` builds at that point.
+    Entries equal the per-point ``lie_derivative`` / ``clarke_derivative``
+    ones bit for bit and keep the order of the samples.
     """
     X = _sample_rows(samples, sys.dim)
     norm2 = (X[:, None, :] @ X[:, :, None])[:, 0, 0]

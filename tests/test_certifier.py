@@ -708,8 +708,9 @@ def ref_group_matrix(sys, cand, group):
     M = A.T @ F + F @ A
     for tau, (u, w) in zip(cand.tau_for(group), group.diffs):
         M = M + tau * (P[u - 1] - P[w - 1])
-    if group.use_cone:
-        M = M + cand.beta_for(group) * sys.modes[group.mode - 1].Q
+    Q = sys.modes[group.mode - 1].Q
+    if Q is not None:
+        M = M + cand.beta_for(group) * Q
     return M
 
 
@@ -860,6 +861,51 @@ def test_reverify_names_a_malformed_entry(old, new, entry):
     assert old in text
     with pytest.raises(ConfigError, match=f"certificate {entry} is malformed"):
         re_verify(text.replace(old, new))
+
+
+def _repeat_group_2_as_group_5(text):
+    line = next(ln for ln in text.splitlines() if ln.startswith("group 2 "))
+    return text.replace(line, line + "\n" + line.replace("group 2 ", "group 5 "))
+
+
+@pytest.mark.parametrize(
+    "edit, entry",
+    [
+        # a group 1 without its beta once took group 2's tau and beta and
+        # still re-verified as GAS-certified
+        (lambda t: t.replace("beta = 0.0; ", "", 1), "group 1"),
+        (lambda t: t.replace("beta = 0.0; ", "beta = 0.0; beta = 0.0; ", 1), "group 1"),
+        (lambda t: t.replace("; terms = ", "; extra = 1; terms = ", 1), "group 1"),
+        (lambda t: t.replace("[condition_i]\n", "[condition_i]\nextra = 1\n"), r"\[condition_i\]"),
+        (_repeat_group_2_as_group_5, "group 5"),
+        (lambda t: t.replace("pairing = matched", "pairing matched"), r"\[meta\]"),
+        (lambda t: t.replace("seed = 0", "seed = 0\nseed = 1"), r"\[meta\]"),
+        (lambda t: t.replace("perms = ((3, 1, 2),)", "perms = (3, 1, 2)"), "group 1"),
+    ],
+    ids=[
+        "missing-beta", "repeated-beta", "unknown-key", "stray-line", "repeated-group",
+        "meta-without-equals", "repeated-meta-key", "bare-perms-tuple",
+    ],
+)
+def test_reverify_reads_every_line_whole(edit, entry):
+    sysm, spec1, _ = fixtures.example("example1")
+    text = serialize_certificate(certify(sysm, spec1, fixtures.example1_candidate(), POLICY), sysm)
+    edited = edit(text)
+    assert edited != text
+    with pytest.raises(ConfigError, match=f"certificate {entry} is malformed"):
+        re_verify(edited)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(GOLDEN.glob("certify_*.txt")) + sorted(GOLDEN.glob("search_*.txt")),
+    ids=lambda p: p.stem,
+)
+def test_reverify_reads_every_golden_certificate(path):
+    # the reader against the writer's real output, manifest header included
+    fresh, stored, matches = re_verify(path.read_text())
+    assert stored == fresh.verdict == VERDICT_GAS
+    assert matches
 
 
 def test_not_certified_report_reverifies():

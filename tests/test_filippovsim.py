@@ -88,7 +88,7 @@ def test_sliding_lambda_on_both_lines():
 def test_sliding_lambda_transversal_crossing_absent():
     sys1 = fixtures.example("example1")[0]
     z0 = fixtures.EXAMPLE1_Z0  # both fields cross the line the same way
-    assert sliding_lambda(sys1, z0, POLICY, pair=(1, 2)) is None
+    assert filippovsim._sliding_weight(sys1, z0, (1, 2), POLICY)[0] is None
 
 
 def test_diverging_sliding_far_out():
@@ -193,7 +193,7 @@ def test_widened_lambda_clips_weights_just_outside_the_unit_interval(
     sysm = onedim_two_mode_system(f1, f2)
     lam = filippovsim._sliding_weight(sysm, np.array([0.0]), (1, 2), POLICY, widen=0.05)[0]
     assert lam == widened
-    strict = sliding_lambda(sysm, np.array([0.0]), POLICY, pair=(1, 2))
+    strict = filippovsim._sliding_weight(sysm, np.array([0.0]), (1, 2), POLICY)[0]
     assert strict == (widened if widened == 0.5 else None)
 
 
@@ -324,7 +324,7 @@ def test_wrong_shaped_state_is_refused(x):
     with pytest.raises(InvalidInputError, match="dimension 2"):
         simulate(sys1, x, SimOptions(horizon=1.0))
     with pytest.raises(InvalidInputError, match="dimension 2"):
-        sliding_lambda(sys1, x, POLICY, pair=(1, 2))
+        sliding_lambda(sys1, x, POLICY)
 
 
 def test_csv_schema_planar():

@@ -136,7 +136,8 @@ def ref_validate_partition(sys, policy, n_samples):
     return violations
 
 
-def ref_penalty_points(sys, matching, n_per_mode, seed):
+def ref_penalty_points(sys, n_per_mode, seed):
+    """Penalty points with their target base: the index of the owning mode."""
     points = []
     if sys.dim == 2:
         n_grid = max(720, 8 * n_per_mode)
@@ -145,7 +146,7 @@ def ref_penalty_points(sys, matching, n_per_mode, seed):
             x = np.array([np.cos(t), np.sin(t)])
             owner = ref_owner(sys, x, 0.0)
             if owner:
-                points.append((matching[owner], x))
+                points.append((owner, x))
     else:
         rng = np.random.default_rng(seed)
         per_mode = {m.index: 0 for m in sys.modes}
@@ -158,7 +159,7 @@ def ref_penalty_points(sys, matching, n_per_mode, seed):
             owner = ref_owner(sys, x, 1e-6)
             if owner and per_mode[owner] < n_per_mode:
                 per_mode[owner] += 1
-                points.append((matching[owner], x))
+                points.append((owner, x))
     return np.array([x for _, x in points]), np.array([t for t, _ in points])
 
 
@@ -442,9 +443,8 @@ def test_match_penalty_points_match_point_loop():
         (sys3, spec3, 11),
     ]
     for sys, spec, n_per_mode in cases:
-        matching = {m.index: m.index for m in sys.modes}
-        pen = _MatchPenalty(sys, spec, matching, n_per_mode, seed=5)
-        X, targets = ref_penalty_points(sys, matching, n_per_mode, 5)
+        pen = _MatchPenalty(sys, spec, n_per_mode, seed=5)
+        X, targets = ref_penalty_points(sys, n_per_mode, 5)
         assert np.array_equal(pen.X, X)
         assert np.array_equal(pen.targets, targets)
 
@@ -612,8 +612,7 @@ def test_match_penalty_gram_form_matches_einsum():
     for case, sys, spec, mats in _candidates():
         if spec.K != sys.M:
             continue
-        matching = {m.index: m.index for m in sys.modes}
-        pen = _MatchPenalty(sys, spec, matching, 40, seed=case)
+        pen = _MatchPenalty(sys, spec, 40, seed=case)
         rng = np.random.default_rng(case)
         X = rng.standard_normal((16, sys.dim))
         pen.add_counterexamples([(1 + s % spec.K, x) for s, x in enumerate(X)])

@@ -510,7 +510,6 @@ def test_decrease_makes_no_per_point_calls(monkeypatch):
             for module, attr in (
                 (setderiv, "lie_derivative"),
                 (setderiv, "clarke_derivative"),
-                (setderiv, "clarke_gradient"),
                 (setderiv, "vertex_table"),
                 (maxmin, "active_indices"),
                 (SwitchedSystem, "index_set"),
