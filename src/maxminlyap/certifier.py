@@ -19,8 +19,9 @@ t t'^T + t' t^T, the cone is the pair of opposite sectors between the
 lines t.x = 0 and t'.x = 0, and the sectors sorted by angle tile the
 half turn and give the switching lines in cyclic order; each line is
 checked at one unit vector, with the margin read off the same
-gradient-by-field product table (``setderiv.VertexTable``) as the Lie
-derivative, so it is what ``maxminlyap lie`` prints there;
+gradient-by-field product table as the Lie derivative (all lines in
+one ``setderiv.lie_sets`` call), so it is what ``maxminlyap lie``
+prints there;
 in R^n with two modes, sliding is ruled out by sampling the sign product
 of the two normal velocity components on the switching surface plus a
 full-rank test on base differences.
@@ -56,7 +57,7 @@ from .numkernel import (
     sphere_points,
 )
 from .policy import DEFAULT_POLICY
-from .setderiv import VertexTable
+from .setderiv import lie_sets
 
 MAX_BASES = 6
 MATCHING_SAMPLES = 2000  # unit directions behind a derived matching
@@ -826,24 +827,29 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
     factors = cone_chain(sys)
     basis = QuadraticBasis(cand.matrices)
     sets = active_sets(spec, basis, np.array(factors.vs), policy)
+    hulls = [GradientHull.of(basis, v, act) for v, act in zip(factors.vs, sets)]
+    # wraps: line pos borders chain positions pos-1 and pos
+    modes = [(factors.order[pos - 1], factors.order[pos]) for pos in range(sys.M)]
+    kinks = [pos for pos in range(sys.M) if len(hulls[pos].indices) > 1]
+    found = lie_sets(
+        [hulls[pos].vertices for pos in kinks],
+        [[sys.field(i, factors.vs[pos]) for i in modes[pos]] for pos in kinks],
+        policy,
+    )
+    lies = dict(zip(kinks, found))
     entries = []
     for pos in range(sys.M):
-        v = factors.vs[pos]
-        # wraps: line pos borders chain positions pos-1 and pos
-        modes = (factors.order[pos - 1], factors.order[pos])
-        fields = tuple(sys.field(i, v) for i in modes)
-        table = VertexTable(GradientHull.of(basis, v, sets[pos]), fields)
         kind, vertices, worst = "smooth", (), None
-        if len(table.hull.indices) > 1:
-            lam, lie = table.lie(policy)
+        if pos in lies:
+            lam, lie = lies[pos]
             kind, vertices = lam.kind, lam.vertices
             worst = None if lie.empty else lie.hi
         entries.append(
             PlanarEntry(
                 position=pos + 1,
-                v=v,
-                modes=modes,
-                alpha=table.hull.indices,
+                v=factors.vs[pos],
+                modes=modes[pos],
+                alpha=hulls[pos].indices,
                 lam_kind=kind,
                 lam_vertices=vertices,
                 margin=worst,

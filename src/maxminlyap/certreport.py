@@ -7,7 +7,8 @@ syntax, so the embedded problem data can be re-parsed, and the
 one ``group N { key = value; ... }`` line each.  That is sufficient for
 an independent party to recompute every margin from scratch, which is
 what ``re_verify``, the one reader of reports, does; it reads every
-[meta] line and every [condition_i] line whole and refuses any other.
+[meta] line and every [condition_i] line whole, refuses any other, and
+requires the groups to be the ones the recomputed certificate builds.
 """
 
 import ast
@@ -35,6 +36,10 @@ def _fmt_tuple(vals):
     if len(vals) == 1:
         inner += ","
     return f"({inner})"
+
+
+def _fmt_terms(diffs):
+    return "[" + ", ".join(f"P{u}-P{w}" for u, w in diffs) + "]"
 
 
 def serialize_certificate(cert, sys):
@@ -89,10 +94,9 @@ def serialize_certificate(cert, sys):
         tau = cert.candidate.tau_for(g)
         beta = cert.candidate.beta_for(g)
         perms = "(" + ", ".join(str(p) for p in g.perms) + ("," if len(g.perms) == 1 else "") + ")"
-        diffs = ", ".join(f"P{u}-P{w}" for u, w in g.diffs)
         lines.append(
             f"group {gno} {{ mode = {g.mode}; base = {g.phi_index}; "
-            f"perms = {perms}; terms = [{diffs}]; "
+            f"perms = {perms}; terms = {_fmt_terms(g.diffs)}; "
             f"tau = {_fmt_tuple(tau)}; beta = {beta!r}; margin = {margin:.6e} }}"
         )
 
@@ -151,12 +155,13 @@ def _entries(parts, where):
     return out
 
 
-def _multipliers(lines):
-    """The multipliers (taus, betas) keyed by (mode, perms), from the
-    [condition_i] lines: each must be one whole ``group N { ... }`` entry
-    carrying each of ``_GROUP_KEYS`` once, for a (mode, perms) pair that
-    no earlier group gave; anything else is a ConfigError."""
-    taus, betas = {}, {}
+def _groups(lines):
+    """The [condition_i] groups: each one's name (``group N``), base and
+    terms ((u, w) pairs), and the multipliers taus and betas, all keyed
+    by (mode, perms).  Each line must be one whole ``group N { ... }``
+    entry carrying each of ``_GROUP_KEYS`` once, for a (mode, perms) pair
+    that no earlier group gave; anything else is a ConfigError."""
+    table, taus, betas = {}, {}, {}
     for line in lines:
         m = re.fullmatch(r"group\s+(\d+)\s*\{(.*)\}", line)
         if m is None:
@@ -167,13 +172,43 @@ def _multipliers(lines):
             if fields.keys() != _GROUP_KEYS:
                 raise ValueError(f"its keys are {sorted(fields)}, not {sorted(_GROUP_KEYS)}")
             key = (int(fields["mode"]), tuple(tuple(p) for p in ast.literal_eval(fields["perms"])))
-            if key in taus:
+            if key in table:
                 raise ValueError(f"mode {key[0]} perms {key[1]} were given by an earlier group")
+            terms = fields["terms"]
+            if not re.fullmatch(r"\[(P\d+-P\d+(, P\d+-P\d+)*)?\]", terms):
+                raise ValueError(f"terms {terms} are not a list of Pu-Pw differences")
+            diffs = tuple((int(u), int(w)) for u, w in re.findall(r"P(\d+)-P(\d+)", terms))
+            table[key] = (where, int(fields["base"]), diffs)
             taus[key] = tuple(float(v) for v in ast.literal_eval(fields["tau"]))
             betas[key] = float(fields["beta"])
         except (ValueError, TypeError, SyntaxError) as exc:
             raise ConfigError(f"certificate {where} is malformed: {exc}") from None
-    return taus, betas
+    return table, taus, betas
+
+
+def _check_groups(table, groups):
+    """Every group of the report's ``table`` must be one of the rebuilt
+    ``groups``, with its base and terms, and every rebuilt group must be
+    in the table; a ConfigError names the first group that is not."""
+    built = {g.key: g for g in groups}
+    for key, (where, base, terms) in table.items():
+        g = built.get(key)
+        if g is None:
+            raise ConfigError(
+                f"certificate {where} does not match the rebuilt groups: "
+                f"none has mode {key[0]} and perms {key[1]}"
+            )
+        if (base, terms) != (g.phi_index, g.diffs):
+            raise ConfigError(
+                f"certificate {where} does not match the rebuilt groups: it has base {base} "
+                f"and terms {_fmt_terms(terms)}, the rebuilt group base {g.phi_index} and "
+                f"terms {_fmt_terms(g.diffs)}"
+            )
+    for gno, g in enumerate(groups, start=1):
+        if g.key not in table:
+            raise ConfigError(
+                f"certificate group {gno} is missing: no line has mode {g.mode} and perms {g.perms}"
+            )
 
 
 def re_verify(text):
@@ -182,9 +217,12 @@ def re_verify(text):
     This is the one reader of reports: the [system], [basis] and
     [structure] lines go through the config parser, and every [meta] and
     [condition_i] line is read whole; a missing or malformed entry is a
-    ConfigError.  The stored basis matrices and multipliers are checked
-    verbatim (no repair), so tampering with any number in the report
-    flips the recomputed verdict.  Returns (fresh Certificate, stored
+    ConfigError, and so is a group table that differs from the one the
+    recomputed certificate builds (a group missing or extra, or another
+    base or other terms for its mode and perms).  The stored basis
+    matrices and multipliers are checked verbatim (no repair), so
+    tampering with any number in the report flips the recomputed
+    verdict.  Returns (fresh Certificate, stored
     verdict, match flag).
     """
     sections = _split_sections(text)
@@ -208,7 +246,7 @@ def re_verify(text):
         )
     except (ValueError, InvalidInputError) as exc:
         raise ConfigError(f"certificate [meta] is malformed: {exc}") from None
-    taus, betas = _multipliers(sections["condition_i"])
+    table, taus, betas = _groups(sections["condition_i"])
     stored_verdict = meta.get("verdict", "")
     sys = SwitchedSystem.from_config(parsed.require_system())
     if parsed.basis is None:
@@ -217,6 +255,7 @@ def re_verify(text):
     else:
         cand = Candidate(matrices=parsed.basis.matrices, taus=taus, betas=betas)
         fresh = certify(sys, parsed.basis.to_spec(), cand, policy, complete=False)
+    _check_groups(table, fresh.cond_i.groups)
     return fresh, stored_verdict, fresh.verdict == stored_verdict
 
 

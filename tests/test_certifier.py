@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -893,6 +894,41 @@ def test_reverify_reads_every_line_whole(edit, entry):
     edited = edit(text)
     assert edited != text
     with pytest.raises(ConfigError, match=f"certificate {entry} is malformed"):
+        re_verify(edited)
+
+
+def _drop_group_4(text):
+    return "".join(ln for ln in text.splitlines(True) if not ln.startswith("group 4 "))
+
+
+def _rebase_group_1(text):
+    line = next(ln for ln in text.splitlines() if ln.startswith("group 1 "))
+    edited = re.sub(r"base = \d+", "base = 3", line)
+    edited = re.sub(r"terms = \[[^]]*\]", "terms = [P9-P9]", edited)
+    edited = re.sub(r"margin = \S+", "margin = 5.0", edited)
+    return text.replace(line, edited)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_group_4, r"certificate group 4 is missing"),
+        (_rebase_group_1, r"certificate group 1 does not match .* base 3 and terms \[P9-P9\]"),
+        (
+            lambda t: t.replace("perms = ((3, 1, 2),)", "perms = ((9, 9, 9),)"),
+            r"certificate group 1 does not match .* perms \(\(9, 9, 9\),\)",
+        ),
+    ],
+    ids=["deleted-group", "other-base-and-terms", "unknown-perms"],
+)
+def test_reverify_checks_the_group_table(edit, message):
+    # each edit once re-verified as GAS-certified with match True: the
+    # report's groups were read for their multipliers only
+    text = (GOLDEN / "certify_example1.txt").read_text()
+    edited = edit(text)
+    assert edited != text
+    assert re_verify(text)[1:] == (VERDICT_GAS, True)
+    with pytest.raises(ConfigError, match=message):
         re_verify(edited)
 
 

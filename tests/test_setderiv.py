@@ -1,5 +1,6 @@
 import itertools
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxminlyap import fixtures, maxmin, setderiv
-from maxminlyap.errors import InvalidInputError
+from maxminlyap.errors import InternalCheckError, InvalidInputError
 from maxminlyap.inclusion import Mode, SwitchedSystem
 from maxminlyap.maxmin import MaxMinSpec, QuadraticBasis, active_indices
 from maxminlyap.policy import NumericPolicy
@@ -25,6 +26,7 @@ from maxminlyap.setderiv import (
     lie_derivative,
 )
 from maxmin_reference import equal_value_indices
+import setderiv_reference as reference
 
 POLICY = NumericPolicy()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -293,10 +295,29 @@ def test_one_equation_knife_edge_differs_by_at_most_the_dedup_distance():
     to within 1e-9."""
     row, tol = [-1e-3, 1e-12], POLICY.abs_tol + POLICY.rel_tol
     assert _ulp_decides(row, tol)
-    got = setderiv._vertices_one_equation(row, 2, tol)
+    got = reference.vertices_one_equation(row, 2, tol)
     want = setderiv._vertices_by_support(np.array([row]), 2, tol)
     for a, b in ((got, want), (want, got)):
         assert all(min(np.abs(u - v).max() for v in b) <= 1e-9 + 1e-15 for u in a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_one_equation_rows(), min_size=1, max_size=8))
+def test_batched_weights_equal_the_per_row_closed_form(cases):
+    """Rows of one length go through ``_weights`` together; each row's
+    kind and vertices equal the per-row closed form bit for bit, knife
+    edges included (both decide the slots with the same arithmetic)."""
+    by_length = {}
+    for row, _ in cases:
+        by_length.setdefault(len(row), []).append(row)
+    for rows in by_length.values():
+        G = np.tile([[0.0], [1.0]], (len(rows), 1, 1))
+        W, keep, full = setderiv._weights(G, np.array(rows)[:, :, None], POLICY)
+        for k, row in enumerate(rows):
+            got = setderiv._simplex_set(W[k], keep[k], full[k])
+            want = reference.lambda_set([np.zeros(1), np.ones(1)], [np.array([c]) for c in row], POLICY)
+            assert got.kind == want.kind
+            assert [v.tobytes() for v in got.vertices] == [v.tobytes() for v in want.vertices]
 
 
 def test_decrease_on_converging_line():
@@ -476,28 +497,41 @@ def _bits(value):
     "name", ["example1", "example2", "example3", "expr-basis", "expr-region"]
 )
 def test_decrease_entries_equal_per_point_derivatives_bitwise(name, rate, use_clarke):
+    """Every entry of the batch equals the per-row reference (closed-form
+    weights and ``table @ w`` one row and one weight at a time) on the
+    ``VertexTable`` of its point, and the one-row kernel calls."""
     spec, basis, sysm = _problem(name)
     X = _sphere_and_kink_points(basis, sysm, np.random.default_rng(7))
     report = decrease_check(spec, basis, sysm, X, rate, POLICY, use_clarke=use_clarke)
     assert len(report.entries) == len(X)
     for x, e in zip(X, report.entries):
         bound = -rate * float(x @ x)
+        table = setderiv.vertex_table(spec, basis, sysm, x, POLICY)
         if use_clarke:
-            value = clarke_derivative(spec, basis, sysm, x, POLICY).hi
+            value = reference.clarke(table).hi
+            assert _bits(clarke_derivative(spec, basis, sysm, x, POLICY).hi) == _bits(value)
             got, want = _clarke_bits(spec, basis, sysm, x)
             assert got == want
         else:
-            lie = lie_derivative(spec, basis, sysm, x, POLICY)
+            lie = reference.lie(table, POLICY)[1]
             value = None if lie.empty else lie.hi
+            assert lie_derivative(spec, basis, sysm, x, POLICY) == lie
         assert np.array_equal(e.x, x)
         assert _bits(e.value) == _bits(value)
         assert _bits(e.bound) == _bits(bound)
         assert e.ok is (value is None or value <= bound)
 
 
+def _live_equations(spec, basis, sysm, x):
+    table = setderiv.vertex_table(spec, basis, sysm, x, POLICY)
+    return len(reference.equations(table.hull.vertices, table.fields, POLICY)[2])
+
+
 def test_decrease_makes_no_per_point_calls(monkeypatch):
     # rows off the smooth path are decided from the batch's tie and closure
-    # masks and its batched active sets, never by a per-point call
+    # masks, its batched active sets and one kernel call per group: never by
+    # a per-point call, a one-row table or a per-row weight solve, except
+    # the support enumeration of rows with two or more live equations
     def refuse(*args, **kwargs):
         raise AssertionError("per-point call in decrease_check")
 
@@ -506,18 +540,31 @@ def test_decrease_makes_no_per_point_calls(monkeypatch):
         X = _sphere_and_kink_points(basis, sysm, np.random.default_rng(11))
         off = [x for x in X if len(equal_value_indices(spec, basis, x, POLICY)[0]) != 1]
         assert 0 < len(off) < len(X)
+        general = sum(_live_equations(spec, basis, sysm, x) > 1 for x in off)
+        calls = []
+        by_support = setderiv._vertices_by_support
         with monkeypatch.context() as m:
             for module, attr in (
                 (setderiv, "lie_derivative"),
                 (setderiv, "clarke_derivative"),
                 (setderiv, "vertex_table"),
+                (setderiv, "lambda_set"),
+                (setderiv, "lie_sets"),
+                (setderiv.VertexTable, "lie"),
+                (setderiv.VertexTable, "clarke"),
                 (maxmin, "active_indices"),
                 (SwitchedSystem, "index_set"),
             ):
                 m.setattr(module, attr, refuse)
+            m.setattr(
+                setderiv,
+                "_vertices_by_support",
+                lambda *a: calls.append(a) or by_support(*a),
+            )
             for use_clarke in (False, True):
                 report = decrease_check(spec, basis, sysm, X, 0.0, POLICY, use_clarke=use_clarke)
                 assert len(report.entries) == len(X)
+        assert len(calls) == general
 
 
 def test_decrease_counts_active_set_warnings():
@@ -530,3 +577,74 @@ def test_decrease_counts_active_set_warnings():
     report = decrease_check(spec, twin, sysm, X, 0.0, POLICY)
     assert report.warnings == {"bases 1 and 2 are identical": warned}
     assert decrease_check(spec, basis, sysm, X, 0.0, POLICY).warnings == {}
+
+
+def _three_bases_on_one_ray():
+    """Three bases of R^3 tied along the e_3 ray, each the largest on a
+    sector around it (gradients 4 e_3 + u_k, u_k at 120 degrees), and three
+    whole-space modes: on the ray all three bases are active, so the Lie
+    weights solve two live equations (one weight vector for these modes)."""
+    e3 = np.array([0.0, 0.0, 1.0])
+    us = [np.array([np.cos(t), np.sin(t), 0.0]) for t in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)]
+    basis = QuadraticBasis([2.0 * np.eye(3) + 0.5 * (np.outer(u, e3) + np.outer(e3, u)) for u in us])
+    rng = np.random.default_rng(0)
+    modes = [Mode(index=i, A=rng.standard_normal((3, 3)) - np.eye(3)) for i in range(1, 4)]
+    spec = MaxMinSpec(K=3, families=((1,), (2,), (3,)))
+    return spec, basis, SwitchedSystem(dim=3, modes=modes), e3
+
+
+@pytest.mark.parametrize("use_clarke", [False, True], ids=["lie", "clarke"])
+def test_decrease_two_live_equations_equal_the_reference(use_clarke):
+    # rows on the ray take the support enumeration inside the batch; the
+    # pairwise-tie rows around them take the closed form
+    spec, basis, sysm, e3 = _three_bases_on_one_ray()
+    rng = np.random.default_rng(2)
+    X = [r * e3 for r in (0.5, 1.0, 3.0)]
+    for i, P in enumerate(basis.matrices):
+        for R in basis.matrices[i + 1 :]:
+            X.extend(_zero_set_points(P - R, 6, rng))
+    X.extend(rng.standard_normal((20, 3)))
+    live = [_live_equations(spec, basis, sysm, x) for x in X]
+    assert live[:3] == [2, 2, 2] and 1 in live
+    report = decrease_check(spec, basis, sysm, X, 0.0, POLICY, use_clarke=use_clarke)
+    for x, e in zip(X, report.entries):
+        table = setderiv.vertex_table(spec, basis, sysm, x, POLICY)
+        if use_clarke:
+            value = reference.clarke(table).hi
+        else:
+            lie = reference.lie(table, POLICY)[1]
+            value = None if lie.empty else lie.hi
+        assert _bits(e.value) == _bits(value)
+    lam = reference.lie(setderiv.vertex_table(spec, basis, sysm, e3, POLICY), POLICY)[0]
+    assert lam.kind == POINT
+
+
+def test_over_approximated_active_set_raises_as_the_reference(monkeypatch):
+    """With a base that does not tie added to every active set, the added
+    equation is live, and at radius 1e4 the negative-weight floor (which
+    grows with the scale of the equations) lets clipped weights through
+    whose table rows spread past 100 tol.  The batch raises the error the
+    per-row reference raises first, in sample order."""
+    spec, basis, sysm = _problem("example1")
+    X = 1e4 * _sphere_and_kink_points(basis, sysm, np.random.default_rng(7))
+    real = setderiv.active_sets
+
+    def over(spec, basis, X, policy, ties=None):
+        out = []
+        for act in real(spec, basis, X, policy, ties=ties):
+            extra = min(set(range(1, basis.K + 1)) - set(act.indices))
+            out.append(replace(act, indices=tuple(sorted(act.indices + (extra,)))))
+        return out
+
+    monkeypatch.setattr(setderiv, "active_sets", over)
+    want = None
+    for x in X:
+        try:
+            reference.lie(setderiv.vertex_table(spec, basis, sysm, x, POLICY), POLICY)
+        except InternalCheckError as err:
+            want = str(err)
+            break
+    assert want is not None and "disagree" in want
+    with pytest.raises(InternalCheckError) as got:
+        decrease_check(spec, basis, sysm, X, 0.0, POLICY)
+    assert str(got.value) == want
