@@ -572,17 +572,17 @@ def export_csv(traj, spec=None, basis=None):
     """CSV rendering: t, coordinates, regime, sliding weight, optional V."""
     if not traj.samples:
         raise InvalidInputError("export_csv: empty trajectory")
-    n = len(traj.samples[0].x)
-    cols = ["t"] + [f"x{i}" for i in range(1, n + 1)] + ["regime", "lambda"]
+    X = np.array([s.x for s in traj.samples])
+    cols = ["t"] + [f"x{i}" for i in range(1, X.shape[1] + 1)] + ["regime", "lambda"]
     with_v = spec is not None and basis is not None
     if with_v:
         cols.append("V")
         from .maxmin import evaluate
 
-        V = evaluate(spec, basis, np.array([s.x for s in traj.samples]))
+        V = evaluate(spec, basis, X).tolist()
     lines = [",".join(cols)]
-    for j, s in enumerate(traj.samples):
-        row = [f"{s.t:.12g}"] + [f"{v:.12g}" for v in s.x]
+    for j, (s, x) in enumerate(zip(traj.samples, X.tolist())):
+        row = [f"{s.t:.12g}"] + [f"{v:.12g}" for v in x]
         row.append(s.regime.label())
         row.append("" if s.regime.lam is None else f"{s.regime.lam:.12g}")
         if with_v:

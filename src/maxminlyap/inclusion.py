@@ -141,7 +141,7 @@ class SwitchedSystem:
         X = np.asarray(X, dtype=float)
         if not np.isfinite(X).all():
             raise InvalidInputError("closure test: a point has non-finite entries")
-        norm2 = (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+        norm2 = np.vecdot(X, X)
         band = np.maximum(self._band_floor, norm2[:, None])
         return self.region_values(X) >= -policy.abs_tol * band
 

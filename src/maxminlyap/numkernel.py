@@ -90,9 +90,19 @@ def solve_lyapunov(A):
 
 def quad_forms(X, Ps):
     """x^T P_k x for Ps[K, n, n] at x[n] (shape K) or at each row of X[S, n]
-    (shape (S, K)); rounds exactly as ``x @ P @ x`` (``X @ P`` does not)."""
+    (shape (S, K)); bit for bit ``x @ P @ x`` at each row.
+
+    For n <= 3 the products x @ P of all rows are one gemm per base,
+    which rounds as the per-row gemv; for n >= 4 the gemm kernel sums in
+    another order, so each row keeps its own gemv.  The dot with x is
+    ``np.vecdot``, the same 1-D dot product as the per-row ``y @ x``.
+    """
     X = np.asarray(X, dtype=float)
-    return (X[..., None, None, :] @ Ps @ X[..., None, :, None])[..., 0, 0]
+    if X.shape[-1] <= 3:
+        XP = (X @ Ps).swapaxes(0, -2)
+    else:
+        XP = (X[..., None, None, :] @ Ps)[..., 0, :]
+    return np.vecdot(XP, X[..., None, :])
 
 
 def sphere_points(dim, n, rng, radius=1.0):
@@ -104,7 +114,7 @@ def sphere_points(dim, n, rng, radius=1.0):
 
 def row_norms(X):
     """Norm of each row of X, bit for bit ``np.linalg.norm`` of that row."""
-    return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
+    return np.sqrt(np.vecdot(X, X))
 
 
 def project_psd(M, floor=0.0):

@@ -107,7 +107,7 @@ def _simplex_set(W, keep, full):
 def _dots(A, B):
     """out[R, a, b] = A[r, a] . B[r, b], each a 1-D dot product (so bit
     for bit ``A[r, a] @ B[r, b]``)."""
-    return (A[:, :, None, None, :] @ B[:, None, :, :, None])[..., 0, 0]
+    return np.vecdot(A[:, :, None], B[:, None])
 
 
 def _weights(G, F, policy):
@@ -133,12 +133,13 @@ def _weights(G, F, policy):
         keep[:, :m] = True
         return W, keep, np.ones(R, dtype=bool)
     C = _dots(G[:, 1:] - G[:, :-1], F)
-    tol = policy.abs_tol + policy.rel_tol * np.maximum(1.0, np.abs(C).max(axis=(1, 2)))
+    scale = np.maximum(1.0, np.abs(C).max(axis=(1, 2)))
+    tol = policy.abs_tol + policy.rel_tol * scale
     live = np.abs(C).max(axis=2) > tol[:, None]
     count = live.sum(axis=1)
     c = C[np.arange(R), live.argmax(axis=1)]  # the first live equation
     keep[:, :m] = np.abs(c) <= tol[:, None]
-    floor = -np.maximum(tol, 1e-12)
+    floor = -np.maximum(tol / scale, 1e-12)  # weights do not scale with C
     with np.errstate(divide="ignore", invalid="ignore"):
         for s, (i, j) in enumerate(pairs, start=m):
             ci, cj = c[:, i], c[:, j]
@@ -174,6 +175,7 @@ def _vertices_by_support(C, m, tol):
     """Basic feasible solutions of {w >= 0, sum w = 1, C w = 0}: each has
     at most rows + 1 nonzero weights, so every such support is tried."""
     rows = C.shape[0]
+    floor = -max(tol / max(1.0, float(np.abs(C).max())), 1e-12)  # weights do not scale with C
     verts = []
     for size in range(1, min(m, rows + 1) + 1):
         for support in itertools.combinations(range(m), size):
@@ -185,7 +187,7 @@ def _vertices_by_support(C, m, tol):
             sol, residual, _, _ = np.linalg.lstsq(E, rhs, rcond=None)
             if np.abs(E @ sol - rhs).max() > tol:
                 continue
-            if sol.min() < -max(tol, 1e-12):
+            if sol.min() < floor:
                 continue
             w = np.zeros(m)
             w[list(support)] = np.clip(sol, 0.0, None)
@@ -352,7 +354,7 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
     first such sample.
     """
     X = _sample_rows(samples, sys.dim)
-    norm2 = (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+    norm2 = np.vecdot(X, X)
     X, norm2 = X[norm2 > 0.0], norm2[norm2 > 0.0]
     if not len(X):
         raise InvalidInputError("decrease_check: empty sample set")

@@ -60,6 +60,8 @@ def vertices_one_equation(c, m, tol):
     w_j = -c_i / (c_j - c_i), under the same rank test, negative-weight
     floor and de-duplication."""
     eye = np.eye(m)
+    # c is the one live row, so its largest |c_j| is the scale tol was built from
+    floor = -max(tol / max(1.0, max(abs(v) for v in c)), 1e-12)
     verts = [eye[j] for j in range(m) if abs(c[j]) <= tol]
     for i, j in itertools.combinations(range(m), 2):
         d = c[j] - c[i]
@@ -69,7 +71,7 @@ def vertices_one_equation(c, m, tol):
         if abs(d) <= 1e-12 * max(1.0, abs(c[i]), abs(c[j])) * sigma_max:
             continue
         wi, wj = c[j] / d, -c[i] / d
-        if min(wi, wj) < -max(tol, 1e-12):
+        if min(wi, wj) < floor:
             continue
         w = np.zeros(m)
         w[i], w[j] = max(wi, 0.0), max(wj, 0.0)

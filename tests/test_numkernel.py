@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxminlyap.errors import InvalidInputError
 from maxminlyap.numkernel import (
@@ -12,8 +14,11 @@ from maxminlyap.numkernel import (
     eig_sym,
     negdef_margin,
     project_psd,
+    quad_forms,
+    row_norms,
     solve_lyapunov,
 )
+from maxminlyap.setderiv import _dots
 
 R2 = math.sqrt(2.0)
 
@@ -191,3 +196,42 @@ def test_stack_validation_names_any_bad_member():
         as_symmetric(np.zeros((2, 2, 3)))
     with pytest.raises(InvalidInputError, match="square"):
         as_symmetric(np.zeros((2, 2, 2, 2)))
+
+
+def _layout(wide, n, layout):
+    """n-vectors along the last axis of ``wide`` (at least n + 2 wide): a
+    C-order copy, a column slice (as ``sliding_exclusion`` passes) or a
+    slice with a row step (as ``_sampled_active`` passes)."""
+    if layout == "C":
+        return wide[..., :n].copy()
+    if layout == "column":
+        return wide[..., 1 : n + 1]
+    return wide[::2, ..., 2 : n + 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    K=st.integers(1, 4),
+    S=st.sampled_from([1, 2, 7, 400, 20000]),
+    layout=st.sampled_from(["C", "column", "step"]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_base_value_kernels_equal_the_per_row_products_bitwise(n, K, S, layout, scale, seed):
+    """``quad_forms`` (gemm for n <= 3, per-row gemv above), ``row_norms``
+    and ``setderiv._dots`` round as the per-row ``x @ P @ x``,
+    ``np.linalg.norm(x)`` and ``a @ b``."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((K, n, n))
+    Ps = B + B.swapaxes(1, 2)
+    rows = 2 * S if layout == "step" else S
+    X = _layout(scale * rng.standard_normal((rows, n + 2)), n, layout)
+    want = np.array([[x @ P @ x for P in Ps] for x in X])
+    assert quad_forms(X, Ps).tobytes() == want.tobytes()
+    assert quad_forms(X[0], Ps).tobytes() == want[0].tobytes()
+    assert row_norms(X).tobytes() == np.array([np.linalg.norm(x) for x in X]).tobytes()
+    A = _layout(rng.standard_normal((rows, 2, n + 2)), n, layout)
+    F = _layout(scale * rng.standard_normal((rows, 3, n + 2)), n, layout)
+    want = np.array([[[a @ f for f in Fr] for a in Ar] for Ar, Fr in zip(A, F)])
+    assert _dots(A, F).tobytes() == want.tobytes()

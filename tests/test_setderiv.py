@@ -261,7 +261,7 @@ def _ulp_decides(row, tol):
     """Whether a pair weight of c . w = 0 sits within 1e-14 of the 1e-9
     de-duplication distance or of the negative-weight floor: there the
     last bits, in which the closed form and ``lstsq`` differ, decide."""
-    edges = (1e-9, max(tol, 1e-12))
+    edges = (1e-9, max(tol / max(1.0, max(abs(c) for c in row)), 1e-12))
     for ci, cj in itertools.combinations(row, 2):
         if ci != cj:
             weights = (abs(cj / (cj - ci)), abs(ci / (cj - ci)))
@@ -621,10 +621,11 @@ def test_decrease_two_live_equations_equal_the_reference(use_clarke):
 
 def test_over_approximated_active_set_raises_as_the_reference(monkeypatch):
     """With a base that does not tie added to every active set, the added
-    equation is live, and at radius 1e4 the negative-weight floor (which
-    grows with the scale of the equations) lets clipped weights through
-    whose table rows spread past 100 tol.  The batch raises the error the
-    per-row reference raises first, in sample order."""
+    equation is live, and at radius 1e4 the residual test of the support
+    enumeration (its tolerance grows with the scale of the equations, the
+    row sum w = 1 does not) lets weights through whose table rows spread
+    past 100 tol.  The batch raises the error the per-row reference
+    raises first, in sample order."""
     spec, basis, sysm = _problem("example1")
     X = 1e4 * _sphere_and_kink_points(basis, sysm, np.random.default_rng(7))
     real = setderiv.active_sets
@@ -648,3 +649,21 @@ def test_over_approximated_active_set_raises_as_the_reference(monkeypatch):
     with pytest.raises(InternalCheckError) as got:
         decrease_check(spec, basis, sysm, X, 0.0, POLICY)
     assert str(got.value) == want
+
+
+@pytest.mark.parametrize("radius", [1e5, 1e6])
+def test_decrease_is_scale_free_on_example3(radius):
+    """The negative-weight floor is a weight, so it does not grow with the
+    equations: scaled by 1e5 or 1e6 the samples raise no disagreement,
+    keep their verdicts, and their values scale by radius^2."""
+    spec, basis, sysm = _problem("example3")
+    X = _sphere_and_kink_points(basis, sysm, np.random.default_rng(7))
+    base = decrease_check(spec, basis, sysm, X, 0.3, POLICY).entries
+    scaled = decrease_check(spec, basis, sysm, radius * X, 0.3, POLICY).entries
+    assert [e.ok for e in scaled] == [e.ok for e in base]
+    for e, b in zip(scaled, base):
+        if b.value is None:
+            assert e.value is None
+        else:
+            want = radius**2 * b.value
+            assert abs(e.value - want) <= 1e-9 * abs(want)

@@ -145,16 +145,27 @@ def _portrait(value_fn, grid, levels=(0.3, 1.0)):
     return svg.phase_portrait_svg([traj], value_fn=value_fn, levels=levels, grid=grid)
 
 
-def test_value_fn_is_called_once_per_grid_column():
+@pytest.mark.parametrize("grid", [50, 400])
+def test_value_fn_gets_blocks_of_whole_columns(grid):
+    """Each call takes whole grid columns, x outer and y inner, at most
+    ``GRID_BLOCK`` points: a 50 x 50 grid is one call, a 400 x 400 grid a
+    few calls of 40 columns."""
     _, spec, basis = fixtures.example("example1")
-    shapes = []
+    blocks = []
 
     def value_fn(p):
-        shapes.append(p.shape)
+        blocks.append(p.copy())
         return evaluate(spec, basis, p)
 
-    _portrait(value_fn, grid=50)
-    assert shapes == [(50, 2)] * 50
+    _portrait(value_fn, grid=grid)
+    if grid == 50:
+        assert [b.shape for b in blocks] == [(2500, 2)]
+    assert all(len(b) % grid == 0 and len(b) <= svg.GRID_BLOCK for b in blocks)
+    assert all(len(b) == len(blocks[0]) for b in blocks[:-1])
+    assert len(blocks[0]) == grid * min(grid, svg.GRID_BLOCK // grid)
+    points = np.concatenate(blocks).reshape(grid, grid, 2)
+    assert (points[:, :, 0] == points[:, :1, 0]).all()  # one x per column
+    assert (points[:, :, 1] == points[:1, :, 1]).all()  # the same ys in each
 
 
 def test_point_only_value_fn_is_rejected():
