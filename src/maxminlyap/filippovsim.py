@@ -4,7 +4,9 @@ Inside a region the active mode is integrated with an adaptive
 Dormand-Prince 5(4) scheme whose accepted steps hand their last stage
 on as the first stage of the next (first same as last).  Each step is
 one straight-line function, generated once per state dimension, that
-sums the stages term by term on Python floats.  A sign change of the
+runs on Python floats: it calls a float field (``Mode.float_field``,
+n floats in and out), sums the stages term by term and returns the RMS
+error norm with the state.  A sign change of the
 active region function is located on the step just taken: Illinois
 root-finding on the step's 4th-order continuous extension (Shampine
 1986), then one real step of the located length, refined by a
@@ -13,13 +15,19 @@ the event tolerance.  At the surface the two adjacent normal field
 components decide between a transversal switch and first-order
 sliding, in which case the tangent convex combination of the two
 fields is integrated with re-projection onto the surface after every
-accepted step.  The combination weight is updated as the stages run;
+accepted step.  One weight rule (``_sliding_weight``) decides every
+sliding weight: the start of a slide, each sliding stage and
+``sliding_lambda``.  The combination weight is updated as the stages run;
 the weight checked at each projected state gives the next step's first
 stage, so only a sliding flow's first step and a retried step evaluate
 all seven.  Both flows share one adaptive step control, which rejects
 any step whose error norm is not at most one.  Codimension-2
 intersections, step underflow and non-finite field values terminate
 with a stall status (at the last finite state) rather than an error.
+
+Region gradients, region values, the dot products of the weight rule
+and event location stay numpy calls: BLAS fuses multiply-adds, which
+Python float arithmetic cannot reproduce, so each keeps its bits.
 """
 
 import functools
@@ -160,14 +168,56 @@ _DP_P = (
 )
 
 
+def _pairwise_sum(terms):
+    """Source text of the sum of ``terms`` in the order ``np.add.reduce``
+    adds a contiguous float array: from 0.0 one by one below 8 terms,
+    else eight strided partial sums combined as a tree, the remainder
+    one by one, and halves (cut at a multiple of 8) above 128."""
+    n = len(terms)
+    if n < 8:
+        return "".join(f" + {t}" for t in terms).join(("(0.0", ")"))
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return f"({_pairwise_sum(terms[:half])} + {_pairwise_sum(terms[half:])})"
+    full = n - n % 8
+    r = ["(" + " + ".join(terms[j:full:8]) + ")" for j in range(8)]
+    tree = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+    return "".join(f" + {t}" for t in terms[full:]).join((f"({tree}", ")"))
+
+
+@functools.cache
+def _error_norm_kernel(n):
+    """``norm(e_0, .., e_{n-1}, x_0, .., x_{n-1}, y_0, .., y_{n-1})``: the
+    RMS of e_i / (ATOL + RTOL * max(|x_i|, |y_i|)) on Python floats, a
+    NaN winning the max, bit for bit ``np.sqrt(np.mean(q))`` of the
+    squares q: they are added in ``np.add.reduce``'s order
+    (``_pairwise_sum``)."""
+    args = ", ".join(f"{v}_{i}" for v in "exy" for i in range(n))
+    body = []
+    for i in range(n):
+        body += [
+            f"u, v = abs(x_{i}), abs(y_{i})",
+            f"r = e_{i} / ({ATOL!r} + {RTOL!r} * (u if u > v or u != u else v))",
+            f"q{i} = r * r",
+        ]
+    body.append(f"return _sqrt({_pairwise_sum([f'q{i}' for i in range(n)])} / {n})")
+    source = f"def norm({args}):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"__builtins__": {"abs": abs}, "_sqrt": math.sqrt}
+    exec(compile(source, f"<error norm, n={n}>", "exec"), namespace)
+    return namespace["norm"]
+
+
 @functools.cache
 def _dp_kernel(n):
     """One straight-line Dormand-Prince step for states of dimension n.
 
-    Component i of each stage state is x_i + dt * (0.0 + a_1 * k_1[i] +
-    a_2 * k_2[i] + ...) on Python floats, bit for bit ``sum`` over the
-    terms; zero coefficients are kept, so inf/NaN stages spread as in the
-    full sum.  The field is called on a float array, read back as floats.
+    ``step(f, x, dt, k1)`` takes the state as n Python floats and a float
+    field f (n floats in, a sequence of n floats out).  Component i of
+    each stage state is x_i + dt * (0.0 + a_1 * k_1[i] + a_2 * k_2[i] +
+    ...), bit for bit ``sum`` over the terms; zero coefficients are kept,
+    so inf/NaN stages spread as in the full sum.  It returns the
+    5th-order state x5 as a tuple, the ``_error_norm_kernel`` RMS of
+    x5 - x4 scaled by x and x5, and the seven stages as tuples.
     """
 
     def row(template):  # "t(0), t(1), ..., " over the n components
@@ -179,32 +229,29 @@ def _dp_kernel(n):
 
     body = [
         "dt = float(dt)",
-        f"{row('x_{0}')}= x.tolist()",
-        f"{row('k1_{0}')}= (f(x) if k1 is None else k1).tolist()",
+        f"{row('x_{0}')}= x",
+        f"{row('k1_{0}')}= f(x) if k1 is None else k1",
     ]
-    body += [
-        f"{row(f'k{j}_{{0}}')}= f(_array(({row(state(_DP_A[j - 1]))}))).tolist()"
-        for j in range(2, 8)
-    ]
+    body += [f"{row(f'k{j}_{{0}}')}= f(({row(state(_DP_A[j - 1]))}))" for j in range(2, 8)]
     body += [f"{row('x5_{0}')}= {row(state(_DP_B5))}", f"{row('x4_{0}')}= {row(state(_DP_B4))}"]
-    stages = "".join(row(f"k{j}_{{0}}") for j in range(1, 8))
-    body.append(
-        f"return _array(({row('x5_{0}')})), _array(({row('x5_{0} - x4_{0}')})), "
-        f"_array(({stages})).reshape(7, {n})"
-    )
+    stages = "".join(f"({row(f'k{j}_{{0}}')}), " for j in range(1, 8))
+    norm = f"_norm({row('x5_{0} - x4_{0}')}{row('x_{0}')}{row('x5_{0}')})"
+    body.append(f"return ({row('x5_{0}')}), {norm}, ({stages})")
     source = "def step(f, x, dt, k1):\n" + "".join(f"    {line}\n" for line in body)
-    namespace = {"__builtins__": {"float": float}, "_array": np.array}
+    namespace = {"__builtins__": {"float": float}, "_norm": _error_norm_kernel(n)}
     exec(compile(source, f"<Dormand-Prince step, n={n}>", "exec"), namespace)
     return namespace["step"]
 
 
 def _dp_step(f, x, dt, k1=None):
-    """One Dormand-Prince step; returns (5th-order state, error estimate, stages).
+    """One Dormand-Prince step of the float field f from the state x (n
+    floats); returns (5th-order state, error norm, stages) as
+    ``_dp_kernel`` does.
 
     ``k1`` is f(x) when the caller already has it.  The last stage is
     evaluated at the returned state, so for a field that depends on the
-    state alone it is the ``k1`` of the next step.  The stages are the
-    rows of one (7, n) array.
+    state alone it is the ``k1`` of the next step.  Every step of the
+    simulator goes through this function.
     """
     return _dp_kernel(len(x))(f, x, dt, k1)
 
@@ -249,14 +296,6 @@ def _illinois(g, ga, gb, tol):
     return c
 
 
-def _error_norm(err, x, x_new):
-    """RMS of the scaled error, bit for bit ``np.sqrt(np.mean(q))``:
-    ``np.add.reduce`` adds in the order ``np.mean`` does."""
-    scale = ATOL + RTOL * np.maximum(np.abs(x), np.abs(x_new))
-    q = (err / scale) ** 2
-    return math.sqrt(float(np.add.reduce(q)) / len(q))
-
-
 # ---------------------------------------------------------------------------
 # surface helpers
 
@@ -295,24 +334,26 @@ def _surface_mode(sys, pair):
     return pair[0] if sys.modes[pair[0] - 1].region_kind != "all" else pair[1]
 
 
-def _normal_components(sys, x, pair, policy):
-    """Normal components of the pair's fields, their tolerance, and the
-    two fields (f_a, f_b) they were read from."""
-    a_mode, b_mode = pair
-    grad = sys.modes[_surface_mode(sys, pair) - 1].region_gradient(x)
-    fa = sys.field(a_mode, x)
-    fb = sys.field(b_mode, x)
-    na = float(grad @ fa)
-    nb = float(grad @ fb)
-    scale = _norm(grad) * max(_norm(fa), _norm(fb), 1.0)
-    return na, nb, policy.abs_tol * max(scale, 1.0), fa, fb
-
-
 def _sliding_weight(sys, x, pair, policy, widen=0.0):
     """``sliding_lambda``'s weight (or None) at x, with the two fields
-    (f_a, f_b) it evaluated there.  A positive ``widen`` also accepts a
-    weight that far outside [0, 1], or at a tangency, clipped into it."""
-    na, nb, tol, fa, fb = _normal_components(sys, x, pair, policy)
+    (f_a, f_b) it evaluated there as float sequences.  A positive
+    ``widen`` also accepts a weight that far outside [0, 1], or at a
+    tangency, clipped into it.  Every weight the simulator checks or
+    carries comes from this function.
+
+    The normal components n_a = grad H . f_a, n_b and the squared norms
+    of grad H, f_a and f_b are one ``np.vecdot`` of two stacked (5, n)
+    arrays, whose rows are the 1-D dot products; the fields are the
+    modes' float fields at x (a sequence of n floats or a 1-D array).
+    """
+    a, b = pair
+    modes = sys.modes
+    grad = modes[_surface_mode(sys, pair) - 1].region_gradient(x)
+    fa = modes[a - 1].float_field(x)
+    fb = modes[b - 1].float_field(x)
+    na, nb, gg, aa, bb = np.vecdot((grad, grad, grad, fa, fb), (fa, fb, grad, fa, fb)).tolist()
+    scale = math.sqrt(gg) * max(math.sqrt(aa), math.sqrt(bb), 1.0)
+    tol = policy.abs_tol * max(scale, 1.0)
     lam = None
     if na != nb:
         w = nb / (nb - na)
@@ -433,8 +474,7 @@ class _Sim:
                 self.status = LEFT_DOMAIN
                 return
             dt = min(dt, opts.max_step, opts.horizon - self.t)
-            x_new, err, k = _dp_step(f, self.x, dt, k1)
-            enorm = _error_norm(err, self.x, x_new)
+            x_new, enorm, k = _dp_step(f, self.x.tolist(), dt, k1)
             if not enorm <= 1.0:
                 k1 = k[0] if committed_k1 is None else None
                 dt *= max(0.2, 0.9 * enorm**-0.2)
@@ -442,7 +482,7 @@ class _Sim:
                     self.status = STALL
                     return
                 continue
-            yield x_new, dt, k
+            yield np.array(x_new), dt, k
             k1 = k[6] if committed_k1 is None else committed_k1()
             dt *= min(5.0, 0.9 * enorm**-0.2) if enorm > 0.0 else 5.0
 
@@ -451,7 +491,7 @@ class _Sim:
     def run_mode(self, regime):
         i = regime.mode
         mode = self.sys.modes[i - 1]
-        f = mode.field
+        f = mode.float_field
         has_boundary = mode.region_kind != "all"
         armed = has_boundary and _hn(self.sys, i, self.x) > EVENT_TOL
         for x_new, dt, k in self.accepted_steps(f):
@@ -489,14 +529,14 @@ class _Sim:
         tolerance, a secant through the last two real steps refines the
         length, with bisection whenever it leaves the bracket.
         """
-        x0 = self.x
+        x0, start = self.x, self.x.tolist()
         h0 = _hn(self.sys, i, x0)
         at = _dense_output(x0, dt, k)
         theta = _illinois(lambda th: _hn(self.sys, i, at(th)), h0, h_end, 0.01 * EVENT_TOL)
         lo, h_lo, hi, h_hi = 0.0, h0, dt, h_end
         tau, prev = theta * dt, None
         for _ in range(60):
-            x_tau, _, _ = _dp_step(f, x0, tau, k[0])
+            x_tau = np.array(_dp_step(f, start, tau, k[0])[0])
             landed = tau
             h = _hn(self.sys, i, x_tau)
             if abs(h) <= EVENT_TOL:
@@ -529,7 +569,7 @@ class _Sim:
             if lam is not None:
                 state["lam"] = lam
             w = state["lam"]
-            return lam, w * fa + (1.0 - w) * fb
+            return lam, [w * u + (1.0 - w) * v for u, v in zip(fa, fb)]
 
         steps = self.accepted_steps(lambda y: weighted(y)[1], lambda: state["k1"])
         for x_new, dt, _ in steps:

@@ -57,6 +57,17 @@ class Mode:
             return self.A @ x
         return np.array(self._f_compiled(x))
 
+    @cached_property
+    def float_field(self):
+        """The field at one point on Python floats: n floats (or a 1-D
+        array) in, a sequence of n floats out, bit for bit ``field``.  A
+        linear mode is one ``A.dot``, which rounds as ``A @ x``; an
+        expression mode is its compiled expressions."""
+        if self.A is not None:
+            dot = self.A.dot
+            return lambda x: dot(x).tolist()
+        return self._f_compiled
+
     def region_value(self, x):
         if self.Q is not None:
             x = np.asarray(x, dtype=float)

@@ -113,7 +113,11 @@ def sphere_points(dim, n, rng, radius=1.0):
 
 
 def row_norms(X):
-    """Norm of each row of X, bit for bit ``np.linalg.norm`` of that row."""
+    """Norm of each row of X, bit for bit ``math.sqrt(x @ x)`` of that row
+    x in any layout.  That is ``np.linalg.norm`` of the row where the
+    rows are contiguous (C order, column slices), not where they are
+    strided (Fortran order, n >= 4): ``np.linalg.norm`` copies a strided
+    row first, and the dot product of the copy sums in another order."""
     return np.sqrt(np.vecdot(X, X))
 
 

@@ -173,7 +173,9 @@ def _weights(G, F, policy):
 
 def _vertices_by_support(C, m, tol):
     """Basic feasible solutions of {w >= 0, sum w = 1, C w = 0}: each has
-    at most rows + 1 nonzero weights, so every such support is tried."""
+    at most rows + 1 nonzero weights, so every such support is tried.
+    The row sum, like the weights, is held to the scale-free floor; the
+    rows of C to ``tol``."""
     rows = C.shape[0]
     floor = -max(tol / max(1.0, float(np.abs(C).max())), 1e-12)  # weights do not scale with C
     verts = []
@@ -184,8 +186,9 @@ def _vertices_by_support(C, m, tol):
             rhs[0] = 1.0
             if np.linalg.matrix_rank(E, tol=1e-12 * max(1.0, np.abs(E).max())) < size:
                 continue
-            sol, residual, _, _ = np.linalg.lstsq(E, rhs, rcond=None)
-            if np.abs(E @ sol - rhs).max() > tol:
+            sol = np.linalg.lstsq(E, rhs, rcond=None)[0]
+            residual = np.abs(E @ sol - rhs)
+            if residual[0] > -floor or residual[1:].max() > tol:
                 continue
             if sol.min() < floor:
                 continue

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from maxminlyap import filippovsim, fixtures
@@ -21,11 +23,11 @@ from maxminlyap.filippovsim import (
     sliding_lambda,
 )
 from maxminlyap.errors import InvalidInputError
-from maxminlyap.inclusion import SwitchedSystem
+from maxminlyap.inclusion import Mode, SwitchedSystem
 from maxminlyap.maxmin import MAXMIN, MINMAX, MaxMinSpec, QuadraticBasis, evaluate
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
-from maxminlyap.sysdsl.config import parse_config
+from maxminlyap.sysdsl.config import parse_config, parse_expr_text
 
 POLICY = NumericPolicy()
 
@@ -284,14 +286,16 @@ def test_nan_field_in_sliding_flow_stalls_at_the_last_finite_state():
 
 def test_sliding_steps_evaluate_the_weight_once_per_stage(monkeypatch):
     # the weight the sliding flow checks at each projected state is the
-    # next step's first stage: seven _normal_components calls per step
-    # taken (six stages and that check), a rejected try included
-    count = {"normal": 0, "steps": 0}
-    normal_components, dp_step = filippovsim._normal_components, filippovsim._dp_step
+    # next step's first stage: seven _sliding_weight calls per step
+    # taken (six stages and that check), a rejected try included; every
+    # sample counts at least one step, so a path around either function
+    # fails
+    count = {"weight": 0, "steps": 0}
+    sliding_weight, dp_step = filippovsim._sliding_weight, filippovsim._dp_step
 
-    def counted_normal(*args):
-        count["normal"] += 1
-        return normal_components(*args)
+    def counted_weight(*args):
+        count["weight"] += 1
+        return sliding_weight(*args)
 
     def counted_step(*args):
         count["steps"] += 1
@@ -300,10 +304,10 @@ def test_sliding_steps_evaluate_the_weight_once_per_stage(monkeypatch):
     marks = []
 
     def record(self, regime):
-        marks.append((regime.kind, count["normal"], count["steps"]))
+        marks.append((regime.kind, count["weight"], count["steps"]))
         self.samples.append(TrajSample(t=self.t, x=self.x.copy(), regime=regime))
 
-    monkeypatch.setattr(filippovsim, "_normal_components", counted_normal)
+    monkeypatch.setattr(filippovsim, "_sliding_weight", counted_weight)
     monkeypatch.setattr(filippovsim, "_dp_step", counted_step)
     monkeypatch.setattr(filippovsim._Sim, "record", record)
     sys2 = fixtures.example("example2")[0]
@@ -315,7 +319,7 @@ def test_sliding_steps_evaluate_the_weight_once_per_stage(monkeypatch):
         if prev[0] == a[0] == b[0] == "sliding"
     ]
     assert len(pairs) > 20
-    assert all(calls == 7 * steps for calls, steps in pairs)
+    assert all(steps > 0 and calls == 7 * steps for calls, steps in pairs)
 
 
 @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((1, 2)), np.float64(1.0)])
@@ -406,8 +410,8 @@ def ref_error_norm(err, x, x_new):
 
 def error_norm_cases():
     rng = np.random.default_rng(3)
-    for n in range(1, 13):
-        for _ in range(200):
+    for n in [*range(1, 13), 129, 300]:
+        for _ in range(200 if n <= 12 else 20):
             x, x_new = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-6, 7, (2, n))
             yield rng.standard_normal(n) * 10.0 ** rng.integers(-14, 2, n), x, x_new
     tiny = np.array([5e-324, -2.2e-308, 0.0, -0.0])
@@ -415,18 +419,49 @@ def error_norm_cases():
         for x in (np.zeros(4)[: len(err)], tiny[: len(err)]):
             yield err, x, -x
     yield np.ones(3), np.array([np.inf, 0.0, 1.0]), np.ones(3)
+    # NaN, inf and subnormals in any slot, up to a dimension past one
+    # block of eight partial sums
+    special = np.array([np.nan, np.inf, -np.inf, 5e-324, -1e-310, 0.0, -0.0, 1e300, 1e-300])
+    for n in range(1, 13):
+        for _ in range(40):
+            err, x, x_new = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-12, 3, (3, n))
+            for v in (err, x, x_new):
+                pick = rng.random(n) < 0.2
+                v[pick] = rng.choice(special, pick.sum())
+            yield err, x, x_new
+
+
+def kernel_error_norm(err, x, x_new):
+    return filippovsim._error_norm_kernel(len(err))(*err.tolist(), *x.tolist(), *x_new.tolist())
+
+
+def same_float(got, want):
+    return (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex()
 
 
 def test_error_norm_is_the_mean_form_bit_for_bit():
-    for err, x, x_new in error_norm_cases():
-        got, want = filippovsim._error_norm(err, x, x_new), ref_error_norm(err, x, x_new)
-        assert type(got) is float
-        assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex()
+    with np.errstate(all="ignore"):
+        for err, x, x_new in error_norm_cases():
+            got, want = kernel_error_norm(err, x, x_new), ref_error_norm(err, x, x_new)
+            assert type(got) is float
+            assert same_float(got, want)
 
 
-def step_bits(step):
-    x5, err, k = step
-    return x5.tobytes(), err.tobytes(), np.asarray(k).tobytes()
+def float_field(f):
+    """The float field of an array field f."""
+    return lambda t: f(np.array(t, dtype=float)).tolist()
+
+
+def assert_step_is_the_reference(f, x, dt, k1):
+    """The kernel's step of the float field of f from the floats of x is
+    the array step: the same state and stages, and the error norm of the
+    array error estimate."""
+    got = filippovsim._dp_step(float_field(f), x.tolist(), dt, None if k1 is None else k1.tolist())
+    x5, err, k = ref_dp_step(f, x, dt, k1)
+    assert type(got[0]) is tuple and len(got[2]) == 7
+    assert np.array(got[0]).tobytes() == x5.tobytes()
+    assert same_float(got[1], ref_error_norm(err, x, x5))
+    assert np.array(got[2]).tobytes() == np.array(k).tobytes()
 
 
 def non_finite_fields(rng, n):
@@ -471,14 +506,12 @@ def test_dp_step_is_the_generator_sum_bit_for_bit():
                 return A @ y
 
             k1 = f(x) if rng.random() < 0.5 else None
-            got = filippovsim._dp_step(f, x, dt, k1)
-            assert step_bits(got) == step_bits(ref_dp_step(f, x, dt, k1))
+            assert_step_is_the_reference(f, x, dt, k1)
         with np.errstate(all="ignore"):
             for f in non_finite_fields(rng, n):
                 for x in (np.ones(n), rng.standard_normal(n)):
                     for k1 in (None, f(x)):
-                        got = filippovsim._dp_step(f, x, 0.5, k1)
-                        assert step_bits(got) == step_bits(ref_dp_step(f, x, 0.5, k1))
+                        assert_step_is_the_reference(f, x, 0.5, k1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -491,12 +524,121 @@ def test_dp_step_turns_negative_zero_stages_into_positive_zero(n):
     fields = [lambda y: 1.0 * y, lambda y: A @ y, lambda y: np.full(n, -0.0)]
     for f in fields:
         for x in (np.full(n, -0.0), np.zeros(n), rng.standard_normal(n)):
-            got = filippovsim._dp_step(f, x, 0.1)
-            assert step_bits(got) == step_bits(ref_dp_step(f, x, 0.1))
+            assert_step_is_the_reference(f, x, 0.1, None)
     # y' = y from -0.0: a sum from the first term would make stage 2 run
     # at -0.0 + 0.02 * -0.0 = -0.0
-    _, _, k = filippovsim._dp_step(fields[0], np.full(n, -0.0), 0.1)
+    _, _, k = filippovsim._dp_step(float_field(fields[0]), [-0.0] * n, 0.1)
+    k = np.array(k)
     assert np.signbit(k[0]).all() and not np.signbit(k[1:]).any()
+
+
+# ---------------------------------------------------------------------------
+# float fields and the float path against the array path
+
+
+def linear_modes(draw, n):
+    entries = st.floats(-1e3, 1e3, allow_subnormal=True) | st.sampled_from([0.0, -0.0, 1e-300])
+    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    order = draw(st.sampled_from("CF"))
+    return Mode(index=1, A=np.asarray(A, order=order))
+
+
+def expression_modes(draw, n):
+    """Polynomial and transcendental expressions of degree up to three."""
+    coeff = st.floats(-100.0, 100.0).map(lambda c: f"({c!r})")
+    var = st.integers(1, n).map(lambda i: f"x{i}")
+    factor = var | st.sampled_from(["atan(x1)", "sin(x1)", "cos(x1*x1)"])
+    term = st.tuples(coeff, st.lists(factor, max_size=3)).map(lambda t: "*".join([t[0], *t[1]]))
+    rows = [" + ".join(draw(st.lists(term, min_size=1, max_size=4))) for _ in range(n)]
+    return Mode(index=1, f=tuple(parse_expr_text(r) for r in rows))
+
+
+@st.composite
+def modes_and_points(draw):
+    n = draw(st.integers(1, 6))
+    mode = draw(st.sampled_from([linear_modes, expression_modes]))(draw, n)
+    coords = st.floats(-1e3, 1e3, allow_subnormal=True) | st.sampled_from([0.0, -0.0])
+    x = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
+    return mode, x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(modes_and_points())
+def test_float_field_is_the_array_field_bit_for_bit(case):
+    mode, x = case
+    want = mode.field(x)
+    for point in (tuple(x.tolist()), x.tolist(), x):
+        got = mode.float_field(point)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == want.tobytes()
+
+
+def array_sliding_weight(sys, x, pair, policy, widen=0.0):
+    """The sliding weight of the array path: ``Mode.field`` arrays and
+    one 1-D dot product per normal component and norm."""
+    a_mode, b_mode = pair
+    grad = sys.modes[_surface_mode(sys, pair) - 1].region_gradient(x)
+    fa, fb = sys.field(a_mode, x), sys.field(b_mode, x)
+    na, nb = float(grad @ fa), float(grad @ fb)
+    scale = math.sqrt(grad.dot(grad)) * max(math.sqrt(fa.dot(fa)), math.sqrt(fb.dot(fb)), 1.0)
+    tol = policy.abs_tol * max(scale, 1.0)
+    lam = None
+    if na != nb:
+        w = nb / (nb - na)
+        if 0.0 <= w <= 1.0 and not (abs(na) <= tol and abs(nb) <= tol):
+            lam = w
+        elif widen and -widen <= w <= 1.0 + widen:
+            lam = min(1.0, max(0.0, w))
+    return lam, fa, fb
+
+
+def array_dp_step(f, x, dt, k1=None):
+    """``_dp_step`` on arrays: ``ref_dp_step`` and ``ref_error_norm``."""
+    x = np.array(x, dtype=float)
+    F = lambda y: np.asarray(f(y), dtype=float)  # noqa: E731
+    x5, err, k = ref_dp_step(F, x, dt, None if k1 is None else np.asarray(k1, dtype=float))
+    return x5.tolist(), ref_error_norm(err, x, x5), k
+
+
+def array_simulate(monkeypatch, sysm, x0, opts):
+    """The simulator with every step, field and sliding weight on arrays."""
+    calls = {"steps": 0, "weights": 0}
+
+    def step(*args):
+        calls["steps"] += 1
+        return array_dp_step(*args)
+
+    def weight(*args):
+        calls["weights"] += 1
+        return array_sliding_weight(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(filippovsim, "_dp_step", step)
+        m.setattr(filippovsim, "_sliding_weight", weight)
+        m.setattr(Mode, "float_field", property(lambda mode: mode.field))
+        traj = simulate(sysm, x0, opts)
+    return traj, calls
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_float_path_is_the_array_path_bit_for_bit(monkeypatch, name):
+    opts = SimOptions(horizon=5.0)
+    kinds = set()
+    for sysm, x0 in seeded_runs(name):
+        got = simulate(sysm, x0, opts)
+        want, calls = array_simulate(monkeypatch, sysm, x0, opts)
+        assert calls["steps"] > 0
+        assert got.status == want.status
+        assert len(got.samples) == len(want.samples)
+        for a, b in zip(got.samples, want.samples):
+            assert (a.t, a.x.tobytes(), a.regime) == (b.t, b.x.tobytes(), b.regime)
+        run_kinds = {s.regime.kind for s in got.samples}
+        # every sliding weight goes through the patched rule
+        assert calls["weights"] > 0 or "sliding" not in run_kinds
+        kinds |= run_kinds | ({"crossing"} if got.crossings else set())
+    assert kinds >= {"mode", "crossing"}
+    if name == "example2":
+        assert "sliding" in kinds
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +649,8 @@ def ref_locate_event(self, f, dt, i, k, h_end):
     """Bisection on the substep length, re-integrating from the step start."""
     lo, hi = 0.0, dt
     tau = dt
-    x_tau, _, _ = filippovsim._dp_step(f, self.x, dt)
+    start = self.x.tolist()
+    x_tau = np.array(filippovsim._dp_step(f, start, dt)[0])
     for _ in range(60):
         h = _hn(self.sys, i, x_tau)
         if abs(h) <= EVENT_TOL:
@@ -517,7 +660,7 @@ def ref_locate_event(self, f, dt, i, k, h_end):
         else:
             lo = tau
         tau = 0.5 * (lo + hi)
-        x_tau, _, _ = filippovsim._dp_step(f, self.x, tau)
+        x_tau = np.array(filippovsim._dp_step(f, start, tau)[0])
     self.t += tau
     self.x = x_tau
 
@@ -525,17 +668,25 @@ def ref_locate_event(self, f, dt, i, k, h_end):
 def reference_simulate(monkeypatch, sysm, x0, opts):
     """The simulator with bisection event location and 7 fresh stages a step."""
     dp_step = filippovsim._dp_step
+    calls = [0]
+
+    def fresh_step(f, x, dt, k1=None):
+        calls[0] += 1
+        return dp_step(f, x, dt)
+
     with monkeypatch.context() as m:
         m.setattr(filippovsim._Sim, "_locate_event", ref_locate_event)
-        m.setattr(filippovsim, "_dp_step", lambda f, x, dt, k1=None: dp_step(f, x, dt))
-        return simulate(sysm, x0, opts)
+        m.setattr(filippovsim, "_dp_step", fresh_step)
+        traj = simulate(sysm, x0, opts)
+    assert calls[0] > 0
+    return traj
 
 
 def seeded_runs(name):
     sysm = fixtures.example(name)[0]
     rng = np.random.default_rng(11)
     for _ in range(6):
-        yield sysm, rng.standard_normal(2) * rng.uniform(0.5, 2.0)
+        yield sysm, rng.standard_normal(sysm.dim) * rng.uniform(0.5, 2.0)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
@@ -604,7 +755,9 @@ def test_event_phase_steps(monkeypatch):
     traj = simulate(sys1, fixtures.EXAMPLE1_Z0, SimOptions(horizon=20.0))
     assert traj.status == COMPLETED
     assert len(traj.crossings) == 55
-    assert counts["event"] <= 1713 // 5
+    # every step counted, each event too: a path around _dp_step fails
+    assert counts["all"] >= len(traj.samples) - 1
+    assert 55 <= counts["event"] <= 1713 // 5
 
 
 def ref_export_v(traj, spec, basis):

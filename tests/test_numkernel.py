@@ -221,7 +221,8 @@ def _layout(wide, n, layout):
 def test_base_value_kernels_equal_the_per_row_products_bitwise(n, K, S, layout, scale, seed):
     """``quad_forms`` (gemm for n <= 3, per-row gemv above), ``row_norms``
     and ``setderiv._dots`` round as the per-row ``x @ P @ x``,
-    ``np.linalg.norm(x)`` and ``a @ b``."""
+    ``np.linalg.norm(x)`` (``math.sqrt(x @ x)`` for Fortran-order rows)
+    and ``a @ b``."""
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((K, n, n))
     Ps = B + B.swapaxes(1, 2)
@@ -231,6 +232,9 @@ def test_base_value_kernels_equal_the_per_row_products_bitwise(n, K, S, layout, 
     assert quad_forms(X, Ps).tobytes() == want.tobytes()
     assert quad_forms(X[0], Ps).tobytes() == want[0].tobytes()
     assert row_norms(X).tobytes() == np.array([np.linalg.norm(x) for x in X]).tobytes()
+    # strided rows: np.linalg.norm copies them first, x @ x does not
+    XF = np.asfortranarray(X)
+    assert row_norms(XF).tobytes() == np.array([math.sqrt(x @ x) for x in XF]).tobytes()
     A = _layout(rng.standard_normal((rows, 2, n + 2)), n, layout)
     F = _layout(scale * rng.standard_normal((rows, 3, n + 2)), n, layout)
     want = np.array([[[a @ f for f in Fr] for a in Ar] for Ar, Fr in zip(A, F)])
