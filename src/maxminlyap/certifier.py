@@ -663,9 +663,6 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
 
     for init_no, mats in enumerate(_initial_candidates(sys, spec, opts.seed)):
         cand = _normalize(Candidate(matrices=mats))
-        for g in groups:
-            cand.taus[g.key] = (0.0,) * len(g.diffs)
-            cand.betas[g.key] = 0.0
         for outer in range(4):
             if spent():
                 break
@@ -996,9 +993,7 @@ def certify(
     if search:
         result = search_condition_i(sys, spec, policy, search_opts)
         if not result.found:
-            return without_candidate(
-                spec, policy, result.message or "condition (i) search failed"
-            )
+            return without_candidate(spec, policy, result.message)
         cand, cond_i = result.candidate, result.report
         rounds = f"{result.rounds} round" + ("" if result.rounds == 1 else "s")
         notes.append(f"condition (i) candidate found by search in {rounds}")

@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import math
 import sys as _sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,33 +49,20 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    inputs: tuple
-    options: tuple  # sorted (key, value) pairs
-    seed: int
-
-    def hash(self):
-        blob = repr((self.subcommand, self.inputs, self.options, self.seed))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-    def header(self):
-        return f"maxminlyap {__version__} manifest={self.hash()} seed={self.seed}"
-
-
 def _policy_from(args):
     return NumericPolicy(
         abs_tol=args.abs_tol, rel_tol=args.rel_tol, margin=args.margin, seed=args.seed
     )
 
 
-def _manifest(args, names):
+def _header(args, names):
+    """Header line of a run: the version, a hash of the subcommand, its
+    inputs, the options ``names`` and the seed, and the seed."""
     opts = tuple(sorted((k, repr(getattr(args, k))) for k in names))
     inputs = tuple(getattr(args, k) for k in ("config",) if hasattr(args, k))
-    return RunManifest(
-        subcommand=args.command, inputs=inputs, options=opts, seed=args.seed
-    )
+    blob = repr((args.command, inputs, opts, args.seed))
+    digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return f"maxminlyap {__version__} manifest={digest} seed={args.seed}"
 
 
 def _load(path):
@@ -122,9 +108,9 @@ BUDGET = _checked(float, lambda b: 0.0 <= b < math.inf, "finite and not negative
 RATE = _checked(float, math.isfinite, "finite")
 
 
-def _write(path, text, manifest):
+def _write(path, text, header):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {manifest.header()}\n")
+        fh.write(f"# {header}\n")
         fh.write(text)
 
 
@@ -277,7 +263,7 @@ def cmd_simulate(args):
         policy=policy,
     )
     traj = simulate(sysm, x0, opts)
-    manifest = _manifest(args, ["horizon", "max_step"])
+    header = _header(args, ["horizon", "max_step"])
     print(
         f"status={traj.status} t_end={_fmt(traj.t_end)} "
         f"x_end=[{', '.join(_fmt(v) for v in traj.x_end)}] "
@@ -292,7 +278,7 @@ def cmd_simulate(args):
     if parsed.basis is not None:
         spec, basis = parsed.basis.to_spec(), parsed.basis.to_basis()
     if args.csv:
-        _write(args.csv, export_csv(traj, spec, basis), manifest)
+        _write(args.csv, export_csv(traj, spec, basis), header)
         print(f"csv written to {args.csv}")
     if args.svg:
         coords = [s.x for s in traj.samples]
@@ -304,7 +290,7 @@ def cmd_simulate(args):
             value_fn=value_fn,
             levels=levels,
             grid=PORTRAIT_GRID if args.grid is None else args.grid,
-            header_comment=manifest.header(),
+            header_comment=header,
         )
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -328,11 +314,11 @@ def cmd_certify(args):
         sysm, spec, cand, policy, search=args.search, search_opts=search_opts
     )
     report = serialize_certificate(cert, sysm)
-    manifest = _manifest(args, ["search", "budget"])
-    print(f"# {manifest.header()}")
+    header = _header(args, ["search", "budget"])
+    print(f"# {header}")
     print(report, end="")
     if args.out:
-        _write(args.out, report, manifest)
+        _write(args.out, report, header)
     return EXIT_OK if cert.verdict == VERDICT_GAS else EXIT_FAILED
 
 

@@ -18,7 +18,7 @@ one chunk per call; ``active_indices`` is the one-point case.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -46,9 +46,6 @@ class MaxMinSpec:
     K: int
     families: tuple  # tuple of tuples of 1-based base indices
     polarity: str = MAXMIN
-    # 0-based base columns per family, padded with the family's last
-    # member to one width (see selected_base)
-    columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.K < 1:
@@ -68,9 +65,6 @@ class MaxMinSpec:
             norm = dual_families(norm)
             object.__setattr__(self, "polarity", MAXMIN)
         object.__setattr__(self, "families", tuple(norm))
-        width = max(len(fam) for fam in norm)
-        cols = [list(fam) + [fam[-1]] * (width - len(fam)) for fam in norm]
-        object.__setattr__(self, "columns", np.array(cols) - 1)
 
 
 class QuadraticBasis:
@@ -205,7 +199,9 @@ def combine(spec, vals):
 
     Rows are reduced in the order of Python's min and max: a later value
     replaces the running one only when strictly smaller (larger), so a
-    row gives the same float as the single-point form.
+    row gives the same float as the single-point form.  ``selected_base``
+    is this loop carrying the index too; that doubles the cost, and
+    ``evaluate`` runs this one on every portrait cell.
     """
     if vals.ndim == 2:
         out = None
@@ -259,17 +255,20 @@ class GradientHull:
 
 
 def selected_base(spec, vals):
-    """Base index (1-based) the nested max/min picks in each row of
-    vals[S, K]; ties go to the first family and the first member."""
-    J, K = len(spec.families), spec.K
-    # key j*K + column: among tied candidates the smallest key is the
-    # first family, then its first member (families are sorted)
-    keys = (K * np.arange(J)[:, None] + spec.columns)[..., None]
-    sub = vals.T[spec.columns]  # (J, width, S) member values
-    fam_val = sub.min(axis=1)
-    first = np.where(sub == fam_val[:, None], keys, J * K).min(axis=1)
-    best = np.where(fam_val == fam_val.max(axis=0), first, J * K).min(axis=0)
-    return best % K + 1
+    """Base index (1-based) attaining V in each row of vals[S, K]: the
+    ``combine`` loop carrying the index, so ties go to the first family
+    and then its first member, and the value there is ``combine``'s."""
+    best = idx = None
+    for fam in spec.families:
+        fv, fi = vals[:, fam[0] - 1], np.full(len(vals), fam[0])
+        for k in fam[1:]:
+            lower = vals[:, k - 1] < fv
+            fv, fi = np.where(lower, vals[:, k - 1], fv), np.where(lower, k, fi)
+        if best is not None:
+            higher = fv > best
+            fv, fi = np.where(higher, fv, best), np.where(higher, fi, idx)
+        best, idx = fv, fi
+    return idx
 
 
 def realized_base(spec, vals):

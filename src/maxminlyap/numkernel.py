@@ -4,31 +4,17 @@ Everything downstream works with symmetric matrices of dimension <= 6:
 quadratic-form bases, cone matrices, and the symmetrized products
 A^T P + P A whose definiteness decides certificates.  The heavy lifting
 is delegated to LAPACK through numpy/scipy; this module pins the
-contracts (sorted spectra, orthonormal eigenvectors, symmetry checks)
-that the rest of the package relies on.  ``as_symmetric``, ``eig_sym``
+contracts (symmetry, finiteness and shape checks) that the rest of the
+package relies on and returns numpy's own results: ``eig_sym`` is
+``np.linalg.eigh`` of a checked matrix.  ``as_symmetric``, ``eig_sym``
 and ``project_psd`` take one matrix or a (k, n, n) stack; a stack gets
 one validation pass and one LAPACK call, and each of its matrices comes
 out bit for bit as it would alone.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a symmetric matrix, or of each matrix in a stack.
-
-    ``eigenvalues`` is sorted ascending along its last axis; column k of
-    ``eigenvectors`` belongs to ``eigenvalues[..., k]`` and the columns
-    are orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_square(M, name="matrix"):
@@ -68,10 +54,10 @@ def as_symmetric(M, name="matrix"):
 
 
 def eig_sym(M):
-    """Spectrum of a symmetric matrix, or of each matrix in a (k, n, n)
-    stack (ascending eigenvalues)."""
-    w, v = np.linalg.eigh(as_symmetric(M))
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    """numpy's ``EighResult`` of a symmetric matrix, or of each matrix in a
+    (k, n, n) stack: ``eigenvalues`` ascending along the last axis, and
+    column k of ``eigenvectors`` the orthonormal vector of eigenvalue k."""
+    return np.linalg.eigh(as_symmetric(M))
 
 
 def negdef_margin(M):

@@ -174,8 +174,9 @@ def _weights(G, F, policy):
 def _vertices_by_support(C, m, tol):
     """Basic feasible solutions of {w >= 0, sum w = 1, C w = 0}: each has
     at most rows + 1 nonzero weights, so every such support is tried.
-    The row sum, like the weights, is held to the scale-free floor; the
-    rows of C to ``tol``."""
+    Each support is judged at the vertex it returns: the least-squares
+    solution, rescaled to sum 1 (none if its sum is not positive), holds
+    the rows of C to ``tol`` and its weights to the scale-free floor."""
     rows = C.shape[0]
     floor = -max(tol / max(1.0, float(np.abs(C).max())), 1e-12)  # weights do not scale with C
     verts = []
@@ -187,10 +188,10 @@ def _vertices_by_support(C, m, tol):
             if np.linalg.matrix_rank(E, tol=1e-12 * max(1.0, np.abs(E).max())) < size:
                 continue
             sol = np.linalg.lstsq(E, rhs, rcond=None)[0]
-            residual = np.abs(E @ sol - rhs)
-            if residual[0] > -floor or residual[1:].max() > tol:
+            if not sol.sum() > 0.0:
                 continue
-            if sol.min() < floor:
+            sol /= sol.sum()
+            if np.abs(C[:, support] @ sol).max() > tol or sol.min() < floor:
                 continue
             w = np.zeros(m)
             w[list(support)] = np.clip(sol, 0.0, None)

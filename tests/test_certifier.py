@@ -601,6 +601,31 @@ def test_search_unstable_mode_not_found(linear_system):
     assert "budget" in res.message
 
 
+def test_search_with_more_bases_than_modes():
+    # K = 3 bases for M = 2 modes: no mode is steered to a base, so the
+    # matching penalty and its repair are skipped
+    sys3, _, _ = fixtures.example("example3")
+    spec = MaxMinSpec(K=3, families=((1, 2), (3,)))
+    res = search_condition_i(sys3, spec, POLICY, SearchOptions(time_budget=30.0))
+    assert res.found and res.rounds == 5
+    assert res.report.ok and all(m < -POLICY.margin for m in res.report.margins)
+
+
+def test_search_without_a_matching_ends_a_failed_start_after_one_pass(
+    monkeypatch, linear_system
+):
+    # with no mode -> base steering there are no counterexamples to learn
+    # from, so a start whose candidate fails takes one pass of
+    # SEARCH_ROUNDS rounds, not four
+    monkeypatch.setattr(certifier, "SEARCH_ROUNDS", 2)
+    sysm = linear_system([np.eye(2)])
+    spec = MaxMinSpec(K=2, families=((1, 2),))
+    starts = len(certifier._initial_candidates(sysm, spec, 0))
+    res = search_condition_i(sysm, spec, POLICY, SearchOptions(time_budget=30.0))
+    assert not res.found
+    assert res.rounds == 2 * starts
+
+
 def test_scaled_candidate_scales_every_margin():
     # tau weighs base differences, so scaling the bases (and beta) by c
     # while tau stays scales every inequality matrix, and its margin, by c
@@ -816,6 +841,24 @@ def test_certificate_roundtrip_reverification():
         np.testing.assert_allclose(
             sorted(fresh.cond_i.margins), sorted(cert.cond_i.margins), atol=1e-9
         )
+
+
+def test_all_permutation_pairing_round_trips():
+    # with P2 + 0.3 I base 2 wins somewhere in both modes, so no matching
+    # is sound: every permutation is paired with every mode
+    sys3, spec3, basis3 = fixtures.example("example3")
+    P1, P2 = basis3.matrices
+    cert = certify(sys3, spec3, Candidate(matrices=[P1, P2 + 0.3 * np.eye(3)]), POLICY)
+    assert cert.cond_i.matching is None
+    assert cert.verdict == VERDICT_NOT_CERTIFIED
+    assert len(cert.cond_i.groups) == 4
+    assert {g.phi_index for g in cert.cond_i.groups if g.mode == 1} == {1, 2}
+    text = serialize_certificate(cert, sys3)
+    assert "pairing = all\n" in text
+    assert "# note: pairing: all permutations against every mode\n" in text
+    fresh, stored, matches = re_verify(text)
+    assert stored == VERDICT_NOT_CERTIFIED and matches
+    assert fresh.cond_i.matching is None
 
 
 def test_reverify_rejects_tampered_multipliers():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from maxminlyap.errors import InvalidInputError
 from maxminlyap.numkernel import (
-    Spectrum,
     as_square,
     as_symmetric,
     eig_sym,
@@ -24,7 +23,7 @@ R2 = math.sqrt(2.0)
 
 
 def reconstruct(s):
-    """V diag(w) V^T of a Spectrum."""
+    """V diag(w) V^T of an eigendecomposition."""
     v = s.eigenvectors
     return v @ np.diag(s.eigenvalues) @ v.T
 
@@ -144,8 +143,11 @@ def test_project_psd_floor():
 
 
 def test_spectrum_type():
-    s = eig_sym(np.diag([1.0, 2.0]))
-    assert isinstance(s, Spectrum)
+    # numpy's own EighResult: its two fields, eigenvalues ascending
+    s = eig_sym(np.diag([2.0, 1.0]))
+    assert isinstance(s, type(np.linalg.eigh(np.eye(1))))
+    assert s.eigenvalues.tolist() == [1.0, 2.0]
+    np.testing.assert_array_equal(np.abs(s.eigenvectors), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def ref_project_psd(M, floor):

@@ -268,16 +268,17 @@ def ref_active(spec, basis, x, policy):
 
 
 @st.composite
-def specs_and_values(draw):
+def specs_and_values(draw, signed=(0.0, -0.0)):
     K = draw(st.integers(1, 5))
     fam = st.sets(st.integers(1, K), min_size=1).map(lambda s: tuple(sorted(s)))
     families = tuple(draw(st.lists(fam, min_size=1, max_size=4)))
     spec = MaxMinSpec(K=K, families=families, polarity=draw(st.sampled_from([MAXMIN, MINMAX])))
     # few distinct values make ties (and identical columns) common; the
-    # signed zeros tie without being the same float
+    # signed zeros (and infinities, where given) tie without being the
+    # same float
     value = st.one_of(
         st.integers(-3, 3).map(float),
-        st.sampled_from([0.0, -0.0]),
+        st.sampled_from(signed),
         st.floats(-10, 10, allow_nan=False),
     )
     rows = draw(st.lists(st.lists(value, min_size=K, max_size=K), min_size=1, max_size=12))
@@ -328,6 +329,16 @@ def test_selected_base_matches_family_loop(case):
     # ties included: first family, then first member
     spec, vals = case
     assert selected_base(spec, vals).tolist() == ref_selected_base(spec, vals).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs_and_values(signed=(0.0, -0.0, math.inf, -math.inf)))
+def test_selected_base_attains_combine(case):
+    # one tie rule: the selected base's value is V bit for bit, tied
+    # signed zeros and infinities included
+    spec, vals = case
+    got = vals[np.arange(len(vals)), selected_base(spec, vals) - 1]
+    assert got.tobytes() == combine(spec, vals).tobytes()
 
 
 def test_realized_base_identical_bases_tie_everywhere():

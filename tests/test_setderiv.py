@@ -1,11 +1,12 @@
 import itertools
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maxminlyap import fixtures, maxmin, setderiv
@@ -272,6 +273,11 @@ def _ulp_decides(row, tol):
 
 @settings(max_examples=400, deadline=None)
 @given(_one_equation_rows())
+# |c_j| <= tol for one entry: e_j is a vertex, which the lstsq row sum
+# of the support {j} (off by about c_j^2) once refused
+@example(([-61036.0, 6.103515625e-05], 6.1037e-05))
+@example(([155357.0, -0.00015535512825084108], 0.000155358))
+@example(([61036.0, 6.103515625e-05, 0.0], 6.1037e-05))
 def test_one_equation_closed_form_matches_the_enumeration(case):
     """Two tied gradients (g2 - g1 = 1 in one dimension) and fields f_j =
     c_j give the one live equation c . w = 0, which ``lambda_set`` solves
@@ -359,6 +365,33 @@ def test_lie_values_agree_across_active_gradients():
         )
         assert lie.hi == pytest.approx(want, rel=1e-9)
         assert lie.lo == pytest.approx(want, rel=1e-9)
+
+
+def test_weights_that_do_not_equalize_raise_the_spread(monkeypatch):
+    """A kept weight at which the table rows differ by more than 100 tol
+    is a disagreement of the active gradients: ``_lie_values`` returns its
+    spread and ``_require_agreement`` raises it, directly and from
+    ``decrease_check`` with ``_weights`` giving e_1 to every row."""
+    G = np.array([[[0.0, 0.0], [1.0, 0.0]]])
+    F = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
+    e1, kept = np.array([[[1.0, 0.0]]]), np.array([[True]])
+    disagree = setderiv._lie_values(setderiv._dots(G, F), e1, kept, POLICY)[2]
+    assert disagree.tolist() == [1.0]
+    with pytest.raises(InternalCheckError, match=re.escape("(spread 1.000e+00)")):
+        setderiv._require_agreement(disagree)
+
+    def first_vertex(G, F, policy):
+        W = np.zeros((len(G), 1, F.shape[1]))
+        W[:, 0, 0] = 1.0
+        return W, np.ones((len(G), 1), dtype=bool), np.zeros(len(G), dtype=bool)
+
+    sys1, spec, basis = fixtures.example("example1")
+    x = fixtures.EXAMPLE1_LINES["S13"]
+    column = setderiv.vertex_table(spec, basis, sys1, x, POLICY).products()[:, 0]
+    monkeypatch.setattr(setderiv, "_weights", first_vertex)
+    spread = f"(spread {column.max() - column.min():.3e})"
+    with pytest.raises(InternalCheckError, match=re.escape(spread)):
+        decrease_check(spec, basis, sys1, [x], rate=0.0, policy=POLICY)
 
 
 def _kink_with_many_modes(seed, n=3, m=6):
