@@ -36,6 +36,7 @@ computation.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -49,12 +50,12 @@ from .maxmin import (
     QuadraticBasis,
     active_sets,
     all_permutations,
+    combine,
     realized_base,
     selected_base,
 )
 from .numkernel import (
-    as_points, eig_sym, negdef_margin, project_psd, quad_forms, row_norms, solve_lyapunov,
-    sphere_points,
+    eig_sym, negdef_margin, project_psd, quad_forms, row_norms, solve_lyapunov, sphere_points,
 )
 from .policy import DEFAULT_POLICY
 from .setderiv import lie_sets
@@ -252,16 +253,22 @@ def _require_linear_conic(sys):
         raise InvalidInputError("certification requires conic (or all-space) regions")
 
 
-def _validate_candidate(cand, K):
-    """S-procedure soundness needs positive-definite bases and
-    nonnegative multipliers; reject anything else outright."""
+def _validate_candidate(cand, K, dim):
+    """S-procedure soundness needs K positive-definite dim x dim bases
+    and nonnegative multipliers; reject anything else outright."""
     if len(cand.matrices) != K:
         raise InvalidInputError(
             f"candidate has {len(cand.matrices)} bases, structure needs {K}"
         )
     for k, P in enumerate(cand.matrices, start=1):
-        if negdef_margin(-np.asarray(P, dtype=float)) >= 0:
-            raise InvalidInputError(f"candidate base {k} is not positive definite")
+        if np.shape(P) != (dim, dim):
+            raise InvalidInputError(
+                f"candidate base {k} must have dimension {dim}, got shape {np.shape(P)}"
+            )
+    # one solve for all bases, once they are known to stack
+    bad = np.flatnonzero(eig_sym(-np.asarray(cand.matrices, dtype=float)).eigenvalues[:, -1] >= 0)
+    if bad.size:
+        raise InvalidInputError(f"candidate base {bad[0] + 1} is not positive definite")
     for key, taus in cand.taus.items():
         if any(t < 0 for t in taus):
             raise InvalidInputError(f"negative ordering multiplier in group {key}")
@@ -278,9 +285,7 @@ def check_condition_i(sys, spec, cand, policy=DEFAULT_POLICY):
         raise InvalidInputError(
             f"K={spec.K} bases means {spec.K}! permutations; refusing beyond {MAX_BASES}"
         )
-    _validate_candidate(cand, spec.K)
-    for k, P in enumerate(cand.matrices, start=1):  # square by _validate_candidate
-        as_points(P, sys.dim, f"candidate base {k}", max_ndim=2)
+    _validate_candidate(cand, spec.K, sys.dim)
     matching, evidence = derive_matching(sys, cand.matrices, spec, policy)
     groups = build_groups(sys, spec, matching)
     return ConditionIReport(
@@ -293,73 +298,160 @@ def check_condition_i(sys, spec, cand, policy=DEFAULT_POLICY):
 
 
 def _margins(sys, cand, groups):
-    return [negdef_margin(group_matrix(sys, cand, g)) for g in groups]
+    """Every group's margin, from one stacked solve."""
+    if not groups:
+        return []
+    stack = np.stack([group_matrix(sys, cand, g) for g in groups])
+    return eig_sym(stack).eigenvalues[:, -1].tolist()
 
 
 # ---------------------------------------------------------------------------
 # multiplier completion (convex in the multipliers for fixed P)
 
 
-def _golden_min(f, lo, hi):
-    """Minimiser of a unimodal f on [lo, hi], after 40 golden-section steps."""
-    phi_r = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi_r * (b - a)
-    d = a + phi_r * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(40):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi_r * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi_r * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+GOLDEN_STEPS = 40  # golden-section steps per multiplier slot
+LOOKAHEAD = 3  # golden-section steps whose possible probes share one solve
+_PHI_R = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _optimize_group_multipliers(sys, cand, group, sweeps=3):
-    """Coordinate descent on the group's multipliers, the tau slots then
-    beta; margin is convex in each scalar, so golden-section per
-    coordinate converges cleanly."""
-    n_tau = len(group.diffs)
-    beta = cand.beta_for(group)
-    pencil = _pencil(sys, cand.matrices, group)
-    cone = pencil[2] is not None  # only a cone term has a beta slot
-    slots = list(cand.tau_for(group)) + ([beta] if cone else [])
+def _slot_margins(pencils, slots, live, s):
+    """``margins(idx, vs)``: for each p, the margin of group live[idx[p]]
+    with slot s set to vs[p], all from one stacked solve.
 
-    def split(xs):
-        return tuple(xs[:n_tau]), (xs[n_tau] if cone else beta)
+    A trial matrix is the group's prefix (M0 plus the terms before the
+    slot) plus v times the slot's term, then the terms after it added one
+    at a time: ``_pencil_matrix``'s left-to-right sum, so every margin is
+    bit for bit the group's own.  Groups with fewer trailing terms are
+    padded with -0.0 * 0 terms, which add exactly nothing."""
+    terms = [diffs + ([Q] if Q is not None else []) for _, diffs, Q in pencils]
+    width = max(len(terms[j]) - s - 1 for j in live)
+    n = pencils[live[0]][0].shape[0]
+    heads, slopes = [], []
+    coefs = np.full((len(live), width), -0.0)
+    tails = np.zeros((len(live), width, n, n))
+    for i, j in enumerate(live):
+        M = pencils[j][0]
+        for x, T in zip(slots[j][:s], terms[j]):
+            M = M + x * T
+        heads.append(M)
+        slopes.append(terms[j][s])
+        for t, (x, T) in enumerate(zip(slots[j][s + 1 :], terms[j][s + 1 :])):
+            coefs[i, t], tails[i, t] = x, T
+    heads, slopes = np.stack(heads), np.stack(slopes)
 
-    def margin_at(xs):
-        return negdef_margin(_pencil_matrix(pencil, *split(xs)))
+    def margins(idx, vs):
+        X = heads[idx] + np.array(vs)[:, None, None] * slopes[idx]
+        for t in range(width):
+            X = X + coefs[idx, t][:, None, None] * tails[idx, t]
+        return eig_sym(X).eigenvalues[:, -1].tolist()
 
+    return margins
+
+
+def _golden_step(a, b, c, d, left):
+    """One golden-section step of the bracket [a, b] with probes c < d: it
+    keeps [a, d] (left) or [c, b].  Returns the new (a, b, c, d) and the
+    probe that needs a margin (the new c or d)."""
+    if left:
+        b, d = d, c
+        c = b - _PHI_R * (b - a)
+        return (a, b, c, d), c
+    a, c = c, d
+    d = a + _PHI_R * (b - a)
+    return (a, b, c, d), d
+
+
+def _golden_lockstep(margins, starts):
+    """For each i, the minimiser of v -> margins([i], [v]) on [0, hi] after
+    GOLDEN_STEPS golden-section steps (Kiefer 1953), where hi starts at
+    max(10, 4|starts[i]| + 1) and grows by 4 while the margin at hi is
+    below the one at hi / 2, up to 1e6.
+
+    Every group takes the same steps in lockstep, so each solve serves
+    them all: one per bracket test (hi and hi / 2), one for the opening
+    pair, and one per LOOKAHEAD steps, covering the 2^k - 1 probes those
+    k steps can ask for.  The last step's probe is never read, so it is
+    not solved.  Each group's bracket stays on Python floats and ends
+    bit for bit where a one-group search would."""
+    his = [max(10.0, 4.0 * abs(x) + 1.0) for x in starts]
+    grow = [i for i, hi in enumerate(his) if hi < 1e6]
+    while grow:
+        m = margins(
+            [i for i in grow for _ in range(2)], [h for i in grow for h in (his[i], his[i] / 2.0)]
+        )
+        grow = [i for k, i in enumerate(grow) if m[2 * k] < m[2 * k + 1]]
+        for i in grow:
+            his[i] *= 4.0
+        grow = [i for i in grow if his[i] < 1e6]
+    brackets = [(0.0, hi, hi - _PHI_R * hi, _PHI_R * hi) for hi in his]
+    m = margins(
+        [i for i in range(len(his)) for _ in range(2)], [x for br in brackets for x in br[2:]]
+    )
+    values = list(zip(m[::2], m[1::2]))
+    for done in range(0, GOLDEN_STEPS - 1, LOOKAHEAD):
+        k = min(LOOKAHEAD, GOLDEN_STEPS - 1 - done)
+        # level l of a tree: the 2^l (bracket, probe) pairs that step l + 1
+        # can reach; only the first step's side is known before the solve
+        trees = []
+        for br, (fc, fd) in zip(brackets, values):
+            levels = [[_golden_step(*br, fc <= fd)]]
+            for _ in range(k - 1):
+                levels.append(
+                    [_golden_step(*node, left) for node, _ in levels[-1] for left in (True, False)]
+                )
+            trees.append(levels)
+        m = margins(
+            [i for i, levels in enumerate(trees) for level in levels for _ in level],
+            [x for levels in trees for level in levels for _, x in level],
+        )
+        for i, levels in enumerate(trees):
+            fc, fd = values[i]
+            left, pos = fc <= fd, 0
+            for level_no, level in enumerate(levels):
+                y = m[(2**k - 1) * i + 2**level_no - 1 + pos]
+                fc, fd = (y, fc) if left else (fd, y)
+                brackets[i], left = level[pos][0], fc <= fd
+                pos = 2 * pos + (not left)
+            values[i] = (fc, fd)
+    last = [_golden_step(*br, fc <= fd)[0] for br, (fc, fd) in zip(brackets, values)]
+    return [0.5 * (a + b) for a, b, _, _ in last]
+
+
+def _optimize_multipliers(sys, cand, groups, sweeps=3):
+    """(taus, beta) per group by coordinate descent on its multipliers:
+    the tau slots, then beta where the group has a cone term.  For fixed
+    bases a margin is convex in each scalar, so each slot takes a golden
+    section, run for every group that has the slot in lockstep
+    (``_golden_lockstep``)."""
+    pencils = [_pencil(sys, cand.matrices, g) for g in groups]
+    slots = [
+        list(cand.tau_for(g)) + ([cand.beta_for(g)] if p[2] is not None else [])
+        for g, p in zip(groups, pencils)
+    ]
     for _ in range(sweeps):
-        for slot in range(len(slots)):
-
-            def f(v, slot=slot):
-                return margin_at(slots[:slot] + [v] + slots[slot + 1 :])
-
-            hi = max(10.0, 4.0 * abs(slots[slot]) + 1.0)
-            while f(hi) < f(hi / 2.0) and hi < 1e6:
-                hi *= 4.0
-            slots[slot] = _golden_min(f, 0.0, hi)
-    return split(slots)
+        for s in range(max(map(len, slots), default=0)):
+            live = [j for j in range(len(groups)) if s < len(slots[j])]
+            margins = _slot_margins(pencils, slots, live, s)
+            for j, v in zip(live, _golden_lockstep(margins, [slots[j][s] for j in live])):
+                slots[j][s] = v
+    return [
+        (tuple(xs[: len(g.diffs)]), xs[-1] if len(xs) > len(g.diffs) else cand.beta_for(g))
+        for g, xs in zip(groups, slots)
+    ]
 
 
 def complete_multipliers(sys, cand, report, policy=DEFAULT_POLICY):
     """Fill in multipliers for the groups of ``report`` (the condition (i)
-    report of ``cand``) whose margin is not strict."""
+    report of ``cand``) whose margin is not strict: three sweeps of
+    ``_optimize_multipliers`` over those groups together, each group's
+    result bit for bit its own one-group search."""
     out = Candidate(
         matrices=[np.array(P) for P in cand.matrices],
         taus=dict(cand.taus),
         betas=dict(cand.betas),
     )
-    for g, m in zip(report.groups, report.margins):
-        if m < -policy.margin:
-            continue
-        taus, beta = _optimize_group_multipliers(sys, out, g)
+    todo = [g for g, m in zip(report.groups, report.margins) if m >= -policy.margin]
+    for g, (taus, beta) in zip(todo, _optimize_multipliers(sys, out, todo)):
         out.taus[g.key] = taus
         out.betas[g.key] = beta
     return out
@@ -442,7 +534,8 @@ class _MatchPenalty:
 
     Base values come from the Gram features x_i x_j (i <= j, off-diagonal
     ones doubled) of the points: one (S, n(n+1)/2) @ (n(n+1)/2, K)
-    product for all K bases.  The features are built on first use, so a
+    product for all K bases.  The features, and the flat index of each
+    point's target value in that product, are built on first use, so a
     search that never steps pays nothing for them.
     """
 
@@ -473,20 +566,26 @@ class _MatchPenalty:
         n = sys.dim
         self._upper = np.array([(i, j) for i in range(n) for j in range(i, n)]).T
         self._gram = np.empty((0, self._upper.shape[1]))
+        self._target_at = np.empty(0, dtype=int)
 
     def add_counterexamples(self, pts):
         self.X = np.concatenate([self.X, [x for _, x in pts]])
         self.targets = np.concatenate([self.targets, [t for t, _ in pts]])
 
-    def _residuals(self, matrices):
-        """Penalty, selected base per point and V_target - V there."""
+    def _values(self, matrices):
+        """Base values (S, K) at the points."""
         i, j = self._upper
         if len(self._gram) < len(self.X):
             new = self.X[len(self._gram):]
             feats = new[:, i] * new[:, j] * np.where(i == j, 1.0, 2.0)
             self._gram = np.concatenate([self._gram, feats])
+            self._target_at = np.arange(len(self.X)) * self.spec.K + self.targets - 1
         Ps = np.stack(matrices)
-        vals = self._gram @ (0.5 * (Ps[:, i, j] + Ps[:, j, i])).T
+        return self._gram @ (0.5 * (Ps[:, i, j] + Ps[:, j, i])).T
+
+    def _residuals(self, matrices):
+        """Penalty, selected base per point and V_target - V there."""
+        vals = self._values(matrices)
         # the subgradient needs a selection on ties too, so no realized_base
         realized = selected_base(self.spec, vals)
         rows = np.arange(len(vals))
@@ -494,7 +593,11 @@ class _MatchPenalty:
         return float(np.abs(d).sum()) / len(d), realized, d
 
     def value(self, matrices):
-        return self._residuals(matrices)[0]
+        """The penalty alone: ``_residuals``' first value, with V read off
+        ``combine`` instead of the selected base's column."""
+        vals = self._values(matrices)
+        d = vals.take(self._target_at) - combine(self.spec, vals)
+        return float(np.abs(d).sum()) / len(d)
 
     def value_and_grads(self, matrices):
         K = len(matrices)
@@ -547,11 +650,13 @@ def _initial_candidates(sys, spec, seed):
 def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
     """Alternating feasibility search for condition (i).
 
-    Blocks: (a) multipliers by per-group golden-section coordinate
-    descent (convex for fixed bases); (b) basis matrices by projected
+    Blocks: (a) multipliers by golden-section coordinate descent, convex
+    for fixed bases, with every group's section in lockstep on stacked
+    solves (``_optimize_multipliers``); (b) basis matrices by projected
     subgradient on the worst inequality's top eigenvalue plus the
     structure-matching penalty, with a positive-definite floor and
-    trace normalization.  Multi-start, budget-bounded.  Failure is a
+    trace normalization; the penalty's step direction is built once per
+    accepted iterate.  Multi-start, budget-bounded.  Failure is a
     report, not an error: the inequalities are bilinear and a miss
     does not prove infeasibility.  With as many bases as modes, mode i
     is steered to base i; otherwise every permutation is paired with
@@ -587,24 +692,29 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
         else None
     )
 
+    def descent(matrices):
+        """Matching penalty at the bases, its subgradient's norm, and the
+        stacked bases and subgradient a step is taken from."""
+        pen, grads = penalty.value_and_grads(matrices)
+        gnorm = np.sqrt(sum(float(np.sum(G * G)) for G in grads))
+        return pen, gnorm, np.stack(matrices), np.stack(grads)
+
     def repair_matching(cand, max_steps=120):
         """Subgradient descent on the matching penalty until it hits zero."""
         if penalty is None:
             return True
-        pen, grads = penalty.value_and_grads(cand.matrices)
+        pen, gnorm, base, G = descent(cand.matrices)
         step = 0.2
         for _ in range(max_steps):
             if pen == 0.0:
                 return True
-            gnorm = np.sqrt(sum(float(np.sum(G * G)) for G in grads))
             if gnorm == 0.0:
                 return False
-            shifted = np.stack(cand.matrices) - (step / gnorm) * np.stack(grads)
-            trial = list(project_psd(shifted, floor=1e-6))
+            trial = list(project_psd(base - (step / gnorm) * G, floor=1e-6))
             if penalty.value(trial) < pen:
                 cand.matrices = trial
                 _normalize(cand)
-                pen, grads = penalty.value_and_grads(cand.matrices)
+                pen, gnorm, base, G = descent(cand.matrices)
                 step = min(0.2, step * 1.5)
             else:
                 step *= 0.5
@@ -618,8 +728,7 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
             rounds_done += 1
             if spent():
                 return
-            for g in groups:
-                taus, beta = _optimize_group_multipliers(sys, cand, g, sweeps=2)
+            for g, (taus, beta) in zip(groups, _optimize_multipliers(sys, cand, groups, sweeps=2)):
                 cand.taus[g.key] = taus
                 cand.betas[g.key] = beta
             if max(_margins(sys, cand, groups)) <= -SEARCH_FLOOR:

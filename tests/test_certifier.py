@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from maxminlyap.maxmin import (
 from maxminlyap.numkernel import negdef_margin, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
+from certifier_reference import optimize_group_multipliers
 from maxmin_reference import strict_ordering
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -149,6 +151,15 @@ def test_checker_rejects_unsound_candidates():
     )
     with pytest.raises(InvalidInputError, match="positive definite"):
         check_condition_i(sys1, spec1, indefinite, POLICY)
+    # the shapes are checked before the one stacked definiteness solve;
+    # the message names the first offending base
+    for mats, message in [
+        ([np.eye(2), -np.eye(2), np.diag([1.0, -1.0])], "candidate base 2 is not positive"),
+        ([np.eye(2), np.eye(3), -np.eye(2)], "candidate base 2 must have dimension 2"),
+        ([np.eye(2), np.eye(2), np.ones(2)], r"base 3 must have dimension 2, got shape \(2,\)"),
+    ]:
+        with pytest.raises(InvalidInputError, match=message):
+            check_condition_i(sys1, spec1, Candidate(matrices=mats), POLICY)
     negative_tau = fixtures.example1_candidate()
     negative_tau.taus[(1, ((3, 1, 2),))] = (-0.1, 0.102)
     with pytest.raises(InvalidInputError, match="negative ordering"):
@@ -690,6 +701,39 @@ def test_search_rounds_at_benchmark_seeds(name, seed, rounds):
     assert text == (GOLDEN / f"search_{name}_seed{seed}.txt").read_text()
 
 
+def candidate_digest(cand):
+    """sha256 of the bases' float bytes, then of each group key with its
+    taus' and its beta's bytes, in key order."""
+    h = hashlib.sha256()
+    for P in cand.matrices:
+        h.update(np.asarray(P, dtype=float).tobytes())
+    for key in sorted(cand.taus):
+        h.update(repr(key).encode())
+        h.update(np.asarray(cand.taus[key], dtype=float).tobytes())
+    for key in sorted(cand.betas):
+        h.update(repr(key).encode())
+        h.update(np.float64(cand.betas[key]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, seed, rounds, digest",
+    [
+        ("example1", 1, 1, "84f1ce6d756be5f41bb1e683126901c2ffac90f93dc569aa396d87584685d574"),
+        ("example1", 2, 1, "84f1ce6d756be5f41bb1e683126901c2ffac90f93dc569aa396d87584685d574"),
+        ("example1", 7, 2, "5f8c4bdd1bc4c2f18b1e456a2bc806e2f1fd13defc0c5a22165eae021ad18e54"),
+        ("example3", 5, 5, "b96eccf5ecb67eda92673c48276f43c90f6a231305f00dfcefe955f74aeaeec2"),
+    ],
+)
+def test_search_pins_beyond_the_goldens(name, seed, rounds, digest):
+    # more short searches pinned to the last bit: the round count and a
+    # digest of the found candidate's matrices and multipliers
+    sysm, spec, _ = fixtures.example(name)
+    res = search_condition_i(sysm, spec, NumericPolicy(seed=seed), SearchOptions(seed=seed))
+    assert res.found and res.rounds == rounds
+    assert candidate_digest(res.candidate) == digest
+
+
 def test_search_benchmark1_self_consistent():
     sys1, spec1, _ = fixtures.example("example1")
     res = search_condition_i(sys1, spec1, POLICY, SearchOptions(time_budget=55.0))
@@ -723,6 +767,51 @@ def test_group_matrix_uses_candidate_multipliers():
     )
     want = A3.T @ P3 + P3 @ A3 + 0.193 * (P3 - P2) + 0.090 * (P1 - P3)
     np.testing.assert_allclose(group_matrix(sys1, cand, g), want)
+
+
+def multiplier_bytes(results):
+    """The (taus, beta) pairs of a multiplier search as one byte string."""
+    return np.array([x for taus, beta in results for x in (*taus, beta)], dtype=float).tobytes()
+
+
+def test_lockstep_multipliers_are_bitwise_the_per_group_search(linear_system):
+    # every group's golden sections run in lockstep on stacked solves; each
+    # must end on the bits of its own one-group, one-solve-per-probe search
+    rng = np.random.default_rng(11)
+    cases = []
+    for name in ("example1", "example3"):
+        sysm, spec, _ = fixtures.example(name)
+        groups = build_groups(sysm, spec, {m.index: m.index for m in sysm.modes})
+        for _ in range(3):
+            B = rng.standard_normal((spec.K, sysm.dim, sysm.dim))
+            cand = Candidate(
+                matrices=[np.eye(sysm.dim) + b @ b.T for b in B],
+                taus={g.key: tuple(rng.exponential(size=len(g.diffs))) for g in groups[::2]},
+                betas={g.key: rng.exponential() for g in groups[1::2]},
+            )
+            cases.append((sysm, cand, groups))
+    slots = [len(g.diffs) + 1 for g in cases[0][2]]  # example1: each group has a cone term
+    assert slots == [3, 3, 2, 3]
+    # one all-space mode, so no beta slot; min{V1, V2} with P1 < P2 makes
+    # the tau of P1 - P2 drive the margin down without bound, so its
+    # bracket grows to the 1e6 cap
+    flat = linear_system([np.array([[-1.0, 2.0], [0.0, -3.0]])])
+    two = build_groups(flat, MaxMinSpec(K=2, families=((1, 2),)))
+    capped = Candidate(matrices=[np.eye(2), 2.0 * np.eye(2)])
+    cases.append((flat, capped, two))
+    # K = 1 on all-space: one group with no slot at all
+    groups1 = build_groups(flat, MaxMinSpec(K=1, families=((1,),)))
+    assert [g.diffs for g in groups1] == [()]
+    cases.append((flat, Candidate(matrices=[np.eye(2)]), groups1))
+    cases.append((flat, capped, []))
+    for sysm, cand, groups in cases:
+        for sweeps in (2, 3):
+            got = certifier._optimize_multipliers(sysm, cand, groups, sweeps)
+            want = [optimize_group_multipliers(sysm, cand, g, sweeps) for g in groups]
+            assert [len(taus) for taus, _ in got] == [len(g.diffs) for g in groups]
+            assert multiplier_bytes(got) == multiplier_bytes(want)
+    capped_taus = [taus[0] for taus, _ in certifier._optimize_multipliers(flat, capped, two)]
+    assert max(capped_taus) > 1e6 > min(capped_taus)
 
 
 def ref_group_matrix(sys, cand, group):

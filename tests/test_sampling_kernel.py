@@ -637,3 +637,44 @@ def test_match_penalty_gram_form_matches_einsum():
         assert abs(got - want) <= 1e-12 * np.abs(vals).max()
         compared += int((~tied).sum())
     assert compared > 4000
+
+
+_PENALTY_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-4.0, 4.0, allow_nan=False)
+)
+
+
+@st.composite
+def _penalty_cases(draw):
+    """A planar or 3-D penalty's system and structure, K bases (some exact
+    copies of an earlier one, so values tie at every point; entries drawn
+    with +-0), and counterexample points (zero coordinates give rows of
+    +-0 values)."""
+    name = draw(st.sampled_from(["example1", "example3"]))
+    sysm, spec, _ = fixtures.example(name)
+    n = sysm.dim
+    mats = []
+    for k in range(spec.K):
+        if k and draw(st.booleans()):
+            mats.append(mats[draw(st.integers(0, k - 1))].copy())
+        else:
+            mats.append(np.array(draw(st.lists(_PENALTY_ENTRIES, min_size=n * n, max_size=n * n))))
+    mats = [P.reshape(n, n) for P in mats]
+    point = st.lists(_PENALTY_ENTRIES, min_size=n, max_size=n).map(np.array)
+    ces = draw(st.lists(st.tuples(st.integers(1, spec.K), point), min_size=1, max_size=6))
+    return sysm, spec, mats, ces
+
+
+@settings(max_examples=150, deadline=None)
+@given(_penalty_cases())
+def test_match_penalty_value_is_the_residual_penalty(case):
+    # value() reads V off combine and the targets off one flat index;
+    # it must give _residuals' penalty to the bit, also once
+    # counterexamples have grown the points (and so that index)
+    sysm, spec, mats, ces = case
+    pen = _MatchPenalty(sysm, spec, 8, seed=1)
+    for _ in range(2):
+        got = pen.value(mats)
+        assert np.float64(got).tobytes() == np.float64(pen._residuals(mats)[0]).tobytes()
+        assert len(pen._target_at) == len(pen.X)
+        pen.add_counterexamples(ces)
