@@ -81,6 +81,7 @@ class Group:
     phi_index: int
     perms: tuple  # permutations covered by this inequality
     diffs: tuple  # (u, w) pairs meaning a tau * (P_u - P_w) term
+    cone: bool  # the mode has a cone matrix Q, so a beta * Q term
 
     @property
     def key(self):
@@ -149,6 +150,7 @@ def build_groups(sys, spec, matching=None):
                         phi_index=f_idx,
                         perms=tuple(members),
                         diffs=diffs,
+                        cone=mode.Q is not None,
                     )
                 )
                 start = stop
@@ -161,55 +163,50 @@ def build_groups(sys, spec, matching=None):
 
 @dataclass
 class Candidate:
-    """Basis matrices plus nonnegative multipliers keyed by group."""
+    """Basis matrices plus nonnegative multipliers keyed by group.
+
+    ``multipliers[group.key]`` holds one tuple per inequality: a tau per
+    ordering term of ``group.diffs``, then beta last.  Beta weighs the
+    cone matrix Q; for a mode without one it weighs nothing, but it is
+    written, read back and checked nonnegative all the same."""
 
     matrices: list
-    taus: dict = field(default_factory=dict)  # group.key -> tuple of floats
-    betas: dict = field(default_factory=dict)  # group.key -> float
+    multipliers: dict = field(default_factory=dict)  # group.key -> (*taus, beta)
 
-    def tau_for(self, group):
-        got = self.taus.get(group.key)
-        if got is None:
-            return (0.0,) * len(group.diffs)
-        return tuple(got)
-
-    def beta_for(self, group):
-        return float(self.betas.get(group.key, 0.0))
+    def multipliers_for(self, group):
+        """The group's tuple; zeros for a group without one."""
+        return tuple(self.multipliers.get(group.key, (0.0,) * (len(group.diffs) + 1)))
 
     def scaled(self, c):
         """Bases and cone multipliers times c > 0; the ordering multipliers
         weigh base differences, so they stay and every margin scales by c."""
         return Candidate(
             matrices=[c * P for P in self.matrices],
-            taus=dict(self.taus),
-            betas={k: c * v for k, v in self.betas.items()},
+            multipliers={k: (*ys[:-1], c * ys[-1]) for k, ys in self.multipliers.items()},
         )
 
 
 def _pencil(sys, matrices, group):
-    """The parts of a group's matrix that do not depend on its multipliers:
-    M0 = A^T F + F A, the differences D_k = P_u - P_w of its ordering
-    terms, and the cone matrix Q (None without a cone term)."""
+    """A group's matrix apart from its multipliers: (M0, terms), where
+    M0 = A^T F + F A and the terms are the differences P_u - P_w of its
+    ordering terms, then Q when the group has a cone term."""
     mode = sys.modes[group.mode - 1]
     F = matrices[group.phi_index - 1]
-    diffs = [matrices[u - 1] - matrices[w - 1] for u, w in group.diffs]
-    return mode.A.T @ F + F @ mode.A, diffs, mode.Q
+    terms = [matrices[u - 1] - matrices[w - 1] for u, w in group.diffs]
+    return mode.A.T @ F + F @ mode.A, terms + ([mode.Q] if group.cone else [])
 
 
-def _pencil_matrix(pencil, taus, beta):
-    """M0 + sum_k tau_k D_k + beta Q, summed left to right."""
-    M, diffs, Q = pencil
-    for tau, D in zip(taus, diffs):
-        M = M + tau * D
-    if Q is not None:
-        M = M + beta * Q
+def _pencil_matrix(pencil, multipliers):
+    """M0 + sum_k y_k T_k, summed left to right; a beta without a cone
+    term has no term to weigh."""
+    M, terms = pencil
+    for y, T in zip(multipliers, terms):
+        M = M + y * T
     return M
 
 
 def group_matrix(sys, cand, group):
-    return _pencil_matrix(
-        _pencil(sys, cand.matrices, group), cand.tau_for(group), cand.beta_for(group)
-    )
+    return _pencil_matrix(_pencil(sys, cand.matrices, group), cand.multipliers_for(group))
 
 
 def derive_matching(sys, matrices, spec, policy=DEFAULT_POLICY):
@@ -269,11 +266,10 @@ def _validate_candidate(cand, K, dim):
     bad = np.flatnonzero(eig_sym(-np.asarray(cand.matrices, dtype=float)).eigenvalues[:, -1] >= 0)
     if bad.size:
         raise InvalidInputError(f"candidate base {bad[0] + 1} is not positive definite")
-    for key, taus in cand.taus.items():
-        if any(t < 0 for t in taus):
+    for key, ys in cand.multipliers.items():
+        if any(t < 0 for t in ys[:-1]):
             raise InvalidInputError(f"negative ordering multiplier in group {key}")
-    for key, beta in cand.betas.items():
-        if beta < 0:
+        if ys and ys[-1] < 0:
             raise InvalidInputError(f"negative cone multiplier in group {key}")
 
 
@@ -288,6 +284,12 @@ def check_condition_i(sys, spec, cand, policy=DEFAULT_POLICY):
     _validate_candidate(cand, spec.K, sys.dim)
     matching, evidence = derive_matching(sys, cand.matrices, spec, policy)
     groups = build_groups(sys, spec, matching)
+    for g in groups:
+        if len(cand.multipliers_for(g)) != len(g.diffs) + 1:
+            raise InvalidInputError(
+                f"group {g.key} has {len(cand.multipliers_for(g))} multipliers, "
+                "not a tau per term and beta"
+            )
     return ConditionIReport(
         groups=groups,
         margins=_margins(sys, cand, groups),
@@ -323,19 +325,16 @@ def _slot_margins(pencils, slots, live, s):
     at a time: ``_pencil_matrix``'s left-to-right sum, so every margin is
     bit for bit the group's own.  Groups with fewer trailing terms are
     padded with -0.0 * 0 terms, which add exactly nothing."""
-    terms = [diffs + ([Q] if Q is not None else []) for _, diffs, Q in pencils]
-    width = max(len(terms[j]) - s - 1 for j in live)
+    width = max(len(pencils[j][1]) - s - 1 for j in live)
     n = pencils[live[0]][0].shape[0]
     heads, slopes = [], []
     coefs = np.full((len(live), width), -0.0)
     tails = np.zeros((len(live), width, n, n))
     for i, j in enumerate(live):
-        M = pencils[j][0]
-        for x, T in zip(slots[j][:s], terms[j]):
-            M = M + x * T
-        heads.append(M)
-        slopes.append(terms[j][s])
-        for t, (x, T) in enumerate(zip(slots[j][s + 1 :], terms[j][s + 1 :])):
+        M0, terms = pencils[j]
+        heads.append(_pencil_matrix((M0, terms[:s]), slots[j]))
+        slopes.append(terms[s])
+        for t, (x, T) in enumerate(zip(slots[j][s + 1 :], terms[s + 1 :])):
             coefs[i, t], tails[i, t] = x, T
     heads, slopes = np.stack(heads), np.stack(slopes)
 
@@ -418,26 +417,20 @@ def _golden_lockstep(margins, starts):
 
 
 def _optimize_multipliers(sys, cand, groups, sweeps=3):
-    """(taus, beta) per group by coordinate descent on its multipliers:
-    the tau slots, then beta where the group has a cone term.  For fixed
-    bases a margin is convex in each scalar, so each slot takes a golden
-    section, run for every group that has the slot in lockstep
-    (``_golden_lockstep``)."""
+    """One multiplier tuple per group by coordinate descent on the slots
+    that weigh a term: the taus, then beta where the group has a cone
+    term (an inert beta stays as it is).  For fixed bases a margin is
+    convex in each scalar, so each slot takes a golden section, run for
+    every group that has the slot in lockstep (``_golden_lockstep``)."""
     pencils = [_pencil(sys, cand.matrices, g) for g in groups]
-    slots = [
-        list(cand.tau_for(g)) + ([cand.beta_for(g)] if p[2] is not None else [])
-        for g, p in zip(groups, pencils)
-    ]
+    slots = [list(cand.multipliers_for(g)) for g in groups]
     for _ in range(sweeps):
-        for s in range(max(map(len, slots), default=0)):
-            live = [j for j in range(len(groups)) if s < len(slots[j])]
+        for s in range(max((len(terms) for _, terms in pencils), default=0)):
+            live = [j for j, (_, terms) in enumerate(pencils) if s < len(terms)]
             margins = _slot_margins(pencils, slots, live, s)
             for j, v in zip(live, _golden_lockstep(margins, [slots[j][s] for j in live])):
                 slots[j][s] = v
-    return [
-        (tuple(xs[: len(g.diffs)]), xs[-1] if len(xs) > len(g.diffs) else cand.beta_for(g))
-        for g, xs in zip(groups, slots)
-    ]
+    return [tuple(xs) for xs in slots]
 
 
 def complete_multipliers(sys, cand, report, policy=DEFAULT_POLICY):
@@ -446,14 +439,10 @@ def complete_multipliers(sys, cand, report, policy=DEFAULT_POLICY):
     ``_optimize_multipliers`` over those groups together, each group's
     result bit for bit its own one-group search."""
     out = Candidate(
-        matrices=[np.array(P) for P in cand.matrices],
-        taus=dict(cand.taus),
-        betas=dict(cand.betas),
+        matrices=[np.array(P) for P in cand.matrices], multipliers=dict(cand.multipliers)
     )
     todo = [g for g, m in zip(report.groups, report.margins) if m >= -policy.margin]
-    for g, (taus, beta) in zip(todo, _optimize_multipliers(sys, out, todo)):
-        out.taus[g.key] = taus
-        out.betas[g.key] = beta
+    out.multipliers.update(zip((g.key for g in todo), _optimize_multipliers(sys, out, todo)))
     return out
 
 
@@ -497,7 +486,7 @@ def _margin_subgradients(sys, cand, groups):
     av = A @ v
     grads[group.phi_index - 1] += np.outer(av, v) + np.outer(v, av)
     vv = np.outer(v, v)
-    for tau, (u, w) in zip(cand.tau_for(group), group.diffs):
+    for tau, (u, w) in zip(cand.multipliers_for(group), group.diffs):
         grads[u - 1] += tau * vv
         grads[w - 1] -= tau * vv
     return float(s.eigenvalues[j, -1]), grads
@@ -514,8 +503,7 @@ def _normalize(cand):
     if total > 0:
         c = len(cand.matrices) * n / total
         cand.matrices = [c * P for P in cand.matrices]
-        cand.taus = {k: tuple(c * t for t in v) for k, v in cand.taus.items()}
-        cand.betas = {k: c * v for k, v in cand.betas.items()}
+        cand.multipliers = {k: tuple(c * y for y in ys) for k, ys in cand.multipliers.items()}
     return cand
 
 
@@ -535,8 +523,7 @@ class _MatchPenalty:
     Base values come from the Gram features x_i x_j (i <= j, off-diagonal
     ones doubled) of the points: one (S, n(n+1)/2) @ (n(n+1)/2, K)
     product for all K bases.  The features, and the flat index of each
-    point's target value in that product, are built on first use, so a
-    search that never steps pays nothing for them.
+    point's target value in that product, are built with the points.
     """
 
     def __init__(self, sys, spec, n_per_mode, seed):
@@ -561,49 +548,43 @@ class _MatchPenalty:
                     got[rows[left[i]:]] = 0
                     left[i] -= min(left[i], len(rows))
                 X, owner = np.concatenate([X, chunk]), np.concatenate([owner, got])
-        self.X = X[owner > 0]
-        self.targets = owner[owner > 0]
         n = sys.dim
         self._upper = np.array([(i, j) for i in range(n) for j in range(i, n)]).T
+        self.X, self.targets = np.empty((0, n)), np.empty(0, dtype=int)
         self._gram = np.empty((0, self._upper.shape[1]))
-        self._target_at = np.empty(0, dtype=int)
+        self._add(X[owner > 0], owner[owner > 0])
 
     def add_counterexamples(self, pts):
-        self.X = np.concatenate([self.X, [x for _, x in pts]])
-        self.targets = np.concatenate([self.targets, [t for t, _ in pts]])
+        self._add(np.array([x for _, x in pts]), [t for t, _ in pts])
+
+    def _add(self, X, targets):
+        """Append points, their target bases and their features."""
+        i, j = self._upper
+        self.X = np.concatenate([self.X, X])
+        self.targets = np.concatenate([self.targets, targets])
+        self._gram = np.concatenate([self._gram, X[:, i] * X[:, j] * np.where(i == j, 1.0, 2.0)])
+        self._target_at = np.arange(len(self.X)) * self.spec.K + self.targets - 1
 
     def _values(self, matrices):
-        """Base values (S, K) at the points."""
+        """Base values (S, K) at the points, and V_target - V there."""
         i, j = self._upper
-        if len(self._gram) < len(self.X):
-            new = self.X[len(self._gram):]
-            feats = new[:, i] * new[:, j] * np.where(i == j, 1.0, 2.0)
-            self._gram = np.concatenate([self._gram, feats])
-            self._target_at = np.arange(len(self.X)) * self.spec.K + self.targets - 1
         Ps = np.stack(matrices)
-        return self._gram @ (0.5 * (Ps[:, i, j] + Ps[:, j, i])).T
-
-    def _residuals(self, matrices):
-        """Penalty, selected base per point and V_target - V there."""
-        vals = self._values(matrices)
-        # the subgradient needs a selection on ties too, so no realized_base
-        realized = selected_base(self.spec, vals)
-        rows = np.arange(len(vals))
-        d = vals[rows, self.targets - 1] - vals[rows, realized - 1]
-        return float(np.abs(d).sum()) / len(d), realized, d
+        vals = self._gram @ (0.5 * (Ps[:, i, j] + Ps[:, j, i])).T
+        return vals, vals.take(self._target_at) - combine(self.spec, vals)
 
     def value(self, matrices):
-        """The penalty alone: ``_residuals``' first value, with V read off
-        ``combine`` instead of the selected base's column."""
-        vals = self._values(matrices)
-        d = vals.take(self._target_at) - combine(self.spec, vals)
+        """The penalty: mean |V_target - V| over the points."""
+        d = self._values(matrices)[1]
         return float(np.abs(d).sum()) / len(d)
 
     def value_and_grads(self, matrices):
         K = len(matrices)
         n = matrices[0].shape[0]
         X = self.X
-        pen, realized, d = self._residuals(matrices)
+        vals, d = self._values(matrices)
+        pen = float(np.abs(d).sum()) / len(d)
+        # the subgradient needs a selection on ties too, so no realized_base
+        realized = selected_base(self.spec, vals)
         grads = [np.zeros((n, n)) for _ in range(K)]
         sign = np.sign(d)
         active = sign != 0.0
@@ -728,9 +709,9 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
             rounds_done += 1
             if spent():
                 return
-            for g, (taus, beta) in zip(groups, _optimize_multipliers(sys, cand, groups, sweeps=2)):
-                cand.taus[g.key] = taus
-                cand.betas[g.key] = beta
+            cand.multipliers.update(
+                zip((g.key for g in groups), _optimize_multipliers(sys, cand, groups, sweeps=2))
+            )
             if max(_margins(sys, cand, groups)) <= -SEARCH_FLOOR:
                 return
             # margin descent restricted to the matched set: a step that
@@ -912,7 +893,6 @@ class PlanarEntry:
 
 @dataclass
 class PlanarReport:
-    factors: ConeFactors
     entries: list
 
     @property
@@ -962,7 +942,7 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
                 ok=worst is None or worst < -policy.margin,
             )
         )
-    return PlanarReport(factors=factors, entries=entries)
+    return PlanarReport(entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ A certificate is written in the same grammar family as configs: the
 [system], [basis] and [structure] sections are literally config
 syntax, so the embedded problem data can be re-parsed, and the
 [condition_i] section carries the multipliers per inequality group,
-one ``group N { key = value; ... }`` line each.  That is sufficient for
-an independent party to recompute every margin from scratch, which is
-what ``re_verify``, the one reader of reports, does; it reads every
-[meta] line and every [condition_i] line whole, refuses any other, and
-requires the groups to be the ones the recomputed certificate builds.
+one ``group N { key = value; ... }`` line each: ``tau`` then ``beta`` is
+the group's multiplier tuple, beta last (inert without a cone term).
+That is sufficient for an independent party to recompute every margin
+from scratch, which is what ``re_verify``, the one reader of reports,
+does; it reads every [meta] line and every [condition_i] line whole,
+refuses any other, and requires the groups, their tau counts and their
+printed margins to be the ones the recomputed certificate gives.
 """
 
 import ast
@@ -91,13 +93,12 @@ def serialize_certificate(cert, sys):
     for gno, (g, margin) in enumerate(
         zip(cert.cond_i.groups, cert.cond_i.margins), start=1
     ):
-        tau = cert.candidate.tau_for(g)
-        beta = cert.candidate.beta_for(g)
+        *tau, beta = cert.candidate.multipliers_for(g)
         perms = "(" + ", ".join(str(p) for p in g.perms) + ("," if len(g.perms) == 1 else "") + ")"
         lines.append(
             f"group {gno} {{ mode = {g.mode}; base = {g.phi_index}; "
             f"perms = {perms}; terms = {_fmt_terms(g.diffs)}; "
-            f"tau = {_fmt_tuple(tau)}; beta = {beta!r}; margin = {margin:.6e} }}"
+            f"tau = {_fmt_tuple(tau)}; beta = {float(beta)!r}; margin = {margin:.6e} }}"
         )
 
     lines.append("")
@@ -156,12 +157,13 @@ def _entries(parts, where):
 
 
 def _groups(lines):
-    """The [condition_i] groups: each one's name (``group N``), base and
-    terms ((u, w) pairs), and the multipliers taus and betas, all keyed
-    by (mode, perms).  Each line must be one whole ``group N { ... }``
-    entry carrying each of ``_GROUP_KEYS`` once, for a (mode, perms) pair
-    that no earlier group gave; anything else is a ConfigError."""
-    table, taus, betas = {}, {}, {}
+    """The [condition_i] groups keyed by (mode, perms): each one's name
+    (``group N``), base, terms ((u, w) pairs), multiplier tuple (the taus,
+    then beta) and printed margin.  Each line must be one whole
+    ``group N { ... }`` entry carrying each of ``_GROUP_KEYS`` once, for
+    a (mode, perms) pair that no earlier group gave; anything else is a
+    ConfigError."""
+    table = {}
     for line in lines:
         m = re.fullmatch(r"group\s+(\d+)\s*\{(.*)\}", line)
         if m is None:
@@ -178,20 +180,21 @@ def _groups(lines):
             if not re.fullmatch(r"\[(P\d+-P\d+(, P\d+-P\d+)*)?\]", terms):
                 raise ValueError(f"terms {terms} are not a list of Pu-Pw differences")
             diffs = tuple((int(u), int(w)) for u, w in re.findall(r"P(\d+)-P(\d+)", terms))
-            table[key] = (where, int(fields["base"]), diffs)
-            taus[key] = tuple(float(v) for v in ast.literal_eval(fields["tau"]))
-            betas[key] = float(fields["beta"])
+            ys = tuple(map(float, (*ast.literal_eval(fields["tau"]), fields["beta"])))
+            table[key] = (where, int(fields["base"]), diffs, ys, float(fields["margin"]))
         except (ValueError, TypeError, SyntaxError) as exc:
             raise ConfigError(f"certificate {where} is malformed: {exc}") from None
-    return table, taus, betas
+    return table
 
 
-def _check_groups(table, groups):
+def _check_groups(table, groups, margins):
     """Every group of the report's ``table`` must be one of the rebuilt
     ``groups``, with its base and terms, and every rebuilt group must be
-    in the table; a ConfigError names the first group that is not."""
+    in the table; then each needs a tau per term and a printed margin
+    that is the recomputed one to its digits.  A ConfigError names the
+    first group that fails."""
     built = {g.key: g for g in groups}
-    for key, (where, base, terms) in table.items():
+    for key, (where, base, terms, _, _) in table.items():
         g = built.get(key)
         if g is None:
             raise ConfigError(
@@ -209,6 +212,17 @@ def _check_groups(table, groups):
             raise ConfigError(
                 f"certificate group {gno} is missing: no line has mode {g.mode} and perms {g.perms}"
             )
+    for g, margin in zip(groups, margins):
+        where, _, terms, ys, printed = table[g.key]
+        if len(ys) != len(terms) + 1:
+            raise ConfigError(
+                f"certificate {where} has {len(ys) - 1} tau for its {len(terms)} terms"
+            )
+        if float(f"{margin:.6e}") != printed:
+            raise ConfigError(
+                f"certificate {where} prints margin {printed:.6e}, "
+                f"the recomputation gives {margin:.6e}"
+            )
 
 
 def re_verify(text):
@@ -219,11 +233,12 @@ def re_verify(text):
     [condition_i] line is read whole; a missing or malformed entry is a
     ConfigError, and so is a group table that differs from the one the
     recomputed certificate builds (a group missing or extra, or another
-    base or other terms for its mode and perms).  The stored basis
-    matrices and multipliers are checked verbatim (no repair), so
-    tampering with any number in the report flips the recomputed
-    verdict.  Returns (fresh Certificate, stored
-    verdict, match flag).
+    base or other terms for its mode and perms), a tau count that is not
+    its group's number of terms, and a printed margin the recomputation
+    does not give to its ``.6e`` digits.  The stored basis matrices and
+    multipliers are checked verbatim (no repair), so tampering with any
+    number in the report flips the recomputed verdict or is refused.
+    Returns (fresh Certificate, stored verdict, match flag).
     """
     sections = _split_sections(text)
     for needed in ("meta", "system", "basis", "structure", "condition_i"):
@@ -246,16 +261,18 @@ def re_verify(text):
         )
     except (ValueError, InvalidInputError) as exc:
         raise ConfigError(f"certificate [meta] is malformed: {exc}") from None
-    table, taus, betas = _groups(sections["condition_i"])
+    table = _groups(sections["condition_i"])
     stored_verdict = meta.get("verdict", "")
     sys = SwitchedSystem.from_config(parsed.require_system())
     if parsed.basis is None:
         spec = parse_structure(block["structure"])
         fresh = without_candidate(spec, policy, "the report carries no candidate")
     else:
-        cand = Candidate(matrices=parsed.basis.matrices, taus=taus, betas=betas)
+        # a tuple of the wrong length is refused after the group table check
+        fits = {key: ys for key, (_, _, terms, ys, _) in table.items() if len(ys) == len(terms) + 1}
+        cand = Candidate(matrices=parsed.basis.matrices, multipliers=fits)
         fresh = certify(sys, parsed.basis.to_spec(), cand, policy, complete=False)
-    _check_groups(table, fresh.cond_i.groups)
+    _check_groups(table, fresh.cond_i.groups, fresh.cond_i.margins)
     return fresh, stored_verdict, fresh.verdict == stored_verdict
 
 

@@ -55,19 +55,17 @@ def example1_candidate():
     """Reference multipliers for the four reduced inequalities."""
     return Candidate(
         matrices=example("example1")[2].matrices,
-        taus={
-            (1, ((3, 1, 2),)): (0.258, 0.102),
-            (2, ((3, 2, 1),)): (0.258, 0.102),
-            (3, ((1, 2, 3), (1, 3, 2), (2, 1, 3))): (0.284,),
-            (3, ((2, 3, 1),)): (0.193, 0.090),
+        multipliers={
+            (1, ((3, 1, 2),)): (0.258, 0.102, 0.0),
+            (2, ((3, 2, 1),)): (0.258, 0.102, 0.0),
+            (3, ((1, 2, 3), (1, 3, 2), (2, 1, 3))): (0.284, 0.0),
+            (3, ((2, 3, 1),)): (0.193, 0.090, 0.0),
         },
-        betas={},
     )
 
 
 def example3_candidate():
     return Candidate(
         matrices=example("example3")[2].matrices,
-        taus={},
-        betas={(1, ((2, 1),)): 0.6, (2, ((1, 2),)): 0.0},
+        multipliers={(1, ((2, 1),)): (0.0, 0.6), (2, ((1, 2),)): (0.0, 0.0)},
     )

@@ -28,23 +28,18 @@ def golden_min(f, lo, hi):
 
 
 def optimize_group_multipliers(sys, cand, group, sweeps=3):
-    """Coordinate descent on the group's multipliers, the tau slots then
-    beta; margin is convex in each scalar, so golden-section per
-    coordinate converges cleanly."""
-    n_tau = len(group.diffs)
-    beta = cand.beta_for(group)
+    """Coordinate descent on the group's multiplier tuple, the tau slots
+    then beta where the group has a cone term (an inert beta stays);
+    margin is convex in each scalar, so golden-section per coordinate
+    converges cleanly."""
     pencil = _pencil(sys, cand.matrices, group)
-    cone = pencil[2] is not None  # only a cone term has a beta slot
-    slots = list(cand.tau_for(group)) + ([beta] if cone else [])
-
-    def split(xs):
-        return tuple(xs[:n_tau]), (xs[n_tau] if cone else beta)
+    slots = list(cand.multipliers_for(group))
 
     def margin_at(xs):
-        return negdef_margin(_pencil_matrix(pencil, *split(xs)))
+        return negdef_margin(_pencil_matrix(pencil, xs))
 
     for _ in range(sweeps):
-        for slot in range(len(slots)):
+        for slot in range(len(pencil[1])):
 
             def f(v, slot=slot):
                 return margin_at(slots[:slot] + [v] + slots[slot + 1 :])
@@ -53,4 +48,4 @@ def optimize_group_multipliers(sys, cand, group, sweeps=3):
             while f(hi) < f(hi / 2.0) and hi < 1e6:
                 hi *= 4.0
             slots[slot] = golden_min(f, 0.0, hi)
-    return split(slots)
+    return tuple(slots)

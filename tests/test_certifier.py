@@ -27,12 +27,14 @@ from maxminlyap.certifier import (
 )
 from maxminlyap.certreport import re_verify, serialize_certificate
 from maxminlyap.errors import ConfigError, InvalidInputError, PartitionError
+from maxminlyap.inclusion import SwitchedSystem
 from maxminlyap.maxmin import (
     MaxMinSpec, QuadraticBasis, clarke_gradient, evaluate, phi
 )
 from maxminlyap.numkernel import negdef_margin, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
+from maxminlyap.sysdsl.config import parse_config
 from certifier_reference import optimize_group_multipliers
 from maxmin_reference import strict_ordering
 
@@ -161,13 +163,22 @@ def test_checker_rejects_unsound_candidates():
         with pytest.raises(InvalidInputError, match=message):
             check_condition_i(sys1, spec1, Candidate(matrices=mats), POLICY)
     negative_tau = fixtures.example1_candidate()
-    negative_tau.taus[(1, ((3, 1, 2),))] = (-0.1, 0.102)
+    negative_tau.multipliers[(1, ((3, 1, 2),))] = (-0.1, 0.102, 0.0)
     with pytest.raises(InvalidInputError, match="negative ordering"):
         check_condition_i(sys1, spec1, negative_tau, POLICY)
     negative_beta = fixtures.example1_candidate()
-    negative_beta.betas[(2, ((3, 2, 1),))] = -1.0
+    negative_beta.multipliers[(2, ((3, 2, 1),))] = (0.258, 0.102, -1.0)
     with pytest.raises(InvalidInputError, match="negative cone"):
         check_condition_i(sys1, spec1, negative_beta, POLICY)
+    # beta is stored last, so a tuple without it (or with one too many)
+    # would move beta onto an ordering term
+    for ys in [(0.258, 0.102), (0.258, 0.102, 0.0, 0.0), ()]:
+        wrong_length = fixtures.example1_candidate()
+        wrong_length.multipliers[(1, ((3, 1, 2),))] = ys
+        with pytest.raises(
+            InvalidInputError, match=rf"group \(1, \(\(3, 1, 2\),\)\) has {len(ys)} multipliers"
+        ):
+            check_condition_i(sys1, spec1, wrong_length, POLICY)
 
 
 def test_complexity_refusal_beyond_six_bases():
@@ -703,16 +714,17 @@ def test_search_rounds_at_benchmark_seeds(name, seed, rounds):
 
 def candidate_digest(cand):
     """sha256 of the bases' float bytes, then of each group key with its
-    taus' and its beta's bytes, in key order."""
+    taus' bytes, then of each group key with its beta's bytes, in key
+    order."""
     h = hashlib.sha256()
     for P in cand.matrices:
         h.update(np.asarray(P, dtype=float).tobytes())
-    for key in sorted(cand.taus):
+    for key in sorted(cand.multipliers):
         h.update(repr(key).encode())
-        h.update(np.asarray(cand.taus[key], dtype=float).tobytes())
-    for key in sorted(cand.betas):
+        h.update(np.asarray(cand.multipliers[key][:-1], dtype=float).tobytes())
+    for key in sorted(cand.multipliers):
         h.update(repr(key).encode())
-        h.update(np.float64(cand.betas[key]).tobytes())
+        h.update(np.float64(cand.multipliers[key][-1]).tobytes())
     return h.hexdigest()
 
 
@@ -770,8 +782,8 @@ def test_group_matrix_uses_candidate_multipliers():
 
 
 def multiplier_bytes(results):
-    """The (taus, beta) pairs of a multiplier search as one byte string."""
-    return np.array([x for taus, beta in results for x in (*taus, beta)], dtype=float).tobytes()
+    """The multiplier tuples of a multiplier search as one byte string."""
+    return np.array([x for ys in results for x in ys], dtype=float).tobytes()
 
 
 def test_lockstep_multipliers_are_bitwise_the_per_group_search(linear_system):
@@ -784,10 +796,12 @@ def test_lockstep_multipliers_are_bitwise_the_per_group_search(linear_system):
         groups = build_groups(sysm, spec, {m.index: m.index for m in sysm.modes})
         for _ in range(3):
             B = rng.standard_normal((spec.K, sysm.dim, sysm.dim))
+            # taus on every other group, then betas on the others
+            multipliers = {g.key: (*rng.exponential(size=len(g.diffs)), 0.0) for g in groups[::2]}
+            for g in groups[1::2]:
+                multipliers[g.key] = (0.0,) * len(g.diffs) + (rng.exponential(),)
             cand = Candidate(
-                matrices=[np.eye(sysm.dim) + b @ b.T for b in B],
-                taus={g.key: tuple(rng.exponential(size=len(g.diffs))) for g in groups[::2]},
-                betas={g.key: rng.exponential() for g in groups[1::2]},
+                matrices=[np.eye(sysm.dim) + b @ b.T for b in B], multipliers=multipliers
             )
             cases.append((sysm, cand, groups))
     slots = [len(g.diffs) + 1 for g in cases[0][2]]  # example1: each group has a cone term
@@ -808,9 +822,9 @@ def test_lockstep_multipliers_are_bitwise_the_per_group_search(linear_system):
         for sweeps in (2, 3):
             got = certifier._optimize_multipliers(sysm, cand, groups, sweeps)
             want = [optimize_group_multipliers(sysm, cand, g, sweeps) for g in groups]
-            assert [len(taus) for taus, _ in got] == [len(g.diffs) for g in groups]
+            assert [len(ys) for ys in got] == [len(g.diffs) + 1 for g in groups]
             assert multiplier_bytes(got) == multiplier_bytes(want)
-    capped_taus = [taus[0] for taus, _ in certifier._optimize_multipliers(flat, capped, two)]
+    capped_taus = [ys[0] for ys in certifier._optimize_multipliers(flat, capped, two)]
     assert max(capped_taus) > 1e6 > min(capped_taus)
 
 
@@ -821,11 +835,12 @@ def ref_group_matrix(sys, cand, group):
     A = sys.modes[group.mode - 1].A
     F = P[group.phi_index - 1]
     M = A.T @ F + F @ A
-    for tau, (u, w) in zip(cand.tau_for(group), group.diffs):
+    *taus, beta = cand.multipliers_for(group)
+    for tau, (u, w) in zip(taus, group.diffs):
         M = M + tau * (P[u - 1] - P[w - 1])
     Q = sys.modes[group.mode - 1].Q
     if Q is not None:
-        M = M + cand.beta_for(group) * Q
+        M = M + beta * Q
     return M
 
 
@@ -839,15 +854,16 @@ def test_pencil_margin_is_bitwise_the_group_margin():
         for _ in range(50):
             B = rng.standard_normal((spec.K, sysm.dim, sysm.dim))
             mats = [np.eye(sysm.dim) + b @ b.T for b in B]
+            taus = [rng.exponential(size=len(g.diffs)) for g in groups]
+            betas = [rng.exponential() * rng.integers(0, 2) for g in groups]
             cand = Candidate(
                 matrices=mats,
-                taus={g.key: tuple(rng.exponential(size=len(g.diffs))) for g in groups},
-                betas={g.key: rng.exponential() * rng.integers(0, 2) for g in groups},
+                multipliers={g.key: (*t, b) for g, t, b in zip(groups, taus, betas)},
             )
             for g in groups:
                 want = ref_group_matrix(sysm, cand, g)
                 got = certifier._pencil_matrix(
-                    certifier._pencil(sysm, mats, g), cand.tau_for(g), cand.beta_for(g)
+                    certifier._pencil(sysm, mats, g), cand.multipliers_for(g)
                 )
                 assert np.array_equal(got, want)
                 assert np.array_equal(group_matrix(sysm, cand, g), want)
@@ -953,12 +969,18 @@ def test_all_permutation_pairing_round_trips():
 def test_reverify_rejects_tampered_multipliers():
     # the first mode's inequality genuinely needs its cone multiplier
     # (the bare symmetrized product has a +0.4 eigenvalue), so zeroing
-    # it in the report must flip the recomputed verdict
+    # it in the report must flip the recomputed verdict; zeroed with its
+    # printed margin left as it was, the report is refused outright
     sysm, spec3, _ = fixtures.example("example3")
     cert = certify(sysm, spec3, fixtures.example3_candidate(), POLICY)
     text = serialize_certificate(cert, sysm)
-    tampered = text.replace("beta = 0.6", "beta = 0.0")
-    assert tampered != text
+    old = "beta = 0.6; margin = -2.000000e-01"
+    assert old in text
+    with pytest.raises(
+        ConfigError, match=r"group 1 prints margin -2.000000e-01, the recomputation gives 4.000000e-01"
+    ):
+        re_verify(text.replace("beta = 0.6", "beta = 0.0"))
+    tampered = text.replace(old, "beta = 0.0; margin = 4.000000e-01")
     fresh, stored, matches = re_verify(tampered)
     assert stored == VERDICT_GAS
     assert not matches
@@ -1062,6 +1084,71 @@ def test_reverify_checks_the_group_table(edit, message):
     assert re_verify(text)[1:] == (VERDICT_GAS, True)
     with pytest.raises(ConfigError, match=message):
         re_verify(edited)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("tau = (0.258, 0.102)", "tau = (0.258,)", "group 1 has 1 tau for its 2 terms"),
+        ("tau = (0.258, 0.102)", "tau = (0.258, 0.102, 5.0)", "group 1 has 3 tau for its 2 terms"),
+        (
+            "margin = -7.108779e-03",
+            "margin = -5.000000e+00",
+            "group 1 prints margin -5.000000e+00, the recomputation gives -7.108779e-03",
+        ),
+    ],
+    ids=["short-tau", "long-tau", "printed-margin"],
+)
+def test_reverify_refuses_numbers_the_recomputation_does_not_use(old, new, message):
+    # each edit of group 1 once re-verified as GAS-certified with match
+    # True: a tau past its terms or a tau too few (and beta, stored after
+    # the taus, would weigh a term), and a margin never compared
+    sysm, spec1, _ = fixtures.example("example1")
+    text = serialize_certificate(certify(sysm, spec1, fixtures.example1_candidate(), POLICY), sysm)
+    assert re_verify(text)[1:] == (VERDICT_GAS, True)
+    edited = text.replace(old, new, 1)
+    assert edited != text
+    with pytest.raises(ConfigError, match=f"certificate {re.escape(message)}"):
+        re_verify(edited)
+
+
+INCLUSION = """
+[system]
+dim = 2
+mode 1 { A = [[-1, 1], [-1, -1]]; region = all }
+mode 2 { A = [[-2, 1], [-1, -2]]; region = all }
+
+[basis]
+P1 = [[2, 0], [0, 1]]
+P2 = [[1, 0], [0, 2]]
+
+[structure]
+polarity = maxmin
+S1 = {1}
+S2 = {2}
+"""
+
+
+def test_inclusion_certificate_round_trips():
+    # all-space modes (a differential inclusion) have no cone term: each
+    # group's beta weighs nothing, yet is written and read back
+    parsed = parse_config(INCLUSION)
+    sysm = SwitchedSystem.from_config(parsed.require_system())
+    basis = parsed.require_basis()
+    cert = certify(sysm, basis.to_spec(), Candidate(matrices=basis.matrices), POLICY)
+    assert cert.verdict == VERDICT_COND_I_ONLY
+    text = serialize_certificate(cert, sysm)
+    assert [ln for ln in text.splitlines() if ln.startswith("group ")] == [
+        f"group {gno} {{ mode = {mode}; base = {base}; perms = (({u}, {w}),); "
+        f"terms = [P{w}-P{u}]; tau = (0.0,); beta = 0.0; margin = {margin} }}"
+        for gno, mode, base, (u, w), margin in [
+            (1, 1, 1, (2, 1), "-1.585786e+00"),
+            (2, 1, 2, (1, 2), "-1.585786e+00"),
+            (3, 2, 1, (2, 1), "-3.763932e+00"),
+            (4, 2, 2, (1, 2), "-3.763932e+00"),
+        ]
+    ]
+    assert re_verify(text)[1:] == (VERDICT_COND_I_ONLY, True)
 
 
 @pytest.mark.parametrize(

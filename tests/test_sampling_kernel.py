@@ -189,6 +189,17 @@ def ref_penalty_gaps(pen, matrices):
     return vals, realized, float(np.abs(d).sum()) / len(X)
 
 
+def ref_residuals(pen, matrices):
+    """Penalty, selected base per point and V_target - V there, with V
+    read off the selected base's column: ``_MatchPenalty``'s gap from
+    ``combine`` must give its bits."""
+    vals = pen._values(matrices)[0]
+    realized = selected_base(pen.spec, vals)
+    rows = np.arange(len(vals))
+    d = vals[rows, pen.targets - 1] - vals[rows, realized - 1]
+    return float(np.abs(d).sum()) / len(d), realized, d
+
+
 def ref_sampled_active(spec, basis, x, policy):
     """Indices and warning of the per-point perturbation loop."""
     rng = np.random.default_rng(policy.seed)
@@ -630,7 +641,7 @@ def test_match_penalty_gram_form_matches_einsum():
         vals, want_base, want = ref_penalty_gaps(pen, mats)
         srt = np.sort(vals, axis=1)
         tied = np.any(np.diff(srt, axis=1) <= 1e-12 * np.abs(srt).max(axis=1)[:, None], axis=1)
-        _, got_base, _ = pen._residuals(mats)
+        _, got_base, _ = ref_residuals(pen, mats)
         assert np.array_equal(got_base[~tied], want_base[~tied])
         got, _ = pen.value_and_grads(mats)
         assert got == pen.value(mats)
@@ -669,12 +680,15 @@ def _penalty_cases(draw):
 @given(_penalty_cases())
 def test_match_penalty_value_is_the_residual_penalty(case):
     # value() reads V off combine and the targets off one flat index;
-    # it must give _residuals' penalty to the bit, also once
+    # it must give the residual penalty to the bit, and the gap that
+    # value_and_grads takes its signs from too, also once
     # counterexamples have grown the points (and so that index)
     sysm, spec, mats, ces = case
     pen = _MatchPenalty(sysm, spec, 8, seed=1)
     for _ in range(2):
         got = pen.value(mats)
-        assert np.float64(got).tobytes() == np.float64(pen._residuals(mats)[0]).tobytes()
+        want, _, gap = ref_residuals(pen, mats)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert pen._values(mats)[1].tobytes() == gap.tobytes()
         assert len(pen._target_at) == len(pen.X)
         pen.add_counterexamples(ces)
