@@ -102,6 +102,15 @@ def _chain_diffs(rho):
     return tuple((rho[k + 1], rho[k]) for k in range(len(rho) - 1))
 
 
+def group_diffs(perms):
+    """The ordering terms of a group covering ``perms``, which they fix
+    alone: the adjacent chain of a single permutation, else the pairs
+    that every member orders alike."""
+    if len(perms) == 1:
+        return _chain_diffs(perms[0])
+    return tuple(sorted(set.intersection(*map(_pairwise_diffs, perms))))
+
+
 def build_groups(sys, spec, matching=None):
     """Inequality groups for condition (i).
 
@@ -140,16 +149,12 @@ def build_groups(sys, spec, matching=None):
                     inter = cand
                     members.append(rhos[stop])
                     stop += 1
-                if len(members) == 1:
-                    diffs = _chain_diffs(members[0])
-                else:
-                    diffs = tuple(sorted(inter))
                 groups.append(
                     Group(
                         mode=i,
                         phi_index=f_idx,
                         perms=tuple(members),
-                        diffs=diffs,
+                        diffs=group_diffs(members),
                         cone=mode.Q is not None,
                     )
                 )
@@ -776,7 +781,7 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
                     elapsed=time.monotonic() - t0,
                 )
             ces = counterexamples(cand, salt=16 * init_no + outer)
-            if not ces or penalty is None:
+            if not ces:
                 break
             penalty.add_counterexamples(ces)
         if spent():

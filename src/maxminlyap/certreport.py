@@ -9,17 +9,19 @@ the group's multiplier tuple, beta last (inert without a cone term).
 That is sufficient for an independent party to recompute every margin
 from scratch, which is what ``re_verify``, the one reader of reports,
 does; it reads every [meta] line and every [condition_i] line whole,
-refuses any other, and requires the groups, their tau counts and their
-printed margins to be the ones the recomputed certificate gives.
+refuses any other, and compares the report with the recomputed
+certificate rewritten by the same line writers: every group line, and
+when the verdicts agree the ``pairing`` line and [condition_ii] too.
 """
 
 import ast
+import itertools
 import re
 
 import numpy as np
 
 from . import __version__
-from .certifier import Candidate, Certificate, certify, without_candidate
+from .certifier import Candidate, Certificate, certify, group_diffs, without_candidate
 from .errors import ConfigError, InvalidInputError
 from .inclusion import SwitchedSystem
 from .policy import NumericPolicy
@@ -27,83 +29,30 @@ from .sysdsl.config import parse_config, parse_structure
 
 
 def _fmt_matrix(M):
-    rows = ", ".join(
-        "[" + ", ".join(repr(float(v)) for v in row) + "]" for row in np.asarray(M)
-    )
-    return f"[{rows}]"
+    return repr(np.asarray(M, dtype=float).tolist())
 
 
-def _fmt_tuple(vals):
-    inner = ", ".join(repr(float(v)) for v in vals)
-    if len(vals) == 1:
-        inner += ","
-    return f"({inner})"
+def _pairing_line(cert):
+    return f"pairing = {'all' if cert.cond_i.matching is None else 'matched'}"
 
 
-def _fmt_terms(diffs):
-    return "[" + ", ".join(f"P{u}-P{w}" for u, w in diffs) + "]"
-
-
-def serialize_certificate(cert, sys):
-    """Render a certificate as a re-verifiable text report."""
-    lines = [f"# maxminlyap certificate v1 (tool {__version__})"]
-    lines.append("[meta]")
-    lines.append(f"verdict = {cert.verdict}")
-    pairing = "all" if cert.cond_i.matching is None else "matched"
-    lines.append(f"pairing = {pairing}")
-    pol = cert.policy
-    lines.append(f"abs = {pol.abs_tol!r}")
-    lines.append(f"rel = {pol.rel_tol!r}")
-    lines.append(f"margin = {pol.margin!r}")
-    lines.append(f"seed = {pol.seed}")
-    for note in cert.notes:
-        lines.append(f"# note: {note}")
-
-    lines.append("")
-    lines.append("[system]")
-    lines.append(f"dim = {sys.dim}")
-    for m in sys.modes:
-        entry = f"mode {m.index} {{ A = {_fmt_matrix(m.A)}"
-        if m.Q is not None:
-            entry += f"; Q = {_fmt_matrix(m.Q)}"
-        else:
-            entry += "; region = all"
-        entry += " }"
-        lines.append(entry)
-
-    lines.append("")
-    lines.append("[basis]")
-    for k, P in enumerate(cert.candidate.matrices, start=1):
-        lines.append(f"P{k} = {_fmt_matrix(P)}")
-
-    lines.append("")
-    lines.append("[structure]")
-    lines.append(f"polarity = {cert.spec.polarity}")
-    for j, fam in enumerate(cert.spec.families, start=1):
-        lines.append(f"S{j} = {{{', '.join(str(k) for k in fam)}}}")
-
-    lines.append("")
-    lines.append("[condition_i]")
-    if cert.cond_i.matching is not None:
-        pairs = ", ".join(
-            f"{i}:{f}" for i, f in sorted(cert.cond_i.matching.items())
-        )
-        lines.append(f"# matched pairing mode:base {pairs}; "
-                     f"validated on {cert.cond_i.evidence.get('samples', 0)} samples")
-    for gno, (g, margin) in enumerate(
-        zip(cert.cond_i.groups, cert.cond_i.margins), start=1
-    ):
+def _group_lines(cert):
+    """The [condition_i] line of each group, in the report's order."""
+    lines = []
+    for gno, (g, margin) in enumerate(zip(cert.cond_i.groups, cert.cond_i.margins), start=1):
         *tau, beta = cert.candidate.multipliers_for(g)
-        perms = "(" + ", ".join(str(p) for p in g.perms) + ("," if len(g.perms) == 1 else "") + ")"
+        terms = ", ".join(f"P{u}-P{w}" for u, w in g.diffs)
         lines.append(
             f"group {gno} {{ mode = {g.mode}; base = {g.phi_index}; "
-            f"perms = {perms}; terms = {_fmt_terms(g.diffs)}; "
-            f"tau = {_fmt_tuple(tau)}; beta = {float(beta)!r}; margin = {margin:.6e} }}"
+            f"perms = {g.perms}; terms = [{terms}]; "
+            f"tau = {tuple(map(float, tau))!r}; beta = {float(beta)!r}; margin = {margin:.6e} }}"
         )
+    return lines
 
-    lines.append("")
-    lines.append("[condition_ii]")
-    lines.append(f"kind = {cert.cond_ii_kind}")
+
+def _condition_ii_lines(cert):
+    """The [condition_ii] lines: the kind, then its evidence."""
+    lines = [f"kind = {cert.cond_ii_kind}"]
     if cert.cond_ii_kind == "planar" and cert.cond_ii is not None:
         for e in cert.cond_ii.entries:
             v = ", ".join(f"{c:.9f}" for c in e.v)
@@ -123,6 +72,41 @@ def serialize_certificate(cert, sys):
         )
         for (j1, j2), sv in sorted(cert.cond_ii.rank_margins.items()):
             lines.append(f"rank P{j1}-P{j2} = {sv!r}")
+    return lines
+
+
+def serialize_certificate(cert, sys):
+    """Render a certificate as a re-verifiable text report."""
+    pol = cert.policy
+    lines = [
+        f"# maxminlyap certificate v1 (tool {__version__})",
+        "[meta]",
+        f"verdict = {cert.verdict}",
+        _pairing_line(cert),
+        f"abs = {pol.abs_tol!r}",
+        f"rel = {pol.rel_tol!r}",
+        f"margin = {pol.margin!r}",
+        f"seed = {pol.seed}",
+        *(f"# note: {note}" for note in cert.notes),
+        "",
+        "[system]",
+        f"dim = {sys.dim}",
+    ]
+    for m in sys.modes:
+        region = "region = all" if m.Q is None else f"Q = {_fmt_matrix(m.Q)}"
+        lines.append(f"mode {m.index} {{ A = {_fmt_matrix(m.A)}; {region} }}")
+    lines += ["", "[basis]"]
+    lines += [f"P{k} = {_fmt_matrix(P)}" for k, P in enumerate(cert.candidate.matrices, start=1)]
+    lines += ["", "[structure]", f"polarity = {cert.spec.polarity}"]
+    for j, fam in enumerate(cert.spec.families, start=1):
+        lines.append(f"S{j} = {{{', '.join(str(k) for k in fam)}}}")
+    lines += ["", "[condition_i]"]
+    if cert.cond_i.matching is not None:
+        pairs = ", ".join(f"{i}:{f}" for i, f in sorted(cert.cond_i.matching.items()))
+        lines.append(f"# matched pairing mode:base {pairs}; "
+                     f"validated on {cert.cond_i.evidence.get('samples', 0)} samples")
+    lines += _group_lines(cert)
+    lines += ["", "[condition_ii]", *_condition_ii_lines(cert)]
     return "\n".join(lines) + "\n"
 
 
@@ -158,11 +142,12 @@ def _entries(parts, where):
 
 def _groups(lines):
     """The [condition_i] groups keyed by (mode, perms): each one's name
-    (``group N``), base, terms ((u, w) pairs), multiplier tuple (the taus,
-    then beta) and printed margin.  Each line must be one whole
-    ``group N { ... }`` entry carrying each of ``_GROUP_KEYS`` once, for
-    a (mode, perms) pair that no earlier group gave; anything else is a
-    ConfigError."""
+    (``group N``), line and multiplier tuple (the taus, then beta).  Each
+    line must be one whole ``group N { ... }`` entry carrying each of
+    ``_GROUP_KEYS`` once, for a (mode, perms) pair that no earlier group
+    gave, with a tau per ordering term those perms give; anything else is
+    a ConfigError.  The rest of the line is left to the comparison with
+    the recomputation."""
     table = {}
     for line in lines:
         m = re.fullmatch(r"group\s+(\d+)\s*\{(.*)\}", line)
@@ -176,68 +161,62 @@ def _groups(lines):
             key = (int(fields["mode"]), tuple(tuple(p) for p in ast.literal_eval(fields["perms"])))
             if key in table:
                 raise ValueError(f"mode {key[0]} perms {key[1]} were given by an earlier group")
-            terms = fields["terms"]
-            if not re.fullmatch(r"\[(P\d+-P\d+(, P\d+-P\d+)*)?\]", terms):
-                raise ValueError(f"terms {terms} are not a list of Pu-Pw differences")
-            diffs = tuple((int(u), int(w)) for u, w in re.findall(r"P(\d+)-P(\d+)", terms))
             ys = tuple(map(float, (*ast.literal_eval(fields["tau"]), fields["beta"])))
-            table[key] = (where, int(fields["base"]), diffs, ys, float(fields["margin"]))
+            terms = len(group_diffs(key[1]))
         except (ValueError, TypeError, SyntaxError) as exc:
             raise ConfigError(f"certificate {where} is malformed: {exc}") from None
+        if len(ys) != terms + 1:
+            raise ConfigError(f"certificate {where} has {len(ys) - 1} tau for its {terms} terms")
+        table[key] = (where, line, ys)
     return table
 
 
-def _check_groups(table, groups, margins):
-    """Every group of the report's ``table`` must be one of the rebuilt
-    ``groups``, with its base and terms, and every rebuilt group must be
-    in the table; then each needs a tau per term and a printed margin
-    that is the recomputed one to its digits.  A ConfigError names the
-    first group that fails."""
-    built = {g.key: g for g in groups}
-    for key, (where, base, terms, _, _) in table.items():
-        g = built.get(key)
-        if g is None:
+def _compare(where, reads, writes):
+    """Refuse the first of the report's lines ``reads`` that is not the
+    recomputation's line ``writes`` at its place."""
+    for got, want in itertools.zip_longest(reads, writes):
+        if got != want:
+            got, want = ("nothing" if ln is None else repr(ln) for ln in (got, want))
+            raise ConfigError(
+                f"certificate {where} does not match the recomputation: "
+                f"it reads {got}, the recomputation writes {want}"
+            )
+
+
+def _check_groups(table, cert):
+    """Every group line of the report's ``table`` must be the line written
+    for the recomputed group of its key, and every recomputed group must
+    be in the table.  A ConfigError names the first group that fails."""
+    written = dict(zip((g.key for g in cert.cond_i.groups), _group_lines(cert)))
+    for key, (where, line, _) in table.items():
+        if key not in written:
             raise ConfigError(
                 f"certificate {where} does not match the rebuilt groups: "
                 f"none has mode {key[0]} and perms {key[1]}"
             )
-        if (base, terms) != (g.phi_index, g.diffs):
-            raise ConfigError(
-                f"certificate {where} does not match the rebuilt groups: it has base {base} "
-                f"and terms {_fmt_terms(terms)}, the rebuilt group base {g.phi_index} and "
-                f"terms {_fmt_terms(g.diffs)}"
-            )
-    for gno, g in enumerate(groups, start=1):
+        _compare(where, [line], [written[key]])
+    for gno, g in enumerate(cert.cond_i.groups, start=1):
         if g.key not in table:
             raise ConfigError(
                 f"certificate group {gno} is missing: no line has mode {g.mode} and perms {g.perms}"
             )
-    for g, margin in zip(groups, margins):
-        where, _, terms, ys, printed = table[g.key]
-        if len(ys) != len(terms) + 1:
-            raise ConfigError(
-                f"certificate {where} has {len(ys) - 1} tau for its {len(terms)} terms"
-            )
-        if float(f"{margin:.6e}") != printed:
-            raise ConfigError(
-                f"certificate {where} prints margin {printed:.6e}, "
-                f"the recomputation gives {margin:.6e}"
-            )
 
 
 def re_verify(text):
-    """Recompute a certificate from its own report, from scratch.
+    """Recompute a certificate from its own report, from scratch, and
+    compare the report with the recomputation rewritten.
 
     This is the one reader of reports: the [system], [basis] and
     [structure] lines go through the config parser, and every [meta] and
-    [condition_i] line is read whole; a missing or malformed entry is a
-    ConfigError, and so is a group table that differs from the one the
-    recomputed certificate builds (a group missing or extra, or another
-    base or other terms for its mode and perms), a tau count that is not
-    its group's number of terms, and a printed margin the recomputation
-    does not give to its ``.6e`` digits.  The stored basis matrices and
-    multipliers are checked verbatim (no repair), so tampering with any
-    number in the report flips the recomputed verdict or is refused.
+    [condition_i] line is read whole (``_groups``); a missing or
+    malformed entry is a ConfigError.  The stored bases and multipliers
+    are certified verbatim (no repair), and input the certifier refuses,
+    such as a negative multiplier, is a ConfigError too.  Then each
+    group line must be the line written for the recomputed group of its
+    mode and perms, and when the verdicts agree, so must the ``pairing``
+    line and every [condition_ii] line; a difference is a ConfigError
+    quoting both lines.  So tampering with any number in the report
+    flips the recomputed verdict or is refused.
     Returns (fresh Certificate, stored verdict, match flag).
     """
     sections = _split_sections(text)
@@ -268,11 +247,19 @@ def re_verify(text):
         spec = parse_structure(block["structure"])
         fresh = without_candidate(spec, policy, "the report carries no candidate")
     else:
-        # a tuple of the wrong length is refused after the group table check
-        fits = {key: ys for key, (_, _, terms, ys, _) in table.items() if len(ys) == len(terms) + 1}
-        cand = Candidate(matrices=parsed.basis.matrices, multipliers=fits)
-        fresh = certify(sys, parsed.basis.to_spec(), cand, policy, complete=False)
-    _check_groups(table, fresh.cond_i.groups, fresh.cond_i.margins)
+        cand = Candidate(
+            matrices=parsed.basis.matrices,
+            multipliers={key: ys for key, (_, _, ys) in table.items()},
+        )
+        try:
+            fresh = certify(sys, parsed.basis.to_spec(), cand, policy, complete=False)
+        except InvalidInputError as exc:
+            raise ConfigError(f"certificate does not re-verify: {exc}") from None
+    _check_groups(table, fresh)
+    if fresh.verdict == stored_verdict:
+        pairing = [f"pairing = {meta['pairing']}"] if "pairing" in meta else []
+        _compare("[meta]", pairing, [_pairing_line(fresh)])
+        _compare("[condition_ii]", sections.get("condition_ii", []), _condition_ii_lines(fresh))
     return fresh, stored_verdict, fresh.verdict == stored_verdict
 
 

@@ -20,7 +20,8 @@ A config has up to four sections::
     Q1 = [[1, 0], [0, -1]]
 
 Matrix entries are constant expressions (``-(1+sqrt(2))`` is fine) and
-are evaluated while parsing.  Newlines separate statements; they are
+are evaluated while parsing; one that is not finite (``1e400``) is an
+error at the entry.  Newlines separate statements; they are
 ignored inside parentheses and matrix brackets, so literals may span
 lines.  ``;`` is an explicit separator inside mode blocks.  An entry
 given twice is an error.
@@ -142,12 +143,7 @@ def _parse_factor(ts):
     tok = ts.peek()
     if tok.kind == "op" and tok.value == "-":
         ts.next()
-        inner = _parse_factor(ts)
-        if isinstance(inner, ex.Num):
-            return ex.Num(-inner.value)
-        if isinstance(inner, ex.Neg):
-            return inner.a
-        return ex.Neg(inner)
+        return ex.neg(_parse_factor(ts))
     return _parse_atom(ts)
 
 
@@ -201,7 +197,13 @@ def _parse_const(ts):
     node = _parse_expr(ts)
     if ex.max_var(node) > 0:
         raise ConfigError("matrix entries must be constant", tok.line, tok.col)
-    return ex.eval_expr(node, ())
+    try:
+        value = ex.eval_expr(node, ())
+    except OverflowError:  # pow of a float; the float operators give inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError("matrix entry is not finite", tok.line, tok.col)
+    return value
 
 
 def _parse_matrix(ts):

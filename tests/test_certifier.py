@@ -25,7 +25,7 @@ from maxminlyap.certifier import (
     search_condition_i,
     sliding_exclusion,
 )
-from maxminlyap.certreport import re_verify, serialize_certificate
+from maxminlyap.certreport import _fmt_matrix, re_verify, serialize_certificate
 from maxminlyap.errors import ConfigError, InvalidInputError, PartitionError
 from maxminlyap.inclusion import SwitchedSystem
 from maxminlyap.maxmin import (
@@ -977,7 +977,9 @@ def test_reverify_rejects_tampered_multipliers():
     old = "beta = 0.6; margin = -2.000000e-01"
     assert old in text
     with pytest.raises(
-        ConfigError, match=r"group 1 prints margin -2.000000e-01, the recomputation gives 4.000000e-01"
+        ConfigError,
+        match=r"group 1 does not match the recomputation: it reads '.*; margin = -2\.000000e-01 }', "
+        r"the recomputation writes '.*; margin = 4\.000000e-01 }'",
     ):
         re_verify(text.replace("beta = 0.6", "beta = 0.0"))
     tampered = text.replace(old, "beta = 0.0; margin = 4.000000e-01")
@@ -1067,7 +1069,11 @@ def _rebase_group_1(text):
     "edit, message",
     [
         (_drop_group_4, r"certificate group 4 is missing"),
-        (_rebase_group_1, r"certificate group 1 does not match .* base 3 and terms \[P9-P9\]"),
+        (
+            _rebase_group_1,
+            r"certificate group 1 does not match the recomputation: it reads '.*; base = 3; "
+            r".*; terms = \[P9-P9\]; .*', the recomputation writes '.*; base = 1; ",
+        ),
         (
             lambda t: t.replace("perms = ((3, 1, 2),)", "perms = ((9, 9, 9),)"),
             r"certificate group 1 does not match .* perms \(\(9, 9, 9\),\)",
@@ -1094,10 +1100,27 @@ def test_reverify_checks_the_group_table(edit, message):
         (
             "margin = -7.108779e-03",
             "margin = -5.000000e+00",
-            "group 1 prints margin -5.000000e+00, the recomputation gives -7.108779e-03",
+            "group 1 does not match the recomputation: it reads 'group 1 { mode = 1; base = 1; "
+            "perms = ((3, 1, 2),); terms = [P1-P3, P2-P1]; tau = (0.258, 0.102); beta = 0.0; "
+            "margin = -5.000000e+00 }', the recomputation writes 'group 1 { mode = 1; base = 1; "
+            "perms = ((3, 1, 2),); terms = [P1-P3, P2-P1]; tau = (0.258, 0.102); beta = 0.0; "
+            "margin = -7.108779e-03 }'",
+        ),
+        # these two once escaped as an InvalidInputError from certify:
+        # the printed terms fit the one tau but the rebuilt group has two
+        # terms, and a negative tau
+        (
+            "terms = [P1-P3, P2-P1]; tau = (0.258, 0.102)",
+            "terms = [P1-P3]; tau = (0.258,)",
+            "group 1 has 1 tau for its 2 terms",
+        ),
+        (
+            "tau = (0.258, 0.102)",
+            "tau = (-0.258, 0.102)",
+            "does not re-verify: negative ordering multiplier in group (1, ((3, 1, 2),))",
         ),
     ],
-    ids=["short-tau", "long-tau", "printed-margin"],
+    ids=["short-tau", "long-tau", "printed-margin", "terms-fit-the-tau", "negative-tau"],
 )
 def test_reverify_refuses_numbers_the_recomputation_does_not_use(old, new, message):
     # each edit of group 1 once re-verified as GAS-certified with match
@@ -1110,6 +1133,70 @@ def test_reverify_refuses_numbers_the_recomputation_does_not_use(old, new, messa
     assert edited != text
     with pytest.raises(ConfigError, match=f"certificate {re.escape(message)}"):
         re_verify(edited)
+
+
+@pytest.mark.parametrize(
+    "golden, old, new, entry",
+    [
+        (
+            "certify_example1.txt",
+            "weights = empty; margin = none; ok = true",
+            "weights = point; margin = 5.0; ok = false",
+            r"\[condition_ii\]",
+        ),
+        ("certify_example1.txt", "kind = planar", "kind = two-mode", r"\[condition_ii\]"),
+        (
+            "certify_example1.txt",
+            "kind = planar\n",
+            "kind = planar\nthis is not a line\n",
+            r"\[condition_ii\]",
+        ),
+        ("certify_example1.txt", "pairing = matched", "pairing = all", r"\[meta\]"),
+        (
+            "certify_example3.txt",
+            "min_product = 0.007499999999999989",
+            "min_product = -10.0075",
+            r"\[condition_ii\]",
+        ),
+        ("certify_example3.txt", "rank P1-P2 = 1.0", "rank P1-P2 = -1.0", r"\[condition_ii\]"),
+    ],
+    ids=["line-rewritten", "kind", "stray-line", "pairing", "min-product", "rank"],
+)
+def test_reverify_compares_pairing_and_condition_ii(golden, old, new, entry):
+    # each edit once re-verified as GAS-certified with match True: only
+    # the condition (i) groups were read back
+    text = (GOLDEN / golden).read_text()
+    edited = text.replace(old, new, 1)
+    assert edited != text
+    reads = re.escape(new.splitlines()[-1])
+    with pytest.raises(
+        ConfigError, match=f"certificate {entry} does not match the recomputation: it reads '[^']*{reads}"
+    ):
+        re_verify(edited)
+
+
+def old_fmt_tuple(vals):
+    """The tuple writer the reports were written with before ``repr``."""
+    inner = ", ".join(repr(float(v)) for v in vals)
+    if len(vals) == 1:
+        inner += ","
+    return f"({inner})"
+
+
+def old_fmt_matrix(M):
+    rows = ", ".join("[" + ", ".join(repr(float(v)) for v in row) + "]" for row in np.asarray(M))
+    return f"[{rows}]"
+
+
+def test_repr_formatters_print_the_old_bytes():
+    specials = [-0.0, 1e-09, float("inf"), -float("inf"), float("nan"), 5e-324, 2.2250738585072e-308]
+    for vals in ([], [0.258], [np.float64(-0.0)], specials, np.array(specials)):
+        assert repr(tuple(map(float, vals))) == old_fmt_tuple(vals)
+    for M in (np.array([specials[:2], specials[2:4]]), np.eye(3), [[np.float64(5e-324)]]):
+        assert _fmt_matrix(M) == old_fmt_matrix(M)
+    for perms in (((3, 1, 2),), ((1, 2, 3), (1, 3, 2), (2, 1, 3))):
+        old = "(" + ", ".join(str(p) for p in perms) + ("," if len(perms) == 1 else "") + ")"
+        assert f"{perms}" == old
 
 
 INCLUSION = """

@@ -288,3 +288,26 @@ def test_signal_entry_for_a_missing_mode_rejected(entry, message):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert str(info.value) == f"line 5, col 1: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("[system]\ndim = 1\nmode 1 { A = [[-1e400]] }\n", 3, 16),
+        ("[system]\ndim = 1\nmode 1 { A = [[1e200*1e200]] }\n", 3, 16),
+        ("[system]\ndim = 1\nmode 1 { A = [[pow(1e200, 2)]] }\n", 3, 16),
+        ("[system]\ndim = 2\nmode 1 { A = [[-1, 0], [0, -1]]; Q = [[1, 0], [0, 1e400]] }\n", 3, 51),
+        (
+            "[system]\ndim = 1\nmode 1 { A = [[-1]] }\n[basis]\nP1 = [[1e400]]\n"
+            "[structure]\nS1 = {1}\n",
+            5,
+            8,
+        ),
+        ("[system]\ndim = 1\nmode 1 { A = [[-1]] }\n[signal]\nQ1 = [[1e400 - 1e400]]\n", 5, 8),
+    ],
+    ids=["A", "A-product", "A-pow", "Q", "P", "signal-Q"],
+)
+def test_non_finite_matrix_entry_rejected_at_the_entry(text, line, col):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == f"line {line}, col {col}: matrix entry is not finite"

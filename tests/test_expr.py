@@ -268,3 +268,17 @@ def test_compiled_code_reads_no_config_text():
 def test_compile_refuses_unknown_functions_and_nodes(bad):
     with pytest.raises(TypeError):
         compile_exprs([bad])
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("-3", Num(-3.0)),
+        ("-x1", Neg(Var(1))),
+        ("--x1", Var(1)),
+        ("-(-(x1))", Var(1)),
+    ],
+)
+def test_unary_minus_folds_to_the_same_tree(text, want):
+    # a minus on a number is the negative number, and two minuses cancel
+    assert parse_expr_text(text) == want
