@@ -318,6 +318,7 @@ def _margins(sys, cand, groups):
 
 GOLDEN_STEPS = 40  # golden-section steps per multiplier slot
 LOOKAHEAD = 3  # golden-section steps whose possible probes share one solve
+_REPAIR_DEPTH = 3  # matching-repair step halvings whose trials share one solve
 _PHI_R = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -503,11 +504,11 @@ def _normalize(cand):
     ordering ones too, so unlike ``Candidate.scaled`` this can change
     margins and is not verdict-neutral; the search iterates are defined
     by it, and a found candidate is re-checked from scratch."""
-    n = cand.matrices[0].shape[0]
-    total = sum(float(np.trace(P)) for P in cand.matrices)
+    Ps = np.asarray(cand.matrices)
+    total = sum(Ps.trace(axis1=1, axis2=2).tolist())
     if total > 0:
-        c = len(cand.matrices) * n / total
-        cand.matrices = [c * P for P in cand.matrices]
+        c = len(Ps) * Ps.shape[-1] / total
+        cand.matrices = list(c * Ps)
         cand.multipliers = {k: tuple(c * y for y in ys) for k, ys in cand.multipliers.items()}
     return cand
 
@@ -570,38 +571,97 @@ class _MatchPenalty:
         self._gram = np.concatenate([self._gram, X[:, i] * X[:, j] * np.where(i == j, 1.0, 2.0)])
         self._target_at = np.arange(len(self.X)) * self.spec.K + self.targets - 1
 
-    def _values(self, matrices):
-        """Base values (S, K) at the points, and V_target - V there."""
+    def _values(self, stacks):
+        """Base values (..., S, K) at the points, and V_target - V there
+        (..., S), of the bases stacks[..., K, n, n]: one set of K bases,
+        or one set per leading index."""
         i, j = self._upper
-        Ps = np.stack(matrices)
-        vals = self._gram @ (0.5 * (Ps[:, i, j] + Ps[:, j, i])).T
-        return vals, vals.take(self._target_at) - combine(self.spec, vals)
+        Ps = np.asarray(stacks)
+        vals = self._gram @ (0.5 * (Ps[..., i, j] + Ps[..., j, i])).swapaxes(-1, -2)
+        flat = vals.reshape(vals.shape[:-2] + (-1,))
+        return vals, flat[..., self._target_at] - combine(self.spec, vals)
+
+    def values(self, stacks):
+        """The penalty, mean |V_target - V| over the points, of each set of
+        bases stacks[l] in stacks[L, K, n, n], from one broadcast product,
+        one ``combine`` and one sum."""
+        d = self._values(stacks)[1]
+        return (np.abs(d).sum(axis=-1) / d.shape[-1]).tolist()
 
     def value(self, matrices):
-        """The penalty: mean |V_target - V| over the points."""
-        d = self._values(matrices)[1]
-        return float(np.abs(d).sum()) / len(d)
+        """The penalty of one set of bases: the one-candidate ``values``."""
+        return self.values([matrices])[0]
 
     def value_and_grads(self, matrices):
+        """The penalty and its subgradient (K, n, n) in the bases.  Only
+        the live rows, where V_target - V is not 0, move it, so the
+        selection is made on those rows alone."""
         K = len(matrices)
         n = matrices[0].shape[0]
-        X = self.X
         vals, d = self._values(matrices)
         pen = float(np.abs(d).sum()) / len(d)
-        # the subgradient needs a selection on ties too, so no realized_base
-        realized = selected_base(self.spec, vals)
-        grads = [np.zeros((n, n)) for _ in range(K)]
-        sign = np.sign(d)
-        active = sign != 0.0
-        if np.any(active):
+        grads = np.zeros((K, n, n))
+        live = np.flatnonzero(d != 0.0)
+        if len(live):
+            X, sign, targets = self.X[live], np.sign(d[live]), self.targets[live]
+            # the subgradient needs a selection on ties too, so no realized_base
+            realized = selected_base(self.spec, vals[live])
             for k in range(1, K + 1):
-                w_t = sign * (self.targets == k) - sign * (realized == k)
+                w_t = sign * (targets == k) - sign * (realized == k)
                 rows = w_t != 0.0
                 if np.any(rows):
                     Xw = X[rows] * w_t[rows, None]
                     grads[k - 1] += Xw.T @ X[rows]
-            grads = [G / len(X) for G in grads]
+            grads = grads / len(self.X)
         return pen, grads
+
+
+def _descent(penalty, matrices):
+    """Matching penalty at the bases, its subgradient's norm, and the
+    stacked bases and subgradient a step is taken from.  The norm adds
+    each base's sum of squares in base order."""
+    base = np.stack(matrices)
+    pen, G = penalty.value_and_grads(base)
+    gnorm = np.sqrt(sum((G * G).reshape(len(G), -1).sum(axis=1).tolist()))
+    return pen, gnorm, base, G
+
+
+def _repair_matching(penalty, cand, max_steps):
+    """Subgradient descent on the matching penalty until it hits zero:
+    whether it did, and the number of trial steps spent (at most
+    max_steps).  A trial that lowers the penalty is taken and grows the
+    step by 1.5, up to 0.2; any other halves it, and below 1e-9 the
+    repair fails.
+
+    The trial at the current step and the halvings a rejection would
+    take next, _REPAIR_DEPTH in all as far as the floor and max_steps
+    allow, are projected and valued on one stacked solve.  They are
+    walked in order and the first that lowers the penalty is taken, so
+    every iterate is the one-trial-at-a-time loop's, bit for bit."""
+    pen, gnorm, base, G = _descent(penalty, cand.matrices)
+    step, spent = 0.2, 0
+    while spent < max_steps:
+        if pen == 0.0:
+            return True, spent
+        if gnorm == 0.0:
+            return False, spent
+        steps = [step]
+        while len(steps) < min(_REPAIR_DEPTH, max_steps - spent) and steps[-1] * 0.5 >= 1e-9:
+            steps.append(steps[-1] * 0.5)
+        moved = base - (np.array(steps) / gnorm)[:, None, None, None] * G
+        trials = project_psd(moved.reshape(-1, *G.shape[1:]), floor=1e-6).reshape(moved.shape)
+        for trial, value in zip(trials, penalty.values(trials)):
+            spent += 1
+            if value < pen:
+                cand.matrices = list(trial)
+                _normalize(cand)
+                pen, gnorm, base, G = _descent(penalty, cand.matrices)
+                step = min(0.2, step * 1.5)
+                break
+            step *= 0.5
+            if step < 1e-9:
+                return False, spent
+    return pen == 0.0, spent
 
 
 def _initial_candidates(sys, spec, seed):
@@ -642,11 +702,12 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
     subgradient on the worst inequality's top eigenvalue plus the
     structure-matching penalty, with a positive-definite floor and
     trace normalization; the penalty's step direction is built once per
-    accepted iterate.  Multi-start, budget-bounded.  Failure is a
-    report, not an error: the inequalities are bilinear and a miss
-    does not prove infeasibility.  With as many bases as modes, mode i
-    is steered to base i; otherwise every permutation is paired with
-    every mode.  The budget is tested before any candidate is built, so
+    accepted iterate, and the step and its next halvings are tried on
+    one stacked solve (``_repair_matching``).  Multi-start,
+    budget-bounded.  Failure is a report, not an error: the inequalities
+    are bilinear and a miss does not prove infeasibility.  With as many
+    bases as modes, mode i is steered to base i; otherwise every
+    permutation is paired with every mode.  The budget is tested before any candidate is built, so
     a zero budget returns not-found after 0 rounds at once.
     """
     _require_linear_conic(sys)
@@ -678,35 +739,8 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
         else None
     )
 
-    def descent(matrices):
-        """Matching penalty at the bases, its subgradient's norm, and the
-        stacked bases and subgradient a step is taken from."""
-        pen, grads = penalty.value_and_grads(matrices)
-        gnorm = np.sqrt(sum(float(np.sum(G * G)) for G in grads))
-        return pen, gnorm, np.stack(matrices), np.stack(grads)
-
     def repair_matching(cand, max_steps=120):
-        """Subgradient descent on the matching penalty until it hits zero."""
-        if penalty is None:
-            return True
-        pen, gnorm, base, G = descent(cand.matrices)
-        step = 0.2
-        for _ in range(max_steps):
-            if pen == 0.0:
-                return True
-            if gnorm == 0.0:
-                return False
-            trial = list(project_psd(base - (step / gnorm) * G, floor=1e-6))
-            if penalty.value(trial) < pen:
-                cand.matrices = trial
-                _normalize(cand)
-                pen, gnorm, base, G = descent(cand.matrices)
-                step = min(0.2, step * 1.5)
-            else:
-                step *= 0.5
-                if step < 1e-9:
-                    return False
-        return pen == 0.0
+        return penalty is None or _repair_matching(penalty, cand, max_steps)[0]
 
     def optimize_rounds(cand):
         nonlocal rounds_done

@@ -195,7 +195,7 @@ def evaluate(spec, basis, x):
 
 
 def combine(spec, vals):
-    """V from the base values vals[K], or one V per row of vals[S, K].
+    """V from the base values vals[K], or one V per row of vals[..., K].
 
     Rows are reduced in the order of Python's min and max: a later value
     replaces the running one only when strictly smaller (larger), so a
@@ -203,12 +203,12 @@ def combine(spec, vals):
     is this loop carrying the index too; that doubles the cost, and
     ``evaluate`` runs this one on every portrait cell.
     """
-    if vals.ndim == 2:
+    if vals.ndim >= 2:
         out = None
         for fam in spec.families:
-            fv = vals[:, fam[0] - 1]
+            fv = vals[..., fam[0] - 1]
             for k in fam[1:]:
-                fv = np.where(vals[:, k - 1] < fv, vals[:, k - 1], fv)
+                fv = np.where(vals[..., k - 1] < fv, vals[..., k - 1], fv)
             out = fv if out is None else np.where(fv > out, fv, out)
         return out
     return max(min(vals[k - 1] for k in fam) for fam in spec.families)
@@ -276,10 +276,16 @@ def realized_base(spec, vals):
 
     A row without ties lies on a strict-ordering cone, where one base
     attains V: the one ``phi`` gives for the permutation that sorts the
-    row ascending.  Every row is decided without forming permutations.
+    row ascending.  Every row is decided without forming permutations,
+    and without sorting: two finite values tie when they are ``==``
+    (so +0.0 ties -0.0), and an infinity or NaN ties with nothing.
     """
     vals = np.asarray(vals, dtype=float)
-    tied = np.any(np.diff(np.sort(vals, axis=1), axis=1) <= 0.0, axis=1)
+    finite = np.where(np.isfinite(vals), vals, np.nan)
+    tied = np.zeros(len(vals), dtype=bool)
+    for a in range(1, vals.shape[1]):
+        for b in range(a):
+            tied |= finite[:, a] == finite[:, b]
     return np.where(tied, 0, selected_base(spec, vals))
 
 

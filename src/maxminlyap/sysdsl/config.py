@@ -20,10 +20,10 @@ A config has up to four sections::
     Q1 = [[1, 0], [0, -1]]
 
 Matrix entries are constant expressions (``-(1+sqrt(2))`` is fine) and
-are evaluated while parsing; one that is not finite (``1e400``) is an
-error at the entry.  Newlines separate statements; they are
-ignored inside parentheses and matrix brackets, so literals may span
-lines.  ``;`` is an explicit separator inside mode blocks.  An entry
+are evaluated while parsing; one that is not finite (``1e400``) or
+leaves its domain (``1/0``) is an error at the entry.  Newlines separate
+statements; they are ignored inside parentheses and matrix brackets, so
+literals may span lines.  ``;`` is an explicit separator inside mode blocks.  An entry
 given twice is an error.
 """
 
@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DomainEvalError
 from ..numkernel import negdef_margin
 from . import expr as ex
 
@@ -201,6 +201,8 @@ def _parse_const(ts):
         value = ex.eval_expr(node, ())
     except OverflowError:  # pow of a float; the float operators give inf
         value = math.inf
+    except DomainEvalError as err:
+        raise ConfigError(str(err), tok.line, tok.col) from None
     if not math.isfinite(value):
         raise ConfigError("matrix entry is not finite", tok.line, tok.col)
     return value

@@ -1,11 +1,14 @@
-"""Per-group form of the condition (i) multiplier search, kept as the
-reference for the tests: each group's coordinate descent on its own,
-with one golden-section step and one eigen-solve at a time."""
+"""One-at-a-time forms of the condition (i) search, kept as references
+for the tests: each group's multiplier descent on its own, with one
+golden-section step and one eigen-solve at a time; the matching
+penalty's subgradient from every row; and the matching repair with one
+trial step per solve."""
 
 import numpy as np
 
-from maxminlyap.certifier import _pencil, _pencil_matrix
-from maxminlyap.numkernel import negdef_margin
+from maxminlyap.certifier import _normalize, _pencil, _pencil_matrix
+from maxminlyap.maxmin import selected_base
+from maxminlyap.numkernel import negdef_margin, project_psd
 
 
 def golden_min(f, lo, hi):
@@ -49,3 +52,55 @@ def optimize_group_multipliers(sys, cand, group, sweeps=3):
                 hi *= 4.0
             slots[slot] = golden_min(f, 0.0, hi)
     return tuple(slots)
+
+
+def value_and_grads(penalty, matrices):
+    """The matching penalty and its subgradient in each base, with the
+    selection made on every row."""
+    K = len(matrices)
+    n = matrices[0].shape[0]
+    X = penalty.X
+    vals, d = penalty._values(matrices)
+    pen = float(np.abs(d).sum()) / len(d)
+    realized = selected_base(penalty.spec, vals)
+    grads = [np.zeros((n, n)) for _ in range(K)]
+    sign = np.sign(d)
+    active = sign != 0.0
+    if np.any(active):
+        for k in range(1, K + 1):
+            w_t = sign * (penalty.targets == k) - sign * (realized == k)
+            rows = w_t != 0.0
+            if np.any(rows):
+                Xw = X[rows] * w_t[rows, None]
+                grads[k - 1] += Xw.T @ X[rows]
+        grads = [G / len(X) for G in grads]
+    return pen, grads
+
+
+def repair_matching(penalty, cand, max_steps):
+    """The matching repair one trial step at a time: whether the penalty
+    hit zero, and the number of trials spent."""
+
+    def descent(matrices):
+        pen, grads = penalty.value_and_grads(matrices)
+        gnorm = np.sqrt(sum(float(np.sum(G * G)) for G in grads))
+        return pen, gnorm, np.stack(matrices), np.stack(grads)
+
+    pen, gnorm, base, G = descent(cand.matrices)
+    step = 0.2
+    for spent in range(max_steps):
+        if pen == 0.0:
+            return True, spent
+        if gnorm == 0.0:
+            return False, spent
+        trial = list(project_psd(base - (step / gnorm) * G, floor=1e-6))
+        if penalty.value(trial) < pen:
+            cand.matrices = trial
+            _normalize(cand)
+            pen, gnorm, base, G = descent(cand.matrices)
+            step = min(0.2, step * 1.5)
+        else:
+            step *= 0.5
+            if step < 1e-9:
+                return False, spent + 1
+    return pen == 0.0, max_steps

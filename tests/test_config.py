@@ -311,3 +311,33 @@ def test_non_finite_matrix_entry_rejected_at_the_entry(text, line, col):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert str(info.value) == f"line {line}, col {col}: matrix entry is not finite"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("1/0", "division by zero in '1.0/0.0'"),
+        ("sqrt(-1)", "sqrt of a negative value in 'sqrt(-1.0)'"),
+    ],
+    ids=["div", "sqrt"],
+)
+@pytest.mark.parametrize(
+    "template, line, col",
+    [
+        ("[system]\ndim = 1\nmode 1 {{ A = [[{}]] }}\n", 3, 16),
+        ("[system]\ndim = 1\nmode 1 {{ A = [[-1]]; Q = [[{}]] }}\n", 3, 28),
+        (
+            "[system]\ndim = 1\nmode 1 {{ A = [[-1]] }}\n[basis]\nP1 = [[{}]]\n"
+            "[structure]\nS1 = {{1}}\n",
+            5,
+            8,
+        ),
+    ],
+    ids=["A", "Q", "P"],
+)
+def test_domain_error_in_matrix_entry_is_a_config_error_at_the_entry(
+    template, line, col, entry, message
+):
+    with pytest.raises(ConfigError) as info:
+        parse_config(template.format(entry))
+    assert str(info.value) == f"line {line}, col {col}: {message}"

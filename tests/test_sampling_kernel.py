@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxminlyap import fixtures
-from maxminlyap.certifier import _MatchPenalty, derive_matching, sliding_exclusion
+from maxminlyap.certifier import (
+    Candidate,
+    _MatchPenalty,
+    _normalize,
+    _repair_matching,
+    derive_matching,
+    sliding_exclusion,
+)
 from maxminlyap.inclusion import Mode, SwitchedSystem
 from maxminlyap.maxmin import (
     EXACT_SMOOTH,
@@ -37,7 +44,10 @@ from maxminlyap.maxmin import (
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.sysdsl import expr as ex
 from maxminlyap.sysdsl import parse_expr_text
+from certifier_reference import repair_matching as ref_repair_matching
+from certifier_reference import value_and_grads as ref_value_and_grads
 from maxmin_reference import equal_value_indices, strict_ordering
+from maxmin_reference import realized_base as sorted_realized_base
 
 POLICY = NumericPolicy()
 
@@ -302,6 +312,38 @@ def test_realized_base_matches_strict_ordering_and_phi(case):
     spec, vals = case
     got = realized_base(spec, vals)
     assert got.tolist() == [ref_realized(spec, row) for row in vals]
+
+
+_EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7e308, -1.7e308)
+
+
+@settings(max_examples=400, deadline=None)
+@given(specs_and_values(signed=_EDGE_VALUES))
+def test_realized_base_decides_ties_as_the_sorted_rule(case):
+    # pairwise == on the finite values against the sorted gaps, which
+    # read equal infinities (inf - inf is nan) and nan as untied
+    spec, vals = case
+    assert realized_base(spec, vals).tolist() == sorted_realized_base(spec, vals).tolist()
+
+
+def test_realized_base_edge_rows():
+    spec = MaxMinSpec(K=3, families=((1, 2), (3,)))
+    inf, nan = math.inf, math.nan
+    rows = [
+        [0.0, -0.0, 1.0],
+        [inf, inf, 1.0],
+        [-inf, -inf, 1.0],
+        [nan, nan, 1.0],
+        [nan, 1.0, 1.0],
+        [inf, 2.0, 2.0],
+        [inf, -inf, nan],
+        [5e-324, -5e-324, 0.0],
+    ]
+    vals = np.array(rows)
+    assert realized_base(spec, vals).tolist() == sorted_realized_base(spec, vals).tolist()
+    assert (realized_base(spec, vals) == 0).tolist() == [
+        True, False, False, False, True, True, False, False
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -655,6 +697,17 @@ _PENALTY_ENTRIES = st.one_of(
 )
 
 
+def _draw_bases(draw, K, n):
+    """K drawn n x n bases, some exact copies of an earlier one."""
+    mats = []
+    for k in range(K):
+        if k and draw(st.booleans()):
+            mats.append(mats[draw(st.integers(0, k - 1))].copy())
+        else:
+            mats.append(np.array(draw(st.lists(_PENALTY_ENTRIES, min_size=n * n, max_size=n * n))))
+    return [P.reshape(n, n) for P in mats]
+
+
 @st.composite
 def _penalty_cases(draw):
     """A planar or 3-D penalty's system and structure, K bases (some exact
@@ -664,13 +717,7 @@ def _penalty_cases(draw):
     name = draw(st.sampled_from(["example1", "example3"]))
     sysm, spec, _ = fixtures.example(name)
     n = sysm.dim
-    mats = []
-    for k in range(spec.K):
-        if k and draw(st.booleans()):
-            mats.append(mats[draw(st.integers(0, k - 1))].copy())
-        else:
-            mats.append(np.array(draw(st.lists(_PENALTY_ENTRIES, min_size=n * n, max_size=n * n))))
-    mats = [P.reshape(n, n) for P in mats]
+    mats = _draw_bases(draw, spec.K, n)
     point = st.lists(_PENALTY_ENTRIES, min_size=n, max_size=n).map(np.array)
     ces = draw(st.lists(st.tuples(st.integers(1, spec.K), point), min_size=1, max_size=6))
     return sysm, spec, mats, ces
@@ -692,3 +739,127 @@ def test_match_penalty_value_is_the_residual_penalty(case):
         assert pen._values(mats)[1].tobytes() == gap.tobytes()
         assert len(pen._target_at) == len(pen.X)
         pen.add_counterexamples(ces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_penalty_cases(), st.data())
+def test_match_penalty_values_are_the_one_candidate_values(case, data):
+    # the stacked call is the one-candidate call at every index, to the
+    # bit, before and after counterexamples grow the points
+    sysm, spec, mats, ces = case
+    pen = _MatchPenalty(sysm, spec, 8, seed=1)
+    more = data.draw(st.integers(0, 3))
+    stack = np.stack([mats] + [_draw_bases(data.draw, spec.K, sysm.dim) for _ in range(more)])
+    for _ in range(2):
+        got = pen.values(stack)
+        assert len(got) == len(stack)
+        for value, bases in zip(got, stack):
+            assert np.float64(value).tobytes() == np.float64(pen.value(list(bases))).tobytes()
+        pen.add_counterexamples(ces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_penalty_cases())
+def test_match_penalty_live_row_subgradient_is_the_all_row_one(case):
+    # only rows with V_target != V move the subgradient; selecting on
+    # those alone must give the all-row subgradient's bits
+    sysm, spec, mats, ces = case
+    pen = _MatchPenalty(sysm, spec, 8, seed=1)
+    for _ in range(2):
+        got, grads = pen.value_and_grads(mats)
+        want, want_grads = ref_value_and_grads(pen, mats)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert [G.tobytes() for G in grads] == [G.tobytes() for G in want_grads]
+        pen.add_counterexamples(ces)
+
+
+REPAIR_MAX_STEPS = (1, 2, 3, 5, 20, 120)
+
+
+def _repair_case(name, seed, owned, scale):
+    """A matching penalty with counterexamples appended, their targets the
+    owning modes (owned) or drawn, and start bases: the example's own
+    jittered by scale, or random positive definite ones (scale None)."""
+    sysm, spec, basis = fixtures.example(name)
+    n = sysm.dim
+    rng = np.random.default_rng(seed)
+    pen = _MatchPenalty(sysm, spec, 40, seed=seed % 10)
+    X = rng.standard_normal((8, n))
+    targets = sysm.owners(X, 1e-6) if owned else rng.integers(1, spec.K + 1, len(X))
+    pen.add_counterexamples([(t, x) for t, x in zip(targets.tolist(), X) if t > 0])
+    G = rng.standard_normal((spec.K, n, n))
+    if scale is None:
+        mats = [g @ g.T + 0.1 * np.eye(n) for g in G]
+    else:
+        mats = [P + scale * (g + g.T) for P, g in zip(basis.matrices, G)]
+    return pen, mats
+
+
+def _repair_both(pen, mats, max_steps):
+    """The lockstep repair and the one-trial loop from the same start:
+    both results, and whether the accepted bases are equal bit for bit."""
+    got, want = (_normalize(Candidate(matrices=[P.copy() for P in mats])) for _ in range(2))
+    results = _repair_matching(pen, got, max_steps), ref_repair_matching(pen, want, max_steps)
+    same = [P.tobytes() for P in got.matrices] == [P.tobytes() for P in want.matrices]
+    return results, same
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.builds(
+        _repair_case,
+        st.sampled_from(["example1", "example3"]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from([0.0, 0.02, 0.1, 0.3, None]),
+    )
+)
+def test_lockstep_repair_is_the_one_trial_loop(case):
+    # accepted bases, return value and trials spent, at every step limit
+    pen, mats = case
+    for max_steps in REPAIR_MAX_STEPS:
+        (got, want), same = _repair_both(pen, mats, max_steps)
+        assert got == want
+        assert same
+
+
+def test_lockstep_repair_reaches_every_exit():
+    # penalty zero, the 1e-9 step floor (a failure before the step
+    # limit) and the step limit, each met with the one-trial loop's bits
+    exits = set()
+    for name in ("example1", "example3"):
+        for seed in (3, 6):
+            for owned, scale in ((True, 0.02), (False, 0.3), (False, None)):
+                pen, mats = _repair_case(name, seed, owned, scale)
+                for max_steps in REPAIR_MAX_STEPS:
+                    (got, want), same = _repair_both(pen, mats, max_steps)
+                    assert got == want and same
+                    ok, spent = got
+                    exits.add((name, "zero" if ok else "floor" if spent < max_steps else "limit"))
+    ends = ("zero", "floor", "limit")
+    assert exits == {(name, end) for name in ("example1", "example3") for end in ends}
+
+
+class _FlatPenalty:
+    """A matching penalty that no step lowers: every trial is rejected."""
+
+    def value_and_grads(self, matrices):
+        return 1.0, np.ones(np.shape(matrices))
+
+    def values(self, stacks):
+        return [1.0] * len(stacks)
+
+    def value(self, matrices):
+        return 1.0
+
+
+def test_repair_on_a_flat_penalty_stops_at_the_step_floor():
+    # 0.2 / 2^28 is the first halving below 1e-9: 28 trials, then failure;
+    # an equal penalty is no decrease, and the bases stay as they were
+    for max_steps, want in ((1, (False, 1)), (20, (False, 20)), (120, (False, 28))):
+        mats = [np.eye(2), 2.0 * np.eye(2)]
+        got, ref = (_normalize(Candidate(matrices=[P.copy() for P in mats])) for _ in range(2))
+        start = [P.tobytes() for P in got.matrices]
+        assert _repair_matching(_FlatPenalty(), got, max_steps) == want
+        assert ref_repair_matching(_FlatPenalty(), ref, max_steps) == want
+        assert [P.tobytes() for P in got.matrices] == start
