@@ -679,7 +679,7 @@ def _initial_candidates(sys, spec, seed):
                 lyap.append(P)
             else:
                 lyap.append(np.eye(n))
-        except Exception:
+        except np.linalg.LinAlgError:  # two eigenvalues of A sum to zero
             lyap.append(np.eye(n))
     inits.append([P.copy() for P in lyap])
     inits.append([np.eye(n) for _ in range(K)])
@@ -765,6 +765,7 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
                     break
                 eta = step0 / gnorm
                 saved, G = np.stack(cand.matrices), np.stack(grads)
+                saved_multipliers = dict(cand.multipliers)
                 accepted = False
                 while eta * gnorm > 1e-9:
                     cand.matrices = list(project_psd(saved - eta * G, floor=1e-6))
@@ -774,7 +775,9 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
                         break
                     eta *= 0.25
                 if not accepted:
+                    # _normalize scaled the multipliers with every trial
                     cand.matrices = list(saved)
+                    cand.multipliers = saved_multipliers
                     return
 
     def counterexamples(cand, salt):

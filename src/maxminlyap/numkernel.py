@@ -3,7 +3,7 @@
 Everything downstream works with symmetric matrices of dimension <= 6:
 quadratic-form bases, cone matrices, and the symmetrized products
 A^T P + P A whose definiteness decides certificates.  The heavy lifting
-is delegated to LAPACK through numpy/scipy; this module pins the
+is delegated to LAPACK through numpy; this module pins the
 contracts (symmetry, finiteness and shape checks) that the rest of the
 package relies on and returns numpy's own results: ``eig_sym`` is
 ``np.linalg.eigh`` of a checked matrix.  ``as_symmetric``, ``eig_sym``
@@ -66,11 +66,19 @@ def negdef_margin(M):
 
 
 def solve_lyapunov(A):
-    """P solving A^T P + P A = -I, for Hurwitz A."""
-    import scipy.linalg
+    """P solving A^T P + P A = -I, for Hurwitz A.
 
+    The Kronecker form: with row-major vec, vec(A^T P + P A) is
+    (kron(A^T, I) + kron(I, A^T)) vec(P), an n^2 x n^2 system that one
+    LU solve decides; for the n <= 6 of this package that is at most 36
+    unknowns.  A singular system (two eigenvalues of A summing to zero)
+    raises ``np.linalg.LinAlgError``.
+    """
     B = as_square(A)
-    P = scipy.linalg.solve_continuous_lyapunov(B.T, -np.eye(B.shape[0]))
+    n = B.shape[0]
+    eye = np.eye(n)
+    L = np.kron(B.T, eye) + np.kron(eye, B.T)
+    P = np.linalg.solve(L, -eye.ravel()).reshape(n, n)
     return 0.5 * (P + P.T)
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from maxminlyap import certifier, fixtures
 from maxminlyap.certifier import (
@@ -505,6 +507,67 @@ def test_zero_budget_search_builds_no_candidate(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "A", [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [-1.0, 0.0]])], ids=["saddle", "rotation"]
+)
+def test_mode_without_a_lyapunov_solution_starts_from_the_identity(A, linear_system):
+    # eigenvalues summing to zero make the Lyapunov system singular: that
+    # mode's base starts from I, quietly, and the stable mode keeps its P
+    stable = np.array([[-1.0, 0.3], [0.0, -2.0]])
+    sysm = linear_system([stable, A])
+    spec = MaxMinSpec(K=2, families=((1, 2),))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        starts = certifier._initial_candidates(sysm, spec, 0)
+    assert [str(w.message) for w in caught] == []
+    assert np.array_equal(starts[0][0], solve_lyapunov(stable))
+    assert np.array_equal(starts[0][1], np.eye(2))
+
+
+def test_p_step_rollback_restores_the_multipliers(monkeypatch):
+    # a basis step whose every trial fails the repair rolls back to the
+    # bases before it; the multipliers, which every trial's trace
+    # normalization rescaled, must go back with them
+    sys3, spec3, _ = fixtures.example("example3")
+    p_steps = []
+
+    def repair(penalty, cand, max_steps):
+        # the start's repair succeeds untouched; every P-step trial fails
+        if max_steps == 20:
+            p_steps.append(1)
+        return max_steps != 20, 0
+
+    optimized = []
+    optimize = certifier._optimize_multipliers
+
+    def record_optimize(sysm, cand, groups, sweeps=3):
+        out = optimize(sysm, cand, groups, sweeps)
+        optimized.append(([P.copy() for P in cand.matrices], out))
+        return out
+
+    class Checked(Exception):
+        pass
+
+    check = certifier.check_condition_i
+
+    def stop_at_check(sysm, spec, cand, policy):
+        # the first check after a rolled-back P-step stops the search
+        if p_steps:
+            raise Checked(cand)
+        return check(sysm, spec, cand, policy)
+
+    monkeypatch.setattr(certifier, "_repair_matching", repair)
+    monkeypatch.setattr(certifier, "_optimize_multipliers", record_optimize)
+    monkeypatch.setattr(certifier, "check_condition_i", stop_at_check)
+    with pytest.raises(Checked) as stop:
+        search_condition_i(sys3, spec3, POLICY, SearchOptions(seed=0))
+    cand = stop.value.args[0]
+    mats, ys = optimized[-1]
+    keys = [g.key for g in build_groups(sys3, spec3, {1: 1, 2: 2})]
+    assert all(np.array_equal(P, Q) for P, Q in zip(cand.matrices, mats))
+    assert cand.multipliers == dict(zip(keys, ys))
+
+
 def test_two_mode_report_benchmark():
     sys3, spec3, _ = fixtures.example("example3")
     rep = check_condition_ii_2mode(sys3, spec3, fixtures.example3_candidate(), POLICY)
@@ -728,22 +791,56 @@ def candidate_digest(cand):
     return h.hexdigest()
 
 
+# each case: the round count, the digest of the search from scipy's
+# Schur-method Lyapunov start (the start before solve_lyapunov moved to
+# numpy; these were the pins then, and they name the cases) and the digest
+# from the Kronecker start, which differs from scipy's in the last bits
+SEARCH_PINS = [
+    (
+        "example1", 1, 1,
+        "84f1ce6d756be5f41bb1e683126901c2ffac90f93dc569aa396d87584685d574",
+        "35345502a7646dcfc04a12a795c2eaf633c002014dab153d39f746da4b1c7174",
+    ),
+    (
+        "example1", 2, 1,
+        "84f1ce6d756be5f41bb1e683126901c2ffac90f93dc569aa396d87584685d574",
+        "35345502a7646dcfc04a12a795c2eaf633c002014dab153d39f746da4b1c7174",
+    ),
+    (
+        "example1", 7, 2,
+        "5f8c4bdd1bc4c2f18b1e456a2bc806e2f1fd13defc0c5a22165eae021ad18e54",
+        "3a606d078f594fd9e2650c2ee19ab186930c72a78e1ce774f1cf0ce83dec3a0f",
+    ),
+    (
+        "example3", 5, 5,
+        "b96eccf5ecb67eda92673c48276f43c90f6a231305f00dfcefe955f74aeaeec2",
+        "f079bb2f24d095612c671fe75127f11db42647a57ee970788df47006215e6d23",
+    ),
+]
+
+
+def scipy_lyapunov(A):
+    P = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(A.shape[0]))
+    return 0.5 * (P + P.T)
+
+
 @pytest.mark.parametrize(
-    "name, seed, rounds, digest",
-    [
-        ("example1", 1, 1, "84f1ce6d756be5f41bb1e683126901c2ffac90f93dc569aa396d87584685d574"),
-        ("example1", 2, 1, "84f1ce6d756be5f41bb1e683126901c2ffac90f93dc569aa396d87584685d574"),
-        ("example1", 7, 2, "5f8c4bdd1bc4c2f18b1e456a2bc806e2f1fd13defc0c5a22165eae021ad18e54"),
-        ("example3", 5, 5, "b96eccf5ecb67eda92673c48276f43c90f6a231305f00dfcefe955f74aeaeec2"),
-    ],
+    "name, seed, rounds, scipy_digest, digest",
+    SEARCH_PINS,
+    ids=["-".join(map(str, pin[:4])) for pin in SEARCH_PINS],
 )
-def test_search_pins_beyond_the_goldens(name, seed, rounds, digest):
+def test_search_pins_beyond_the_goldens(name, seed, rounds, scipy_digest, digest, monkeypatch):
     # more short searches pinned to the last bit: the round count and a
-    # digest of the found candidate's matrices and multipliers
+    # digest of the found candidate's matrices and multipliers, from both
+    # starts, so that only the start moved when the solver changed
     sysm, spec, _ = fixtures.example(name)
     res = search_condition_i(sysm, spec, NumericPolicy(seed=seed), SearchOptions(seed=seed))
     assert res.found and res.rounds == rounds
     assert candidate_digest(res.candidate) == digest
+    monkeypatch.setattr(certifier, "solve_lyapunov", scipy_lyapunov)
+    res = search_condition_i(sysm, spec, NumericPolicy(seed=seed), SearchOptions(seed=seed))
+    assert res.found and res.rounds == rounds
+    assert candidate_digest(res.candidate) == scipy_digest
 
 
 def test_search_benchmark1_self_consistent():

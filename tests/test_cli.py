@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -346,6 +349,24 @@ def test_certify_search_output_is_deterministic(capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     assert "# note: condition (i) candidate found by search in 1 round\n" in outs[0]
+
+
+def test_certify_search_imports_no_scipy(tmp_path):
+    # the search's Lyapunov starts are numpy's; a fresh interpreter
+    # lists every scipy module the run loaded
+    script = (
+        "import sys\n"
+        "from maxminlyap.cli import main\n"
+        f"code = main(['certify', '--search', '--seed', '0', {EX1!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("variant", ["rate0.3", "clarke"])

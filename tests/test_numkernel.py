@@ -136,6 +136,31 @@ def test_solve_lyapunov():
     assert is_positive_definite(P)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_solve_lyapunov_is_scipys_solution(n):
+    # the Kronecker solve against scipy's Bartels-Stewart, on random
+    # Hurwitz matrices: spectrum shifted to real parts in [-2.1, -0.1]
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        A = rng.standard_normal((n, n))
+        A -= (np.linalg.eigvals(A).real.max() + 0.1 + 2.0 * rng.random()) * np.eye(n)
+        P = solve_lyapunov(A)
+        want = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(n))
+        np.testing.assert_allclose(P, want, rtol=1e-9)
+        assert np.array_equal(P, P.T)
+        np.testing.assert_allclose(A.T @ P + P @ A, -np.eye(n), atol=1e-9 * np.abs(P).max())
+        assert is_positive_definite(P)
+
+
+@pytest.mark.parametrize(
+    "A", [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [-1.0, 0.0]])], ids=["saddle", "rotation"]
+)
+def test_solve_lyapunov_refuses_a_singular_system(A):
+    # two eigenvalues summing to zero leave A^T P + P A = -I without a solution
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_lyapunov(A)
+
+
 def test_project_psd_floor():
     M = np.diag([2.0, -3.0])
     got = project_psd(M, floor=0.5)
