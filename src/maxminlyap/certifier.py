@@ -55,7 +55,8 @@ from .maxmin import (
     selected_base,
 )
 from .numkernel import (
-    eig_sym, negdef_margin, project_psd, quad_forms, row_norms, solve_lyapunov, sphere_points,
+    eig_sym, negdef_margin, positive_definite, project_psd, quad_forms, row_norms, solve_lyapunov,
+    sphere_points,
 )
 from .policy import DEFAULT_POLICY
 from .setderiv import lie_sets
@@ -268,7 +269,7 @@ def _validate_candidate(cand, K, dim):
                 f"candidate base {k} must have dimension {dim}, got shape {np.shape(P)}"
             )
     # one solve for all bases, once they are known to stack
-    bad = np.flatnonzero(eig_sym(-np.asarray(cand.matrices, dtype=float)).eigenvalues[:, -1] >= 0)
+    bad = np.flatnonzero(~positive_definite(np.asarray(cand.matrices, dtype=float)))
     if bad.size:
         raise InvalidInputError(f"candidate base {bad[0] + 1} is not positive definite")
     for key, ys in cand.multipliers.items():
@@ -505,12 +506,26 @@ def _normalize(cand):
     margins and is not verdict-neutral; the search iterates are defined
     by it, and a found candidate is re-checked from scratch."""
     Ps = np.asarray(cand.matrices)
-    total = sum(Ps.trace(axis1=1, axis2=2).tolist())
-    if total > 0:
-        c = len(Ps) * Ps.shape[-1] / total
+    c = _trace_scale(Ps)
+    if c is not None:
         cand.matrices = list(c * Ps)
-        cand.multipliers = {k: tuple(c * y for y in ys) for k, ys in cand.multipliers.items()}
+        cand.multipliers = _scaled_multipliers(cand.multipliers, [c])
     return cand
+
+
+def _trace_scale(Ps):
+    """The factor that takes the average trace of the bases Ps[K, n, n]
+    to n, or None when their trace sum is not positive."""
+    total = sum(Ps.trace(axis1=1, axis2=2).tolist())
+    return len(Ps) * Ps.shape[-1] / total if total > 0 else None
+
+
+def _scaled_multipliers(multipliers, factors):
+    """The multipliers times each factor in turn, rounded after each, as
+    that many ``_normalize`` calls leave them."""
+    for c in factors:
+        multipliers = {k: tuple(c * y for y in ys) for k, ys in multipliers.items()}
+    return multipliers
 
 
 class _MatchPenalty:
@@ -579,7 +594,7 @@ class _MatchPenalty:
         Ps = np.asarray(stacks)
         vals = self._gram @ (0.5 * (Ps[..., i, j] + Ps[..., j, i])).swapaxes(-1, -2)
         flat = vals.reshape(vals.shape[:-2] + (-1,))
-        return vals, flat[..., self._target_at] - combine(self.spec, vals)
+        return vals, np.take(flat, self._target_at, axis=-1) - combine(self.spec, vals)
 
     def values(self, stacks):
         """The penalty, mean |V_target - V| over the points, of each set of
@@ -592,76 +607,158 @@ class _MatchPenalty:
         """The penalty of one set of bases: the one-candidate ``values``."""
         return self.values([matrices])[0]
 
-    def value_and_grads(self, matrices):
-        """The penalty and its subgradient (K, n, n) in the bases.  Only
-        the live rows, where V_target - V is not 0, move it, so the
-        selection is made on those rows alone."""
-        K = len(matrices)
-        n = matrices[0].shape[0]
-        vals, d = self._values(matrices)
-        pen = float(np.abs(d).sum()) / len(d)
-        grads = np.zeros((K, n, n))
-        live = np.flatnonzero(d != 0.0)
-        if len(live):
-            X, sign, targets = self.X[live], np.sign(d[live]), self.targets[live]
-            # the subgradient needs a selection on ties too, so no realized_base
-            realized = selected_base(self.spec, vals[live])
-            for k in range(1, K + 1):
-                w_t = sign * (targets == k) - sign * (realized == k)
-                rows = w_t != 0.0
-                if np.any(rows):
-                    Xw = X[rows] * w_t[rows, None]
-                    grads[k - 1] += Xw.T @ X[rows]
-            grads = grads / len(self.X)
-        return pen, grads
+    def values_and_grads(self, stacks):
+        """The penalty of each set of bases stacks[l] in stacks[L, K, n, n],
+        as ``values`` gives it, and its subgradient (L, K, n, n) in the
+        bases.  Only the live rows, where V_target - V is not 0, move a
+        subgradient, so the selection is made on those rows alone, for
+        every set at once; each set's sums stay its own."""
+        vals, d = self._values(stacks)
+        (L, S, K), n = vals.shape, self.X.shape[1]
+        pens = (np.abs(d).sum(axis=-1) / S).tolist()
+        grads = np.zeros((L, K, n, n))
+        live = np.flatnonzero(d != 0.0)  # set l's rows are l * S + point
+        if not live.size:
+            return pens, grads
+        # the subgradient needs a selection on ties too, so no realized_base
+        realized = selected_base(self.spec, vals.reshape(-1, K)[live])
+        sign, points = np.sign(d.reshape(-1)[live]), live % S
+        X, targets, bounds = self.X[points], self.targets[points], np.arange(L + 1) * S
+        for k in range(1, K + 1):
+            w_t = sign * (targets == k) - sign * (realized == k)
+            rows = np.flatnonzero(w_t)
+            Xk = X[rows]
+            Xw = Xk * w_t[rows, None]
+            # one product per set, of its rows alone
+            ends = np.searchsorted(live[rows], bounds).tolist()
+            for l, (a, b) in enumerate(zip(ends, ends[1:])):
+                if b > a:
+                    grads[l, k - 1] += Xw[a:b].T @ Xk[a:b]
+        return pens, grads / S
 
 
-def _descent(penalty, matrices):
-    """Matching penalty at the bases, its subgradient's norm, and the
-    stacked bases and subgradient a step is taken from.  The norm adds
-    each base's sum of squares in base order."""
-    base = np.stack(matrices)
-    pen, G = penalty.value_and_grads(base)
-    gnorm = np.sqrt(sum((G * G).reshape(len(G), -1).sum(axis=1).tolist()))
-    return pen, gnorm, base, G
+@dataclass
+class _Walk:
+    """One matching repair: its last accepted bases, whether the penalty
+    reached zero there, the trial steps spent and the factor of each
+    normalization it made, in order; then its descent at those bases:
+    the penalty, its subgradient and that one's norm, and the next step."""
+
+    bases: np.ndarray
+    ok: bool = False
+    spent: int = 0
+    factors: list = field(default_factory=list)
+    pen: float = 0.0
+    G: Optional[np.ndarray] = None
+    gnorm: float = 0.0
+    step: float = 0.2
 
 
-def _repair_matching(penalty, cand, max_steps):
-    """Subgradient descent on the matching penalty until it hits zero:
-    whether it did, and the number of trial steps spent (at most
-    max_steps).  A trial that lowers the penalty is taken and grows the
-    step by 1.5, up to 0.2; any other halves it, and below 1e-9 the
-    repair fails.
+def _repair_walks(penalty, starts, max_steps):
+    """Subgradient descent on the matching penalty from each start
+    starts[w] (W, K, n, n) until it hits zero, as W walks in lockstep;
+    returns the walks up to the first that succeeded (all W when none
+    did).  A trial that lowers a walk's penalty is taken, its bases
+    trace-normalized, and grows the step by 1.5, up to 0.2; any other
+    halves it.  A walk fails when the step falls below 1e-9, the
+    subgradient vanishes or max_steps trials are spent.
 
-    The trial at the current step and the halvings a rejection would
-    take next, _REPAIR_DEPTH in all as far as the floor and max_steps
-    allow, are projected and valued on one stacked solve.  They are
-    walked in order and the first that lowers the penalty is taken, so
-    every iterate is the one-trial-at-a-time loop's, bit for bit."""
-    pen, gnorm, base, G = _descent(penalty, cand.matrices)
-    step, spent = 0.2, 0
-    while spent < max_steps:
-        if pen == 0.0:
-            return True, spent
-        if gnorm == 0.0:
-            return False, spent
-        steps = [step]
-        while len(steps) < min(_REPAIR_DEPTH, max_steps - spent) and steps[-1] * 0.5 >= 1e-9:
-            steps.append(steps[-1] * 0.5)
-        moved = base - (np.array(steps) / gnorm)[:, None, None, None] * G
-        trials = project_psd(moved.reshape(-1, *G.shape[1:]), floor=1e-6).reshape(moved.shape)
-        for trial, value in zip(trials, penalty.values(trials)):
-            spent += 1
-            if value < pen:
-                cand.matrices = list(trial)
-                _normalize(cand)
-                pen, gnorm, base, G = _descent(penalty, cand.matrices)
-                step = min(0.2, step * 1.5)
-                break
-            step *= 0.5
-            if step < 1e-9:
-                return False, spent
-    return pen == 0.0, spent
+    Each round projects the trials of every live walk (its step and the
+    halvings a rejection would take next, _REPAIR_DEPTH in all as far as
+    the floor and max_steps allow) on one ``project_psd`` and values them
+    on one ``penalty.values``; each walk takes its first trial that lowers
+    its penalty, and the walks that moved get their next descent from one
+    ``penalty.values_and_grads``.  So every walk is bit for bit the
+    one-trial-at-a-time loop from its start.  Walks after one that
+    succeeded are dropped, and the rounds end once every walk before it
+    has failed."""
+    walks = [_Walk(bases=P) for P in starts]
+    first = len(walks)  # the first walk that succeeded
+    live = moved = list(range(len(walks)))
+    while True:
+        if moved:
+            pens, grads = penalty.values_and_grads(np.stack([walks[w].bases for w in moved]))
+            squares = (grads * grads).reshape(len(moved), grads.shape[1], -1).sum(axis=-1)
+            for w, pen, G, sq in zip(moved, pens, grads, squares.tolist()):
+                walk = walks[w]
+                walk.pen, walk.G, walk.gnorm = pen, G, math.sqrt(sum(sq))
+                if pen == 0.0:
+                    walk.ok, first = True, min(first, w)
+        live = [
+            w
+            for w in live
+            if w < first
+            and walks[w].spent < max_steps
+            and walks[w].gnorm != 0.0
+            and walks[w].step >= 1e-9
+        ]
+        if not live:
+            return walks[: first + 1]
+        steps, trials = [], []
+        for w in live:
+            walk = walks[w]
+            ss = [walk.step]
+            while len(ss) < min(_REPAIR_DEPTH, max_steps - walk.spent) and ss[-1] * 0.5 >= 1e-9:
+                ss.append(ss[-1] * 0.5)
+            steps.append(ss)
+            trials.append(walk.bases - (np.array(ss) / walk.gnorm)[:, None, None, None] * walk.G)
+        trials = np.concatenate(trials)
+        n = trials.shape[-1]
+        trials = project_psd(trials.reshape(-1, n, n), floor=1e-6).reshape(trials.shape)
+        values = penalty.values(trials)
+        moved, at = [], 0
+        for w, ss in zip(live, steps):
+            walk = walks[w]
+            for trial, value in zip(trials[at : at + len(ss)], values[at : at + len(ss)]):
+                walk.spent += 1
+                if value < walk.pen:
+                    c = _trace_scale(trial)
+                    walk.bases = trial if c is None else c * trial
+                    walk.factors += [] if c is None else [c]
+                    walk.step = min(0.2, walk.step * 1.5)
+                    moved.append(w)
+                    break
+                walk.step *= 0.5  # below 1e-9 the walk has failed
+                if walk.step < 1e-9:
+                    break
+            at += len(ss)
+
+
+def _basis_step(penalty, cand, G, etas, width):
+    """Move ``cand``'s bases to the first of bases - eta G, eta in etas,
+    that the matching repair (at most 20 trials) takes to zero penalty
+    once projected and trace-normalized, and on to the repair's iterate;
+    its multipliers are scaled by every normalization of the attempts up
+    to that one, as the one-attempt-at-a-time loop leaves them.  Without
+    a penalty the first attempt succeeds; when none does, ``cand`` is
+    left as it was.  Returns whether one did and the attempts made.
+
+    The attempts share only the multipliers, so they run as batches of
+    lockstep walks (``_repair_walks``): ``width`` of them, then twice as
+    many while every walk of a batch fails.  The width sets how the work
+    is batched, never the result."""
+    saved, factors, done = np.stack(cand.matrices), [], 0
+    width = max(1, width)
+    while done < len(etas):
+        batch = np.array(etas[done : done + width])
+        starts = project_psd(
+            (saved - batch[:, None, None, None] * G).reshape(-1, *G.shape[1:]), floor=1e-6
+        ).reshape(len(batch), *G.shape)
+        scales = [_trace_scale(P) for P in starts]
+        starts = np.stack([P if c is None else c * P for c, P in zip(scales, starts)])
+        if penalty is None:
+            walks = [_Walk(starts[0], ok=True)]
+        else:
+            walks = _repair_walks(penalty, starts, 20)
+        for c, walk in zip(scales, walks):
+            factors += ([] if c is None else [c]) + walk.factors
+        done += len(walks)
+        if walks[-1].ok:
+            cand.matrices = list(walks[-1].bases)
+            cand.multipliers = _scaled_multipliers(cand.multipliers, factors)
+            return True, done
+        width *= 2
+    return False, done
 
 
 def _initial_candidates(sys, spec, seed):
@@ -699,16 +796,19 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
     Blocks: (a) multipliers by golden-section coordinate descent, convex
     for fixed bases, with every group's section in lockstep on stacked
     solves (``_optimize_multipliers``); (b) basis matrices by projected
-    subgradient on the worst inequality's top eigenvalue plus the
-    structure-matching penalty, with a positive-definite floor and
-    trace normalization; the penalty's step direction is built once per
-    accepted iterate, and the step and its next halvings are tried on
-    one stacked solve (``_repair_matching``).  Multi-start,
-    budget-bounded.  Failure is a report, not an error: the inequalities
-    are bilinear and a miss does not prove infeasibility.  With as many
-    bases as modes, mode i is steered to base i; otherwise every
-    permutation is paired with every mode.  The budget is tested before any candidate is built, so
-    a zero budget returns not-found after 0 rounds at once.
+    subgradient on the worst inequality's top eigenvalue, with a
+    positive-definite floor and trace normalization, each step repaired
+    onto the structure match by descent on the matching penalty
+    (``_basis_step``).  A basis step tries eta, eta / 4, eta / 16, ...
+    until a repair succeeds; its attempts run as lockstep repair walks
+    on stacked solves (``_repair_walks``), as many at first as the last
+    basis step needed, and every iterate is the one-attempt-at-a-time
+    loop's, bit for bit.  Multi-start, budget-bounded.  Failure is a
+    report, not an error: the inequalities are bilinear and a miss does
+    not prove infeasibility.  With as many bases as modes, mode i is
+    steered to base i; otherwise every permutation is paired with every
+    mode.  The budget is tested before any candidate is built, so a zero
+    budget returns not-found after 0 rounds at once.
     """
     _require_linear_conic(sys)
     opts = opts or SearchOptions()
@@ -739,11 +839,20 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
         else None
     )
 
-    def repair_matching(cand, max_steps=120):
-        return penalty is None or _repair_matching(penalty, cand, max_steps)[0]
+    width = 1  # walks per basis step: the attempts the last one needed
+
+    def repair_matching(cand):
+        """The one-walk repair of ``cand`` in place (at most 120 trials):
+        whether it reached zero penalty."""
+        if penalty is None:
+            return True
+        (walk,) = _repair_walks(penalty, np.stack(cand.matrices)[None], 120)
+        cand.matrices = list(walk.bases)
+        cand.multipliers = _scaled_multipliers(cand.multipliers, walk.factors)
+        return walk.ok
 
     def optimize_rounds(cand):
-        nonlocal rounds_done
+        nonlocal rounds_done, width
         for round_no in range(SEARCH_ROUNDS):
             rounds_done += 1
             if spent():
@@ -763,21 +872,12 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
                 gnorm = np.sqrt(sum(float(np.sum(G * G)) for G in grads))
                 if gnorm == 0.0:
                     break
-                eta = step0 / gnorm
-                saved, G = np.stack(cand.matrices), np.stack(grads)
-                saved_multipliers = dict(cand.multipliers)
-                accepted = False
+                etas, eta = [], step0 / gnorm
                 while eta * gnorm > 1e-9:
-                    cand.matrices = list(project_psd(saved - eta * G, floor=1e-6))
-                    _normalize(cand)
-                    if repair_matching(cand, max_steps=20):
-                        accepted = True
-                        break
+                    etas.append(eta)
                     eta *= 0.25
+                accepted, width = _basis_step(penalty, cand, np.stack(grads), etas, width)
                 if not accepted:
-                    # _normalize scaled the multipliers with every trial
-                    cand.matrices = list(saved)
-                    cand.multipliers = saved_multipliers
                     return
 
     def counterexamples(cand, salt):

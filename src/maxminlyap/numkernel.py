@@ -65,6 +65,44 @@ def negdef_margin(M):
     return float(eig_sym(M).eigenvalues[-1])
 
 
+def positive_definite(M):
+    """Whether a symmetric matrix, or each matrix of a (k, n, n) stack, is
+    positive definite, decided exactly for its exact entries.
+
+    ``eigh`` decides a matrix whose smallest eigenvalue is above
+    64 n eps max|lambda|: the eigenvalues it returns are exact for a
+    matrix within a backward error of about n eps max|lambda|, and by
+    Weyl's inequality that moves no eigenvalue further.  Any other matrix
+    is decided by an LDL^T of its symmetric part in ``Fraction``
+    arithmetic, where every pivot must be positive (Sylvester).
+    """
+    A = as_symmetric(M)
+    n = A.shape[-1]
+    lam = np.linalg.eigvalsh(A.reshape(-1, n, n))
+    ok = lam[:, 0] > 64 * n * np.finfo(float).eps * np.abs(lam).max(axis=-1)
+    raw = np.asarray(M, dtype=float).reshape(-1, n, n)
+    for i in np.flatnonzero(~ok):
+        ok[i] = _exact_positive_definite(raw[i].tolist())
+    return ok.reshape(A.shape[:-2])[()]
+
+
+def _exact_positive_definite(P):
+    """Every pivot of the LDL^T of (P + P^T) / 2, P a list of rows of
+    finite floats, is positive in exact arithmetic."""
+    from fractions import Fraction  # the exact path is rare; every CLI call pays imports
+
+    n = len(P)
+    S = [[(Fraction(P[i][j]) + Fraction(P[j][i])) / 2 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if S[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = S[i][k] / S[k][k]
+            for j in range(k + 1, n):
+                S[i][j] -= f * S[k][j]
+    return True
+
+
 def solve_lyapunov(A):
     """P solving A^T P + P A = -I, for Hurwitz A.
 

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError, DomainEvalError
-from ..numkernel import negdef_margin
+from ..numkernel import negdef_margin, positive_definite
 from . import expr as ex
 
 _TOKEN_RE = re.compile(
@@ -606,7 +606,7 @@ def _assemble_basis(basis_P, basis_V, families, polarity, system):
                 raise ConfigError(
                     f"non-symmetric matrix literal for P{k}", tok.line, tok.col
                 )
-            if negdef_margin(-P) >= 0:
+            if not positive_definite(P):
                 raise ConfigError(
                     f"P{k} is not positive definite", tok.line, tok.col
                 )

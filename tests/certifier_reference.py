@@ -1,12 +1,12 @@
 """One-at-a-time forms of the condition (i) search, kept as references
 for the tests: each group's multiplier descent on its own, with one
 golden-section step and one eigen-solve at a time; the matching
-penalty's subgradient from every row; and the matching repair with one
-trial step per solve."""
+penalty's subgradient from every row; the matching repair with one
+trial step per solve; and the basis step with one attempt at a time."""
 
 import numpy as np
 
-from maxminlyap.certifier import _normalize, _pencil, _pencil_matrix
+from maxminlyap.certifier import _pencil, _pencil_matrix
 from maxminlyap.maxmin import selected_base
 from maxminlyap.numkernel import negdef_margin, project_psd
 
@@ -77,30 +77,59 @@ def value_and_grads(penalty, matrices):
     return pen, grads
 
 
+def normalize(cand):
+    """Rescale ``cand`` so its average basis trace is the dimension, the
+    multipliers with it: the factor in a list, or none when the trace
+    sum is not positive."""
+    total = sum(float(np.trace(P)) for P in cand.matrices)
+    if total <= 0:
+        return []
+    c = len(cand.matrices) * cand.matrices[0].shape[0] / total
+    cand.matrices = [c * P for P in cand.matrices]
+    cand.multipliers = {k: tuple(c * y for y in ys) for k, ys in cand.multipliers.items()}
+    return [c]
+
+
 def repair_matching(penalty, cand, max_steps):
     """The matching repair one trial step at a time: whether the penalty
-    hit zero, and the number of trials spent."""
+    hit zero, the number of trials spent, and the factor of each
+    normalization of an accepted trial, in order."""
+    factors = []
 
     def descent(matrices):
-        pen, grads = penalty.value_and_grads(matrices)
-        gnorm = np.sqrt(sum(float(np.sum(G * G)) for G in grads))
-        return pen, gnorm, np.stack(matrices), np.stack(grads)
+        pens, grads = penalty.values_and_grads(np.stack(matrices)[None])
+        gnorm = np.sqrt(sum(float(np.sum(G * G)) for G in grads[0]))
+        return pens[0], gnorm, np.stack(matrices), grads[0]
 
     pen, gnorm, base, G = descent(cand.matrices)
     step = 0.2
     for spent in range(max_steps):
         if pen == 0.0:
-            return True, spent
+            return True, spent, factors
         if gnorm == 0.0:
-            return False, spent
+            return False, spent, factors
         trial = list(project_psd(base - (step / gnorm) * G, floor=1e-6))
         if penalty.value(trial) < pen:
             cand.matrices = trial
-            _normalize(cand)
+            factors += normalize(cand)
             pen, gnorm, base, G = descent(cand.matrices)
             step = min(0.2, step * 1.5)
         else:
             step *= 0.5
             if step < 1e-9:
-                return False, spent + 1
-    return pen == 0.0, max_steps
+                return False, spent + 1, factors
+    return pen == 0.0, max_steps, factors
+
+
+def basis_step(penalty, cand, G, etas):
+    """The search's basis step one attempt at a time: whether an attempt's
+    repair (at most 20 trials) reached zero penalty, and the number of
+    attempts made.  A failed step restores the bases and multipliers."""
+    saved, saved_multipliers = np.stack(cand.matrices), dict(cand.multipliers)
+    for attempts, eta in enumerate(etas, start=1):
+        cand.matrices = list(project_psd(saved - eta * G, floor=1e-6))
+        normalize(cand)
+        if repair_matching(penalty, cand, 20)[0]:
+            return True, attempts
+    cand.matrices, cand.multipliers = list(saved), saved_multipliers
+    return False, len(etas)

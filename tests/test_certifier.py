@@ -524,6 +524,15 @@ def test_mode_without_a_lyapunov_solution_starts_from_the_identity(A, linear_sys
     assert np.array_equal(starts[0][1], np.eye(2))
 
 
+def test_certify_refuses_a_singular_base():
+    # P = B B^T for an integer 3 x 2 B: eigh's smallest eigenvalue is about
+    # 1e-14 > 0, and the exact LDL^T refuses it
+    sys3, spec3, _ = fixtures.example("example3")
+    singular = np.array([[25.0, -10.0, -5.0], [-10.0, 53.0, -61.0], [-5.0, -61.0, 82.0]])
+    with pytest.raises(InvalidInputError, match="candidate base 2 is not positive definite"):
+        certify(sys3, spec3, Candidate(matrices=[np.eye(3), singular]), POLICY)
+
+
 def test_p_step_rollback_restores_the_multipliers(monkeypatch):
     # a basis step whose every trial fails the repair rolls back to the
     # bases before it; the multipliers, which every trial's trace
@@ -531,11 +540,11 @@ def test_p_step_rollback_restores_the_multipliers(monkeypatch):
     sys3, spec3, _ = fixtures.example("example3")
     p_steps = []
 
-    def repair(penalty, cand, max_steps):
-        # the start's repair succeeds untouched; every P-step trial fails
+    def walks(penalty, starts, max_steps):
+        # the start's repair succeeds untouched; every P-step walk fails
         if max_steps == 20:
             p_steps.append(1)
-        return max_steps != 20, 0
+        return [certifier._Walk(bases=P, ok=max_steps != 20) for P in starts]
 
     optimized = []
     optimize = certifier._optimize_multipliers
@@ -556,7 +565,7 @@ def test_p_step_rollback_restores_the_multipliers(monkeypatch):
             raise Checked(cand)
         return check(sysm, spec, cand, policy)
 
-    monkeypatch.setattr(certifier, "_repair_matching", repair)
+    monkeypatch.setattr(certifier, "_repair_walks", walks)
     monkeypatch.setattr(certifier, "_optimize_multipliers", record_optimize)
     monkeypatch.setattr(certifier, "check_condition_i", stop_at_check)
     with pytest.raises(Checked) as stop:

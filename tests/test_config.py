@@ -121,6 +121,20 @@ def test_basis_not_positive_definite_rejected():
         )
 
 
+def test_singular_basis_rejected_exactly():
+    # eigh's smallest eigenvalue of this singular P is about 1e-14 > 0
+    with pytest.raises(ConfigError, match=r"line 4, col \d+: P2 is not positive definite"):
+        parse_config(
+            """
+            [basis]
+            P1 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+            P2 = [[25, -10, -5], [-10, 53, -61], [-5, -61, 82]]
+            [structure]
+            S1 = {1, 2}
+            """
+        )
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config("[nonsense]\nfoo = 1\n")

@@ -6,12 +6,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxminlyap import fixtures, numkernel
 from maxminlyap.errors import InvalidInputError
 from maxminlyap.numkernel import (
     as_square,
     as_symmetric,
     eig_sym,
     negdef_margin,
+    positive_definite,
     project_psd,
     quad_forms,
     row_norms,
@@ -266,3 +268,59 @@ def test_base_value_kernels_equal_the_per_row_products_bitwise(n, K, S, layout, 
     F = _layout(scale * rng.standard_normal((rows, 3, n + 2)), n, layout)
     want = np.array([[[a @ f for f in Fr] for a in Ar] for Ar, Fr in zip(A, F)])
     assert _dots(A, F).tobytes() == want.tobytes()
+
+
+# a singular base that eigh calls positive definite: lambda_min about 1e-14
+SINGULAR_P = np.array([[25.0, -10.0, -5.0], [-10.0, 53.0, -61.0], [-5.0, -61.0, 82.0]])
+
+
+def test_positive_definite_refuses_a_singular_base():
+    assert round(np.linalg.det(SINGULAR_P)) == 0
+    assert not positive_definite(SINGULAR_P)
+    assert positive_definite(np.stack([np.eye(3), SINGULAR_P, 2.0 * np.eye(3)])).tolist() == [
+        True,
+        False,
+        True,
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-9, 9), min_size=n * (n - 1), max_size=n * (n - 1))
+)))
+def test_positive_definite_decides_rank_deficient_grams_exactly(case):
+    # B B^T of an integer n x (n - 1) B is singular; a diagonal shift of
+    # 2^-40 makes it positive definite, below eigh's backward-error margin
+    n, entries = case
+    B = np.array(entries, dtype=float).reshape(n, n - 1)
+    P = B @ B.T
+    assert not positive_definite(P)
+    assert positive_definite(P + 2.0**-40 * np.eye(n))
+    assert positive_definite(P + np.eye(n))
+
+
+def test_positive_definite_decides_near_singular_bases_exactly(monkeypatch):
+    # tiny but positive pivots pass, a tiny negative one fails; bundled
+    # bases pass on the eigenvalue margin without the exact path
+    assert positive_definite(np.diag([1.0, 1e-300]))
+    assert not positive_definite(np.diag([1.0, -1e-300]))
+    assert not positive_definite(np.diag([1.0, 0.0]))
+    assert positive_definite(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]))
+    assert not positive_definite(np.array([[1.0, 1.0 + 2.0**-52], [1.0 + 2.0**-52, 1.0]]))
+
+    def refuse(P):
+        raise AssertionError("exact path taken")
+
+    monkeypatch.setattr(numkernel, "_exact_positive_definite", refuse)
+    for name in ("example1", "example3"):
+        _, _, basis = fixtures.example(name)
+        assert positive_definite(np.stack(basis.matrices)).all()
+    assert positive_definite(np.stack(fixtures.example1_candidate().matrices)).all()
+    assert positive_definite(np.stack(fixtures.example3_candidate().matrices)).all()
+
+
+def test_positive_definite_checks_its_input():
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        positive_definite(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        positive_definite(np.array([[1.0, np.nan], [np.nan, 1.0]]))

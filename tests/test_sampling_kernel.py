@@ -15,8 +15,10 @@ from maxminlyap import fixtures
 from maxminlyap.certifier import (
     Candidate,
     _MatchPenalty,
+    _basis_step,
     _normalize,
-    _repair_matching,
+    _repair_walks,
+    _scaled_multipliers,
     derive_matching,
     sliding_exclusion,
 )
@@ -41,9 +43,11 @@ from maxminlyap.maxmin import (
     selected_base,
     tie_mask,
 )
+from maxminlyap.numkernel import project_psd
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.sysdsl import expr as ex
 from maxminlyap.sysdsl import parse_expr_text
+from certifier_reference import basis_step as ref_basis_step
 from certifier_reference import repair_matching as ref_repair_matching
 from certifier_reference import value_and_grads as ref_value_and_grads
 from maxmin_reference import equal_value_indices, strict_ordering
@@ -685,7 +689,7 @@ def test_match_penalty_gram_form_matches_einsum():
         tied = np.any(np.diff(srt, axis=1) <= 1e-12 * np.abs(srt).max(axis=1)[:, None], axis=1)
         _, got_base, _ = ref_residuals(pen, mats)
         assert np.array_equal(got_base[~tied], want_base[~tied])
-        got, _ = pen.value_and_grads(mats)
+        (got,), _ = pen.values_and_grads([mats])
         assert got == pen.value(mats)
         assert abs(got - want) <= 1e-12 * np.abs(vals).max()
         compared += int((~tied).sum())
@@ -766,10 +770,29 @@ def test_match_penalty_live_row_subgradient_is_the_all_row_one(case):
     sysm, spec, mats, ces = case
     pen = _MatchPenalty(sysm, spec, 8, seed=1)
     for _ in range(2):
-        got, grads = pen.value_and_grads(mats)
+        (got,), (grads,) = pen.values_and_grads([mats])
         want, want_grads = ref_value_and_grads(pen, mats)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert [G.tobytes() for G in grads] == [G.tobytes() for G in want_grads]
+        pen.add_counterexamples(ces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_penalty_cases(), st.data())
+def test_match_penalty_stacked_subgradients_are_the_one_set_ones(case, data):
+    # every set of a stack gets the penalty and subgradient of its own
+    # one-set call, to the bit
+    sysm, spec, mats, ces = case
+    pen = _MatchPenalty(sysm, spec, 8, seed=1)
+    more = data.draw(st.integers(0, 4))
+    stack = np.stack([mats] + [_draw_bases(data.draw, spec.K, sysm.dim) for _ in range(more)])
+    for _ in range(2):
+        pens, grads = pen.values_and_grads(stack)
+        assert pens == pen.values(stack)
+        for value, G, bases in zip(pens, grads, stack):
+            (want,), (want_G,) = pen.values_and_grads(bases[None])
+            assert np.float64(value).tobytes() == np.float64(want).tobytes()
+            assert G.tobytes() == want_G.tobytes()
         pen.add_counterexamples(ces)
 
 
@@ -795,13 +818,19 @@ def _repair_case(name, seed, owned, scale):
     return pen, mats
 
 
+def _start(mats):
+    return _normalize(Candidate(matrices=[P.copy() for P in mats]))
+
+
 def _repair_both(pen, mats, max_steps):
-    """The lockstep repair and the one-trial loop from the same start:
-    both results, and whether the accepted bases are equal bit for bit."""
-    got, want = (_normalize(Candidate(matrices=[P.copy() for P in mats])) for _ in range(2))
-    results = _repair_matching(pen, got, max_steps), ref_repair_matching(pen, want, max_steps)
-    same = [P.tobytes() for P in got.matrices] == [P.tobytes() for P in want.matrices]
-    return results, same
+    """The one-walk lockstep repair and the one-trial loop from the same
+    start: both (success, trials spent), and whether the accepted bases
+    and the normalization factors are equal bit for bit."""
+    want = _start(mats)
+    (walk,) = _repair_walks(pen, np.stack(_start(mats).matrices)[None], max_steps)
+    ok, spent, factors = ref_repair_matching(pen, want, max_steps)
+    same = [P.tobytes() for P in walk.bases] == [P.tobytes() for P in want.matrices]
+    return ((walk.ok, walk.spent), (ok, spent)), same and walk.factors == factors
 
 
 @settings(max_examples=40, deadline=None)
@@ -843,8 +872,8 @@ def test_lockstep_repair_reaches_every_exit():
 class _FlatPenalty:
     """A matching penalty that no step lowers: every trial is rejected."""
 
-    def value_and_grads(self, matrices):
-        return 1.0, np.ones(np.shape(matrices))
+    def values_and_grads(self, stacks):
+        return [1.0] * len(stacks), np.ones(np.shape(stacks))
 
     def values(self, stacks):
         return [1.0] * len(stacks)
@@ -860,6 +889,154 @@ def test_repair_on_a_flat_penalty_stops_at_the_step_floor():
         mats = [np.eye(2), 2.0 * np.eye(2)]
         got, ref = (_normalize(Candidate(matrices=[P.copy() for P in mats])) for _ in range(2))
         start = [P.tobytes() for P in got.matrices]
-        assert _repair_matching(_FlatPenalty(), got, max_steps) == want
-        assert ref_repair_matching(_FlatPenalty(), ref, max_steps) == want
-        assert [P.tobytes() for P in got.matrices] == start
+        (walk,) = _repair_walks(_FlatPenalty(), np.stack(got.matrices)[None], max_steps)
+        assert (walk.ok, walk.spent) == want
+        assert ref_repair_matching(_FlatPenalty(), ref, max_steps)[:2] == want
+        assert [P.tobytes() for P in walk.bases] == start
+
+
+def _walks_and_references(pen, starts, max_steps):
+    """The lockstep walks from the normalized starts, and the one-trial
+    loop from each: its (success, trials spent, factors) and its bases."""
+    walks = _repair_walks(pen, np.stack([_start(m).matrices for m in starts]), max_steps)
+    refs = []
+    for mats in starts:
+        cand = _start(mats)
+        refs.append((ref_repair_matching(pen, cand, max_steps), cand.matrices))
+    return walks, refs
+
+
+def _check_walks(walks, refs):
+    """The walks run up to the first success (all of them when none
+    succeeds), each bit for bit the one-trial loop from its start; returns
+    the index of the walk taken, or None."""
+    oks = [ok for (ok, _, _), _ in refs]
+    taken = oks.index(True) if True in oks else None
+    assert len(walks) == (len(refs) if taken is None else taken + 1)
+    for walk, ((ok, spent, factors), mats) in zip(walks, refs):
+        assert (walk.ok, walk.spent, walk.factors) == (ok, spent, factors)
+        assert [P.tobytes() for P in walk.bases] == [P.tobytes() for P in mats]
+    return taken
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["example1", "example3"]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.lists(st.sampled_from([0.0, 0.02, 0.1, 0.3, None]), min_size=1, max_size=6),
+    st.sampled_from([2, 5, 20]),
+)
+def test_repair_walks_are_one_trial_loops(name, seed, owned, scales, max_steps):
+    # 1-6 walks on one penalty, each from its own start
+    pen, _ = _repair_case(name, seed, owned, scales[0])
+    starts = [_repair_case(name, seed + i, owned, scale)[1] for i, scale in enumerate(scales)]
+    _check_walks(*_walks_and_references(pen, starts, max_steps))
+
+
+def _outcome_pool(name, max_steps):
+    """A penalty and starts it repairs, and starts it does not, within
+    max_steps trials."""
+    pen, _ = _repair_case(name, 3, True, 0.02)
+    good, bad = [], []
+    for seed in range(8):
+        for scale in (0.1, 0.3, None):
+            mats = _repair_case(name, seed, True, scale)[1]
+            ok = ref_repair_matching(pen, _start(mats), max_steps)[0]
+            (good if ok else bad).append(mats)
+    return pen, good, bad
+
+
+def test_repair_walks_take_the_first_success():
+    # all walks fail; a success after failures; a success before others
+    for name in ("example1", "example3"):
+        pen, good, bad = _outcome_pool(name, 20)
+        assert len(good) >= 2 and len(bad) >= 2, (name, len(good), len(bad))
+        for starts, want in (
+            (bad[:2], None),
+            (bad[:2] + good[:1], 2),
+            ([bad[0], good[0], bad[1], good[1]], 1),
+            (good[:2] + bad[:1], 0),
+        ):
+            assert _check_walks(*_walks_and_references(pen, starts, 20)) == want
+
+
+_STEP_MULTIPLIERS = {(1, ((1, 2),)): (0.5, 1.5), (2, ((2, 1),)): (0.25, 3.0)}
+
+
+def _steps_both(pen, mats, G, etas, width):
+    """The stacked basis step and the one-attempt loop from one start:
+    both results, and whether the bases and multipliers agree bit for
+    bit."""
+    got, want = (
+        Candidate(matrices=_start(mats).matrices, multipliers=dict(_STEP_MULTIPLIERS))
+        for _ in range(2)
+    )
+    results = _basis_step(pen, got, G, etas, width), ref_basis_step(pen, want, G, etas)
+    same = [P.tobytes() for P in got.matrices] == [P.tobytes() for P in want.matrices]
+    return results, same and got.multipliers == want.multipliers
+
+
+def _etas(eta, attempts):
+    out = []
+    for _ in range(attempts):
+        out.append(eta)
+        eta *= 0.25
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["example1", "example3"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.02, 0.3, None]),
+    st.sampled_from([0.05, 0.5, 2.0, 8.0]),
+    st.integers(1, 8),
+    st.integers(1, 8),
+)
+def test_basis_step_is_the_one_attempt_loop(name, seed, scale, eta, attempts, width):
+    # the outcome, the attempts made, the bases and the multipliers
+    pen, mats = _repair_case(name, seed, True, scale)
+    G = np.random.default_rng(seed).standard_normal(np.shape(mats))
+    (got, want), same = _steps_both(pen, mats, G + G.swapaxes(1, 2), _etas(eta, attempts), width)
+    assert got == want
+    assert same
+
+
+def test_basis_step_reaches_every_outcome():
+    # the first attempt, a later one (past a doubled batch), or none
+    seen = set()
+    for name in ("example1", "example3"):
+        for seed in range(6):
+            pen, mats = _repair_case(name, seed, True, 0.02)
+            G = np.random.default_rng(seed).standard_normal(np.shape(mats))
+            for eta in (0.5, 8.0, 64.0):
+                for width in (1, 2, 8):
+                    etas = _etas(eta, 6)
+                    (got, want), same = _steps_both(pen, mats, G + G.swapaxes(1, 2), etas, width)
+                    assert got == want and same
+                    ok, attempts = got
+                    seen.add("none" if not ok else "first" if attempts == 1 else "later")
+    assert seen == {"none", "first", "later"}
+
+
+def test_basis_step_without_a_penalty_takes_the_first_attempt():
+    # no matching to repair: the first attempt's normalized projection
+    _, mats = _repair_case("example1", 1, True, 0.1)
+    cand = Candidate(matrices=_start(mats).matrices, multipliers=dict(_STEP_MULTIPLIERS))
+    G = np.ones(np.shape(mats))
+    want = _normalize(
+        Candidate(
+            matrices=list(project_psd(np.stack(cand.matrices) - 0.5 * G, floor=1e-6)),
+            multipliers=dict(_STEP_MULTIPLIERS),
+        )
+    )
+    assert _basis_step(None, cand, G, [0.5, 0.125], 4) == (True, 1)
+    assert [P.tobytes() for P in cand.matrices] == [P.tobytes() for P in want.matrices]
+    assert cand.multipliers == want.multipliers
+
+
+def test_scaled_multipliers_round_after_each_factor():
+    ys = {(1, ((1, 2),)): (0.1, 3.0)}
+    c1, c2 = 1.1, 0.3
+    assert _scaled_multipliers(ys, [c1, c2]) == {(1, ((1, 2),)): (c2 * (c1 * 0.1), c2 * (c1 * 3.0))}
