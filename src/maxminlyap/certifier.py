@@ -603,10 +603,6 @@ class _MatchPenalty:
         d = self._values(stacks)[1]
         return (np.abs(d).sum(axis=-1) / d.shape[-1]).tolist()
 
-    def value(self, matrices):
-        """The penalty of one set of bases: the one-candidate ``values``."""
-        return self.values([matrices])[0]
-
     def values_and_grads(self, stacks):
         """The penalty of each set of bases stacks[l] in stacks[L, K, n, n],
         as ``values`` gives it, and its subgradient (L, K, n, n) in the

@@ -47,12 +47,13 @@ class Mode:
 
     def field(self, x):
         """Field at a point, or at each row of x[S, n] (S, n); a row rounds
-        as the point does (one matrix-vector product each)."""
+        as the point does: one matrix-vector product each for a linear
+        mode, the batch target of the compiled expressions otherwise."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
             if self.A is not None:
                 return (self.A @ x[:, :, None])[:, :, 0]
-            return np.array([self.field(row) for row in x]).reshape(x.shape)
+            return np.stack(self._f_compiled.batch(x), axis=1)
         if self.A is not None:
             return self.A @ x
         return np.array(self._f_compiled(x))
@@ -173,14 +174,14 @@ class SwitchedSystem:
 
     def region_values(self, X):
         """Region function of every mode at each row of X[S, n], shape (S, M);
-        whole-space modes read +inf, expression regions go point by point."""
+        whole-space modes read +inf, an expression region is one call of
+        its compiled H's batch target, each row bit for bit its point value."""
         X = np.asarray(X, dtype=float)
         out = np.full((len(X), self.M), np.inf)
         if self._cones:
             out[:, self._cones] = quad_forms(X, self._cone_stack)
         for c in self._exprs:
-            region = self.modes[c]._H_compiled
-            out[:, c] = [region(x)[0] for x in X]
+            out[:, c] = self.modes[c]._H_compiled.batch(X)[0]
         return out
 
     def owners(self, X, threshold):

@@ -127,17 +127,17 @@ class ExprBasis:
         return len(self.exprs)
 
     def values(self, x):
-        """Base values at a point (shape K) or at each row of x[S, n] (S, K)."""
+        """Base values at a point (shape K) or at each row of x[S, n] (S, K);
+        rows go through the batch target of the compiled expressions."""
         if np.ndim(x) == 2:
-            fn = self._values_compiled
-            return np.array([fn(row) for row in x]).reshape(len(x), self.K)
+            return np.stack(self._values_compiled.batch(x), axis=1)
         return np.array(self._values_compiled(x))
 
     def gradient(self, k, x):
         """Gradient of base k at a point, or at each row of x[S, n] (S, n)."""
         fn = self._gradients_compiled[k - 1]
         if np.ndim(x) == 2:
-            return np.array([fn(row) for row in x]).reshape(np.shape(x))
+            return np.stack(fn.batch(x), axis=1)
         return np.array(fn(x))
 
     # expressions are compiled on first use (``sysdsl.compile_exprs``)

@@ -352,7 +352,10 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
     other rows get their ``active_sets`` in one batch and are grouped by
     active bases and adjacent modes; each group is one ``_dots`` table,
     then one ``_weights`` and ``_lie_values`` call (Lie) or its table
-    maximum (Clarke).  Entries equal the per-point ``lie_derivative`` /
+    maximum (Clarke).  Expression fields and bases are evaluated by the
+    batch target of their compiled expressions.  The values, bounds and
+    verdicts are columns over all rows, and the entries are built from
+    them in one pass.  Entries equal the per-point ``lie_derivative`` /
     ``clarke_derivative`` ones bit for bit and keep the order of the
     samples; a disagreement of the active gradients is raised for the
     first such sample.
@@ -364,8 +367,8 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
         raise InvalidInputError("decrease_check: empty sample set")
     ties, _ = tie_mask(spec, basis, X, policy)
     inside = sys.closure_mask(X, policy)
-    best, smooth = _smooth_maxima(basis, sys, X, ties, inside)
-    values, warnings = best.tolist(), {}
+    values, smooth = _smooth_maxima(basis, sys, X, ties, inside)
+    empty, warnings = np.zeros(len(X), dtype=bool), {}
     off = np.flatnonzero(~smooth)
     if len(off):
         sets, active, grads, fields = _kink_rows(
@@ -374,7 +377,7 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
         for act in sets:
             if act.warning:
                 warnings[act.warning] = warnings.get(act.warning, 0) + 1
-        top, empty = np.zeros(len(off)), np.zeros(len(off), dtype=bool)
+        top, none = np.zeros(len(off)), np.zeros(len(off), dtype=bool)
         disagree = np.full(len(off), np.nan)
         for rows, a, m in _groups(active, inside[off]):
             G, F = grads[rows][:, a], fields[rows][:, m]
@@ -383,14 +386,15 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
                 continue
             W, keep, _ = _weights(G, F, policy)
             _, top[rows], disagree[rows] = _lie_values(_dots(G, F), W, keep, policy)
-            empty[rows] = ~keep.any(axis=1)
+            none[rows] = ~keep.any(axis=1)
         _require_agreement(disagree)
-        for r, value, none in zip(off.tolist(), top.tolist(), empty.tolist()):
-            values[r] = None if none else value
-    entries = []
-    for x, bound, value in zip(X, (-rate * norm2).tolist(), values):
-        ok = value is None or value <= bound
-        entries.append(DecreaseEntry(x=x, value=value, bound=bound, ok=ok))
+        values[off], empty[off] = top, none
+    bounds = -rate * norm2
+    ok = empty | (values <= bounds)
+    values = values.tolist()
+    for r in np.flatnonzero(empty).tolist():
+        values[r] = None
+    entries = list(map(DecreaseEntry, X, values, bounds.tolist(), ok.tolist()))
     return DecreaseReport(
         mode="clarke" if use_clarke else "lie", rate=rate, entries=entries, warnings=warnings
     )

@@ -7,11 +7,14 @@ The node set is deliberately small: real literals, state variables
 x1..xn, arithmetic, integer powers, sin/cos/atan/sqrt, and quadform(P)
 as sugar for x^T P x.  ``eval_expr`` walks a tree once; ``compile_exprs``
 turns a set of trees that is evaluated many times into one Python
-function with the same results, bit for bit.
+function with the same results, bit for bit, and a batch form of it
+over rows of states.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import DomainEvalError, InvalidInputError
 
@@ -224,9 +227,62 @@ def _eval_all(x, exprs):
     return tuple(eval_expr(e, x) for e in exprs)
 
 
+def _by_rows(point, X, count):
+    """The batch target's fallback: ``point`` at each row of X in turn,
+    so the first row and node that raise raise as they would alone."""
+    values = np.array([point(x) for x in X], dtype=float).reshape(len(X), count)
+    return tuple(values.T)
+
+
+def _each(fn, v):
+    """``fn`` at each element of a column, or at a number."""
+    if isinstance(v, np.ndarray):
+        return np.array(list(map(fn, v.tolist())), dtype=float)
+    return fn(v)
+
+
+def _power(v, k):
+    """``** k`` at each element of a column, or at a number."""
+    if isinstance(v, np.ndarray):
+        return np.array([t**k for t in v.tolist()], dtype=float)
+    return v**k
+
+
+def _column(v, count):
+    """A new (count,) array of the column or number v."""
+    out = np.empty(count)
+    out[...] = v
+    return out
+
+
+class _Fallback(Exception):
+    """A domain test of the batch target holds at some row."""
+
+
+def _states(X):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise InvalidInputError(f"batch evaluation takes rows of states, got shape {X.shape}")
+    return X
+
+
 # Everything compiled code reads besides its state and locals: ``float``
-# and this table of the analytic functions and three helpers.
-_HELPERS = dict(FUNCTIONS, len=len, domain=_domain_error, reference=_eval_all)
+# and this table of the analytic functions and helpers.
+_HELPERS = dict(
+    FUNCTIONS,
+    len=len,
+    domain=_domain_error,
+    reference=_eval_all,
+    rows=_by_rows,
+    each=_each,
+    power=_power,
+    column=_column,
+    states=_states,
+    any=np.any,
+    quiet=lambda: np.errstate(all="ignore"),
+    fallback=_Fallback,
+    raised=(_Fallback, ArithmeticError, ValueError),
+)
 _GLOBALS = {"__builtins__": {}, "float": float, "_h": _HELPERS}
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*"}
 
@@ -243,21 +299,37 @@ def compile_exprs(exprs):
     function names from ``FUNCTIONS``, so no config text reaches
     ``compile``.  A state shorter than the largest variable index goes to
     ``eval_expr``, which raises its error.
+
+    The same walk emits a second target, the function's ``batch``
+    attribute: rows X[S, n] in, one new (S,) column per expression out,
+    each row bit for bit the point function's values there.  ``+``,
+    ``-``, ``*``, ``/`` and negation are numpy operations on whole
+    columns (IEEE operations, which round as the point code's floats
+    do; numpy's warnings are silenced); every power and function call
+    applies the point code's own ``**`` or ``math`` function element by
+    element, because numpy's ``power`` and trigonometric loops round
+    otherwise.  Where a domain test holds at any row, or an element call
+    raises (``ArithmeticError``, ``ValueError``), or X has fewer columns
+    than the largest variable index, the batch evaluates its rows one by
+    one with the point function, which raises the same error at the
+    same row and node.
     """
     exprs = tuple(exprs)
-    consts, lines, loaded = [0.0], [], {}  # c0 is the zero of sums and domain tests
+    consts, lines, batch, loaded = [0.0], [], [], {}  # c0 is the zero of sums and domain tests
 
     def const(value):
         consts.append(value)
         return f"c{len(consts) - 1}"
 
-    def temp(rhs):
+    def temp(rhs, batch_rhs=None):
         name = f"v{len(lines)}"
         lines.append(f"{name} = {rhs}")
+        batch.append(f"{name} = {batch_rhs or rhs}")
         return name
 
     def check(test, node):
         lines.append(f"if {test}: _h['domain']({const(node)})")
+        batch.append(f"if _h['any']({test}): raise _h['fallback']")
 
     def emit(e):
         # mirrors eval_expr branch by branch; returns the name of e's value
@@ -265,7 +337,8 @@ def compile_exprs(exprs):
             return const(e.value)
         if isinstance(e, Var):
             if e.index not in loaded:
-                loaded[e.index] = temp(f"float(x[{int(e.index) - 1}])")
+                i = int(e.index) - 1
+                loaded[e.index] = temp(f"float(x[{i}])", f"X[:, {i}]")
             return loaded[e.index]
         if isinstance(e, (Add, Sub, Mul)):
             a, b = emit(e.a), emit(e.b)
@@ -280,14 +353,15 @@ def compile_exprs(exprs):
             base = emit(e.base)
             if e.exponent < 0:
                 check(f"{base} == c0", e)
-            return temp(f"{base} ** {const(e.exponent)}")
+            k = const(e.exponent)
+            return temp(f"{base} ** {k}", f"_h['power']({base}, {k})")
         if isinstance(e, Call):
             if e.fn not in FUNCTIONS:
                 raise TypeError(f"unknown function {e.fn!r}")
             v = emit(e.arg)
             if e.fn == "sqrt":
                 check(f"{v} < c0", e)
-            return temp(f"_h[{e.fn!r}]({v})")
+            return temp(f"_h[{e.fn!r}]({v})", f"_h['each'](_h[{e.fn!r}], {v})")
         if isinstance(e, QuadForm):
             acc = "c0"
             for i, row in enumerate(e.matrix):
@@ -300,12 +374,22 @@ def compile_exprs(exprs):
     results = [emit(e) for e in exprs]
     n = max((max_var(e) for e in exprs), default=0)
     body = [f"if _h['len'](x) < {n}: return _h['reference'](x, _e)"] if n else []
+    columns = "".join(f"_h['column']({r}, S), " for r in results)
     source = "\n".join(
         ["def _make(_c, _e):"]
         + [f"    {', '.join(f'c{i}' for i in range(len(consts)))}, = _c"]
         + ["    def compiled(x):"]
         + [f"        {line}" for line in body + lines]
-        + [f"        return ({''.join(r + ', ' for r in results)})", "    return compiled"]
+        + [f"        return ({''.join(r + ', ' for r in results)})"]
+        + ["    def batch(X):"]
+        + ["        X = _h['states'](X)", "        S = _h['len'](X)"]
+        + [f"        if X.shape[1] >= {n}:", "            try:"]
+        + ["                with _h['quiet']():"]
+        + [f"                    {line}" for line in batch]
+        + [f"                    return ({columns})"]
+        + ["            except _h['raised']:", "                pass"]
+        + [f"        return _h['rows'](compiled, X, {len(exprs)})"]
+        + ["    compiled.batch = batch", "    return compiled"]
     )
     namespace = dict(_GLOBALS)
     exec(compile(source, "<compiled expressions>", "exec"), namespace)

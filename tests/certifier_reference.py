@@ -1,8 +1,9 @@
 """One-at-a-time forms of the condition (i) search, kept as references
 for the tests: each group's multiplier descent on its own, with one
 golden-section step and one eigen-solve at a time; the matching
-penalty's subgradient from every row; the matching repair with one
-trial step per solve; and the basis step with one attempt at a time."""
+penalty of one set of bases, and its subgradient from every row; the
+matching repair with one trial step per solve; and the basis step with
+one attempt at a time."""
 
 import numpy as np
 
@@ -52,6 +53,12 @@ def optimize_group_multipliers(sys, cand, group, sweeps=3):
                 hi *= 4.0
             slots[slot] = golden_min(f, 0.0, hi)
     return tuple(slots)
+
+
+def penalty_value(penalty, matrices):
+    """The matching penalty of one set of bases: the one-candidate
+    ``values``."""
+    return penalty.values([matrices])[0]
 
 
 def value_and_grads(penalty, matrices):
@@ -109,7 +116,7 @@ def repair_matching(penalty, cand, max_steps):
         if gnorm == 0.0:
             return False, spent, factors
         trial = list(project_psd(base - (step / gnorm) * G, floor=1e-6))
-        if penalty.value(trial) < pen:
+        if penalty_value(penalty, trial) < pen:
             cand.matrices = trial
             factors += normalize(cand)
             pen, gnorm, base, G = descent(cand.matrices)

@@ -1,6 +1,7 @@
 """Per-point and sorted forms of the max-min kernels, kept as references
 for the tests: the strict ordering of the base values, the sorted tie
-rule of the realized base and the one-row tie set."""
+rule of the realized base, the one-row tie set, and an expression
+basis's values and gradients one row at a time."""
 
 import numpy as np
 
@@ -30,3 +31,16 @@ def realized_base(spec, vals):
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
         tied = np.any(np.diff(np.sort(vals, axis=1), axis=1) <= 0.0, axis=1)
     return np.where(tied, 0, selected_base(spec, vals))
+
+
+def expr_values(basis, X):
+    """``ExprBasis.values`` at each row of X[S, n], one point call per row."""
+    fn = basis._values_compiled
+    return np.array([fn(row) for row in X]).reshape(len(X), basis.K)
+
+
+def expr_gradient(basis, k, X):
+    """``ExprBasis.gradient`` of base k at each row of X[S, n], one point
+    call per row."""
+    fn = basis._gradients_compiled[k - 1]
+    return np.array([fn(row) for row in X]).reshape(np.shape(X))

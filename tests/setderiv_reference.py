@@ -1,7 +1,8 @@
 """Per-row forms of the set-valued derivative kernels, kept as references
 for the tests: the closed-form weights of one equation, the lambda set,
-and the Lie and Clarke ranges of one ``VertexTable``, each computed one
-row, one weight and one product at a time."""
+the Lie and Clarke ranges of one ``VertexTable``, each computed one row,
+one weight and one product at a time, and the decrease check's entries
+built one sample at a time."""
 
 import itertools
 import math
@@ -17,6 +18,7 @@ from maxminlyap.setderiv import (
     POLYTOPE,
     SEGMENT,
     ClarkeSet,
+    DecreaseEntry,
     LieSet,
     SimplexSet,
     _vertices_by_support,
@@ -112,3 +114,13 @@ def clarke(table):
     """The interval spanned by the table entries, by Python's min and max."""
     entries = products(table).ravel().tolist()
     return ClarkeSet(lo=min(entries), hi=max(entries))
+
+
+def decrease_entries(X, rate, values):
+    """The entries of a decrease check at the rows of X with the derivative
+    maxima ``values`` (None for an empty Lie set), one sample at a time."""
+    entries = []
+    for x, bound, value in zip(X, (-rate * np.vecdot(X, X)).tolist(), values):
+        ok = value is None or value <= bound
+        entries.append(DecreaseEntry(x=x, value=value, bound=bound, ok=ok))
+    return entries

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,69 @@ def test_stack_validation_names_any_bad_member():
         as_symmetric(np.zeros((2, 2, 3)))
     with pytest.raises(InvalidInputError, match="square"):
         as_symmetric(np.zeros((2, 2, 2, 2)))
+
+
+def ref_as_symmetric(M, name="matrix"):
+    """``as_symmetric`` with each matrix checked on its own scale and no
+    shortcut for a symmetric stack."""
+    A = np.asarray(M, dtype=float)
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise InvalidInputError(f"{name} must be square, got shape {A.shape}")
+    AT = A.swapaxes(-1, -2)
+    scale = np.abs(A).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
+        raise InvalidInputError(f"{name} has non-finite entries")
+    if (np.abs(A - AT).max(axis=(-2, -1)) > 1e-8 * np.maximum(scale, 1.0)).any():
+        raise InvalidInputError(f"{name} is not symmetric")
+    return 0.5 * (A + AT)
+
+
+def _symmetry_cases():
+    """Stacks and single matrices at scale < 1 and > 1 with an off-diagonal
+    deviation at, just inside and just outside 1e-8 and the matrix's own
+    bound 1e-8 max(scale, 1), and with inf or NaN on or off the diagonal."""
+    for scale in (0.25, 3.0, 1e6):
+        bound = 1e-8 * max(scale, 1.0)
+        for d in {1e-8, bound}:
+            for dev in (np.nextafter(d, 0.0), d, np.nextafter(d, 1.0), 2.0 * d):
+                M = scale * np.diag([1.0, -0.5, 0.25])
+                M[0, 2] += dev
+                yield M
+                yield np.stack([np.eye(3), M, -M.T])
+    for bad in (np.inf, -np.inf, np.nan):
+        for cells in ([(0, 0)], [(1, 2)], [(1, 2), (2, 1)]):
+            M = np.diag([2.0, 1.0, 0.5])
+            for i, j in cells:
+                M[i, j] = bad
+            yield M
+            yield np.stack([np.eye(3), M])
+    yield np.zeros((0, 3, 3))
+    yield np.zeros((0, 0))
+
+
+@pytest.mark.parametrize("M", list(_symmetry_cases()))
+def test_as_symmetric_is_the_per_matrix_check(M):
+    # the whole-stack shortcut returns the checked array's bits, and any
+    # other input meets each matrix's own checks with their messages; no
+    # input warns (a non-finite one is never subtracted)
+    def outcome(fn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return fn(M, "P").tobytes()
+            except Exception as err:  # noqa: BLE001 - the comparison is the test
+                return type(err), str(err)
+
+    assert outcome(as_symmetric) == outcome(ref_as_symmetric)
+
+
+def test_as_symmetric_shortcut_and_checks_both_run():
+    # a symmetric stack takes the shortcut; a deviation inside one
+    # matrix's own bound but above 1e-8 passes the per-matrix check
+    M = np.stack([np.eye(2), 1e6 * np.eye(2)])
+    M[1, 0, 1] = 1e-3
+    assert as_symmetric(M).tobytes() == ref_as_symmetric(M).tobytes()
+    assert as_symmetric(M)[1, 0, 1] == as_symmetric(M)[1, 1, 0] == 5e-4
 
 
 def _layout(wide, n, layout):

@@ -48,6 +48,7 @@ from maxminlyap.policy import NumericPolicy
 from maxminlyap.sysdsl import expr as ex
 from maxminlyap.sysdsl import parse_expr_text
 from certifier_reference import basis_step as ref_basis_step
+from certifier_reference import penalty_value as ref_penalty_value
 from certifier_reference import repair_matching as ref_repair_matching
 from certifier_reference import value_and_grads as ref_value_and_grads
 from maxmin_reference import equal_value_indices, strict_ordering
@@ -690,7 +691,7 @@ def test_match_penalty_gram_form_matches_einsum():
         _, got_base, _ = ref_residuals(pen, mats)
         assert np.array_equal(got_base[~tied], want_base[~tied])
         (got,), _ = pen.values_and_grads([mats])
-        assert got == pen.value(mats)
+        assert got == ref_penalty_value(pen, mats)
         assert abs(got - want) <= 1e-12 * np.abs(vals).max()
         compared += int((~tied).sum())
     assert compared > 4000
@@ -730,14 +731,15 @@ def _penalty_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_penalty_cases())
 def test_match_penalty_value_is_the_residual_penalty(case):
-    # value() reads V off combine and the targets off one flat index;
-    # it must give the residual penalty to the bit, and the gap that
-    # value_and_grads takes its signs from too, also once
-    # counterexamples have grown the points (and so that index)
+    # the penalty of one set of bases reads V off combine and the
+    # targets off one flat index; it must give the residual penalty to
+    # the bit, and the gap that value_and_grads takes its signs from
+    # too, also once counterexamples have grown the points (and so that
+    # index)
     sysm, spec, mats, ces = case
     pen = _MatchPenalty(sysm, spec, 8, seed=1)
     for _ in range(2):
-        got = pen.value(mats)
+        got = ref_penalty_value(pen, mats)
         want, _, gap = ref_residuals(pen, mats)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert pen._values(mats)[1].tobytes() == gap.tobytes()
@@ -758,7 +760,7 @@ def test_match_penalty_values_are_the_one_candidate_values(case, data):
         got = pen.values(stack)
         assert len(got) == len(stack)
         for value, bases in zip(got, stack):
-            assert np.float64(value).tobytes() == np.float64(pen.value(list(bases))).tobytes()
+            assert np.float64(value).tobytes() == np.float64(ref_penalty_value(pen, list(bases))).tobytes()
         pen.add_counterexamples(ces)
 
 
