@@ -192,27 +192,36 @@ class Candidate:
         )
 
 
-def _pencil(sys, matrices, group):
-    """A group's matrix apart from its multipliers: (M0, terms), where
-    M0 = A^T F + F A and the terms are the differences P_u - P_w of its
-    ordering terms, then Q when the group has a cone term."""
-    mode = sys.modes[group.mode - 1]
-    F = matrices[group.phi_index - 1]
-    terms = [matrices[u - 1] - matrices[w - 1] for u, w in group.diffs]
-    return mode.A.T @ F + F @ mode.A, terms + ([mode.Q] if group.cone else [])
+def _pencils(sys, cand, groups):
+    """Every group's matrix apart from its multipliers, as one stack, and
+    the coefficients that weigh it: heads M0[G, n, n] = A^T F + F A; terms
+    T[G, T, n, n], the differences P_u - P_w of the group's ordering
+    terms, then Q where it has a cone term, then zero; and Y[G, T], the
+    group's multipliers on its own terms and -0.0 past them (a beta
+    without a cone term weighs nothing)."""
+    n, P = sys.dim, cand.matrices
+    counts = [len(g.diffs) + g.cone for g in groups]
+    heads = np.empty((len(groups), n, n))
+    terms = np.zeros((len(groups), max(counts, default=0), n, n))
+    Y = np.full(terms.shape[:2], -0.0)
+    for j, (g, count) in enumerate(zip(groups, counts)):
+        mode, F = sys.modes[g.mode - 1], P[g.phi_index - 1]
+        heads[j] = mode.A.T @ F + F @ mode.A
+        for t, (u, w) in enumerate(g.diffs):
+            terms[j, t] = P[u - 1] - P[w - 1]
+        if g.cone:
+            terms[j, count - 1] = mode.Q
+        Y[j, :count] = cand.multipliers_for(g)[:count]
+    return heads, terms, Y
 
 
-def _pencil_matrix(pencil, multipliers):
-    """M0 + sum_k y_k T_k, summed left to right; a beta without a cone
-    term has no term to weigh."""
-    M, terms = pencil
-    for y, T in zip(multipliers, terms):
-        M = M + y * T
+def _pencil_sum(M, terms, Y):
+    """M + sum_t Y[:, t] T[:, t] over the slots of terms[G, T, n, n] (a
+    slot range is a slice of terms and Y), summed left to right: every
+    condition (i) matrix.  A padded slot adds -0.0 * 0, exactly nothing."""
+    for t in range(terms.shape[1]):
+        M = M + Y[:, t, None, None] * terms[:, t]
     return M
-
-
-def group_matrix(sys, cand, group):
-    return _pencil_matrix(_pencil(sys, cand.matrices, group), cand.multipliers_for(group))
 
 
 def derive_matching(sys, matrices, spec, policy=DEFAULT_POLICY):
@@ -305,12 +314,14 @@ def check_condition_i(sys, spec, cand, policy=DEFAULT_POLICY):
     )
 
 
+def _group_eigs(sys, cand, groups):
+    """The eigen-solve of every group's matrix, in one stack."""
+    return eig_sym(_pencil_sum(*_pencils(sys, cand, groups)))
+
+
 def _margins(sys, cand, groups):
     """Every group's margin, from one stacked solve."""
-    if not groups:
-        return []
-    stack = np.stack([group_matrix(sys, cand, g) for g in groups])
-    return eig_sym(stack).eigenvalues[:, -1].tolist()
+    return _group_eigs(sys, cand, groups).eigenvalues[:, -1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -321,37 +332,6 @@ GOLDEN_STEPS = 40  # golden-section steps per multiplier slot
 LOOKAHEAD = 3  # golden-section steps whose possible probes share one solve
 _REPAIR_DEPTH = 3  # matching-repair step halvings whose trials share one solve
 _PHI_R = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _slot_margins(pencils, slots, live, s):
-    """``margins(idx, vs)``: for each p, the margin of group live[idx[p]]
-    with slot s set to vs[p], all from one stacked solve.
-
-    A trial matrix is the group's prefix (M0 plus the terms before the
-    slot) plus v times the slot's term, then the terms after it added one
-    at a time: ``_pencil_matrix``'s left-to-right sum, so every margin is
-    bit for bit the group's own.  Groups with fewer trailing terms are
-    padded with -0.0 * 0 terms, which add exactly nothing."""
-    width = max(len(pencils[j][1]) - s - 1 for j in live)
-    n = pencils[live[0]][0].shape[0]
-    heads, slopes = [], []
-    coefs = np.full((len(live), width), -0.0)
-    tails = np.zeros((len(live), width, n, n))
-    for i, j in enumerate(live):
-        M0, terms = pencils[j]
-        heads.append(_pencil_matrix((M0, terms[:s]), slots[j]))
-        slopes.append(terms[s])
-        for t, (x, T) in enumerate(zip(slots[j][s + 1 :], terms[s + 1 :])):
-            coefs[i, t], tails[i, t] = x, T
-    heads, slopes = np.stack(heads), np.stack(slopes)
-
-    def margins(idx, vs):
-        X = heads[idx] + np.array(vs)[:, None, None] * slopes[idx]
-        for t in range(width):
-            X = X + coefs[idx, t][:, None, None] * tails[idx, t]
-        return eig_sym(X).eigenvalues[:, -1].tolist()
-
-    return margins
 
 
 def _golden_step(a, b, c, d, left):
@@ -428,16 +408,27 @@ def _optimize_multipliers(sys, cand, groups, sweeps=3):
     that weigh a term: the taus, then beta where the group has a cone
     term (an inert beta stays as it is).  For fixed bases a margin is
     convex in each scalar, so each slot takes a golden section, run for
-    every group that has the slot in lockstep (``_golden_lockstep``)."""
-    pencils = [_pencil(sys, cand.matrices, g) for g in groups]
-    slots = [list(cand.multipliers_for(g)) for g in groups]
+    every group that has the slot in lockstep (``_golden_lockstep``).
+    A slot's probes share the sum of the terms before it, taken once per
+    sweep; each probe adds its own slot's term and the ones after it."""
+    heads, terms, Y = _pencils(sys, cand, groups)
+    counts = np.array([len(g.diffs) + g.cone for g in groups], dtype=int)
     for _ in range(sweeps):
-        for s in range(max((len(terms) for _, terms in pencils), default=0)):
-            live = [j for j, (_, terms) in enumerate(pencils) if s < len(terms)]
-            margins = _slot_margins(pencils, slots, live, s)
-            for j, v in zip(live, _golden_lockstep(margins, [slots[j][s] for j in live])):
-                slots[j][s] = v
-    return [tuple(xs) for xs in slots]
+        for s in range(terms.shape[1]):
+            live = np.flatnonzero(counts > s)
+            T, Ys = terms[live], Y[live]
+            firsts = _pencil_sum(heads[live], T[:, :s], Ys[:, :s])
+
+            def margins(idx, vs):
+                idx = np.array(idx)
+                X = firsts[idx] + np.array(vs)[:, None, None] * T[idx, s]
+                X = _pencil_sum(X, T[idx, s + 1 :], Ys[idx, s + 1 :])
+                return eig_sym(X).eigenvalues[:, -1].tolist()
+
+            Y[live, s] = _golden_lockstep(margins, Y[live, s].tolist())
+    return [
+        (*ys[:c].tolist(), *cand.multipliers_for(g)[c:]) for g, c, ys in zip(groups, counts, Y)
+    ]
 
 
 def complete_multipliers(sys, cand, report, policy=DEFAULT_POLICY):
@@ -480,11 +471,10 @@ class SearchResult:
     message: str = ""
 
 
-def _margin_subgradients(sys, cand, groups):
+def _margin_subgradients(sys, cand, groups, s):
     """Worst group margin (the first on a tie) and the gradient matrices
-    of that group's top eigenvalue w.r.t. each P; every group's top
-    eigenpair comes from one stacked solve."""
-    s = eig_sym(np.stack([group_matrix(sys, cand, g) for g in groups]))
+    of that group's top eigenvalue w.r.t. each P, from ``s``, the
+    groups' stacked solve (``_group_eigs``)."""
     j = int(np.argmax(s.eigenvalues[:, -1]))
     group = groups[j]
     v = s.eigenvectors[j, :, -1]
@@ -856,13 +846,17 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
             cand.multipliers.update(
                 zip((g.key for g in groups), _optimize_multipliers(sys, cand, groups, sweeps=2))
             )
-            if max(_margins(sys, cand, groups)) <= -SEARCH_FLOOR:
+            # one solve serves the margin test and the first subgradient
+            solved = _group_eigs(sys, cand, groups)
+            if max(solved.eigenvalues[:, -1].tolist()) <= -SEARCH_FLOOR:
                 return
             # margin descent restricted to the matched set: a step that
             # breaks the matching is repaired or rolled back and shrunk
             step0 = 0.25 / (1.0 + round_no / 6.0)
-            for _ in range(SEARCH_P_STEPS):
-                worst_margin, grads = _margin_subgradients(sys, cand, groups)
+            for step in range(SEARCH_P_STEPS):
+                if step:  # the accepted basis step moved the bases
+                    solved = _group_eigs(sys, cand, groups)
+                worst_margin, grads = _margin_subgradients(sys, cand, groups, solved)
                 if worst_margin <= -SEARCH_FLOOR:
                     break
                 gnorm = np.sqrt(sum(float(np.sum(G * G)) for G in grads))

@@ -21,6 +21,7 @@ import re
 import numpy as np
 
 from . import __version__
+from .certifier import VERDICT_COND_I_ONLY, VERDICT_GAS, VERDICT_NOT_CERTIFIED
 from .certifier import Candidate, Certificate, certify, group_diffs, without_candidate
 from .errors import ConfigError, InvalidInputError
 from .inclusion import SwitchedSystem
@@ -228,9 +229,15 @@ def re_verify(text):
     tail = block["basis"] + block["structure"] if sections["basis"] else ""
     parsed = parse_config(block["system"] + tail)
     meta = _entries(sections["meta"], "[meta]")
-    missing = sorted({"abs", "rel", "margin", "seed"} - meta.keys())
+    missing = sorted({"verdict", "abs", "rel", "margin", "seed"} - meta.keys())
     if missing:
         raise ConfigError(f"certificate [meta] is missing {', '.join(map(repr, missing))}")
+    verdicts = (VERDICT_GAS, VERDICT_COND_I_ONLY, VERDICT_NOT_CERTIFIED)
+    if meta["verdict"] not in verdicts:
+        raise ConfigError(
+            f"certificate [meta] is malformed: verdict {meta['verdict']!r} "
+            f"is none of {', '.join(verdicts)}"
+        )
     try:
         policy = NumericPolicy(
             abs_tol=float(meta["abs"]),
@@ -241,7 +248,7 @@ def re_verify(text):
     except (ValueError, InvalidInputError) as exc:
         raise ConfigError(f"certificate [meta] is malformed: {exc}") from None
     table = _groups(sections["condition_i"])
-    stored_verdict = meta.get("verdict", "")
+    stored_verdict = meta["verdict"]
     sys = SwitchedSystem.from_config(parsed.require_system())
     if parsed.basis is None:
         spec = parse_structure(block["structure"])

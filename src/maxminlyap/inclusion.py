@@ -149,11 +149,15 @@ class SwitchedSystem:
         """Whether each mode's region closure contains each row of X[S, n],
         shape (S, M), with a relative boundary band so exact-zero tests
         are never required: a cone admits x'Qx >= -abs_tol |x|^2, an
-        expression region H(x) >= -abs_tol max(1, |x|^2)."""
+        expression region H(x) >= -abs_tol max(1, |x|^2).  A point whose
+        |x|^2 overflows would get an infinite band, so it is refused, as
+        is a non-finite one."""
         X = np.asarray(X, dtype=float)
-        if not np.isfinite(X).all():
-            raise InvalidInputError("closure test: a point has non-finite entries")
-        norm2 = np.vecdot(X, X)
+        with np.errstate(over="ignore"):
+            norm2 = np.vecdot(X, X)
+        if not np.isfinite(norm2).all():  # a non-finite entry makes |x|^2 inf or nan
+            what = "'s squared norm overflows" if np.isfinite(X).all() else " has non-finite entries"
+            raise InvalidInputError(f"closure test: a point{what}")
         band = np.maximum(self._band_floor, norm2[:, None])
         return self.region_values(X) >= -policy.abs_tol * band
 

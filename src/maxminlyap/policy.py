@@ -18,7 +18,8 @@ class NumericPolicy:
     ``|a - b| <= abs_tol + rel_tol * scale``.  ``margin`` is the strictness
     required of certified inequalities (a margin must be below ``-margin``,
     a sampled exclusion product above ``+margin``).  ``seed`` drives every
-    randomized sampling step.  Tolerances are finite and not negative.
+    randomized sampling step.  Tolerances are finite and not negative,
+    and so is the seed (numpy's generators take no negative seed).
     """
 
     abs_tol: float = 1e-9
@@ -32,6 +33,8 @@ class NumericPolicy:
                 raise InvalidInputError(
                     f"{name} must be finite and not negative, got {getattr(self, name)}"
                 )
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must not be negative, got {self.seed}")
 
 
 DEFAULT_POLICY = NumericPolicy()

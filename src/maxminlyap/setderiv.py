@@ -295,8 +295,8 @@ def vertex_table(spec, basis, sys, x, policy=DEFAULT_POLICY):
     """The ``VertexTable`` at x over the modes adjacent to x: the one-row
     ``_kink_rows``, from the tie mask and closure mask of x alone."""
     X = as_points(x, basis.dim, "point")[None]
-    ties, _ = tie_mask(spec, basis, X, policy)
     inside = sys.closure_mask(X, policy)
+    ties, _ = tie_mask(spec, basis, X, policy)
     sets, active, grads, fields = _kink_rows(spec, basis, sys, X, ties, inside, policy)
     act = sets[0]
     hull = GradientHull(act.indices, tuple(grads[0, active[0]]), act.method, act.warning)
@@ -361,12 +361,13 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
     first such sample.
     """
     X = _sample_rows(samples, sys.dim)
-    norm2 = np.vecdot(X, X)
+    with np.errstate(over="ignore"):  # closure_mask refuses an overflowed |x|^2
+        norm2 = np.vecdot(X, X)
     X, norm2 = X[norm2 > 0.0], norm2[norm2 > 0.0]
     if not len(X):
         raise InvalidInputError("decrease_check: empty sample set")
-    ties, _ = tie_mask(spec, basis, X, policy)
     inside = sys.closure_mask(X, policy)
+    ties, _ = tie_mask(spec, basis, X, policy)
     values, smooth = _smooth_maxima(basis, sys, X, ties, inside)
     empty, warnings = np.zeros(len(X), dtype=bool), {}
     off = np.flatnonzero(~smooth)

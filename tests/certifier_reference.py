@@ -1,15 +1,32 @@
 """One-at-a-time forms of the condition (i) search, kept as references
-for the tests: each group's multiplier descent on its own, with one
-golden-section step and one eigen-solve at a time; the matching
+for the tests: a group's matrix summed term by term from the candidate;
+each group's multiplier descent on its own, with one golden-section
+step and one eigen-solve at a time; the matching
 penalty of one set of bases, and its subgradient from every row; the
 matching repair with one trial step per solve; and the basis step with
 one attempt at a time."""
 
 import numpy as np
 
-from maxminlyap.certifier import _pencil, _pencil_matrix
+from maxminlyap.certifier import Candidate
 from maxminlyap.maxmin import selected_base
 from maxminlyap.numkernel import negdef_margin, project_psd
+
+
+def ref_group_matrix(sys, cand, group):
+    """The group matrix summed term by term from the candidate, as built
+    before the multiplier pencil."""
+    P = cand.matrices
+    A = sys.modes[group.mode - 1].A
+    F = P[group.phi_index - 1]
+    M = A.T @ F + F @ A
+    *taus, beta = cand.multipliers_for(group)
+    for tau, (u, w) in zip(taus, group.diffs):
+        M = M + tau * (P[u - 1] - P[w - 1])
+    Q = sys.modes[group.mode - 1].Q
+    if Q is not None:
+        M = M + beta * Q
+    return M
 
 
 def golden_min(f, lo, hi):
@@ -36,14 +53,14 @@ def optimize_group_multipliers(sys, cand, group, sweeps=3):
     then beta where the group has a cone term (an inert beta stays);
     margin is convex in each scalar, so golden-section per coordinate
     converges cleanly."""
-    pencil = _pencil(sys, cand.matrices, group)
     slots = list(cand.multipliers_for(group))
 
     def margin_at(xs):
-        return negdef_margin(_pencil_matrix(pencil, xs))
+        trial = Candidate(matrices=cand.matrices, multipliers={group.key: tuple(xs)})
+        return negdef_margin(ref_group_matrix(sys, trial, group))
 
     for _ in range(sweeps):
-        for slot in range(len(pencil[1])):
+        for slot in range(len(group.diffs) + group.cone):
 
             def f(v, slot=slot):
                 return margin_at(slots[:slot] + [v] + slots[slot + 1 :])

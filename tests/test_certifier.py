@@ -21,7 +21,6 @@ from maxminlyap.certifier import (
     check_condition_ii_2mode,
     complete_multipliers,
     cone_chain,
-    group_matrix,
     planar_condition_ii,
     q_cone_decompose,
     search_condition_i,
@@ -37,7 +36,7 @@ from maxminlyap.numkernel import negdef_margin, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
 from maxminlyap.sysdsl.config import parse_config
-from certifier_reference import optimize_group_multipliers
+from certifier_reference import optimize_group_multipliers, ref_group_matrix
 from maxmin_reference import strict_ordering
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -872,6 +871,11 @@ def test_complete_multipliers_from_bare_matrices():
     assert report.ok
 
 
+def group_matrix(sys, cand, group):
+    """One group's matrix: the stacked pencil of that group alone, summed."""
+    return certifier._pencil_sum(*certifier._pencils(sys, cand, [group]))[0]
+
+
 def test_group_matrix_uses_candidate_multipliers():
     sys1, spec1, basis1 = fixtures.example("example1")
     cand = fixtures.example1_candidate()
@@ -934,25 +938,10 @@ def test_lockstep_multipliers_are_bitwise_the_per_group_search(linear_system):
     assert max(capped_taus) > 1e6 > min(capped_taus)
 
 
-def ref_group_matrix(sys, cand, group):
-    """The group matrix summed term by term from the candidate, as built
-    before the multiplier pencil."""
-    P = cand.matrices
-    A = sys.modes[group.mode - 1].A
-    F = P[group.phi_index - 1]
-    M = A.T @ F + F @ A
-    *taus, beta = cand.multipliers_for(group)
-    for tau, (u, w) in zip(taus, group.diffs):
-        M = M + tau * (P[u - 1] - P[w - 1])
-    Q = sys.modes[group.mode - 1].Q
-    if Q is not None:
-        M = M + beta * Q
-    return M
-
-
 def test_pencil_margin_is_bitwise_the_group_margin():
-    # the golden-section search evaluates margins through a pencil built
-    # once per group; it must give the bits of the term-by-term sum
+    # every condition (i) matrix is summed from one stack of all groups'
+    # pencils, the shorter ones padded; each row must give the bits of
+    # its group's term-by-term sum
     rng = np.random.default_rng(3)
     for name in ("example1", "example3"):
         sysm, spec, _ = fixtures.example(name)
@@ -966,12 +955,11 @@ def test_pencil_margin_is_bitwise_the_group_margin():
                 matrices=mats,
                 multipliers={g.key: (*t, b) for g, t, b in zip(groups, taus, betas)},
             )
-            for g in groups:
+            stacked = certifier._pencil_sum(*certifier._pencils(sysm, cand, groups))
+            for g, got in zip(groups, stacked):
                 want = ref_group_matrix(sysm, cand, g)
-                got = certifier._pencil_matrix(
-                    certifier._pencil(sysm, mats, g), cand.multipliers_for(g)
-                )
                 assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()  # signed zeros too
                 assert np.array_equal(group_matrix(sysm, cand, g), want)
                 assert negdef_margin(got) == negdef_margin(want)
             assert _margins(sysm, cand, groups) == [
@@ -1096,10 +1084,11 @@ def test_reverify_rejects_tampered_multipliers():
     assert max(fresh.cond_i.margins) == pytest.approx(0.4, abs=1e-9)
 
 
-@pytest.mark.parametrize("entry", ["abs", "rel", "margin", "seed"])
+@pytest.mark.parametrize("entry", ["abs", "rel", "margin", "seed", "verdict"])
 def test_reverify_requires_every_policy_entry(entry):
     # a report certified under margin 0.5 and seed 3 reads not-certified;
-    # without its policy lines it must not be recomputed under defaults
+    # without its policy lines it must not be recomputed under defaults,
+    # and without its verdict line there is no verdict to compare
     sysm, spec3, _ = fixtures.example("example3")
     policy = NumericPolicy(margin=0.5, seed=3)
     text = serialize_certificate(certify(sysm, spec3, fixtures.example3_candidate(), policy), sysm)
@@ -1110,10 +1099,19 @@ def test_reverify_requires_every_policy_entry(entry):
         re_verify(cut)
 
 
+def test_policy_refuses_a_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed must not be negative, got -1"):
+        NumericPolicy(seed=-1)
+    assert NumericPolicy(seed=0).seed == 0
+
+
 @pytest.mark.parametrize(
     "old, new, entry",
     [
         ("seed = 0", "seed = zero", r"\[meta\]"),
+        ("seed = 0", "seed = -1", r"\[meta\]"),
+        ("verdict = GAS-certified", "verdict = certified", r"\[meta\]"),
+        ("verdict = GAS-certified", "verdict = ", r"\[meta\]"),
         ("perms = ((3, 1, 2),)", "perms = ((3, 1, 2),,)", "group 1"),
         ("tau = (0.258, 0.102)", "tau = (0.2.58, 0.102)", "group 1"),
     ],

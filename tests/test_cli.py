@@ -434,6 +434,7 @@ BUDGET = "argument --budget: must be finite and not negative"
 SIM = ["simulate", EX1, "--from=-1,1"]
 POSITIVE = "must be finite and positive, got "
 TOLERANCE = "must be finite and not negative, got "
+SEED = "seed must not be negative, got -1"  # numpy's generators take no negative seed
 NON_FINITE = "has a non-finite value"
 
 
@@ -463,6 +464,10 @@ NON_FINITE = "has a non-finite value"
         (["simulate", EX1, "--from", "nan,1", "--horizon", "1"], NON_FINITE),
         (["decrease", EX1, "--rate", "nan"], "argument --rate: must be finite, got nan"),
         (["decrease", EX1, "--rate=-inf"], "argument --rate: must be finite, got -inf"),
+        (["decrease", EX1, "--seed", "-1"], SEED),
+        (["certify", EX1, "--seed", "-1"], SEED),
+        (["validate", EX1, "--seed", "-1"], SEED),
+        (["certify", "--search", EX1, "--seed", "-1"], SEED),
     ],
 )
 def test_bad_sample_counts_radii_and_budgets_exit_2(capsys, argv, message):

@@ -41,6 +41,17 @@ def test_index_set_on_switching_line():
     assert sys1.index_set(x, POLICY) == (1, 2)
 
 
+def test_index_set_refuses_a_point_whose_squared_norm_overflows():
+    # |x|^2 = 2e400 overflows, so the closure band would be inf and every
+    # mode would contain the point; a point just short of that still works
+    sys1 = fixtures.example("example1")[0]
+    with pytest.raises(InvalidInputError, match="squared norm overflows"):
+        sys1.index_set(np.array([1e200, 1e200]), POLICY)
+    with pytest.raises(InvalidInputError, match="squared norm overflows"):
+        sys1.closure_mask(np.array([[1.0, 0.0], [1e200, 1e200]]), POLICY)
+    assert sys1.index_set(np.array([1e150, 1e150]), POLICY) == (3,)
+
+
 def test_filippov_interior_single_vertex():
     sys1 = fixtures.example("example1")[0]
     x = np.array([1.0, -1.2])

@@ -450,12 +450,17 @@ def test_decrease_rejects_non_finite_and_misshapen_samples():
         [x, np.array([np.inf, 0.0])],
         [np.ones(3)],
         [x, np.ones(3)],
+        [x, np.array([1e200, 1e200])],  # |x|^2 overflows; it was in every mode
     ):
         with pytest.raises(InvalidInputError):
             decrease_check(spec, basis, sys1, bad, rate=0.0, policy=POLICY)
     # zero rows are left out, not rejected
     report = decrease_check(spec, basis, sys1, [np.zeros(2), x], rate=0.0, policy=POLICY)
     assert len(report.entries) == 1
+    # a large point whose |x|^2 is finite is still decided, in mode 3 alone
+    report = decrease_check(spec, basis, sys1, [[1e150, 1e150]], rate=0.0, policy=POLICY)
+    assert len(report.entries) == 1
+    assert sys1.index_set(report.entries[0].x, POLICY) == (3,)
 
 
 # example1's modes with non-quadratic bases
