@@ -457,8 +457,22 @@ MATCH_SAMPLES = 160  # per-mode directions enforcing the structure match
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """The search's wall-clock budget in seconds (not negative, not NaN)
+    and the seed of its starts and samples (an integer, not negative:
+    numpy's generators take no other)."""
+
     time_budget: float = 50.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidInputError(
+                f"search seed must be an integer, not negative, got {self.seed!r}"
+            )
+        if not self.time_budget >= 0.0:
+            raise InvalidInputError(
+                f"search time budget must not be negative or NaN, got {self.time_budget!r}"
+            )
 
 
 @dataclass
@@ -1120,7 +1134,7 @@ def sliding_exclusion(sys, policy=DEFAULT_POLICY, n_samples=10_000):
     Z = np.zeros((n_samples, sys.dim))
     Z[:, pos] = U / row_norms(U)[:, None] / np.sqrt(2.0 * s.eigenvalues[pos])
     Z[:, neg] = W / row_norms(W)[:, None] / np.sqrt(-2.0 * s.eigenvalues[neg])
-    X = (s.eigenvectors @ Z[:, :, None])[:, :, 0]
+    X = Z @ s.eigenvectors.T
     X /= row_norms(X)[:, None]
     QA = np.stack([Q @ sys.modes[0].A, Q @ sys.modes[1].A])
     min_product = quad_forms(X, QA).prod(axis=1).min(initial=np.inf)

@@ -229,11 +229,12 @@ def cmd_decrease(args):
         spec, basis, sysm, pts, args.rate, policy, use_clarke=args.clarke
     )
     _warn(report.warnings)
+    violations = report.violations
     print(
         f"decrease[{report.mode}] rate={_fmt(args.rate)} "
-        f"points={len(report.entries)} violations={len(report.violations)}"
+        f"points={len(report.X)} violations={len(violations)}"
     )
-    for e in report.violations[:20]:
+    for e in violations[:20]:
         print(
             f"  violation at {np.round(e.x, 9).tolist()}: "
             f"value {_fmt(e.value)} > bound {_fmt(e.bound)}"
@@ -431,7 +432,7 @@ def _reproduce_example2(args):
     rep = decrease_check(spec, basis, sysm, pts, rate=12.5, policy=policy)
     print(
         f"converging line, rate 12.5: {len(rep.violations)} violations "
-        f"out of {len(rep.entries)}"
+        f"out of {len(rep.X)}"
     )
     ok &= rep.ok
 
@@ -439,7 +440,7 @@ def _reproduce_example2(args):
     rep_small = decrease_check(spec, basis, sysm, small, rate=0.0, policy=policy)
     print(
         f"diverging line near origin: {len(rep_small.violations)} violations "
-        f"out of {len(rep_small.entries)} (expected 0)"
+        f"out of {len(rep_small.X)} (expected 0)"
     )
     ok &= rep_small.ok
 
@@ -447,7 +448,7 @@ def _reproduce_example2(args):
     rep_big = decrease_check(spec, basis, sysm, big, rate=0.0, policy=policy)
     print(
         f"diverging line far out: {len(rep_big.violations)} violations "
-        f"out of {len(rep_big.entries)} (expected some)"
+        f"out of {len(rep_big.X)} (expected some)"
     )
     ok &= not rep_big.ok
 

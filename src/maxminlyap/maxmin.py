@@ -10,10 +10,13 @@ max-of-min structure with the dual families.  This module evaluates such
 functions, locates the single active base on each strict-ordering cone
 (the selection map over permutations), and computes essentially-active
 index sets together with the generalized gradient vertices they induce.
-Active sets are computed for a batch of points at once (``active_sets``):
-planar quadratic bases read them off one arc table labelled by a single
-``realized_base`` call, other bases classify their perturbation probes
-one chunk per call; ``active_indices`` is the one-point case.
+Active sets are computed for a batch of points at once, as one boolean
+mask of active bases per row (``active_masks``): planar quadratic bases
+read them off one arc table labelled by a single ``realized_base``
+call, other bases classify their perturbation probes one chunk per
+call, and no step runs Python code per row.  ``active_sets`` is the
+object view of the mask (one ``ActiveSet`` per row) for the one-row and
+few-row callers; ``active_indices`` is the one-point case.
 """
 
 import itertools
@@ -31,7 +34,7 @@ from .sysdsl import expr as ex
 
 MAXMIN = "maxmin"
 MINMAX = "minmax"
-SAMPLED_DIRECTIONS = 64  # perturbation directions per sphere in active_sets
+SAMPLED_DIRECTIONS = 64  # perturbation directions per sphere in active_masks
 PROBE_ROWS = 32  # rows whose perturbation probes share one realized_base call
 
 
@@ -111,6 +114,21 @@ class QuadraticBasis:
             # an angle that rounded up to pi is the same tie as 0
             roots.update(t % math.pi for t in got)
         return tuple(sorted(roots))
+
+    @cached_property
+    def _arcs(self):
+        """Planar bases: the arc ends (``_circle_roots``) as an array, the
+        unit vectors at the arc midpoints and whether each arc is wider
+        than 1e-12, or None when a pair is identical; found once."""
+        if self._circle_roots is None:
+            return None
+        ends = np.array(self._circle_roots)
+        # arc i runs from ends[i] to ends[i + 1], and the last one wraps to
+        # ends[0] + pi (a probe below ends[0] lies on it); with no tie angle
+        # the one arc is the whole circle, labelled at angle 0
+        ext = np.append(ends, ends[0] + math.pi) if len(ends) else np.array([-0.5, 0.5]) * math.pi
+        mids = 0.5 * (ext[:-1] + ext[1:])
+        return ends, np.stack([np.cos(mids), np.sin(mids)], axis=1), np.diff(ext) > 1e-12
 
 
 class ExprBasis:
@@ -216,8 +234,16 @@ def combine(spec, vals):
 
 def tie_mask(spec, basis, X, policy=DEFAULT_POLICY):
     """Bases whose value ties with V (scale-aware tolerance) at each row of
-    X[S, n]: the mask (S, K), column k - 1 for base k, and V (S,)."""
-    vals = basis.values(X)
+    X[S, n]: the mask (S, K), column k - 1 for base k, and V (S,).
+
+    A row whose base values are not all finite (an overflowed quadratic
+    form, say) raises InvalidInputError; every other row has at least one
+    tie, the base that attains V.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = basis.values(X)
+    if not np.isfinite(vals).all():
+        raise InvalidInputError("active set: a base value is not finite at a point")
     v = combine(spec, vals)
     tol = policy.abs_tol + policy.rel_tol * np.abs(v)
     return np.abs(vals - v[:, None]) <= tol[:, None], v
@@ -226,6 +252,8 @@ def tie_mask(spec, basis, X, policy=DEFAULT_POLICY):
 EXACT_SMOOTH = "exact-smooth"
 EXACT_SWEEP = "exact-sweep"
 PERTURBATION_SAMPLED = "perturbation-sampled"
+# the method codes of ``active_masks``, in the order of the three methods
+SMOOTH, SWEPT, SAMPLED = range(3)
 
 
 @dataclass(frozen=True)
@@ -297,35 +325,58 @@ def active_indices(spec, basis, x, policy=DEFAULT_POLICY):
 
 def active_sets(spec, basis, X, policy=DEFAULT_POLICY, ties=None):
     """Essentially-active index set at each row of X[S, n], one ``ActiveSet``
-    per row; ``ties`` is the ``tie_mask`` of X when the caller holds it.
+    per row: the object view of ``active_masks``."""
+    return as_active_sets(*active_masks(spec, basis, X, policy, ties))
 
-    A unique value-tie is returned directly (the function is C^1 there).
+
+def as_active_sets(active, method, warning):
+    """The ``ActiveSet`` of each row of the ``active_masks`` result."""
+    out = []
+    for row, code, text in zip(active.tolist(), method.tolist(), warning.tolist()):
+        indices = tuple(k for k, hit in enumerate(row, start=1) if hit)
+        if code == SMOOTH:
+            out.append(ActiveSet(indices=indices, method=EXACT_SMOOTH))
+        elif code == SWEPT:
+            out.append(ActiveSet(indices=indices, method=EXACT_SWEEP))
+        else:
+            out.append(ActiveSet(indices=indices, method=PERTURBATION_SAMPLED, warning=text))
+    return out
+
+
+def active_masks(spec, basis, X, policy=DEFAULT_POLICY, ties=None):
+    """Essentially-active bases at each row of X[S, n]: the mask
+    active[S, K] (column k - 1 for base k), the method code of each row
+    (``SMOOTH``, ``SWEPT`` or ``SAMPLED``) and its warning (an object
+    array, None for none); ``ties`` is the ``tie_mask`` of X when the
+    caller holds it.
+
+    A unique value-tie is the set itself (the function is C^1 there).
     Otherwise the set is recovered from the selection map on the
     strict-ordering cones meeting x: exactly, from the labelled arcs
     between tie angles, for planar quadratic bases; by perturbation
     sampling on three small spheres elsewhere and where an arc is
-    undecided.  A non-finite row raises InvalidInputError.
+    undecided.  A non-finite row, or one whose base values are not
+    finite, raises InvalidInputError.
     """
     X = as_points(X, basis.dim, "points", max_ndim=2).reshape(-1, basis.dim)
     if not np.isfinite(X).all():
         raise InvalidInputError("active set: a point has non-finite entries")
     if ties is None:
         ties, _ = tie_mask(spec, basis, X, policy)
-    count = ties.sum(axis=1)
-    out = [
-        ActiveSet(indices=(k + 1,), method=EXACT_SMOOTH) if c == 1 else None
-        for c, k in zip(count.tolist(), ties.argmax(axis=1).tolist())
-    ]
-    rows = np.flatnonzero(count != 1)
+    active = ties.copy()
+    method = np.zeros(len(X), dtype=np.int8)  # SMOOTH
+    warning = np.full(len(X), None, dtype=object)
+    rows = np.flatnonzero(ties.sum(axis=1) != 1)
     if len(rows) and isinstance(basis, QuadraticBasis) and basis.dim == 2:
         swept = _planar_sweep(spec, basis, X[rows], policy)
-        for r, got in zip(rows.tolist(), swept):
-            out[r] = got
-        rows = rows[[got is None for got in swept]]
+        decided = swept.any(axis=1)
+        active[rows[decided]] = swept[decided]
+        method[rows[decided]] = SWEPT
+        rows = rows[~decided]
     if len(rows):
-        for r, got in zip(rows.tolist(), _sampled_active(spec, basis, X[rows], ties[rows], policy)):
-            out[r] = got
-    return out
+        active[rows], warning[rows] = _sampled_active(spec, basis, X[rows], ties[rows], policy)
+        method[rows] = SAMPLED
+    return active, method, warning
 
 
 def clarke_gradient(spec, basis, x, policy=DEFAULT_POLICY):
@@ -363,28 +414,23 @@ def _pair_root_angles(D, scale):
 
 def _planar_sweep(spec, basis, X, policy):
     """Exact alpha_V for 2-D quadratic bases at each row of X[S, 2], read
-    off the circle's arc table; None for a row the table cannot decide.
+    off the circle's arc table: the mask (S, K), with no base marked in a
+    row the table cannot decide.
 
     Active sets are constant on rays, and the realized base is constant on
-    each arc between consecutive tie angles (``_circle_roots``), so one
-    ``realized_base`` call at the arc midpoints labels every arc.  A row at
-    the origin meets every arc wider than 1e-12; any other row meets the
-    arcs holding its probes at +-delta around its angle (delta half its gap
-    to the nearest other tie angle, at most pi/16).  A row meeting an arc
-    labelled 0 (a tie at the midpoint) is None, as is every row when an
-    identical base pair leaves no table.
+    each arc between consecutive tie angles (``QuadraticBasis._arcs``), so
+    one ``realized_base`` call at the arc midpoints labels every arc.  A
+    row at the origin meets every arc wider than 1e-12; any other row
+    meets the arcs holding its probes at +-delta around its angle (delta
+    half its gap to the nearest other tie angle, at most pi/16).  A row
+    meeting an arc labelled 0 (a tie at the midpoint) is undecided, as is
+    every row when an identical base pair leaves no table.
     """
-    if basis._circle_roots is None:
-        return [None] * len(X)
-    ends = np.array(basis._circle_roots)
-    # arc i runs from ends[i] to ends[i + 1], and the last one wraps to
-    # ends[0] + pi (a probe below ends[0] lies on it); with no tie angle
-    # the one arc is the whole circle, labelled at angle 0
-    ext = np.append(ends, ends[0] + math.pi) if len(ends) else np.array([-0.5, 0.5]) * math.pi
-    mids = 0.5 * (ext[:-1] + ext[1:])
-    label = realized_base(spec, basis.values(np.stack([np.cos(mids), np.sin(mids)], axis=1)))
-    whole = tuple(sorted(set(label[np.diff(ext) > 1e-12].tolist()) - {0}))
-
+    active = np.zeros((len(X), basis.K + 1), dtype=bool)  # column 0: label 0
+    if basis._arcs is None:
+        return active[:, 1:]
+    ends, midpoints, wide = basis._arcs
+    label = realized_base(spec, basis.values(midpoints))
     theta0 = np.arctan2(X[:, 1], X[:, 0])
     d = np.abs(theta0[:, None] - ends) % math.pi
     d = np.minimum(d, math.pi - d)
@@ -392,12 +438,13 @@ def _planar_sweep(spec, basis, X, policy):
     delta = np.minimum(gap / 2.0, math.pi / 16.0)
     probes = np.concatenate([theta0 - delta, theta0 + delta]) % math.pi
     sides = label[np.searchsorted(ends, probes, side="right") - 1].reshape(2, -1)
-    origin = (row_norms(X) <= policy.abs_tol).tolist()
-    found = [
-        whole if o else tuple(sorted({a, b})) if a and b else ()
-        for o, a, b in zip(origin, *sides.tolist())
-    ]
-    return [ActiveSet(indices=f, method=EXACT_SWEEP) if f else None for f in found]
+    rows = np.arange(len(X))
+    active[rows, sides[0]] = active[rows, sides[1]] = True
+    active[active[:, 0]] = False
+    whole = np.zeros(basis.K + 1, dtype=bool)
+    whole[label[wide]] = True
+    active[row_norms(X) <= policy.abs_tol] = whole
+    return active[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +452,12 @@ def _planar_sweep(spec, basis, X, policy):
 
 
 def _sampled_active(spec, basis, X, ties, policy):
-    """Active sets of the rows of X[S, n] from the bases realized at 64
+    """Active bases of the rows of X[S, n] from the bases realized at 64
     seeded directions on three small spheres around each row (radii 1, 2
-    and 4 x rel_tol max(1, |x|)); ``ties`` is the rows' ``tie_mask``.  The
-    probes of ``PROBE_ROWS`` rows at a time go through one
-    ``realized_base`` call, so memory does not grow with S."""
+    and 4 x rel_tol max(1, |x|)); ``ties`` is the rows' ``tie_mask``: the
+    mask (S, K) and each row's warning.  The probes of ``PROBE_ROWS`` rows
+    at a time go through one ``realized_base`` call, so memory does not
+    grow with S."""
     dirs = sphere_points(basis.dim, SAMPLED_DIRECTIONS, np.random.default_rng(policy.seed))
     warning = None
     if isinstance(basis, QuadraticBasis):
@@ -418,23 +466,16 @@ def _sampled_active(spec, basis, X, ties, policy):
                 if np.abs(basis.matrices[i] - basis.matrices[j]).max() == 0.0:
                     warning = f"bases {i + 1} and {j + 1} are identical"
     radii = (policy.rel_tol * np.maximum(1.0, row_norms(X)))[:, None] * np.array([1.0, 2.0, 4.0])
-    out = []
+    seen = np.zeros((len(X), basis.K + 1), dtype=bool)
     for lo in range(0, len(X), PROBE_ROWS):
         chunk = slice(lo, lo + PROBE_ROWS)
         probes = X[chunk, None, None, :] + radii[chunk, :, None, None] * dirs
         base = realized_base(spec, basis.values(probes.reshape(-1, basis.dim)))
-        seen = np.zeros((len(probes), basis.K + 1), dtype=bool)
-        seen[np.arange(len(probes))[:, None], base.reshape(len(probes), -1)] = True
-        for hit, tied in zip(seen[:, 1:].tolist(), ties[chunk].tolist()):
-            found = tuple(k for k, h in enumerate(hit, start=1) if h)
-            if found:
-                out.append(ActiveSet(indices=found, method=PERTURBATION_SAMPLED, warning=warning))
-                continue
-            # every sample tied (degenerate basis); fall back to the realized
-            # active index so the set is never empty
-            out.append(ActiveSet(
-                indices=(tied.index(True) + 1,),
-                method=PERTURBATION_SAMPLED,
-                warning=warning or "perturbation sampling found no strict ordering",
-            ))
-    return out
+        seen[np.arange(lo, lo + len(probes))[:, None], base.reshape(len(probes), -1)] = True
+    active, warnings = seen[:, 1:], np.full(len(X), warning, dtype=object)
+    # where every sample tied (degenerate basis), fall back to the first
+    # tied base (every row has one) so the set is never empty
+    blind = ~active.any(axis=1)
+    active[blind] = np.arange(basis.K) == ties[blind].argmax(axis=1)[:, None]
+    warnings[blind] = warning or "perturbation sampling found no strict ordering"
+    return active, warnings

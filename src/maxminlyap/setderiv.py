@@ -14,8 +14,10 @@ One batched kernel does this for a group of rows that share their
 numbers of gradients and fields: ``_dots`` gives the product tables,
 ``_weights`` the extreme weights of every row (the closed form
 vectorised slot by slot over the rows), ``_lie_values`` the Lie range.
-The sampled decrease check groups its nonsmooth samples by active set
-and adjacent modes and makes one kernel call per group;
+The sampled decrease check takes the active-base mask of its nonsmooth
+samples from ``maxmin.active_masks``, groups the samples by that mask
+and their adjacent-mode mask, and makes one kernel call per group; its
+report keeps the values, bounds and verdicts as columns.
 ``lambda_set``, ``VertexTable`` (``vertex_table`` at one point) and the
 certifier's planar lines (``lie_sets``) are its one-row and few-row
 calls.
@@ -23,12 +25,13 @@ calls.
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import InternalCheckError, InvalidInputError
-from .maxmin import GradientHull, active_sets, tie_mask
+from .maxmin import GradientHull, active_masks, as_active_sets, tie_mask
 from .numkernel import as_points
 from .policy import DEFAULT_POLICY
 
@@ -293,12 +296,12 @@ class VertexTable:
 
 def vertex_table(spec, basis, sys, x, policy=DEFAULT_POLICY):
     """The ``VertexTable`` at x over the modes adjacent to x: the one-row
-    ``_kink_rows``, from the tie mask and closure mask of x alone."""
+    ``_kink_rows``, from the active-base mask and closure mask of x alone."""
     X = as_points(x, basis.dim, "point")[None]
     inside = sys.closure_mask(X, policy)
-    ties, _ = tie_mask(spec, basis, X, policy)
-    sets, active, grads, fields = _kink_rows(spec, basis, sys, X, ties, inside, policy)
-    act = sets[0]
+    active, method, warning = active_masks(spec, basis, X, policy)
+    grads, fields = _kink_rows(basis, sys, X, active, inside)
+    act = as_active_sets(active, method, warning)[0]
     hull = GradientHull(act.indices, tuple(grads[0, active[0]]), act.method, act.warning)
     return VertexTable(hull, tuple(fields[0, inside[0]]))
 
@@ -323,19 +326,42 @@ class DecreaseEntry:
 
 @dataclass
 class DecreaseReport:
+    """The verdicts of a sampled decrease check, kept as columns over the
+    samples it checked: the rows X[S, n], the derivative maxima
+    ``values`` (S,) with ``empty`` (S,) marking an empty Lie set (max =
+    -inf; its value is then meaningless), the ``bounds`` -rate |x|^2 and
+    the per-sample verdicts ``passed``.  ``entries`` are built from the
+    columns on first read, ``violations`` only for the failing rows."""
+
     mode: str  # "lie" | "clarke"
     rate: float
-    entries: list
+    X: np.ndarray
+    values: np.ndarray
+    empty: np.ndarray
+    bounds: np.ndarray
+    passed: np.ndarray
     # each distinct active-set warning, with the number of samples it came from
     warnings: dict = field(default_factory=dict)
 
+    @cached_property
+    def entries(self):
+        return self._entries(slice(None))
+
     @property
     def violations(self):
-        return [e for e in self.entries if not e.ok]
+        return self._entries(np.flatnonzero(~self.passed))
 
     @property
     def ok(self):
-        return not self.violations
+        return bool(self.passed.all())
+
+    def _entries(self, rows):
+        """The ``DecreaseEntry`` of each of the rows, in order."""
+        values = self.values[rows].tolist()
+        for r in np.flatnonzero(self.empty[rows]).tolist():
+            values[r] = None
+        bounds, passed = self.bounds[rows].tolist(), self.passed[rows].tolist()
+        return list(map(DecreaseEntry, self.X[rows], values, bounds, passed))
 
 
 def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_clarke=False):
@@ -349,13 +375,13 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
     decide every row.  Where exactly one base ties with V, V is C^1 near
     the point, both derivative sets are grad V_k(x) . co{f_i(x)}, and
     their maximum is the largest product over the adjacent modes.  The
-    other rows get their ``active_sets`` in one batch and are grouped by
+    other rows get their ``active_masks`` in one batch and are grouped by
     active bases and adjacent modes; each group is one ``_dots`` table,
     then one ``_weights`` and ``_lie_values`` call (Lie) or its table
     maximum (Clarke).  Expression fields and bases are evaluated by the
     batch target of their compiled expressions.  The values, bounds and
-    verdicts are columns over all rows, and the entries are built from
-    them in one pass.  Entries equal the per-point ``lie_derivative`` /
+    verdicts are columns over all rows, and the report keeps them so.
+    Its entries equal the per-point ``lie_derivative`` /
     ``clarke_derivative`` ones bit for bit and keep the order of the
     samples; a disagreement of the active gradients is raised for the
     first such sample.
@@ -372,12 +398,10 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
     empty, warnings = np.zeros(len(X), dtype=bool), {}
     off = np.flatnonzero(~smooth)
     if len(off):
-        sets, active, grads, fields = _kink_rows(
-            spec, basis, sys, X[off], ties[off], inside[off], policy
-        )
-        for act in sets:
-            if act.warning:
-                warnings[act.warning] = warnings.get(act.warning, 0) + 1
+        active, _, warning = active_masks(spec, basis, X[off], policy, ties=ties[off])
+        grads, fields = _kink_rows(basis, sys, X[off], active, inside[off])
+        for text in warning[np.not_equal(warning, None)].tolist():
+            warnings[text] = warnings.get(text, 0) + 1
         top, none = np.zeros(len(off)), np.zeros(len(off), dtype=bool)
         disagree = np.full(len(off), np.nan)
         for rows, a, m in _groups(active, inside[off]):
@@ -391,13 +415,15 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
         _require_agreement(disagree)
         values[off], empty[off] = top, none
     bounds = -rate * norm2
-    ok = empty | (values <= bounds)
-    values = values.tolist()
-    for r in np.flatnonzero(empty).tolist():
-        values[r] = None
-    entries = list(map(DecreaseEntry, X, values, bounds.tolist(), ok.tolist()))
     return DecreaseReport(
-        mode="clarke" if use_clarke else "lie", rate=rate, entries=entries, warnings=warnings
+        mode="clarke" if use_clarke else "lie",
+        rate=rate,
+        X=X,
+        values=values,
+        empty=empty,
+        bounds=bounds,
+        passed=empty | (values <= bounds),
+        warnings=warnings,
     )
 
 
@@ -449,28 +475,33 @@ def _smooth_maxima(basis, sys, X, ties, inside):
     return best, smooth & np.isfinite(best) & (best != 0.0)
 
 
-def _kink_rows(spec, basis, sys, X, ties, inside, policy):
-    """The batched ``active_sets`` of the rows of X[S, n], with their
-    ``tie_mask`` ties and ``closure_mask`` inside: the sets, the mask
-    active[S, K] of their bases, and the gradients grads[S, K, n] and mode
-    fields fields[S, M, n] the two masks mark.  PartitionError names the
-    first row that no region contains."""
-    sets = active_sets(spec, basis, X, policy, ties=ties)
+def _kink_rows(basis, sys, X, active, inside):
+    """The gradients grads[S, K, n] and mode fields fields[S, M, n] at the
+    rows of X[S, n] that the active-base mask active[S, K] and the
+    ``closure_mask`` inside[S, M] mark.  PartitionError names the first
+    row that no region contains."""
     for r in np.flatnonzero(~inside.any(axis=1))[:1].tolist():
         sys.adjacent(X[r], inside[r])
-    active = np.zeros(ties.shape, dtype=bool)
-    hits = [(r, k - 1) for r, act in enumerate(sets) for k in act.indices]
-    active[tuple(np.array(hits).T)] = True
     grads = _by_column(lambda c, rows: basis.gradient(c + 1, rows), X, active)
     fields = _by_column(lambda c, rows: sys.modes[c].field(rows), X, inside)
-    return sets, active, grads, fields
+    return grads, fields
 
 
 def _groups(active, inside):
     """The rows sharing one pair of masks active[S, K], inside[S, M]: per
-    group its row indices and the columns each of its two masks marks."""
+    group its row indices and the columns each of its two masks marks.
+
+    Groups come in the order of their joined mask rows sorted as bit
+    strings (column 0 first, False before True).  Each row's bits are
+    packed into bytes, most significant first, and the bytes read as one
+    big-endian key, so the keys sort as the rows do whatever K + M is.
+    """
     K = active.shape[1]
-    keys, group = np.unique(np.hstack([active, inside]), axis=0, return_inverse=True)
-    group = group.ravel()
-    for g, key in enumerate(keys):
-        yield np.flatnonzero(group == g), np.flatnonzero(key[:K]), np.flatnonzero(key[K:])
+    masks = np.hstack([active, inside])
+    packed = np.packbits(masks, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    for g, rows in enumerate(np.split(order, np.cumsum(np.bincount(group))[:-1])):
+        key = masks[first[g]]
+        yield rows, np.flatnonzero(key[:K]), np.flatnonzero(key[K:])

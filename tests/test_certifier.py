@@ -1106,6 +1106,28 @@ def test_policy_refuses_a_negative_seed():
 
 
 @pytest.mark.parametrize(
+    "opts, message",
+    [
+        ({"seed": -1}, "search seed must be an integer, not negative, got -1"),
+        ({"seed": 1.5}, "search seed must be an integer, not negative, got 1.5"),
+        ({"seed": "3"}, "search seed must be an integer, not negative, got '3'"),
+        ({"time_budget": float("nan")}, "search time budget must not be negative or NaN, got nan"),
+        ({"time_budget": -1.0}, "search time budget must not be negative or NaN, got -1.0"),
+    ],
+)
+def test_search_options_refuse_bad_seeds_and_budgets(opts, message):
+    # numpy's generators take no negative or fractional seed, and a NaN
+    # budget would never be spent
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        SearchOptions(**opts)
+
+
+def test_search_options_take_integer_seeds_and_open_budgets():
+    assert SearchOptions(seed=np.int64(3), time_budget=0).seed == 3
+    assert SearchOptions(time_budget=float("inf")).time_budget == float("inf")
+
+
+@pytest.mark.parametrize(
     "old, new, entry",
     [
         ("seed = 0", "seed = zero", r"\[meta\]"),

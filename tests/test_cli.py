@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -475,6 +476,19 @@ def test_bad_sample_counts_radii_and_budgets_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_grad_refuses_a_point_whose_base_values_overflow(capsys):
+    # x'Px overflows at (1e200, 1e200): exit 2, nothing on stdout and no
+    # numpy overflow warning; at (1e150, 1e150) it is finite and kept
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["grad", EX1, "--at=1e200,1e200"])
+        assert (code, out) == (2, "")
+        assert "a base value is not finite" in err
+        code, out, _ = run(capsys, ["grad", EX1, "--at=1e150,1e150"])
+    assert code == 0
+    assert "active = (3,) method = exact-smooth" in out
 
 
 @pytest.mark.parametrize("name", ["example1", "example3"])

@@ -6,8 +6,10 @@ quantity must equal its per-point arithmetic exactly, not approximately.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from maxminlyap.certifier import (
     derive_matching,
     sliding_exclusion,
 )
+from maxminlyap.errors import InvalidInputError
 from maxminlyap.inclusion import Mode, SwitchedSystem
 from maxminlyap.maxmin import (
     EXACT_SMOOTH,
@@ -33,7 +36,11 @@ from maxminlyap.maxmin import (
     MaxMinSpec,
     QuadraticBasis,
     PERTURBATION_SAMPLED,
+    SAMPLED,
+    SMOOTH,
+    SWEPT,
     _sampled_active,
+    active_masks,
     active_sets,
     all_permutations,
     combine,
@@ -51,6 +58,7 @@ from certifier_reference import basis_step as ref_basis_step
 from certifier_reference import penalty_value as ref_penalty_value
 from certifier_reference import repair_matching as ref_repair_matching
 from certifier_reference import value_and_grads as ref_value_and_grads
+import maxmin_reference
 from maxmin_reference import equal_value_indices, strict_ordering
 from maxmin_reference import realized_base as sorted_realized_base
 
@@ -128,6 +136,23 @@ def ref_min_product(sys, policy, n_samples):
         x /= np.linalg.norm(x)
         best = min(best, float(x @ QA1 @ x) * float(x @ QA2 @ x))
     return best
+
+
+def ref_min_product_per_row(sys, policy, n_samples):
+    """``sliding_exclusion``'s minimum with its samples mapped onto the
+    surface by one matrix-vector product per row."""
+    Q = sys.modes[0].Q
+    w_all, vecs = np.linalg.eigh(0.5 * (Q + Q.T))
+    pos, neg = np.flatnonzero(w_all > 0), np.flatnonzero(w_all < 0)
+    UW = np.random.default_rng(policy.seed).standard_normal((n_samples, sys.dim))
+    U, W = UW[:, : len(pos)], UW[:, len(pos) :]
+    Z = np.zeros((n_samples, sys.dim))
+    Z[:, pos] = U / np.sqrt(np.vecdot(U, U))[:, None] / np.sqrt(2.0 * w_all[pos])
+    Z[:, neg] = W / np.sqrt(np.vecdot(W, W))[:, None] / np.sqrt(-2.0 * w_all[neg])
+    X = (vecs @ Z[:, :, None])[:, :, 0]
+    X /= np.sqrt(np.vecdot(X, X))[:, None]
+    products = [np.vecdot(X @ (Q @ mode.A), X) for mode in sys.modes]
+    return float((products[0] * products[1]).min())
 
 
 def ref_validate_partition(sys, policy, n_samples):
@@ -485,6 +510,18 @@ def test_sliding_exclusion_matches_point_loop():
         assert got == ref_min_product(sys3, policy, 1500)
 
 
+def test_sliding_exclusion_gemm_is_the_per_row_map():
+    # the surface samples mapped by one gemm, Z @ V^T, against the stacked
+    # per-row products V @ z at the default 10k samples: example3's
+    # eigenvectors are the coordinate axes, so both give the same bits
+    # (for other eigenvectors the gemm may round differently)
+    sys3 = fixtures.example("example3")[0]
+    for seed in range(10):
+        policy = NumericPolicy(seed=seed)
+        got = sliding_exclusion(sys3, policy).min_product
+        assert got == ref_min_product_per_row(sys3, policy, 10_000)
+
+
 def test_validate_partition_matches_point_loop(linear_system):
     sys1 = fixtures.example("example1")[0]
     sys3 = fixtures.example("example3")[0]
@@ -547,11 +584,11 @@ def test_sampled_active_matches_point_loop():
     cases.append((spec3, QuadraticBasis([P1, P1.copy()]), ring[:3]))
     for spec, basis, points in cases:
         X = np.array(points)
-        got = _sampled_active(spec, basis, X, tie_mask(spec, basis, X, POLICY)[0], POLICY)
-        assert len(got) == len(X)
-        for x, act in zip(X, got):
-            assert (act.indices, act.warning) == ref_sampled_active(spec, basis, x, POLICY)
-            assert act.method == PERTURBATION_SAMPLED
+        got, warnings = _sampled_active(spec, basis, X, tie_mask(spec, basis, X, POLICY)[0], POLICY)
+        assert len(got) == len(warnings) == len(X)
+        for x, act, warning in zip(X, got, warnings):
+            indices = tuple((np.flatnonzero(act) + 1).tolist())
+            assert (indices, warning) == ref_sampled_active(spec, basis, x, POLICY)
 
 
 def _surface_points(matrices, Qs, per_surface, rng):
@@ -671,6 +708,114 @@ def test_active_sets_match_the_per_point_chain():
             warned += act.warning is not None
     assert min(methods.values()) > PROBE_ROWS
     assert warned > 0
+
+
+def _batch_problem(case):
+    """(spec, basis) of one active-set batch case: the three examples, a
+    planar basis with an identical pair (no arc table; every probe ties,
+    so sampling falls back with the identical-bases warning), and an
+    expression basis with an identical pair (the fallback's own warning)."""
+    if case.startswith("example"):
+        _, spec, basis = fixtures.example(case)
+        return spec, basis
+    _, spec, basis = fixtures.example("example1")
+    if case == "identical":
+        P1, _, P3 = basis.matrices
+        return spec, QuadraticBasis([P3, P1, P1.copy()])
+    twin = parse_expr_text("x1*x1 + 5*x2*x2")
+    return spec, ExprBasis([twin, twin, parse_expr_text("5*x1*x1 + x2*x2")], dim=2)
+
+
+def _batch_rows(basis, rows, rng):
+    """rows points of four kinds drawn at random: generic, on a tie of two
+    bases (at a tie angle in the plane, else on a zero set), at the
+    origin and within abs_tol of it."""
+    kinds = rng.integers(0, 4, rows)
+    X = rng.standard_normal((rows, basis.dim))
+    if isinstance(basis, QuadraticBasis) and basis.dim == 2:
+        angles = np.array(basis._circle_roots or [0.25 * math.pi])
+        t = angles[rng.integers(0, len(angles), rows)]
+        on = rng.uniform(0.5, 2.0, (rows, 1)) * np.stack([np.cos(t), np.sin(t)], axis=1)
+    elif isinstance(basis, QuadraticBasis):
+        on = _surface_points(basis.matrices, [], rows, rng)[rng.permutation(rows)]
+    else:
+        t = rng.uniform(0.5, 2.0, rows)
+        on = np.stack([t, rng.choice([-1.0, 1.0], rows) * t], axis=1)
+    X[kinds == 1] = on[kinds == 1]
+    X[kinds == 2] = 0.0
+    X[kinds == 3] = 3e-10 * rng.standard_normal(((kinds == 3).sum(), basis.dim))
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["example1", "example2", "example3", "identical", "expr"]),
+    st.integers(0, 70),
+    st.integers(0, 2**32 - 1),
+    st.none() | st.integers(0, 7),
+)
+def test_active_masks_are_the_per_row_sets(case, rows, seed, undecided):
+    # the mask, method codes and warnings of one batch (crossing the probe
+    # chunks of PROBE_ROWS rows) against the per-row ActiveSet chain; with
+    # ``undecided`` one planar arc ties at its midpoint, so the rows on
+    # its ends go to sampling
+    spec, basis = _batch_problem(case)
+    X = _batch_rows(basis, rows, np.random.default_rng(seed))
+    values = type(basis).values
+    tied = []
+    if undecided is not None and basis.dim == 2 and isinstance(basis, QuadraticBasis):
+        if basis._arcs is not None:
+            midpoints = basis._arcs[1]
+            tied.append(midpoints[undecided % len(midpoints)])
+
+    def tie_one_midpoint(self, Y):
+        vals = values(self, Y)
+        if tied and np.ndim(Y) == 2:
+            hit = (Y == tied[0]).all(axis=1)
+            vals[hit] = vals[hit, :1]
+        return vals
+
+    with mock.patch.object(type(basis), "values", tie_one_midpoint):
+        want = maxmin_reference.active_sets(spec, basis, X, POLICY)
+        active, method, warning = active_masks(spec, basis, X, POLICY)
+        got = active_sets(spec, basis, X, POLICY)
+        given_ties = active_masks(spec, basis, X, POLICY, tie_mask(spec, basis, X, POLICY)[0])
+    assert got == want
+    assert active.shape == (len(X), basis.K) and active.dtype == bool
+    assert [tuple((np.flatnonzero(row) + 1).tolist()) for row in active] == [a.indices for a in want]
+    codes = {EXACT_SMOOTH: SMOOTH, EXACT_SWEEP: SWEPT, PERTURBATION_SAMPLED: SAMPLED}
+    assert method.tolist() == [codes[a.method] for a in want]
+    assert warning.tolist() == [a.warning for a in want]
+    for a, b in zip(given_ties, (active, method, warning)):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(2, 3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1e150, 1e154, 1e160, 1e200]),
+)
+def test_tie_mask_refuses_overflow_so_every_row_has_a_tie(K, dim, seed, radius):
+    # a row whose base values overflow raises; every other row ties with V
+    # at the base attaining it, so the sampler's first-tie fallback always
+    # has a base to fall back to
+    rng = np.random.default_rng(seed)
+    spec = MaxMinSpec(K=K, families=tuple((k,) for k in range(1, K + 1)))
+    basis = QuadraticBasis([G @ G.T for G in rng.standard_normal((K, dim, dim))])
+    X = radius * rng.standard_normal((5, dim))
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(basis.values(X)).all()
+    if not finite:
+        with pytest.raises(InvalidInputError, match="base value is not finite"):
+            tie_mask(spec, basis, X, POLICY)
+        with pytest.raises(InvalidInputError, match="base value is not finite"):
+            active_masks(spec, basis, X, POLICY)
+        return
+    ties, _ = tie_mask(spec, basis, X, POLICY)
+    assert ties.any(axis=1).all()
+    assert active_masks(spec, basis, X, POLICY)[0].any(axis=1).all()
 
 
 def test_match_penalty_gram_form_matches_einsum():

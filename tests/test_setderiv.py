@@ -1,7 +1,6 @@
 import itertools
 import re
 import struct
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -667,16 +666,15 @@ def test_over_approximated_active_set_is_scale_free(monkeypatch, radius):
     per point or in the batch, and no entry violates the decrease."""
     spec, basis, sysm = _problem("example1")
     X = radius * _sphere_and_kink_points(basis, sysm, np.random.default_rng(7))
-    real = setderiv.active_sets
+    real = setderiv.active_masks
 
     def over(spec, basis, X, policy, ties=None):
-        out = []
-        for act in real(spec, basis, X, policy, ties=ties):
-            extra = min(set(range(1, basis.K + 1)) - set(act.indices))
-            out.append(replace(act, indices=tuple(sorted(act.indices + (extra,)))))
-        return out
+        active, method, warning = real(spec, basis, X, policy, ties=ties)
+        extra = (~active).argmax(axis=1)  # the first base not in the row's set
+        active[np.arange(len(active)), extra] = True
+        return active, method, warning
 
-    monkeypatch.setattr(setderiv, "active_sets", over)
+    monkeypatch.setattr(setderiv, "active_masks", over)
     for x in X:
         reference.lie(setderiv.vertex_table(spec, basis, sysm, x, POLICY), POLICY)
     report = decrease_check(spec, basis, sysm, X, 0.0, POLICY)
@@ -700,3 +698,61 @@ def test_decrease_is_scale_free_on_example3(radius):
         else:
             want = radius**2 * b.value
             assert abs(e.value - want) <= 1e-9 * abs(want)
+
+
+def _entry_key(entries):
+    return [(e.x.tobytes(), _bits(e.value), _bits(e.bound), e.ok) for e in entries]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["example1", "example2", "example3"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.3, 20.0]),
+    st.booleans(),
+)
+def test_decrease_report_columns_are_the_eager_entries(name, seed, rate, use_clarke):
+    """The report keeps its columns: ``violations`` and ``ok`` read them
+    without building every entry, and ``entries`` (built on first read)
+    equal the per-sample entries of the per-point derivatives."""
+    spec, basis, sysm = _problem(name)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.5, 2.0) * _sphere_and_kink_points(basis, sysm, rng, sphere=24, per_surface=4)
+    report = decrease_check(spec, basis, sysm, X, rate, POLICY, use_clarke=use_clarke)
+    if use_clarke:
+        values = [clarke_derivative(spec, basis, sysm, x, POLICY).hi for x in X]
+    else:
+        lies = [lie_derivative(spec, basis, sysm, x, POLICY) for x in X]
+        values = [None if lie.empty else lie.hi for lie in lies]
+    want = reference.decrease_entries(X, rate, values)
+    violations, ok = report.violations, report.ok
+    assert "entries" not in vars(report)
+    assert _entry_key(violations) == _entry_key([e for e in want if not e.ok])
+    assert ok == all(e.ok for e in want)
+    assert len(report.entries) == len(want)
+    assert _entry_key(report.entries) == _entry_key(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_groups_come_in_the_order_of_the_sorted_mask_rows(width, rows, seed):
+    """Grouping on packed keys gives the groups, their rows and their
+    columns in the order ``np.unique(..., axis=0)`` sorts the joined mask
+    rows, for any number of columns (keys of one byte and of several)."""
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(1, width))
+    masks = rng.random((rows, width)) < rng.uniform(0.1, 0.9)
+    if rng.random() < 0.5:  # few distinct rows, as the decrease check sees
+        masks = masks[rng.integers(0, min(rows, 3), rows)]
+    keys, group = np.unique(masks, axis=0, return_inverse=True)
+    group = group.ravel()
+    want = [
+        (np.flatnonzero(group == g).tolist(), np.flatnonzero(key[:K]).tolist(),
+         np.flatnonzero(key[K:]).tolist())
+        for g, key in enumerate(keys)
+    ]
+    got = [
+        (r.tolist(), a.tolist(), m.tolist())
+        for r, a, m in setderiv._groups(masks[:, :K], masks[:, K:])
+    ]
+    assert got == want
