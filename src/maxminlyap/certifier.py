@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import InvalidInputError, PartitionError
 from .maxmin import (
+    MAX_BASES,
     GradientHull,
     MaxMinSpec,
     QuadraticBasis,
@@ -61,7 +62,6 @@ from .numkernel import (
 from .policy import DEFAULT_POLICY
 from .setderiv import lie_sets
 
-MAX_BASES = 6
 MATCHING_SAMPLES = 2000  # unit directions behind a derived matching
 TILING_TOL = 1e-9  # radians between one cone sector's end and the next one's start
 

@@ -6,6 +6,11 @@ failed / not certified, 2 usage or parse error, 3 internal assertion.
 Outputs are deterministic functions of the arguments and seed; every
 file written starts with a header comment carrying the tool version,
 a manifest hash and the seed.
+
+Each subcommand imports only the modules it runs: this module loads the
+config reader and the system model that every command uses, and a
+command imports the rest (the certifier, the simulator, the set-valued
+derivatives, the svg writer, the bundled examples) when it runs.
 """
 
 import argparse
@@ -15,17 +20,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import __version__, fixtures
-from .certifier import (
-    MAX_BASES,
-    Candidate,
-    SearchOptions,
-    VERDICT_GAS,
-    certify,
-    cone_chain,
-    sliding_exclusion,
-)
-from .certreport import serialize_certificate
+from . import __version__
 from .errors import (
     ConfigError,
     DomainEvalError,
@@ -34,13 +29,9 @@ from .errors import (
     MaxMinLyapError,
     PartitionError,
 )
-from .filippovsim import SimOptions, export_csv, simulate, sliding_lambda
 from .inclusion import SwitchedSystem
-from .maxmin import all_permutations, clarke_gradient, evaluate, phi
 from .policy import NumericPolicy
 from .numkernel import sphere_points
-from .setderiv import decrease_check, vertex_table
-from .svg import PORTRAIT_GRID, phase_portrait_svg
 from .sysdsl.config import parse_config
 
 EXIT_OK = 0
@@ -154,6 +145,8 @@ def cmd_validate(args):
 
 
 def cmd_phi(args):
+    from .maxmin import MAX_BASES, all_permutations, phi
+
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
     spec = basis_cfg.to_spec()
@@ -166,6 +159,8 @@ def cmd_phi(args):
 
 
 def cmd_grad(args):
+    from .maxmin import clarke_gradient, evaluate
+
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
     spec, basis = basis_cfg.to_spec(), basis_cfg.to_basis()
@@ -183,6 +178,8 @@ def cmd_grad(args):
 
 
 def cmd_lie(args):
+    from .setderiv import vertex_table
+
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
     spec, basis = basis_cfg.to_spec(), basis_cfg.to_basis()
@@ -210,6 +207,8 @@ def _decrease_samples(args, sysm, policy):
     rng = np.random.default_rng(policy.seed)
     pts = list(sphere_points(sysm.dim, args.samples, rng, radius=args.radius))
     if sysm.dim == 2 and all(m.region_kind == "cone" for m in sysm.modes):
+        from .certifier import cone_chain
+
         try:
             factors = cone_chain(sysm)
             pts.extend(v.copy() for v in factors.vs)
@@ -219,6 +218,8 @@ def _decrease_samples(args, sysm, policy):
 
 
 def cmd_decrease(args):
+    from .setderiv import decrease_check
+
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
     spec, basis = basis_cfg.to_spec(), basis_cfg.to_basis()
@@ -243,6 +244,8 @@ def cmd_decrease(args):
 
 
 def cmd_simulate(args):
+    from .filippovsim import SimOptions, export_csv, simulate
+
     parsed = _load(args.config)
     sysm = SwitchedSystem.from_config(parsed.require_system())
     policy = _policy_from(args)
@@ -282,9 +285,13 @@ def cmd_simulate(args):
         _write(args.csv, export_csv(traj, spec, basis), header)
         print(f"csv written to {args.csv}")
     if args.svg:
+        from .svg import PORTRAIT_GRID, phase_portrait_svg
+
         coords = [s.x for s in traj.samples]
         value_fn = None
         if levels:
+            from .maxmin import evaluate
+
             value_fn = lambda p: evaluate(spec, basis, p)  # noqa: E731
         svg = phase_portrait_svg(
             [coords],
@@ -300,6 +307,9 @@ def cmd_simulate(args):
 
 
 def cmd_certify(args):
+    from .certifier import VERDICT_GAS, Candidate, SearchOptions, certify
+    from .certreport import serialize_certificate
+
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
     spec = basis_cfg.to_spec()
@@ -324,6 +334,8 @@ def cmd_certify(args):
 
 
 def cmd_decompose(args):
+    from .certifier import cone_chain, sliding_exclusion
+
     parsed = _load(args.config)
     sysm = SwitchedSystem.from_config(parsed.require_system())
     policy = _policy_from(args)
@@ -365,6 +377,11 @@ def cmd_reproduce(args):
 
 
 def _reproduce_example1(args):
+    from . import fixtures
+    from .certifier import VERDICT_GAS, certify
+    from .filippovsim import SimOptions, simulate
+    from .maxmin import all_permutations, phi
+
     policy = _policy_from(args)
     sysm, spec, basis = fixtures.example("example1")
     cand = fixtures.example1_candidate()
@@ -413,6 +430,10 @@ def _reproduce_example1(args):
 
 
 def _reproduce_example2(args):
+    from . import fixtures
+    from .filippovsim import SimOptions, simulate, sliding_lambda
+    from .setderiv import decrease_check
+
     policy = _policy_from(args)
     sysm, spec, basis = fixtures.example("example2")
     ok = True
@@ -466,6 +487,9 @@ def _reproduce_example2(args):
 
 
 def _reproduce_example3(args):
+    from . import fixtures
+    from .certifier import VERDICT_GAS, certify
+
     policy = _policy_from(args)
     sysm, spec, _ = fixtures.example("example3")
     cand = fixtures.example3_candidate()

@@ -172,6 +172,9 @@ class ExprBasis:
         ]
 
 
+MAX_BASES = 6  # the largest K whose K! orderings the phi table and condition (i) list
+
+
 def all_permutations(K):
     """All orderings of 1..K in lexicographic order."""
     return [tuple(p) for p in itertools.permutations(range(1, K + 1))]

@@ -370,6 +370,75 @@ def test_certify_search_imports_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+# the modules that loading the CLI and reading a config with a basis need
+SETUP_MODULES = {
+    "maxminlyap", "cli", "errors", "policy", "numkernel", "inclusion", "maxmin",
+    "sysdsl", "sysdsl.expr", "sysdsl.config",
+}
+
+
+def loaded_modules(tmp_path, argv):
+    """Exit status of ``main(argv)`` in a fresh interpreter, and the
+    ``maxminlyap`` modules it loaded, named below the package."""
+    script = (
+        "import sys\n"
+        "from maxminlyap.cli import main\n"
+        f"code = main({argv!r})\n"
+        "names = sorted(m for m in sys.modules if m.split('.')[0] == 'maxminlyap')\n"
+        "print(code, ' '.join(names))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *names = proc.stdout.splitlines()[-1].split()
+    return int(code), {n.removeprefix("maxminlyap.") for n in names}
+
+
+@pytest.mark.parametrize(
+    "argv, code, extra",
+    [
+        (["validate", EX1, "--samples", "100"], 0, set()),
+        (["phi", EX1], 0, set()),
+        (["simulate", EX2, "--from", "0.5,0", "--horizon", "0.5"], 0, {"filippovsim"}),
+        (
+            ["simulate", EX2, "--from", "0.5,0", "--horizon", "0.5", "--svg", "p.svg"],
+            0,
+            {"filippovsim", "svg"},
+        ),
+        (["decrease", EX3, "--samples", "100"], 0, {"setderiv"}),
+        (["certify", EX3], 0, {"certifier", "setderiv", "certreport"}),
+    ],
+    ids=["validate", "phi", "simulate", "simulate-svg", "decrease", "certify"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, extra):
+    got_code, got = loaded_modules(tmp_path, argv)
+    assert got_code == code
+    assert got == SETUP_MODULES | extra
+
+
+def test_phi_refuses_more_bases_than_the_table_lists(tmp_path, capsys):
+    # the limit lives beside all_permutations, and the certifier reads
+    # the same constant
+    from maxminlyap import certifier, maxmin
+
+    assert certifier.MAX_BASES is maxmin.MAX_BASES == 6
+    head = (CONFIGS / "example1.cfg").read_text().split("[basis]")[0]
+    bases = "".join(f"P{k} = [[{k}, 0], [0, 1]]\n" for k in range(1, 8))
+    cfg = tmp_path / "k7.cfg"
+    cfg.write_text(
+        f"{head}[basis]\n{bases}\n[structure]\npolarity = maxmin\n"
+        "S1 = {1, 2, 3, 4}\nS2 = {5, 6, 7}\n"
+    )
+    code, out, err = run(capsys, ["phi", str(cfg)])
+    assert (code, out, err) == (2, "", "error: phi table limited to K <= 6\n")
+    code, out, err = run(capsys, ["certify", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == "error: K=7 bases means 7! permutations; refusing beyond 6\n"
+
+
 @pytest.mark.parametrize(
     "name, variant",
     [
