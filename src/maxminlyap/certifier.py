@@ -14,17 +14,9 @@ constraints share a common subset, which reproduces the small reduced
 inequality families used in hand calculations.
 
 Condition (ii) covers the points where both the partition and the
-candidate are nonsmooth: in the plane, each cone matrix factors as
-t t'^T + t' t^T, the cone is the pair of opposite sectors between the
-lines t.x = 0 and t'.x = 0, and the sectors sorted by angle tile the
-half turn and give the switching lines in cyclic order; each line is
-checked at one unit vector, with the margin read off the same
-gradient-by-field product table as the Lie derivative (all lines in
-one ``setderiv.lie_sets`` call), so it is what ``maxminlyap lie``
-prints there;
-in R^n with two modes, sliding is ruled out by sampling the sign product
-of the two normal velocity components on the switching surface plus a
-full-rank test on base differences.
+candidate are nonsmooth.  ``certify`` tries its procedures (vacuous,
+planar, two-mode) in a fixed order on the switching geometry of
+``inclusion``, and keeps why each one it passed over did not apply.
 
 The mode-to-permutation pairing assumes the candidate's active base
 agrees with the active mode region ("matched" pairing, required for
@@ -38,12 +30,14 @@ computation.
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, PartitionError
+from .errors import InvalidInputError
+from .inclusion import ExclusionReport, _require_linear_conic, cone_chain, sliding_exclusion
 from .maxmin import (
     MAX_BASES,
     GradientHull,
@@ -56,14 +50,13 @@ from .maxmin import (
     selected_base,
 )
 from .numkernel import (
-    eig_sym, negdef_margin, positive_definite, project_psd, quad_forms, row_norms, solve_lyapunov,
+    eig_sym, negdef_margin, positive_definite, project_psd, row_norms, solve_lyapunov,
     sphere_points,
 )
 from .policy import DEFAULT_POLICY
 from .setderiv import lie_sets
 
 MATCHING_SAMPLES = 2000  # unit directions behind a derived matching
-TILING_TOL = 1e-9  # radians between one cone sector's end and the next one's start
 
 VERDICT_GAS = "GAS-certified"
 VERDICT_COND_I_ONLY = "condition-i-only"
@@ -256,13 +249,6 @@ class ConditionIReport:
     @property
     def ok(self):
         return all(m < -self.required_margin for m in self.margins)
-
-
-def _require_linear_conic(sys):
-    if not sys.is_linear:
-        raise InvalidInputError("certification requires linear modes")
-    if not sys.is_conic:
-        raise InvalidInputError("certification requires conic (or all-space) regions")
 
 
 def _validate_candidate(cand, K, dim):
@@ -934,97 +920,6 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
 # planar condition (ii)
 
 
-@dataclass(frozen=True)
-class ConeFactors:
-    """Switching lines of a planar conic partition in chain order.
-
-    A cone {x'Qx > 0} with Q = t t'^T + t' t^T is the pair of opposite
-    sectors between the lines t.x = 0 and t'.x = 0.  Sorted by start
-    angle on [0, pi), the sectors of a partition tile the half turn,
-    each ending where the next begins; the chain is that cyclic order,
-    started at mode 1 and run across the line of its second factor.
-    order[i] is the mode at chain position i, which lies between
-    switching lines i and i+1 (line M is line 0); factors[i] is that
-    mode's factor pair with its line-i factor first; vs[i] is the unit
-    vector spanning line i.
-    """
-
-    order: tuple
-    vs: tuple
-    factors: tuple
-
-
-def q_cone_decompose(Q):
-    """Factor an indefinite 2x2 symmetric Q as t1 t2^T + t2 t1^T."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (2, 2):
-        raise InvalidInputError("q_cone_decompose expects a 2x2 matrix")
-    s = eig_sym(Q)
-    lm, lp = float(s.eigenvalues[0]), float(s.eigenvalues[1])
-    if not (lm < 0.0 < lp):
-        raise InvalidInputError("cone matrix must be sign indefinite")
-    vm = s.eigenvectors[:, 0]
-    vp = s.eigenvectors[:, 1]
-    eta = np.sqrt(-lm / (lp - lm))
-    kappa = np.sqrt((lp - lm) / 2.0)
-    t1 = kappa * (np.sqrt(1.0 - eta * eta) * vp - eta * vm)
-    t2 = kappa * (np.sqrt(1.0 - eta * eta) * vp + eta * vm)
-    rec = np.outer(t1, t2) + np.outer(t2, t1)
-    err = float(np.abs(rec - Q).max())
-    if err > 1e-10 * max(1.0, float(np.abs(Q).max())):
-        raise PartitionError(f"cone factor reconstruction failed ({err:.2e})")
-    return t1, t2
-
-
-def _sector(t1, t2):
-    """(start angle in [0, pi), width, index of the factor on the start
-    line) of the sector of {(t1.x)(t2.x) > 0} that starts in [0, pi)."""
-    a1, a2 = (float(np.arctan2(t[0], -t[1])) % np.pi for t in (t1, t2))
-    width = (a2 - a1) % np.pi
-    mid = a1 + 0.5 * width
-    x = np.array([np.cos(mid), np.sin(mid)])
-    if (t1 @ x) * (t2 @ x) > 0.0:
-        return a1, width, 0
-    return a2, np.pi - width, 1
-
-
-def cone_chain(sys):
-    """Order the planar cones into the cyclic chain of switching lines by
-    sorting their sectors (see ``ConeFactors``)."""
-    if sys.dim != 2:
-        raise InvalidInputError("cone_chain is planar only")
-    if any(m.region_kind != "cone" for m in sys.modes):
-        raise InvalidInputError("cone_chain needs conic regions for every mode")
-    if sys.M == 1:
-        raise PartitionError("a single cone cannot partition the plane")
-    pairs = [q_cone_decompose(m.Q) for m in sys.modes]
-    sectors = [_sector(*pair) for pair in pairs]
-    ccw = sorted(range(sys.M), key=lambda c: sectors[c][0])
-    starts = np.array([sectors[c][0] for c in ccw])
-    ends = starts + [sectors[c][1] for c in ccw]
-    miss = float(np.abs(ends - np.append(starts[1:], starts[0] + np.pi)).max())
-    if miss > TILING_TOL:
-        raise PartitionError(
-            f"the cone sectors do not tile the plane (mismatch {miss:.2e} rad)"
-        )
-    first = ccw.index(0)
-    ccw = ccw[first:] + ccw[:first]
-    forward = sectors[0][2] == 0  # mode 1's second factor is on its end line
-    chain = ccw if forward else ccw[:1] + ccw[:0:-1]
-    factors = [pairs[c] if (sectors[c][2] == 0) == forward else pairs[c][::-1] for c in chain]
-    # line i from the factor of mode order[i-1] on it (line 0 from mode 1's): both
-    # modes' factors span it, and this one keeps the printed sign of a zero component
-    vs = []
-    for t in [factors[0][0]] + [t2 for _, t2 in factors[:-1]]:
-        v = np.array([-t[1], t[0]]) / np.linalg.norm(t)
-        vs.append(-v if v[0] < 0 or (v[0] == 0 and v[1] < 0) else v)
-    return ConeFactors(
-        order=tuple(sys.modes[c].index for c in chain),
-        vs=tuple(vs),
-        factors=tuple(factors),
-    )
-
-
 @dataclass
 class PlanarEntry:
     position: int
@@ -1040,6 +935,7 @@ class PlanarEntry:
 @dataclass
 class PlanarReport:
     entries: list
+    warnings: dict = field(default_factory=dict)  # active-set warning -> lines that gave it
 
     @property
     def ok(self):
@@ -1059,6 +955,7 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
     factors = cone_chain(sys)
     basis = QuadraticBasis(cand.matrices)
     sets = active_sets(spec, basis, np.array(factors.vs), policy)
+    warnings = dict(Counter(act.warning for act in sets if act.warning))
     hulls = [GradientHull.of(basis, v, act) for v, act in zip(factors.vs, sets)]
     # wraps: line pos borders chain positions pos-1 and pos
     modes = [(factors.order[pos - 1], factors.order[pos]) for pos in range(sys.M)]
@@ -1088,62 +985,11 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
                 ok=worst is None or worst < -policy.margin,
             )
         )
-    return PlanarReport(entries=entries)
+    return PlanarReport(entries=entries, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
 # two-mode condition (ii) in R^n
-
-
-@dataclass
-class ExclusionReport:
-    min_product: float
-    n_samples: int
-    seed: int
-    ok: bool
-
-
-def sliding_exclusion(sys, policy=DEFAULT_POLICY, n_samples=10_000):
-    """Sampled check that both mode fields cross the switching surface
-    the same way: min over the surface of the product of normal
-    components must stay positive."""
-    _require_linear_conic(sys)
-    if sys.M != 2:
-        raise InvalidInputError("sliding_exclusion expects exactly two modes")
-    if n_samples < 1:
-        raise InvalidInputError(
-            f"sliding_exclusion needs at least one sample, got {n_samples}"
-        )
-    Q1, Q2 = sys.modes[0].Q, sys.modes[1].Q
-    if Q1 is None or Q2 is None:
-        raise InvalidInputError("sliding_exclusion expects conic regions")
-    if np.abs(Q1 + Q2).max() > 1e-9 * max(1.0, np.abs(Q1).max()):
-        raise InvalidInputError("two-mode exclusion needs opposite cones +/-Q")
-    Q = Q1
-    s = eig_sym(Q)
-    if np.abs(s.eigenvalues).min() <= policy.abs_tol:
-        raise InvalidInputError("switching matrix Q must be invertible")
-    neg = [k for k, w in enumerate(s.eigenvalues) if w < 0]
-    pos = [k for k, w in enumerate(s.eigenvalues) if w > 0]
-    if not neg or not pos:
-        raise InvalidInputError("switching matrix Q must be sign indefinite")
-    # per sample: unit positive-side then negative-side coordinates, onto x'Qx = 0
-    rng = np.random.default_rng(policy.seed)
-    UW = rng.standard_normal((n_samples, len(pos) + len(neg)))
-    U, W = UW[:, : len(pos)], UW[:, len(pos) :]
-    Z = np.zeros((n_samples, sys.dim))
-    Z[:, pos] = U / row_norms(U)[:, None] / np.sqrt(2.0 * s.eigenvalues[pos])
-    Z[:, neg] = W / row_norms(W)[:, None] / np.sqrt(-2.0 * s.eigenvalues[neg])
-    X = Z @ s.eigenvectors.T
-    X /= row_norms(X)[:, None]
-    QA = np.stack([Q @ sys.modes[0].A, Q @ sys.modes[1].A])
-    min_product = quad_forms(X, QA).prod(axis=1).min(initial=np.inf)
-    return ExclusionReport(
-        min_product=float(min_product),
-        n_samples=n_samples,
-        seed=policy.seed,
-        ok=min_product > policy.margin,
-    )
 
 
 @dataclass
@@ -1178,11 +1024,12 @@ class Certificate:
     candidate: Candidate
     spec: MaxMinSpec
     cond_i: ConditionIReport
-    cond_ii_kind: str  # "planar" | "two-mode" | "unchecked"
+    cond_ii_kind: str  # "vacuous" | "planar" | "two-mode" | "unchecked"
     cond_ii: object
     verdict: str
     policy: object
     notes: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)  # (kind, reason) of each skipped procedure
 
 
 def without_candidate(spec, policy, note):
@@ -1200,6 +1047,25 @@ def without_candidate(spec, policy, note):
         policy=policy,
         notes=[note],
     )
+
+
+def _condition_ii(sys, spec, cand, policy):
+    """Condition (ii) by the first of vacuous, planar and two-mode that
+    applies, as (kind, report, skipped); kind is "unchecked" when none
+    does.  skipped holds the (kind, reason) of each one passed over; the
+    two-mode procedure refuses other systems itself, its error the reason."""
+    if spec.K == 1 or sys.M == 1:
+        # a single base is C^1, a single mode has no switching surface;
+        # either way the nonsmooth-times-multivalued case is empty
+        return "vacuous", None, []
+    skipped = [("vacuous", f"{spec.K} bases and {sys.M} modes")]
+    if sys.dim == 2 and all(m.region_kind == "cone" for m in sys.modes):
+        return "planar", planar_condition_ii(sys, spec, cand, policy), skipped
+    skipped.append(("planar", f"dimension {sys.dim}" if sys.dim != 2 else "a non-conic region"))
+    try:
+        return "two-mode", check_condition_ii_2mode(sys, spec, cand, policy), skipped
+    except InvalidInputError as err:
+        return "unchecked", None, skipped + [("two-mode", str(err))]
 
 
 def certify(
@@ -1247,27 +1113,15 @@ def certify(
             + f"; validated on {cond_i.evidence.get('samples', 0)} samples)"
         )
 
-    kind, cond_ii, verdict = "unchecked", None, VERDICT_NOT_CERTIFIED
+    kind, cond_ii, skipped, verdict = "unchecked", None, [], VERDICT_NOT_CERTIFIED
     if cond_i.ok:
-        verdict = VERDICT_COND_I_ONLY
-        if spec.K == 1 or sys.M == 1:
-            # a single base is C^1, a single mode has no switching surface;
-            # either way the nonsmooth-times-multivalued case is empty
-            kind, verdict = "vacuous", VERDICT_GAS
+        kind, cond_ii, skipped = _condition_ii(sys, spec, cand, policy)
+        if kind == "vacuous":
             notes.append("condition (ii) vacuous (single base or single mode)")
-        elif sys.dim == 2 and all(m.region_kind == "cone" for m in sys.modes):
-            kind, cond_ii = "planar", planar_condition_ii(sys, spec, cand, policy)
-        elif sys.M == 2:
-            try:
-                kind, cond_ii = "two-mode", check_condition_ii_2mode(sys, spec, cand, policy)
-            except InvalidInputError as err:
-                notes.append(f"condition (ii) unchecked: {err}")
-        else:
-            notes.append(
-                "condition (ii) unchecked: no procedure for this dimension/mode count"
-            )
-        if cond_ii is not None and cond_ii.ok:
-            verdict = VERDICT_GAS
+        elif kind == "unchecked":
+            notes += [f"condition (ii) unchecked: {k}: {reason}" for k, reason in skipped]
+        proved = kind == "vacuous" or (cond_ii is not None and cond_ii.ok)
+        verdict = VERDICT_GAS if proved else VERDICT_COND_I_ONLY
     return Certificate(
         candidate=cand,
         spec=spec,
@@ -1277,4 +1131,5 @@ def certify(
         verdict=verdict,
         policy=policy,
         notes=notes,
+        skipped=skipped,
     )

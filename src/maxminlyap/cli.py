@@ -29,7 +29,7 @@ from .errors import (
     MaxMinLyapError,
     PartitionError,
 )
-from .inclusion import SwitchedSystem
+from .inclusion import SwitchedSystem, cone_chain, sliding_exclusion
 from .policy import NumericPolicy
 from .numkernel import sphere_points
 from .sysdsl.config import parse_config
@@ -205,16 +205,11 @@ def _warn(counts):
 
 def _decrease_samples(args, sysm, policy):
     rng = np.random.default_rng(policy.seed)
-    pts = list(sphere_points(sysm.dim, args.samples, rng, radius=args.radius))
-    if sysm.dim == 2 and all(m.region_kind == "cone" for m in sysm.modes):
-        from .certifier import cone_chain
-
-        try:
-            factors = cone_chain(sysm)
-            pts.extend(v.copy() for v in factors.vs)
-        except (PartitionError, InvalidInputError):
-            pass
-    return pts
+    pts = sphere_points(sysm.dim, args.samples, rng, radius=args.radius)
+    try:
+        return np.vstack([pts, *cone_chain(sysm).vs])
+    except (PartitionError, InvalidInputError):
+        return pts
 
 
 def cmd_decrease(args):
@@ -324,6 +319,8 @@ def cmd_certify(args):
     cert = certify(
         sysm, spec, cand, policy, search=args.search, search_opts=search_opts
     )
+    if cert.cond_ii_kind == "planar":
+        _warn(cert.cond_ii.warnings)
     report = serialize_certificate(cert, sysm)
     header = _header(args, ["search", "budget"])
     print(f"# {header}")
@@ -334,8 +331,6 @@ def cmd_certify(args):
 
 
 def cmd_decompose(args):
-    from .certifier import cone_chain, sliding_exclusion
-
     parsed = _load(args.config)
     sysm = SwitchedSystem.from_config(parsed.require_system())
     policy = _policy_from(args)

@@ -23,7 +23,6 @@ from importlib import resources
 
 import numpy as np
 
-from .certifier import Candidate
 from .inclusion import SwitchedSystem
 from .sysdsl.config import parse_config
 
@@ -53,6 +52,7 @@ def example(name):
 
 def example1_candidate():
     """Reference multipliers for the four reduced inequalities."""
+    from .certifier import Candidate
     return Candidate(
         matrices=example("example1")[2].matrices,
         multipliers={
@@ -65,6 +65,7 @@ def example1_candidate():
 
 
 def example3_candidate():
+    from .certifier import Candidate
     return Candidate(
         matrices=example("example3")[2].matrices,
         multipliers={(1, ((2, 1),)): (0.0, 0.6), (2, ((1, 2),)): (0.0, 0.0)},

@@ -6,6 +6,10 @@ active: a symmetric open cone {x : x^T Q x > 0}, a general analytic
 sublevel region {x : H(x) > 0}, or the whole space.  The convexified
 right-hand side at x is the hull of the fields of every mode whose
 region closure contains x.
+
+The switching geometry that certification's condition (ii) reads lives
+here too: the switching lines of planar cones in cyclic order
+(``cone_chain``) and the sampled two-mode sliding exclusion.
 """
 
 from dataclasses import dataclass
@@ -15,13 +19,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, PartitionError
-from .numkernel import as_points, as_square, as_symmetric, quad_forms, sphere_points
+from .numkernel import (
+    as_points, as_square, as_symmetric, eig_sym, quad_forms, row_norms, sphere_points,
+)
 from .policy import DEFAULT_POLICY
 from .sysdsl import expr as ex
 
 CONE = "cone"
 EXPR = "expr"
 ALL = "all"
+TILING_TOL = 1e-9  # radians between one cone sector's end and the next one's start
 
 
 def _cone_matrix(Q, name):
@@ -212,3 +219,150 @@ class SwitchedSystem:
         bad = (n_strict > 1) | ((n_strict == 0) & ~near)
         violations = [(X[s], tuple(index[strict[s]].tolist())) for s in np.flatnonzero(bad)]
         return violations, n_samples
+
+
+def _require_linear_conic(sys):
+    if not sys.is_linear:
+        raise InvalidInputError("certification requires linear modes")
+    if not sys.is_conic:
+        raise InvalidInputError("certification requires conic (or all-space) regions")
+
+
+@dataclass(frozen=True)
+class ConeFactors:
+    """Switching lines of a planar conic partition in chain order.
+
+    A cone {x'Qx > 0} with Q = t t'^T + t' t^T is the pair of opposite
+    sectors between the lines t.x = 0 and t'.x = 0.  Sorted by start
+    angle on [0, pi), the sectors of a partition tile the half turn,
+    each ending where the next begins; the chain is that cyclic order,
+    started at mode 1 and run across the line of its second factor.
+    order[i] is the mode at chain position i, which lies between
+    switching lines i and i+1 (line M is line 0); factors[i] is that
+    mode's factor pair with its line-i factor first; vs[i] is the unit
+    vector spanning line i.
+    """
+
+    order: tuple
+    vs: tuple
+    factors: tuple
+
+
+def q_cone_decompose(Q):
+    """Factor an indefinite 2x2 symmetric Q as t1 t2^T + t2 t1^T."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape != (2, 2):
+        raise InvalidInputError("q_cone_decompose expects a 2x2 matrix")
+    s = eig_sym(Q)
+    lm, lp = float(s.eigenvalues[0]), float(s.eigenvalues[1])
+    if not (lm < 0.0 < lp):
+        raise InvalidInputError("cone matrix must be sign indefinite")
+    vm, vp = s.eigenvectors.T
+    eta = np.sqrt(-lm / (lp - lm))
+    kappa = np.sqrt((lp - lm) / 2.0)
+    t1 = kappa * (np.sqrt(1.0 - eta * eta) * vp - eta * vm)
+    t2 = kappa * (np.sqrt(1.0 - eta * eta) * vp + eta * vm)
+    rec = np.outer(t1, t2) + np.outer(t2, t1)
+    err = float(np.abs(rec - Q).max())
+    if err > 1e-10 * max(1.0, float(np.abs(Q).max())):
+        raise PartitionError(f"cone factor reconstruction failed ({err:.2e})")
+    return t1, t2
+
+
+def _sector(t1, t2):
+    """(start angle in [0, pi), width, index of the factor on the start
+    line) of the sector of {(t1.x)(t2.x) > 0} that starts in [0, pi)."""
+    a1, a2 = (float(np.arctan2(t[0], -t[1])) % np.pi for t in (t1, t2))
+    width = (a2 - a1) % np.pi
+    mid = a1 + 0.5 * width
+    x = np.array([np.cos(mid), np.sin(mid)])
+    if (t1 @ x) * (t2 @ x) > 0.0:
+        return a1, width, 0
+    return a2, np.pi - width, 1
+
+
+def cone_chain(sys):
+    """Order the planar cones into the cyclic chain of switching lines by
+    sorting their sectors (see ``ConeFactors``)."""
+    if sys.dim != 2:
+        raise InvalidInputError("cone_chain is planar only")
+    if any(m.region_kind != "cone" for m in sys.modes):
+        raise InvalidInputError("cone_chain needs conic regions for every mode")
+    if sys.M == 1:
+        raise PartitionError("a single cone cannot partition the plane")
+    pairs = [q_cone_decompose(m.Q) for m in sys.modes]
+    sectors = [_sector(*pair) for pair in pairs]
+    ccw = sorted(range(sys.M), key=lambda c: sectors[c][0])
+    starts = np.array([sectors[c][0] for c in ccw])
+    ends = starts + [sectors[c][1] for c in ccw]
+    miss = float(np.abs(ends - np.append(starts[1:], starts[0] + np.pi)).max())
+    if miss > TILING_TOL:
+        raise PartitionError(
+            f"the cone sectors do not tile the plane (mismatch {miss:.2e} rad)"
+        )
+    first = ccw.index(0)
+    ccw = ccw[first:] + ccw[:first]
+    forward = sectors[0][2] == 0  # mode 1's second factor is on its end line
+    chain = ccw if forward else ccw[:1] + ccw[:0:-1]
+    factors = [pairs[c] if (sectors[c][2] == 0) == forward else pairs[c][::-1] for c in chain]
+    # line i from the factor of mode order[i-1] on it (line 0 from mode 1's): both
+    # modes' factors span it, and this one keeps the printed sign of a zero component
+    vs = []
+    for t in [factors[0][0]] + [t2 for _, t2 in factors[:-1]]:
+        v = np.array([-t[1], t[0]]) / np.linalg.norm(t)
+        vs.append(-v if v[0] < 0 or (v[0] == 0 and v[1] < 0) else v)
+    return ConeFactors(
+        order=tuple(sys.modes[c].index for c in chain),
+        vs=tuple(vs),
+        factors=tuple(factors),
+    )
+
+
+@dataclass
+class ExclusionReport:
+    min_product: float
+    n_samples: int
+    seed: int
+    ok: bool
+
+
+def sliding_exclusion(sys, policy=DEFAULT_POLICY, n_samples=10_000):
+    """Sampled check that both mode fields cross the switching surface
+    the same way: min over the surface of the product of normal
+    components must stay positive."""
+    _require_linear_conic(sys)
+    if sys.M != 2:
+        raise InvalidInputError("sliding_exclusion expects exactly two modes")
+    if n_samples < 1:
+        raise InvalidInputError(
+            f"sliding_exclusion needs at least one sample, got {n_samples}"
+        )
+    Q, Q2 = sys.modes[0].Q, sys.modes[1].Q
+    if Q is None or Q2 is None:
+        raise InvalidInputError("sliding_exclusion expects conic regions")
+    if np.abs(Q + Q2).max() > 1e-9 * max(1.0, np.abs(Q).max()):
+        raise InvalidInputError("two-mode exclusion needs opposite cones +/-Q")
+    s = eig_sym(Q)
+    if np.abs(s.eigenvalues).min() <= policy.abs_tol:
+        raise InvalidInputError("switching matrix Q must be invertible")
+    neg = [k for k, w in enumerate(s.eigenvalues) if w < 0]
+    pos = [k for k, w in enumerate(s.eigenvalues) if w > 0]
+    if not neg or not pos:
+        raise InvalidInputError("switching matrix Q must be sign indefinite")
+    # per sample: unit positive-side then negative-side coordinates, onto x'Qx = 0
+    rng = np.random.default_rng(policy.seed)
+    UW = rng.standard_normal((n_samples, len(pos) + len(neg)))
+    U, W = UW[:, : len(pos)], UW[:, len(pos) :]
+    Z = np.zeros((n_samples, sys.dim))
+    Z[:, pos] = U / row_norms(U)[:, None] / np.sqrt(2.0 * s.eigenvalues[pos])
+    Z[:, neg] = W / row_norms(W)[:, None] / np.sqrt(-2.0 * s.eigenvalues[neg])
+    X = Z @ s.eigenvectors.T
+    X /= row_norms(X)[:, None]
+    QA = np.stack([Q @ sys.modes[0].A, Q @ sys.modes[1].A])
+    min_product = quad_forms(X, QA).prod(axis=1).min(initial=np.inf)
+    return ExclusionReport(
+        min_product=float(min_product),
+        n_samples=n_samples,
+        seed=policy.seed,
+        ok=min_product > policy.margin,
+    )

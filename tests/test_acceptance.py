@@ -16,11 +16,10 @@ from maxminlyap.certifier import (
     VERDICT_GAS,
     certify,
     check_condition_i,
-    q_cone_decompose,
     search_condition_i,
-    sliding_exclusion,
 )
 from maxminlyap.filippovsim import SimOptions, simulate, sliding_lambda
+from maxminlyap.inclusion import q_cone_decompose, sliding_exclusion
 from maxminlyap.maxmin import MINMAX, all_permutations, combine, dual_families, MaxMinSpec, phi
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import (

@@ -20,15 +20,12 @@ from maxminlyap.certifier import (
     check_condition_i,
     check_condition_ii_2mode,
     complete_multipliers,
-    cone_chain,
     planar_condition_ii,
-    q_cone_decompose,
     search_condition_i,
-    sliding_exclusion,
 )
 from maxminlyap.certreport import _fmt_matrix, re_verify, serialize_certificate
 from maxminlyap.errors import ConfigError, InvalidInputError, PartitionError
-from maxminlyap.inclusion import SwitchedSystem
+from maxminlyap.inclusion import SwitchedSystem, cone_chain, q_cone_decompose, sliding_exclusion
 from maxminlyap.maxmin import (
     MaxMinSpec, QuadraticBasis, clarke_gradient, evaluate, phi
 )
@@ -675,6 +672,66 @@ def test_certify_dispatch_gap_three_modes_three_dims(linear_system):
     cert = certify(sysm, spec, cand, POLICY)
     assert cert.cond_ii_kind == "unchecked"
     assert cert.verdict == VERDICT_COND_I_ONLY
+    # every procedure was passed over, in the fixed order, each with a reason
+    assert [kind for kind, _ in cert.skipped] == ["vacuous", "planar", "two-mode"]
+    assert all(reason for _, reason in cert.skipped)
+    assert cert.notes[-3:] == [
+        f"condition (ii) unchecked: {kind}: {reason}" for kind, reason in cert.skipped
+    ]
+
+
+def test_certify_two_mode_cones_not_opposite(linear_system):
+    # two modes in R^3 whose cones are not +/-Q: the two-mode procedure
+    # refuses, and its refusal is the reason the certificate keeps
+    A = np.array([[-1.0, 0.2, 0.0], [0.0, -1.5, 0.1], [0.0, 0.0, -2.0]])
+    sysm = linear_system([A, A], [np.diag([1.0, -1.0, -1.0]), np.diag([-2.0, 1.0, 1.0])])
+    P1 = solve_lyapunov(A)
+    cert = certify(sysm, MaxMinSpec(K=2, families=((1, 2),)), Candidate([P1, 1.5 * P1]), POLICY)
+    assert cert.verdict == VERDICT_COND_I_ONLY
+    assert cert.cond_ii_kind == "unchecked" and cert.cond_ii is None
+    with pytest.raises(InvalidInputError) as err:
+        sliding_exclusion(sysm, POLICY)
+    assert cert.skipped[-1] == ("two-mode", str(err.value))
+    assert str(err.value) == "two-mode exclusion needs opposite cones +/-Q"
+
+
+def test_certify_calls_condition_ii_through_the_module(monkeypatch):
+    # the benchmark's layer tracer wraps certifier.planar_condition_ii and
+    # certifier.sliding_exclusion; certify must look both up when it runs
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("planar_condition_ii", "sliding_exclusion"):
+        monkeypatch.setattr(certifier, name, counted(name, getattr(certifier, name)))
+    cert1 = certify(*fixtures.example("example1")[:2], fixtures.example1_candidate(), POLICY)
+    assert (cert1.cond_ii_kind, calls) == ("planar", ["planar_condition_ii"])
+    cert3 = certify(*fixtures.example("example3")[:2], fixtures.example3_candidate(), POLICY)
+    assert cert3.cond_ii_kind == "two-mode"
+    assert calls == ["planar_condition_ii", "sliding_exclusion"]
+    assert cert1.skipped == [("vacuous", "3 bases and 3 modes")]
+    assert [kind for kind, _ in cert3.skipped] == ["vacuous", "planar"]
+
+
+def test_planar_condition_ii_counts_active_set_warnings(linear_system):
+    # identical bases: both switching lines take their active sets from
+    # perturbation sampling, which warns once per line
+    sysm = linear_system(
+        [np.array([[-1.0, 0.5], [-0.5, -1.0]]), np.array([[-1.0, -0.5], [0.5, -1.0]])],
+        [np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])],
+    )
+    spec = MaxMinSpec(K=2, families=((1, 2),))
+    cert = certify(sysm, spec, Candidate([np.eye(2), np.eye(2)]), POLICY)
+    assert (cert.verdict, cert.cond_ii_kind) == (VERDICT_GAS, "planar")
+    assert cert.cond_ii.warnings == {"bases 1 and 2 are identical": 2}
+    # distinct bases give no warning
+    rep = planar_condition_ii(sysm, spec, Candidate([np.eye(2), 2.0 * np.eye(2)]), POLICY)
+    assert rep.warnings == {}
 
 
 def test_certify_single_stable_mode_classical(linear_system):

@@ -272,6 +272,28 @@ def test_certify_not_certified_exit_code(tmp_path, capsys):
     assert "not-certified" in out
 
 
+def test_certify_prints_active_set_warnings_on_stderr(tmp_path, capsys):
+    # identical bases on a planar double cone: both switching lines take
+    # their active sets from perturbation sampling, which warns; stdout is
+    # the certificate alone, as before
+    cfg = tmp_path / "identical.cfg"
+    cfg.write_text(
+        "[system]\ndim = 2\n"
+        "mode 1 { A = [[-1, 0.5], [-0.5, -1]]; Q = [[1, 0], [0, -1]] }\n"
+        "mode 2 { A = [[-1, -0.5], [0.5, -1]]; Q = [[-1, 0], [0, 1]] }\n"
+        "[basis]\nP1 = [[1, 0], [0, 1]]\nP2 = [[1, 0], [0, 1]]\n"
+        "[structure]\nS1 = {1, 2}\n"
+    )
+    code, out, err = run(capsys, ["certify", str(cfg)])
+    assert code == 0
+    assert err == "warning: bases 1 and 2 are identical (2 points)\n"
+    assert "verdict = GAS-certified\n" in out and "kind = planar\n" in out
+    assert "warning" not in out
+    # the bundled planar example warns of nothing
+    code, _, err = run(capsys, ["certify", EX1])
+    assert (code, err) == (0, "")
+
+
 def test_certify_refuses_nonlinear_modes(capsys):
     code, _, err = run(capsys, ["certify", EX2])
     assert code == 2
@@ -398,25 +420,43 @@ def loaded_modules(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, code, extra",
+    "argv, code, want",
     [
-        (["validate", EX1, "--samples", "100"], 0, set()),
-        (["phi", EX1], 0, set()),
-        (["simulate", EX2, "--from", "0.5,0", "--horizon", "0.5"], 0, {"filippovsim"}),
+        (["validate", EX1, "--samples", "100"], 0, SETUP_MODULES),
+        (["phi", EX1], 0, SETUP_MODULES),
+        (
+            ["simulate", EX2, "--from", "0.5,0", "--horizon", "0.5"],
+            0,
+            SETUP_MODULES | {"filippovsim"},
+        ),
         (
             ["simulate", EX2, "--from", "0.5,0", "--horizon", "0.5", "--svg", "p.svg"],
             0,
-            {"filippovsim", "svg"},
+            SETUP_MODULES | {"filippovsim", "svg"},
         ),
-        (["decrease", EX3, "--samples", "100"], 0, {"setderiv"}),
-        (["certify", EX3], 0, {"certifier", "setderiv", "certreport"}),
+        (["decrease", EX3, "--samples", "100"], 0, SETUP_MODULES | {"setderiv"}),
+        # a planar cone system: the chain's switching lines come from the
+        # system model, not the certifier
+        (["decrease", EX1, "--samples", "100"], 0, SETUP_MODULES | {"setderiv"}),
+        # decompose reads no basis, so not even maxmin
+        (["decompose", EX1], 0, SETUP_MODULES - {"maxmin"}),
+        (["decompose", EX3, "--samples", "100"], 0, SETUP_MODULES - {"maxmin"}),
+        (
+            ["reproduce", "example2"],
+            0,
+            SETUP_MODULES | {"fixtures", "filippovsim", "setderiv"},
+        ),
+        (["certify", EX3], 0, SETUP_MODULES | {"certifier", "setderiv", "certreport"}),
     ],
-    ids=["validate", "phi", "simulate", "simulate-svg", "decrease", "certify"],
+    ids=[
+        "validate", "phi", "simulate", "simulate-svg", "decrease", "decrease-planar",
+        "decompose-planar", "decompose-two-mode", "reproduce-example2", "certify",
+    ],
 )
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, extra):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, want):
     got_code, got = loaded_modules(tmp_path, argv)
     assert got_code == code
-    assert got == SETUP_MODULES | extra
+    assert got == want
 
 
 def test_phi_refuses_more_bases_than_the_table_lists(tmp_path, capsys):

@@ -22,10 +22,9 @@ from maxminlyap.certifier import (
     _repair_walks,
     _scaled_multipliers,
     derive_matching,
-    sliding_exclusion,
 )
 from maxminlyap.errors import InvalidInputError
-from maxminlyap.inclusion import Mode, SwitchedSystem
+from maxminlyap.inclusion import Mode, SwitchedSystem, sliding_exclusion
 from maxminlyap.maxmin import (
     EXACT_SMOOTH,
     EXACT_SWEEP,
