@@ -37,10 +37,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .inclusion import ExclusionReport, _require_linear_conic, cone_chain, sliding_exclusion
+from .inclusion import (
+    ExclusionReport, _require_linear_conic, cone_chain, sliding_exclusion, unproven_cover,
+)
 from .maxmin import (
     MAX_BASES,
-    GradientHull,
+    ActiveSet,
     MaxMinSpec,
     QuadraticBasis,
     active_sets,
@@ -48,6 +50,7 @@ from .maxmin import (
     combine,
     realized_base,
     selected_base,
+    with_vertices,
 )
 from .numkernel import (
     eig_sym, negdef_margin, positive_definite, project_psd, row_norms, solve_lyapunov,
@@ -925,7 +928,7 @@ class PlanarEntry:
     position: int
     v: np.ndarray
     modes: tuple  # (previous mode, next mode) adjacent to this line
-    alpha: tuple
+    hull: ActiveSet  # the active bases at v, with their gradient vertices
     lam_kind: str
     lam_vertices: tuple
     margin: Optional[float]
@@ -956,7 +959,10 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
     basis = QuadraticBasis(cand.matrices)
     sets = active_sets(spec, basis, np.array(factors.vs), policy)
     warnings = dict(Counter(act.warning for act in sets if act.warning))
-    hulls = [GradientHull.of(basis, v, act) for v, act in zip(factors.vs, sets)]
+    hulls = [
+        with_vertices(act, (basis.gradient(k, v) for k in act.indices))
+        for v, act in zip(factors.vs, sets)
+    ]
     # wraps: line pos borders chain positions pos-1 and pos
     modes = [(factors.order[pos - 1], factors.order[pos]) for pos in range(sys.M)]
     kinks = [pos for pos in range(sys.M) if len(hulls[pos].indices) > 1]
@@ -978,7 +984,7 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
                 position=pos + 1,
                 v=factors.vs[pos],
                 modes=modes[pos],
-                alpha=hulls[pos].indices,
+                hull=hulls[pos],
                 lam_kind=kind,
                 lam_vertices=vertices,
                 margin=worst,
@@ -1053,12 +1059,18 @@ def _condition_ii(sys, spec, cand, policy):
     """Condition (ii) by the first of vacuous, planar and two-mode that
     applies, as (kind, report, skipped); kind is "unchecked" when none
     does.  skipped holds the (kind, reason) of each one passed over; the
-    two-mode procedure refuses other systems itself, its error the reason."""
+    two-mode procedure refuses other systems itself, its error the reason.
+    The vacuous case needs the regions proven to cover R^n
+    (``unproven_cover``): a point in no region closure has no Filippov
+    set, so the system would say nothing there."""
+    reason = f"{spec.K} bases and {sys.M} modes"
     if spec.K == 1 or sys.M == 1:
-        # a single base is C^1, a single mode has no switching surface;
-        # either way the nonsmooth-times-multivalued case is empty
-        return "vacuous", None, []
-    skipped = [("vacuous", f"{spec.K} bases and {sys.M} modes")]
+        reason = unproven_cover(sys)
+        if reason is None:
+            # a single base is C^1, a single mode has no switching surface;
+            # either way the nonsmooth-times-multivalued case is empty
+            return "vacuous", None, []
+    skipped = [("vacuous", reason)]
     if sys.dim == 2 and all(m.region_kind == "cone" for m in sys.modes):
         return "planar", planar_condition_ii(sys, spec, cand, policy), skipped
     skipped.append(("planar", f"dimension {sys.dim}" if sys.dim != 2 else "a non-conic region"))
@@ -1084,6 +1096,14 @@ def certify(
     ``complete=False`` checks the supplied multipliers verbatim, which is
     what certificate re-verification needs; the default fills in missing
     multipliers by the convex per-group optimization first.
+
+    Condition (ii) is vacuous for one base or one mode only when the
+    regions provably cover R^n: a whole-space region, a cone with
+    positive definite Q, two opposite cones +/-Q, or planar cones that
+    tile (a planar gap, or one planar cone whose Q is not positive
+    definite, is a PartitionError).
+    Otherwise the planar and two-mode procedures are tried, and without
+    one that applies the verdict is condition-i-only.
     """
     _require_linear_conic(sys)
     notes = []

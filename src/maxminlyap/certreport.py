@@ -60,7 +60,7 @@ def _condition_ii_lines(cert):
             margin = "none" if e.margin is None else f"{e.margin:.6e}"
             lines.append(
                 f"line {e.position} {{ v = ({v}); modes = {e.modes}; "
-                f"alpha = {{{', '.join(str(k) for k in e.alpha)}}}; "
+                f"alpha = {{{', '.join(str(k) for k in e.hull.indices)}}}; "
                 f"weights = {e.lam_kind}; margin = {margin}; "
                 f"ok = {str(e.ok).lower()} }}"
             )

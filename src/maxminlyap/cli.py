@@ -416,7 +416,7 @@ def _reproduce_example1(args):
     if cert.cond_ii_kind == "planar":
         for e in cert.cond_ii.entries:
             print(
-                f"  line {e.position} modes {e.modes}: alpha={e.alpha} "
+                f"  line {e.position} modes {e.modes}: alpha={e.hull.indices} "
                 f"weights={e.lam_kind} ok={e.ok}"
             )
     print(f"verdict: {cert.verdict}")

@@ -54,7 +54,7 @@ def example1_candidate():
     """Reference multipliers for the four reduced inequalities."""
     from .certifier import Candidate
     return Candidate(
-        matrices=example("example1")[2].matrices,
+        matrices=list(example("example1")[2].matrices),
         multipliers={
             (1, ((3, 1, 2),)): (0.258, 0.102, 0.0),
             (2, ((3, 2, 1),)): (0.258, 0.102, 0.0),
@@ -67,6 +67,6 @@ def example1_candidate():
 def example3_candidate():
     from .certifier import Candidate
     return Candidate(
-        matrices=example("example3")[2].matrices,
+        matrices=list(example("example3")[2].matrices),
         multipliers={(1, ((2, 1),)): (0.0, 0.6), (2, ((1, 2),)): (0.0, 0.0)},
     )

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import InvalidInputError, PartitionError
 from .numkernel import (
-    as_points, as_square, as_symmetric, eig_sym, quad_forms, row_norms, sphere_points,
+    as_points, as_square, as_symmetric, eig_sym, positive_definite, quad_forms, row_norms,
+    sphere_points,
 )
 from .policy import DEFAULT_POLICY
 from .sysdsl import expr as ex
@@ -340,7 +341,7 @@ def sliding_exclusion(sys, policy=DEFAULT_POLICY, n_samples=10_000):
     Q, Q2 = sys.modes[0].Q, sys.modes[1].Q
     if Q is None or Q2 is None:
         raise InvalidInputError("sliding_exclusion expects conic regions")
-    if np.abs(Q + Q2).max() > 1e-9 * max(1.0, np.abs(Q).max()):
+    if not _opposite(Q, Q2):
         raise InvalidInputError("two-mode exclusion needs opposite cones +/-Q")
     s = eig_sym(Q)
     if np.abs(s.eigenvalues).min() <= policy.abs_tol:
@@ -366,3 +367,32 @@ def sliding_exclusion(sys, policy=DEFAULT_POLICY, n_samples=10_000):
         seed=policy.seed,
         ok=min_product > policy.margin,
     )
+
+
+def _opposite(Q, Q2):
+    """Whether two cone matrices are opposite, Q2 = -Q, to 1e-9 relative."""
+    return np.abs(Q + Q2).max() <= 1e-9 * max(1.0, np.abs(Q).max())
+
+
+def unproven_cover(sys):
+    """None when the regions of a linear conic system provably cover R^n,
+    otherwise why not.
+
+    They do when a mode's region is the whole space, when a cone's Q is
+    positive definite (decided exactly), when the two regions are
+    opposite cones +/-Q, and when planar cones tile the plane
+    (``cone_chain``, whose errors for a gap, an overlap or a single cone
+    propagate, as they do from the planar condition (ii) procedure).
+    Any other set of cones in R^n, n > 2, is not proven to cover,
+    whether or not it does.
+    """
+    if any(m.region_kind == ALL for m in sys.modes):
+        return None
+    if positive_definite(sys._cone_stack).any():
+        return None
+    if sys.M == 2 and _opposite(sys.modes[0].Q, sys.modes[1].Q):
+        return None
+    if sys.dim == 2:
+        cone_chain(sys)
+        return None
+    return f"no proof that the {sys.M} cone regions cover R^{sys.dim}"

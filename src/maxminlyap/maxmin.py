@@ -21,7 +21,7 @@ few-row callers; ``active_indices`` is the one-point case.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -71,18 +71,17 @@ class MaxMinSpec:
 
 
 class QuadraticBasis:
-    """K symmetric matrices; base k is the quadratic form x^T P_k x."""
+    """K symmetric matrices, one array P[K, n, n]; base k is x^T P_k x."""
 
     def __init__(self, matrices):
-        self.matrices = [np.asarray(P, dtype=float) for P in matrices]
-        if not self.matrices:
+        mats = [np.asarray(P, dtype=float) for P in matrices]
+        if not mats:
             raise InvalidInputError("empty basis")
-        n = self.matrices[0].shape[0]
-        for P in self.matrices:
-            if P.shape != (n, n):
-                raise InvalidInputError("basis matrices must share one dimension")
+        n = mats[0].shape[0]
+        if any(P.shape != (n, n) for P in mats):
+            raise InvalidInputError("basis matrices must share one dimension")
         self.dim = n
-        self._stack = np.stack(self.matrices)
+        self.matrices = np.stack(mats)
 
     @property
     def K(self):
@@ -90,7 +89,7 @@ class QuadraticBasis:
 
     def values(self, x):
         """Base values at a point (shape K) or at each row of x[S, n] (S, K)."""
-        return quad_forms(x, self._stack)
+        return quad_forms(x, self.matrices)
 
     def gradient(self, k, x):
         """Gradient of base k at a point, or at each row of x[S, n] (S, n);
@@ -105,7 +104,7 @@ class QuadraticBasis:
         """Planar bases: the sorted, distinct angles in [0, pi) where a pair
         of bases ties (the ends of the arcs on which the realized base is
         constant), or None when a pair is identical; found once."""
-        scale = max(float(np.abs(P).max()) for P in self.matrices)
+        scale = float(np.abs(self.matrices).max())
         roots = set()
         for i, j in itertools.combinations(range(self.K), 2):
             got = _pair_root_angles(self.matrices[i] - self.matrices[j], scale)
@@ -261,28 +260,18 @@ SMOOTH, SWEPT, SAMPLED = range(3)
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """Essentially-active base indices at a point, with the method used."""
+    """Essentially-active base indices at a point, with the method used and, once
+    ``with_vertices`` fills them, the gradient vertices (ignored by ==)."""
 
     indices: tuple
     method: str
     warning: Optional[str] = None
+    vertices: tuple = field(default=(), compare=False)  # tuple of ndarray
 
 
-@dataclass(frozen=True)
-class GradientHull:
-    """Vertices of the generalized gradient: one base gradient per
-    essentially-active index; the gradient set is their convex hull."""
-
-    indices: tuple
-    vertices: tuple  # tuple of ndarray
-    method: str
-    warning: Optional[str] = None
-
-    @classmethod
-    def of(cls, basis, x, act):
-        """The gradient vertices at x of the ``ActiveSet`` act there."""
-        verts = tuple(basis.gradient(k, x) for k in act.indices)
-        return cls(indices=act.indices, vertices=verts, method=act.method, warning=act.warning)
+def with_vertices(act, vertices):
+    """``act`` with its gradient vertices, one per active index."""
+    return replace(act, vertices=tuple(vertices))
 
 
 def selected_base(spec, vals):
@@ -383,8 +372,9 @@ def active_masks(spec, basis, X, policy=DEFAULT_POLICY, ties=None):
 
 
 def clarke_gradient(spec, basis, x, policy=DEFAULT_POLICY):
-    """Generalized-gradient vertices {grad V_l(x) : l essentially active}."""
-    return GradientHull.of(basis, x, active_indices(spec, basis, x, policy))
+    """The active set at x with its gradient vertices {grad V_l(x) : l active}."""
+    act = active_indices(spec, basis, x, policy)
+    return with_vertices(act, (basis.gradient(k, x) for k in act.indices))
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +454,9 @@ def _sampled_active(spec, basis, X, ties, policy):
     dirs = sphere_points(basis.dim, SAMPLED_DIRECTIONS, np.random.default_rng(policy.seed))
     warning = None
     if isinstance(basis, QuadraticBasis):
-        for i in range(basis.K):
-            for j in range(i + 1, basis.K):
-                if np.abs(basis.matrices[i] - basis.matrices[j]).max() == 0.0:
-                    warning = f"bases {i + 1} and {j + 1} are identical"
+        for i, j in itertools.combinations(range(basis.K), 2):
+            if np.abs(basis.matrices[i] - basis.matrices[j]).max() == 0.0:
+                warning = f"bases {i + 1} and {j + 1} are identical"
     radii = (policy.rel_tol * np.maximum(1.0, row_norms(X)))[:, None] * np.array([1.0, 2.0, 4.0])
     seen = np.zeros((len(X), basis.K + 1), dtype=bool)
     for lo in range(0, len(X), PROBE_ROWS):

@@ -143,7 +143,11 @@ def quad_forms(X, Ps):
 
 
 def sphere_points(dim, n, rng, radius=1.0):
-    """n points on the sphere of the given radius, drawn from ``rng``."""
+    """n points on the sphere of the given radius, drawn from ``rng``.
+
+    Rows are divided by ``np.linalg.norm(pts, axis=1)``, a sum of squares
+    that differs from ``row_norms`` in the last bit on some rows; swapping
+    one for the other moves every seeded sample drawn here."""
     pts = rng.standard_normal((n, dim))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return radius * pts
@@ -154,7 +158,9 @@ def row_norms(X):
     x in any layout.  That is ``np.linalg.norm`` of the row where the
     rows are contiguous (C order, column slices), not where they are
     strided (Fortran order, n >= 4): ``np.linalg.norm`` copies a strided
-    row first, and the dot product of the copy sums in another order."""
+    row first, and the dot product of the copy sums in another order.
+    ``np.linalg.norm(X, axis=1)`` is neither: it sums squares, and differs
+    in the last bit on some rows (``sphere_points`` normalises with it)."""
     return np.sqrt(np.vecdot(X, X))
 
 

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalCheckError, InvalidInputError
-from .maxmin import GradientHull, active_masks, as_active_sets, tie_mask
+from .maxmin import ActiveSet, active_masks, as_active_sets, tie_mask, with_vertices
 from .numkernel import as_points
 from .policy import DEFAULT_POLICY
 
@@ -273,10 +273,10 @@ def lie_sets(gradients, fields, policy=DEFAULT_POLICY):
 
 @dataclass(frozen=True)
 class VertexTable:
-    """The gradient vertices ``hull`` of V at x and the adjacent mode
-    ``fields`` there; both derivatives are read off their products."""
+    """The active set ``hull`` of V at x with its gradient vertices, and the
+    adjacent mode ``fields`` there; both derivatives read their products."""
 
-    hull: GradientHull
+    hull: ActiveSet
     fields: tuple
 
     def products(self):
@@ -301,8 +301,7 @@ def vertex_table(spec, basis, sys, x, policy=DEFAULT_POLICY):
     inside = sys.closure_mask(X, policy)
     active, method, warning = active_masks(spec, basis, X, policy)
     grads, fields = _kink_rows(basis, sys, X, active, inside)
-    act = as_active_sets(active, method, warning)[0]
-    hull = GradientHull(act.indices, tuple(grads[0, active[0]]), act.method, act.warning)
+    hull = with_vertices(as_active_sets(active, method, warning)[0], grads[0, active[0]])
     return VertexTable(hull, tuple(fields[0, inside[0]]))
 
 

@@ -1,4 +1,4 @@
-"""Configuration language: expressions, symbolic differentiation, parsing.
+"""Configuration language: expressions and derivatives (``expr``), parsing (``config``).
 
 The text format is line-oriented with bracketed sections ([system],
 [basis], [structure], [signal]), matrix literals ``[[a,b],[c,d]]`` and
@@ -13,55 +13,3 @@ expression.  Both give ``eval_expr``'s bits; where a domain test holds
 at any row, or an element call raises, the batch falls back to the
 point function row by row, which raises as one point does.
 """
-
-from .expr import (
-    Expr,
-    Num,
-    Var,
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Neg,
-    Pow,
-    Call,
-    QuadForm,
-    compile_exprs,
-    differentiate,
-    eval_expr,
-    to_str,
-    max_var,
-)
-from .config import (
-    ModeConfig,
-    SystemConfig,
-    BasisConfig,
-    ParsedConfig,
-    parse_config,
-    parse_expr_text,
-)
-
-__all__ = [
-    "Expr",
-    "Num",
-    "Var",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
-    "Neg",
-    "Pow",
-    "Call",
-    "QuadForm",
-    "compile_exprs",
-    "differentiate",
-    "eval_expr",
-    "to_str",
-    "max_var",
-    "ModeConfig",
-    "SystemConfig",
-    "BasisConfig",
-    "ParsedConfig",
-    "parse_config",
-    "parse_expr_text",
-]

@@ -235,16 +235,6 @@ def _parse_matrix(ts):
     return np.array(rows, dtype=float)
 
 
-def parse_expr_text(text):
-    """Parse a standalone expression string."""
-    ts = _Stream(tokenize(text))
-    node = _parse_expr(ts)
-    tok = ts.peek(skip_newlines=True)
-    if tok.kind != "eof":
-        raise ConfigError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    return node
-
-
 # ---------------------------------------------------------------------------
 # configuration objects
 

@@ -3,7 +3,8 @@ import pytest
 
 from maxminlyap import fixtures
 from maxminlyap.inclusion import Mode, SwitchedSystem
-from maxminlyap.sysdsl.config import ModeConfig, SystemConfig, parse_config, parse_expr_text
+from maxminlyap.sysdsl.config import ModeConfig, SystemConfig, parse_config
+from expr_text import parse_expr_text
 
 
 def _planar_sign_criterion(g1, g2, f1, f2):

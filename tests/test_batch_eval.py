@@ -17,7 +17,8 @@ from maxminlyap.inclusion import Mode, SwitchedSystem
 from maxminlyap.maxmin import ExprBasis, MaxMinSpec, QuadraticBasis
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import decrease_check
-from maxminlyap.sysdsl import (
+from maxminlyap.sysdsl.config import parse_config
+from maxminlyap.sysdsl.expr import (
     Add,
     Call,
     Div,
@@ -29,7 +30,6 @@ from maxminlyap.sysdsl import (
     Sub,
     Var,
     compile_exprs,
-    parse_config,
 )
 import inclusion_reference
 import maxmin_reference

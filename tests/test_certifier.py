@@ -354,7 +354,7 @@ def test_planar_condition_ii_benchmark_all_empty():
     report = planar_condition_ii(sys1, spec1, fixtures.example1_candidate(), POLICY)
     assert report.ok
     assert [e.lam_kind for e in report.entries] == ["empty", "empty", "empty"]
-    assert [e.alpha for e in report.entries] == [(1, 3), (1, 2), (2, 3)]
+    assert [e.hull.indices for e in report.entries] == [(1, 3), (1, 2), (2, 3)]
 
 
 def test_planar_entries_agree_with_sign_criterion(planar_sign_criterion):
@@ -365,10 +365,10 @@ def test_planar_entries_agree_with_sign_criterion(planar_sign_criterion):
     basis = QuadraticBasis(cand.matrices)
     report = planar_condition_ii(sys1, spec1, cand, POLICY)
     for e in report.entries:
-        if len(e.alpha) != 2:
+        if len(e.hull.indices) != 2:
             continue
-        g1 = basis.gradient(e.alpha[0], e.v)
-        g2 = basis.gradient(e.alpha[1], e.v)
+        g1 = basis.gradient(e.hull.indices[0], e.v)
+        g2 = basis.gradient(e.hull.indices[1], e.v)
         f1 = sys1.field(e.modes[0], e.v)
         f2 = sys1.field(e.modes[1], e.v)
         product = planar_sign_criterion(g1, g2, f1, f2)
@@ -395,7 +395,7 @@ def test_planar_condition_ii_detects_increase(
     # direct quadratic-form oracle at the failing line
     e = bad[0]
     lam = e.lam_vertices[0]
-    P = basis2.matrices[e.alpha[0] - 1]
+    P = basis2.matrices[e.hull.indices[0] - 1]
     Aprev = sys_rev.modes[e.modes[0] - 1].A
     Ahere = sys_rev.modes[e.modes[1] - 1].A
     want = lam[0] * float(e.v @ (P @ Aprev + Aprev.T @ P) @ e.v) + lam[1] * float(
@@ -417,7 +417,7 @@ def test_planar_condition_ii_detects_increase(
             else:
                 assert e.margin == pytest.approx(lie.hi, rel=1e-12)
             w = e.lam_vertices[0]
-            d = basis.gradient(e.alpha[0], e.v) - basis.gradient(e.alpha[1], e.v)
+            d = basis.gradient(e.hull.indices[0], e.v) - basis.gradient(e.hull.indices[1], e.v)
             fields = [sysm.field(m, e.v) for m in e.modes]
             assert abs(d @ (w[0] * fields[0] + w[1] * fields[1])) < 1e-12
             if sysm is sys_fast:
@@ -1476,3 +1476,101 @@ def test_not_certified_report_reverifies():
     ):
         with pytest.raises(ConfigError):
             re_verify(text.replace(old, new))
+
+
+# ---------------------------------------------------------------------------
+# the vacuous condition (ii) path needs a proven cover
+
+
+def _one_base_certificate(sysm):
+    """certify with the single base P = I for every mode."""
+    spec = MaxMinSpec(K=1, families=((1,),))
+    return certify(sysm, spec, Candidate(matrices=[np.eye(sysm.dim)]), POLICY)
+
+
+def test_a_single_planar_cone_with_gaps_is_a_partition_error(linear_system):
+    # x'Qx > 0 with Q = diag(1, -1) misses the sectors around the x2 axis:
+    # the sampled check finds them, and certify no longer calls the
+    # system GAS there
+    sysm = linear_system([-np.eye(2)], [np.diag([1.0, -1.0])])
+    violations, _ = sysm.validate_partition(POLICY, 2000)
+    assert len(violations) == 967
+    with pytest.raises(PartitionError, match="a single cone cannot partition the plane"):
+        _one_base_certificate(sysm)
+
+
+def test_two_r3_cones_with_gaps_leave_condition_ii_unchecked(linear_system):
+    Qs = [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0])]
+    sysm = linear_system([-np.eye(3)] * 2, Qs)
+    violations, _ = sysm.validate_partition(POLICY, 2000)
+    assert len(violations) == 816
+    cert = _one_base_certificate(sysm)
+    assert cert.cond_i.ok
+    assert (cert.verdict, cert.cond_ii_kind) == (VERDICT_COND_I_ONLY, "unchecked")
+    assert cert.skipped == [
+        ("vacuous", "no proof that the 2 cone regions cover R^3"),
+        ("planar", "dimension 3"),
+        ("two-mode", "two-mode exclusion needs opposite cones +/-Q"),
+    ]
+    assert "condition (ii) unchecked: vacuous: no proof that the 2 cone regions cover R^3" in cert.notes
+
+
+@pytest.mark.parametrize(
+    "Qs",
+    [
+        [m.Q for m in fixtures.example("example1")[0].modes],
+        [m.Q for m in fixtures.example("example3")[0].modes],
+        [np.eye(2)],
+    ],
+    ids=["example1-tiling-cones", "example3-opposite-cones", "definite-cone"],
+)
+def test_proven_covers_keep_the_vacuous_path(linear_system, Qs):
+    # P = I and A = -I on cones that tile the plane, on +/-Q, and on one
+    # cone with Q positive definite (the whole plane but the origin)
+    dim = len(Qs[0])
+    cert = _one_base_certificate(linear_system([-np.eye(dim)] * len(Qs), Qs))
+    assert (cert.verdict, cert.cond_ii_kind, cert.skipped) == (VERDICT_GAS, "vacuous", [])
+
+
+def test_a_planar_cone_gap_among_several_modes_is_a_partition_error(linear_system):
+    # two cones that leave the sectors around the diagonals uncovered
+    Qs = [np.array([[1.0, 0.0], [0.0, -4.0]]), np.array([[-4.0, 0.0], [0.0, 1.0]])]
+    with pytest.raises(PartitionError, match="do not tile the plane"):
+        _one_base_certificate(linear_system([-np.eye(2)] * 2, Qs))
+
+
+# ---------------------------------------------------------------------------
+# one record per active set: the gradient vertices ride on the ActiveSet
+
+
+# example3's bases tie on x1^2 + x2^2 = x3^2 (P1 - P2 = diag(1, 1, -1))
+EXAMPLE3_KINKS = [[1.0, 0.0, 1.0], [0.6, 0.8, -1.0], [0.0, -2.0, 2.0]]
+
+
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_gradient_vertices_ride_on_the_active_set(name):
+    # clarke_gradient, the vertex table and the planar entries (at
+    # example1's switching lines) each carry active_indices' set, with
+    # the gradients of its bases there bit for bit
+    from maxminlyap.maxmin import active_indices
+    from maxminlyap.setderiv import vertex_table
+
+    sysm, spec, basis = fixtures.example(name)
+    if name == "example1":
+        report = planar_condition_ii(sysm, spec, fixtures.example1_candidate(), POLICY)
+        found = [(e.v, [e.hull]) for e in report.entries]
+    else:
+        found = [(np.array(x), []) for x in EXAMPLE3_KINKS]
+    for x, hulls in found:
+        hulls += [clarke_gradient(spec, basis, x, POLICY)]
+        hulls += [vertex_table(spec, basis, sysm, x, POLICY).hull]
+        act = active_indices(spec, basis, x, POLICY)
+        assert len(act.indices) == 2 and act.vertices == ()
+        want = [basis.gradient(k, x).tobytes() for k in act.indices]
+        for hull in hulls:
+            assert (hull.indices, hull.method, hull.warning) == (
+                act.indices, act.method, act.warning
+            )
+            assert hull == act  # equality reads no vertices
+            assert [v.tobytes() for v in hull.vertices] == want
+    assert len(found) == 3

@@ -732,3 +732,60 @@ def test_decompose_single_cone_exits_2(capsys, monkeypatch, tmp_path):
     assert code == 2
     assert out == ""
     assert "a single cone cannot partition the plane" in err
+
+
+# one base P = I on regions that leave gaps: the vacuous condition (ii)
+# path needs a proven cover
+GAP_PLANAR_CFG = """[system]
+dim = 2
+mode 1 {
+  A = [[-1, 0], [0, -1]]
+  Q = [[1, 0], [0, -1]]
+}
+
+[basis]
+P1 = [[1, 0], [0, 1]]
+
+[structure]
+S1 = {1}
+"""
+
+GAP_R3_CFG = """[system]
+dim = 3
+mode 1 {
+  A = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+  Q = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
+}
+mode 2 {
+  A = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+  Q = [[-1, 0, 0], [0, 1, 0], [0, 0, -1]]
+}
+
+[basis]
+P1 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+[structure]
+S1 = {1}
+"""
+
+
+def test_certify_a_single_planar_cone_exits_2(capsys, monkeypatch, tmp_path):
+    cfg = write_config(monkeypatch, tmp_path, "gap_planar.cfg", GAP_PLANAR_CFG)
+    code, out, err = run(capsys, ["certify", cfg])
+    assert code == 2
+    assert out == ""
+    assert "a single cone cannot partition the plane" in err
+
+
+def test_certify_r3_cones_with_gaps_is_condition_i_only(capsys, monkeypatch, tmp_path):
+    cfg = write_config(monkeypatch, tmp_path, "gap_r3.cfg", GAP_R3_CFG)
+    code, out, _ = run(capsys, ["certify", cfg])
+    assert code == 1
+    assert "verdict = condition-i-only\n" in out
+    assert "# note: condition (ii) unchecked: vacuous: no proof that the 2 cone regions cover R^3\n" in out
+    assert "kind = unchecked\n" in out
+    for text in (GAP_PLANAR_CFG, GAP_R3_CFG):
+        (tmp_path / "v.cfg").write_text(text)
+        code, out, _ = run(capsys, ["validate", "v.cfg", "--samples", "2000"])
+        assert code == 1
+        assert "config has violations" in out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from maxminlyap.errors import ConfigError
-from maxminlyap.sysdsl import parse_config
+from maxminlyap.sysdsl.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

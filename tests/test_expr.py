@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from maxminlyap.errors import DomainEvalError
 from maxminlyap.sysdsl import expr as sysdsl_expr
-from maxminlyap.sysdsl import (
+from maxminlyap.sysdsl.expr import (
     Add,
     Call,
     Div,
@@ -23,9 +23,9 @@ from maxminlyap.sysdsl import (
     differentiate,
     eval_expr,
     max_var,
-    parse_expr_text,
     to_str,
 )
+from expr_text import parse_expr_text
 
 
 def test_eval_quadform():

@@ -27,7 +27,8 @@ from maxminlyap.inclusion import Mode, SwitchedSystem
 from maxminlyap.maxmin import MAXMIN, MINMAX, MaxMinSpec, QuadraticBasis, evaluate
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
-from maxminlyap.sysdsl.config import parse_config, parse_expr_text
+from maxminlyap.sysdsl.config import parse_config
+from expr_text import parse_expr_text
 
 POLICY = NumericPolicy()
 

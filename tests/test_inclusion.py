@@ -141,7 +141,7 @@ def _index_set_by_mode(sysm, x, policy):
 def _expr_region_system():
     # example2's fields on the regions x2^2 > x1^2 and x1^2 > x2^2
     # written as expressions, plus a whole-space mode
-    from maxminlyap.sysdsl.config import parse_expr_text
+    from expr_text import parse_expr_text
 
     base = fixtures.example("example2")[0]
     H = ("x2*x2 - x1*x1", "x1*x1 - x2*x2")
@@ -196,7 +196,8 @@ def test_expression_modes_compile_on_first_use_to_the_tree_values():
     # a mode built directly (no config) compiles its field, region and
     # region gradient when first evaluated, and reads the bits that the
     # tree evaluator reads; H does not use x3, whose partial is a signed zero
-    from maxminlyap.sysdsl import Neg, differentiate, eval_expr, parse_expr_text
+    from maxminlyap.sysdsl.expr import Neg, differentiate, eval_expr
+    from expr_text import parse_expr_text
 
     texts = ("-x1 + sin(x2)", "x1/(2.0 + cos(x1)) - pow(x2, 3)", "-x3")
     f = tuple(parse_expr_text(t) for t in texts)

@@ -388,7 +388,8 @@ def test_large_K_permutation_count():
 def test_expr_basis_values_and_gradients_are_the_tree_values():
     # compiled on first use; a batch reads the same bits as its rows and
     # as the tree evaluator, point by point
-    from maxminlyap.sysdsl import differentiate, eval_expr, parse_expr_text
+    from maxminlyap.sysdsl.expr import differentiate, eval_expr
+    from expr_text import parse_expr_text
 
     exprs = [
         parse_expr_text("quadform([[2.0, 0.5], [0.5, 1.0]]) + 0.1*pow(x1, 4)"),

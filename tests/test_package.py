@@ -103,3 +103,28 @@ def test_first_access_loads_the_module_and_caches_the_name():
         "      vars(maxminlyap)['certify'] is f is sys.modules['maxminlyap.certifier'].certify)\n"
     )
     assert out == "False False True True"
+
+
+def test_sysdsl_exports_only_its_submodules():
+    # the package re-exports nothing: its public names are the submodules
+    # that have been imported, and it has no __all__
+    out = fresh(
+        "import maxminlyap.sysdsl as sysdsl\n"
+        "bare = sorted(n for n in vars(sysdsl) if not n.startswith('_'))\n"
+        "import maxminlyap.sysdsl.config\n"
+        "full = sorted(n for n in vars(sysdsl) if not n.startswith('_'))\n"
+        "print(bare, full, hasattr(sysdsl, '__all__'))\n"
+    )
+    assert out == "[] ['config', 'expr'] False"
+
+
+@pytest.mark.parametrize("module", ["maxmin", "inclusion"])
+def test_the_system_model_loads_no_config_reader(module):
+    # the bases and the system model evaluate expressions; only the
+    # commands that read a config load the reader
+    out = fresh(
+        "import sys\n"
+        f"import maxminlyap.{module}\n"
+        "print(sorted(m for m in sys.modules if m.startswith('maxminlyap.sysdsl')))\n"
+    )
+    assert out == "['maxminlyap.sysdsl', 'maxminlyap.sysdsl.expr']"

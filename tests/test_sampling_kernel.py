@@ -52,7 +52,6 @@ from maxminlyap.maxmin import (
 from maxminlyap.numkernel import project_psd
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.sysdsl import expr as ex
-from maxminlyap.sysdsl import parse_expr_text
 from certifier_reference import basis_step as ref_basis_step
 from certifier_reference import penalty_value as ref_penalty_value
 from certifier_reference import repair_matching as ref_repair_matching
@@ -60,6 +59,7 @@ from certifier_reference import value_and_grads as ref_value_and_grads
 import maxmin_reference
 from maxmin_reference import equal_value_indices, strict_ordering
 from maxmin_reference import realized_base as sorted_realized_base
+from expr_text import parse_expr_text
 
 POLICY = NumericPolicy()
 
@@ -255,7 +255,7 @@ def ref_sampled_active(spec, basis, x, policy):
     for mult in (1.0, 2.0, 4.0):
         for d in dirs:
             y = x + base_r * mult * d
-            vals = [float(y @ P @ y) for P in mats] if mats else basis.values(y)
+            vals = [float(y @ P @ y) for P in mats] if len(mats) else basis.values(y)
             k = ref_realized(spec, vals)
             if k:
                 found.add(k)

@@ -6,7 +6,7 @@ import pytest
 from maxminlyap import fixtures, svg
 from maxminlyap.errors import InvalidInputError
 from maxminlyap.maxmin import MINMAX, MaxMinSpec, QuadraticBasis, evaluate
-from maxminlyap.sysdsl import parse_config
+from maxminlyap.sysdsl.config import parse_config
 
 
 def ref_grid_values(F, xs, ys):
