@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, PartitionError
 from .numkernel import (
-    as_points, as_square, as_symmetric, eig_sym, positive_definite, quad_forms, row_norms,
+    as_points, as_square, as_symmetric, eig_sym, positive_semidefinite, quad_forms, row_norms,
     sphere_points,
 )
 from .policy import DEFAULT_POLICY
@@ -379,16 +379,17 @@ def unproven_cover(sys):
     otherwise why not.
 
     They do when a mode's region is the whole space, when a cone's Q is
-    positive definite (decided exactly), when the two regions are
-    opposite cones +/-Q, and when planar cones tile the plane
-    (``cone_chain``, whose errors for a gap, an overlap or a single cone
-    propagate, as they do from the planar condition (ii) procedure).
+    nonzero and positive semidefinite (decided exactly: x'Qx > 0 then
+    holds off a proper subspace, so the cone's closure is R^n), when the
+    two regions are opposite cones +/-Q, and when planar cones tile the
+    plane (``cone_chain``, whose errors for a gap, an overlap or a single
+    cone propagate, as they do from the planar condition (ii) procedure).
     Any other set of cones in R^n, n > 2, is not proven to cover,
     whether or not it does.
     """
     if any(m.region_kind == ALL for m in sys.modes):
         return None
-    if positive_definite(sys._cone_stack).any():
+    if (positive_semidefinite(sys._cone_stack) & sys._cone_stack.any(axis=(1, 2))).any():
         return None
     if sys.M == 2 and _opposite(sys.modes[0].Q, sys.modes[1].Q):
         return None

@@ -14,7 +14,10 @@ Active sets are computed for a batch of points at once, as one boolean
 mask of active bases per row (``active_masks``): planar quadratic bases
 read them off one arc table labelled by a single ``realized_base``
 call, other bases classify their perturbation probes one chunk per
-call, and no step runs Python code per row.  ``active_sets`` is the
+call, and no step runs Python code per row.  Sampling goes in two
+stages: a row tied with every base first gets a short leading block of
+probes and stops once they mark all K bases (no later probe can change
+its mask); the other rows get all 3 x 64 probes.  ``active_sets`` is the
 object view of the mask (one ``ActiveSet`` per row) for the one-row and
 few-row callers; ``active_indices`` is the one-point case.
 """
@@ -35,6 +38,7 @@ from .sysdsl import expr as ex
 MAXMIN = "maxmin"
 MINMAX = "minmax"
 SAMPLED_DIRECTIONS = 64  # perturbation directions per sphere in active_masks
+LEAD_DIRECTIONS = 8  # first-sphere probes of a row tied with every base, before it may stop
 PROBE_ROWS = 32  # rows whose perturbation probes share one realized_base call
 
 
@@ -448,9 +452,17 @@ def _sampled_active(spec, basis, X, ties, policy):
     """Active bases of the rows of X[S, n] from the bases realized at 64
     seeded directions on three small spheres around each row (radii 1, 2
     and 4 x rel_tol max(1, |x|)); ``ties`` is the rows' ``tie_mask``: the
-    mask (S, K) and each row's warning.  The probes of ``PROBE_ROWS`` rows
-    at a time go through one ``realized_base`` call, so memory does not
-    grow with S."""
+    mask (S, K) and each row's warning.
+
+    The probes go in two stages.  A row tied with every base (the only
+    rows whose probes are likely to mark them all) first gets the leading
+    ``LEAD_DIRECTIONS`` directions of the first sphere, and it is done if
+    they mark all K bases, since a later probe could only add a tie
+    (label 0, which the mask drops).  Every row not done then gets all
+    3 x 64 probes.  A probe's realized base is that of the probe
+    alone, so each row's mask is the one all its probes give.  A
+    ``realized_base`` call values the probes of ``PROBE_ROWS`` rows, or
+    as many leading blocks, so memory does not grow with S."""
     dirs = sphere_points(basis.dim, SAMPLED_DIRECTIONS, np.random.default_rng(policy.seed))
     warning = None
     if isinstance(basis, QuadraticBasis):
@@ -459,11 +471,21 @@ def _sampled_active(spec, basis, X, ties, policy):
                 warning = f"bases {i + 1} and {j + 1} are identical"
     radii = (policy.rel_tol * np.maximum(1.0, row_norms(X)))[:, None] * np.array([1.0, 2.0, 4.0])
     seen = np.zeros((len(X), basis.K + 1), dtype=bool)
-    for lo in range(0, len(X), PROBE_ROWS):
-        chunk = slice(lo, lo + PROBE_ROWS)
-        probes = X[chunk, None, None, :] + radii[chunk, :, None, None] * dirs
+
+    def probe(rows, spheres, directions):
+        # one expression: a named offset array kept alive through
+        # basis.values made the call about twice as slow
+        probes = X[rows, None, None, :] + radii[rows, :spheres, None, None] * dirs[:directions]
         base = realized_base(spec, basis.values(probes.reshape(-1, basis.dim)))
-        seen[np.arange(lo, lo + len(probes))[:, None], base.reshape(len(probes), -1)] = True
+        seen[rows[:, None], base.reshape(len(rows), -1)] = True
+
+    lead = np.flatnonzero(ties.all(axis=1))
+    per_call = PROBE_ROWS * radii.shape[1] * SAMPLED_DIRECTIONS // LEAD_DIRECTIONS
+    for lo in range(0, len(lead), per_call):
+        probe(lead[lo : lo + per_call], 1, LEAD_DIRECTIONS)
+    rest = np.flatnonzero(~seen[:, 1:].all(axis=1))
+    for lo in range(0, len(rest), PROBE_ROWS):
+        probe(rest[lo : lo + PROBE_ROWS], radii.shape[1], SAMPLED_DIRECTIONS)
     active, warnings = seen[:, 1:], np.full(len(X), warning, dtype=object)
     # where every sample tied (degenerate basis), fall back to the first
     # tied base (every row has one) so the set is never empty

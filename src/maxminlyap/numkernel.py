@@ -81,24 +81,49 @@ def positive_definite(M):
     is decided by an LDL^T of its symmetric part in ``Fraction``
     arithmetic, where every pivot must be positive (Sylvester).
     """
+    return _definite(M, strict=True)
+
+
+def positive_semidefinite(M):
+    """Whether a symmetric matrix, or each matrix of a (k, n, n) stack, is
+    positive semidefinite, decided exactly for its exact entries.
+
+    ``eigh`` decides a matrix whose smallest eigenvalue is more than
+    64 n eps max|lambda| from zero, on either side (the bound of
+    ``positive_definite``).  Any other matrix is decided by an exact
+    LDL^T of its symmetric part, where every pivot must be nonnegative
+    and a zero pivot is allowed only over a zero rest of its column (a
+    positive semidefinite matrix with a zero diagonal entry is zero in
+    that row and column, and its Schur complements stay semidefinite).
+    """
+    return _definite(M, strict=False)
+
+
+def _definite(M, strict):
+    """``positive_definite`` (strict) or ``positive_semidefinite``."""
     A = as_symmetric(M)
     n = A.shape[-1]
     lam = np.linalg.eigvalsh(A.reshape(-1, n, n))
-    ok = lam[:, 0] > 64 * n * np.finfo(float).eps * np.abs(lam).max(axis=-1)
+    bound = 64 * n * np.finfo(float).eps * np.abs(lam).max(axis=-1)
+    ok = lam[:, 0] > bound
+    unsure = ~ok if strict else ~ok & (lam[:, 0] >= -bound)
     raw = np.asarray(M, dtype=float).reshape(-1, n, n)
-    for i in np.flatnonzero(~ok):
-        ok[i] = _exact_positive_definite(raw[i].tolist())
+    for i in np.flatnonzero(unsure):
+        ok[i] = _exact_definite(raw[i].tolist(), strict)
     return ok.reshape(A.shape[:-2])[()]
 
 
-def _exact_positive_definite(P):
+def _exact_definite(P, strict):
     """Every pivot of the LDL^T of (P + P^T) / 2, P a list of rows of
-    finite floats, is positive in exact arithmetic."""
+    finite floats, is positive in exact arithmetic (strict), or else
+    nonnegative, with zero only over a zero rest of its column."""
     from fractions import Fraction  # the exact path is rare; every CLI call pays imports
 
     n = len(P)
     S = [[(Fraction(P[i][j]) + Fraction(P[j][i])) / 2 for j in range(n)] for i in range(n)]
     for k in range(n):
+        if not strict and S[k][k] == 0 and not any(S[i][k] for i in range(k + 1, n)):
+            continue
         if S[k][k] <= 0:
             return False
         for i in range(k + 1, n):

@@ -25,7 +25,9 @@ from maxminlyap.certifier import (
 )
 from maxminlyap.certreport import _fmt_matrix, re_verify, serialize_certificate
 from maxminlyap.errors import ConfigError, InvalidInputError, PartitionError
-from maxminlyap.inclusion import SwitchedSystem, cone_chain, q_cone_decompose, sliding_exclusion
+from maxminlyap.inclusion import (
+    SwitchedSystem, cone_chain, q_cone_decompose, sliding_exclusion, unproven_cover,
+)
 from maxminlyap.maxmin import (
     MaxMinSpec, QuadraticBasis, clarke_gradient, evaluate, phi
 )
@@ -1521,15 +1523,31 @@ def test_two_r3_cones_with_gaps_leave_condition_ii_unchecked(linear_system):
         [m.Q for m in fixtures.example("example1")[0].modes],
         [m.Q for m in fixtures.example("example3")[0].modes],
         [np.eye(2)],
+        [np.diag([1.0, 0.0])],
+        [np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 2.0], [0.0, 2.0, 4.0]])],
     ],
-    ids=["example1-tiling-cones", "example3-opposite-cones", "definite-cone"],
+    ids=[
+        "example1-tiling-cones",
+        "example3-opposite-cones",
+        "definite-cone",
+        "semidefinite-planar-cone",
+        "semidefinite-r3-cone",
+    ],
 )
 def test_proven_covers_keep_the_vacuous_path(linear_system, Qs):
-    # P = I and A = -I on cones that tile the plane, on +/-Q, and on one
-    # cone with Q positive definite (the whole plane but the origin)
+    # P = I and A = -I on cones that tile the plane, on +/-Q, on one cone
+    # with Q positive definite (the whole plane but the origin), and on
+    # one with Q positive semidefinite and singular (R^n but its null
+    # space, a line; the R^3 one is G G^T, G = [[1, 0], [1, 1], [0, 2]])
     dim = len(Qs[0])
     cert = _one_base_certificate(linear_system([-np.eye(dim)] * len(Qs), Qs))
     assert (cert.verdict, cert.cond_ii_kind, cert.skipped) == (VERDICT_GAS, "vacuous", [])
+
+
+def test_a_zero_cone_proves_no_cover(linear_system):
+    # x'0x > 0 holds nowhere, so Q = 0, semidefinite, covers nothing
+    sysm = linear_system([-np.eye(3)], [np.zeros((3, 3))])
+    assert unproven_cover(sysm) == "no proof that the 1 cone regions cover R^3"
 
 
 def test_a_planar_cone_gap_among_several_modes_is_a_partition_error(linear_system):

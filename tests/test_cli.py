@@ -777,6 +777,19 @@ def test_certify_a_single_planar_cone_exits_2(capsys, monkeypatch, tmp_path):
     assert "a single cone cannot partition the plane" in err
 
 
+def test_certify_a_semidefinite_planar_cone_is_gas(capsys, monkeypatch, tmp_path):
+    # Q = diag(1, 0): the plane but the x2 axis, whose closure covers it
+    text = GAP_PLANAR_CFG.replace("Q = [[1, 0], [0, -1]]", "Q = [[1, 0], [0, 0]]")
+    cfg = write_config(monkeypatch, tmp_path, "semidefinite.cfg", text)
+    code, out, _ = run(capsys, ["validate", cfg])
+    assert code == 0
+    assert "config OK" in out
+    code, out, _ = run(capsys, ["certify", cfg])
+    assert code == 0
+    assert "verdict = GAS-certified\n" in out
+    assert "kind = vacuous\n" in out
+
+
 def test_certify_r3_cones_with_gaps_is_condition_i_only(capsys, monkeypatch, tmp_path):
     cfg = write_config(monkeypatch, tmp_path, "gap_r3.cfg", GAP_R3_CFG)
     code, out, _ = run(capsys, ["certify", cfg])

@@ -15,6 +15,7 @@ from maxminlyap.numkernel import (
     eig_sym,
     negdef_margin,
     positive_definite,
+    positive_semidefinite,
     project_psd,
     quad_forms,
     row_norms,
@@ -372,15 +373,56 @@ def test_positive_definite_decides_near_singular_bases_exactly(monkeypatch):
     assert positive_definite(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]))
     assert not positive_definite(np.array([[1.0, 1.0 + 2.0**-52], [1.0 + 2.0**-52, 1.0]]))
 
-    def refuse(P):
+    def refuse(P, strict):
         raise AssertionError("exact path taken")
 
-    monkeypatch.setattr(numkernel, "_exact_positive_definite", refuse)
+    monkeypatch.setattr(numkernel, "_exact_definite", refuse)
     for name in ("example1", "example3"):
         _, _, basis = fixtures.example(name)
         assert positive_definite(np.stack(basis.matrices)).all()
     assert positive_definite(np.stack(fixtures.example1_candidate().matrices)).all()
     assert positive_definite(np.stack(fixtures.example3_candidate().matrices)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-9, 9), min_size=n * (n - 1), max_size=n * (n - 1))
+)))
+def test_positive_semidefinite_decides_rank_deficient_grams_exactly(case):
+    # B B^T of an integer n x (n - 1) B is singular and semidefinite; a
+    # diagonal shift of -2^-40, below eigh's backward-error margin, gives
+    # it a negative eigenvalue
+    n, entries = case
+    B = np.array(entries, dtype=float).reshape(n, n - 1)
+    P = B @ B.T
+    assert positive_semidefinite(P)
+    assert not positive_semidefinite(P - 2.0**-40 * np.eye(n))
+    assert not positive_semidefinite(-P - np.eye(n))
+
+
+def test_positive_semidefinite_allows_a_zero_pivot_only_over_a_zero_column(monkeypatch):
+    assert positive_semidefinite(SINGULAR_P)
+    assert not positive_semidefinite(SINGULAR_P - 2.0**-40 * np.eye(3))
+    assert positive_semidefinite(np.diag([1.0, 0.0]))
+    assert positive_semidefinite(np.diag([0.0, 1.0]))
+    assert positive_semidefinite(np.zeros((3, 3)))
+    assert positive_semidefinite(np.ones((3, 3)))
+    assert not positive_semidefinite(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # a zero pivot over a tiny nonzero column: eigh's margin cannot tell
+    assert not positive_semidefinite(np.array([[0.0, 1e-20], [1e-20, 1.0]]))
+    assert not positive_semidefinite(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1e-20], [0.0, 1e-20, 1.0]]))
+    assert positive_semidefinite(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1e-300]]))
+    assert not positive_semidefinite(np.array([[0.0, 0.0], [0.0, -1e-300]]))
+    assert not positive_semidefinite(np.array([[1.0, 1.0 + 2.0**-52], [1.0 + 2.0**-52, 1.0]]))
+    stack = np.stack([np.diag([1.0, 0.0]), np.diag([1.0, -1.0]), np.eye(2)])
+    assert positive_semidefinite(stack).tolist() == [True, False, True]
+
+    def refuse(P, strict):
+        raise AssertionError("exact path taken")
+
+    # eigenvalues clear of zero on either side decide without it
+    monkeypatch.setattr(numkernel, "_exact_definite", refuse)
+    assert positive_semidefinite(np.stack([np.eye(2), np.diag([1.0, -1.0])])).tolist() == [True, False]
 
 
 def test_positive_definite_checks_its_input():

@@ -6,6 +6,7 @@ quantity must equal its per-point arithmetic exactly, not approximately.
 """
 
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxminlyap import fixtures
+from maxminlyap import fixtures, maxmin
 from maxminlyap.certifier import (
     Candidate,
     _MatchPenalty,
@@ -28,6 +29,7 @@ from maxminlyap.inclusion import Mode, SwitchedSystem, sliding_exclusion
 from maxminlyap.maxmin import (
     EXACT_SMOOTH,
     EXACT_SWEEP,
+    LEAD_DIRECTIONS,
     MAXMIN,
     MINMAX,
     PROBE_ROWS,
@@ -36,6 +38,7 @@ from maxminlyap.maxmin import (
     QuadraticBasis,
     PERTURBATION_SAMPLED,
     SAMPLED,
+    SAMPLED_DIRECTIONS,
     SMOOTH,
     SWEPT,
     _sampled_active,
@@ -564,6 +567,50 @@ def _zero_set_points(D, count, rng):
     return rng.uniform(0.5, 2.0, (count, 1)) * (Z @ V.T)
 
 
+def _three_bases(n, rng):
+    """K = 3 bases in R^n, x'P_k x = |x|^2 + (r_k . x)^2 for the first
+    three rows r_k of a random rotation R, and points y R (y the
+    coordinates along those rows) on their ties: bases i and j tie where
+    y_i^2 = y_j^2, all three where y_1^2 = y_2^2 = y_3^2."""
+    R = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    mats = [np.eye(n) + np.outer(R[k], R[k]) for k in range(3)]
+    pairs, triples = [], []
+    for _ in range(8):
+        y = rng.standard_normal(n)
+        signs = rng.choice([-1.0, 1.0], 3)
+        triples.append(np.concatenate([abs(y[0]) * signs, y[3:]]) @ R)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            z = y.copy()
+            z[j] = signs[0] * z[i]
+            pairs.append(z @ R)
+    return mats, pairs, triples
+
+
+@contextmanager
+def _probe_counts():
+    """The rows (probes) handed to each ``realized_base`` call in the block."""
+    calls, realized = [], maxmin.realized_base
+
+    def counting(spec, vals):
+        calls.append(len(vals))
+        return realized(spec, vals)
+
+    with mock.patch.object(maxmin, "realized_base", counting):
+        yield calls
+
+
+def _counted_sampling(spec, basis, X):
+    """``_sampled_active`` of the rows of X; the rows (probes) handed to
+    each ``realized_base`` call; and the rows that retired after the
+    leading probes.  Only rows tied with every base get those, and a row
+    that does not retire then gets all 3 x 64 probes."""
+    ties = tie_mask(spec, basis, X, POLICY)[0]
+    with _probe_counts() as calls:
+        got = _sampled_active(spec, basis, X, ties, POLICY)
+    full = sum(calls) - ties.all(axis=1).sum() * LEAD_DIRECTIONS
+    return got, calls, len(X) - full // (3 * SAMPLED_DIRECTIONS)
+
+
 def test_sampled_active_matches_point_loop():
     sys3, spec3, basis3 = fixtures.example("example3")
     ring = [np.array([np.cos(a), np.sin(a), 1.0]) for a in np.linspace(0.0, 2.0 * np.pi, 17)]
@@ -581,13 +628,80 @@ def test_sampled_active_matches_point_loop():
         near = [on * [1.0 + eps, 1.0 + eps, 1.0] for eps in (2e-9, 1e-7)]
         cases.append((spec3, basis3, [*on, *near[0], *near[1]]))
     cases.append((spec3, QuadraticBasis([P1, P1.copy()]), ring[:3]))
-    for spec, basis, points in cases:
+    # rows that retire after the leading probes (every base marked) and
+    # rows that never do: K = 3 bases in R^3 and in R^4 (where the base
+    # values are one matrix-vector product per row) at their triple and
+    # pairwise ties, and an expression basis at the triple and pairwise
+    # ties of x'P_k x = |x|^2 + x_k^2
+    retiring = {}
+    specs = (
+        MaxMinSpec(K=3, families=((1,), (2,), (3,))),
+        MaxMinSpec(K=3, families=((1, 2, 3),)),
+        MaxMinSpec(K=3, families=((1, 2), (2, 3), (1, 3)), polarity=MINMAX),
+    )
+    for n in (3, 4):
+        mats, pairs, triples = _three_bases(n, rng)
+        for spec in specs:
+            for points, full in ((pairs, False), (triples, True)):
+                retiring[len(cases)] = full
+                cases.append((spec, QuadraticBasis(mats), points))
+    names = ("x1", "x2", "x3")
+    exprs = [parse_expr_text(" + ".join(f"{1 + (v == k)}*{v}*{v}" for v in names)) for k in names]
+    t = rng.uniform(0.5, 2.0, (8, 1))
+    triples = t * rng.choice([-1.0, 1.0], (8, 3))
+    pairs = triples * [1.0, 1.0, 0.5]
+    retiring[len(cases)] = True
+    cases.append((specs[0], ExprBasis(exprs, dim=3), triples))
+    retiring[len(cases)] = False
+    cases.append((specs[0], ExprBasis(exprs, dim=3), pairs))
+    for case, (spec, basis, points) in enumerate(cases):
         X = np.array(points)
-        got, warnings = _sampled_active(spec, basis, X, tie_mask(spec, basis, X, POLICY)[0], POLICY)
+        (got, warnings), calls, retired = _counted_sampling(spec, basis, X)
         assert len(got) == len(warnings) == len(X)
         for x, act, warning in zip(X, got, warnings):
             indices = tuple((np.flatnonzero(act) + 1).tolist())
             assert (indices, warning) == ref_sampled_active(spec, basis, x, POLICY)
+        assert retired <= got.all(axis=1).sum()
+        if retiring.get(case):
+            assert retired > 0, case
+        elif case in retiring:
+            # a row at a pairwise tie is not tied with every base, so it
+            # gets no leading block: the 3 x 64 probes and no more
+            assert sum(calls) == len(X) * 3 * SAMPLED_DIRECTIONS, case
+
+
+def test_sampled_active_skips_the_probes_of_full_rows():
+    # a draw of example3 kink points as the benchmark makes them (48 on
+    # each zero set): every row is sampled, and at most a tenth of the
+    # 3 x 64 probes per row are valued
+    sys3, spec3, basis3 = fixtures.example("example3")
+    Qs = [m.Q for m in sys3.modes]
+    for seed in range(1, 6):
+        X = _surface_points(basis3.matrices, Qs, 48, np.random.default_rng(seed))
+        with _probe_counts() as calls:
+            _, method, _ = active_masks(spec3, basis3, X, POLICY)
+        assert len(X) == 144 and (method == SAMPLED).all()
+        assert sum(calls) <= 144 * 3 * SAMPLED_DIRECTIONS // 10, (seed, sum(calls))
+
+
+def test_sampled_active_memory_does_not_grow_with_rows():
+    # 5000 rows, half of them triple ties (most retire) and half pairwise
+    # ties (none does): no realized_base call values more probes than
+    # PROBE_ROWS rows have, and the masks are the one-stage sampler's
+    rng = np.random.default_rng(11)
+    mats, pairs, triples = _three_bases(3, rng)
+    spec = MaxMinSpec(K=3, families=((1,), (2,), (3,)))
+    scale = rng.uniform(0.5, 2.0, (2500, 1))
+    X = np.vstack([scale * np.array(triples)[rng.integers(0, 8, 2500)],
+                   scale * np.array(pairs)[rng.integers(0, 24, 2500)]])
+    X = X[rng.permutation(len(X))]
+    basis = QuadraticBasis(mats)
+    (got, warnings), calls, retired = _counted_sampling(spec, basis, X)
+    assert max(calls) <= PROBE_ROWS * 3 * SAMPLED_DIRECTIONS
+    assert 0 < retired <= 2500
+    want = maxmin_reference.sampled_active(spec, basis, X, tie_mask(spec, basis, X, POLICY)[0], POLICY)
+    assert [tuple((np.flatnonzero(row) + 1).tolist()) for row in got] == [a.indices for a in want]
+    assert warnings.tolist() == [a.warning for a in want]
 
 
 def _surface_points(matrices, Qs, per_surface, rng):
