@@ -1,9 +1,10 @@
 """Tour of max-min candidate functions.
 
 Builds V(x) = max{min{x'P1x, x'P2x}, x'P3x} for the bundled three-mode
-planar benchmark and walks the unit circle: value, active bases, and
-generalized-gradient vertices, plus the ordering-cone selection table
-that drives the matrix-inequality certification.
+planar benchmark and walks the unit circle: value and active bases,
+plus the ordering-cone selection table that drives the matrix-inequality
+certification.  Each active set carries the generalized-gradient
+vertices of its point, the gradients of its active bases.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ from maxminlyap import fixtures
 from maxminlyap.maxmin import (
     active_indices,
     all_permutations,
-    clarke_gradient,
     dual_families,
     evaluate,
     phi,
@@ -41,7 +41,7 @@ for deg in range(0, 180, 22):
 
 print("\ngeneralized gradient at the nonsmooth point on the first switching line:")
 v1 = fixtures.EXAMPLE1_LINES["S13"]
-hull = clarke_gradient(spec, basis, v1, policy)
+hull = active_indices(spec, basis, v1, policy)
 for k, g in zip(hull.indices, hull.vertices):
     print(f"  vertex from base {k}: {np.round(g, 4)}")
 print("the gradient set is the segment between those vertices")

@@ -50,7 +50,6 @@ from .maxmin import (
     combine,
     realized_base,
     selected_base,
-    with_vertices,
 )
 from .numkernel import (
     eig_sym, negdef_margin, positive_definite, project_psd, row_norms, solve_lyapunov,
@@ -957,12 +956,8 @@ def planar_condition_ii(sys, spec, cand, policy=DEFAULT_POLICY):
     _require_linear_conic(sys)
     factors = cone_chain(sys)
     basis = QuadraticBasis(cand.matrices)
-    sets = active_sets(spec, basis, np.array(factors.vs), policy)
-    warnings = dict(Counter(act.warning for act in sets if act.warning))
-    hulls = [
-        with_vertices(act, (basis.gradient(k, v) for k in act.indices))
-        for v, act in zip(factors.vs, sets)
-    ]
+    hulls = active_sets(spec, basis, np.array(factors.vs), policy)
+    warnings = dict(Counter(act.warning for act in hulls if act.warning))
     # wraps: line pos borders chain positions pos-1 and pos
     modes = [(factors.order[pos - 1], factors.order[pos]) for pos in range(sys.M)]
     kinks = [pos for pos in range(sys.M) if len(hulls[pos].indices) > 1]

@@ -159,7 +159,7 @@ def cmd_phi(args):
 
 
 def cmd_grad(args):
-    from .maxmin import clarke_gradient, evaluate
+    from .maxmin import active_indices, evaluate
 
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
@@ -167,7 +167,7 @@ def cmd_grad(args):
     policy = _policy_from(args)
     dim = parsed.system.dim if parsed.system is not None else basis.dim
     x = _point(args.at, dim)
-    hull = clarke_gradient(spec, basis, x, policy)
+    hull = active_indices(spec, basis, x, policy)
     print(f"V({x.tolist()}) = {_fmt(evaluate(spec, basis, x))}")
     print(f"active = {hull.indices} method = {hull.method}")
     if hull.warning:

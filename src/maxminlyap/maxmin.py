@@ -18,20 +18,22 @@ call, and no step runs Python code per row.  Sampling goes in two
 stages: a row tied with every base first gets a short leading block of
 probes and stops once they mark all K bases (no later probe can change
 its mask); the other rows get all 3 x 64 probes.  ``active_sets`` is the
-object view of the mask (one ``ActiveSet`` per row) for the one-row and
-few-row callers; ``active_indices`` is the one-point case.
+object view of the mask for the one-row and few-row callers: one
+``ActiveSet`` per row, carrying the gradients of its active bases (the
+vertices of the generalized gradient); ``active_indices`` is the
+one-point case.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .numkernel import as_points, quad_forms, row_norms, sphere_points
+from .numkernel import as_points, by_column, quad_forms, row_norms, sphere_points
 from .policy import DEFAULT_POLICY
 from .sysdsl import expr as ex
 
@@ -264,18 +266,13 @@ SMOOTH, SWEPT, SAMPLED = range(3)
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """Essentially-active base indices at a point, with the method used and, once
-    ``with_vertices`` fills them, the gradient vertices (ignored by ==)."""
+    """Essentially-active base indices at a point, with the method used and
+    the gradient vertices, one per index (ignored by ==)."""
 
     indices: tuple
     method: str
     warning: Optional[str] = None
     vertices: tuple = field(default=(), compare=False)  # tuple of ndarray
-
-
-def with_vertices(act, vertices):
-    """``act`` with its gradient vertices, one per active index."""
-    return replace(act, vertices=tuple(vertices))
 
 
 def selected_base(spec, vals):
@@ -314,28 +311,31 @@ def realized_base(spec, vals):
 
 
 def active_indices(spec, basis, x, policy=DEFAULT_POLICY):
-    """Essentially-active index set at one point: the one-row ``active_sets``."""
+    """Essentially-active index set at one point with its gradient vertices
+    {grad V_k(x) : k active}: the one-row ``active_sets``."""
     x = as_points(x, basis.dim, "point")
     return active_sets(spec, basis, x[None], policy)[0]
 
 
 def active_sets(spec, basis, X, policy=DEFAULT_POLICY, ties=None):
     """Essentially-active index set at each row of X[S, n], one ``ActiveSet``
-    per row: the object view of ``active_masks``."""
-    return as_active_sets(*active_masks(spec, basis, X, policy, ties))
-
-
-def as_active_sets(active, method, warning):
-    """The ``ActiveSet`` of each row of the ``active_masks`` result."""
+    per row: the object view of ``active_masks``, with the gradient
+    vertices of each row in index order.  Each base's gradient is taken
+    once, over the rows that mark it, and each vertex is the point's
+    ``basis.gradient(k, x)`` bit for bit."""
+    X = as_points(X, basis.dim, "points", max_ndim=2).reshape(-1, basis.dim)
+    active, method, warning = active_masks(spec, basis, X, policy, ties)
+    grads = by_column(lambda c, rows: basis.gradient(c + 1, rows), X, active)
     out = []
-    for row, code, text in zip(active.tolist(), method.tolist(), warning.tolist()):
+    for row, g, code, text in zip(active.tolist(), grads, method.tolist(), warning.tolist()):
         indices = tuple(k for k, hit in enumerate(row, start=1) if hit)
+        vertices = tuple(g[k - 1] for k in indices)
         if code == SMOOTH:
-            out.append(ActiveSet(indices=indices, method=EXACT_SMOOTH))
+            out.append(ActiveSet(indices, method=EXACT_SMOOTH, vertices=vertices))
         elif code == SWEPT:
-            out.append(ActiveSet(indices=indices, method=EXACT_SWEEP))
+            out.append(ActiveSet(indices, method=EXACT_SWEEP, vertices=vertices))
         else:
-            out.append(ActiveSet(indices=indices, method=PERTURBATION_SAMPLED, warning=text))
+            out.append(ActiveSet(indices, method=PERTURBATION_SAMPLED, warning=text, vertices=vertices))
     return out
 
 
@@ -373,12 +373,6 @@ def active_masks(spec, basis, X, policy=DEFAULT_POLICY, ties=None):
         active[rows], warning[rows] = _sampled_active(spec, basis, X[rows], ties[rows], policy)
         method[rows] = SAMPLED
     return active, method, warning
-
-
-def clarke_gradient(spec, basis, x, policy=DEFAULT_POLICY):
-    """The active set at x with its gradient vertices {grad V_l(x) : l active}."""
-    act = active_indices(spec, basis, x, policy)
-    return with_vertices(act, (basis.gradient(k, x) for k in act.indices))
 
 
 # ---------------------------------------------------------------------------

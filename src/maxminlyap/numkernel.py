@@ -189,6 +189,15 @@ def row_norms(X):
     return np.sqrt(np.vecdot(X, X))
 
 
+def by_column(fn, X, mask):
+    """out[S, C, n] holding fn(c, X[rows]) at the rows column c of mask[S, C]
+    marks, zero elsewhere: one row-form call per marked column."""
+    out = np.zeros(mask.shape + X.shape[1:])
+    for c in np.flatnonzero(mask.any(axis=0)).tolist():
+        out[mask[:, c], c] = fn(c, X[mask[:, c]])
+    return out
+
+
 def project_psd(M, floor=0.0):
     """Nearest (Frobenius) symmetric matrix with eigenvalues >= floor, of
     one matrix or of each matrix in a (k, n, n) stack."""

@@ -18,9 +18,10 @@ The sampled decrease check takes the active-base mask of its nonsmooth
 samples from ``maxmin.active_masks``, groups the samples by that mask
 and their adjacent-mode mask, and makes one kernel call per group; its
 report keeps the values, bounds and verdicts as columns.
-``lambda_set``, ``VertexTable`` (``vertex_table`` at one point) and the
-certifier's planar lines (``lie_sets``) are its one-row and few-row
-calls.
+``lambda_set``, ``VertexTable`` and the certifier's planar lines
+(``lie_sets``) are its one-row and few-row calls; ``vertex_table``
+builds the table at one point from ``maxmin.active_indices``, whose
+active set carries its gradient vertices, and the adjacent mode fields.
 """
 
 import itertools
@@ -31,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalCheckError, InvalidInputError
-from .maxmin import ActiveSet, active_masks, as_active_sets, tie_mask, with_vertices
-from .numkernel import as_points
+from .maxmin import ActiveSet, active_indices, active_masks, tie_mask
+from .numkernel import by_column
 from .policy import DEFAULT_POLICY
 
 EMPTY = "empty"
@@ -279,30 +280,22 @@ class VertexTable:
     hull: ActiveSet
     fields: tuple
 
-    def products(self):
-        """grad V_k(x) . f_i(x): a row per active base, a column per mode."""
-        return _dots(np.array(self.hull.vertices)[None], np.array(self.fields)[None])[0]
-
     def lie(self, policy=DEFAULT_POLICY):
         """The equalizing weights, and the Lie set: the first table row at
         each extreme weight (every other row must agree with it)."""
         return lie_sets([self.hull.vertices], [self.fields], policy)[0]
 
     def clarke(self):
-        """The interval spanned by the table entries."""
-        lo, hi = _table_range(self.products()[None])
+        """The interval spanned by the table entries grad V_k(x) . f_i(x)."""
+        lo, hi = _table_range(_dots(np.array([self.hull.vertices]), np.array([self.fields])))
         return ClarkeSet(lo=float(lo[0]), hi=float(hi[0]))
 
 
 def vertex_table(spec, basis, sys, x, policy=DEFAULT_POLICY):
-    """The ``VertexTable`` at x over the modes adjacent to x: the one-row
-    ``_kink_rows``, from the active-base mask and closure mask of x alone."""
-    X = as_points(x, basis.dim, "point")[None]
-    inside = sys.closure_mask(X, policy)
-    active, method, warning = active_masks(spec, basis, X, policy)
-    grads, fields = _kink_rows(basis, sys, X, active, inside)
-    hull = with_vertices(as_active_sets(active, method, warning)[0], grads[0, active[0]])
-    return VertexTable(hull, tuple(fields[0, inside[0]]))
+    """The ``VertexTable`` at x over the modes adjacent to x (their closure
+    test comes first, so its refusal of x is the one raised)."""
+    fields = tuple(sys.field(i, x) for i in sys.index_set(x, policy))
+    return VertexTable(active_indices(spec, basis, x, policy), fields)
 
 
 def lie_derivative(spec, basis, sys, x, policy=DEFAULT_POLICY):
@@ -445,15 +438,6 @@ def _sample_rows(samples, dim):
     return X
 
 
-def _by_column(fn, X, mask):
-    """out[S, C, n] holding fn(c, X[rows]) at the rows column c of mask[S, C]
-    marks, zero elsewhere: one row-form call per marked column."""
-    out = np.zeros(mask.shape + X.shape[1:])
-    for c in np.flatnonzero(mask.any(axis=0)).tolist():
-        out[mask[:, c], c] = fn(c, X[mask[:, c]])
-    return out
-
-
 def _smooth_maxima(basis, sys, X, ties, inside):
     """Per row of X[S, n] with ``tie_mask`` ties and ``closure_mask``
     inside: max_i grad V_k(x) . f_i(x) over the adjacent modes i, and
@@ -466,9 +450,9 @@ def _smooth_maxima(basis, sys, X, ties, inside):
     sign of zero.
     """
     smooth = ties.sum(axis=1) == 1
-    grads = _by_column(lambda c, rows: basis.gradient(c + 1, rows), X, ties & smooth[:, None])
+    grads = by_column(lambda c, rows: basis.gradient(c + 1, rows), X, ties & smooth[:, None])
     grads = grads[np.arange(len(X)), ties.argmax(axis=1)]
-    fields = _by_column(lambda c, rows: sys.modes[c].field(rows), X, inside & smooth[:, None])
+    fields = by_column(lambda c, rows: sys.modes[c].field(rows), X, inside & smooth[:, None])
     products = np.where(inside, _dots(grads[:, None], fields)[:, 0], -np.inf)
     best = np.take_along_axis(products, products.argmax(axis=1)[:, None], axis=1)[:, 0]
     return best, smooth & np.isfinite(best) & (best != 0.0)
@@ -481,8 +465,8 @@ def _kink_rows(basis, sys, X, active, inside):
     row that no region contains."""
     for r in np.flatnonzero(~inside.any(axis=1))[:1].tolist():
         sys.adjacent(X[r], inside[r])
-    grads = _by_column(lambda c, rows: basis.gradient(c + 1, rows), X, active)
-    fields = _by_column(lambda c, rows: sys.modes[c].field(rows), X, inside)
+    grads = by_column(lambda c, rows: basis.gradient(c + 1, rows), X, active)
+    fields = by_column(lambda c, rows: sys.modes[c].field(rows), X, inside)
     return grads, fields
 
 

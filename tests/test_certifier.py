@@ -29,7 +29,7 @@ from maxminlyap.inclusion import (
     SwitchedSystem, cone_chain, q_cone_decompose, sliding_exclusion, unproven_cover,
 )
 from maxminlyap.maxmin import (
-    MaxMinSpec, QuadraticBasis, clarke_gradient, evaluate, phi
+    MaxMinSpec, QuadraticBasis, active_indices, evaluate, phi
 )
 from maxminlyap.numkernel import negdef_margin, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
@@ -278,7 +278,8 @@ WRONG_DIMENSION_CALLS = {
     ),
     "evaluate": lambda sys, spec, basis: evaluate(spec, basis, np.ones(3)),
     "evaluate_batch": lambda sys, spec, basis: evaluate(spec, basis, np.ones((4, 3))),
-    "clarke_gradient": lambda sys, spec, basis: clarke_gradient(spec, basis, np.ones(3)),
+    # the generalized gradient: the one-row active set with its vertices
+    "clarke_gradient": lambda sys, spec, basis: active_indices(spec, basis, np.ones(3)),
     "index_set": lambda sys, spec, basis: sys.index_set(np.ones(3)),
     "certify": lambda sys, spec, basis: certify(
         sys, spec, Candidate(matrices=[np.eye(3)] * 3)
@@ -1567,10 +1568,9 @@ EXAMPLE3_KINKS = [[1.0, 0.0, 1.0], [0.6, 0.8, -1.0], [0.0, -2.0, 2.0]]
 
 @pytest.mark.parametrize("name", ["example1", "example3"])
 def test_gradient_vertices_ride_on_the_active_set(name):
-    # clarke_gradient, the vertex table and the planar entries (at
+    # active_indices, the vertex table and the planar entries (at
     # example1's switching lines) each carry active_indices' set, with
     # the gradients of its bases there bit for bit
-    from maxminlyap.maxmin import active_indices
     from maxminlyap.setderiv import vertex_table
 
     sysm, spec, basis = fixtures.example(name)
@@ -1580,10 +1580,9 @@ def test_gradient_vertices_ride_on_the_active_set(name):
     else:
         found = [(np.array(x), []) for x in EXAMPLE3_KINKS]
     for x, hulls in found:
-        hulls += [clarke_gradient(spec, basis, x, POLICY)]
-        hulls += [vertex_table(spec, basis, sysm, x, POLICY).hull]
         act = active_indices(spec, basis, x, POLICY)
-        assert len(act.indices) == 2 and act.vertices == ()
+        hulls += [act, vertex_table(spec, basis, sysm, x, POLICY).hull]
+        assert len(act.indices) == 2 and len(act.vertices) == 2
         want = [basis.gradient(k, x).tobytes() for k in act.indices]
         for hull in hulls:
             assert (hull.indices, hull.method, hull.warning) == (

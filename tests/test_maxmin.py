@@ -17,7 +17,6 @@ from maxminlyap.maxmin import (
     active_indices,
     active_sets,
     all_permutations,
-    clarke_gradient,
     combine,
     dual_families,
     evaluate,
@@ -156,7 +155,7 @@ def test_active_absolute_value_kink(onedim_abs):
 
 def test_clarke_gradient_smooth():
     _, spec, basis = fixtures.example("example2")
-    hull = clarke_gradient(spec, basis, np.array([1.0, 0.0]), POLICY)
+    hull = active_indices(spec, basis, np.array([1.0, 0.0]), POLICY)
     assert hull.indices == (2,)
     np.testing.assert_allclose(hull.vertices[0], [2.0, 0.0])
 
@@ -164,7 +163,7 @@ def test_clarke_gradient_smooth():
 def test_clarke_gradient_benchmark_kink():
     _, spec, basis = fixtures.example("example1")
     v1 = fixtures.EXAMPLE1_LINES["S13"]
-    hull = clarke_gradient(spec, basis, v1, POLICY)
+    hull = active_indices(spec, basis, v1, POLICY)
     assert hull.indices == (1, 3)
     np.testing.assert_allclose(hull.vertices[0], 2.0 * basis.matrices[0] @ v1)
     np.testing.assert_allclose(hull.vertices[1], 2.0 * basis.matrices[2] @ v1)
@@ -172,7 +171,7 @@ def test_clarke_gradient_benchmark_kink():
 
 def test_clarke_gradient_absolute_value(onedim_abs):
     spec, basis = onedim_abs
-    hull = clarke_gradient(spec, basis, np.array([0.0]), POLICY)
+    hull = active_indices(spec, basis, np.array([0.0]), POLICY)
     got = sorted(float(v[0]) for v in hull.vertices)
     assert got == [-1.0, 1.0]
 
@@ -238,9 +237,8 @@ def test_active_sets_reject_non_finite_points(name, x):
     # wrong answer, on the planar arc path and the sampled path alike
     _, spec, basis = fixtures.example(name)
     batch = np.vstack([np.ones(basis.dim), x])
-    for call in (active_indices, clarke_gradient):
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            call(spec, basis, np.array(x), POLICY)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        active_indices(spec, basis, np.array(x), POLICY)
     with pytest.raises(InvalidInputError, match="non-finite"):
         active_sets(spec, basis, batch, POLICY)
 

@@ -54,6 +54,7 @@ from maxminlyap.maxmin import (
 )
 from maxminlyap.numkernel import project_psd
 from maxminlyap.policy import NumericPolicy
+from maxminlyap.sysdsl.config import parse_config
 from maxminlyap.sysdsl import expr as ex
 from certifier_reference import basis_step as ref_basis_step
 from certifier_reference import penalty_value as ref_penalty_value
@@ -901,6 +902,56 @@ def test_active_masks_are_the_per_row_sets(case, rows, seed, undecided):
     assert warning.tolist() == [a.warning for a in want]
     for a, b in zip(given_ties, (active, method, warning)):
         assert np.array_equal(a, b)
+
+
+EXPR_CONFIG = """
+[basis]
+V1 = x1*x1 + 2*x2*x2 + 0.1*sin(x1*x2) + 0.01*pow(x1, 4)
+V2 = 2*x1*x1 + x2*x2 + 0.1*sin(x1*x2) + 0.01*pow(x1, 4)
+V3 = 1.4*x1*x1 + 1.6*x2*x2 + 0.3*x1*x2
+[structure]
+S1 = {1, 2}
+S2 = {3}
+"""
+
+
+def test_active_sets_carry_the_point_gradients():
+    # one batch per basis, its rows shuffled so the methods interleave:
+    # generic rows (exact-smooth), example1's switching lines at eight
+    # radii and the origin (exact-sweep), example3's kinks (perturbation-
+    # sampled) and an expression basis on its ties x2 = +-x1; every row
+    # is the per-row chain's set, and its vertices are the point
+    # gradients of its bases in index order, bit for bit
+    rng = np.random.default_rng(38)
+    cases = []
+    _, spec, basis = fixtures.example("example1")
+    radii = (-2.0, -1.0, -0.5, 0.25, 0.5, 1.0, 2.0, 3.0)
+    lines = [r * v for v in fixtures.EXAMPLE1_LINES.values() for r in radii]
+    cases.append((spec, basis, np.vstack([rng.standard_normal((80, 2)), lines, np.zeros((1, 2))])))
+    _, spec, basis = fixtures.example("example3")
+    exact = [r * np.array(x) for x in ([1.0, 0.0, 1.0], [0.6, 0.8, -1.0], [0.0, -2.0, 2.0])
+             for r in (-1.0, 0.5, 2.0)]
+    kinks = _surface_points(basis.matrices, [], 40, rng)
+    cases.append((spec, basis, np.vstack([rng.standard_normal((60, 3)), exact, kinks])))
+    expr = parse_config(EXPR_CONFIG).basis
+    t = rng.uniform(0.5, 2.0, 24)
+    ties = np.vstack([np.stack([t, t], axis=1), np.stack([t, -t], axis=1)])
+    cases.append((expr.to_spec(), expr.to_basis(), np.vstack([rng.standard_normal((60, 2)), ties])))
+    methods = {EXACT_SMOOTH: 0, EXACT_SWEEP: 0, PERTURBATION_SAMPLED: 0}
+    for spec, basis, X in cases:
+        X = X[rng.permutation(len(X))]
+        assert len(X) >= 100
+        got = active_sets(spec, basis, X, POLICY)
+        want = maxmin_reference.active_sets(spec, basis, X, POLICY)
+        assert [(a.indices, a.method, a.warning) for a in got] == [
+            (a.indices, a.method, a.warning) for a in want
+        ]
+        for x, act in zip(X, got):
+            assert [v.tobytes() for v in act.vertices] == [
+                basis.gradient(k, x).tobytes() for k in act.indices
+            ]
+            methods[act.method] += 1
+    assert min(methods.values()) >= 20, methods
 
 
 @settings(max_examples=200, deadline=None)

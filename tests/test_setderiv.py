@@ -386,7 +386,7 @@ def test_weights_that_do_not_equalize_raise_the_spread(monkeypatch):
 
     sys1, spec, basis = fixtures.example("example1")
     x = fixtures.EXAMPLE1_LINES["S13"]
-    column = setderiv.vertex_table(spec, basis, sys1, x, POLICY).products()[:, 0]
+    column = reference.products(setderiv.vertex_table(spec, basis, sys1, x, POLICY))[:, 0]
     monkeypatch.setattr(setderiv, "_weights", first_vertex)
     spread = f"(spread {column.max() - column.min():.3e})"
     with pytest.raises(InternalCheckError, match=re.escape(spread)):
