@@ -230,10 +230,11 @@ def derive_matching(sys, matrices, spec, policy=DEFAULT_POLICY):
     owner = sys.owners(dirs, policy.abs_tol)
     base = realized_base(spec, QuadraticBasis(matrices).values(dirs))
     counted = (owner > 0) & (base > 0)
-    observed = {
-        m.index: tuple(np.unique(base[counted & (owner == m.index)]).tolist())
-        for m in sys.modes
-    }
+    # every counted (mode, base) pair once, sorted by mode, then base: the
+    # keys are small, so a count per key finds them in one pass
+    pairs = np.flatnonzero(np.bincount(owner[counted] * (spec.K + 1) + base[counted]))
+    modes, bases = np.divmod(pairs, spec.K + 1)
+    observed = {m.index: tuple(bases[modes == m.index].tolist()) for m in sys.modes}
     evidence = {"samples": int(counted.sum()), "seed": policy.seed, "observed": observed}
     if any(len(s) != 1 for s in observed.values()):
         return None, evidence
@@ -398,7 +399,10 @@ def _optimize_multipliers(sys, cand, groups, sweeps=3):
     convex in each scalar, so each slot takes a golden section, run for
     every group that has the slot in lockstep (``_golden_lockstep``).
     A slot's probes share the sum of the terms before it, taken once per
-    sweep; each probe adds its own slot's term and the ones after it."""
+    sweep; each probe adds its own slot's term and the ones after it.
+    The rows a probe layout (the group of each probe) reads, and the
+    weighted terms after the slot, are gathered once per layout: the
+    golden sections repeat a few layouts over their dozens of solves."""
     heads, terms, Y = _pencils(sys, cand, groups)
     counts = np.array([len(g.diffs) + g.cone for g in groups], dtype=int)
     for _ in range(sweeps):
@@ -406,11 +410,19 @@ def _optimize_multipliers(sys, cand, groups, sweeps=3):
             live = np.flatnonzero(counts > s)
             T, Ys = terms[live], Y[live]
             firsts = _pencil_sum(heads[live], T[:, :s], Ys[:, :s])
+            layouts = {}
 
             def margins(idx, vs):
-                idx = np.array(idx)
-                X = firsts[idx] + np.array(vs)[:, None, None] * T[idx, s]
-                X = _pencil_sum(X, T[idx, s + 1 :], Ys[idx, s + 1 :])
+                key = tuple(idx)
+                if key not in layouts:
+                    rows = np.array(idx)
+                    rest = [Ys[rows, t, None, None] * T[rows, t] for t in range(s + 1, T.shape[1])]
+                    layouts[key] = firsts[rows], T[rows, s], rest
+                X, slot, rest = layouts[key]
+                # each weighted term is the product _pencil_sum forms, added in its order
+                X = X + np.array(vs)[:, None, None] * slot
+                for term in rest:
+                    X = X + term
                 return eig_sym(X).eigenvalues[:, -1].tolist()
 
             Y[live, s] = _golden_lockstep(margins, Y[live, s].tolist())
@@ -1116,9 +1128,11 @@ def certify(
     else:
         cond_i = check_condition_i(sys, spec, cand, policy)
         if complete:
-            # groups and matching depend on the bases alone, not on the multipliers
             cand = complete_multipliers(sys, cand, cond_i, policy)
-            cond_i = replace(cond_i, margins=_margins(sys, cand, cond_i.groups))
+            if not cond_i.ok:
+                # groups and matching depend on the bases alone, not on the
+                # multipliers; with every margin strict nothing was completed
+                cond_i = replace(cond_i, margins=_margins(sys, cand, cond_i.groups))
     if cond_i.matching is None:
         notes.append("pairing: all permutations against every mode")
     else:

@@ -327,10 +327,24 @@ class ExclusionReport:
     ok: bool
 
 
+EXCLUSION_BLOCK = 2048  # sample rows per block: a (block, n <= 6) float array is at most 96 KB
+
+
 def sliding_exclusion(sys, policy=DEFAULT_POLICY, n_samples=10_000):
     """Sampled check that both mode fields cross the switching surface
     the same way: min over the surface of the product of normal
-    components must stay positive."""
+    components must stay positive.
+
+    The samples are drawn and evaluated in blocks of EXCLUSION_BLOCK
+    rows.  The blocks draw the seed's normal stream in its order, so
+    each sample is the one a single draw of all n_samples rows gives,
+    and the block minima combine under ``np.minimum``, which keeps a
+    NaN as the one-block minimum does (``tests/inclusion_reference.py``
+    is that one-block form).  A block's (rows, n) arrays, and for n <= 3
+    the (2, rows, n) products of ``quad_forms``, stay below glibc's
+    128 KB mmap threshold, so they come from the heap instead of fresh
+    mappings whose cost moves with the allocator's state (for n >= 4,
+    ``quad_forms`` keeps a (rows, 2, 1, n) product of 128 KB and more)."""
     _require_linear_conic(sys)
     if sys.M != 2:
         raise InvalidInputError("sliding_exclusion expects exactly two modes")
@@ -351,16 +365,21 @@ def sliding_exclusion(sys, policy=DEFAULT_POLICY, n_samples=10_000):
     if not neg or not pos:
         raise InvalidInputError("switching matrix Q must be sign indefinite")
     # per sample: unit positive-side then negative-side coordinates, onto x'Qx = 0
-    rng = np.random.default_rng(policy.seed)
-    UW = rng.standard_normal((n_samples, len(pos) + len(neg)))
-    U, W = UW[:, : len(pos)], UW[:, len(pos) :]
-    Z = np.zeros((n_samples, sys.dim))
-    Z[:, pos] = U / row_norms(U)[:, None] / np.sqrt(2.0 * s.eigenvalues[pos])
-    Z[:, neg] = W / row_norms(W)[:, None] / np.sqrt(-2.0 * s.eigenvalues[neg])
-    X = Z @ s.eigenvectors.T
-    X /= row_norms(X)[:, None]
+    pos_scale = np.sqrt(2.0 * s.eigenvalues[pos])
+    neg_scale = np.sqrt(-2.0 * s.eigenvalues[neg])
     QA = np.stack([Q @ sys.modes[0].A, Q @ sys.modes[1].A])
-    min_product = quad_forms(X, QA).prod(axis=1).min(initial=np.inf)
+    rng = np.random.default_rng(policy.seed)
+    min_product = np.inf
+    for start in range(0, n_samples, EXCLUSION_BLOCK):
+        rows = min(EXCLUSION_BLOCK, n_samples - start)
+        UW = rng.standard_normal((rows, len(pos) + len(neg)))
+        U, W = UW[:, : len(pos)], UW[:, len(pos) :]
+        Z = np.zeros((rows, sys.dim))
+        Z[:, pos] = U / row_norms(U)[:, None] / pos_scale
+        Z[:, neg] = W / row_norms(W)[:, None] / neg_scale
+        X = Z @ s.eigenvectors.T
+        X /= row_norms(X)[:, None]
+        min_product = np.minimum(min_product, quad_forms(X, QA).prod(axis=1).min())
     return ExclusionReport(
         min_product=float(min_product),
         n_samples=n_samples,

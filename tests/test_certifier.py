@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from maxminlyap import certifier, fixtures
+from maxminlyap import certifier, fixtures, inclusion
 from maxminlyap.certifier import (
     Candidate,
     SearchOptions,
@@ -35,6 +35,7 @@ from maxminlyap.numkernel import negdef_margin, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
 from maxminlyap.sysdsl.config import parse_config
+import inclusion_reference
 from certifier_reference import optimize_group_multipliers, ref_group_matrix
 from maxmin_reference import strict_ordering
 
@@ -487,6 +488,54 @@ def test_sliding_exclusion_requires_a_sample():
             sliding_exclusion(sys3, POLICY, n_samples=n)
 
 
+def test_blocked_exclusion_is_the_one_block_exclusion(linear_system):
+    # the samples are drawn and evaluated in blocks of EXCLUSION_BLOCK
+    # rows: every report must be the one-block reference's, for sample
+    # counts below, at and around the block size and its multiples
+    assert inclusion.EXCLUSION_BLOCK == 2048
+    sys3 = fixtures.example("example3")[0]
+    assert (np.linalg.eigvalsh(sys3.modes[0].Q) < 0).sum() == 1
+    # the other sign layout: two negative eigenvalues of Q, one positive
+    rng = np.random.default_rng(39)
+    V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    Q = V @ np.diag([-1.5, -0.5, 2.0]) @ V.T
+    Q = 0.5 * (Q + Q.T)
+    assert (np.linalg.eigvalsh(Q) < 0).sum() == 2
+    A = [rng.standard_normal((3, 3)) - 2.0 * np.eye(3) for _ in range(2)]
+    flipped = linear_system(A, [Q, -Q])
+    for sysm in (sys3, flipped):
+        for seed in range(10):
+            policy = NumericPolicy(seed=seed)
+            for n in (1, 2047, 2048, 2049, 6151, 10_000):
+                got = sliding_exclusion(sysm, policy, n_samples=n)
+                want = inclusion_reference.sliding_exclusion(sysm, policy, n_samples=n)
+                assert got == want
+                assert np.float64(got.min_product).tobytes() == np.float64(
+                    want.min_product
+                ).tobytes()
+
+
+def test_blocked_exclusion_keeps_a_nan_minimum(monkeypatch):
+    # Python's min drops a NaN against a number; the block minima
+    # combine under np.minimum, which keeps it, as the one-block min does
+    sys3 = fixtures.example("example3")[0]
+    quad_forms = inclusion.quad_forms
+    calls = []
+
+    def nan_in_second_block(X, Ps):
+        out = quad_forms(X, Ps)
+        calls.append(len(X))
+        if len(calls) == 2:
+            out[5, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(inclusion, "quad_forms", nan_in_second_block)
+    rep = sliding_exclusion(sys3, POLICY, n_samples=5000)
+    assert calls == [2048, 2048, 904]
+    assert np.isnan(rep.min_product)
+    assert not rep.ok
+
+
 def test_zero_budget_search_builds_no_candidate(monkeypatch):
     # the budget is tested before the initial candidates (Lyapunov
     # solves) and the match penalty are built
@@ -630,6 +679,34 @@ def test_certify_derives_the_matching_once(monkeypatch):
     fresh = check_condition_i(sys1, spec1, cert.candidate, POLICY)
     assert cert.cond_i.margins == fresh.margins
     assert (cert.cond_i.matching, cert.cond_i.evidence) == (fresh.matching, fresh.evidence)
+
+
+def test_certify_solves_the_margins_again_only_after_a_completion(monkeypatch):
+    # with every margin strict (the example1 bases alone are), completion
+    # changes no multiplier, so the margins of the check stand; otherwise
+    # (the example3 bases alone) they are solved once more
+    calls = []
+    margins = certifier._margins
+
+    def counted(*args):
+        calls.append(args)
+        return margins(*args)
+
+    monkeypatch.setattr(certifier, "_margins", counted)
+    for name, candidate, solves in (
+        ("example1", fixtures.example1_candidate(), 1),
+        ("example3", fixtures.example3_candidate(), 1),
+        ("example1", None, 1),
+        ("example3", None, 2),
+    ):
+        sysm, spec, basis = fixtures.example(name)
+        cand = candidate or Candidate(matrices=[np.array(P) for P in basis.matrices])
+        calls.clear()
+        cert = certify(sysm, spec, cand, POLICY)
+        assert len(calls) == solves
+        assert cert.verdict == VERDICT_GAS
+        assert cert.candidate is not cand
+        assert cert.cond_i.margins == margins(sysm, cert.candidate, cert.cond_i.groups)
 
 
 def test_certify_search_reuses_the_search_report(monkeypatch):
@@ -996,6 +1073,55 @@ def test_lockstep_multipliers_are_bitwise_the_per_group_search(linear_system):
             assert multiplier_bytes(got) == multiplier_bytes(want)
     capped_taus = [ys[0] for ys in certifier._optimize_multipliers(flat, capped, two)]
     assert max(capped_taus) > 1e6 > min(capped_taus)
+
+
+def test_layout_gathers_are_bitwise_the_per_group_search(linear_system, monkeypatch):
+    # cone groups (taus, then beta) beside groups of an all-space mode
+    # (taus only, an inert beta) in one call, so a slot's live groups
+    # shrink; one base below another drives some taus' brackets up to
+    # the cap while the others stop, so bracket tests run on subsets;
+    # and lookaheads that do not divide the 39 probed steps end each
+    # slot on a shorter layout.  Every layout's gathered rows must give
+    # each group the bits of its own one-group search.
+    Q = np.diag([1.0, -1.0])
+    sysm = linear_system(
+        [np.array([[-1.0, 2.0], [0.0, -3.0]]), np.array([[-2.0, 0.5], [-1.0, -1.0]])], [Q, None]
+    )
+    spec = MaxMinSpec(K=3, families=((1, 2), (3,)))
+    groups = build_groups(sysm, spec)
+    assert {len(g.diffs) + g.cone for g in groups} == {1, 2, 3}
+    rng = np.random.default_rng(39)
+    B = rng.standard_normal((3, 2, 2))
+    cands = [
+        Candidate(matrices=[np.eye(2) + b @ b.T for b in B]),
+        Candidate(
+            matrices=[np.eye(2), 2.0 * np.eye(2), np.eye(2) + B[0] @ B[0].T],
+            multipliers={g.key: tuple(rng.exponential(size=len(g.diffs) + 1)) for g in groups},
+        ),
+    ]
+    lockstep = certifier._golden_lockstep
+    layouts = []
+
+    def recording_lockstep(margins, starts):
+        def recorded(idx, vs):
+            layouts.append((len(starts), tuple(idx)))
+            return margins(idx, vs)
+
+        return lockstep(recorded, starts)
+
+    monkeypatch.setattr(certifier, "_golden_lockstep", recording_lockstep)
+    for lookahead in (2, 3, 4, 5):
+        monkeypatch.setattr(certifier, "LOOKAHEAD", lookahead)
+        for cand in cands:
+            got = certifier._optimize_multipliers(sysm, cand, groups)
+            want = [optimize_group_multipliers(sysm, cand, g) for g in groups]
+            assert multiplier_bytes(got) == multiplier_bytes(want)
+    # bracket tests on a strict subset of a slot's groups, and lookahead
+    # layouts of 2^k - 1 probes per group for a k below the lookahead
+    assert any(0 < len(set(idx)) < live for live, idx in layouts)
+    lengths = {(live, len(idx)) for live, idx in layouts}
+    assert all((live, live * 7) in lengths for live, _ in layouts)  # k = 3
+    assert all((live, live * 15) in lengths for live, _ in layouts)  # k = 4
 
 
 def test_pencil_margin_is_bitwise_the_group_margin():

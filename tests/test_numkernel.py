@@ -430,3 +430,67 @@ def test_positive_definite_checks_its_input():
         positive_definite(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError, match="non-finite"):
         positive_definite(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def _eigh_cases():
+    """Symmetric matrices and stacks for n = 2..6: random, with +/-0.0
+    entries, and with repeated eigenvalues."""
+    rng = np.random.default_rng(39)
+    for n in range(2, 7):
+        for k in (1, 2, 7, 40):
+            B = rng.standard_normal((k, n, n))
+            M = B + B.swapaxes(1, 2)
+            # signed zeros: 40% of the symmetric pairs become +0.0, and
+            # about half the diagonal entries -0.0 or +0.0 (x * -0.0)
+            Z = np.where(rng.random((k, n, n)) < 0.4, 0.0, M)
+            Z = np.triu(Z) + np.triu(Z, 1).swapaxes(1, 2)
+            Z[:, range(n), range(n)] *= np.where(rng.random((k, n)) < 0.5, -0.0, 1.0)
+            # repeated eigenvalues: V diag(w) V^T with w drawn from two values,
+            # and scaled identities
+            V = np.linalg.qr(rng.standard_normal((k, n, n)))[0]
+            w = rng.choice([-1.5, 2.0], size=(k, n))
+            R = (V * w[:, None, :]) @ V.swapaxes(1, 2)
+            R = 0.5 * (R + R.swapaxes(1, 2))
+            eyes = rng.integers(-2, 3, size=(k, 1, 1)) * np.eye(n)
+            for stack in (M, Z, R, eyes):
+                yield stack
+                yield stack[0]
+
+
+def test_eig_sym_is_eigh_byte_for_byte():
+    # the gufunc behind np.linalg.eigh, called alone: same bytes, same
+    # result type, on single matrices and on stacks of 1 to 40
+    seen_negative_zero = False
+    for M in _eigh_cases():
+        got, want = eig_sym(M), np.linalg.eigh(M)
+        assert type(got) is type(want)
+        assert got.eigenvalues.dtype == want.eigenvalues.dtype == np.float64
+        assert got.eigenvalues.shape == want.eigenvalues.shape
+        assert got.eigenvectors.shape == want.eigenvectors.shape
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        seen_negative_zero |= bool(np.signbit(M[M == 0.0]).any())
+    assert seen_negative_zero
+
+
+def test_eig_sym_refusals_keep_their_messages():
+    with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
+        eig_sym(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidInputError, match="matrix is not symmetric"):
+        eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidInputError, match="matrix must be square"):
+        eig_sym(np.zeros((2, 3)))
+
+
+def test_eig_sym_raises_linalgerror_on_a_nonfinite_eigenvalue():
+    # finite entries whose symmetrization overflows to inf: eigh returns
+    # NaN eigenvalues there, and eig_sym refuses them as eigh refuses a
+    # solve that did not converge
+    big = np.full((2, 2), 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert np.isnan(np.linalg.eigh(as_symmetric(big)).eigenvalues).all()
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite eigenvalue"):
+            eig_sym(big)
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite eigenvalue"):
+            eig_sym(np.stack([np.eye(2), big]))

@@ -505,6 +505,27 @@ def test_derive_matching_matches_point_loop():
         assert evidence["observed"] == observed
 
 
+def test_derive_matching_splits_one_pass_per_mode(linear_system):
+    # the observed table comes from one pass over the (mode, base) pairs,
+    # split per mode: a mode no sample lands in keeps (), a mode that sees
+    # two bases keeps both in order, and the other modes their one base
+    Q = np.diag([1.0, -1.0])
+    sysm = linear_system([-np.eye(2)] * 3, [Q, -Q, -np.eye(2)])
+    spec = MaxMinSpec(K=3, families=((1, 2), (3,)))
+    rng = np.random.default_rng(39)
+    for case in range(6):
+        mats = [np.eye(2) + 0.5 * b @ b.T for b in rng.standard_normal((3, 2, 2))]
+        policy = NumericPolicy(seed=case)
+        matching, evidence = derive_matching(sysm, mats, spec, policy)
+        want, counted, observed = ref_derive_matching(sysm, mats, spec, policy)
+        assert matching == want is None
+        assert evidence == {"samples": counted, "seed": case, "observed": observed}
+        assert list(evidence["observed"]) == [1, 2, 3]
+        assert evidence["observed"][3] == ()
+        assert max(len(bases) for bases in evidence["observed"].values()) > 1
+        assert all(type(b) is int for bases in evidence["observed"].values() for b in bases)
+
+
 def test_sliding_exclusion_matches_point_loop():
     sys3 = fixtures.example("example3")[0]
     for seed in range(12):
