@@ -337,32 +337,30 @@ def _golden_step(a, b, c, d, left):
 
 
 def _golden_lockstep(margins, starts):
-    """For each i, the minimiser of v -> margins([i], [v]) on [0, hi] after
-    GOLDEN_STEPS golden-section steps (Kiefer 1953), where hi starts at
-    max(10, 4|starts[i]| + 1) and grows by 4 while the margin at hi is
-    below the one at hi / 2, up to 1e6.
+    """For each group i, the minimiser on [0, hi] of its margin as a
+    function of its slot's value, after GOLDEN_STEPS golden-section
+    steps (Kiefer 1953), where hi starts at max(10, 4|starts[i]| + 1)
+    and grows by 4 while the margin at hi is below the one at hi / 2,
+    up to 1e6.
 
     Every group takes the same steps in lockstep, so each solve serves
-    them all: one per bracket test (hi and hi / 2), one for the opening
-    pair, and one per LOOKAHEAD steps, covering the 2^k - 1 probes those
-    k steps can ask for.  The last step's probe is never read, so it is
+    them all: ``margins`` takes a probe table V[G, r], row i holding
+    group i's probes, and returns their margins as a (G, r) array.  The
+    tables are (hi, hi / 2) per bracket test, read only by the groups
+    still growing; the opening pair; and per LOOKAHEAD steps the
+    2^k - 1 probes those k steps can ask for, level l's 2^l at
+    2^l - 1 + position.  The last step's probe is never read, so it is
     not solved.  Each group's bracket stays on Python floats and ends
     bit for bit where a one-group search would."""
     his = [max(10.0, 4.0 * abs(x) + 1.0) for x in starts]
-    grow = [i for i, hi in enumerate(his) if hi < 1e6]
-    while grow:
-        m = margins(
-            [i for i in grow for _ in range(2)], [h for i in grow for h in (his[i], his[i] / 2.0)]
-        )
-        grow = [i for k, i in enumerate(grow) if m[2 * k] < m[2 * k + 1]]
-        for i in grow:
-            his[i] *= 4.0
-        grow = [i for i in grow if his[i] < 1e6]
+    grow = [hi < 1e6 for hi in his]
+    while any(grow):
+        m = margins(np.array([(hi, hi / 2.0) for hi in his])).tolist()
+        grow = [g and at_hi < at_half for g, (at_hi, at_half) in zip(grow, m)]
+        his = [4.0 * hi if g else hi for g, hi in zip(grow, his)]
+        grow = [g and hi < 1e6 for g, hi in zip(grow, his)]
     brackets = [(0.0, hi, hi - _PHI_R * hi, _PHI_R * hi) for hi in his]
-    m = margins(
-        [i for i in range(len(his)) for _ in range(2)], [x for br in brackets for x in br[2:]]
-    )
-    values = list(zip(m[::2], m[1::2]))
+    values = margins(np.array([br[2:] for br in brackets])).tolist()
     for done in range(0, GOLDEN_STEPS - 1, LOOKAHEAD):
         k = min(LOOKAHEAD, GOLDEN_STEPS - 1 - done)
         # level l of a tree: the 2^l (bracket, probe) pairs that step l + 1
@@ -375,15 +373,12 @@ def _golden_lockstep(margins, starts):
                     [_golden_step(*node, left) for node, _ in levels[-1] for left in (True, False)]
                 )
             trees.append(levels)
-        m = margins(
-            [i for i, levels in enumerate(trees) for level in levels for _ in level],
-            [x for levels in trees for level in levels for _, x in level],
-        )
-        for i, levels in enumerate(trees):
+        m = margins(np.array([[x for level in levels for _, x in level] for levels in trees]))
+        for i, (levels, row) in enumerate(zip(trees, m.tolist())):
             fc, fd = values[i]
             left, pos = fc <= fd, 0
             for level_no, level in enumerate(levels):
-                y = m[(2**k - 1) * i + 2**level_no - 1 + pos]
+                y = row[2**level_no - 1 + pos]
                 fc, fd = (y, fc) if left else (fd, y)
                 brackets[i], left = level[pos][0], fc <= fd
                 pos = 2 * pos + (not left)
@@ -398,32 +393,28 @@ def _optimize_multipliers(sys, cand, groups, sweeps=3):
     term (an inert beta stays as it is).  For fixed bases a margin is
     convex in each scalar, so each slot takes a golden section, run for
     every group that has the slot in lockstep (``_golden_lockstep``).
-    A slot's probes share the sum of the terms before it, taken once per
-    sweep; each probe adds its own slot's term and the ones after it.
-    The rows a probe layout (the group of each probe) reads, and the
-    weighted terms after the slot, are gathered once per layout: the
-    golden sections repeat a few layouts over their dozens of solves."""
+    A slot's probe table V[G, r] is solved as one (G, r, n, n) stack:
+    the sum of the terms before the slot, the slot's term and the
+    weighted terms after it, each formed once per slot and sweep,
+    broadcast over the probe axis, so probe j of group i is its
+    pencil sum with V[i, j] in the slot."""
     heads, terms, Y = _pencils(sys, cand, groups)
     counts = np.array([len(g.diffs) + g.cone for g in groups], dtype=int)
+    n = terms.shape[-1]
     for _ in range(sweeps):
         for s in range(terms.shape[1]):
             live = np.flatnonzero(counts > s)
             T, Ys = terms[live], Y[live]
-            firsts = _pencil_sum(heads[live], T[:, :s], Ys[:, :s])
-            layouts = {}
+            first = _pencil_sum(heads[live], T[:, :s], Ys[:, :s])[:, None]
+            slot = T[:, None, s]
+            # each weighted term is the product _pencil_sum forms, added in its order
+            rest = [(Ys[:, t, None, None] * T[:, t])[:, None] for t in range(s + 1, T.shape[1])]
 
-            def margins(idx, vs):
-                key = tuple(idx)
-                if key not in layouts:
-                    rows = np.array(idx)
-                    rest = [Ys[rows, t, None, None] * T[rows, t] for t in range(s + 1, T.shape[1])]
-                    layouts[key] = firsts[rows], T[rows, s], rest
-                X, slot, rest = layouts[key]
-                # each weighted term is the product _pencil_sum forms, added in its order
-                X = X + np.array(vs)[:, None, None] * slot
+            def margins(V):
+                X = first + V[:, :, None, None] * slot
                 for term in rest:
                     X = X + term
-                return eig_sym(X).eigenvalues[:, -1].tolist()
+                return eig_sym(X.reshape(-1, n, n)).eigenvalues[:, -1].reshape(V.shape)
 
             Y[live, s] = _golden_lockstep(margins, Y[live, s].tolist())
     return [
@@ -486,14 +477,14 @@ class SearchResult:
 
 
 def _margin_subgradients(sys, cand, groups, s):
-    """Worst group margin (the first on a tie) and the gradient matrices
-    of that group's top eigenvalue w.r.t. each P, from ``s``, the
-    groups' stacked solve (``_group_eigs``)."""
+    """Worst group margin (the first on a tie) and the gradient of that
+    group's top eigenvalue w.r.t. each P, one (K, n, n) stack, from
+    ``s``, the groups' stacked solve (``_group_eigs``)."""
     j = int(np.argmax(s.eigenvalues[:, -1]))
     group = groups[j]
     v = s.eigenvectors[j, :, -1]
     A = sys.modes[group.mode - 1].A
-    grads = [np.zeros_like(cand.matrices[0]) for _ in cand.matrices]
+    grads = np.zeros(np.shape(cand.matrices))
     av = A @ v
     grads[group.phi_index - 1] += np.outer(av, v) + np.outer(v, av)
     vv = np.outer(v, v)
@@ -511,17 +502,16 @@ def _normalize(cand):
     by it, and a found candidate is re-checked from scratch."""
     Ps = np.asarray(cand.matrices)
     c = _trace_scale(Ps)
-    if c is not None:
-        cand.matrices = list(c * Ps)
-        cand.multipliers = _scaled_multipliers(cand.multipliers, [c])
+    cand.matrices = list(c * Ps)
+    cand.multipliers = _scaled_multipliers(cand.multipliers, [c])
     return cand
 
 
 def _trace_scale(Ps):
     """The factor that takes the average trace of the bases Ps[K, n, n]
-    to n, or None when their trace sum is not positive."""
-    total = sum(Ps.trace(axis1=1, axis2=2).tolist())
-    return len(Ps) * Ps.shape[-1] / total if total > 0 else None
+    to n.  Their trace sum is positive: the search's starts are positive
+    definite, and its trials are projected onto eigenvalues >= 1e-6."""
+    return len(Ps) * Ps.shape[-1] / sum(Ps.trace(axis1=1, axis2=2).tolist())
 
 
 def _scaled_multipliers(multipliers, factors):
@@ -663,12 +653,14 @@ def _repair_walks(penalty, starts, max_steps):
     halves it.  A walk fails when the step falls below 1e-9, the
     subgradient vanishes or max_steps trials are spent.
 
-    Each round projects the trials of every live walk (its step and the
-    halvings a rejection would take next, _REPAIR_DEPTH in all as far as
-    the floor and max_steps allow) on one ``project_psd`` and values them
-    on one ``penalty.values``; each walk takes its first trial that lowers
-    its penalty, and the walks that moved get their next descent from one
-    ``penalty.values_and_grads``.  So every walk is bit for bit the
+    Each round builds one trial table, a row per live walk: its step and
+    the halvings a rejection would take next, step * 0.5^j for j below
+    _REPAIR_DEPTH (exact, as every step is at least 1e-9).  The table is
+    projected on one ``project_psd`` and valued on one
+    ``penalty.values``; each walk reads its row up to its first trial
+    that lowers its penalty, and no further than max_steps and the step
+    floor allow, and the walks that moved get their next descent from
+    one ``penalty.values_and_grads``.  So every walk is bit for bit the
     one-trial-at-a-time loop from its start.  Walks after one that
     succeeded are dropped, and the rounds end once every walk before it
     has failed."""
@@ -694,34 +686,28 @@ def _repair_walks(penalty, starts, max_steps):
         ]
         if not live:
             return walks[: first + 1]
-        steps, trials = [], []
-        for w in live:
-            walk = walks[w]
-            ss = [walk.step]
-            while len(ss) < min(_REPAIR_DEPTH, max_steps - walk.spent) and ss[-1] * 0.5 >= 1e-9:
-                ss.append(ss[-1] * 0.5)
-            steps.append(ss)
-            trials.append(walk.bases - (np.array(ss) / walk.gnorm)[:, None, None, None] * walk.G)
-        trials = np.concatenate(trials)
-        n = trials.shape[-1]
-        trials = project_psd(trials.reshape(-1, n, n), floor=1e-6).reshape(trials.shape)
-        values = penalty.values(trials)
-        moved, at = [], 0
-        for w, ss in zip(live, steps):
-            walk = walks[w]
-            for trial, value in zip(trials[at : at + len(ss)], values[at : at + len(ss)]):
+        rows = [walks[w] for w in live]
+        rates = [[walk.step * 0.5**j / walk.gnorm for j in range(_REPAIR_DEPTH)] for walk in rows]
+        bases = np.array([walk.bases for walk in rows])[:, None]
+        G = np.array([walk.G for walk in rows])[:, None]
+        trials = bases - np.array(rates)[..., None, None, None] * G
+        W, D, K, n, _ = trials.shape
+        trials = project_psd(trials.reshape(-1, n, n), floor=1e-6).reshape(W, D, K, n, n)
+        values = np.array(penalty.values(trials.reshape(-1, K, n, n))).reshape(W, D).tolist()
+        moved = []
+        for w, walk, row, vals in zip(live, rows, trials, values):
+            for trial, value in zip(row[: max_steps - walk.spent], vals):
                 walk.spent += 1
                 if value < walk.pen:
                     c = _trace_scale(trial)
-                    walk.bases = trial if c is None else c * trial
-                    walk.factors += [] if c is None else [c]
+                    walk.bases = c * trial
+                    walk.factors.append(c)
                     walk.step = min(0.2, walk.step * 1.5)
                     moved.append(w)
                     break
                 walk.step *= 0.5  # below 1e-9 the walk has failed
                 if walk.step < 1e-9:
                     break
-            at += len(ss)
 
 
 def _basis_step(penalty, cand, G, etas, width):
@@ -745,13 +731,13 @@ def _basis_step(penalty, cand, G, etas, width):
             (saved - batch[:, None, None, None] * G).reshape(-1, *G.shape[1:]), floor=1e-6
         ).reshape(len(batch), *G.shape)
         scales = [_trace_scale(P) for P in starts]
-        starts = np.stack([P if c is None else c * P for c, P in zip(scales, starts)])
+        starts = np.stack([c * P for c, P in zip(scales, starts)])
         if penalty is None:
             walks = [_Walk(starts[0], ok=True)]
         else:
             walks = _repair_walks(penalty, starts, 20)
         for c, walk in zip(scales, walks):
-            factors += ([] if c is None else [c]) + walk.factors
+            factors += [c] + walk.factors
         done += len(walks)
         if walks[-1].ok:
             cand.matrices = list(walks[-1].bases)
@@ -808,7 +794,9 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
     not prove infeasibility.  With as many bases as modes, mode i is
     steered to base i; otherwise every permutation is paired with every
     mode.  The budget is tested before any candidate is built, so a zero
-    budget returns not-found after 0 rounds at once.
+    budget returns not-found after 0 rounds at once.  A not-found
+    message names the limit that ended the search: the budget, or the
+    SEARCH_STARTS starts, all failed within it.
     """
     _require_linear_conic(sys)
     opts = opts or SearchOptions()
@@ -820,14 +808,14 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
     def spent():
         return time.monotonic() - t0 >= opts.time_budget
 
-    def not_found():
+    def not_found(limit="budget exhausted"):
         return SearchResult(
             candidate=None,
             report=None,
             found=False,
             rounds=rounds_done,
             elapsed=time.monotonic() - t0,
-            message="budget exhausted without a verified candidate "
+            message=f"{limit} without a verified candidate "
             "(bilinear feasibility; not a proof of infeasibility)",
         )
 
@@ -880,7 +868,7 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
                 while eta * gnorm > 1e-9:
                     etas.append(eta)
                     eta *= 0.25
-                accepted, width = _basis_step(penalty, cand, np.stack(grads), etas, width)
+                accepted, width = _basis_step(penalty, cand, grads, etas, width)
                 if not accepted:
                     return
 
@@ -926,8 +914,8 @@ def search_condition_i(sys, spec, policy=DEFAULT_POLICY, opts=None):
                 break
             penalty.add_counterexamples(ces)
         if spent():
-            break
-    return not_found()
+            return not_found()
+    return not_found(f"all {SEARCH_STARTS} starts failed within the budget")
 
 
 # ---------------------------------------------------------------------------

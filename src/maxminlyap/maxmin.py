@@ -317,14 +317,14 @@ def active_indices(spec, basis, x, policy=DEFAULT_POLICY):
     return active_sets(spec, basis, x[None], policy)[0]
 
 
-def active_sets(spec, basis, X, policy=DEFAULT_POLICY, ties=None):
+def active_sets(spec, basis, X, policy=DEFAULT_POLICY):
     """Essentially-active index set at each row of X[S, n], one ``ActiveSet``
     per row: the object view of ``active_masks``, with the gradient
     vertices of each row in index order.  Each base's gradient is taken
     once, over the rows that mark it, and each vertex is the point's
     ``basis.gradient(k, x)`` bit for bit."""
     X = as_points(X, basis.dim, "points", max_ndim=2).reshape(-1, basis.dim)
-    active, method, warning = active_masks(spec, basis, X, policy, ties)
+    active, method, warning = active_masks(spec, basis, X, policy)
     grads = by_column(lambda c, rows: basis.gradient(c + 1, rows), X, active)
     out = []
     for row, g, code, text in zip(active.tolist(), grads, method.tolist(), warning.tolist()):

@@ -42,23 +42,30 @@ def as_points(x, dim, what, max_ndim=1):
 def as_symmetric(M, name="matrix"):
     """Validate finiteness and symmetry up to representation noise (1e-8
     relative to each matrix's largest entry) of one matrix or of each
-    matrix in a (k, n, n) stack, and symmetrize exactly."""
+    matrix in a (k, n, n) stack, and symmetrize exactly as 0.5 (A + A^T).
+    Entries of 2^1023 or more in size can overflow that sum; a matrix
+    whose symmetrization is not finite is refused too.  No input warns."""
     A = np.asarray(M, dtype=float)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise InvalidInputError(f"{name} must be square, got shape {A.shape}")
     AT = A.swapaxes(-1, -2)
-    # finite, and within 1e-8 <= 1e-8 max(scale, 1) of symmetric everywhere:
-    # every matrix passes its own test; finiteness first, so inf - inf
-    # never warns
-    if A.size and np.isfinite(A).all() and np.abs(A - AT).max() <= 1e-8:
+    # entries below 2^1023 in size (finite, and no two of them overflow
+    # their sum or difference), and within 1e-8 <= 1e-8 max(scale, 1) of
+    # symmetric everywhere: every matrix passes its own tests
+    if A.size and np.abs(A).max() < 2.0**1023 and np.abs(A - AT).max() <= 1e-8:
         return 0.5 * (A + AT)
     # a non-finite entry makes its matrix's largest |entry| inf or nan
     scale = np.abs(A).max(axis=(-2, -1))
     if not np.isfinite(scale).all():
         raise InvalidInputError(f"{name} has non-finite entries")
-    if (np.abs(A - AT).max(axis=(-2, -1)) > 1e-8 * np.maximum(scale, 1.0)).any():
+    with np.errstate(over="ignore"):
+        skew = np.abs(A - AT).max(axis=(-2, -1))
+        S = 0.5 * (A + AT)
+    if (skew > 1e-8 * np.maximum(scale, 1.0)).any():
         raise InvalidInputError(f"{name} is not symmetric")
-    return 0.5 * (A + AT)
+    if not np.isfinite(S).all():
+        raise InvalidInputError(f"{name} overflows when symmetrized")
+    return S
 
 
 def eig_sym(M):
@@ -75,8 +82,8 @@ def eig_sym(M):
     results are ``eigh``'s bit for bit (``tests/test_numkernel.py``) at
     about 4 us less per call, and raises ``LinAlgError`` on any
     non-finite eigenvalue: a failed solve (numpy warns of its invalid
-    value first), and also a matrix whose symmetrization overflowed to
-    inf, for which ``eigh`` returns NaN.
+    value first), and also an eigenvalue beyond the float range, which
+    ``eigh`` returns as inf.
     """
     w, V = _eigh_lo(as_symmetric(M), signature="d->dd")
     if not np.isfinite(w).all():

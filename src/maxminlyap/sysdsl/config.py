@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError, DomainEvalError
-from ..numkernel import negdef_margin, positive_definite
+from ..numkernel import as_symmetric, negdef_margin, positive_definite
 from . import expr as ex
 
 _TOKEN_RE = re.compile(
@@ -546,7 +546,7 @@ def _assemble_system(dim, modes, signal_Q, signal_H):
                 raise ConfigError(f"mode {i}: Q must be {dim}x{dim}")
             if np.abs(mode.Q - mode.Q.T).max() > 1e-12 * max(1.0, np.abs(mode.Q).max()):
                 raise ConfigError(f"mode {i}: non-symmetric matrix literal for Q")
-            if negdef_margin(mode.Q) <= 0:
+            if negdef_margin(as_symmetric(mode.Q, f"mode {i}: Q")) <= 0:
                 raise ConfigError(
                     f"mode {i}: Q is negative semidefinite, region would be empty"
                 )

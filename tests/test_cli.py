@@ -600,6 +600,36 @@ def test_grad_refuses_a_point_whose_base_values_overflow(capsys):
     assert "active = (3,) method = exact-smooth" in out
 
 
+HUGE_Q_CONFIG = """[system]
+dim = 2
+mode 1 {
+  A = [[-1, 0], [0, -1]]
+  Q = [[1.5e308, 0], [0, -1.5e308]]
+}
+mode 2 {
+  A = [[-1, 0], [0, -1]]
+  Q = [[-1.5e308, 0], [0, 1.5e308]]
+}
+[basis]
+P1 = [[1, 0], [0, 1]]
+[structure]
+S1 = {1}
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_a_cone_whose_symmetrization_overflows_is_an_input_error(capsys, tmp_path, command):
+    # finite Q entries whose 0.5 (Q + Q^T) overflows: exit 2 with the
+    # error on stderr, nothing on stdout and no numpy warning
+    cfg = tmp_path / "huge_q.cfg"
+    cfg.write_text(HUGE_Q_CONFIG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, [command, str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == "error: mode 1: Q overflows when symmetrized\n"
+
+
 @pytest.mark.parametrize("name", ["example1", "example3"])
 def test_certify_matches_golden_text(capsys, monkeypatch, name):
     # golden files hold the stdout of `certify configs/<name>.cfg` at seed 0;

@@ -1,10 +1,11 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxminlyap.errors import ConfigError
+from maxminlyap.errors import ConfigError, InvalidInputError
 from maxminlyap.sysdsl.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -83,6 +84,18 @@ def test_negative_semidefinite_q_rejected():
             mode 1 { A = [[-1, 0], [0, -1]]; Q = [[-1, 0], [0, -2]] }
             """
         )
+
+
+@pytest.mark.parametrize(
+    "Q", ["[[1.5e308, 0], [0, -1.5e308]]", "[[-1.5e308, 0], [0, 1.5e308]]"], ids=["Q", "-Q"]
+)
+def test_q_whose_symmetrization_overflows_rejected(Q):
+    # finite entries whose 0.5 (Q + Q^T) is inf: a typed error naming the
+    # mode's Q, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^mode 1: Q overflows when symmetrized$"):
+            parse_config(f"[system]\ndim = 2\nmode 1 {{ A = [[-1, 0], [0, -1]]; Q = {Q} }}")
 
 
 def test_dimension_mismatch_rejected():

@@ -483,14 +483,45 @@ def test_eig_sym_refusals_keep_their_messages():
 
 
 def test_eig_sym_raises_linalgerror_on_a_nonfinite_eigenvalue():
-    # finite entries whose symmetrization overflows to inf: eigh returns
-    # NaN eigenvalues there, and eig_sym refuses them as eigh refuses a
-    # solve that did not converge
-    big = np.full((2, 2), 1.5e308)
+    # finite entries with a finite symmetrization whose largest eigenvalue,
+    # 2.4e308, is beyond the float range: eigh returns inf there, and
+    # eig_sym refuses it as it refuses a solve that did not converge
+    big = np.full((3, 3), 8e307)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert np.isnan(np.linalg.eigh(as_symmetric(big)).eigenvalues).all()
+        warnings.simplefilter("error")
+        assert np.linalg.eigh(as_symmetric(big)).eigenvalues[-1] == np.inf
         with pytest.raises(np.linalg.LinAlgError, match="non-finite eigenvalue"):
             eig_sym(big)
         with pytest.raises(np.linalg.LinAlgError, match="non-finite eigenvalue"):
-            eig_sym(np.stack([np.eye(2), big]))
+            eig_sym(np.stack([np.eye(3), big]))
+
+
+HUGE_Q = np.diag([1.5e308, -1.5e308])
+
+
+@pytest.mark.parametrize(
+    "M", [HUGE_Q, -HUGE_Q, np.full((2, 2), 1.5e308), np.stack([np.eye(2), -HUGE_Q])],
+    ids=["Q", "opposite", "full", "stack"],
+)
+def test_an_overflowing_symmetrization_is_refused_without_a_warning(M):
+    # finite entries whose 0.5 (A + A^T) overflows to inf: a typed error
+    # naming the matrix, from every caller, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (as_symmetric, eig_sym, positive_definite, positive_semidefinite):
+            with pytest.raises(InvalidInputError, match="^matrix overflows when symmetrized$"):
+                fn(M)
+        with pytest.raises(InvalidInputError, match="^Q1 overflows when symmetrized$"):
+            as_symmetric(M, "Q1")
+
+
+def test_as_symmetric_keeps_the_bits_of_half_the_sum_on_subnormals():
+    # 0.5 (A + A^T), not 0.5 A + 0.5 A^T: they differ where halving a
+    # subnormal entry rounds, and the symmetrization keeps the first
+    tiny = 5e-324  # the smallest subnormal
+    M = tiny * np.array([[[1.0, 1.0], [1.0, 3.0]], [[2.0, 1.0], [2.0, 5.0]]])
+    got = as_symmetric(M)
+    MT = M.swapaxes(-1, -2)
+    assert got.tobytes() == (0.5 * (M + MT)).tobytes()
+    assert got.tobytes() != (0.5 * M + 0.5 * MT).tobytes()
+    assert as_symmetric(M[1]).tobytes() == got[1].tobytes()
