@@ -47,13 +47,12 @@ from .maxmin import (
     QuadraticBasis,
     active_sets,
     all_permutations,
-    combine,
     realized_base,
     selected_base,
 )
 from .numkernel import (
-    eig_sym, negdef_margin, positive_definite, project_psd, row_norms, solve_lyapunov,
-    sphere_points,
+    _eig_built, _project_built, as_symmetric, negdef_margin, positive_definite, row_norms,
+    solve_lyapunov, sphere_points,
 )
 from .policy import DEFAULT_POLICY
 from .setderiv import lie_sets
@@ -116,6 +115,11 @@ def build_groups(sys, spec, matching=None):
     are merged greedily in lexicographic order while the intersection
     of their implied ordering constraints stays nonempty; merged groups
     use that intersection, singleton groups use the adjacent chain.
+
+    The stacks built from the groups are solved unchecked
+    (``_eig_built``), and a system built in code from ``Mode`` checks no
+    Q, so each mode's cone matrix is checked here, as
+    ``SwitchedSystem.from_config`` checks it.
     """
     perms = all_permutations(spec.K)
     # the phi table: the base selected on the ranks of each ordering
@@ -123,6 +127,8 @@ def build_groups(sys, spec, matching=None):
     groups = []
     for mode in sys.modes:
         i = mode.index
+        if mode.Q is not None:
+            as_symmetric(mode.Q, f"Q{i}")
         mine = [
             rho
             for rho in perms
@@ -256,7 +262,9 @@ class ConditionIReport:
 
 def _validate_candidate(cand, K, dim):
     """S-procedure soundness needs K positive-definite dim x dim bases
-    and nonnegative multipliers; reject anything else outright."""
+    and finite, nonnegative multipliers; reject anything else outright.
+    Condition (i)'s stacks are built from these parts and solved
+    unchecked (``_group_eigs``)."""
     if len(cand.matrices) != K:
         raise InvalidInputError(
             f"candidate has {len(cand.matrices)} bases, structure needs {K}"
@@ -271,6 +279,8 @@ def _validate_candidate(cand, K, dim):
     if bad.size:
         raise InvalidInputError(f"candidate base {bad[0] + 1} is not positive definite")
     for key, ys in cand.multipliers.items():
+        if not all(math.isfinite(y) for y in ys):
+            raise InvalidInputError(f"non-finite multiplier in group {key}")
         if any(t < 0 for t in ys[:-1]):
             raise InvalidInputError(f"negative ordering multiplier in group {key}")
         if ys and ys[-1] < 0:
@@ -304,8 +314,11 @@ def check_condition_i(sys, spec, cand, policy=DEFAULT_POLICY):
 
 
 def _group_eigs(sys, cand, groups):
-    """The eigen-solve of every group's matrix, in one stack."""
-    return eig_sym(_pencil_sum(*_pencils(sys, cand, groups)))
+    """The eigen-solve of every group's matrix, in one stack.  Its parts
+    are checked (validated bases and multipliers, the cone matrices that
+    ``build_groups`` checks, or the search's own iterates), so the stack is
+    solved unchecked; a non-finite A reaches ``eig_sym``'s refusal."""
+    return _eig_built(_pencil_sum(*_pencils(sys, cand, groups)))
 
 
 def _margins(sys, cand, groups):
@@ -323,17 +336,14 @@ _REPAIR_DEPTH = 3  # matching-repair step halvings whose trials share one solve
 _PHI_R = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_step(a, b, c, d, left):
-    """One golden-section step of the bracket [a, b] with probes c < d: it
-    keeps [a, d] (left) or [c, b].  Returns the new (a, b, c, d) and the
-    probe that needs a margin (the new c or d)."""
-    if left:
-        b, d = d, c
-        c = b - _PHI_R * (b - a)
-        return (a, b, c, d), c
-    a, c = c, d
-    d = a + _PHI_R * (b - a)
-    return (a, b, c, d), d
+def _golden_children(a, b, c, d):
+    """The two golden-section steps of the bracket [a, b] with probes
+    c < d, the one that keeps [a, d] (taken when the margin at c is at
+    most the one at d) and the one that keeps [c, b]: each as its new
+    (a, b, c, d) and the probe that needs a margin (the new c or d)."""
+    left = d - _PHI_R * (d - a)
+    right = c + _PHI_R * (b - c)
+    return ((a, d, left, c), left), ((c, b, d, right), right)
 
 
 def _golden_lockstep(margins, starts):
@@ -363,27 +373,25 @@ def _golden_lockstep(margins, starts):
     values = margins(np.array([br[2:] for br in brackets])).tolist()
     for done in range(0, GOLDEN_STEPS - 1, LOOKAHEAD):
         k = min(LOOKAHEAD, GOLDEN_STEPS - 1 - done)
-        # level l of a tree: the 2^l (bracket, probe) pairs that step l + 1
-        # can reach; only the first step's side is known before the solve
+        # a tree of the (bracket, probe) pairs the k steps can reach, in
+        # breadth-first order: node q's two steps are nodes 2q + 1 and
+        # 2q + 2; only the first step's side is known before the solve
         trees = []
         for br, (fc, fd) in zip(brackets, values):
-            levels = [[_golden_step(*br, fc <= fd)]]
-            for _ in range(k - 1):
-                levels.append(
-                    [_golden_step(*node, left) for node, _ in levels[-1] for left in (True, False)]
-                )
-            trees.append(levels)
-        m = margins(np.array([[x for level in levels for _, x in level] for levels in trees]))
-        for i, (levels, row) in enumerate(zip(trees, m.tolist())):
+            tree = [_golden_children(*br)[not fc <= fd]]
+            for q in range(2 ** (k - 1) - 1):
+                tree += _golden_children(*tree[q][0])
+            trees.append(tree)
+        m = margins(np.array([[x for _, x in tree] for tree in trees]))
+        for i, (tree, row) in enumerate(zip(trees, m.tolist())):
             fc, fd = values[i]
-            left, pos = fc <= fd, 0
-            for level_no, level in enumerate(levels):
-                y = row[2**level_no - 1 + pos]
-                fc, fd = (y, fc) if left else (fd, y)
-                brackets[i], left = level[pos][0], fc <= fd
-                pos = 2 * pos + (not left)
+            left, q = fc <= fd, 0
+            for _ in range(k):
+                fc, fd = (row[q], fc) if left else (fd, row[q])
+                brackets[i], left = tree[q][0], fc <= fd
+                q = 2 * q + 1 + (not left)
             values[i] = (fc, fd)
-    last = [_golden_step(*br, fc <= fd)[0] for br, (fc, fd) in zip(brackets, values)]
+    last = [_golden_children(*br)[not fc <= fd][0] for br, (fc, fd) in zip(brackets, values)]
     return [0.5 * (a + b) for a, b, _, _ in last]
 
 
@@ -414,7 +422,7 @@ def _optimize_multipliers(sys, cand, groups, sweeps=3):
                 X = first + V[:, :, None, None] * slot
                 for term in rest:
                     X = X + term
-                return eig_sym(X.reshape(-1, n, n)).eigenvalues[:, -1].reshape(V.shape)
+                return _eig_built(X.reshape(-1, n, n)).eigenvalues[:, -1].reshape(V.shape)
 
             Y[live, s] = _golden_lockstep(margins, Y[live, s].tolist())
     return [
@@ -539,6 +547,18 @@ class _MatchPenalty:
     ones doubled) of the points: one (S, n(n+1)/2) @ (n(n+1)/2, K)
     product for all K bases.  The features, and the flat index of each
     point's target value in that product, are built with the points.
+
+    V is reduced with ``np.minimum`` over each family's members and
+    ``np.maximum`` over the families, in ``combine``'s order, each value
+    against the running one, and every penalty and subgradient is bit
+    for bit the one ``combine``'s ``np.where`` chain gives
+    (``tests/certifier_reference.py``) on any platform: the base values
+    are finite (the bases are validated starts or projections that
+    refuse a non-finite solve, the points are unit vectors), two equal
+    nonzero floats have one bit pattern, and a tie of +0.0 and -0.0 can
+    only flip the sign of a zero V, which decides none of the penalty
+    |V_target - V|, the live rows V_target - V != 0 or the signs of
+    their nonzero gaps.
     """
 
     def __init__(self, sys, spec, n_per_mode, seed):
@@ -588,12 +608,18 @@ class _MatchPenalty:
         Ps = np.asarray(stacks)
         vals = self._gram @ (0.5 * (Ps[..., i, j] + Ps[..., j, i])).swapaxes(-1, -2)
         flat = vals.reshape(vals.shape[:-2] + (-1,))
-        return vals, np.take(flat, self._target_at, axis=-1) - combine(self.spec, vals)
+        V = None
+        for fam in self.spec.families:
+            fv = vals[..., fam[0] - 1]
+            for k in fam[1:]:
+                fv = np.minimum(vals[..., k - 1], fv)
+            V = fv if V is None else np.maximum(fv, V)
+        return vals, np.take(flat, self._target_at, axis=-1) - V
 
     def values(self, stacks):
         """The penalty, mean |V_target - V| over the points, of each set of
         bases stacks[l] in stacks[L, K, n, n], from one broadcast product,
-        one ``combine`` and one sum."""
+        one reduction to V and one sum."""
         d = self._values(stacks)[1]
         return (np.abs(d).sum(axis=-1) / d.shape[-1]).tolist()
 
@@ -602,7 +628,10 @@ class _MatchPenalty:
         as ``values`` gives it, and its subgradient (L, K, n, n) in the
         bases.  Only the live rows, where V_target - V is not 0, move a
         subgradient, so the selection is made on those rows alone, for
-        every set at once; each set's sums stay its own."""
+        every set at once, and so is the weight table W[k - 1, row] =
+        sign [target = k] - sign [realized = k], exact in {-1, 0, 1}.
+        Base k's gradient sums its rows of nonzero weight, per set; each
+        set's sums stay its own."""
         vals, d = self._values(stacks)
         (L, S, K), n = vals.shape, self.X.shape[1]
         pens = (np.abs(d).sum(axis=-1) / S).tolist()
@@ -613,17 +642,22 @@ class _MatchPenalty:
         # the subgradient needs a selection on ties too, so no realized_base
         realized = selected_base(self.spec, vals.reshape(-1, K)[live])
         sign, points = np.sign(d.reshape(-1)[live]), live % S
-        X, targets, bounds = self.X[points], self.targets[points], np.arange(L + 1) * S
-        for k in range(1, K + 1):
-            w_t = sign * (targets == k) - sign * (realized == k)
-            rows = np.flatnonzero(w_t)
+        at = np.arange(live.size)
+        W = np.zeros((K, live.size))
+        W[self.targets[points] - 1, at] = sign
+        W[realized - 1, at] -= sign
+        X, bounds = self.X[points], np.arange(L + 1) * S
+        for k, w in enumerate(W):
+            rows = np.flatnonzero(w)
+            if not rows.size:
+                continue
             Xk = X[rows]
-            Xw = Xk * w_t[rows, None]
+            Xw = Xk * w[rows, None]
             # one product per set, of its rows alone
             ends = np.searchsorted(live[rows], bounds).tolist()
             for l, (a, b) in enumerate(zip(ends, ends[1:])):
                 if b > a:
-                    grads[l, k - 1] += Xw[a:b].T @ Xk[a:b]
+                    grads[l, k] += Xw[a:b].T @ Xk[a:b]
         return pens, grads / S
 
 
@@ -656,20 +690,20 @@ def _repair_walks(penalty, starts, max_steps):
     Each round builds one trial table, a row per live walk: its step and
     the halvings a rejection would take next, step * 0.5^j for j below
     _REPAIR_DEPTH (exact, as every step is at least 1e-9).  The table is
-    projected on one ``project_psd`` and valued on one
-    ``penalty.values``; each walk reads its row up to its first trial
-    that lowers its penalty, and no further than max_steps and the step
-    floor allow, and the walks that moved get their next descent from
-    one ``penalty.values_and_grads``.  So every walk is bit for bit the
-    one-trial-at-a-time loop from its start.  Walks after one that
-    succeeded are dropped, and the rounds end once every walk before it
-    has failed."""
+    projected on one ``project_psd``, unchecked (its bases are the walks'
+    own projected ones), and valued on one ``penalty.values``; each walk
+    reads its row up to its first trial that lowers its penalty, and no
+    further than max_steps and the step floor allow, and the walks that
+    moved get their next descent from one ``penalty.values_and_grads``.
+    So every walk is bit for bit the one-trial-at-a-time loop from its
+    start.  Walks after one that succeeded are dropped, and the rounds
+    end once every walk before it has failed."""
     walks = [_Walk(bases=P) for P in starts]
     first = len(walks)  # the first walk that succeeded
     live = moved = list(range(len(walks)))
     while True:
         if moved:
-            pens, grads = penalty.values_and_grads(np.stack([walks[w].bases for w in moved]))
+            pens, grads = penalty.values_and_grads(np.array([walks[w].bases for w in moved]))
             squares = (grads * grads).reshape(len(moved), grads.shape[1], -1).sum(axis=-1)
             for w, pen, G, sq in zip(moved, pens, grads, squares.tolist()):
                 walk = walks[w]
@@ -692,7 +726,7 @@ def _repair_walks(penalty, starts, max_steps):
         G = np.array([walk.G for walk in rows])[:, None]
         trials = bases - np.array(rates)[..., None, None, None] * G
         W, D, K, n, _ = trials.shape
-        trials = project_psd(trials.reshape(-1, n, n), floor=1e-6).reshape(W, D, K, n, n)
+        trials = _project_built(trials.reshape(-1, n, n), 1e-6).reshape(W, D, K, n, n)
         values = np.array(penalty.values(trials.reshape(-1, K, n, n))).reshape(W, D).tolist()
         moved = []
         for w, walk, row, vals in zip(live, rows, trials, values):
@@ -727,8 +761,8 @@ def _basis_step(penalty, cand, G, etas, width):
     width = max(1, width)
     while done < len(etas):
         batch = np.array(etas[done : done + width])
-        starts = project_psd(
-            (saved - batch[:, None, None, None] * G).reshape(-1, *G.shape[1:]), floor=1e-6
+        starts = _project_built(
+            (saved - batch[:, None, None, None] * G).reshape(-1, *G.shape[1:]), 1e-6
         ).reshape(len(batch), *G.shape)
         scales = [_trace_scale(P) for P in starts]
         starts = np.stack([c * P for c, P in zip(scales, starts)])

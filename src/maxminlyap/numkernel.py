@@ -11,7 +11,20 @@ is ``eigh`` bit for bit without its per-call dispatch.  ``as_symmetric``,
 ``eig_sym`` and ``project_psd`` take one matrix or a (k, n, n) stack; a
 stack gets one validation pass and one LAPACK call, and each of its
 matrices comes out bit for bit as it would alone.
+
+The condition (i) search solves stacks that it builds itself from
+checked parts (validated bases, the system's A, its cone matrices Q
+checked with the groups, its own projected bases) hundreds of times a
+second, where the checks cost more than the solve.  ``_eig_built`` and
+``_project_built`` are ``eig_sym`` and ``project_psd`` for those stacks
+alone: the same symmetrization and LAPACK call, bit for bit, with the
+checks run only when the solve's eigenvalues do not sum to a finite
+number, so a bad stack is refused as ``eig_sym`` refuses it.  The work
+counters of a traced run see only the public functions, so they do not
+count these solves.
 """
+
+import math
 
 import numpy as np
 from numpy.linalg._linalg import EighResult
@@ -89,6 +102,21 @@ def eig_sym(M):
     if not np.isfinite(w).all():
         raise np.linalg.LinAlgError("eigen-solve gave a non-finite eigenvalue")
     return EighResult(w, V)
+
+
+def _eig_built(S):
+    """``eig_sym(S)`` bit for bit, for a float (k, n, n) stack S built from
+    checked parts, so finite and symmetric up to rounding: it symmetrizes
+    as ``as_symmetric`` does, 0.5 (S + S^T), and solves without the
+    checks, with no warning.  Eigenvalues whose sum is not finite (a
+    non-finite entry, an overflowed sum, a failed solve; or finite
+    eigenvalues whose sum overflows, which ``eig_sym`` then returns as
+    they are) pass S to ``eig_sym``, so a bad stack is refused with
+    ``eig_sym``'s exception and warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, V = _eigh_lo(0.5 * (S + S.swapaxes(-1, -2)), signature="d->dd")
+        finite = math.isfinite(w.sum())
+    return EighResult(w, V) if finite else eig_sym(S)
 
 
 def negdef_margin(M):
@@ -227,6 +255,16 @@ def by_column(fn, X, mask):
 def project_psd(M, floor=0.0):
     """Nearest (Frobenius) symmetric matrix with eigenvalues >= floor, of
     one matrix or of each matrix in a (k, n, n) stack."""
-    s = eig_sym(M)
+    return _floored(eig_sym(M), floor)
+
+
+def _project_built(S, floor):
+    """``project_psd(S, floor)`` bit for bit, for a (k, n, n) stack built
+    from checked parts (``_eig_built``)."""
+    return _floored(_eig_built(S), floor)
+
+
+def _floored(s, floor):
+    """The matrices of eigen-solve s with every eigenvalue raised to floor."""
     V = s.eigenvectors
     return (V * np.maximum(s.eigenvalues, floor)[..., None, :]) @ V.swapaxes(-1, -2)

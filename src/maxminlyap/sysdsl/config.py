@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigError, DomainEvalError
+from ..errors import ConfigError, DomainEvalError, InvalidInputError
 from ..numkernel import as_symmetric, negdef_margin, positive_definite
 from . import expr as ex
 
@@ -499,6 +499,15 @@ def _positive_int(num, message):
     return int(value)
 
 
+def _skewed(M):
+    """Whether a matrix literal is further from symmetric than 1e-12
+    relative to its largest entry (at least 1).  A difference of entries
+    of 2^1023 or more in size overflows to inf, which is skewed, and
+    gives no warning."""
+    with np.errstate(over="ignore"):
+        return np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max())
+
+
 def _assemble_system(dim, modes, signal_Q, signal_H):
     if not modes and dim is not None:
         raise ConfigError("[system] declares dim but no modes")
@@ -544,7 +553,7 @@ def _assemble_system(dim, modes, signal_Q, signal_H):
         if mode.Q is not None:
             if mode.Q.shape != (dim, dim):
                 raise ConfigError(f"mode {i}: Q must be {dim}x{dim}")
-            if np.abs(mode.Q - mode.Q.T).max() > 1e-12 * max(1.0, np.abs(mode.Q).max()):
+            if _skewed(mode.Q):
                 raise ConfigError(f"mode {i}: non-symmetric matrix literal for Q")
             if negdef_margin(as_symmetric(mode.Q, f"mode {i}: Q")) <= 0:
                 raise ConfigError(
@@ -592,10 +601,14 @@ def _assemble_basis(basis_P, basis_V, families, polarity, system):
         mats = []
         for k in range(1, K + 1):
             P, tok = basis_P[k]
-            if np.abs(P - P.T).max() > 1e-12 * max(1.0, np.abs(P).max()):
+            if _skewed(P):
                 raise ConfigError(
                     f"non-symmetric matrix literal for P{k}", tok.line, tok.col
                 )
+            try:
+                as_symmetric(P, f"P{k}")
+            except InvalidInputError as err:  # a finite literal whose symmetrization overflows
+                raise ConfigError(str(err), tok.line, tok.col) from None
             if not positive_definite(P):
                 raise ConfigError(
                     f"P{k} is not positive definite", tok.line, tok.col

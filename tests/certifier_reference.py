@@ -1,15 +1,15 @@
 """One-at-a-time forms of the condition (i) search, kept as references
 for the tests: a group's matrix summed term by term from the candidate;
 each group's multiplier descent on its own, with one golden-section
-step and one eigen-solve at a time; the matching
-penalty of one set of bases, and its subgradient from every row; the
-matching repair with one trial step per solve; and the basis step with
-one attempt at a time."""
+step and one eigen-solve at a time; the matching penalty's gaps with V
+from ``combine``, the penalty of one set of bases, and its subgradient
+from every row; the matching repair with one trial step per solve; and
+the basis step with one attempt at a time."""
 
 import numpy as np
 
 from maxminlyap.certifier import Candidate
-from maxminlyap.maxmin import selected_base
+from maxminlyap.maxmin import combine, selected_base
 from maxminlyap.numkernel import negdef_margin, project_psd
 
 
@@ -72,6 +72,18 @@ def optimize_group_multipliers(sys, cand, group, sweeps=3):
     return tuple(slots)
 
 
+def penalty_gaps(penalty, stacks):
+    """Base values (..., S, K) at the penalty's points, and V_target - V
+    there (..., S), of the bases stacks[..., K, n, n], with V from
+    ``combine``'s ``np.where`` chain: the form whose bits the penalty's
+    ``np.minimum`` / ``np.maximum`` reduction must give."""
+    i, j = penalty._upper
+    Ps = np.asarray(stacks)
+    vals = penalty._gram @ (0.5 * (Ps[..., i, j] + Ps[..., j, i])).swapaxes(-1, -2)
+    flat = vals.reshape(vals.shape[:-2] + (-1,))
+    return vals, np.take(flat, penalty._target_at, axis=-1) - combine(penalty.spec, vals)
+
+
 def penalty_value(penalty, matrices):
     """The matching penalty of one set of bases: the one-candidate
     ``values``."""
@@ -84,7 +96,7 @@ def value_and_grads(penalty, matrices):
     K = len(matrices)
     n = matrices[0].shape[0]
     X = penalty.X
-    vals, d = penalty._values(matrices)
+    vals, d = penalty_gaps(penalty, matrices)
     pen = float(np.abs(d).sum()) / len(d)
     realized = selected_base(penalty.spec, vals)
     grads = [np.zeros((n, n)) for _ in range(K)]

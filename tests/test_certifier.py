@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import itertools
+import math
 import re
 import types
 import warnings
@@ -28,12 +30,12 @@ from maxminlyap.certifier import (
 from maxminlyap.certreport import _fmt_matrix, re_verify, serialize_certificate
 from maxminlyap.errors import ConfigError, InvalidInputError, PartitionError
 from maxminlyap.inclusion import (
-    SwitchedSystem, cone_chain, q_cone_decompose, sliding_exclusion, unproven_cover,
+    Mode, SwitchedSystem, cone_chain, q_cone_decompose, sliding_exclusion, unproven_cover,
 )
 from maxminlyap.maxmin import (
     MaxMinSpec, QuadraticBasis, active_indices, evaluate, phi, realized_base
 )
-from maxminlyap.numkernel import negdef_margin, solve_lyapunov
+from maxminlyap.numkernel import eig_sym, negdef_margin, project_psd, solve_lyapunov
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import lie_derivative
 from maxminlyap.sysdsl.config import parse_config
@@ -173,6 +175,22 @@ def test_checker_rejects_unsound_candidates():
     negative_beta.multipliers[(2, ((3, 2, 1),))] = (0.258, 0.102, -1.0)
     with pytest.raises(InvalidInputError, match="negative cone"):
         check_condition_i(sys1, spec1, negative_beta, POLICY)
+    # a NaN passes the sign tests and an inf would reach the stacked
+    # solve, which condition (i) runs unchecked: both are refused first
+    for ys in [(math.nan, 0.102, 0.0), (0.258, 0.102, math.inf), (0.258, -math.inf, 0.0)]:
+        non_finite = fixtures.example1_candidate()
+        non_finite.multipliers[(1, ((3, 1, 2),))] = ys
+        with pytest.raises(
+            InvalidInputError, match=r"^non-finite multiplier in group \(1, \(\(3, 1, 2\),\)\)$"
+        ):
+            check_condition_i(sys1, spec1, non_finite, POLICY)
+    # a finite tau whose product with its term overflows is refused by the
+    # solve, with the overflow warning of the sum, as before
+    huge_tau = fixtures.example1_candidate()
+    huge_tau.multipliers[(1, ((3, 1, 2),))] = (1e308, 0.0, 0.0)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+        with pytest.raises(InvalidInputError, match="^matrix has non-finite entries$"):
+            check_condition_i(sys1, spec1, huge_tau, POLICY)
     # beta is stored last, so a tuple without it (or with one too many)
     # would move beta onto an ordering term
     for ys in [(0.258, 0.102), (0.258, 0.102, 0.0, 0.0), ()]:
@@ -183,6 +201,31 @@ def test_checker_rejects_unsound_candidates():
         ):
             check_condition_i(sys1, spec1, wrong_length, POLICY)
 
+
+
+def test_code_built_cone_matrices_are_checked():
+    # a system built in code from Mode checks no Q, and condition (i)'s
+    # stacks are solved unchecked: a cone matrix beyond as_symmetric's
+    # tolerance is refused by name in the check, the certificate and the
+    # search, and one within it is solved as its symmetric part
+    sys1, spec1, _ = fixtures.example("example1")
+    cand = fixtures.example1_candidate()
+
+    def skewed(skew):
+        step = np.array([[0.0, skew], [0.0, 0.0]])
+        return SwitchedSystem(
+            sys1.dim, [Mode(index=m.index, A=m.A, Q=m.Q + step) for m in sys1.modes]
+        )
+
+    refused = skewed(1e-3)
+    with pytest.raises(InvalidInputError, match="^Q1 is not symmetric$"):
+        check_condition_i(refused, spec1, cand, POLICY)
+    with pytest.raises(InvalidInputError, match="^Q1 is not symmetric$"):
+        certify(refused, spec1, Candidate(matrices=cand.matrices), POLICY)
+    with pytest.raises(InvalidInputError, match="^Q1 is not symmetric$"):
+        search_condition_i(refused, spec1, POLICY, SearchOptions(seed=0))
+    near = check_condition_i(skewed(1e-12), spec1, cand, POLICY).margins
+    assert np.allclose(near, check_condition_i(sys1, spec1, cand, POLICY).margins, atol=1e-9)
 
 def test_complexity_refusal_beyond_six_bases():
     sys1 = fixtures.example("example1")[0]
@@ -490,7 +533,7 @@ def test_sliding_exclusion_requires_a_sample():
             sliding_exclusion(sys3, POLICY, n_samples=n)
 
 
-def test_blocked_exclusion_is_the_one_block_exclusion(linear_system):
+def test_blocked_exclusion_is_the_one_block_exclusion(linear_system, monkeypatch):
     # the samples are drawn and evaluated in blocks of EXCLUSION_BLOCK
     # rows: every report must be the one-block reference's, for sample
     # counts below, at and around the block size and its multiples
@@ -505,12 +548,29 @@ def test_blocked_exclusion_is_the_one_block_exclusion(linear_system):
     assert (np.linalg.eigvalsh(Q) < 0).sum() == 2
     A = [rng.standard_normal((3, 3)) - 2.0 * np.eye(3) for _ in range(2)]
     flipped = linear_system(A, [Q, -Q])
-    for sysm in (sys3, flipped):
-        for seed in range(10):
+    cases = [(sysm, range(10)) for sysm in (sys3, flipped)]
+    # and R^4..R^6, where quad_forms takes its (rows, 2, 1, n) product
+    for dim in (4, 5, 6):
+        V = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        Q = V @ np.diag(np.linspace(-1.5, 2.0, dim)) @ V.T
+        Q = 0.5 * (Q + Q.T)
+        A = [rng.standard_normal((dim, dim)) - 2.0 * np.eye(dim) for _ in range(2)]
+        cases.append((linear_system(A, [Q, -Q]), range(4)))
+    quad_forms, rows = inclusion.quad_forms, []
+
+    def recorded(X, Ps):
+        rows.append(len(X))
+        return quad_forms(X, Ps)
+
+    monkeypatch.setattr(inclusion, "quad_forms", recorded)
+    for sysm, seeds in cases:
+        for seed in seeds:
             policy = NumericPolicy(seed=seed)
             for n in (1, 2047, 2048, 2049, 6151, 10_000):
+                rows.clear()
                 got = sliding_exclusion(sysm, policy, n_samples=n)
                 want = inclusion_reference.sliding_exclusion(sysm, policy, n_samples=n)
+                assert max(rows) == min(n, 2048)
                 assert got == want
                 assert np.float64(got.min_product).tobytes() == np.float64(
                     want.min_product
@@ -1199,6 +1259,50 @@ def test_pencil_margin_is_bitwise_the_group_margin():
             ]
 
 
+def test_built_solves_are_eig_sym_byte_for_byte(monkeypatch):
+    # condition (i)'s stacks are built from checked parts and solved
+    # without eig_sym's checks: every group pencil stack, probe table,
+    # repair trial table and basis-step start stack of two multiplier
+    # completions and two searches, as built and once moved off exact
+    # symmetry by a skew that eig_sym accepts, gives eig_sym's bytes, and
+    # its projection project_psd's
+    built = {"eig": certifier._eig_built, "project": certifier._project_built}
+    stacks = {"eig": [], "project": []}
+
+    def recorder(kind):
+        def record(S, *floor):
+            stacks[kind].append((inspect.currentframe().f_back.f_code.co_name, S.copy(), *floor))
+            return built[kind](S, *floor)
+
+        return record
+
+    monkeypatch.setattr(certifier, "_eig_built", recorder("eig"))
+    monkeypatch.setattr(certifier, "_project_built", recorder("project"))
+    for name in ("example1", "example3"):
+        sysm, spec, basis = fixtures.example(name)
+        certify(sysm, spec, Candidate(matrices=basis.matrices), POLICY)
+    for name, seed in (("example1", 0), ("example3", 1)):
+        sysm, spec, _ = fixtures.example(name)
+        found = search_condition_i(sysm, spec, NumericPolicy(seed=seed), SearchOptions(seed=seed))
+        assert found.found
+    callers = {kind: {caller for caller, *_ in stacks[kind]} for kind in stacks}
+    assert callers["eig"] == {"_group_eigs", "margins"}
+    assert callers["project"] == {"_repair_walks", "_basis_step"}
+    rng = np.random.default_rng(42)
+    inexact = 0
+    for kind, want_fn in (("eig", eig_sym), ("project", project_psd)):
+        for _, S, *floor in stacks[kind]:
+            inexact += not np.array_equal(S, S.swapaxes(-1, -2))
+            R = rng.standard_normal(S.shape)
+            for T in (S, S + 1e-10 * (R - R.swapaxes(-1, -2))):
+                got, want = built[kind](T, *floor), want_fn(T, *floor)
+                if kind == "eig":
+                    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+                    got, want = got.eigenvectors, want.eigenvectors
+                assert got.tobytes() == want.tobytes()
+    assert inexact > 0
+
+
 def test_certify_accepts_dual_polarity_structures():
     # the min-of-max rendering of each benchmark certifies identically
     sys1 = fixtures.example("example1")[0]
@@ -1477,8 +1581,23 @@ def test_reverify_checks_the_group_table(edit, message):
             "tau = (-0.258, 0.102)",
             "does not re-verify: negative ordering multiplier in group (1, ((3, 1, 2),))",
         ),
+        # a NaN beta passes the sign test and an infinite one reaches the
+        # unchecked solve: both are refused by name before it
+        (
+            "tau = (0.258, 0.102); beta = 0.0",
+            "tau = (0.258, 0.102); beta = nan",
+            "does not re-verify: non-finite multiplier in group (1, ((3, 1, 2),))",
+        ),
+        (
+            "tau = (0.258, 0.102); beta = 0.0",
+            "tau = (0.258, 0.102); beta = inf",
+            "does not re-verify: non-finite multiplier in group (1, ((3, 1, 2),))",
+        ),
     ],
-    ids=["short-tau", "long-tau", "printed-margin", "terms-fit-the-tau", "negative-tau"],
+    ids=[
+        "short-tau", "long-tau", "printed-margin", "terms-fit-the-tau", "negative-tau",
+        "nan-beta", "inf-beta",
+    ],
 )
 def test_reverify_refuses_numbers_the_recomputation_does_not_use(old, new, message):
     # each edit of group 1 once re-verified as GAS-certified with match

@@ -630,6 +630,35 @@ def test_a_cone_whose_symmetrization_overflows_is_an_input_error(capsys, tmp_pat
     assert err == "error: mode 1: Q overflows when symmetrized\n"
 
 
+HUGE_LITERALS = {
+    "skewed-q": (
+        "mode 1 {\n  A = [[-1, 0], [0, -1]]\n  Q = [[1, 1e308], [-1e308, -1]]\n}\n"
+        "[basis]\nP1 = [[1, 0], [0, 1]]",
+        "config error: mode 1: non-symmetric matrix literal for Q\n",
+    ),
+    "huge-p": (
+        "mode 1 {\n  A = [[-1, 0], [0, -1]]\n}\n[basis]\nP1 = [[1.5e308, 0], [0, 1]]",
+        "config error: line 7, col 1: P1 overflows when symmetrized\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+@pytest.mark.parametrize("case", sorted(HUGE_LITERALS))
+def test_huge_matrix_literals_are_config_errors(capsys, tmp_path, command, case):
+    # a skew Q literal whose entries overflow their difference, and a
+    # symmetric basis literal whose symmetrization overflows: exit 2 with
+    # one config error line, the basis one at P1's position, nothing on
+    # stdout and no numpy warning
+    body, message = HUGE_LITERALS[case]
+    cfg = tmp_path / f"{case}.cfg"
+    cfg.write_text(f"[system]\ndim = 2\n{body}\n[structure]\nS1 = {{1}}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, [command, str(cfg)])
+    assert (code, out, err) == (2, "", message)
+
+
 @pytest.mark.parametrize("name", ["example1", "example3"])
 def test_certify_matches_golden_text(capsys, monkeypatch, name):
     # golden files hold the stdout of `certify configs/<name>.cfg` at seed 0;

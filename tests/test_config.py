@@ -98,6 +98,26 @@ def test_q_whose_symmetrization_overflows_rejected(Q):
             parse_config(f"[system]\ndim = 2\nmode 1 {{ A = [[-1, 0], [0, -1]]; Q = {Q} }}")
 
 
+def test_huge_matrix_literals_are_config_errors():
+    # entries whose difference overflows fail the symmetry test without a
+    # warning; a symmetric basis literal whose symmetrization overflows is
+    # a ConfigError at P1's position
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^mode 1: non-symmetric matrix literal for Q$"):
+            parse_config(
+                "[system]\ndim = 2\n"
+                "mode 1 { A = [[-1, 0], [0, -1]]; Q = [[1, 1e308], [-1e308, -1]] }"
+            )
+        skewed = "^line 2, col 1: non-symmetric matrix literal for P1$"
+        with pytest.raises(ConfigError, match=skewed):
+            parse_config("[basis]\nP1 = [[1, 1e308], [-1e308, 1]]\n[structure]\nS1 = {1}")
+        overflow = "^line 2, col 1: P1 overflows when symmetrized$"
+        with pytest.raises(ConfigError, match=overflow) as err:
+            parse_config("[basis]\nP1 = [[1.5e308, 0], [0, 1]]\n[structure]\nS1 = {1}")
+        assert (err.value.line, err.value.column) == (2, 1)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ConfigError):
         parse_config(

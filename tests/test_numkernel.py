@@ -500,6 +500,49 @@ HUGE_Q = np.diag([1.5e308, -1.5e308])
 
 
 @pytest.mark.parametrize(
+    "S",
+    [
+        np.array([[[np.nan, 0.0], [0.0, 1.0]]]),
+        np.array([np.eye(2), [[1.0, np.inf], [np.inf, 1.0]]]),
+        np.array([np.eye(2), HUGE_Q]),
+        np.full((2, 2, 2), 1.5e308),
+        np.stack([np.eye(3), np.full((3, 3), 8e307)]),
+    ],
+    ids=["nan", "inf", "overflowing-sum", "full", "eigenvalue-overflow"],
+)
+def test_built_solves_refuse_as_eig_sym_does(S):
+    # a stack the certifier built is solved unchecked; a non-finite
+    # eigenvalue hands it to eig_sym, so each bad stack is refused with
+    # eig_sym's exception, message and warnings, and with no other warning
+    def outcome(fn, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises((InvalidInputError, np.linalg.LinAlgError)) as err:
+                fn(*args)
+        return type(err.value), str(err.value), [str(w.message) for w in caught]
+
+    want = outcome(eig_sym, S)
+    assert outcome(numkernel._eig_built, S) == want
+    assert outcome(numkernel._project_built, S, 1e-6) == outcome(project_psd, S, 1e-6) == want
+
+
+def test_built_solve_of_finite_eigenvalues_with_an_overflowing_sum():
+    # three eigenvalues of 8e307 sum to inf: the solve is handed to
+    # eig_sym, which accepts the stack and gives the same bytes, and
+    # neither sum warns
+    S = np.stack([np.eye(3), np.diag([8e307, 8e307, 8e307])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = numkernel._eig_built(S), eig_sym(S)
+        projected = numkernel._project_built(S, 1e-6)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(want.eigenvalues).all() and not np.isfinite(want.eigenvalues.sum())
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+    assert projected.tobytes() == project_psd(S, 1e-6).tobytes()
+
+
+@pytest.mark.parametrize(
     "M", [HUGE_Q, -HUGE_Q, np.full((2, 2), 1.5e308), np.stack([np.eye(2), -HUGE_Q])],
     ids=["Q", "opposite", "full", "stack"],
 )

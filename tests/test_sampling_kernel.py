@@ -30,6 +30,7 @@ from maxminlyap.maxmin import (
     EXACT_SMOOTH,
     EXACT_SWEEP,
     LEAD_DIRECTIONS,
+    MAX_BASES,
     MAXMIN,
     MINMAX,
     PROBE_ROWS,
@@ -57,6 +58,7 @@ from maxminlyap.policy import NumericPolicy
 from maxminlyap.sysdsl.config import parse_config
 from maxminlyap.sysdsl import expr as ex
 from certifier_reference import basis_step as ref_basis_step
+from certifier_reference import penalty_gaps as combine_gaps
 from certifier_reference import penalty_value as ref_penalty_value
 from certifier_reference import repair_matching as ref_repair_matching
 from certifier_reference import value_and_grads as ref_value_and_grads
@@ -1126,6 +1128,70 @@ def test_match_penalty_stacked_subgradients_are_the_one_set_ones(case, data):
             assert np.float64(value).tobytes() == np.float64(want).tobytes()
             assert G.tobytes() == want_G.tobytes()
         pen.add_counterexamples(ces)
+
+
+@st.composite
+def _structured_penalty_cases(draw):
+    """A one-mode system in R^2 or R^3 and a drawn structure of up to
+    MAX_BASES bases in up to four families, with 1-9 sets of bases whose
+    values at the points are signed, positive (scaled identities), +-0
+    (zero bases with drawn signs) or tied (exact copies), and
+    counterexample points (+-0 coordinates give rows of +-0 values) whose
+    targets are drawn among all K bases."""
+    n = draw(st.sampled_from([2, 3]))
+    K = draw(st.integers(1, MAX_BASES))
+    base = st.integers(1, K)
+    families = draw(st.lists(st.lists(base, min_size=1, max_size=K), min_size=1, max_size=4))
+    spec = MaxMinSpec(K=K, families=tuple(map(tuple, families)))
+    sysm = parse_config(
+        f"[system]\ndim = {n}\nmode 1 {{ A = {(-np.eye(n)).tolist()} }}"
+    ).require_system()
+    kinds = st.sampled_from(["drawn", "copy", "zero", "identity"])
+    sets = []
+    for _ in range(draw(st.integers(1, 9))):
+        mats = []
+        for k in range(K):
+            kind = draw(kinds)
+            if kind == "copy" and k:
+                mats.append(mats[draw(st.integers(0, k - 1))].copy())
+            elif kind == "zero":
+                zeros = st.lists(st.sampled_from([0.0, -0.0]), min_size=n * n, max_size=n * n)
+                mats.append(np.array(draw(zeros)).reshape(n, n))
+            elif kind == "identity":
+                mats.append(draw(st.sampled_from([0.5, 1.0, 2.0])) * np.eye(n))
+            else:
+                mats.append(_draw_bases(draw, 1, n)[0])
+        sets.append(mats)
+    point = st.lists(_PENALTY_ENTRIES, min_size=n, max_size=n).map(np.array)
+    ces = draw(st.lists(st.tuples(base, point), min_size=1, max_size=8))
+    return SwitchedSystem.from_config(sysm), spec, np.array(sets), ces
+
+
+@settings(max_examples=150, deadline=None)
+@given(_structured_penalty_cases())
+def test_match_penalty_reduction_is_the_combine_reduction(case):
+    # V is reduced with np.minimum / np.maximum, not combine's np.where
+    # chain: the gaps agree up to the sign of a zero one, and every
+    # penalty and subgradient of every set, stacked or alone, keeps the
+    # bits of the combine form and of its all-row subgradient
+    sysm, spec, stack, ces = case
+    pen = _MatchPenalty(sysm, spec, 8, seed=1)
+    pen.add_counterexamples(ces)
+    vals, d = pen._values(stack)
+    want_vals, want_d = combine_gaps(pen, stack)
+    assert vals.tobytes() == want_vals.tobytes()
+    assert np.array_equal(d, want_d)
+    assert d[want_d != 0.0].tobytes() == want_d[want_d != 0.0].tobytes()
+    values = pen.values(stack)
+    pens, grads = pen.values_and_grads(stack)
+    for bases, value, p, G in zip(stack, values, pens, grads):
+        want, want_G = ref_value_and_grads(pen, list(bases))
+        assert np.float64(value).tobytes() == np.float64(want).tobytes()
+        assert np.float64(p).tobytes() == np.float64(want).tobytes()
+        assert G.tobytes() == np.stack(want_G).tobytes()
+        (alone,), (alone_G,) = pen.values_and_grads(bases[None])
+        assert np.float64(alone).tobytes() == np.float64(want).tobytes()
+        assert alone_G.tobytes() == G.tobytes()
 
 
 REPAIR_MAX_STEPS = (1, 2, 3, 5, 20, 120)
