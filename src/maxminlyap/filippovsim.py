@@ -25,9 +25,21 @@ any step whose error norm is not at most one.  Codimension-2
 intersections, step underflow and non-finite field values terminate
 with a stall status (at the last finite state) rather than an error.
 
-Region gradients, region values, the dot products of the weight rule
-and event location stay numpy calls: BLAS fuses multiply-adds, which
-Python float arithmetic cannot reproduce, so each keeps its bits.
+Values the trajectory carries stay numpy calls: region gradients, the
+dot products of the weight rule (one Gram table of the surface gradient
+and both fields), the Newton steps of the projection and the region
+values event location reads.  BLAS fuses multiply-adds, which Python
+float arithmetic cannot reproduce, so each keeps its bits.  Tests that
+only compare are decided on the step's own floats: the signs of a cone
+region function against the event tolerance (``_region_test``) and
+blow-up (|x|^2 summed in Python, ``_norm`` only near BLOWUP).  Such a
+sum differs from numpy's by rounding alone, far less than the margin
+each test keeps, so it can only decide a comparison numpy's value
+decides the same way; inside the margin, on a non-finite or
+out-of-range value, and at every located event the exact numpy value
+is computed.  Hence every sample, crossing and status is the one the
+numpy values alone give.  The projection's stop test stays on numpy:
+its threshold, EVENT_TOL / 10, lies inside the margin.
 """
 
 import functools
@@ -51,6 +63,10 @@ ATOL = 1e-12
 MIN_STEP = 1e-13  # a step below this is an underflow stall
 BLOWUP = 1e9  # |x| beyond this leaves the domain
 MAX_SWITCHES_PER_WINDOW = 50  # more crossings within one max_step is chattering
+
+# |x|^2 summed on floats at most this (1% below BLOWUP^2) cannot come
+# from a norm beyond BLOWUP: numpy's sum differs by a few ulps.
+_NO_BLOWUP_SQUARED = 0.99 * BLOWUP**2
 
 
 @dataclass(frozen=True)
@@ -256,6 +272,30 @@ def _dp_step(f, x, dt, k1=None):
     return _dp_kernel(len(x))(f, x, dt, k1)
 
 
+@functools.cache
+def _form_kernels(n):
+    """Straight-line forms of a state given as n Python floats, for tests
+    that only compare: ``squares(x)`` is |x|^2, and ``cone(Q_00, Q_01,
+    .., Q_{n-1,n-1})`` returns ``forms(x)``, the pair (x'Qx, |x|^2) with
+    Q's entries (row-major) held in the closure.  Their rounding is not
+    numpy's (no fused multiply-adds)."""
+    xs = [f"x_{i}" for i in range(n)]
+    qs = [f"Q_{i}_{j}" for i in range(n) for j in range(n)]
+    norm2 = " + ".join(f"{v} * {v}" for v in xs)
+    rows = [" + ".join(f"Q_{i}_{j} * {xs[j]}" for j in range(n)) for i in range(n)]
+    quad = " + ".join(f"({r}) * {v}" for r, v in zip(rows, xs))
+    unpack = f"{', '.join(xs)}, = x"
+    source = (
+        f"def squares(x):\n    {unpack}\n    return {norm2}\n"
+        f"def cone({', '.join(qs)}):\n"
+        f"    def forms(x):\n        {unpack}\n        return {quad}, {norm2}\n"
+        "    return forms\n"
+    )
+    namespace = {"__builtins__": {}}
+    exec(compile(source, f"<float forms, n={n}>", "exec"), namespace)
+    return namespace["squares"], namespace["cone"]
+
+
 def _dense_output(x, dt, k):
     """State along a step as a function of its fraction theta in [0, 1]."""
     Q = dt * (np.array(k).T @ np.array(_DP_P))
@@ -314,6 +354,44 @@ def _hn(sys, i, x):
     return v / (1.0 + _norm(x))
 
 
+def _region_test(sys, i):
+    """``test(x)`` of a state given as n floats: a stand-in for
+    ``_hn(sys, i, x)`` whose comparisons with +-EVENT_TOL are _hn's.
+
+    On a cone whose 1 + sum |Q_ij| is at most 1e50 it is x'Qx / |x|^2
+    summed in Python (``_form_kernels``).  While |x|^2 lies in (1e-250,
+    1e250) no numpy intermediate of _hn overflows and underflow moves it
+    by less than 1e-70, so each is within rounding of the exact
+    quotient: about 2n ulps of 1 + sum |Q_ij|.  A value within the
+    margin 1e-12 * (1 + sum |Q_ij|) of +-EVENT_TOL, or not finite, or
+    from an |x|^2 out of that range, is _hn's own value; so is every
+    value of another region.
+    """
+
+    def exact(x):
+        return _hn(sys, i, np.array(x))
+
+    mode = sys.modes[i - 1]
+    if mode.Q is None:
+        return exact
+    entries = mode.Q.ravel().tolist()
+    scale = 1.0 + sum(map(abs, entries))  # inf or NaN with such an entry
+    if not scale <= 1e50:
+        return exact
+    inside, outside = EVENT_TOL - 1e-12 * scale, EVENT_TOL + 1e-12 * scale
+    forms = _form_kernels(sys.dim)[1](*entries)
+
+    def test(x):
+        q, s = forms(x)
+        if 1e-250 < s < 1e250:
+            h = q / s
+            if abs(h) < inside or outside < abs(h) < math.inf:
+                return h
+        return exact(x)
+
+    return test
+
+
 def _project_to_surface(sys, i, x, tol):
     """At most 5 Newton steps along the region gradient onto {H_i = 0}."""
     y = np.array(x, dtype=float)
@@ -342,16 +420,17 @@ def _sliding_weight(sys, x, pair, policy, widen=0.0):
     carries comes from this function.
 
     The normal components n_a = grad H . f_a, n_b and the squared norms
-    of grad H, f_a and f_b are one ``np.vecdot`` of two stacked (5, n)
-    arrays, whose rows are the 1-D dot products; the fields are the
+    of grad H, f_a and f_b are read off the Gram table ``np.vecdot(S[:,
+    None], S)`` of the (3, n) table S of grad H, f_a and f_b, whose
+    entries are the 1-D dot products of its rows; the fields are the
     modes' float fields at x (a sequence of n floats or a 1-D array).
     """
     a, b = pair
     modes = sys.modes
-    grad = modes[_surface_mode(sys, pair) - 1].region_gradient(x)
     fa = modes[a - 1].float_field(x)
     fb = modes[b - 1].float_field(x)
-    na, nb, gg, aa, bb = np.vecdot((grad, grad, grad, fa, fb), (fa, fb, grad, fa, fb)).tolist()
+    S = np.array((modes[_surface_mode(sys, pair) - 1].region_gradient(x), fa, fb), dtype=float)
+    (gg, na, nb), (_, aa, _), (_, _, bb) = np.vecdot(S[:, None], S).tolist()
     scale = math.sqrt(gg) * max(math.sqrt(aa), math.sqrt(bb), 1.0)
     tol = policy.abs_tol * max(scale, 1.0)
     lam = None
@@ -459,22 +538,24 @@ class _Sim:
 
     def accepted_steps(self, f, committed_k1=None):
         """Accepted adaptive steps of x' = f(x) from the current state, as
-        (x_new, dt, stages) for the caller to commit or abandon.  A field
-        of the state alone hands a committed step's last stage on as the
-        next first stage and retries a rejected step from its own.
-        Otherwise ``committed_k1()`` gives f at the state the caller
-        committed, and a retry evaluates f afresh.  An error norm that is
-        not <= 1 (NaN too) rejects; ends at the horizon, on blow-up
-        (LEFT_DOMAIN) or on a step below MIN_STEP (STALL)."""
+        (x_new as n floats, dt, stages) for the caller to commit or
+        abandon.  A field of the state alone hands a committed step's
+        last stage on as the next first stage and retries a rejected step
+        from its own.  Otherwise ``committed_k1()`` gives f at the state
+        the caller committed, and a retry evaluates f afresh.  An error
+        norm that is not <= 1 (NaN too) rejects; ends at the horizon, on
+        blow-up (LEFT_DOMAIN) or on a step below MIN_STEP (STALL)."""
         opts = self.opts
         dt = opts.max_step
         k1 = None  # f(self.x) once known
+        squares = _form_kernels(self.sys.dim)[0]
         while self.t < opts.horizon * (1.0 - 1e-15):
-            if _norm(self.x) > BLOWUP:
+            x = self.x.tolist()
+            if squares(x) > _NO_BLOWUP_SQUARED and _norm(self.x) > BLOWUP:
                 self.status = LEFT_DOMAIN
                 return
             dt = min(dt, opts.max_step, opts.horizon - self.t)
-            x_new, enorm, k = _dp_step(f, self.x.tolist(), dt, k1)
+            x_new, enorm, k = _dp_step(f, x, dt, k1)
             if not enorm <= 1.0:
                 k1 = k[0] if committed_k1 is None else None
                 dt *= max(0.2, 0.9 * enorm**-0.2)
@@ -482,7 +563,7 @@ class _Sim:
                     self.status = STALL
                     return
                 continue
-            yield np.array(x_new), dt, k
+            yield x_new, dt, k
             k1 = k[6] if committed_k1 is None else committed_k1()
             dt *= min(5.0, 0.9 * enorm**-0.2) if enorm > 0.0 else 5.0
 
@@ -492,13 +573,14 @@ class _Sim:
         i = regime.mode
         mode = self.sys.modes[i - 1]
         f = mode.float_field
-        has_boundary = mode.region_kind != "all"
-        armed = has_boundary and _hn(self.sys, i, self.x) > EVENT_TOL
+        region = None if mode.region_kind == "all" else _region_test(self.sys, i)
+        armed = region is not None and region(self.x.tolist()) > EVENT_TOL
         for x_new, dt, k in self.accepted_steps(f):
-            if has_boundary:
-                h_new = _hn(self.sys, i, x_new)
+            if region is not None:
+                h_new = region(x_new)
                 if armed and h_new < -EVENT_TOL:
-                    self._locate_event(f, dt, i, k, h_new)
+                    # event location reads the exact region value
+                    self._locate_event(f, dt, i, k, _hn(self.sys, i, np.array(x_new)))
                     self.note_switch()
                     nxt = self.regime_here(leaving=i)
                     if nxt is None:
@@ -515,7 +597,7 @@ class _Sim:
                 if h_new > EVENT_TOL:
                     armed = True
             self.t += dt
-            self.x = x_new
+            self.x = np.array(x_new)
             self.record(regime)
         return None
 
@@ -560,22 +642,24 @@ class _Sim:
     def run_sliding(self, regime):
         pair = regime.pair
         surf = _surface_mode(self.sys, pair)
-        opts = self.opts
-        state = {"lam": regime.lam if regime.lam is not None else 0.5}
+        policy = self.opts.policy
+        carried = regime.lam if regime.lam is not None else 0.5
+        k1 = None  # the field at the committed state
 
         def weighted(y):
             # the weight at y (or None) and the field of the weight carried
-            lam, fa, fb = _sliding_weight(self.sys, y, pair, opts.policy)
+            nonlocal carried
+            lam, fa, fb = _sliding_weight(self.sys, y, pair, policy)
             if lam is not None:
-                state["lam"] = lam
-            w = state["lam"]
+                carried = lam
+            w = carried
             return lam, [w * u + (1.0 - w) * v for u, v in zip(fa, fb)]
 
-        steps = self.accepted_steps(lambda y: weighted(y)[1], lambda: state["k1"])
+        steps = self.accepted_steps(lambda y: weighted(y)[1], lambda: k1)
         for x_new, dt, _ in steps:
             self.t += dt
             self.x = _project_to_surface(self.sys, surf, x_new, EVENT_TOL)
-            lam, state["k1"] = weighted(self.x)
+            lam, k1 = weighted(self.x)
             if lam is None:
                 self.note_switch()
                 nxt = Regime(kind="mode", mode=self.entering_mode(pair))
@@ -620,12 +704,17 @@ def export_csv(traj, spec=None, basis=None):
         from .maxmin import evaluate
 
         V = evaluate(spec, basis, X).tolist()
+    # one template per row kind; '%.12g' % v is f"{v:.12g}"
+    head = ["%.12g"] * (1 + X.shape[1]) + ["%s"]
+    mode_row = ",".join(head + [""] + ["%.12g"] * with_v)
+    sliding_row = ",".join(head + ["%.12g"] * (1 + with_v))
     lines = [",".join(cols)]
     for j, (s, x) in enumerate(zip(traj.samples, X.tolist())):
-        row = [f"{s.t:.12g}"] + [f"{v:.12g}" for v in x]
-        row.append(s.regime.label())
-        row.append("" if s.regime.lam is None else f"{s.regime.lam:.12g}")
+        lam = s.regime.lam
+        row = [s.t, *x, s.regime.label()]
+        if lam is not None:
+            row.append(lam)
         if with_v:
-            row.append(f"{V[j]:.12g}")
-        lines.append(",".join(row))
+            row.append(V[j])
+        lines.append((mode_row if lam is None else sliding_row) % tuple(row))
     return "\n".join(lines) + "\n"

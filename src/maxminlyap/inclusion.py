@@ -70,10 +70,12 @@ class Mode:
     def float_field(self):
         """The field at one point on Python floats: n floats (or a 1-D
         array) in, a sequence of n floats out, bit for bit ``field``.  A
-        linear mode is one ``A.dot``, which rounds as ``A @ x``; an
-        expression mode is its compiled expressions."""
+        linear mode is one ``A.dot``, which rounds as ``A @ x`` (in one
+        dimension ``A @ x`` itself: a 1 x 1 ``A.dot`` keeps the sign of a
+        -0.0 product, which ``A @ x`` drops); an expression mode is its
+        compiled expressions."""
         if self.A is not None:
-            dot = self.A.dot
+            dot = self.A.dot if len(self.A) > 1 else self.A.__matmul__
             return lambda x: dot(x).tolist()
         return self._f_compiled
 

@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -224,6 +225,18 @@ def test_left_domain_status(linear_system):
     traj = simulate(sysm, np.array([1.0, 1.0]), SimOptions(horizon=20.0, max_step=0.1))
     assert traj.status == "left-domain"
     assert np.linalg.norm(traj.x_end) > 1e9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 2.0**-52, 0.995])
+def test_blow_up_is_decided_at_the_norm_bound(linear_system, scale):
+    # |x| just above BLOWUP leaves the domain before any step; |x| at or
+    # just below it (where the float |x|^2 calls _norm, or does not) runs
+    sysm = linear_system([-np.eye(2)])
+    x0 = np.array([0.6, 0.8]) * filippovsim.BLOWUP * scale
+    traj = simulate(sysm, x0, SimOptions(horizon=0.01))
+    leaves = np.linalg.norm(x0) > filippovsim.BLOWUP
+    assert traj.status == ("left-domain" if leaves else COMPLETED)
+    assert len(traj.samples) == (1 if leaves else 2)
 
 
 def config_system(text):
@@ -565,6 +578,8 @@ def modes_and_points(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(modes_and_points())
+# a 1 x 1 A.dot keeps the sign of a -0.0 product, A @ x does not
+@example((Mode(index=1, A=np.array([[1.5]])), np.array([-0.0])))
 def test_float_field_is_the_array_field_bit_for_bit(case):
     mode, x = case
     want = mode.field(x)
@@ -783,3 +798,231 @@ def test_csv_v_column_matches_point_loop(polarity):
     traj = Trajectory(samples=traj.samples + extra, status=COMPLETED)
     rows = export_csv(traj, spec, basis).splitlines()[1:]
     assert [r.rsplit(",", 1)[1] for r in rows] == ref_export_v(traj, spec, basis)
+
+
+# ---------------------------------------------------------------------------
+# every bit of the trajectories
+
+
+# the runs of tests/golden/simulate_*.csv (`simulate --csv` in test_cli.py)
+GOLDEN_RUNS = [
+    ("example1", [-1.0, 1.0], SimOptions(horizon=1.3, max_step=0.01)),
+    ("example2", [0.5, 0.0], SimOptions(horizon=1.0)),
+    ("example3", [1.0, 0.5, -0.3], SimOptions(horizon=10.0)),
+]
+
+
+def trajectory_digest():
+    """sha256 over the seeded runs of examples 1-3 (horizon 5) and the
+    golden runs: each run's status, every sample's t.hex(), x bytes and
+    regime (lam as hex), every crossing, and the export_csv text."""
+    runs = []
+    for name in ("example1", "example2", "example3"):
+        _, spec, basis = fixtures.example(name)
+        runs += [(sysm, spec, basis, x0, SimOptions(horizon=5.0)) for sysm, x0 in seeded_runs(name)]
+    for name, x0, opts in GOLDEN_RUNS:
+        sysm, spec, basis = fixtures.example(name)
+        runs.append((sysm, spec, basis, np.array(x0), opts))
+    h = hashlib.sha256()
+    for sysm, spec, basis, x0, opts in runs:
+        traj = simulate(sysm, x0, opts)
+        h.update(traj.status.encode())
+        for s in traj.samples:
+            r = s.regime
+            lam = None if r.lam is None else r.lam.hex()
+            h.update(s.t.hex().encode())
+            h.update(s.x.tobytes())
+            h.update(repr((r.kind, r.mode, r.surface, r.pair, lam)).encode())
+        for c in traj.crossings:
+            h.update(repr((c.t.hex(), c.from_mode, c.to_mode)).encode())
+            h.update(c.x.tobytes())
+        h.update(export_csv(traj, spec, basis).encode())
+    return h.hexdigest()
+
+
+def test_trajectories_keep_every_bit():
+    # the goldens print 12 significant digits; this pins every bit of 21
+    # trajectories, their crossings, statuses and CSV texts
+    assert trajectory_digest() == "3723f02ceca7131334a8e108c166f6f677402897db1cc2648a364bdbf9182f5e"
+
+
+# ---------------------------------------------------------------------------
+# tests decided on the step's own floats
+
+
+def same_decisions(got, want):
+    """The comparisons the mode flow makes: below -EVENT_TOL, above EVENT_TOL."""
+    return (got < -EVENT_TOL, got > EVENT_TOL) == (want < -EVENT_TOL, want > EVENT_TOL)
+
+
+def cone_system(Q):
+    n = len(Q)
+    return SwitchedSystem(dim=n, modes=[Mode(index=1, A=-np.eye(n), Q=np.array(Q))])
+
+
+def region_cases(Q, x, nudges):
+    """(Q, x) itself, and the cones Q + c I whose region function at x is
+    +-EVENT_TOL in exact arithmetic, at x moved by a few ulps per entry."""
+    yield Q, x
+    s = float(x @ x)
+    h = float(x @ Q @ x) / s if s > 0.0 else math.nan
+    for target in (EVENT_TOL, -EVENT_TOL) if math.isfinite(h) else ():
+        Qc = Q + (target - h) * np.eye(len(x))
+        if np.all(np.isfinite(Qc)):
+            yield Qc, x
+            yield Qc, x + nudges * np.spacing(x)
+
+
+def assert_region_test_is_hn(Q, x):
+    sysm = cone_system(Q)
+    got = filippovsim._region_test(sysm, 1)(tuple(x.tolist()))
+    want = _hn(sysm, 1, x)
+    assert same_decisions(got, want)
+    if not same_float(got, want):  # decided on floats: finite, near _hn
+        scale = 1.0 + float(np.abs(Q).sum())
+        assert math.isfinite(want) and abs(got - want) <= 1e-14 * scale
+
+
+magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+signs = st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def cones_and_states(draw):
+    """Cones of n = 2..6 with entries of 1e-300..1e300 (independent, or
+    one scale times O(1) entries), states with |x| of 1e-200..1e200,
+    and cones built in code with inf or NaN entries."""
+    n = draw(st.integers(2, 6))
+    unit = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0])
+    if draw(st.booleans()):
+        Q = np.array(draw(st.lists(st.tuples(signs, magnitudes), min_size=n * n, max_size=n * n)))
+        Q = (Q[:, 0] * Q[:, 1]).reshape(n, n)
+    else:
+        Q = draw(magnitudes) * np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n)))
+        Q = Q.reshape(n, n)
+    if draw(st.booleans()):
+        Q = 0.5 * (Q + Q.T)
+    if draw(st.integers(0, 9)) == 0:
+        Q[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([math.inf, -math.inf, math.nan])
+        )
+    x = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    top = float(np.abs(x).max())
+    x *= 10.0 ** draw(st.floats(-200.0, 200.0)) / (top if top > 0.0 else 1.0)
+    nudges = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), dtype=float)
+    return Q, x, nudges
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cones_and_states())
+def test_region_test_decides_as_hn(case):
+    Q, x, nudges = case
+    with np.errstate(all="ignore"):
+        for Qc, xc in region_cases(Q, x, nudges):
+            assert_region_test_is_hn(Qc, xc)
+
+
+@pytest.mark.parametrize(
+    "Q, x",
+    [
+        # x @ Q overflows to inf and meets x_1 = 0: _hn is NaN, while the
+        # float rows give 1e296 (sum |Q| above 1e50)
+        ([[0.0, 0.0], [1e306, 1e296]], [0.0, 1e3]),
+        # |x|^2 subnormal or zero: _hn divides by 1e-300 instead
+        ([[1.0, 0.0], [0.0, 1.0]], [1e-160, 1e-160]),
+        ([[1.0, 0.0], [0.0, 1.0]], [1e-200, 0.0]),
+        ([[2.0, 1.0], [1.0, -3.0]], [1e130, -1e130]),
+        ([[math.inf, 0.0], [0.0, -1.0]], [1.0, 2.0]),
+        ([[math.nan, 0.0], [0.0, 1.0]], [0.0, 1.0]),
+    ],
+)
+def test_region_test_decides_as_hn_out_of_the_float_range(Q, x):
+    with np.errstate(all="ignore"):
+        assert_region_test_is_hn(np.array(Q), np.array(x))
+
+
+def test_region_test_reads_hn_within_its_margin_alone(monkeypatch):
+    # random planar and 3-D cones and states, most of them placed within
+    # a few ulps of h = +-EVENT_TOL: every decision is _hn's, and the test
+    # calls _hn near the thresholds and nowhere else
+    rng = np.random.default_rng(43)
+    calls = [0]
+    hn = filippovsim._hn
+
+    def counted(*args):
+        calls[0] += 1
+        return hn(*args)
+
+    monkeypatch.setattr(filippovsim, "_hn", counted)
+    read = {True: 0, False: 0}
+    for _ in range(2000):
+        n = int(rng.integers(2, 4))
+        Q = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
+        for Qc, xc in region_cases(Q, x, rng.integers(-4, 5, n)):
+            calls[0] = 0
+            assert_region_test_is_hn(Qc, xc)
+            off = abs(abs(float(xc @ Qc @ xc) / float(xc @ xc)) - EVENT_TOL)
+            scale = 1.0 + float(np.abs(Qc).sum())
+            if off > 1e-11 * scale or off < 1e-13 * scale:
+                assert calls[0] == (off < 1e-13 * scale)
+                read[off < 1e-13 * scale] += 1
+    assert read[True] > 5000 and read[False] > 1000
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_every_located_event_reads_the_exact_region_value(monkeypatch, name):
+    # the mode flow decides its signs on floats, but event location gets
+    # _hn's value at the end of the step that crossed
+    seen = []
+    hn, locate = filippovsim._hn, filippovsim._Sim._locate_event
+
+    def recorded(sysm, i, x):
+        h = hn(sysm, i, x)
+        seen.append((i, x.tobytes(), h.hex()))
+        return h
+
+    events = []
+
+    def checked(self, f, dt, i, k, h_end):
+        x_end = np.array(filippovsim._dp_step(f, self.x.tolist(), dt, k[0])[0])
+        events.append(seen[-1] == (i, x_end.tobytes(), h_end.hex()))
+        return locate(self, f, dt, i, k, h_end)
+
+    monkeypatch.setattr(filippovsim, "_hn", recorded)
+    monkeypatch.setattr(filippovsim._Sim, "_locate_event", checked)
+    for sysm, x0 in seeded_runs(name):
+        simulate(sysm, x0, SimOptions(horizon=5.0))
+    assert len(events) > 6 and all(events)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1e-200, 1e154, 1e200, -1e300, 1.5, -2.0]
+
+
+@st.composite
+def sliding_cases(draw):
+    """Two linear cone modes and a state whose fields and gradient hold
+    +-0, subnormal and overflowing values."""
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from(SPECIAL) | st.floats(-10.0, 10.0)
+
+    def matrix():
+        return np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+    modes = [Mode(index=1, A=matrix(), Q=matrix()), Mode(index=2, A=matrix(), Q=matrix())]
+    x = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    return SwitchedSystem(dim=n, modes=modes), x, draw(st.sampled_from([0.0, 0.05]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sliding_cases())
+def test_gram_table_weight_is_the_dot_product_weight_bit_for_bit(case):
+    sysm, x, widen = case
+    with np.errstate(all="ignore"):
+        for pair in ((1, 2), (2, 1)):
+            got = filippovsim._sliding_weight(sysm, x, pair, POLICY, widen)
+            want = array_sliding_weight(sysm, x, pair, POLICY, widen)
+            assert (got[0] is None) == (want[0] is None)
+            assert got[0] is None or same_float(got[0], want[0])
+            for a, b in zip(got[1:], want[1:]):
+                assert np.array(a).tobytes() == b.tobytes()
