@@ -10,7 +10,6 @@ notion certify systems the conservative one cannot.
 import numpy as np
 
 from maxminlyap import fixtures
-from maxminlyap.inclusion import SwitchedSystem
 from maxminlyap.policy import NumericPolicy
 from maxminlyap.setderiv import clarke_derivative, decrease_check, lie_derivative
 from maxminlyap.sysdsl.config import parse_config
@@ -35,7 +34,7 @@ S2 = {{2}}
 """
 for f1, f2 in ((-1.0, 2.0), (1.0, 2.0)):
     parsed = parse_config(ONEDIM.format(f1=f1, f2=f2))
-    sysm = SwitchedSystem.from_config(parsed.system)
+    sysm = parsed.system
     spec1d, basis1d = parsed.basis.to_spec(), parsed.basis.to_basis()
     lie = lie_derivative(spec1d, basis1d, sysm, np.array([0.0]), policy)
     cl = clarke_derivative(spec1d, basis1d, sysm, np.array([0.0]), policy)

@@ -119,7 +119,7 @@ def build_groups(sys, spec, matching=None):
     The stacks built from the groups are solved unchecked
     (``_eig_built``), and a system built in code from ``Mode`` checks no
     Q, so each mode's cone matrix is checked here, as
-    ``SwitchedSystem.from_config`` checks it.
+    ``parse_config`` and ``SwitchedSystem.from_config`` check it.
     """
     perms = all_permutations(spec.K)
     # the phi table: the base selected on the ranks of each ordering

@@ -24,7 +24,6 @@ from . import __version__
 from .certifier import VERDICT_COND_I_ONLY, VERDICT_GAS, VERDICT_NOT_CERTIFIED
 from .certifier import Candidate, Certificate, certify, group_diffs, without_candidate
 from .errors import ConfigError, InvalidInputError
-from .inclusion import SwitchedSystem
 from .policy import NumericPolicy
 from .sysdsl.config import parse_config, parse_structure
 
@@ -249,7 +248,7 @@ def re_verify(text):
         raise ConfigError(f"certificate [meta] is malformed: {exc}") from None
     table = _groups(sections["condition_i"])
     stored_verdict = meta["verdict"]
-    sys = SwitchedSystem.from_config(parsed.require_system())
+    sys = parsed.require_system()
     if parsed.basis is None:
         spec = parse_structure(block["structure"])
         fresh = without_candidate(spec, policy, "the report carries no candidate")

@@ -29,7 +29,7 @@ from .errors import (
     MaxMinLyapError,
     PartitionError,
 )
-from .inclusion import SwitchedSystem, cone_chain, sliding_exclusion
+from .inclusion import cone_chain, sliding_exclusion
 from .policy import NumericPolicy
 from .numkernel import sphere_points
 from .sysdsl.config import parse_config
@@ -118,8 +118,7 @@ def cmd_validate(args):
     out = []
     code = EXIT_OK
     if parsed.system is not None:
-        sysm = SwitchedSystem.from_config(parsed.system)
-        violations, checked = sysm.validate_partition(
+        violations, checked = parsed.system.validate_partition(
             _policy_from(args), n_samples=args.samples
         )
         out.append(f"partition: {checked} samples, {len(violations)} violations")
@@ -183,7 +182,7 @@ def cmd_lie(args):
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
     spec, basis = basis_cfg.to_spec(), basis_cfg.to_basis()
-    sysm = SwitchedSystem.from_config(parsed.require_system())
+    sysm = parsed.require_system()
     policy = _policy_from(args)
     x = _point(args.at, sysm.dim)
     table = vertex_table(spec, basis, sysm, x, policy)
@@ -218,7 +217,7 @@ def cmd_decrease(args):
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
     spec, basis = basis_cfg.to_spec(), basis_cfg.to_basis()
-    sysm = SwitchedSystem.from_config(parsed.require_system())
+    sysm = parsed.require_system()
     policy = _policy_from(args)
     pts = _decrease_samples(args, sysm, policy)
     report = decrease_check(
@@ -242,7 +241,7 @@ def cmd_simulate(args):
     from .filippovsim import SimOptions, export_csv, simulate
 
     parsed = _load(args.config)
-    sysm = SwitchedSystem.from_config(parsed.require_system())
+    sysm = parsed.require_system()
     policy = _policy_from(args)
     if args.level and not args.svg:
         raise InvalidInputError("--level draws level sets on the --svg portrait; give --svg")
@@ -308,7 +307,7 @@ def cmd_certify(args):
     parsed = _load(args.config)
     basis_cfg = parsed.require_basis()
     spec = basis_cfg.to_spec()
-    sysm = SwitchedSystem.from_config(parsed.require_system())
+    sysm = parsed.require_system()
     policy = _policy_from(args)
     if basis_cfg.kind != "quadratic":
         raise InvalidInputError("certification requires a quadratic basis")
@@ -332,7 +331,7 @@ def cmd_certify(args):
 
 def cmd_decompose(args):
     parsed = _load(args.config)
-    sysm = SwitchedSystem.from_config(parsed.require_system())
+    sysm = parsed.require_system()
     policy = _policy_from(args)
     if sysm.dim == 2:
         factors = cone_chain(sysm)

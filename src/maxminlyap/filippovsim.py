@@ -468,7 +468,9 @@ class _Sim:
     def __init__(self, sys, x0, opts):
         self.sys = sys
         self.opts = opts
-        self.x = as_points(x0, sys.dim, "initial state")
+        # the caller's array is copied once: every later state is a new
+        # array, which samples and crossings keep as is
+        self.x = as_points(x0, sys.dim, "initial state").copy()
         if not np.all(np.isfinite(self.x)):
             raise InvalidInputError("initial state has non-finite entries")
         self.t = 0.0
@@ -490,7 +492,7 @@ class _Sim:
         return self.surfaces[key]
 
     def record(self, regime):
-        self.samples.append(TrajSample(t=self.t, x=self.x.copy(), regime=regime))
+        self.samples.append(TrajSample(t=self.t, x=self.x, regime=regime))
 
     def note_switch(self):
         if self.t - self.window_start > self.opts.max_step:
@@ -588,9 +590,7 @@ class _Sim:
                         return None
                     if nxt.kind == "mode":
                         self.crossings.append(
-                            Crossing(
-                                t=self.t, x=self.x.copy(), from_mode=i, to_mode=nxt.mode
-                            )
+                            Crossing(t=self.t, x=self.x, from_mode=i, to_mode=nxt.mode)
                         )
                     self.record(nxt)
                     return nxt

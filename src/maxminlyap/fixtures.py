@@ -23,7 +23,6 @@ from importlib import resources
 
 import numpy as np
 
-from .inclusion import SwitchedSystem
 from .sysdsl.config import parse_config
 
 _R2 = math.sqrt(2.0)
@@ -44,7 +43,7 @@ def example(name):
     parsed = parse_config(path.read_text(encoding="utf-8"))
     basis = parsed.require_basis()
     return (
-        SwitchedSystem.from_config(parsed.require_system()),
+        parsed.require_system(),
         basis.to_spec(),
         basis.to_basis(),
     )

@@ -137,6 +137,10 @@ class SwitchedSystem:
 
     @classmethod
     def from_config(cls, system_config):
+        """A checked copy of any description with ``dim`` and ``modes``
+        (records with index, A, f, Q and H): each A a finite square array,
+        each Q symmetrized as ``parse_config`` leaves it, so a parsed
+        system copies bit for bit."""
         modes = []
         for mc in system_config.modes:
             Q = None if mc.Q is None else _cone_matrix(mc.Q, f"Q{mc.index}")

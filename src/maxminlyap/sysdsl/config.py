@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError, DomainEvalError, InvalidInputError
+from ..inclusion import Mode, SwitchedSystem
 from ..numkernel import as_symmetric, negdef_margin, positive_definite
 from . import expr as ex
 
@@ -199,8 +200,6 @@ def _parse_const(ts):
         raise ConfigError("matrix entries must be constant", tok.line, tok.col)
     try:
         value = ex.eval_expr(node, ())
-    except OverflowError:  # pow of a float; the float operators give inf
-        value = math.inf
     except DomainEvalError as err:
         raise ConfigError(str(err), tok.line, tok.col) from None
     if not math.isfinite(value):
@@ -240,22 +239,6 @@ def _parse_matrix(ts):
 
 
 @dataclass
-class ModeConfig:
-    index: int
-    A: Optional[np.ndarray] = None  # linear field fast path
-    f: Optional[tuple] = None  # tuple of Expr, one per coordinate
-    Q: Optional[np.ndarray] = None  # conic region x^T Q x > 0
-    H: Optional[ex.Expr] = None  # general region H(x) > 0
-    region_all: bool = False
-
-
-@dataclass
-class SystemConfig:
-    dim: int
-    modes: list  # list[ModeConfig], indices 1..M
-
-
-@dataclass
 class BasisConfig:
     kind: str  # "quadratic" | "expr"
     matrices: Optional[list] = None  # list[np.ndarray]
@@ -283,7 +266,7 @@ class BasisConfig:
 
 @dataclass
 class ParsedConfig:
-    system: Optional[SystemConfig]
+    system: Optional[SwitchedSystem]
     basis: Optional[BasisConfig]
 
     def require_system(self):
@@ -302,26 +285,25 @@ class ParsedConfig:
 
 
 def _parse_mode_block(ts, index):
-    mode = ModeConfig(index=index)
-    seen = set()
+    """The entries of a mode block by key: A, f, Q, H or region."""
+    entries = {}
     ts.expect("{", skip_newlines=True)
     while True:
         tok = ts.peek(skip_newlines=True)
         if tok.value == "}":
             ts.next(skip_newlines=True)
-            break
+            return entries
         tok = ts.next(skip_newlines=True)
         if tok.kind != "ident":
             raise ConfigError(
                 f"expected a mode entry, found {tok.value!r}", tok.line, tok.col
             )
         key = tok.value
-        if key in seen:
+        if key in entries:
             raise ConfigError(f"duplicate {key} in mode {index}", tok.line, tok.col)
-        seen.add(key)
         ts.expect("=")
-        if key == "A":
-            mode.A = _parse_matrix(ts)
+        if key in ("A", "Q"):
+            value = _parse_matrix(ts)
         elif key == "f":
             ts.expect("(")
             comps = [_parse_expr(ts)]
@@ -329,11 +311,9 @@ def _parse_mode_block(ts, index):
                 ts.next()
                 comps.append(_parse_expr(ts))
             ts.expect(")")
-            mode.f = tuple(comps)
-        elif key == "Q":
-            mode.Q = _parse_matrix(ts)
+            value = tuple(comps)
         elif key == "H":
-            mode.H = _parse_expr(ts)
+            value = _parse_expr(ts)
         elif key == "region":
             val = ts.next()
             if val.value != "all":
@@ -342,13 +322,13 @@ def _parse_mode_block(ts, index):
                     val.line,
                     val.col,
                 )
-            mode.region_all = True
+            value = val.value
         else:
             raise ConfigError(f"unknown mode entry {key!r}", tok.line, tok.col)
+        entries[key] = value
         sep = ts.peek()
         if sep.value == ";" or sep.kind == "newline":
             ts.next()
-    return mode
 
 
 def _parse_index_set(ts):
@@ -527,44 +507,39 @@ def _assemble_system(dim, modes, signal_Q, signal_H):
         return None
     out = []
     for i in range(1, len(modes) + 1):
-        mode = modes[i]
-        if (mode.A is None) == (mode.f is None):
+        entries = modes[i]
+        A, f = entries.get("A"), entries.get("f")
+        if (A is None) == (f is None):
             raise ConfigError(f"mode {i} needs exactly one of A or f")
-        if mode.A is not None and mode.A.shape != (dim, dim):
+        if A is not None and A.shape != (dim, dim):
             raise ConfigError(f"mode {i}: A must be {dim}x{dim}")
-        if mode.f is not None:
-            if len(mode.f) != dim:
-                raise ConfigError(
-                    f"mode {i}: f has {len(mode.f)} components, dim is {dim}"
-                )
-            for comp in mode.f:
+        if f is not None:
+            if len(f) != dim:
+                raise ConfigError(f"mode {i}: f has {len(f)} components, dim is {dim}")
+            for comp in f:
                 if ex.max_var(comp) > dim:
                     raise ConfigError(
                         f"mode {i}: field references x{ex.max_var(comp)}, dim is {dim}"
                     )
-        inline = sum(x is not None for x in (mode.Q, mode.H)) + mode.region_all
-        external = (i in signal_Q) + (i in signal_H)
-        if inline + external > 1:
+        given = sum(key in entries for key in ("Q", "H", "region"))
+        if given + (i in signal_Q) + (i in signal_H) > 1:
             raise ConfigError(f"mode {i}: region specified more than once")
-        if i in signal_Q:
-            mode.Q = signal_Q[i][0]
-        if i in signal_H:
-            mode.H = signal_H[i][0]
-        if mode.Q is not None:
-            if mode.Q.shape != (dim, dim):
+        Q = signal_Q[i][0] if i in signal_Q else entries.get("Q")
+        H = signal_H[i][0] if i in signal_H else entries.get("H")
+        if Q is not None:
+            if Q.shape != (dim, dim):
                 raise ConfigError(f"mode {i}: Q must be {dim}x{dim}")
-            if _skewed(mode.Q):
+            if _skewed(Q):
                 raise ConfigError(f"mode {i}: non-symmetric matrix literal for Q")
-            if negdef_margin(as_symmetric(mode.Q, f"mode {i}: Q")) <= 0:
+            Q = as_symmetric(Q, f"mode {i}: Q")
+            if negdef_margin(Q) <= 0:
                 raise ConfigError(
                     f"mode {i}: Q is negative semidefinite, region would be empty"
                 )
-        if mode.H is not None and ex.max_var(mode.H) > dim:
-            raise ConfigError(f"mode {i}: H references x{ex.max_var(mode.H)}")
-        if mode.Q is None and mode.H is None:
-            mode.region_all = True
-        out.append(mode)
-    return SystemConfig(dim=dim, modes=out)
+        if H is not None and ex.max_var(H) > dim:
+            raise ConfigError(f"mode {i}: H references x{ex.max_var(H)}")
+        out.append(Mode(i, A, f, Q, H))
+    return SwitchedSystem(dim, out)
 
 
 def _assemble_families(families, K):
@@ -601,6 +576,9 @@ def _assemble_basis(basis_P, basis_V, families, polarity, system):
         mats = []
         for k in range(1, K + 1):
             P, tok = basis_P[k]
+            n = len(P) if system is None else system.dim
+            if P.shape != (n, n):
+                raise ConfigError(f"P{k} must be {n}x{n}", tok.line, tok.col)
             if _skewed(P):
                 raise ConfigError(
                     f"non-symmetric matrix literal for P{k}", tok.line, tok.col
@@ -612,10 +590,6 @@ def _assemble_basis(basis_P, basis_V, families, polarity, system):
             if not positive_definite(P):
                 raise ConfigError(
                     f"P{k} is not positive definite", tok.line, tok.col
-                )
-            if system is not None and P.shape != (system.dim, system.dim):
-                raise ConfigError(
-                    f"P{k} must be {system.dim}x{system.dim}", tok.line, tok.col
                 )
             mats.append(P)
         return BasisConfig(

@@ -198,12 +198,18 @@ def eval_expr(e, x):
         base = eval_expr(e.base, x)
         if base == 0.0 and e.exponent < 0:
             _domain_error(e)
-        return base**e.exponent
+        try:
+            return base**e.exponent
+        except OverflowError:  # out of range: IEEE's infinity, signed as the power
+            return math.copysign(math.inf, base) if e.exponent % 2 else math.inf
     if isinstance(e, Call):
         v = eval_expr(e.arg, x)
         if e.fn == "sqrt" and v < 0.0:
             _domain_error(e)
-        return FUNCTIONS[e.fn](v)
+        try:
+            return FUNCTIONS[e.fn](v)
+        except ValueError:  # sin or cos of +-inf, which IEEE makes NaN
+            return math.nan
     if isinstance(e, QuadForm):
         n = e.dim
         if len(x) < n:
@@ -282,6 +288,7 @@ _HELPERS = dict(
     quiet=lambda: np.errstate(all="ignore"),
     fallback=_Fallback,
     raised=(_Fallback, ArithmeticError, ValueError),
+    unlike_ieee=(OverflowError, ValueError),
 )
 _GLOBALS = {"__builtins__": {}, "float": float, "_h": _HELPERS}
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*"}
@@ -298,7 +305,9 @@ def compile_exprs(exprs):
     the nodes a domain error names are read from a constants tuple, and
     function names from ``FUNCTIONS``, so no config text reaches
     ``compile``.  A state shorter than the largest variable index goes to
-    ``eval_expr``, which raises its error.
+    ``eval_expr``, which raises its error; so does a state where a ``**``
+    overflows or sin or cos meets +-inf, where Python raises and
+    ``eval_expr`` gives IEEE's signed infinity or NaN.
 
     The same walk emits a second target, the function's ``batch``
     attribute: rows X[S, n] in, one new (S,) column per expression out,
@@ -379,8 +388,11 @@ def compile_exprs(exprs):
         ["def _make(_c, _e):"]
         + [f"    {', '.join(f'c{i}' for i in range(len(consts)))}, = _c"]
         + ["    def compiled(x):"]
-        + [f"        {line}" for line in body + lines]
-        + [f"        return ({''.join(r + ', ' for r in results)})"]
+        + [f"        {line}" for line in body]
+        + ["        try:"]
+        + [f"            {line}" for line in lines]
+        + [f"            return ({''.join(r + ', ' for r in results)})"]
+        + ["        except _h['unlike_ieee']:", "            return _h['reference'](x, _e)"]
         + ["    def batch(X):"]
         + ["        X = _h['states'](X)", "        S = _h['len'](X)"]
         + [f"        if X.shape[1] >= {n}:", "            try:"]

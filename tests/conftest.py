@@ -1,9 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from maxminlyap import fixtures
 from maxminlyap.inclusion import Mode, SwitchedSystem
-from maxminlyap.sysdsl.config import ModeConfig, SystemConfig, parse_config
+from maxminlyap.sysdsl.config import parse_config
 from expr_text import parse_expr_text
 
 
@@ -24,11 +27,9 @@ def _linear_system(A_list, Q_list=None):
     """Linear modes with optional conic regions (None entries mean R^n),
     checked as a config's modes are."""
     Q_list = Q_list or [None] * len(A_list)
-    modes = [
-        ModeConfig(index=i, A=A, Q=Q) for i, (A, Q) in enumerate(zip(A_list, Q_list), start=1)
-    ]
+    modes = [Mode(index=i, A=A, Q=Q) for i, (A, Q) in enumerate(zip(A_list, Q_list), start=1)]
     return SwitchedSystem.from_config(
-        SystemConfig(dim=np.asarray(A_list[0]).shape[0], modes=modes)
+        SwitchedSystem(dim=np.asarray(A_list[0]).shape[0], modes=modes)
     )
 
 
@@ -67,3 +68,14 @@ def _onedim_two_mode_system(f1, f2):
 def onedim_two_mode_system():
     """Two constant-field modes meeting at the origin: f1 on x<0, f2 on x>0."""
     return _onedim_two_mode_system
+
+
+@pytest.fixture
+def example1_signal_text():
+    """configs/example1.cfg with its three cones moved from the mode blocks
+    to [signal] Q1..Q3."""
+    text = (Path(__file__).resolve().parent.parent / "configs" / "example1.cfg").read_text()
+    cones = re.findall(r"^  Q = (.*)$", text, flags=re.M)
+    assert len(cones) == 3
+    inline_free = re.sub(r"^  Q = .*\n", "", text, flags=re.M)
+    return inline_free + "\n[signal]\n" + "".join(f"Q{i} = {Q}\n" for i, Q in enumerate(cones, 1))

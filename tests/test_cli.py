@@ -861,3 +861,53 @@ def test_certify_r3_cones_with_gaps_is_condition_i_only(capsys, monkeypatch, tmp
         code, out, _ = run(capsys, ["validate", "v.cfg", "--samples", "2000"])
         assert code == 1
         assert "config has violations" in out
+
+
+def test_signal_cones_certify_to_the_inline_report(capsys, tmp_path, example1_signal_text):
+    # every line but the manifest, which hashes the config path
+    cfg = tmp_path / "example1_signal.cfg"
+    cfg.write_text(example1_signal_text)
+    code, out, _ = run(capsys, ["certify", str(cfg)])
+    assert code == 0
+    golden = (GOLDEN / "certify_example1.txt").read_text()
+    assert out.splitlines()[1:] == golden.splitlines()[1:]
+
+
+FORTY_ONE_FACTORS = "*".join(["x1"] * 41)
+POWER_FIELD = (
+    "[system]\ndim = 2\nmode 1 {{ f = (-{}, -x2) }}\n"
+    "[basis]\nP1 = [[1, 0], [0, 1]]\n[structure]\nS1 = {{1}}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--from=1e8,1", "--horizon", "0.01"],
+        ["lie", "--at=1e8,1"],
+        ["decrease", "--radius", "1e8"],
+    ],
+    ids=["simulate", "lie", "decrease"],
+)
+def test_overflowing_pow_field_runs_as_its_product(capsys, tmp_path, argv):
+    # Python's float ** raises where the 41-factor product overflows to inf
+    outcomes = []
+    for name, power in (("pow", "pow(x1, 41)"), ("product", f"({FORTY_ONE_FACTORS})")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(POWER_FIELD.format(power))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            outcomes.append(run(capsys, [argv[0], str(cfg), *argv[1:]]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0
+
+
+def test_overflowing_pow_basis_is_refused_as_its_product(capsys, tmp_path):
+    outcomes = []
+    for name, square in (("pow", "pow({}, 2)"), ("product", "{0}*{0}")):
+        cfg = tmp_path / f"{name}.cfg"
+        V = " + ".join(square.format(x) for x in ("x1", "x2"))
+        cfg.write_text(f"[basis]\nV1 = {V}\n[structure]\nS1 = {{1}}\n")
+        outcomes.append(run(capsys, ["grad", str(cfg), "--at=1e200,1"]))
+    refused = (2, "", "error: active set: a base value is not finite at a point\n")
+    assert outcomes[0] == outcomes[1] == refused

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from pathlib import Path
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from maxminlyap.errors import ConfigError, InvalidInputError
-from maxminlyap.sysdsl.config import parse_config
+from maxminlyap.inclusion import SwitchedSystem
+from maxminlyap.sysdsl.config import parse_config, parse_structure
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -22,7 +24,7 @@ def test_single_linear_mode_region_all():
     sys_cfg = parsed.require_system()
     assert sys_cfg.dim == 2
     assert len(sys_cfg.modes) == 1
-    assert sys_cfg.modes[0].region_all
+    assert sys_cfg.modes[0].region_kind == "all"
     np.testing.assert_allclose(sys_cfg.modes[0].A, -np.eye(2))
 
 
@@ -388,3 +390,224 @@ def test_domain_error_in_matrix_entry_is_a_config_error_at_the_entry(
     with pytest.raises(ConfigError) as info:
         parse_config(template.format(entry))
     assert str(info.value) == f"line {line}, col {col}: {message}"
+
+
+SYS1 = "[system]\ndim = 1\nmode 1 { A = [[-1]] }\n"
+SYS2 = "[system]\ndim = 2\nmode 1 { A = [[-1, 0], [0, -1]] }\n"
+
+# Every message of the reader, with its line and column (None where the
+# message names a mode, a family or a section rather than a token).
+READER_MESSAGES = [
+    ("[system]\ndim = 2 $\n", "unexpected character '$'", 2, 9),
+    ("[basis]\nP1 [[1]]\n", "expected '=', found '['", 2, 4),
+    ("[basis]\nV1 = x0\n", "state variables are numbered from x1", 2, 6),
+    ("[basis]\nV1 = pow(x1, 2.5)\n", "pow exponent must be an integer", 2, 14),
+    ("[basis]\nV1 = foo(x1)\n", "unknown identifier 'foo'", 2, 6),
+    ("[basis]\nV1 = )\n", "expected an expression, found ')'", 2, 6),
+    ("[basis]\nP1 = [[x1]]\n", "matrix entries must be constant", 2, 8),
+    ("[basis]\nP1 = [[1] [2]]\n", "expected ',' or ']' in matrix literal, found '['", 2, 11),
+    ("[system]\ndim = 2\nmode 1 { A = [[1, 2], [3]] }\n", "ragged matrix literal", 3, 14),
+    ("[system]\ndim = 1\nmode 1 { 1 }\n", "expected a mode entry, found '1'", 3, 10),
+    (
+        "[system]\ndim = 1\nmode 1 { A = [[-1]]; region = none }\n",
+        "only 'region = all' is supported, found 'none'",
+        3,
+        31,
+    ),
+    ("[system]\ndim = 1\nmode 1 { B = [[-1]] }\n", "unknown mode entry 'B'", 3, 10),
+    ("[basis]\nP1 = [[1]]\n[structure]\nS1 = {}\n", "empty index set", 4, 7),
+    ("[basis]\nP1 = [[1]]\n[structure]\nS1 = {1.5}\n", "index sets contain integers", 4, 7),
+    ("[basis]\nP1 = [[1]]\n[structure]\nS1 = {1 2}\n", "expected ',' or '}', found '2'", 4, 9),
+    ("[nonsense]\nfoo = 1\n", "unknown section [nonsense]", 1, 2),
+    ("[system]\n= 2\n", "unexpected token '='", 2, 1),
+    ("[system]\ndim = 2\n", "[system] declares dim but no modes", None, None),
+    ("[system]\nmode 1 { A = [[-1]] }\n", "[system] must declare dim", None, None),
+    (
+        "[system]\ndim = 1\nmode 2 { A = [[-1]] }\n",
+        "modes must be numbered 1..M without gaps",
+        None,
+        None,
+    ),
+    ("[system]\ndim = 1\nmode 1 { Q = [[1]] }\n", "mode 1 needs exactly one of A or f", None, None),
+    (
+        "[system]\ndim = 1\nmode 1 { A = [[-1]]; f = (-x1) }\n",
+        "mode 1 needs exactly one of A or f",
+        None,
+        None,
+    ),
+    ("[system]\ndim = 2\nmode 1 { A = [[-1]] }\n", "mode 1: A must be 2x2", None, None),
+    (
+        "[system]\ndim = 2\nmode 1 { f = (-x1) }\n",
+        "mode 1: f has 1 components, dim is 2",
+        None,
+        None,
+    ),
+    (
+        "[system]\ndim = 2\nmode 1 { f = (-x1, -x3) }\n",
+        "mode 1: field references x3, dim is 2",
+        None,
+        None,
+    ),
+    (
+        "[system]\ndim = 1\nmode 1 { A = [[-1]]; Q = [[1]]; H = x1 }\n",
+        "mode 1: region specified more than once",
+        None,
+        None,
+    ),
+    (
+        "[system]\ndim = 1\nmode 1 { A = [[-1]]; region = all; H = x1 }\n",
+        "mode 1: region specified more than once",
+        None,
+        None,
+    ),
+    (
+        "[system]\ndim = 1\nmode 1 { A = [[-1]]; region = all }\n[signal]\nQ1 = [[1]]\n",
+        "mode 1: region specified more than once",
+        None,
+        None,
+    ),
+    (
+        SYS1 + "[signal]\nQ1 = [[1]]\nH1 = x1\n",
+        "mode 1: region specified more than once",
+        None,
+        None,
+    ),
+    (
+        "[system]\ndim = 2\nmode 1 { A = [[-1, 0], [0, -1]]; Q = [[1]] }\n",
+        "mode 1: Q must be 2x2",
+        None,
+        None,
+    ),
+    (SYS2 + "[signal]\nQ1 = [[1]]\n", "mode 1: Q must be 2x2", None, None),
+    (
+        SYS2 + "[signal]\nQ1 = [[1, 2], [0, -1]]\n",
+        "mode 1: non-symmetric matrix literal for Q",
+        None,
+        None,
+    ),
+    (
+        SYS2 + "[signal]\nQ1 = [[-1, 0], [0, -1]]\n",
+        "mode 1: Q is negative semidefinite, region would be empty",
+        None,
+        None,
+    ),
+    (
+        "[system]\ndim = 2\nmode 1 { A = [[-1, 0], [0, -1]]; H = x3 }\n",
+        "mode 1: H references x3",
+        None,
+        None,
+    ),
+    (SYS2 + "[signal]\nH1 = x1 - x3\n", "mode 1: H references x3", None, None),
+    (
+        "[basis]\nP1 = [[1]]\n[structure]\nS2 = {1}\n",
+        "families must be numbered S1..SJ without gaps",
+        None,
+        None,
+    ),
+    ("[basis]\nP1 = [[1]]\n[structure]\nS1 = {0}\n", "S1 references base 0, K is 1", None, None),
+    ("[basis]\nP1 = [[1]]\n[structure]\nS1 = {1, 2}\n", "S1 references base 2, K is 1", None, None),
+    ("[structure]\nS1 = {1}\n", "[structure] present but [basis] is missing", None, None),
+    (
+        "[basis]\nP1 = [[1]]\nV2 = x1\n[structure]\nS1 = {1}\n",
+        "mix of matrix (P) and expression (V) basis entries",
+        None,
+        None,
+    ),
+    (
+        "[basis]\nP2 = [[1]]\n[structure]\nS1 = {1}\n",
+        "basis entries must be numbered 1..K without gaps",
+        None,
+        None,
+    ),
+    ("[basis]\nP1 = [[1]]\n", "[basis] present but [structure] is missing", None, None),
+    (
+        "[basis]\nP1 = [[1, 2], [0, 1]]\n[structure]\nS1 = {1}\n",
+        "non-symmetric matrix literal for P1",
+        2,
+        1,
+    ),
+    ("[basis]\nP1 = [[-1]]\n[structure]\nS1 = {1}\n", "P1 is not positive definite", 2, 1),
+    (SYS2 + "[basis]\nP1 = [[1]]\n[structure]\nS1 = {1}\n", "P1 must be 2x2", 5, 1),
+    (
+        "[basis]\nP1 = [[1, 0, 0], [0, 1, 0]]\n[structure]\nS1 = {1}\n",
+        "P1 must be 2x2",
+        2,
+        1,
+    ),
+    (
+        "[system]\ndim = 3\nmode 1 { A = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]] }\n"
+        "[basis]\nP1 = [[1, 0, 0], [0, 1, 0]]\n[structure]\nS1 = {1}\n",
+        "P1 must be 3x3",
+        5,
+        1,
+    ),
+    ("[system]\ndim = 1\nmode 1 { A = [[sin(1e400)]] }\n", "matrix entry is not finite", 3, 16),
+    (
+        "[system]\ndim = 1\nmode 1 { A = [[cos(pow(10, 400))]] }\n",
+        "matrix entry is not finite",
+        3,
+        16,
+    ),
+    (SYS2 + "[basis]\nV1 = x3\n[structure]\nS1 = {1}\n", "V1 references x3, dim is 2", 5, 1),
+    (
+        SYS1 + "[basis]\nP1 = [[1]]\n[structure]\nS1 = {1}\n[signal]\nQ2 = [[1]]\n",
+        "[signal] Q2 names mode 2, the system has 1",
+        9,
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", READER_MESSAGES)
+def test_every_reader_message_and_position(text, message, line, col):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert (info.value.line, info.value.column) == (line, col)
+    where = "" if line is None else f"line {line}, col {col}: "
+    assert str(info.value) == where + message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[structure]\npolarity = minmax\n", "[structure] declares no families"),
+        ("[structure]\nS2 = {1}\n", "families must be numbered S1..SJ without gaps"),
+        ("[structure]\nS1 = {0}\n", "S1 references base 0, K is None"),
+    ],
+)
+def test_structure_reader_messages(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_structure(text)
+    assert (info.value.line, info.value.column) == (None, None)
+    assert str(info.value) == message
+
+
+# sha256 of every mode's A and Q bytes in mode order (b"-" for no matrix):
+# the symmetrized cones and the literal fields of the bundled configs
+MODEL_BYTES = {
+    "example1": "541a4f36d31e1b54",
+    "example2": "529d245768f5df5c",
+    "example3": "0e500d141dda1695",
+}
+
+
+def model_bytes(system):
+    digest = hashlib.sha256()
+    for mode in system.modes:
+        for M in (mode.A, mode.Q):
+            digest.update(b"-" if M is None else M.tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BYTES))
+def test_parsed_system_keeps_the_matrix_bytes(name):
+    system = parse_config((CONFIGS / f"{name}.cfg").read_text()).system
+    assert isinstance(system, SwitchedSystem)
+    copy = SwitchedSystem.from_config(system)
+    assert model_bytes(system) == model_bytes(copy) == MODEL_BYTES[name]
+
+
+def test_signal_cones_parse_as_inline_cones(example1_signal_text):
+    signal = parse_config(example1_signal_text).system
+    assert model_bytes(signal) == MODEL_BYTES["example1"]
+    assert [m.region_kind for m in signal.modes] == ["cone"] * 3

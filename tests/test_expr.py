@@ -282,3 +282,30 @@ def test_compile_refuses_unknown_functions_and_nodes(bad):
 def test_unary_minus_folds_to_the_same_tree(text, want):
     # a minus on a number is the negative number, and two minuses cancel
     assert parse_expr_text(text) == want
+
+
+@pytest.mark.parametrize(
+    "text, x, want",
+    [
+        ("pow(x1, 41)", (1e8,), math.inf),
+        ("pow(x1, 41)", (-1e8,), -math.inf),
+        ("pow(x1, 40)", (-1e8,), math.inf),
+        ("pow(x1, -3)", (-1e-200,), -math.inf),
+        ("x2 + pow(x1, 41)", (1e8, 1.0), math.inf),
+        ("sin(x1)", (math.inf,), math.nan),
+        ("cos(x1)", (-math.inf,), math.nan),
+        ("cos(pow(x1, 41))", (1e8,), math.nan),
+    ],
+)
+def test_overflowing_power_and_trig_at_infinity_give_ieee_values(text, x, want):
+    # Python's float ** raises OverflowError and math.sin/cos of +-inf
+    # raise ValueError; the tree, the point function and the batch give
+    # IEEE's signed infinity or NaN instead, bit for bit alike, and the
+    # batch's other rows keep their values
+    e = parse_expr_text(text)
+    compiled = compile_exprs([e])
+    other = [0.5] * len(x)
+    column = compiled.batch(np.array([x, other]))[0]
+    got = [eval_expr(e, x), compiled(np.array(x))[0], column[0]]
+    assert {struct.pack("<d", v) for v in got} == {struct.pack("<d", want)}
+    assert column[1] == eval_expr(e, other)

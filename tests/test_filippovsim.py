@@ -840,6 +840,15 @@ def trajectory_digest():
     return h.hexdigest()
 
 
+def test_samples_keep_their_own_initial_state():
+    # the simulator copies the caller's x0 once; a later write to it
+    # reaches no sample
+    x0 = np.array([-1.0, 1.0])
+    traj = simulate(fixtures.example("example1")[0], x0, SimOptions(horizon=0.1))
+    x0[:] = 7.0
+    assert traj.samples[0].x.tolist() == [-1.0, 1.0]
+
+
 def test_trajectories_keep_every_bit():
     # the goldens print 12 significant digits; this pins every bit of 21
     # trajectories, their crossings, statuses and CSV texts
