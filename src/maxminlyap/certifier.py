@@ -51,7 +51,7 @@ from .maxmin import (
     selected_base,
 )
 from .numkernel import (
-    _eig_built, _project_built, as_symmetric, negdef_margin, positive_definite, row_norms,
+    _eig_built, _project_built, negdef_margin, positive_definite, row_norms,
     solve_lyapunov, sphere_points,
 )
 from .policy import DEFAULT_POLICY
@@ -115,11 +115,6 @@ def build_groups(sys, spec, matching=None):
     are merged greedily in lexicographic order while the intersection
     of their implied ordering constraints stays nonempty; merged groups
     use that intersection, singleton groups use the adjacent chain.
-
-    The stacks built from the groups are solved unchecked
-    (``_eig_built``), and a system built in code from ``Mode`` checks no
-    Q, so each mode's cone matrix is checked here, as
-    ``parse_config`` and ``SwitchedSystem.from_config`` check it.
     """
     perms = all_permutations(spec.K)
     # the phi table: the base selected on the ranks of each ordering
@@ -127,8 +122,6 @@ def build_groups(sys, spec, matching=None):
     groups = []
     for mode in sys.modes:
         i = mode.index
-        if mode.Q is not None:
-            as_symmetric(mode.Q, f"Q{i}")
         mine = [
             rho
             for rho in perms

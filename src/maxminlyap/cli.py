@@ -164,8 +164,7 @@ def cmd_grad(args):
     basis_cfg = parsed.require_basis()
     spec, basis = basis_cfg.to_spec(), basis_cfg.to_basis()
     policy = _policy_from(args)
-    dim = parsed.system.dim if parsed.system is not None else basis.dim
-    x = _point(args.at, dim)
+    x = _point(args.at, basis.dim)
     hull = active_indices(spec, basis, x, policy)
     print(f"V({x.tolist()}) = {_fmt(evaluate(spec, basis, x))}")
     print(f"active = {hull.indices} method = {hull.method}")

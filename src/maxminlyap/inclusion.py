@@ -32,11 +32,6 @@ ALL = "all"
 TILING_TOL = 1e-9  # radians between one cone sector's end and the next one's start
 
 
-def _cone_matrix(Q, name):
-    """One symmetric cone matrix; ``as_symmetric`` alone also takes a stack."""
-    return as_symmetric(as_square(Q, name), name)
-
-
 @dataclass
 class Mode:
     index: int
@@ -44,6 +39,15 @@ class Mode:
     f: Optional[tuple] = None
     Q: Optional[np.ndarray] = None
     H: Optional[ex.Expr] = None
+
+    def __post_init__(self):
+        """A a finite square array; Q one finite square matrix within
+        ``as_symmetric``'s tolerance, stored as its symmetric part."""
+        if self.A is not None:
+            self.A = as_square(self.A, f"mode {self.index}: A")
+        if self.Q is not None:
+            name = f"mode {self.index}: Q"
+            self.Q = as_symmetric(as_square(self.Q, name), name)
 
     @property
     def region_kind(self):
@@ -137,16 +141,11 @@ class SwitchedSystem:
 
     @classmethod
     def from_config(cls, system_config):
-        """A checked copy of any description with ``dim`` and ``modes``
-        (records with index, A, f, Q and H): each A a finite square array,
-        each Q symmetrized as ``parse_config`` leaves it, so a parsed
-        system copies bit for bit."""
-        modes = []
-        for mc in system_config.modes:
-            Q = None if mc.Q is None else _cone_matrix(mc.Q, f"Q{mc.index}")
-            A = None if mc.A is None else as_square(mc.A, f"A{mc.index}")
-            modes.append(Mode(index=mc.index, A=A, f=mc.f, Q=Q, H=mc.H))
-        return cls(dim=system_config.dim, modes=modes)
+        """A copy of a system: each mode rebuilt, so bit for bit."""
+        return cls(
+            dim=system_config.dim,
+            modes=[Mode(index=m.index, A=m.A, f=m.f, Q=m.Q, H=m.H) for m in system_config.modes],
+        )
 
     @property
     def is_linear(self):

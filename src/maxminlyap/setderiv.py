@@ -293,9 +293,21 @@ class VertexTable:
 
 def vertex_table(spec, basis, sys, x, policy=DEFAULT_POLICY):
     """The ``VertexTable`` at x over the modes adjacent to x (their closure
-    test comes first, so its refusal of x is the one raised)."""
-    fields = tuple(sys.field(i, x) for i in sys.index_set(x, policy))
+    test comes first, so its refusal of x is the one raised, and then the
+    refusal of a field value that is not finite)."""
+    adjacent = sys.index_set(x, policy)
+    fields = tuple(sys.field(i, x) for i in adjacent)
+    _require_finite_fields(np.asarray(x, dtype=float)[None], np.array([fields]), adjacent)
     return VertexTable(active_indices(spec, basis, x, policy), fields)
+
+
+def _require_finite_fields(X, fields, indices):
+    """InvalidInputError naming the first row of X[S, n] where a field
+    fields[S, m, n] of mode indices[m] is not finite."""
+    ok = np.isfinite(fields)
+    if not ok.all():  # the common case costs one whole-array test
+        r, c = np.argwhere(~ok.all(axis=2))[0].tolist()
+        raise InvalidInputError(f"the field of mode {indices[c]} is not finite at {X[r].tolist()}")
 
 
 def lie_derivative(spec, basis, sys, x, policy=DEFAULT_POLICY):
@@ -376,7 +388,8 @@ def decrease_check(spec, basis, sys, samples, rate, policy=DEFAULT_POLICY, use_c
     Its entries equal the per-point ``lie_derivative`` /
     ``clarke_derivative`` ones bit for bit and keep the order of the
     samples; a disagreement of the active gradients is raised for the
-    first such sample.
+    first such sample, and so is an adjacent mode's field value that is
+    not finite.
     """
     X = _sample_rows(samples, sys.dim)
     with np.errstate(over="ignore"):  # closure_mask refuses an overflowed |x|^2
@@ -447,26 +460,32 @@ def _smooth_maxima(basis, sys, X, ties, inside):
     The maximum is the first largest product in mode order, as in both
     per-point derivatives.  A zero maximum is left to them too: on the
     Lie side it is a sum over simplex weights, which may carry the other
-    sign of zero.
+    sign of zero.  So is a row with a field value that is not finite,
+    which ``_kink_rows`` refuses, whatever its maximum.
     """
     smooth = ties.sum(axis=1) == 1
     grads = by_column(lambda c, rows: basis.gradient(c + 1, rows), X, ties & smooth[:, None])
     grads = grads[np.arange(len(X)), ties.argmax(axis=1)]
     fields = by_column(lambda c, rows: sys.modes[c].field(rows), X, inside & smooth[:, None])
-    products = np.where(inside, _dots(grads[:, None], fields)[:, 0], -np.inf)
+    ok = np.isfinite(fields)
+    finite = ok.all() or ok.all(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product decides no row
+        products = np.where(inside, _dots(grads[:, None], fields)[:, 0], -np.inf)
     best = np.take_along_axis(products, products.argmax(axis=1)[:, None], axis=1)[:, 0]
-    return best, smooth & np.isfinite(best) & (best != 0.0)
+    return best, smooth & finite & np.isfinite(best) & (best != 0.0)
 
 
 def _kink_rows(basis, sys, X, active, inside):
     """The gradients grads[S, K, n] and mode fields fields[S, M, n] at the
     rows of X[S, n] that the active-base mask active[S, K] and the
     ``closure_mask`` inside[S, M] mark.  PartitionError names the first
-    row that no region contains."""
+    row that no region contains, and InvalidInputError the first row with
+    a field value that is not finite."""
     for r in np.flatnonzero(~inside.any(axis=1))[:1].tolist():
         sys.adjacent(X[r], inside[r])
     grads = by_column(lambda c, rows: basis.gradient(c + 1, rows), X, active)
     fields = by_column(lambda c, rows: sys.modes[c].field(rows), X, inside)
+    _require_finite_fields(X, fields, [m.index for m in sys.modes])
     return grads, fields
 
 

@@ -92,6 +92,7 @@ class _Stream:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0  # open parentheses, unary minus signs and calls
 
     def peek(self, skip_newlines=False):
         j = self.i
@@ -121,6 +122,37 @@ class _Stream:
 # ---------------------------------------------------------------------------
 # expression parsing (recursive descent, shared by config values)
 
+# levels of an expression, in its parser nesting and in its tree: the
+# parser and the tree walks of ``sysdsl.expr`` recurse once per level
+MAX_DEPTH = 100
+
+
+def _too_deep(tok):
+    return ConfigError(f"expression is deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+
+
+def _parse_value(ts):
+    """One whole expression, refused where its tree is deeper than MAX_DEPTH."""
+    tok = ts.peek()
+    node = _parse_expr(ts)
+    depth, level = 0, [node]
+    while level:  # counted level by level, without recursion
+        depth += 1
+        level = [c for e in level for c in vars(e).values() if isinstance(c, ex.Expr)]
+    if depth > MAX_DEPTH:
+        raise _too_deep(tok)
+    return node
+
+
+def _nested(ts, tok, parse):
+    """parse(ts) one level deeper, refused past MAX_DEPTH levels."""
+    if ts.nesting == MAX_DEPTH:
+        raise _too_deep(tok)
+    ts.nesting += 1
+    node = parse(ts)
+    ts.nesting -= 1
+    return node
+
 
 def _parse_expr(ts):
     node = _parse_term(ts)
@@ -144,7 +176,7 @@ def _parse_factor(ts):
     tok = ts.peek()
     if tok.kind == "op" and tok.value == "-":
         ts.next()
-        return ex.neg(_parse_factor(ts))
+        return ex.neg(_nested(ts, tok, _parse_factor))
     return _parse_atom(ts)
 
 
@@ -153,7 +185,7 @@ def _parse_atom(ts):
     if tok.kind == "number":
         return ex.Num(float(tok.value))
     if tok.kind == "op" and tok.value == "(":
-        node = _parse_expr(ts)
+        node = _nested(ts, tok, _parse_expr)
         ts.expect(")")
         return node
     if tok.kind == "ident":
@@ -166,7 +198,7 @@ def _parse_atom(ts):
             return ex.Var(idx)
         if name == "pow":
             ts.expect("(")
-            base = _parse_expr(ts)
+            base = _nested(ts, tok, _parse_expr)
             ts.expect(",")
             etok = ts.next()
             sign = 1
@@ -184,7 +216,7 @@ def _parse_atom(ts):
             return ex.QuadForm(tuple(tuple(row) for row in mat.tolist()))
         if name in ex.FUNCTIONS:
             ts.expect("(")
-            arg = _parse_expr(ts)
+            arg = _nested(ts, tok, _parse_expr)
             ts.expect(")")
             return ex.Call(name, arg)
         raise ConfigError(f"unknown identifier {name!r}", tok.line, tok.col)
@@ -195,7 +227,7 @@ def _parse_atom(ts):
 
 def _parse_const(ts):
     tok = ts.peek()
-    node = _parse_expr(ts)
+    node = _parse_value(ts)
     if ex.max_var(node) > 0:
         raise ConfigError("matrix entries must be constant", tok.line, tok.col)
     try:
@@ -241,6 +273,7 @@ def _parse_matrix(ts):
 @dataclass
 class BasisConfig:
     kind: str  # "quadratic" | "expr"
+    dim: int  # the system's dim, else the P literals' size, else the largest x index
     matrices: Optional[list] = None  # list[np.ndarray]
     exprs: Optional[list] = None  # list[Expr]
     families: Optional[tuple] = None  # tuple of tuples of 1-based indices
@@ -260,8 +293,7 @@ class BasisConfig:
 
         if self.kind == "quadratic":
             return QuadraticBasis(self.matrices)
-        dim = max(ex.max_var(e) for e in self.exprs)
-        return ExprBasis(self.exprs, dim=max(dim, 1))
+        return ExprBasis(self.exprs, dim=self.dim)
 
 
 @dataclass
@@ -306,14 +338,14 @@ def _parse_mode_block(ts, index):
             value = _parse_matrix(ts)
         elif key == "f":
             ts.expect("(")
-            comps = [_parse_expr(ts)]
+            comps = [_parse_value(ts)]
             while ts.peek().value == ",":
                 ts.next()
-                comps.append(_parse_expr(ts))
+                comps.append(_parse_value(ts))
             ts.expect(")")
             value = tuple(comps)
         elif key == "H":
-            value = _parse_expr(ts)
+            value = _parse_value(ts)
         elif key == "region":
             val = ts.next()
             if val.value != "all":
@@ -357,9 +389,9 @@ _NAMED_RE = re.compile(r"([A-Za-z]+?)(\d+)")
 # Entries named <letter><index>, per section: the hint that errors name,
 # and each letter's value parser.
 _NAMED = {
-    "basis": ("P<k> or V<k>", {"P": _parse_matrix, "V": _parse_expr}),
+    "basis": ("P<k> or V<k>", {"P": _parse_matrix, "V": _parse_value}),
     "structure": ("S<j>", {"S": _parse_index_set}),
-    "signal": ("Q<i> or H<i>", {"Q": _parse_matrix, "H": _parse_expr}),
+    "signal": ("Q<i> or H<i>", {"Q": _parse_matrix, "H": _parse_value}),
 }
 
 
@@ -531,14 +563,12 @@ def _assemble_system(dim, modes, signal_Q, signal_H):
                 raise ConfigError(f"mode {i}: Q must be {dim}x{dim}")
             if _skewed(Q):
                 raise ConfigError(f"mode {i}: non-symmetric matrix literal for Q")
-            Q = as_symmetric(Q, f"mode {i}: Q")
-            if negdef_margin(Q) <= 0:
-                raise ConfigError(
-                    f"mode {i}: Q is negative semidefinite, region would be empty"
-                )
         if H is not None and ex.max_var(H) > dim:
             raise ConfigError(f"mode {i}: H references x{ex.max_var(H)}")
-        out.append(Mode(i, A, f, Q, H))
+        mode = Mode(i, A, f, Q, H)
+        if Q is not None and negdef_margin(mode.Q) <= 0:
+            raise ConfigError(f"mode {i}: Q is negative semidefinite, region would be empty")
+        out.append(mode)
     return SwitchedSystem(dim, out)
 
 
@@ -571,14 +601,19 @@ def _assemble_basis(basis_P, basis_V, families, polarity, system):
     if not families:
         raise ConfigError("[basis] present but [structure] is missing")
     fams = _assemble_families(families, K)
+    if system is not None:
+        dim = system.dim
+    elif basis_P:
+        dim = len(basis_P[1][0])
+    else:
+        dim = max(1, *(ex.max_var(e) for e, _ in basis_V.values()))
 
     if basis_P:
         mats = []
         for k in range(1, K + 1):
             P, tok = basis_P[k]
-            n = len(P) if system is None else system.dim
-            if P.shape != (n, n):
-                raise ConfigError(f"P{k} must be {n}x{n}", tok.line, tok.col)
+            if P.shape != (dim, dim):
+                raise ConfigError(f"P{k} must be {dim}x{dim}", tok.line, tok.col)
             if _skewed(P):
                 raise ConfigError(
                     f"non-symmetric matrix literal for P{k}", tok.line, tok.col
@@ -593,7 +628,7 @@ def _assemble_basis(basis_P, basis_V, families, polarity, system):
                 )
             mats.append(P)
         return BasisConfig(
-            kind="quadratic", matrices=mats, families=fams, polarity=polarity
+            kind="quadratic", dim=dim, matrices=mats, families=fams, polarity=polarity
         )
     exprs = []
     for k in range(1, K + 1):
@@ -605,6 +640,4 @@ def _assemble_basis(basis_P, basis_V, families, polarity, system):
                 tok.col,
             )
         exprs.append(e)
-    return BasisConfig(
-        kind="expr", exprs=exprs, families=fams, polarity=polarity
-    )
+    return BasisConfig(kind="expr", dim=dim, exprs=exprs, families=fams, polarity=polarity)

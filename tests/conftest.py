@@ -24,13 +24,10 @@ def planar_sign_criterion():
 
 
 def _linear_system(A_list, Q_list=None):
-    """Linear modes with optional conic regions (None entries mean R^n),
-    checked as a config's modes are."""
+    """Linear modes with optional conic regions (None entries mean R^n)."""
     Q_list = Q_list or [None] * len(A_list)
     modes = [Mode(index=i, A=A, Q=Q) for i, (A, Q) in enumerate(zip(A_list, Q_list), start=1)]
-    return SwitchedSystem.from_config(
-        SwitchedSystem(dim=np.asarray(A_list[0]).shape[0], modes=modes)
-    )
+    return SwitchedSystem(dim=np.asarray(A_list[0]).shape[0], modes=modes)
 
 
 @pytest.fixture

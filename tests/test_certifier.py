@@ -204,28 +204,24 @@ def test_checker_rejects_unsound_candidates():
 
 
 def test_code_built_cone_matrices_are_checked():
-    # a system built in code from Mode checks no Q, and condition (i)'s
-    # stacks are solved unchecked: a cone matrix beyond as_symmetric's
-    # tolerance is refused by name in the check, the certificate and the
-    # search, and one within it is solved as its symmetric part
+    # condition (i)'s stacks are solved unchecked, so a Mode checks its
+    # cone matrix where it is built: one beyond as_symmetric's tolerance
+    # is refused by name, and one within it is stored, and solved, as its
+    # symmetric part
     sys1, spec1, _ = fixtures.example("example1")
     cand = fixtures.example1_candidate()
+    step = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(InvalidInputError, match="^mode 1: Q is not symmetric$"):
+        Mode(index=1, A=sys1.modes[0].A, Q=sys1.modes[0].Q + 1e-3 * step)
+    skewed = [m.Q + 1e-12 * step for m in sys1.modes]
+    near = SwitchedSystem(
+        sys1.dim, [Mode(index=m.index, A=m.A, Q=Q) for m, Q in zip(sys1.modes, skewed)]
+    )
+    for mode, Q in zip(near.modes, skewed):
+        assert np.array_equal(mode.Q, 0.5 * (Q + Q.T))
+    margins = check_condition_i(near, spec1, cand, POLICY).margins
+    assert np.allclose(margins, check_condition_i(sys1, spec1, cand, POLICY).margins, atol=1e-9)
 
-    def skewed(skew):
-        step = np.array([[0.0, skew], [0.0, 0.0]])
-        return SwitchedSystem(
-            sys1.dim, [Mode(index=m.index, A=m.A, Q=m.Q + step) for m in sys1.modes]
-        )
-
-    refused = skewed(1e-3)
-    with pytest.raises(InvalidInputError, match="^Q1 is not symmetric$"):
-        check_condition_i(refused, spec1, cand, POLICY)
-    with pytest.raises(InvalidInputError, match="^Q1 is not symmetric$"):
-        certify(refused, spec1, Candidate(matrices=cand.matrices), POLICY)
-    with pytest.raises(InvalidInputError, match="^Q1 is not symmetric$"):
-        search_condition_i(refused, spec1, POLICY, SearchOptions(seed=0))
-    near = check_condition_i(skewed(1e-12), spec1, cand, POLICY).margins
-    assert np.allclose(near, check_condition_i(sys1, spec1, cand, POLICY).margins, atol=1e-9)
 
 def test_complexity_refusal_beyond_six_bases():
     sys1 = fixtures.example("example1")[0]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from maxminlyap.cli import main
+from maxminlyap.sysdsl.config import MAX_DEPTH
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -881,25 +882,30 @@ POWER_FIELD = (
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["simulate", "--from=1e8,1", "--horizon", "0.01"],
-        ["lie", "--at=1e8,1"],
-        ["decrease", "--radius", "1e8"],
+        (["simulate", "--from=1e8,1", "--horizon", "0.01"], 0),
+        (["lie", "--at=1e8,1"], 2),
+        (["decrease", "--radius", "1e8"], 2),
     ],
     ids=["simulate", "lie", "decrease"],
 )
-def test_overflowing_pow_field_runs_as_its_product(capsys, tmp_path, argv):
-    # Python's float ** raises where the 41-factor product overflows to inf
+def test_overflowing_pow_field_runs_as_its_product(capsys, tmp_path, argv, code):
+    # Python's float ** raises where the 41-factor product overflows to
+    # inf; the simulator stalls on the infinite field, and the derivatives
+    # refuse it
     outcomes = []
     for name, power in (("pow", "pow(x1, 41)"), ("product", f"({FORTY_ONE_FACTORS})")):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(POWER_FIELD.format(power))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("ignore" if code == 0 else "error", RuntimeWarning)
             outcomes.append(run(capsys, [argv[0], str(cfg), *argv[1:]]))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == 0
+    assert outcomes[0][0] == code
+    if code:
+        assert outcomes[0][1] == ""
+        assert outcomes[0][2].startswith("error: the field of mode 1 is not finite at [")
 
 
 def test_overflowing_pow_basis_is_refused_as_its_product(capsys, tmp_path):
@@ -911,3 +917,72 @@ def test_overflowing_pow_basis_is_refused_as_its_product(capsys, tmp_path):
         outcomes.append(run(capsys, ["grad", str(cfg), "--at=1e200,1"]))
     refused = (2, "", "error: active set: a base value is not finite at a point\n")
     assert outcomes[0] == outcomes[1] == refused
+
+
+def deep_config(extra=()):
+    """A config whose expressions are each MAX_DEPTH levels deep, in the
+    tree or in the parser's nesting; each name in ``extra`` is one level
+    deeper."""
+    d = {name: MAX_DEPTH + (name in extra) for name in DEEP_FORMS}
+    sum_ = " + ".join(["x1"] * d["sum"])
+    parens = "(" * d["parens"] + "0 - x1" + ")" * d["parens"]
+    field = "-x1" + " + 0*x1" * (d["field"] - 2)
+    calls = "-x2 + 0*" + "sin(" * (d["calls"] - 3) + "x2" + ")" * (d["calls"] - 3)
+    negations = "-0.1*x1 - " + "-" * d["negations"] + "x2"
+    basis = "x1*x1 + x2*x2" + " + 0" * (d["basis"] - 3)
+    return (
+        f"[system]\ndim = 2\nmode 1 {{\n  f = ({field}, {calls})\n  H = {sum_}\n}}\n"
+        f"mode 2 {{\n  f = ({negations}, x1 - 0.1*x2)\n  H = {parens}\n}}\n"
+        f"[basis]\nV1 = {basis}\n[structure]\nS1 = {{1}}\n"
+    )
+
+
+DEEP_FORMS = ("sum", "parens", "field", "calls", "negations", "basis")
+
+
+def test_expressions_at_the_depth_bound_run_through_every_command(capsys, tmp_path):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(deep_config())
+    code, out, _ = run(capsys, ["validate", str(cfg), "--samples", "200"])
+    assert (code, out.splitlines()[-1]) == (0, "config OK")
+    code, out, _ = run(capsys, ["simulate", str(cfg), "--from=-1,0", "--horizon", "5"])
+    assert code == 0 and "status=completed" in out and "crossings=0" not in out
+    code, out, _ = run(capsys, ["decrease", str(cfg), "--samples", "200"])
+    assert (code, out) == (0, "decrease[lie] rate=0 points=200 violations=0\n")
+    code, out, _ = run(capsys, ["grad", str(cfg), "--at=1,2"])
+    assert code == 0 and "grad V_1 = [2, 4]" in out
+    code, out, _ = run(capsys, ["lie", str(cfg), "--at=0,1"])
+    assert (code, out) == (0, "lie = [-2, -0.2]\nclarke = [-2, -0.2]\n")
+
+
+@pytest.mark.parametrize("form", DEEP_FORMS)
+def test_an_expression_past_the_depth_bound_is_refused(capsys, tmp_path, form):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(deep_config(extra=(form,)))
+    code, out, err = run(capsys, ["validate", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: line ")
+    assert err.endswith(f": expression is deeper than {MAX_DEPTH} levels\n")
+
+
+V_BASIS_3D = (
+    "[system]\ndim = 3\nmode 1 { A = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]] }\n"
+    "[basis]\nV1 = x1*x1 + x2*x2\n[structure]\nS1 = {1}\n"
+)
+
+
+def test_an_expression_basis_has_the_system_dimension(capsys, tmp_path):
+    # V1 names x1 and x2 only; the basis is still a function on R^3
+    cfg = tmp_path / "v3.cfg"
+    cfg.write_text(V_BASIS_3D)
+    code, out, _ = run(capsys, ["decrease", str(cfg), "--samples", "10"])
+    assert (code, out) == (0, "decrease[lie] rate=0 points=10 violations=0\n")
+    code, out, _ = run(capsys, ["grad", str(cfg), "--at=1,2,3"])
+    assert code == 0 and out.endswith("grad V_1 = [2, 4, 0]\n")
+    code, out, _ = run(capsys, ["lie", str(cfg), "--at=1,2,3"])
+    assert (code, out) == (0, "lie = [-10, -10]\nclarke = [-10, -10]\n")
+    csv = tmp_path / "out.csv"
+    argv = ["simulate", str(cfg), "--from=1,2,3", "--horizon", "0.1", "--csv", str(csv)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.endswith(f"csv written to {csv}\n")
+    assert csv.read_text().splitlines()[1:3] == ["t,x1,x2,x3,regime,lambda,V", "0,1,2,3,Mode(1),,5"]

@@ -244,6 +244,31 @@ def test_matrix_entries_are_constant_expressions():
         ("[structure]\npolarity = maximin\n", "polarity is maxmin or minmax", 2, 12),
         ("dim = 2\n", "statements must appear inside a section", 1, 1),
         ("[ 3 ]\n", "expected a section name", 1, 3),
+        (
+            "[basis]\nP1 = [[1]]\nP2 = [[1, 0], [0, 1]]\n[structure]\nS1 = {1, 2}\n",
+            "P2 must be 1x1",
+            3,
+            1,
+        ),
+        # one level past MAX_DEPTH: in the tree, and in the parser's nesting
+        (
+            "[system]\ndim = 1\nmode 1 { A = [[-1]] }\n[signal]\nH1 = " + " + ".join(["x1"] * 101),
+            "expression is deeper than 100 levels",
+            5,
+            6,
+        ),
+        (
+            "[system]\ndim = 1\nmode 1 { A = [[-1]] }\n[signal]\nH1 = " + "(" * 101 + "x1",
+            "expression is deeper than 100 levels",
+            5,
+            106,
+        ),
+        (
+            "[system]\ndim = 1\nmode 1 { A = [[" + "-" * 101 + "1]] }\n",
+            "expression is deeper than 100 levels",
+            3,
+            116,
+        ),
     ],
 )
 def test_reader_error_message_and_position(text, message, line, col):

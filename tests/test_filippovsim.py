@@ -473,9 +473,19 @@ def assert_step_is_the_reference(f, x, dt, k1):
     got = filippovsim._dp_step(float_field(f), x.tolist(), dt, None if k1 is None else k1.tolist())
     x5, err, k = ref_dp_step(f, x, dt, k1)
     assert type(got[0]) is tuple and len(got[2]) == 7
-    assert np.array(got[0]).tobytes() == x5.tobytes()
+    assert nan_blind_bits(got[0]) == nan_blind_bits(x5)
     assert same_float(got[1], ref_error_norm(err, x, x5))
-    assert np.array(got[2]).tobytes() == np.array(k).tobytes()
+    assert nan_blind_bits(got[2]) == nan_blind_bits(k)
+
+
+def nan_blind_bits(values):
+    """The bits of an array, each NaN read as one NaN whatever its sign:
+    CPython's float sum and product of two NaNs of opposite sign return
+    either one, depending on whether the instruction is specialised (a
+    trace function changes that), as ``tests/test_expr.py::_outcome``
+    notes."""
+    a = np.array(values, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
 def non_finite_fields(rng, n):
@@ -823,6 +833,12 @@ def trajectory_digest():
     for name, x0, opts in GOLDEN_RUNS:
         sysm, spec, basis = fixtures.example(name)
         runs.append((sysm, spec, basis, np.array(x0), opts))
+    return runs_digest(runs)
+
+
+def runs_digest(runs):
+    """sha256 over runs (system, spec, basis, x0, options) as
+    ``trajectory_digest`` takes it."""
     h = hashlib.sha256()
     for sysm, spec, basis, x0, opts in runs:
         traj = simulate(sysm, x0, opts)
@@ -847,6 +863,33 @@ def test_samples_keep_their_own_initial_state():
     traj = simulate(fixtures.example("example1")[0], x0, SimOptions(horizon=0.1))
     x0[:] = 7.0
     assert traj.samples[0].x.tolist() == [-1.0, 1.0]
+
+
+def test_event_location_refines_a_step_that_lands_past_the_surface(monkeypatch):
+    # from 2 (cos 37.5 deg, sin 37.5 deg) the real step of Illinois' length
+    # lands past example2's switching line, beyond the event tolerance,
+    # and the secant through the last two real steps takes it back
+    landed, region = [], [None]
+    locate, step = filippovsim._Sim._locate_event, filippovsim._dp_step
+
+    def located(self, f, dt, i, k, h_end):
+        region[0] = i
+        locate(self, f, dt, i, k, h_end)
+        region[0] = None
+
+    def stepped(f, x, dt, k1=None):
+        out = step(f, x, dt, k1)
+        if region[0] is not None:
+            landed.append(filippovsim._hn(sysm, region[0], np.array(out[0])))
+        return out
+
+    monkeypatch.setattr(filippovsim._Sim, "_locate_event", located)
+    monkeypatch.setattr(filippovsim, "_dp_step", stepped)
+    sysm, spec, basis = fixtures.example("example2")
+    x0 = np.array([1.5867066805824703, 1.2175228580174413])
+    digest = runs_digest([(sysm, spec, basis, x0, SimOptions(horizon=5.0))])
+    assert any(h < -EVENT_TOL for h in landed)
+    assert digest == "7ebc1d8217aadd3689031960a1930b64e7fec2bb1e9a68bba18572c0b36cd997"
 
 
 def test_trajectories_keep_every_bit():
@@ -898,9 +941,9 @@ signs = st.sampled_from([1.0, -1.0])
 
 @st.composite
 def cones_and_states(draw):
-    """Cones of n = 2..6 with entries of 1e-300..1e300 (independent, or
-    one scale times O(1) entries), states with |x| of 1e-200..1e200,
-    and cones built in code with inf or NaN entries."""
+    """Cones of n = 2..6, the symmetric parts of matrices with entries of
+    1e-300..1e300 (independent, or one scale times O(1) entries), and
+    states with |x| of 1e-200..1e200."""
     n = draw(st.integers(2, 6))
     unit = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0])
     if draw(st.booleans()):
@@ -909,15 +952,10 @@ def cones_and_states(draw):
     else:
         Q = draw(magnitudes) * np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n)))
         Q = Q.reshape(n, n)
-    if draw(st.booleans()):
-        Q = 0.5 * (Q + Q.T)
-    if draw(st.integers(0, 9)) == 0:
-        Q[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
-            st.sampled_from([math.inf, -math.inf, math.nan])
-        )
+    Q = 0.5 * (Q + Q.T)
     x = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
     top = float(np.abs(x).max())
-    x *= 10.0 ** draw(st.floats(-200.0, 200.0)) / (top if top > 0.0 else 1.0)
+    x = x / (top if top > 0.0 else 1.0) * 10.0 ** draw(st.floats(-200.0, 200.0))
     nudges = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), dtype=float)
     return Q, x, nudges
 
@@ -934,15 +972,18 @@ def test_region_test_decides_as_hn(case):
 @pytest.mark.parametrize(
     "Q, x",
     [
-        # x @ Q overflows to inf and meets x_1 = 0: _hn is NaN, while the
-        # float rows give 1e296 (sum |Q| above 1e50)
-        ([[0.0, 0.0], [1e306, 1e296]], [0.0, 1e3]),
+        # x'Q x within an ulp of the float range: numpy's x @ Q @ x rounds
+        # to inf where its matmul fuses multiply-adds, while the float rows
+        # give the largest finite float (sum |Q| above 1e50)
+        (
+            [[6.524437827813233e307, 2.086784480185465e307],
+             [2.086784480185465e307, 8.764995636564625e307]],
+            [0.43872097841350055, 1.2806938221035824],
+        ),
         # |x|^2 subnormal or zero: _hn divides by 1e-300 instead
         ([[1.0, 0.0], [0.0, 1.0]], [1e-160, 1e-160]),
         ([[1.0, 0.0], [0.0, 1.0]], [1e-200, 0.0]),
         ([[2.0, 1.0], [1.0, -3.0]], [1e130, -1e130]),
-        ([[math.inf, 0.0], [0.0, -1.0]], [1.0, 2.0]),
-        ([[math.nan, 0.0], [0.0, 1.0]], [0.0, 1.0]),
     ],
 )
 def test_region_test_decides_as_hn_out_of_the_float_range(Q, x):
@@ -967,6 +1008,7 @@ def test_region_test_reads_hn_within_its_margin_alone(monkeypatch):
     for _ in range(2000):
         n = int(rng.integers(2, 4))
         Q = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        Q = 0.5 * (Q + Q.T)
         x = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
         for Qc, xc in region_cases(Q, x, rng.integers(-4, 5, n)):
             calls[0] = 0
@@ -1010,15 +1052,20 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1e-200, 1e154, 1e200, -
 
 @st.composite
 def sliding_cases(draw):
-    """Two linear cone modes and a state whose fields and gradient hold
-    +-0, subnormal and overflowing values."""
+    """Two linear cone modes (each Q the symmetric part of its draw) and
+    a state whose fields and gradient hold +-0, subnormal and overflowing
+    values."""
     n = draw(st.integers(1, 4))
     entry = st.sampled_from(SPECIAL) | st.floats(-10.0, 10.0)
 
     def matrix():
         return np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
 
-    modes = [Mode(index=1, A=matrix(), Q=matrix()), Mode(index=2, A=matrix(), Q=matrix())]
+    def cone():
+        Q = matrix()
+        return 0.5 * (Q + Q.T)
+
+    modes = [Mode(index=1, A=matrix(), Q=cone()), Mode(index=2, A=matrix(), Q=cone())]
     x = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
     return SwitchedSystem(dim=n, modes=modes), x, draw(st.sampled_from([0.0, 0.05]))
 

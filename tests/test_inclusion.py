@@ -119,8 +119,36 @@ def test_validate_partition_reports_gaps():
 def test_linear_system_rejects_a_stacked_cone_matrix(linear_system):
     # as_symmetric takes (k, n, n) stacks; a mode's Q must still be one matrix
     Q = np.array([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(InvalidInputError, match="Q1 must be square"):
+    with pytest.raises(InvalidInputError, match="^mode 1: Q must be square"):
         linear_system([-np.eye(2)], [np.stack([Q, Q])])
+
+
+@pytest.mark.parametrize(
+    "matrices, message",
+    [
+        ({"Q": [[np.inf, 0.0], [0.0, -1.0]]}, "mode 2: Q has non-finite entries"),
+        ({"Q": [[np.nan, 0.0], [0.0, 1.0]]}, "mode 2: Q has non-finite entries"),
+        ({"Q": [[1.0, 1e-3], [0.0, -1.0]]}, "mode 2: Q is not symmetric"),
+        ({"Q": [[1.0, 0.0, 0.0]] * 2}, r"mode 2: Q must be square, got shape \(2, 3\)"),
+        ({"Q": np.stack([np.eye(2)] * 2)}, r"mode 2: Q must be square, got shape \(2, 2, 2\)"),
+        ({"A": [[-1.0, np.nan], [0.0, -1.0]]}, "mode 2: A has non-finite entries"),
+        ({"A": [[-1.0, 0.0]]}, r"mode 2: A must be square, got shape \(1, 2\)"),
+    ],
+    ids=["Q-inf", "Q-nan", "Q-skewed", "Q-nonsquare", "Q-stacked", "A-nan", "A-nonsquare"],
+)
+def test_mode_refuses_a_bad_matrix_by_name(matrices, message):
+    # a Mode checks its own matrices, however it is built
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        Mode(index=2, **{"A": -np.eye(2), **matrices})
+
+
+def test_mode_stores_the_symmetric_part_of_its_cone_matrix():
+    Q = np.array([[1.0, 0.1 + 1e-12], [0.1, -1.0]])
+    mode = Mode(index=1, A=[[-1.0, 0.0], [0.0, -1.0]], Q=Q)
+    assert mode.Q.tobytes() == (0.5 * (Q + Q.T)).tobytes()
+    assert mode.A.dtype == float
+    copy = SwitchedSystem.from_config(SwitchedSystem(2, [mode]))
+    assert copy.modes[0].Q.tobytes() == mode.Q.tobytes()
 
 
 def _index_set_by_mode(sysm, x, policy):

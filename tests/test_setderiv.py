@@ -756,3 +756,25 @@ def test_groups_come_in_the_order_of_the_sorted_mask_rows(width, rows, seed):
         for r, a, m in setderiv._groups(masks[:, :K], masks[:, K:])
     ]
     assert got == want
+
+
+def test_a_field_value_that_is_not_finite_is_refused_by_its_first_sample(recwarn):
+    # mode 1's field overflows to -inf for |x1| >= 4e7 or so, where mode 2's
+    # finite product is the larger one: no sample may read the infinite
+    # value as a decrease
+    product = "*".join(["x1"] * 41)
+    parsed = parse_config(
+        f"[system]\ndim = 2\nmode 1 {{ f = (-({product}), -x2) }}\n"
+        "mode 2 { A = [[-1, 0], [0, -1]] }\n"
+        "[basis]\nP1 = [[1, 0], [0, 1]]\n[structure]\nS1 = {1}\n"
+    )
+    sysm, spec, basis = parsed.system, parsed.basis.to_spec(), parsed.basis.to_basis()
+    samples = [[1.0, 1.0], [2e8, 1.0], [-1e8, 3.0]]
+    refused = "the field of mode 1 is not finite at"
+    for use_clarke in (False, True):
+        with pytest.raises(InvalidInputError, match=rf"^{refused} \[200000000\.0, 1\.0\]$"):
+            decrease_check(spec, basis, sysm, samples, 0.0, POLICY, use_clarke=use_clarke)
+    with pytest.raises(InvalidInputError, match=rf"^{refused} \[-100000000\.0, 3\.0\]$"):
+        setderiv.vertex_table(spec, basis, sysm, np.array(samples[2]), POLICY)
+    assert decrease_check(spec, basis, sysm, samples[:1], 0.0, POLICY).ok
+    assert not recwarn.list
